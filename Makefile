@@ -38,12 +38,17 @@
 #   make trace-demo  - end-to-end request tracing demo: slowest traces with
 #                      per-span attribution, per-window p99 breakdown, and
 #                      the provisioning decision timeline (see repro.obs)
+#   make perfbench   - the standing benchmark of the shipped engine: four
+#                      workloads, end-to-end metrics (see perfbench/README.md)
+#   make perfbench-traced - ... plus the per-layer pass (spans, counts, micros)
+#   make perfbench-compare A=a.json B=b.json - compare two --json outputs
+#                      (or comma-separated lists of them) against the bounds
 
 PYTEST := python -m pytest
 
 .PHONY: test test-all property bench bench-smoke bench-provisioning \
 	bench-spot bench-noisy perf sweep sweep-smoke grid grid-smoke lint \
-	perf-check ci trace-demo
+	perf-check ci trace-demo perfbench perfbench-traced perfbench-compare
 
 test:
 	$(PYTEST) -x -q
@@ -96,7 +101,7 @@ lint:
 	else \
 		echo "ruff not installed; falling back to compileall"; \
 	fi
-	python -m compileall -q src scripts benchmarks tests
+	python -m compileall -q src scripts benchmarks tests perfbench
 
 perf-check:
 	python scripts/validate_perf_log.py
@@ -106,3 +111,12 @@ ci: lint test perf-check bench-smoke grid-smoke
 
 trace-demo:
 	python examples/trace_demo.py
+
+perfbench:
+	python3 perfbench/run.py
+
+perfbench-traced:
+	python3 perfbench/run.py --traced
+
+perfbench-compare:
+	python3 perfbench/run.py --compare $(A) $(B)

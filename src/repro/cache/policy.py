@@ -63,17 +63,17 @@ class AdmissionPolicy:
             )
         self.spec = spec
         self.propagation_headroom = propagation_headroom
+        # The bound and the headroom are fixed from here on, so what they
+        # imply is worked out once, not on every lookup.
+        #: Seconds a freshly-read value may be served from cache.
+        self.servable_budget = spec.read.staleness_bound - propagation_headroom
+        self._cacheable = self.servable_budget > 0.0
 
     # -------------------------------------------------------------- admission
 
-    @property
-    def servable_budget(self) -> float:
-        """Seconds a freshly-read value may be served from cache."""
-        return self.spec.read.staleness_bound - self.propagation_headroom
-
     def cacheable(self) -> bool:
         """True when the spec grants any exploitable staleness at all."""
-        return self.servable_budget > 0.0
+        return self._cacheable
 
     def entity_ttl(self, known_staleness: Optional[float]) -> float:
         """TTL for an entity read that was ``known_staleness`` seconds behind
@@ -98,6 +98,12 @@ class AdmissionPolicy:
 
     # ---------------------------------------------------------------- bypasses
 
+    @staticmethod
+    def session_checks(session: Optional[Session]) -> bool:
+        """Can this session reject a cached value at all?  Without a session,
+        or with no guarantee enabled, every cached value is acceptable."""
+        return session is not None and session.guarantee.any_enabled
+
     def session_allows(self, session: Optional[Session], namespace: str,
                        key: Key, cached_value) -> bool:
         """May a cached entity value be served to this session?
@@ -106,6 +112,6 @@ class AdmissionPolicy:
         (primary re-read) the session axes require.  Sessions without
         guarantees always accept.
         """
-        if session is None or not session.guarantee.any_enabled:
+        if not self.session_checks(session):
             return True
         return session.acceptable(namespace, key, cached_value, count=False)

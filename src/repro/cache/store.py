@@ -9,6 +9,11 @@ The store holds two kinds of entries in one LRU order:
   :class:`~repro.storage.records.KeyRange` they cover so a point write can
   invalidate exactly the cached scans whose range contains the written key.
 
+Range entries are also indexed per namespace by the leading key component
+every key of their range shares, so finding the cached scans that could cover a
+requested range (containment) or that contain a written key (invalidation)
+inspects one small bucket instead of every cached scan of the namespace.
+
 Every entry carries an absolute expiry time derived by the admission policy
 from the governing staleness bound (see :mod:`repro.cache.policy`); expired
 entries are treated as misses and reclaimed lazily.  Capacity is measured in
@@ -20,9 +25,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.storage.records import Key, KeyRange
+from repro.storage.records import Key, KeyPart, KeyRange, key_part_successor
 
 EntryToken = Tuple[Hashable, ...]
 
@@ -40,6 +45,10 @@ class CacheStats:
     # Range lookups served by *containment* — a narrower scan answered from a
     # wider cached entry (a subset of ``hits``).
     containment_hits: int = 0
+    # Range entries inspected by containment lookups and invalidations: the
+    # attempts behind ``containment_hits`` and the range share of
+    # ``invalidations`` (useful outcomes / attempts = the wasted-work ratio).
+    range_candidates_examined: int = 0
 
     @property
     def lookups(self) -> int:
@@ -66,9 +75,6 @@ class CacheEntry:
     def expired(self, now: float) -> bool:
         return now >= self.expires_at
 
-    def remaining_ttl(self, now: float) -> float:
-        return max(self.expires_at - now, 0.0)
-
 
 def entity_token(namespace: str, key: Key) -> EntryToken:
     """Stable store token for an entity entry."""
@@ -81,6 +87,48 @@ def range_token(namespace: str, start: Optional[Key], end: Optional[Key],
     return ("range", namespace, start, end, limit, reverse)
 
 
+def _shared_lead(start: Optional[Key], end: Optional[Key]) -> Optional[KeyPart]:
+    """The leading key component every key of ``[start, end)`` must share, or
+    None when the range spans several leading components or has an open end.
+
+    Two shapes qualify: ``end`` starts with the same component as ``start``,
+    or ``end`` is the one-component key holding that component's immediate
+    successor — what :func:`~repro.storage.records.prefix_range` builds for a
+    one-component prefix.  The second shape is only trusted for strings, whose
+    successor leaves no value in between (``n + 1`` leaves every float in
+    ``(n, n + 1)``).
+    """
+    if not start or not end:
+        return None
+    lead = start[0]
+    if end[0] == lead:
+        return lead
+    if isinstance(lead, str) and end == (key_part_successor(lead),):
+        return lead
+    return None
+
+
+class _NamespaceRanges:
+    """One namespace's range entries, findable without walking all of them.
+
+    Both levels are insertion-ordered dicts, NOT sets: containment picks the
+    oldest-admitted covering entry, and set iteration order varies with the
+    interpreter's hash seed — which would let two invocations of the same
+    seeded run serve (and LRU-refresh) different entries, breaking the sweep
+    fabric's serial/parallel reproducibility.
+    """
+
+    __slots__ = ("admitted", "buckets")
+
+    def __init__(self) -> None:
+        # Every range token of the namespace in admission order -> its
+        # admission sequence number (compares entries across buckets).
+        self.admitted: Dict[EntryToken, int] = {}
+        # :func:`_shared_lead` of the entry's range -> its tokens in admission
+        # order; key None is the "wide" bucket every lookup also inspects.
+        self.buckets: Dict[Optional[KeyPart], Dict[EntryToken, None]] = {}
+
+
 class StalenessBudgetCache:
     """An LRU + TTL cache over entity and range-read results.
 
@@ -90,24 +138,19 @@ class StalenessBudgetCache:
             ``max(1, len(rows))``.
     """
 
-    # Containment lookups examine at most this many range entries per miss:
-    # the scan is Python-loop work on the read hot path, so its worst case
-    # must stay bounded even when a namespace accumulates thousands of
-    # distinct cached scans.  Entries beyond the cap simply cannot serve by
-    # containment (the exact-token path is unaffected).
-    CONTAINMENT_SCAN_CAP = 128
+    # A range lookup that misses its exact token reclaims at most this many
+    # expired range entries from the head of the namespace's admission order.
+    # It bounds one miss's reclamation work only; which entries may *serve* by
+    # containment is not capped (the index keeps that search small).
+    RECLAIM_CAP = 128
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: "OrderedDict[EntryToken, CacheEntry]" = OrderedDict()
-        # Token "sets" are insertion-ordered dicts, NOT sets: containment
-        # picks the first covering entry, and set iteration order varies with
-        # the interpreter's hash seed — which would let two invocations of
-        # the same seeded run serve (and LRU-refresh) different entries,
-        # breaking the sweep fabric's serial/parallel reproducibility.
-        self._ranges_by_namespace: Dict[str, Dict[EntryToken, None]] = {}
+        self._ranges: Dict[str, _NamespaceRanges] = {}
+        self._range_admissions = 0
         self._cost_total = 0
         self.stats = CacheStats()
 
@@ -140,6 +183,31 @@ class StalenessBudgetCache:
         self.stats.hits += 1
         return entry
 
+    def get_entities(self, namespace: str, keys: Iterable[Key],
+                     now: float) -> List[Optional[CacheEntry]]:
+        """:meth:`get` for each entity key in order, as one loop: the live
+        entry or None per key, with the same counting, LRU refresh and lazy
+        reclamation as that many single calls."""
+        entries = self._entries
+        stats = self.stats
+        found: List[Optional[CacheEntry]] = []
+        hits = 0
+        for key in keys:
+            token = entity_token(namespace, key)
+            entry = entries.get(token)
+            if entry is not None:
+                if now < entry.expires_at:
+                    entries.move_to_end(token)
+                    hits += 1
+                else:
+                    self._remove(token)
+                    stats.ttl_expirations += 1
+                    entry = None
+            found.append(entry)
+        stats.hits += hits
+        stats.misses += len(found) - hits
+        return found
+
     def peek(self, token: EntryToken) -> Optional[CacheEntry]:
         """The entry under ``token`` regardless of expiry, without counting
         a lookup or touching LRU order (tests and introspection)."""
@@ -160,12 +228,26 @@ class StalenessBudgetCache:
         filters the wider entry's rows to the requested bounds, reorients if
         the scan directions differ, and applies the requested limit.
 
+        Covering entries are found through the namespace's index, not by
+        walking its cached scans: an entry whose range lies under one leading
+        key component (every prefix scan and its bounded variants) can only
+        cover requests under that component, so a lookup inspects the bucket
+        of ``start[0]`` plus the "wide" bucket of entries that span several
+        components or have an open end.  Its cost follows the number of
+        scans cached *for that component*, not for the namespace, and any
+        covering entry is eligible however many scans are cached.  When
+        several could serve, the oldest-admitted one wins (admission order —
+        deterministic across interpreter invocations, unlike set order).  A
+        request with ``start >= end`` holds no key and is looked up the same
+        way, so only entries in those two buckets can answer it.
+
         One hit or one miss is counted per call; a containment serve also
         refreshes the serving entry's LRU position and counts in
-        ``stats.containment_hits``.  When several cached entries could serve,
-        the oldest-admitted one wins (insertion order — deterministic across
-        interpreter invocations, unlike set order); the scan examines at most
-        ``CONTAINMENT_SCAN_CAP`` entries per miss to bound its hot-path cost.
+        ``stats.containment_hits``.  An exact-token miss also reclaims the
+        expired entries at the head of the namespace's admission order, at
+        most ``RECLAIM_CAP`` per call — with the one range TTL the admission
+        policy derives, admission order is expiry order, so that is every
+        expired scan of the namespace.
         """
         entry = self._entries.get(range_token(namespace, start, end, limit, reverse))
         if entry is not None:
@@ -187,46 +269,59 @@ class StalenessBudgetCache:
     def _containment_lookup(self, namespace: str, start: Optional[Key],
                             end: Optional[Key], limit: Optional[int],
                             reverse: bool, now: float) -> Optional[list]:
-        tokens = self._ranges_by_namespace.get(namespace)
-        if not tokens:
+        ranges = self._ranges.get(namespace)
+        if ranges is None:
             return None
-        doomed = []
-        served: Optional[list] = None
+        entries = self._entries
+        if entries[next(iter(ranges.admitted))].expired(now):
+            self._reclaim_expired_head(ranges, now)
+        # Only a wide entry can cover a request with an open end.
+        leads = (start[0], None) if start and end else (None,)
+        winner: Optional[CacheEntry] = None
+        winner_admission = 0
         examined = 0
-        for rtoken in tokens:
-            if examined >= self.CONTAINMENT_SCAN_CAP:
+        for lead in leads:
+            for token in ranges.buckets.get(lead, ()):
+                examined += 1
+                entry = entries[token]
+                if entry.expired(now):
+                    continue
+                entry_limit = token[4]
+                if entry_limit is not None and len(entry.value) >= entry_limit:
+                    continue  # truncated by its own limit: coverage unknown
+                covering = entry.key_range
+                if covering.start is not None and (
+                        start is None or covering.start > start):
+                    continue
+                if covering.end is not None and (end is None or end > covering.end):
+                    continue
+                # First hit is the bucket's oldest; keep the older of the two.
+                admission = ranges.admitted[token]
+                if winner is None or admission < winner_admission:
+                    winner, winner_admission = entry, admission
                 break
-            examined += 1
-            entry = self._entries.get(rtoken)
-            if entry is None or entry.key_range is None:
-                continue
-            if entry.expired(now):
-                doomed.append(rtoken)
-                continue
-            entry_limit = rtoken[4]
-            complete = entry_limit is None or len(entry.value) < entry_limit
-            if not complete:
-                continue
-            covers_low = entry.key_range.start is None or (
-                start is not None and entry.key_range.start <= start)
-            covers_high = entry.key_range.end is None or (
-                end is not None and end <= entry.key_range.end)
-            if not (covers_low and covers_high):
-                continue
-            rows = [(key, value) for key, value in entry.value
-                    if (start is None or key >= start)
-                    and (end is None or key < end)]
-            if bool(rtoken[5]) != reverse:
-                rows.reverse()
-            if limit is not None:
-                rows = rows[:limit]
-            self._entries.move_to_end(rtoken)
-            served = rows
-            break
-        for rtoken in doomed:
-            self._remove(rtoken)
-            self.stats.ttl_expirations += 1
-        return served
+        self.stats.range_candidates_examined += examined
+        if winner is None:
+            return None
+        rows = [(key, value) for key, value in winner.value
+                if (start is None or key >= start)
+                and (end is None or key < end)]
+        if bool(winner.token[5]) != reverse:
+            rows.reverse()
+        if limit is not None:
+            rows = rows[:limit]
+        entries.move_to_end(winner.token)
+        return rows
+
+    def _reclaim_expired_head(self, ranges: _NamespaceRanges, now: float) -> None:
+        doomed = []
+        for token in ranges.admitted:
+            if len(doomed) >= self.RECLAIM_CAP or not self._entries[token].expired(now):
+                break
+            doomed.append(token)
+        for token in doomed:
+            self._remove(token)
+        self.stats.ttl_expirations += len(doomed)
 
     # --------------------------------------------------------------- admission
 
@@ -274,8 +369,15 @@ class StalenessBudgetCache:
             self._remove(entry.token)
         self._entries[entry.token] = entry
         self._cost_total += entry.cost
-        if entry.key_range is not None:
-            self._ranges_by_namespace.setdefault(entry.namespace, {})[entry.token] = None
+        covering = entry.key_range
+        if covering is not None:
+            ranges = self._ranges.get(entry.namespace)
+            if ranges is None:
+                ranges = self._ranges[entry.namespace] = _NamespaceRanges()
+            self._range_admissions += 1
+            ranges.admitted[entry.token] = self._range_admissions
+            lead = _shared_lead(covering.start, covering.end)
+            ranges.buckets.setdefault(lead, {})[entry.token] = None
         self.stats.insertions += 1
         while self._cost_total > self.capacity and self._entries:
             victim_token = next(iter(self._entries))
@@ -293,37 +395,28 @@ class StalenessBudgetCache:
         This is the write-through hook: called for the written key on entity
         writes, and for the written *index* key when the asynchronous updater
         applies index maintenance (so cached query scans covering the changed
-        index region are dropped too).  Returns the number of entries dropped.
+        index region are dropped too).  Only the cached scans under the key's
+        leading component, plus the wide ones, are inspected.  Returns the
+        number of entries dropped.
         """
         dropped = 0
         token = entity_token(namespace, key)
         if token in self._entries:
             self._remove(token)
             dropped += 1
-        for rtoken in list(self._ranges_by_namespace.get(namespace, ())):
-            entry = self._entries.get(rtoken)
-            if entry is None or entry.key_range is None:
-                continue
-            if entry.key_range.contains(key):
-                self._remove(rtoken)
-                dropped += 1
+        ranges = self._ranges.get(namespace)
+        if ranges is not None:
+            examined = 0
+            for lead in (key[0], None):
+                # Copied: dropping an entry edits the bucket under iteration.
+                for rtoken in list(ranges.buckets.get(lead, ())):
+                    examined += 1
+                    if self._entries[rtoken].key_range.contains(key):
+                        self._remove(rtoken)
+                        dropped += 1
+            self.stats.range_candidates_examined += examined
         self.stats.invalidations += dropped
         return dropped
-
-    def invalidate_namespace(self, namespace: str) -> int:
-        """Drop every entry (entity and range) in one namespace."""
-        doomed = [token for token, entry in self._entries.items()
-                  if entry.namespace == namespace]
-        for token in doomed:
-            self._remove(token)
-        self.stats.invalidations += len(doomed)
-        return len(doomed)
-
-    def clear(self) -> None:
-        """Drop everything (stats are preserved)."""
-        self._entries.clear()
-        self._ranges_by_namespace.clear()
-        self._cost_total = 0
 
     # ----------------------------------------------------------------- internal
 
@@ -332,9 +425,14 @@ class StalenessBudgetCache:
         if entry is None:
             return
         self._cost_total -= entry.cost
-        if entry.key_range is not None:
-            tokens = self._ranges_by_namespace.get(entry.namespace)
-            if tokens is not None:
-                tokens.pop(token, None)
-                if not tokens:
-                    del self._ranges_by_namespace[entry.namespace]
+        covering = entry.key_range
+        if covering is not None:
+            ranges = self._ranges[entry.namespace]
+            del ranges.admitted[token]
+            lead = _shared_lead(covering.start, covering.end)
+            bucket = ranges.buckets[lead]
+            del bucket[token]
+            if not bucket:
+                del ranges.buckets[lead]
+            if not ranges.admitted:
+                del self._ranges[entry.namespace]

@@ -12,7 +12,7 @@ reads — the cache is part of the serving system, not an accounting trick.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.invalidation import WriteThroughInvalidator
 from repro.cache.policy import AdmissionPolicy
@@ -91,14 +91,53 @@ class CacheTier:
         if entry is None:
             return None
         if not self.policy.session_allows(session, namespace, key, entry.value):
-            self.session_bypasses += 1
-            # The lookup was counted as a hit, but this read goes to the
-            # cluster; reclassify so the hit-rate feature the provisioning
-            # loop sees reflects cluster-absorbed reads only.
-            self.store.stats.hits -= 1
-            self.store.stats.misses += 1
+            self._note_session_bypass()
             return None
         return entry
+
+    def _note_session_bypass(self) -> None:
+        self.session_bypasses += 1
+        # The lookup was counted as a hit, but this read goes to the
+        # cluster; reclassify so the hit-rate feature the provisioning
+        # loop sees reflects cluster-absorbed reads only.
+        self.store.stats.hits -= 1
+        self.store.stats.misses += 1
+
+    def lookup_entities(
+        self, namespace: str, keys: Iterable[Key], session: Optional[Session],
+    ) -> Tuple[Dict[Key, Tuple[Optional[dict], float]], List[Key]]:
+        """Serve a query's dereference list from the cache in one pass.
+
+        Each distinct key is looked up once, in first-occurrence order, with
+        the effects of :meth:`lookup_entity` followed — on a hit — by the
+        session's ``note_read`` and :meth:`sample_hit_latency`; the hit
+        latencies are drawn together afterwards, which continues the pooled
+        stream in the same order.  Returns ``(served, misses)``: the row copy
+        (None for a cached negative result) and hit latency per served key,
+        and the keys the caller must read through the cluster.
+        """
+        distinct = dict.fromkeys(keys)
+        if not self.policy.cacheable():
+            return {}, list(distinct)
+        found = self.store.get_entities(namespace, distinct, self._sim.now)
+        probes = self.policy.session_checks(session)
+        rows: Dict[Key, Optional[dict]] = {}
+        misses: List[Key] = []
+        for key, entry in zip(distinct, found):
+            if entry is None:
+                misses.append(key)
+                continue
+            value = entry.value
+            if probes and not session.acceptable(namespace, key, value, count=False):
+                self._note_session_bypass()
+                misses.append(key)
+                continue
+            if session is not None:
+                session.note_read(namespace, key, value)
+            payload = value.value if value is not None else None
+            rows[key] = dict(payload) if isinstance(payload, dict) else None
+        latencies = self._hit_latency.sample_many(self._rng, len(rows)).tolist()
+        return dict(zip(rows, zip(rows.values(), latencies))), misses
 
     def admit_entity(self, namespace: str, key: Key, value: Any,
                      known_staleness: Optional[float]) -> Optional[CacheEntry]:
@@ -114,12 +153,14 @@ class CacheTier:
         """Cached rows for one bounded range read, or None on miss.
 
         Served under the exact scan parameters when possible, otherwise by
-        *containment* from a wider complete cached scan (see
-        :meth:`~repro.cache.store.StalenessBudgetCache.get_range`) — the
-        narrower answer inherits the wider entry's TTL, which is at least as
-        conservative as the one a fresh fill would get.
+        *containment* from a wider complete cached scan, found through the
+        store's per-namespace index of cached scans (see
+        :meth:`~repro.cache.store.StalenessBudgetCache.get_range`; a miss
+        costs the same however many scans are cached) — the narrower answer
+        inherits the wider entry's TTL, which is at least as conservative as
+        the one a fresh fill would get.
         """
-        if not self.config.cache_ranges or not self.policy.cacheable():
+        if not self.admits_ranges():
             return None
         return self.store.get_range(namespace, start, end, limit, reverse,
                                     self._sim.now)

@@ -765,16 +765,10 @@ class Scads:
         def entity_get_many(entity_name, keys):
             _note_deref_start()
             namespace = entity_namespace(entity_name)
-            out = {}
-            misses = []
-            for key in keys:
-                if key in out or key in misses:
-                    continue
-                served = self._cached_entity_read(namespace, key, session)
-                if served is not None:
-                    out[key] = served
-                else:
-                    misses.append(key)
+            if self.cache is not None:
+                out, misses = self.cache.lookup_entities(namespace, keys, session)
+            else:
+                out, misses = {}, list(dict.fromkeys(keys))
             if misses:
                 touched_cluster[0] = True
                 routed = self.router.read_many(namespace, misses)

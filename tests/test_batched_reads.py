@@ -207,3 +207,55 @@ class TestExecutorBatchedDereference:
         engine.settle()  # let the async index maintenance apply
         result = app.statuses_page("u0")
         assert any(r.get("text") == "hello-batched-world" for r in result.rows)
+
+
+class TestEngineDereferenceGlue:
+    """The ``entity_get_many`` closure ``Scads.query`` hands the executor."""
+
+    @staticmethod
+    def _glue(cache, monkeypatch):
+        """A loaded engine and the closure its next query builds."""
+        from repro import Scads
+        from repro.core import engine as engine_module
+        from repro.core.schema import EntitySchema, Field, FieldType
+
+        engine = Scads(seed=7, autoscale=False, initial_groups=3, cache=cache)
+        engine.register_entity(EntitySchema(
+            name="items", key_fields=[Field("key")],
+            value_fields=[Field("v", FieldType.INT)], max_per_partition=50,
+        ))
+        engine.register_query("all", "SELECT * FROM items WHERE key = <k>")
+        engine.start()
+        for i in range(6):
+            engine.put("items", {"key": f"k{i}", "v": i})
+        engine.settle()
+        engine.get("items", ("k1",))  # with a tier: k1 is now cached
+        captured = {}
+
+        class Spy(QueryExecutor):
+            def __init__(self, range_read, entity_get, entity_get_many):
+                super().__init__(range_read, entity_get, entity_get_many)
+                captured["get_many"] = entity_get_many
+
+        monkeypatch.setattr(engine_module, "QueryExecutor", Spy)
+        engine.query("all", {"k": "k0"})
+        return engine, captured["get_many"]
+
+    @pytest.mark.parametrize("cache", [None, False], ids=["cached", "uncached"])
+    def test_duplicate_keys_read_once_with_identical_results(self, cache, monkeypatch):
+        keys = [("k1",), ("k3",), ("k1",), ("absent",), ("k3",), ("k5",), ("k1",)]
+        duplicated_engine, duplicated = self._glue(cache, monkeypatch)
+        distinct_engine, distinct = self._glue(cache, monkeypatch)
+        ops_before = dict(duplicated_engine.router._ops)  # noqa: SLF001
+        with_duplicates = duplicated("items", keys)
+        once_each = distinct("items", list(dict.fromkeys(keys)))
+        assert with_duplicates == once_each  # rows and latencies, same seed
+        assert with_duplicates[("k3",)][0] == {"key": "k3", "v": 3}
+        assert with_duplicates[("absent",)][0] is None
+        assert duplicated_engine.router._ops == distinct_engine.router._ops  # noqa: SLF001
+        assert duplicated_engine.router._ops != ops_before  # noqa: SLF001
+        if cache is None:
+            assert (duplicated_engine.cache.store.stats
+                    == distinct_engine.cache.store.stats)
+        else:
+            assert duplicated_engine.cache is None

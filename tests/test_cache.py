@@ -10,17 +10,24 @@ Correctness contract under test:
   range scans covering it;
 * the store's LRU + TTL accounting stays within capacity;
 * the provisioning loop sees cache absorption (monitor hit-rate feature,
-  planner demand discount).
+  planner demand discount);
+* the indexed range lookups and invalidations behave exactly like a linear
+  scan of every cached range (a hypothesis property against a brute-force
+  model kept in this file), and the batched dereference lookup exactly like
+  that many single lookups.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cache.policy import AdmissionPolicy
-from repro.cache.store import StalenessBudgetCache, entity_token
-from repro.cache.tier import CacheConfig
+from repro.cache.store import CacheStats, StalenessBudgetCache, entity_token
+from repro.cache.tier import CacheConfig, CacheTier
 from repro.core.consistency.spec import (
     ConsistencySpec,
     PerformanceSLA,
@@ -29,7 +36,9 @@ from repro.core.consistency.spec import (
 )
 from repro.core.engine import Scads
 from repro.core.query.plans import entity_namespace
+from repro.core.consistency.sessions import Session
 from repro.core.schema import EntitySchema, Field
+from repro.sim.simulator import Simulator
 from repro.storage.records import VersionedValue
 
 pytestmark = pytest.mark.tier1
@@ -522,3 +531,293 @@ class TestMissPathLatencyLabel:
         assert len(engine.latency_model._targets) == targets_before + 1
         assert engine.latency_model._targets[-1] == pytest.approx(
             observation.sla_reports["read"].observed_percentile_latency)
+
+
+# --------------------------------------- the range index against a linear scan
+
+
+class LinearScanStore:
+    """Brute-force reference for :class:`StalenessBudgetCache`: the store as
+    it was before its range entries were indexed, with every containment
+    lookup and invalidation walking all cached ranges of the namespace in
+    admission order (and no cap on how many it walks)."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.entries = OrderedDict()  # token -> dict(value, expires_at, cost)
+        self.range_tokens = {}        # namespace -> {token: None}, admission order
+        self.cost_total = 0
+        self.stats = CacheStats()
+
+    def get(self, token, now):
+        entry = self.entries.get(token)
+        if entry is None:
+            self.stats.misses += 1
+            return None
+        if now >= entry["expires_at"]:
+            self._remove(token)
+            self.stats.ttl_expirations += 1
+            self.stats.misses += 1
+            return None
+        self.entries.move_to_end(token)
+        self.stats.hits += 1
+        return entry["value"]
+
+    def get_range(self, namespace, start, end, limit, reverse, now):
+        token = ("range", namespace, start, end, limit, reverse)
+        entry = self.entries.get(token)
+        if entry is not None:
+            if now >= entry["expires_at"]:
+                self._remove(token)
+                self.stats.ttl_expirations += 1
+            else:
+                self.entries.move_to_end(token)
+                self.stats.hits += 1
+                return list(entry["value"])
+        served = self._containment(namespace, start, end, limit, reverse, now)
+        if served is not None:
+            self.stats.hits += 1
+            self.stats.containment_hits += 1
+            return served
+        self.stats.misses += 1
+        return None
+
+    def _containment(self, namespace, start, end, limit, reverse, now):
+        doomed, served = [], None
+        for token in self.range_tokens.get(namespace, ()):
+            entry = self.entries[token]
+            if now >= entry["expires_at"]:
+                doomed.append(token)
+                continue
+            _, _, entry_start, entry_end, entry_limit, entry_reverse = token
+            if entry_limit is not None and len(entry["value"]) >= entry_limit:
+                continue
+            covers_low = entry_start is None or (
+                start is not None and entry_start <= start)
+            covers_high = entry_end is None or (
+                end is not None and end <= entry_end)
+            if not (covers_low and covers_high):
+                continue
+            rows = [(key, value) for key, value in entry["value"]
+                    if (start is None or key >= start)
+                    and (end is None or key < end)]
+            if bool(entry_reverse) != reverse:
+                rows.reverse()
+            if limit is not None:
+                rows = rows[:limit]
+            self.entries.move_to_end(token)
+            served = rows
+            break
+        for token in doomed:
+            self._remove(token)
+            self.stats.ttl_expirations += 1
+        return served
+
+    def put_entity(self, namespace, key, value, now, ttl):
+        self._insert(("entity", namespace, key), value, now + ttl, 1)
+
+    def put_range(self, namespace, start, end, limit, reverse, rows, now, ttl):
+        cost = max(1, len(rows))
+        if cost <= self.capacity:
+            self._insert(("range", namespace, start, end, limit, reverse),
+                         rows, now + ttl, cost)
+
+    def _insert(self, token, value, expires_at, cost):
+        self._remove(token)
+        self.entries[token] = {"value": value, "expires_at": expires_at, "cost": cost}
+        self.cost_total += cost
+        if token[0] == "range":
+            self.range_tokens.setdefault(token[1], {})[token] = None
+        self.stats.insertions += 1
+        while self.cost_total > self.capacity and len(self.entries) > 1:
+            self._remove(next(iter(self.entries)))
+            self.stats.lru_evictions += 1
+
+    def invalidate_key(self, namespace, key):
+        doomed = [token for token in self.range_tokens.get(namespace, ())
+                  if (token[2] is None or key >= token[2])
+                  and (token[3] is None or key < token[3])]
+        if ("entity", namespace, key) in self.entries:
+            doomed.append(("entity", namespace, key))
+        for token in doomed:
+            self._remove(token)
+        self.stats.invalidations += len(doomed)
+        return len(doomed)
+
+    def _remove(self, token):
+        entry = self.entries.pop(token, None)
+        if entry is not None:
+            self.cost_total -= entry["cost"]
+            if token[0] == "range":
+                self.range_tokens[token[1]].pop(token)
+
+
+MODEL_LEADS = ("a", "b", "c")
+MODEL_KEYS = [(lead, sub) for lead in MODEL_LEADS for sub in range(4)]
+MODEL_RANGE_TTL = 5.0
+
+_lead = st.sampled_from(MODEL_LEADS)
+_sub = st.integers(min_value=0, max_value=3)
+_sub_pair = st.tuples(_sub, _sub).filter(lambda pair: pair[0] < pair[1])
+# Every shape holds start < end: a request with start >= end names no key.
+range_bounds = st.one_of(
+    # one user's prefix, as ``prefix_range`` builds it
+    _lead.map(lambda lead: ((lead,), (lead + "\x00",))),
+    # bounded variants under one prefix
+    st.tuples(_lead, _sub_pair).map(
+        lambda t: ((t[0], t[1][0]), (t[0], t[1][1]))),
+    st.tuples(_lead, _sub).map(lambda t: ((t[0], t[1]), (t[0] + "\x00",))),
+    # wide: several prefixes, or an open end
+    st.sampled_from([(("a",), ("c",)), (("a", 2), ("b", 3)), (("a",), ("d",)),
+                     (None, ("b", 2)), (("b",), None), (None, None)]),
+)
+range_params = st.tuples(range_bounds, st.sampled_from([None, 1, 2, 3]),
+                         st.booleans())
+model_ops = st.lists(st.one_of(
+    st.tuples(st.just("put_range"), range_params),
+    st.tuples(st.just("get_range"), range_params),
+    st.tuples(st.just("put_entity"), st.sampled_from(MODEL_KEYS),
+              st.sampled_from([2.0, 5.0])),
+    st.tuples(st.just("get"), st.sampled_from(MODEL_KEYS)),
+    st.tuples(st.just("invalidate"), st.sampled_from(MODEL_KEYS)),
+    st.tuples(st.just("advance"), st.sampled_from([0.5, 2.0, 4.0])),
+), min_size=10, max_size=80)
+
+
+def _scan_rows(bounds, limit, reverse, stamp):
+    """What a scan of the full key set would return, stamped so that a
+    lookup's rows say which admission produced them."""
+    start, end = bounds
+    rows = [(key, {"stamp": stamp}) for key in MODEL_KEYS
+            if (start is None or key >= start) and (end is None or key < end)]
+    if reverse:
+        rows.reverse()
+    return rows if limit is None else rows[:limit]
+
+
+@pytest.mark.property
+@given(model_ops)
+def test_indexed_ranges_match_a_linear_scan_of_every_cached_range(ops):
+    store = StalenessBudgetCache(capacity=12)
+    model = LinearScanStore(capacity=12)
+    now = 0.0
+    for step, (kind, *args) in enumerate(ops):
+        if kind == "advance":
+            now += args[0]
+            continue
+        if kind in ("put_range", "get_range"):
+            (start, end), limit, reverse = args[0]
+            if kind == "put_range":
+                rows = _scan_rows((start, end), limit, reverse, stamp=step)
+                for target in (store, model):
+                    target.put_range("ns", start, end, limit, reverse, list(rows),
+                                     now, MODEL_RANGE_TTL)
+            else:
+                assert (store.get_range("ns", start, end, limit, reverse, now)
+                        == model.get_range("ns", start, end, limit, reverse, now)), step
+        elif kind == "put_entity":
+            key, ttl = args
+            for target in (store, model):
+                target.put_entity("ns", key, step, now, ttl)
+        elif kind == "get":
+            entry = store.get(entity_token("ns", args[0]), now)
+            assert ((entry.value if entry is not None else None)
+                    == model.get(entity_token("ns", args[0]), now)), step
+        else:
+            assert (store.invalidate_key("ns", args[0])
+                    == model.invalidate_key("ns", args[0])), step
+        counted = asdict(store.stats)
+        counted.pop("range_candidates_examined")  # the model examines everything
+        expected = asdict(model.stats)
+        expected.pop("range_candidates_examined")
+        assert counted == expected, step
+        assert store.cost_total == model.cost_total, step
+        assert list(store._entries) == list(model.entries), step
+        # the index holds exactly the range entries, each in one bucket
+        indexed = [token for ranges in store._ranges.values()
+                   for bucket in ranges.buckets.values() for token in bucket]
+        assert sorted(indexed, key=repr) == sorted(
+            (token for token in store._entries if token[0] == "range"), key=repr)
+        assert all(list(ranges.admitted) == list(model.range_tokens[namespace])
+                   for namespace, ranges in store._ranges.items())
+
+
+# ------------------------------------- batched dereferences against single ones
+
+
+class TestLookupEntities:
+    """``lookup_entities`` against the per-key calls it batches, on twin tiers
+    built from the same seed."""
+
+    NAMESPACE = "entity:profiles"
+
+    def make_tier(self):
+        spec = ConsistencySpec(
+            read=ReadConsistency(staleness_bound=10.0),
+            session=SessionGuarantee(read_your_writes=True, monotonic_reads=True))
+        sim = Simulator(seed=21)
+        tier = CacheTier(CacheConfig(capacity=64), spec=spec, simulator=sim)
+        session = Session("s", spec.session)
+        def value(version):
+            return VersionedValue(value={"bio": f"v{version}"}, timestamp=0.0,
+                                  version=version)
+
+        tier.store.put_entity(self.NAMESPACE, ("old",), value(1), now=0.0, ttl=1.0)
+        for name in ("a", "b", "c", "written"):
+            tier.admit_entity(self.NAMESPACE, (name,), value(1), 0.0)
+        tier.admit_entity(self.NAMESPACE, ("gone",), None, 0.0)  # negative entry
+        session.note_write(self.NAMESPACE, ("written",), value(2))  # newer than cached
+        sim.run_until(2.0)  # ("old",) is past its TTL; the rest are live
+        return tier, session
+
+    KEYS = [("a",), ("missing",), ("b",), ("a",), ("old",), ("gone",),
+            ("written",), ("c",), ("b",)]
+
+    def sequential(self, tier, session):
+        served, misses = {}, []
+        for key in dict.fromkeys(self.KEYS):
+            entry = tier.lookup_entity(self.NAMESPACE, key, session)
+            if entry is None:
+                misses.append(key)
+                continue
+            if session is not None:
+                session.note_read(self.NAMESPACE, key, entry.value)
+            row = dict(entry.value.value) if entry.value is not None else None
+            served[key] = (row, tier.sample_hit_latency())
+        return served, misses
+
+    @pytest.mark.parametrize("with_session", [True, False])
+    def test_equals_sequential_lookups(self, with_session):
+        batched_tier, batched_session = self.make_tier()
+        single_tier, single_session = self.make_tier()
+        if not with_session:
+            batched_session = single_session = None
+        served, misses = batched_tier.lookup_entities(
+            self.NAMESPACE, self.KEYS, batched_session)
+        expected_served, expected_misses = self.sequential(single_tier, single_session)
+        assert served == expected_served  # rows, and latencies float for float
+        assert list(served) == list(expected_served)
+        assert misses == expected_misses
+        assert ("old",) in misses and ("missing",) in misses
+        assert (("written",) in misses) == with_session  # read-your-writes bypass
+        assert served[("gone",)][0] is None
+        assert batched_tier.store.stats == single_tier.store.stats
+        assert batched_tier.store.stats.ttl_expirations == 1
+        assert batched_tier.session_bypasses == single_tier.session_bypasses
+        assert batched_tier.session_bypasses == (1 if with_session else 0)
+        assert list(batched_tier.store._entries) == list(single_tier.store._entries)
+        if with_session:
+            assert batched_session.stats == single_session.stats
+            assert (batched_session._last_seen_version
+                    == single_session._last_seen_version)
+        # the streams stay in step afterwards
+        assert batched_tier.sample_hit_latency() == single_tier.sample_hit_latency()
+
+    def test_uncacheable_spec_misses_everything_without_counting(self):
+        spec = ConsistencySpec(read=ReadConsistency(staleness_bound=1.0))
+        tier = CacheTier(CacheConfig(propagation_headroom=1.0), spec=spec,
+                         simulator=Simulator(seed=1))
+        served, misses = tier.lookup_entities(self.NAMESPACE, self.KEYS, None)
+        assert served == {}
+        assert misses == list(dict.fromkeys(self.KEYS))
+        assert tier.store.stats.lookups == 0

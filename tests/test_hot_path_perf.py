@@ -14,6 +14,10 @@ invariants:
    reassign/set_splits/rebalance) must bump the topology epoch and invalidate
    the token→group memo, so a memoized partitioner always answers exactly
    like a freshly built (memo-cold) replica of itself.
+
+A third, from the cache-tier fast lane: **range lookups and invalidations do
+not walk the namespace** — their work is counted (not timed) against a
+namespace holding thousands of other users' scans.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.store import StalenessBudgetCache
 from repro.sim.latency import (
     ConstantLatency,
     EmpiricalLatency,
@@ -258,3 +263,43 @@ def test_range_epoch_bumps_on_each_topology_change():
         epoch = partitioner.topology_epoch
         getattr(partitioner, name)(*args)
         assert partitioner.topology_epoch > epoch, name
+
+
+# ----------------------------------------------------- cached-range index
+
+
+def test_range_misses_and_invalidations_do_not_walk_the_namespace():
+    """With 4096 other users' scans cached in one namespace, an exact-token
+    miss and a point invalidation each inspect a handful of candidates — the
+    written or requested user's own scans — not the namespace."""
+    store = StalenessBudgetCache(capacity=100_000)
+    namespace = "index:friends"
+    for index in range(4096):
+        user = f"u{index:08d}"
+        rows = [((user, f"f{friend:04d}"), {}) for friend in range(2)]
+        store.put_range(namespace, (user,), (user + "\x00",), 50, False, rows,
+                        now=0.0, ttl=10.0)
+        # a second, bounded scan of the same user's prefix
+        store.put_range(namespace, (user, "f0000"), (user, "f0001\x00"), 50, False,
+                        rows[:1], now=0.0, ttl=10.0)
+    stats = store.stats
+    for index in range(1000):
+        user = f"u{index:08d}"
+        before = stats.range_candidates_examined
+        # same prefix, another limit: misses its exact token; both of the
+        # user's scans are inspected, the complete one covers and serves
+        assert store.get_range(namespace, (user,), (user + "\x00",), 20, False,
+                               now=1.0) is not None
+        assert stats.range_candidates_examined - before <= 4
+        before = stats.range_candidates_examined
+        stranger = f"v{index:08d}"
+        assert store.get_range(namespace, (stranger,), (stranger + "\x00",), 50,
+                               False, now=1.0) is None
+        assert stats.range_candidates_examined - before <= 4
+    assert stats.containment_hits == 1000
+    for index in range(1000):
+        before = stats.range_candidates_examined
+        dropped = store.invalidate_key(namespace, (f"u{index:08d}", "f0000"))
+        assert dropped == 2
+        assert stats.range_candidates_examined - before <= 4
+    assert len(store) == 2 * (4096 - 1000)
