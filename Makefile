@@ -43,12 +43,18 @@
 #   make perfbench-traced - ... plus the per-layer pass (spans, counts, micros)
 #   make perfbench-compare A=a.json B=b.json - compare two --json outputs
 #                      (or comma-separated lists of them) against the bounds
+#   make perfbench-pairs PARENT=<ref> W=<workload> [N=10] [SEED=11] - the
+#                      protocol for a PR that claims a gain: N alternating
+#                      parent/change pairs of one workload (PARENT checked out
+#                      into a temporary git worktree), medians and quartiles
+#                      per end-to-end metric, pair wins, fingerprint check
 
 PYTEST := python -m pytest
 
 .PHONY: test test-all property bench bench-smoke bench-provisioning \
 	bench-spot bench-noisy perf sweep sweep-smoke grid grid-smoke lint \
-	perf-check ci trace-demo perfbench perfbench-traced perfbench-compare
+	perf-check ci trace-demo perfbench perfbench-traced perfbench-compare \
+	perfbench-pairs
 
 test:
 	$(PYTEST) -x -q
@@ -120,3 +126,9 @@ perfbench-traced:
 
 perfbench-compare:
 	python3 perfbench/run.py --compare $(A) $(B)
+
+N ?= 10
+SEED ?= 11
+perfbench-pairs:
+	python3 scripts/perfbench_pairs.py --parent $(PARENT) --workload $(W) \
+		--pairs $(N) --seed $(SEED)

@@ -36,7 +36,7 @@ def _run(fifo: bool):
     tight = [t for t in completed if t.deadline - t.enqueue_time <= TIGHT_BOUND + 1e-9]
     tight_misses = sum(1 for t in tight if t.met_deadline is False)
     return {
-        "completed": len(completed),
+        "completed": engine.updater.stats().completed,
         "tight_completed": len(tight),
         "tight_misses": tight_misses,
         "tight_miss_rate": tight_misses / len(tight) if tight else 1.0,

@@ -1,0 +1,161 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of perfbench (``make perfbench-pairs``).
+
+The choosing-metrics protocol for a change that claims a gain: check the
+parent commit out into a temporary ``git worktree``, run N pairs of
+``perfbench/run.py --workload W --seed S --json ...`` — one run from the
+parent's checkout, one from this working tree, alternating which side goes
+first — and print, per end-to-end metric of ``BENCHMARK.json``: each side's
+median and quartiles, how many pairs the change won (ties count for neither),
+and whether the medians are apart by more than the distance between the
+parent's own quartiles (a verdict is only given from ten pairs up).  The
+bounds table of ``perfbench/run.py --compare`` over the same files and a
+fingerprint check close the report:
+
+    python3 scripts/perfbench_pairs.py --parent HEAD~1 --workload write-storm
+    python3 scripts/perfbench_pairs.py --parent 7367f03 --workload steady-skewed \\
+        elastic-faults --pairs 10 --seed 33 --out /tmp/pairs
+
+Both sides run their *own* ``perfbench/`` and ``src/``; a change that claims a
+gain leaves ``perfbench/`` byte-identical, so the benchmark code is the same.
+Stops with exit status 1 as soon as a run fails its correctness checks; exit
+status is also 1 if the fingerprints of the two sides differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+MIN_PAIRS = 10  # below this the protocol makes no claim either way
+
+
+def _run_perfbench(checkout: Path, workload: str, seed: int, out: Path) -> bool:
+    """One end-to-end pass from ``checkout``; True if its checks passed."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--json", str(out)],
+        cwd=checkout, stdout=subprocess.DEVNULL, check=False)
+    return done.returncode == 0
+
+
+def _quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """(first quartile, median, third quartile)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, statistics.median(values), q3
+
+
+def _load(path: Path, workload: str) -> dict:
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)["workloads"][workload]
+
+
+def report(spec: dict, workload: str, files: Dict[str, List[Path]]) -> bool:
+    """Print the pairs table for one workload; True if the fingerprints match."""
+    entries = {side: [_load(path, workload) for path in files[side]] for side in SIDES}
+    pairs = len(entries["parent"])
+    print(f"\n{workload}: {pairs} alternating pairs")
+    print(f"{'metric':26s} {'parent q1 / median / q3':>38s} "
+          f"{'change q1 / median / q3':>38s} {'chg/par':>8s} {'wins':>6s}  verdict")
+    for metric in spec["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        parent = [entry["metrics"][name] for entry in entries["parent"]]
+        change = [entry["metrics"][name] for entry in entries["change"]]
+        p_q1, p_med, p_q3 = _quartiles(parent)
+        c_q1, c_med, c_q3 = _quartiles(change)
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+        losses = sum((c < p) if higher else (c > p) for p, c in zip(parent, change))
+        apart = abs(c_med - p_med) > (p_q3 - p_q1)
+        better = (c_med > p_med) if higher else (c_med < p_med)
+        if parent == change:
+            outcome = "identical"
+        elif pairs < MIN_PAIRS:
+            outcome = f"no claim (fewer than {MIN_PAIRS} pairs)"
+        else:
+            if apart and better and wins >= 0.9 * pairs:
+                outcome = "gain"
+            elif apart and not better and losses >= 0.9 * pairs:
+                outcome = "loss"
+            else:
+                outcome = "no claim"
+            outcome += (" (medians apart by more than parent q3-q1)" if apart
+                        else " (medians within parent q3-q1)")
+        ratio = c_med / p_med if p_med else float("nan")
+        print(f"{name:26s} {p_q1:12.6g} {p_med:12.6g} {p_q3:12.6g} "
+              f"{c_q1:12.6g} {c_med:12.6g} {c_q3:12.6g} {ratio:8.4f} "
+              f"{wins:3d}/{pairs:<2d}  {outcome}")
+    prints = {side: {entry["info"]["sim_fingerprint"] for entry in entries[side]}
+              for side in SIDES}
+    same = prints["parent"] == prints["change"] and len(prints["parent"]) == 1
+    print(f"sim_fingerprint: {'equal on every run of both sides' if same else 'DIFFERS'}"
+          f" ({', '.join(sorted(p[:12] for p in prints['parent'] | prints['change']))})")
+    return same
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True,
+                        help="git ref of the parent commit to compare against")
+    parser.add_argument("--workload", required=True, nargs="+",
+                        help="perfbench workload name(s)")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="parent/change pairs per workload (default: 10)")
+    parser.add_argument("--seed", type=int, default=11,
+                        help="perfbench workload seed (default: 11)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="keep every run's --json output in this directory")
+    args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
+        spec = json.load(handle)
+    scratch = Path(tempfile.mkdtemp(prefix="perfbench-pairs-"))
+    out = args.out if args.out is not None else scratch / "json"
+    out.mkdir(parents=True, exist_ok=True)
+    checkouts = {"parent": scratch / "parent", "change": ROOT}
+    status = 0
+    subprocess.run(["git", "worktree", "add", "--detach", str(checkouts["parent"]),
+                    args.parent], cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+    try:
+        for workload in args.workload:
+            files: Dict[str, List[Path]] = {side: [] for side in SIDES}
+            for pair in range(args.pairs):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    path = out / f"{workload}-seed{args.seed}-{side}-{pair:02d}.json"
+                    path.unlink(missing_ok=True)  # --json merges into an existing file
+                    if not _run_perfbench(checkouts[side], workload, args.seed, path):
+                        print(f"{workload}: the {side} run of pair {pair + 1} failed "
+                              "its checks; stopping", file=sys.stderr)
+                        return 1
+                    files[side].append(path)
+                print(f"{workload}: pair {pair + 1}/{args.pairs} done "
+                      f"({order[0]} first)", file=sys.stderr)
+            if not report(spec, workload, files):
+                status = 1
+            print("\nagainst the benchmark's bounds (A = parent, B = change):")
+            subprocess.run(
+                [sys.executable, "perfbench/run.py", "--compare",
+                 ",".join(map(str, files["parent"])), ",".join(map(str, files["change"]))],
+                cwd=ROOT, check=False)
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(checkouts["parent"])],
+                       cwd=ROOT, check=False)
+        shutil.rmtree(scratch, ignore_errors=True)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

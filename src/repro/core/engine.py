@@ -1007,15 +1007,17 @@ class Scads:
             self.cache.note_index_write(namespace, key)
 
     def _on_replication_lag(self, record) -> None:
-        if record.lag is not None:
-            self._window_lag_max = max(self._window_lag_max, record.lag)
-            # Cached estimator reference: one list append per propagation,
-            # no registry lookup (propagations outnumber client ops by the
-            # replication factor, so this path's cost is what bounds the
-            # telemetry-on overhead — see test_telemetry_overhead).
-            lag_histogram = self._tel_replication_lag
-            if lag_histogram is not None:
-                lag_histogram.add(record.lag)
+        # Listeners fire only for applied propagations, so applied_time is set.
+        lag = record.applied_time - record.write_time
+        if lag > self._window_lag_max:
+            self._window_lag_max = lag
+        # Cached estimator reference: one list append per propagation,
+        # no registry lookup (propagations outnumber client ops by the
+        # replication factor, so this path's cost is what bounds the
+        # telemetry-on overhead — see test_telemetry_overhead).
+        lag_histogram = self._tel_replication_lag
+        if lag_histogram is not None:
+            lag_histogram.add(lag)
 
     def _record_op(self, op_type: str, latency: float, success: bool,
                    cluster_served: bool = True) -> None:

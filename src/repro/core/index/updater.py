@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.core.index.maintenance import EntityWrite, IndexMaintainer
 from repro.sim.simulator import Simulator
@@ -84,6 +85,8 @@ class AsyncIndexUpdater:
             (ablation of the priority queue).
     """
 
+    COMPLETED_TASK_WINDOW = 10_000
+
     def __init__(
         self,
         simulator: Simulator,
@@ -110,7 +113,9 @@ class AsyncIndexUpdater:
         self._heap: List[UpdateTask] = []
         self._seq = itertools.count()
         self._stats = UpdaterStats()
-        self._completed_tasks: List[UpdateTask] = []
+        # Only the most recent completions are kept (each task pins its
+        # EntityWrite and both row dicts); ``UpdaterStats`` is all-time.
+        self._completed_tasks: Deque[UpdateTask] = deque(maxlen=self.COMPLETED_TASK_WINDOW)
         self._cancel_drain: Optional[Callable[[], None]] = None
         self._carryover_capacity = 0.0
 
@@ -200,6 +205,7 @@ class AsyncIndexUpdater:
         return self._stats
 
     def completed_tasks(self) -> List[UpdateTask]:
+        """The most recent ``COMPLETED_TASK_WINDOW`` completed tasks, oldest first."""
         return list(self._completed_tasks)
 
     def earliest_deadline(self) -> Optional[float]:

@@ -55,10 +55,15 @@ class _NamespaceStore:
     def get(self, key: Key) -> Optional[VersionedValue]:
         return self._data.get(key)
 
-    def put(self, key: Key, value: VersionedValue) -> None:
-        if key not in self._data:
-            bisect.insort(self._sorted_keys, key)
-        self._data[key] = value
+    def put(self, key: Key, value: VersionedValue) -> bool:
+        """Store ``value`` under ``key``; True when the key was not present."""
+        data = self._data
+        if key in data:
+            data[key] = value
+            return False
+        bisect.insort(self._sorted_keys, key)
+        data[key] = value
+        return True
 
     def delete(self, key: Key) -> bool:
         if key not in self._data:
@@ -344,12 +349,13 @@ class StorageNode:
             raise NodeDownError(f"node {self.node_id} is down")
         validate_key(key)
         self._record_arrival(now)
-        self._stats.writes += 1
-        store = self._store(namespace)
-        existed = store.get(key) is not None
-        store.put(key, value)
-        if not existed:
-            self._stats.keys_stored += 1
+        stats = self._stats
+        stats.writes += 1
+        store = self._namespaces.get(namespace)
+        if store is None:
+            store = self._namespaces[namespace] = _NamespaceStore()
+        if store.put(key, value):
+            stats.keys_stored += 1
         return self._latency.sample(self._rng)
 
     def apply_replica_write(self, namespace: str, key: Key, value: VersionedValue) -> bool:
@@ -360,14 +366,21 @@ class StorageNode:
         True if the value was applied, False if a newer value was already
         present.
         """
-        self._check_alive()
-        store = self._store(namespace)
-        current = store.get(key)
-        if current is not None and not value.wins_over(current):
-            return False
+        if not self._alive:
+            raise NodeDownError(f"node {self.node_id} is down")
+        store = self._namespaces.get(namespace)
+        if store is None:
+            store = self._namespaces[namespace] = _NamespaceStore()
+        # The one probe that fetches the current version for last-write-wins
+        # also says whether the key is new, so the store is written in place.
+        data = store._data
+        current = data.get(key)
         if current is None:
+            bisect.insort(store._sorted_keys, key)
             self._stats.keys_stored += 1
-        store.put(key, value)
+        elif not value.wins_over(current):
+            return False
+        data[key] = value
         return True
 
     def delete(self, namespace: str, key: Key, tombstone: VersionedValue, now: float) -> float:

@@ -2,9 +2,11 @@
 
 Writes are accepted at a replica group's primary and propagated to the other
 replicas asynchronously.  Propagation delay is the sum of a network hop and a
-configurable replication processing delay, and every completed propagation is
-recorded so that the staleness-bound experiments (E4) and the read-consistency
-axis of Figure 4 can measure actual replication lag rather than assume it.
+configurable replication processing delay.  Each completed propagation's lag
+is reported to the registered listeners and kept in a bounded window of the
+most recent completions (plus an all-time maximum), so that the staleness-
+bound experiments (E4) and the read-consistency axis of Figure 4 can measure
+actual replication lag rather than assume it.
 
 Quorum writes (used to implement the "serializable" end of the write-
 consistency axis and as the Dynamo-style baseline) wait for ``W`` replicas
@@ -47,15 +49,46 @@ class ReplicaGroup:
         return len(self.node_ids)
 
 
-@dataclass(slots=True)
 class PropagationRecord:
-    """Bookkeeping for one write's propagation to one replica."""
+    """One write's propagation to one replica — and the action that performs it.
 
-    namespace: str
-    key: Key
-    write_time: float
-    replica_id: str
-    applied_time: Optional[float] = None
+    The record is the callable the simulator fires: the engine schedules the
+    same object for the first attempt, for every ``replicate-retry`` wait and
+    for every re-attempt, so a propagation costs one object however often it
+    is retried.  At most one event per record is outstanding at a time.
+
+    ``namespace``, ``key``, ``write_time``, ``replica_id`` and
+    ``applied_time`` (None until applied) are what lag listeners read; the
+    underscored slots are the engine's delivery state.
+    """
+
+    __slots__ = ("namespace", "key", "write_time", "replica_id", "applied_time",
+                 "_engine", "_value", "_source_id", "_delay_override",
+                 "_retries_left", "_awaiting_retry")
+
+    def __init__(
+        self,
+        engine: "ReplicationEngine",
+        namespace: str,
+        key: Key,
+        value: VersionedValue,
+        write_time: float,
+        source_id: str,
+        replica_id: str,
+        delay_override: Optional[float],
+        retries_left: int,
+    ) -> None:
+        self.namespace = namespace
+        self.key = key
+        self.write_time = write_time
+        self.replica_id = replica_id
+        self.applied_time: Optional[float] = None
+        self._engine = engine
+        self._value = value
+        self._source_id = source_id
+        self._delay_override = delay_override
+        self._retries_left = retries_left
+        self._awaiting_retry = False
 
     @property
     def lag(self) -> Optional[float]:
@@ -63,6 +96,39 @@ class PropagationRecord:
         if self.applied_time is None:
             return None
         return self.applied_time - self.write_time
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"PropagationRecord(namespace={self.namespace!r}, key={self.key!r}, "
+                f"write_time={self.write_time!r}, replica_id={self.replica_id!r}, "
+                f"applied_time={self.applied_time!r})")
+
+    def __call__(self) -> None:
+        """Fire: end a retry wait by re-attempting, else apply at the replica."""
+        engine = self._engine
+        namespace = self.namespace
+        if self._awaiting_retry:
+            self._awaiting_retry = False
+            engine._schedule_apply(self, engine._event_name(namespace))
+            return
+        node = engine._nodes.get(self.replica_id)
+        if node is None:
+            # Replica left the cluster for good (decommission or spot
+            # drain/hibernate detach); ownership moved with it, so the
+            # copy is moot — drop instead of retrying into the void.
+            engine._pending -= 1
+            return
+        if not node._alive:  # noqa: SLF001 - same subsystem
+            engine._schedule_retry(self)
+            return
+        node.apply_replica_write(namespace, self.key, self._value)
+        now = self.applied_time = engine._clock.now
+        engine._pending -= 1
+        lag = now - self.write_time
+        engine._completed_lags.append(lag)
+        if lag > engine._max_lag:
+            engine._max_lag = lag
+        for listener in engine._lag_listeners:
+            listener(self)
 
 
 class ReplicationEngine:
@@ -90,6 +156,7 @@ class ReplicationEngine:
         max_retries: int = 100,
     ) -> None:
         self._sim = simulator
+        self._clock = simulator.clock
         self._network = network
         self._nodes = nodes
         self._processing_delay = processing_delay
@@ -103,6 +170,8 @@ class ReplicationEngine:
         self._max_lag: float = 0.0
         self._pending: int = 0
         self._lag_listeners: List[Callable[[PropagationRecord], None]] = []
+        # namespace -> "replicate:<namespace>", formatted once per namespace.
+        self._event_names: Dict[str, str] = {}
 
     # -------------------------------------------------------------- listeners
 
@@ -119,106 +188,32 @@ class ReplicationEngine:
         key: Key,
         value: VersionedValue,
         delay_override: Optional[float] = None,
-    ) -> List[PropagationRecord]:
+    ) -> None:
         """Schedule asynchronous propagation of a primary write to all replicas.
 
         ``delay_override`` lets the deadline-ordered index updater inject its
         own scheduling decision (propagate sooner for tight staleness bounds).
         """
-        records = []
         node_ids = group.node_ids
         primary_id = node_ids[0]
-        now = self._sim.clock.now
-        name = f"replicate:{namespace}"
+        now = self._clock.now
+        name = self._event_name(namespace)
+        nodes = self._nodes
+        max_retries = self._max_retries
         for i in range(1, len(node_ids)):
             replica_id = node_ids[i]
-            replica = self._nodes.get(replica_id)
-            if replica is not None and replica.draining:
+            replica = nodes.get(replica_id)
+            if replica is not None and replica._draining:  # noqa: SLF001 - same subsystem
                 # Draining replicas accept no new writes: they are about to
                 # detach (spot interruption) and will catch up from the
                 # primary if they ever rejoin, so shipping them updates now
                 # only races the drain deadline.
                 continue
-            record = PropagationRecord(
-                namespace=namespace,
-                key=key,
-                write_time=now,
-                replica_id=replica_id,
-            )
-            records.append(record)
             self._pending += 1
-            self._schedule_apply(primary_id, replica_id, namespace, key, value,
-                                 record, delay_override,
-                                 retries_left=self._max_retries, name=name)
-        return records
-
-    def _schedule_apply(
-        self,
-        primary_id: str,
-        replica_id: str,
-        namespace: str,
-        key: Key,
-        value: VersionedValue,
-        record: PropagationRecord,
-        delay_override: Optional[float],
-        retries_left: int,
-        name: str = "",
-    ) -> None:
-        try:
-            hop = self._network.delay(primary_id, replica_id)
-        except NetworkPartitionError:
-            hop = None
-        if hop is None:
-            self._schedule_retry(primary_id, replica_id, namespace, key, value,
-                                 record, delay_override, retries_left)
-            return
-        delay = hop + self._processing_delay if delay_override is None else delay_override
-
-        def apply() -> None:
-            node = self._nodes.get(replica_id)
-            if node is None:
-                # Replica left the cluster for good (decommission or spot
-                # drain/hibernate detach); ownership moved with it, so the
-                # copy is moot — drop instead of retrying into the void.
-                self._pending -= 1
-                return
-            if not node.alive:
-                self._schedule_retry(primary_id, replica_id, namespace, key, value,
-                                     record, delay_override, retries_left)
-                return
-            node.apply_replica_write(namespace, key, value)
-            record.applied_time = self._sim.clock.now
-            self._pending -= 1
-            lag = record.applied_time - record.write_time
-            self._completed_lags.append(lag)
-            if lag > self._max_lag:
-                self._max_lag = lag
-            for listener in self._lag_listeners:
-                listener(record)
-
-        self._sim.schedule(delay, apply, name=name or f"replicate:{namespace}")
-
-    def _schedule_retry(
-        self,
-        primary_id: str,
-        replica_id: str,
-        namespace: str,
-        key: Key,
-        value: VersionedValue,
-        record: PropagationRecord,
-        delay_override: Optional[float],
-        retries_left: int,
-    ) -> None:
-        if retries_left <= 0:
-            # Give up; the record stays un-applied and shows up as unbounded lag.
-            self._pending -= 1
-            return
-
-        def retry() -> None:
-            self._schedule_apply(primary_id, replica_id, namespace, key, value,
-                                 record, delay_override, retries_left - 1)
-
-        self._sim.schedule(self._retry_interval, retry, name="replicate-retry")
+            self._schedule_apply(
+                PropagationRecord(self, namespace, key, value, now, primary_id,
+                                  replica_id, delay_override, max_retries),
+                name)
 
     def replicate_to(
         self,
@@ -235,16 +230,39 @@ class ReplicationEngine:
         reach that primary once it recovers, or reclamation of the source
         copies would lose it.
         """
-        record = PropagationRecord(
-            namespace=namespace,
-            key=key,
-            write_time=self._sim.now,
-            replica_id=replica_id,
-        )
+        record = PropagationRecord(self, namespace, key, value, self._clock.now,
+                                   source_id, replica_id, None, self._max_retries)
         self._pending += 1
-        self._schedule_apply(source_id, replica_id, namespace, key, value,
-                             record, None, retries_left=self._max_retries)
+        self._schedule_apply(record, self._event_name(namespace))
         return record
+
+    def _event_name(self, namespace: str) -> str:
+        name = self._event_names.get(namespace)
+        if name is None:
+            name = self._event_names[namespace] = f"replicate:{namespace}"
+        return name
+
+    def _schedule_apply(self, record: PropagationRecord, name: str) -> None:
+        """Draw the hop for one delivery attempt and schedule ``record``."""
+        try:
+            hop = self._network.delay(record._source_id, record.replica_id)
+        except NetworkPartitionError:
+            self._schedule_retry(record)
+            return
+        delay = record._delay_override
+        if delay is None:
+            delay = hop + self._processing_delay
+        self._sim.schedule(delay, record, name=name)
+
+    def _schedule_retry(self, record: PropagationRecord) -> None:
+        """Re-arm ``record`` to re-attempt after the retry interval."""
+        if record._retries_left <= 0:
+            # Give up; the record stays un-applied and shows up as unbounded lag.
+            self._pending -= 1
+            return
+        record._retries_left -= 1
+        record._awaiting_retry = True
+        self._sim.schedule(self._retry_interval, record, name="replicate-retry")
 
     # --------------------------------------------------------------- sync path
 

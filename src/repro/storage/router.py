@@ -55,10 +55,12 @@ class Router:
     def __init__(self, cluster: Cluster) -> None:
         self._cluster = cluster
         self._sim = cluster.sim
-        # The cluster's node map, network, partitioner, group map, and
-        # migration list are stable objects (mutated in place, never
-        # replaced); direct references skip an attribute chase — or a whole
-        # delegating call — on every routed request.
+        # The cluster's clock, node map, network, partitioner, group map,
+        # replication engine and migration list are stable objects (mutated
+        # in place, never replaced); direct references skip an attribute
+        # chase — or a whole delegating call — on every routed request.
+        self._clock = cluster.sim.clock
+        self._replication = cluster.replication
         self._nodes = cluster.nodes
         self._network = cluster.network
         self._partitioner = cluster.partitioner
@@ -97,23 +99,33 @@ class Router:
         and replication is asynchronous.  A larger quorum waits for that many
         replicas synchronously (serializable / Dynamo-style writes).
         """
-        now = self._sim.now
+        now = self._clock.now
         token = str(key[0])  # partition_token(key), inlined for the hot path
         group = self._groups[self._partitioner.group_for_token(token)]
-        cluster = self._cluster
-        if cluster._load_tracker is not None:  # noqa: SLF001 - router feeds it
-            cluster.note_access(namespace, key, is_write=True, token=token)
+        tracker = self._cluster._load_tracker  # noqa: SLF001 - router feeds it
+        if tracker is not None:
+            tracker.note(token, True, now)
         in_flight = self._migrations
         migrations = ([record for record in in_flight if token in record.tokens]
                       if in_flight else ())
-        primary = self._nodes[group.primary]
-        self._ops["write"] += 1
+        primary_id = group.primary
+        primary = self._nodes[primary_id]
+        ops = self._ops
+        ops["write"] += 1
         try:
-            client_hop = self._network.delay(CLIENT_ENDPOINT, group.primary)
+            client_hop = self._network.delay(CLIENT_ENDPOINT, primary_id)
         except NetworkPartitionError:
-            self._ops["failed"] += 1
+            ops["failed"] += 1
             return RequestResult(success=False, latency=0.0, error="client partitioned from primary")
-        current = self._safe_peek(primary, namespace, key)
+        # The primary's current version, tombstones included: re-creating a
+        # deleted key must get a version strictly greater than the
+        # tombstone's so it wins last-write-wins ties on every replica.  A
+        # down primary has no say (its put below raises NodeDownError).
+        current = None
+        if primary._alive:  # noqa: SLF001 - same subsystem
+            store = primary._namespaces.get(namespace)  # noqa: SLF001
+            if store is not None:
+                current = store._data.get(key)  # noqa: SLF001
         version = (current.version + 1) if current is not None else 1
         versioned = VersionedValue(
             value=payload,
@@ -136,22 +148,22 @@ class Router:
                     tracer.add("dual_route", fallback.latency,
                                detail="write accepted at migration source")
                 return fallback
-            self._ops["failed"] += 1
+            ops["failed"] += 1
             if traced:
                 tracer.add("network", client_hop, detail="primary down")
             return RequestResult(success=False, latency=client_hop, error="primary down",
-                                 node_id=group.primary)
+                                 node_id=primary_id)
 
         if traced:
             queue_wait, base_service = primary.split_service(service)
-            tracer.add("network", 2.0 * client_hop, detail=group.primary)
+            tracer.add("network", 2.0 * client_hop, detail=primary_id)
             tracer.add("queue", queue_wait)
             tracer.add("service", base_service)
             if migrations:
                 tracer.add("dual_route", 0.0, detail="write mirrored to migration source")
         latency = 2.0 * client_hop + service
         if write_quorum > 1:
-            acks, sync_latency = self._cluster.replication.synchronous_write(
+            acks, sync_latency = self._replication.synchronous_write(
                 group, namespace, key, versioned, write_quorum, now
             )
             latency += sync_latency
@@ -159,20 +171,20 @@ class Router:
                 tracer.add("replication_ack", sync_latency,
                            detail=f"{acks}/{write_quorum} acks")
             if acks < write_quorum:
-                self._ops["failed"] += 1
+                ops["failed"] += 1
                 return RequestResult(
                     success=False,
                     latency=latency,
-                    node_id=group.primary,
+                    node_id=primary_id,
                     error=f"only {acks}/{write_quorum} write acks",
                 )
             # Remaining replicas still receive the write lazily.
-        self._cluster.replication.propagate(
-            group, namespace, key, versioned, delay_override=propagation_delay_override
-        )
-        self._mirror_to_migration_sources(migrations, group, namespace, key, versioned)
+        self._replication.propagate(group, namespace, key, versioned,
+                                    propagation_delay_override)
+        if migrations:
+            self._mirror_to_migration_sources(migrations, group, namespace, key, versioned)
         return RequestResult(success=True, latency=latency, value=versioned,
-                             node_id=group.primary)
+                             node_id=primary_id)
 
     def delete(self, namespace: str, key: Key, writer: str = "") -> RequestResult:
         """Delete a key (tombstone write so the deletion replicates)."""
@@ -193,12 +205,12 @@ class Router:
         read-your-writes when a replica is behind).  ``read_quorum > 1`` reads
         that many replicas and returns the newest version (Dynamo-style R).
         """
-        now = self._sim.now
+        now = self._clock.now
         token = str(key[0])  # partition_token(key), inlined for the hot path
         group = self._groups[self._partitioner.group_for_token(token)]
-        cluster = self._cluster
-        if cluster._load_tracker is not None:  # noqa: SLF001 - router feeds it
-            cluster.note_access(namespace, key, is_write=False, token=token)
+        tracker = self._cluster._load_tracker  # noqa: SLF001 - router feeds it
+        if tracker is not None:
+            tracker.note(token, False, now)
         self._ops["read"] += 1
         if read_quorum > 1:
             return self._quorum_read(group, namespace, key, read_quorum, now)
@@ -447,7 +459,7 @@ class Router:
             # meaningless (peek saw nothing); re-derive it from the source,
             # which holds the migrated copy, so version order is preserved
             # for session guarantees and staleness checks.
-            current = self._safe_peek(source_primary, namespace, key)
+            current = source_primary.peek(namespace, key, include_tombstones=True)
             if current is not None and current.version >= versioned.version:
                 versioned = VersionedValue(
                     value=versioned.value,
@@ -469,9 +481,9 @@ class Router:
                     # A downed target node (often the primary that forced this
                     # fallback) must still receive the write once it recovers,
                     # or source reclamation at completion would lose it.
-                    self._cluster.replication.replicate_to(
+                    self._replication.replicate_to(
                         source.primary, node_id, namespace, key, versioned)
-            self._cluster.replication.propagate(source, namespace, key, versioned)
+            self._replication.propagate(source, namespace, key, versioned)
             return RequestResult(success=True, latency=2.0 * hop + service,
                                  value=versioned, node_id=source.primary)
         return None
@@ -598,19 +610,6 @@ class Router:
                 newest = value
                 newest_node = node_id
         return RequestResult(success=True, latency=latency, value=newest, node_id=newest_node)
-
-    @staticmethod
-    def _safe_peek(node, namespace: str, key: Key):
-        """Primary-side peek at the current version without failing the write path.
-
-        Tombstones are included so that re-creating a deleted key assigns a
-        version strictly greater than the tombstone's and wins last-write-wins
-        ties against it on every replica.
-        """
-        try:
-            return node.peek(namespace, key, include_tombstones=True)
-        except NodeDownError:
-            return None
 
     # ------------------------------------------------------------------- stats
 

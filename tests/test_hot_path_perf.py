@@ -18,9 +18,15 @@ invariants:
 A third, from the cache-tier fast lane: **range lookups and invalidations do
 not walk the namespace** — their work is counted (not timed) against a
 namespace holding thousands of other users' scans.
+
+A fourth, from the write-path fast lane: **a propagation is one object** — the
+gc-tracked allocations of a replicated write and of a retry cycle are counted
+(not timed), so a closure per attempt cannot creep back in.
 """
 
 from __future__ import annotations
+
+import gc
 
 import numpy as np
 import pytest
@@ -37,12 +43,17 @@ from repro.sim.latency import (
     QueueingLatency,
     percentile_of,
 )
+from repro.sim.network import NetworkModel
 from repro.sim.randomness import ZipfGenerator
+from repro.sim.simulator import Simulator
+from repro.storage.node import StorageNode
 from repro.storage.partitioner import (
     ConsistentHashPartitioner,
     PartitionerError,
     RangePartitioner,
 )
+from repro.storage.records import VersionedValue
+from repro.storage.replication import ReplicaGroup, ReplicationEngine
 
 pytestmark = [pytest.mark.tier1, pytest.mark.property]
 
@@ -303,3 +314,72 @@ def test_range_misses_and_invalidations_do_not_walk_the_namespace():
         assert dropped == 2
         assert stats.range_candidates_examined - before <= 4
     assert len(store) == 2 * (4096 - 1000)
+
+
+# ------------------------------------------- one object per propagation
+
+
+def _replication_fixture(max_retries=100):
+    sim = Simulator(seed=1)
+    nodes = {node_id: StorageNode(node_id, sim.random.get(f"node:{node_id}"))
+             for node_id in ("n0", "n1", "n2")}
+    engine = ReplicationEngine(sim, NetworkModel(sim.random.get("network")), nodes,
+                               max_retries=max_retries)
+    return sim, nodes, engine, ReplicaGroup("g", list(nodes))
+
+
+def _tracked_allocations(work) -> int:
+    """Net growth of the youngest gc generation while ``work()`` runs with
+    collection off: the gc-tracked objects it allocated and left alive."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        work()
+        return gc.get_count()[0] - before
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_replicated_write_allocates_one_object_per_replica_apply():
+    """rf 3: each of the two scheduled applies is the record plus its Event
+    (the closure-based engine allocated 13 tracked objects per apply)."""
+    sim, _, engine, group = _replication_fixture()
+    writes = [(("user", index), VersionedValue(index, timestamp=0.0, version=1))
+              for index in range(200)]
+    engine.propagate(group, "entity:profiles", ("warm",), writes[0][1])  # names, pools
+
+    def work():
+        for key, value in writes:
+            engine.propagate(group, "entity:profiles", key, value)
+
+    scheduled = 2 * len(writes)
+    assert _tracked_allocations(work) <= 3 * scheduled
+    assert engine.pending_count() == scheduled + 2
+
+
+def test_a_retry_cycle_re_arms_the_same_record():
+    """Against a crashed replica every cycle is a ``replicate-retry`` event and
+    a re-attempt event carrying the *same* record — nothing else.  Fired events
+    are kept alive so that what each one allocated stays counted."""
+    cycles = 200
+    sim, nodes, engine, _ = _replication_fixture(max_retries=cycles + 1)
+    nodes["n1"].crash()
+    record = engine.replicate_to("n0", "n1", "entity:profiles", ("user", 0),
+                                 VersionedValue(0, timestamp=0.0, version=1))
+    fired = []
+
+    def work():
+        for _ in range(2 * cycles):
+            event = sim.queue.pop()
+            sim.clock.advance_to(event.time)
+            event.action()
+            fired.append(event)
+
+    assert _tracked_allocations(work) <= 3 * cycles
+    assert all(event.action is record for event in fired)
+    assert [event.name for event in fired[:2]] == ["replicate:entity:profiles",
+                                                   "replicate-retry"]
+    assert engine.pending_count() == 1 and record.applied_time is None

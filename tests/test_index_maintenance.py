@@ -369,6 +369,15 @@ class TestAsyncIndexUpdater:
         assert stats.deadline_misses > 0
         assert stats.max_lag > 5.0
 
+    def test_completed_tasks_keeps_a_recent_window_and_stats_stay_all_time(self, monkeypatch):
+        monkeypatch.setattr(AsyncIndexUpdater, "COMPLETED_TASK_WINDOW", 8)
+        registry, adapter, maintainer, sim, updater = self._setup()
+        self._enqueue_writes(registry, adapter, updater, 20)
+        assert updater.drain_now() == 20
+        kept = updater.completed_tasks()
+        assert [task.seq for task in kept] == list(range(12, 20))
+        assert updater.stats().completed == 20
+
     def test_behind_schedule_signal(self):
         registry, adapter, maintainer, sim, updater = self._setup(nodes=1, ups=1.0)
         self._enqueue_writes(registry, adapter, updater, 50, bound=0.5)

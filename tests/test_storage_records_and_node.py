@@ -201,6 +201,88 @@ class TestStorageNodeBasics:
             node.put("ns", ["not-a-tuple"], vv(1), now=0.0)
 
 
+class TestStorageNodeWriteAccounting:
+    """What ``put`` / ``apply_replica_write`` / ``delete`` return and count,
+    for each state the key can be in when the write arrives."""
+
+    KEY = ("k",)
+    LIVE = vv("live", timestamp=5.0, version=5)
+    TOMBSTONE = vv(None, timestamp=5.0, version=5, tombstone=True)
+
+    def _node(self, present):
+        node = make_node()
+        node.put("ns", ("other",), vv("x"), now=0.0)
+        if present is not None:
+            node.put("ns", self.KEY, present, now=0.0)
+        return node, (node.stats.keys_stored, node.stats.writes)
+
+    def _deltas(self, node, before):
+        return (node.stats.keys_stored - before[0], node.stats.writes - before[1])
+
+    @pytest.mark.parametrize("present,new_keys", [
+        (None, 1), (LIVE, 0), (TOMBSTONE, 0),
+    ], ids=["new-key", "overwrite", "over-tombstone"])
+    def test_put(self, present, new_keys):
+        node, before = self._node(present)
+        incoming = vv("incoming", timestamp=1.0, version=1)  # older: put is unconditional
+        assert node.put("ns", self.KEY, incoming, now=1.0) > 0.0
+        assert self._deltas(node, before) == (new_keys, 1)
+        assert node.peek("ns", self.KEY) is incoming
+        assert node.key_count("ns") == 2
+        assert [key for key, _ in node.scan_namespace("ns")] == [self.KEY, ("other",)]
+
+    @pytest.mark.parametrize("present,incoming,applied,new_keys", [
+        (None, vv("incoming", timestamp=1.0), True, 1),
+        (LIVE, vv("incoming", timestamp=9.0), True, 0),
+        (TOMBSTONE, vv("incoming", timestamp=9.0), True, 0),
+        (LIVE, vv("incoming", timestamp=1.0, version=9), False, 0),      # older timestamp
+        (LIVE, vv("incoming", timestamp=5.0, version=4), False, 0),      # tie, lower version
+        (LIVE, vv("incoming", timestamp=5.0, version=5, writer="a"), False, 0),
+        (LIVE, vv(None, timestamp=9.0, tombstone=True), True, 0),
+    ], ids=["new-key", "overwrite", "over-tombstone", "loses-on-timestamp",
+            "loses-on-version", "loses-on-writer", "tombstone-wins"])
+    def test_apply_replica_write(self, present, incoming, applied, new_keys):
+        node, before = self._node(present)
+        assert node.apply_replica_write("ns", self.KEY, incoming) is applied
+        # Replica application is background work: it never counts as a write.
+        assert self._deltas(node, before) == (new_keys, 0)
+        stored = node.peek("ns", self.KEY, include_tombstones=True)
+        assert stored is (incoming if applied else present)
+        assert [key for key, _ in node.scan_namespace("ns")] == [self.KEY, ("other",)]
+
+    def test_apply_replica_write_opens_a_new_namespace(self):
+        node, before = self._node(None)
+        assert node.apply_replica_write("fresh", self.KEY, self.LIVE) is True
+        assert self._deltas(node, before) == (1, 0)
+        assert node.namespaces() == ["fresh", "ns"]
+
+    @pytest.mark.parametrize("present", [None, LIVE, TOMBSTONE],
+                             ids=["new-key", "overwrite", "over-tombstone"])
+    def test_delete(self, present):
+        node, before = self._node(present)
+        tombstone = vv(None, timestamp=9.0, version=9, tombstone=True)
+        assert node.delete("ns", self.KEY, tombstone, now=9.0) > 0.0
+        # A tombstone for an unseen key takes a slot in the ordered map but
+        # was never counted in ``keys_stored``.
+        assert self._deltas(node, before) == (0, 1)
+        assert node.peek("ns", self.KEY) is None
+        assert node.peek("ns", self.KEY, include_tombstones=True) is tombstone
+        assert node.key_count("ns") == 2
+
+    def test_a_down_node_refuses_and_counts_nothing(self):
+        node, before = self._node(self.LIVE)
+        node.crash()
+        with pytest.raises(NodeDownError):
+            node.put("ns", self.KEY, vv("x", timestamp=9.0), now=9.0)
+        with pytest.raises(NodeDownError):
+            node.apply_replica_write("ns", self.KEY, vv("x", timestamp=9.0))
+        with pytest.raises(NodeDownError):
+            node.delete("ns", self.KEY, vv(None, timestamp=9.0, tombstone=True), now=9.0)
+        node.recover()
+        assert self._deltas(node, before) == (0, 0)
+        assert node.peek("ns", self.KEY) is self.LIVE
+
+
 class TestStorageNodeRanges:
     def _loaded_node(self):
         node = make_node()
