@@ -48,6 +48,9 @@
 #                      parent/change pairs of one workload (PARENT checked out
 #                      into a temporary git worktree), medians and quartiles
 #                      per end-to-end metric, pair wins, fingerprint check
+#   make perfbench-pairs ... TRACED=1 [N=3] - the same pairs as per-layer
+#                      passes: per span, each side's self time as median
+#                      [min..max]; fails if an exact count differs
 
 PYTEST := python -m pytest
 
@@ -131,4 +134,4 @@ N ?= 10
 SEED ?= 11
 perfbench-pairs:
 	python3 scripts/perfbench_pairs.py --parent $(PARENT) --workload $(W) \
-		--pairs $(N) --seed $(SEED)
+		--pairs $(N) --seed $(SEED) $(if $(TRACED),--traced)

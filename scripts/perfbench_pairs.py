@@ -16,10 +16,21 @@ fingerprint check close the report:
     python3 scripts/perfbench_pairs.py --parent 7367f03 --workload steady-skewed \\
         elastic-faults --pairs 10 --seed 33 --out /tmp/pairs
 
+``--traced`` runs the per-layer pass (``--trace 1``) instead and answers where
+a saving sits: per span, each side's ``self_us_per_op`` as median [min..max],
+the difference of the medians and whether the two sides' ranges overlap — and
+it fails if a ``calls_per_kop`` or any other count that is exact for a seed
+differs between any two passes, because then the two sides did not do the same
+work:
+
+    python3 scripts/perfbench_pairs.py --parent HEAD~1 --workload write-storm \\
+        --traced --pairs 3
+
 Both sides run their *own* ``perfbench/`` and ``src/``; a change that claims a
 gain leaves ``perfbench/`` byte-identical, so the benchmark code is the same.
 Stops with exit status 1 as soon as a run fails its correctness checks; exit
-status is also 1 if the fingerprints of the two sides differ.
+status is also 1 if the fingerprints (or, traced, the exact counts) of the two
+sides differ.
 """
 
 from __future__ import annotations
@@ -39,11 +50,19 @@ SIDES = ("parent", "change")
 MIN_PAIRS = 10  # below this the protocol makes no claim either way
 
 
-def _run_perfbench(checkout: Path, workload: str, seed: int, out: Path) -> bool:
-    """One end-to-end pass from ``checkout``; True if its checks passed."""
+# Per-layer metrics that measure host time; every other one is a count or a
+# simulated quantity, exact for a seed.
+TIMED_SUFFIX = ".self_us_per_op"
+TIMED_OTHERS = ("trace.", "micro.", "core.provisioning.step_ms_p50")
+
+
+def _run_perfbench(checkout: Path, workload: str, seed: int, out: Path,
+                   traced: bool) -> bool:
+    """One pass from ``checkout`` (end-to-end, or per-layer when ``traced``);
+    True if its checks passed."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--json", str(out)],
+         "--seed", str(seed), "--json", str(out), "--trace", str(int(traced))],
         cwd=checkout, stdout=subprocess.DEVNULL, check=False)
     return done.returncode == 0
 
@@ -95,12 +114,84 @@ def report(spec: dict, workload: str, files: Dict[str, List[Path]]) -> bool:
         print(f"{name:26s} {p_q1:12.6g} {p_med:12.6g} {p_q3:12.6g} "
               f"{c_q1:12.6g} {c_med:12.6g} {c_q3:12.6g} {ratio:8.4f} "
               f"{wins:3d}/{pairs:<2d}  {outcome}")
+    return _same_fingerprint(entries)
+
+
+def _same_fingerprint(entries: Dict[str, List[dict]]) -> bool:
     prints = {side: {entry["info"]["sim_fingerprint"] for entry in entries[side]}
               for side in SIDES}
     same = prints["parent"] == prints["change"] and len(prints["parent"]) == 1
     print(f"sim_fingerprint: {'equal on every run of both sides' if same else 'DIFFERS'}"
           f" ({', '.join(sorted(p[:12] for p in prints['parent'] | prints['change']))})")
     return same
+
+
+def report_traced(spec: dict, workload: str, files: Dict[str, List[Path]]) -> bool:
+    """Print the per-span table for one workload; True if every exact count and
+    the fingerprint are the same on every pass of both sides."""
+    entries = {side: [_load(path, workload) for path in files[side]] for side in SIDES}
+    passes = len(entries["parent"])
+    print(f"\n{workload}: {passes} alternating traced passes per side, self_us_per_op")
+    print(f"{'span':34s} {'parent median [min..max]':>30s} "
+          f"{'change median [min..max]':>30s} {'delta':>8s}  ranges")
+    differing = []
+    for metric in spec["per_layer"]:
+        name = metric["name"]
+        values = {side: [entry["metrics"][name] for entry in entries[side]]
+                  for side in SIDES}
+        if not name.endswith(TIMED_SUFFIX):
+            if (not name.startswith(TIMED_OTHERS)
+                    and len(set(values["parent"] + values["change"])) != 1):
+                differing.append((name, values))
+            continue
+        parent, change = values["parent"], values["change"]
+        if not any(parent + change):
+            continue  # a span this workload never enters
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        apart = max(change) < min(parent) or max(parent) < min(change)
+        print(f"{name[:-len(TIMED_SUFFIX)]:34s} "
+              f"{p_med:12.3f} [{min(parent):7.3f}..{max(parent):7.3f}] "
+              f"{c_med:12.3f} [{min(change):7.3f}..{max(change):7.3f}] "
+              f"{c_med - p_med:+8.3f}  {'disjoint' if apart else 'overlap'}")
+    for name, values in differing:
+        print(f"!! {name} is not the same on every pass: "
+              f"parent {values['parent']}, change {values['change']}")
+    if not differing:
+        print("calls_per_kop and every other exact count: equal on every pass "
+              "of both sides")
+    return _same_fingerprint(entries) and not differing
+
+
+def run_pairs(checkouts: Dict[str, Path], spec: dict, workloads: Sequence[str],
+              pairs: int, seed: int, out: Path, traced: bool) -> int:
+    """Run and report ``pairs`` alternating passes per workload from the two
+    checkouts; the exit status."""
+    status = 0
+    kind = "-traced" if traced else ""
+    for workload in workloads:
+        files: Dict[str, List[Path]] = {side: [] for side in SIDES}
+        for pair in range(pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                path = out / f"{workload}-seed{seed}{kind}-{side}-{pair:02d}.json"
+                path.unlink(missing_ok=True)  # --json merges into an existing file
+                if not _run_perfbench(checkouts[side], workload, seed, path, traced):
+                    print(f"{workload}: the {side} run of pair {pair + 1} failed "
+                          "its checks; stopping", file=sys.stderr)
+                    return 1
+                files[side].append(path)
+            print(f"{workload}: pair {pair + 1}/{pairs} done "
+                  f"({order[0]} first)", file=sys.stderr)
+        if not (report_traced if traced else report)(spec, workload, files):
+            status = 1
+        if not traced:
+            print("\nagainst the benchmark's bounds (A = parent, B = change):")
+            subprocess.run(
+                [sys.executable, "perfbench/run.py", "--compare",
+                 ",".join(map(str, files["parent"])),
+                 ",".join(map(str, files["change"]))],
+                cwd=ROOT, check=False)
+    return status
 
 
 def main() -> int:
@@ -113,6 +204,9 @@ def main() -> int:
                         help="parent/change pairs per workload (default: 10)")
     parser.add_argument("--seed", type=int, default=11,
                         help="perfbench workload seed (default: 11)")
+    parser.add_argument("--traced", action="store_true",
+                        help="per-layer passes (--trace 1): per-span self times "
+                             "of both sides, exact counts checked equal")
     parser.add_argument("--out", type=Path, default=None,
                         help="keep every run's --json output in this directory")
     args = parser.parse_args()
@@ -125,36 +219,15 @@ def main() -> int:
     out = args.out if args.out is not None else scratch / "json"
     out.mkdir(parents=True, exist_ok=True)
     checkouts = {"parent": scratch / "parent", "change": ROOT}
-    status = 0
     subprocess.run(["git", "worktree", "add", "--detach", str(checkouts["parent"]),
                     args.parent], cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
     try:
-        for workload in args.workload:
-            files: Dict[str, List[Path]] = {side: [] for side in SIDES}
-            for pair in range(args.pairs):
-                order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                for side in order:
-                    path = out / f"{workload}-seed{args.seed}-{side}-{pair:02d}.json"
-                    path.unlink(missing_ok=True)  # --json merges into an existing file
-                    if not _run_perfbench(checkouts[side], workload, args.seed, path):
-                        print(f"{workload}: the {side} run of pair {pair + 1} failed "
-                              "its checks; stopping", file=sys.stderr)
-                        return 1
-                    files[side].append(path)
-                print(f"{workload}: pair {pair + 1}/{args.pairs} done "
-                      f"({order[0]} first)", file=sys.stderr)
-            if not report(spec, workload, files):
-                status = 1
-            print("\nagainst the benchmark's bounds (A = parent, B = change):")
-            subprocess.run(
-                [sys.executable, "perfbench/run.py", "--compare",
-                 ",".join(map(str, files["parent"])), ",".join(map(str, files["change"]))],
-                cwd=ROOT, check=False)
+        return run_pairs(checkouts, spec, args.workload, args.pairs, args.seed,
+                         out, args.traced)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(checkouts["parent"])],
                        cwd=ROOT, check=False)
         shutil.rmtree(scratch, ignore_errors=True)
-    return status
 
 
 if __name__ == "__main__":

@@ -59,7 +59,7 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """One cached result plus the metadata its freshness contract needs."""
 
@@ -184,29 +184,32 @@ class StalenessBudgetCache:
         return entry
 
     def get_entities(self, namespace: str, keys: Iterable[Key],
-                     now: float) -> List[Optional[CacheEntry]]:
-        """:meth:`get` for each entity key in order, as one loop: the live
-        entry or None per key, with the same counting, LRU refresh and lazy
-        reclamation as that many single calls."""
+                     now: float) -> Tuple[Dict[Key, Any], List[Key]]:
+        """:meth:`get` for each of the distinct entity ``keys`` in order, as
+        one loop, with the same counting, LRU refresh and lazy reclamation as
+        that many single calls.  Returns ``(hits, misses)``: the cached value
+        under every key with a live entry (None is a cached negative result),
+        and the keys without one, both in the order given."""
         entries = self._entries
-        stats = self.stats
-        found: List[Optional[CacheEntry]] = []
-        hits = 0
+        hits: Dict[Key, Any] = {}
+        misses: List[Key] = []
+        expired = 0
         for key in keys:
-            token = entity_token(namespace, key)
+            token = ("entity", namespace, key)  # entity_token(), inlined
             entry = entries.get(token)
             if entry is not None:
                 if now < entry.expires_at:
                     entries.move_to_end(token)
-                    hits += 1
-                else:
-                    self._remove(token)
-                    stats.ttl_expirations += 1
-                    entry = None
-            found.append(entry)
-        stats.hits += hits
-        stats.misses += len(found) - hits
-        return found
+                    hits[key] = entry.value
+                    continue
+                self._remove(token)
+                expired += 1
+            misses.append(key)
+        stats = self.stats
+        stats.hits += len(hits)
+        stats.misses += len(misses)
+        stats.ttl_expirations += expired
+        return hits, misses
 
     def peek(self, token: EntryToken) -> Optional[CacheEntry]:
         """The entry under ``token`` regardless of expiry, without counting
@@ -331,16 +334,17 @@ class StalenessBudgetCache:
         derived TTL grants no servable window."""
         if ttl <= 0:
             return None
-        entry = CacheEntry(
-            token=entity_token(namespace, key),
-            namespace=namespace,
-            value=value,
-            inserted_at=now,
-            expires_at=now + ttl,
-            key=key,
-            cost=1,
-        )
-        self._insert(entry)
+        token = ("entity", namespace, key)  # entity_token(), inlined
+        entry = CacheEntry(token, namespace, value, now, now + ttl, key)
+        entries = self._entries
+        # An entity entry costs 1 and is in no range index, so replacing one
+        # is a pop; the new entry goes to the young end of the LRU order.
+        if entries.pop(token, None) is None:
+            self._cost_total += 1
+        entries[token] = entry
+        self.stats.insertions += 1
+        if self._cost_total > self.capacity:
+            self._evict_to_capacity(token)
         return entry
 
     def put_range(self, namespace: str, start: Optional[Key], end: Optional[Key],
@@ -352,8 +356,9 @@ class StalenessBudgetCache:
         cost = max(1, len(rows))
         if cost > self.capacity:
             return None  # a scan wider than the whole cache is not admissible
+        token = range_token(namespace, start, end, limit, reverse)
         entry = CacheEntry(
-            token=range_token(namespace, start, end, limit, reverse),
+            token=token,
             namespace=namespace,
             value=rows,
             inserted_at=now,
@@ -361,27 +366,26 @@ class StalenessBudgetCache:
             key_range=KeyRange(namespace=namespace, start=start, end=end),
             cost=cost,
         )
-        self._insert(entry)
+        if token in self._entries:
+            self._remove(token)
+        self._entries[token] = entry
+        self._cost_total += cost
+        ranges = self._ranges.get(namespace)
+        if ranges is None:
+            ranges = self._ranges[namespace] = _NamespaceRanges()
+        self._range_admissions += 1
+        ranges.admitted[token] = self._range_admissions
+        ranges.buckets.setdefault(_shared_lead(start, end), {})[token] = None
+        self.stats.insertions += 1
+        self._evict_to_capacity(token)
         return entry
 
-    def _insert(self, entry: CacheEntry) -> None:
-        if entry.token in self._entries:
-            self._remove(entry.token)
-        self._entries[entry.token] = entry
-        self._cost_total += entry.cost
-        covering = entry.key_range
-        if covering is not None:
-            ranges = self._ranges.get(entry.namespace)
-            if ranges is None:
-                ranges = self._ranges[entry.namespace] = _NamespaceRanges()
-            self._range_admissions += 1
-            ranges.admitted[entry.token] = self._range_admissions
-            lead = _shared_lead(covering.start, covering.end)
-            ranges.buckets.setdefault(lead, {})[entry.token] = None
-        self.stats.insertions += 1
-        while self._cost_total > self.capacity and self._entries:
-            victim_token = next(iter(self._entries))
-            if victim_token == entry.token and len(self._entries) == 1:
+    def _evict_to_capacity(self, newest: EntryToken) -> None:
+        """Evict from the old end of the LRU order until the cost fits."""
+        entries = self._entries
+        while self._cost_total > self.capacity and entries:
+            victim_token = next(iter(entries))
+            if victim_token == newest and len(entries) == 1:
                 break  # never evict the sole, just-inserted entry
             self._remove(victim_token)
             self.stats.lru_evictions += 1

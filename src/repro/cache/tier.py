@@ -64,7 +64,7 @@ class CacheTier:
             spec, propagation_headroom=config.propagation_headroom
         )
         self.invalidator = WriteThroughInvalidator(self.store)
-        self._sim = simulator
+        self._clock = simulator.clock
         self._hit_latency = LogNormalLatency(
             median=config.hit_latency_median, sigma=config.hit_latency_sigma
         )
@@ -87,7 +87,7 @@ class CacheTier:
         """
         if not self.policy.cacheable():
             return None
-        entry = self.store.get(entity_token(namespace, key), self._sim.now)
+        entry = self.store.get(entity_token(namespace, key), self._clock.now)
         if entry is None:
             return None
         if not self.policy.session_allows(session, namespace, key, entry.value):
@@ -105,47 +105,58 @@ class CacheTier:
 
     def lookup_entities(
         self, namespace: str, keys: Iterable[Key], session: Optional[Session],
-    ) -> Tuple[Dict[Key, Tuple[Optional[dict], float]], List[Key]]:
+    ) -> Tuple[Dict[Key, Optional[dict]], float, List[Key]]:
         """Serve a query's dereference list from the cache in one pass.
 
         Each distinct key is looked up once, in first-occurrence order, with
         the effects of :meth:`lookup_entity` followed — on a hit — by the
         session's ``note_read`` and :meth:`sample_hit_latency`; the hit
         latencies are drawn together afterwards, which continues the pooled
-        stream in the same order.  Returns ``(served, misses)``: the row copy
-        (None for a cached negative result) and hit latency per served key,
-        and the keys the caller must read through the cluster.
+        stream in the same order.  Returns ``(rows, slowest, misses)``: the
+        row copy under every served key (None for a cached negative result),
+        the slowest of the hit latencies (the hits are served in parallel;
+        0.0 when nothing was served), and the keys the caller must read
+        through the cluster.
         """
         distinct = dict.fromkeys(keys)
         if not self.policy.cacheable():
-            return {}, list(distinct)
-        found = self.store.get_entities(namespace, distinct, self._sim.now)
-        probes = self.policy.session_checks(session)
-        rows: Dict[Key, Optional[dict]] = {}
-        misses: List[Key] = []
-        for key, entry in zip(distinct, found):
-            if entry is None:
-                misses.append(key)
-                continue
-            value = entry.value
-            if probes and not session.acceptable(namespace, key, value, count=False):
-                self._note_session_bypass()
-                misses.append(key)
-                continue
-            if session is not None:
-                session.note_read(namespace, key, value)
-            payload = value.value if value is not None else None
-            rows[key] = dict(payload) if isinstance(payload, dict) else None
-        latencies = self._hit_latency.sample_many(self._rng, len(rows)).tolist()
-        return dict(zip(rows, zip(rows.values(), latencies))), misses
+            return {}, 0.0, list(distinct)
+        hits, misses = self.store.get_entities(namespace, distinct, self._clock.now)
+        if session is not None and hits:
+            if self.policy.session_checks(session):
+                rejected = [key for key, value in hits.items()
+                            if not session.acceptable(namespace, key, value, count=False)]
+                if rejected:
+                    for key in rejected:
+                        del hits[key]
+                        self._note_session_bypass()
+                    misses = [key for key in distinct if key not in hits]
+            session.note_reads(namespace, hits, hits.values())
+        if not hits:
+            return hits, 0.0, misses
+        slowest = max(self._hit_latency.sample_many(self._rng, len(hits)).tolist())
+        rows = {key: (dict(value.value)
+                      if value is not None and isinstance(value.value, dict) else None)
+                for key, value in hits.items()}
+        return rows, slowest, misses
 
     def admit_entity(self, namespace: str, key: Key, value: Any,
                      known_staleness: Optional[float]) -> Optional[CacheEntry]:
-        """Read-through fill after a cluster read of known freshness."""
-        if not self.policy.cacheable():
+        """Read-through fill after a cluster read that was ``known_staleness``
+        seconds behind the primary when it was served (None = unverified,
+        never admitted).
+
+        The entry is servable for what is left of the policy's budget — its
+        :meth:`~repro.cache.policy.AdmissionPolicy.entity_ttl`, worked out
+        here because one fill is admitted per cluster-served dereference.
+        """
+        if known_staleness is None or known_staleness < 0:
             return None
-        ttl = self.policy.entity_ttl(known_staleness)
-        return self.store.put_entity(namespace, key, value, self._sim.now, ttl)
+        # No budget at all (an uncacheable spec) leaves nothing either.
+        ttl = self.policy.servable_budget - known_staleness
+        if ttl <= 0:
+            return None
+        return self.store.put_entity(namespace, key, value, self._clock.now, ttl)
 
     def lookup_range(self, namespace: str, start: Optional[Key],
                      end: Optional[Key], limit: Optional[int],
@@ -163,7 +174,7 @@ class CacheTier:
         if not self.admits_ranges():
             return None
         return self.store.get_range(namespace, start, end, limit, reverse,
-                                    self._sim.now)
+                                    self._clock.now)
 
     def admits_ranges(self) -> bool:
         """Would :meth:`admit_range` accept a fill right now?
@@ -188,7 +199,7 @@ class CacheTier:
             return None
         return self.store.put_range(
             namespace, start, end, limit, reverse, list(rows),
-            self._sim.now, self.policy.range_ttl(),
+            self._clock.now, self.policy.range_ttl(),
         )
 
     # ------------------------------------------------------------- invalidation

@@ -5,12 +5,19 @@ The engine's read path asks the session whether a value fetched from a
 replica is acceptable; if not, the read is retried at the primary (paying the
 latency) — the standard implementation of these guarantees over lazy
 replication.
+
+A session keeps a per-key history only for the guarantees it has: the
+guarantee is a frozen value fixed when the session opens, and
+:meth:`Session.acceptable` consults the written versions only under
+read-your-writes and the seen versions only under monotonic reads, so a
+history kept for a guarantee that is off could never be read.  The
+``stats`` counters count every call either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Collection, Dict, Iterable, Optional, Tuple
 
 from repro.core.consistency.spec import SessionGuarantee
 from repro.storage.records import Key, VersionedValue
@@ -41,7 +48,8 @@ class Session:
     def note_write(self, namespace: str, key: Key, value: VersionedValue) -> None:
         """Record that this session wrote ``value`` (its version matters)."""
         self.stats.writes += 1
-        self._last_written_version[(namespace, key)] = value.version
+        if self.guarantee.read_your_writes:
+            self._last_written_version[(namespace, key)] = value.version
 
     # -------------------------------------------------------------------- reads
 
@@ -74,12 +82,26 @@ class Session:
     def note_read(self, namespace: str, key: Key, value: Optional[VersionedValue]) -> None:
         """Record what the session ended up observing (for monotonic reads)."""
         self.stats.reads += 1
-        if value is None:
+        if value is None or not self.guarantee.monotonic_reads:
             return
         identity = (namespace, key)
         current = self._last_seen_version.get(identity, 0)
         if value.version > current:
             self._last_seen_version[identity] = value.version
+
+    def note_reads(self, namespace: str, keys: Collection[Key],
+                   values: Iterable[Optional[VersionedValue]]) -> None:
+        """:meth:`note_read` for each ``(key, value)`` pair, as one call —
+        a query's dereference list is observed together."""
+        self.stats.reads += len(keys)
+        if not self.guarantee.monotonic_reads:
+            return
+        seen = self._last_seen_version
+        for key, value in zip(keys, values):
+            if value is not None:
+                identity = (namespace, key)
+                if value.version > seen.get(identity, 0):
+                    seen[identity] = value.version
 
 
 class SessionManager:

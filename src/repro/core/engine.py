@@ -191,6 +191,103 @@ class _RouterStorageAdapter:
         self._engine._note_index_write(namespace, key)
 
 
+class _QueryReader:
+    """The storage one ``Scads.query`` call reads through, and what the call
+    learns on the way (:class:`~repro.core.query.executor.QueryReader`).
+
+    ``tracer`` is the engine's tracer when this query is traced, else None.
+    """
+
+    __slots__ = ("_engine", "_session", "_tracer", "touched_cluster",
+                 "deref_mark", "range_latency_total")
+
+    def __init__(self, engine: "Scads", session: Optional[Session],
+                 tracer: Optional[Tracer]) -> None:
+        self._engine = engine
+        self._session = session
+        self._tracer = tracer
+        # A query is one client read op, but several cache lookups; the op
+        # counts as cluster-served (for the miss-path latency label) when any
+        # of its sub-reads actually reached the cluster — its latency is then
+        # dominated by cluster service, not front-tier memory.
+        self.touched_cluster = engine.cache is None
+        # The executor composes parallel dereferences by max, so their raw
+        # spans cannot stay on-path: everything recorded after this mark is
+        # demoted when the query completes and replaced with one aggregate
+        # ``index_deref`` span whose duration is the winning dereference.
+        self.deref_mark = -1
+        self.range_latency_total = 0.0
+
+    def range_read(self, namespace: str, start: Optional[Key], end: Optional[Key],
+                   limit: Optional[int], reverse: bool,
+                   ) -> Tuple[List[Tuple[Key, Dict[str, Any]]], float]:
+        engine = self._engine
+        cache = engine.cache
+        tracer = self._tracer
+        will_admit = False
+        if cache is not None:
+            cached = cache.lookup_range(namespace, start, end, limit, reverse)
+            if cached is not None:
+                hit_latency = cache.sample_hit_latency()
+                if tracer is not None:
+                    tracer.add("cache_hit", hit_latency, detail="range scan")
+                self.range_latency_total += hit_latency
+                return cached, hit_latency
+            if tracer is not None:
+                tracer.add("cache_miss", 0.0, detail="range scan")
+            # A scan that will be *cached* reads the primary: a lagging
+            # replica could hand us rows missing an index write that was
+            # already applied — and whose apply-time invalidation therefore
+            # already fired — leaving stale rows cached for a full TTL with
+            # nothing left to evict them.  Primary fills close that race;
+            # with the cache off, reads keep their replica load-balancing.
+            will_admit = cache.admits_ranges()
+        self.touched_cluster = True
+        result = engine.router.read_range(
+            KeyRange(namespace=namespace, start=start, end=end),
+            limit=limit, reverse=reverse, from_primary=will_admit,
+        )
+        self.range_latency_total += result.latency
+        if not result.success:
+            return [], result.latency
+        rows = [(key, value.value if isinstance(value.value, dict) else {})
+                for key, value in result.rows]
+        if will_admit:
+            cache.admit_range(namespace, start, end, limit, reverse, rows)
+        return rows, result.latency
+
+    def entity_get_many(
+        self, entity_name: str, keys: List[Key],
+    ) -> Tuple[Dict[Key, Optional[Dict[str, Any]]], float]:
+        if self._tracer is not None:
+            self.deref_mark = self._tracer.mark()
+        engine = self._engine
+        cache = engine.cache
+        session = self._session
+        namespace = entity_namespace(entity_name)
+        if cache is not None:
+            rows, slowest, misses = cache.lookup_entities(namespace, keys, session)
+        else:
+            rows, slowest, misses = {}, 0.0, list(dict.fromkeys(keys))
+        if misses:
+            self.touched_cluster = True
+            routed = engine.router.read_many(namespace, misses)
+            verify = engine._verify_replica_read
+            for key in misses:
+                value, latency, success, stale, _, freshness = verify(
+                    namespace, key, routed[key], session)
+                if latency > slowest:
+                    slowest = latency
+                row = None
+                if success:
+                    if cache is not None and not stale:
+                        cache.admit_entity(namespace, key, value, freshness)
+                    if value is not None and isinstance(value.value, dict):
+                        row = dict(value.value)
+                rows[key] = row
+        return rows, slowest
+
+
 class Scads:
     """Scale-independent storage for social computing applications.
 
@@ -385,6 +482,7 @@ class Scads:
         self.analyzer = QueryAnalyzer(self.registry, max_read_work=max_read_work,
                                       max_update_work=max_update_work)
         self.compiler = QueryCompiler()
+        self._executor = QueryExecutor()
         self._adapter = _RouterStorageAdapter(self)
         self.maintainer = IndexMaintainer(self.registry, self._adapter)
         self.updater = AsyncIndexUpdater(
@@ -687,8 +785,8 @@ class Scads:
         self._record_op("read", latency, success)
         if not success:
             return OperationOutcome(success=False, latency=latency, error=error, stale=stale)
-        if self.cache is not None:
-            self._admit_entity_read(namespace, key, value, stale, freshness)
+        if self.cache is not None and not stale:
+            self.cache.admit_entity(namespace, key, value, freshness)
         row = dict(value.value) if value is not None and isinstance(value.value, dict) else None
         return OperationOutcome(success=True, latency=latency, row=row, stale=stale)
 
@@ -697,106 +795,22 @@ class Scads:
         """Execute a registered query template with bound parameters."""
         compiled = self.compiled_query(name)
         session = self.sessions.get(session_id) if session_id is not None else None
-        # A query is one client read op, but several cache lookups; classify
-        # the op as cluster-served (for the miss-path latency label) when any
-        # of its sub-reads actually reached the cluster — its latency is then
-        # dominated by cluster service, not front-tier memory.
-        touched_cluster = [self.cache is None]
         tracer = self.tracer
         traced = tracer is not None and tracer.maybe_begin("query", self.sim.now)
-        # The executor composes parallel dereferences by max, so their raw
-        # spans cannot stay on-path: everything recorded after this mark is
-        # demoted when the query completes and replaced with one aggregate
-        # ``index_deref`` span whose duration is the winning dereference.
-        deref_mark = [-1]
-        range_latency_total = [0.0]
-
-        def _note_deref_start():
-            if traced and deref_mark[0] < 0:
-                deref_mark[0] = tracer.mark()
-
-        def range_read(namespace, start, end, limit, reverse):
-            if self.cache is not None:
-                cached = self.cache.lookup_range(namespace, start, end, limit, reverse)
-                if cached is not None:
-                    hit_latency = self.cache.sample_hit_latency()
-                    if traced:
-                        tracer.add("cache_hit", hit_latency, detail="range scan")
-                    range_latency_total[0] += hit_latency
-                    return cached, hit_latency
-                if traced:
-                    tracer.add("cache_miss", 0.0, detail="range scan")
-            touched_cluster[0] = True
-            # A scan that will be *cached* reads the primary: a lagging
-            # replica could hand us rows missing an index write that was
-            # already applied — and whose apply-time invalidation therefore
-            # already fired — leaving stale rows cached for a full TTL with
-            # nothing left to evict them.  Primary fills close that race;
-            # with the cache off, reads keep their replica load-balancing.
-            will_admit = self.cache is not None and self.cache.admits_ranges()
-            result = self.router.read_range(
-                KeyRange(namespace=namespace, start=start, end=end),
-                limit=limit, reverse=reverse, from_primary=will_admit,
-            )
-            range_latency_total[0] += result.latency
-            if not result.success:
-                return [], result.latency
-            rows = [(key, value.value if isinstance(value.value, dict) else {})
-                    for key, value in result.rows]
-            if will_admit:
-                self.cache.admit_range(namespace, start, end, limit, reverse, rows)
-            return rows, result.latency
-
-        def entity_get(entity_name, key):
-            _note_deref_start()
-            namespace = entity_namespace(entity_name)
-            served = self._cached_entity_read(namespace, key, session)
-            if served is not None:
-                return served
-            touched_cluster[0] = True
-            value, latency, success, stale, _, freshness = self._consistent_read(
-                namespace, key, session)
-            if success:
-                self._admit_entity_read(namespace, key, value, stale, freshness)
-            if not success or value is None or not isinstance(value.value, dict):
-                return None, latency
-            return dict(value.value), latency
-
-        def entity_get_many(entity_name, keys):
-            _note_deref_start()
-            namespace = entity_namespace(entity_name)
-            if self.cache is not None:
-                out, misses = self.cache.lookup_entities(namespace, keys, session)
-            else:
-                out, misses = {}, list(dict.fromkeys(keys))
-            if misses:
-                touched_cluster[0] = True
-                routed = self.router.read_many(namespace, misses)
-                for key in misses:
-                    value, latency, success, stale, _, freshness = (
-                        self._verify_replica_read(namespace, key, routed[key], session))
-                    if success:
-                        self._admit_entity_read(namespace, key, value, stale, freshness)
-                    if not success or value is None or not isinstance(value.value, dict):
-                        out[key] = (None, latency)
-                    else:
-                        out[key] = (dict(value.value), latency)
-            return out
-
-        executor = QueryExecutor(range_read, entity_get, entity_get_many)
-        result = executor.execute(compiled.plan, params)
+        reader = _QueryReader(self, session, tracer if traced else None)
+        result = self._executor.execute(compiled.plan, params, reader)
         if traced:
-            if deref_mark[0] >= 0:
-                tracer.demote_since(deref_mark[0])
+            if reader.deref_mark >= 0:
+                tracer.demote_since(reader.deref_mark)
                 # The executor charges the slowest dereference (parallel
                 # fetches); one aggregate span carries exactly that time.
-                deref_total = result.latency - range_latency_total[0]
+                deref_total = result.latency - reader.range_latency_total
                 if deref_total > 0.0:
                     tracer.add("index_deref", deref_total,
                                detail=f"{result.dereferences} parallel dereference(s)")
             tracer.end(result.latency, True)
         self._record_op("read", result.latency, True,
-                        cluster_served=touched_cluster[0])
+                        cluster_served=reader.touched_cluster)
         return result
 
     # ------------------------------------------------------------- cache tier glue
@@ -820,12 +834,6 @@ class Scads:
         row = (dict(value.value)
                if value is not None and isinstance(value.value, dict) else None)
         return row, self.cache.sample_hit_latency()
-
-    def _admit_entity_read(self, namespace: str, key: Key, value,
-                           stale: bool, known_staleness: Optional[float]) -> None:
-        """Read-through fill after a successful cluster read."""
-        if self.cache is not None and not stale:
-            self.cache.admit_entity(namespace, key, value, known_staleness)
 
     # ------------------------------------------------------- consistency-aware read
 
@@ -867,11 +875,15 @@ class Scads:
         # Fast path: a read served by the owning primary is verified current
         # by construction — the staleness peek below would compare the
         # primary's value to itself (and the successful hop implies the
-        # primary is reachable).  Sessions still run their guarantee checks:
-        # a migration-window write can leave a session ahead of the current
-        # owner's primary, and the re-read below dual-routes to catch that.
+        # primary is reachable).  Sessions with a guarantee still run their
+        # checks: a migration-window write can leave a session ahead of the
+        # current owner's primary, and the re-read below dual-routes to
+        # catch that.
         served_by_primary = result.node_id == primary_id
-        if session is None and served_by_primary:
+        session_checks = session is not None and session.guarantee.any_enabled
+        if served_by_primary and not session_checks:
+            if session is not None:
+                session.note_read(namespace, key, value)
             return value, latency, True, False, None, 0.0
         primary_reachable = served_by_primary or self.cluster.network.is_reachable(
             "client", primary_id)
@@ -922,8 +934,9 @@ class Scads:
             stale = True
 
         # Session guarantees: the replica value must be at least as new as what
-        # this session wrote / has already seen.
-        if session is not None and not session.acceptable(namespace, key, value):
+        # this session wrote / has already seen (a session with no guarantee
+        # enabled accepts everything).
+        if session_checks and not session.acceptable(namespace, key, value):
             needs_primary = True
 
         if needs_primary:

@@ -3,34 +3,47 @@
 A plan executes as exactly one bounded contiguous range read of its index
 (Section 3.1's guarantee) followed by at most ``limit``/``result_bound``
 pointer dereferences of the final entity.  The executor is storage-agnostic:
-it is handed two callables by the engine, so the same code runs against the
-consistency-aware read path, the quorum baseline, or a plain dict in tests.
+each query hands it a :class:`QueryReader`, so the same code runs against the
+engine's consistency-aware read path or a plain dict in tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Protocol, Tuple
 
-from repro.core.query.plans import PrefixComponent, QueryPlan
-from repro.storage.records import Key, key_part_successor, prefix_range
+from repro.core.query.plans import PrefixComponent, QueryPlan, RangeBound
+from repro.storage.records import Key, key_part_successor, prefix_bounds
 
-# (namespace, start, end, limit, reverse) -> (list of (key, value_dict), latency)
-RangeReadFn = Callable[[str, Optional[Key], Optional[Key], Optional[int], bool],
-                       Tuple[List[Tuple[Key, Dict[str, Any]]], float]]
-# (entity_name, key) -> (row dict or None, latency)
-EntityGetFn = Callable[[str, Key], Tuple[Optional[Dict[str, Any]], float]]
-# (entity_name, keys) -> {key: (row dict or None, latency)} — batched variant;
-# the engine groups keys by replica group and issues one multiget per group.
-EntityGetManyFn = Callable[[str, List[Key]],
-                           Dict[Key, Tuple[Optional[Dict[str, Any]], float]]]
+
+class QueryReader(Protocol):
+    """The storage one query reads through."""
+
+    def range_read(
+        self, namespace: str, start: Optional[Key], end: Optional[Key],
+        limit: Optional[int], reverse: bool,
+    ) -> Tuple[List[Tuple[Key, Dict[str, Any]]], float]:
+        """``(entries, latency)`` of one bounded scan: ``(key, value dict)``
+        pairs in scan order, at most ``limit`` of them."""
+
+    def entity_get_many(
+        self, entity: str, keys: List[Key],
+    ) -> Tuple[Dict[Key, Optional[Dict[str, Any]]], float]:
+        """``(rows_by_key, slowest_latency)`` for a query's dereference list:
+        the row (None when there is none) under every distinct key of
+        ``keys``, and the latency of the slowest fetch — the fetches run in
+        parallel, so that is what the list costs."""
 
 
 class ExecutionError(RuntimeError):
     """Raised when a plan cannot be executed (e.g. missing parameter)."""
 
 
-@dataclass
+def _missing_parameter(name: str) -> ExecutionError:
+    return ExecutionError(f"missing query parameter {name!r}")
+
+
+@dataclass(slots=True)
 class QueryResult:
     """The rows a query returned plus what it cost to produce them."""
 
@@ -44,61 +57,47 @@ class QueryResult:
 
 
 class QueryExecutor:
-    """Executes :class:`QueryPlan` objects against pluggable storage callables."""
+    """Executes :class:`QueryPlan` objects against a :class:`QueryReader`."""
 
-    def __init__(self, range_read: RangeReadFn, entity_get: EntityGetFn,
-                 entity_get_many: Optional[EntityGetManyFn] = None) -> None:
-        self._range_read = range_read
-        self._entity_get = entity_get
-        self._entity_get_many = entity_get_many
-
-    # ----------------------------------------------------------------- execute
-
-    def execute(self, plan: QueryPlan, params: Dict[str, Any]) -> QueryResult:
+    def execute(self, plan: QueryPlan, params: Dict[str, Any],
+                reader: QueryReader) -> QueryResult:
         """Run a plan with the given parameter bindings."""
-        prefix = self._bind_prefix(plan, params)
-        start, end = self._range_keys(plan, prefix, params)
-        entries, range_latency = self._range_read(
-            plan.namespace, start, end, plan.limit, plan.descending
-        )
-        if plan.limit is not None:
-            entries = entries[: plan.limit]
-        rows: List[Dict[str, Any]] = []
-        dereference_latency = 0.0
+        try:
+            prefix = tuple([params[value] if is_parameter else value
+                            for is_parameter, value in plan.prefix_binding])
+        except KeyError as missing:
+            raise _missing_parameter(missing.args[0]) from None
+        start, end = prefix_bounds(prefix)
+        if plan.range_bound is not None:
+            start, end = self._bounded(plan.range_bound, prefix, start, end, params)
+        limit = plan.limit
+        entries, latency = reader.range_read(
+            plan.namespace, start, end, limit, plan.descending)
+        if limit is not None and len(entries) > limit:
+            entries = entries[:limit]
         dereferences = 0
-        fetched: Optional[Dict[Key, Tuple[Optional[Dict[str, Any]], float]]] = None
-        if plan.dereference and self._entity_get_many is not None and entries:
-            # Batched dereference: the whole bounded list goes down in one
-            # call, letting the storage layer collapse it into per-group
-            # multigets instead of one request per entry.
-            fetched = self._entity_get_many(
-                plan.final_entity,
-                [key[-plan.final_key_length:] for key, _ in entries],
-            )
-        for key, index_value in entries:
-            final_key = key[-plan.final_key_length:]
-            if plan.dereference:
-                if fetched is not None:
-                    row, latency = fetched[final_key]
-                else:
-                    row, latency = self._entity_get(plan.final_entity, final_key)
-                dereferences += 1
-                # Dereferences of different index entries hit independent
-                # replica groups; model them as parallel fetches.
-                dereference_latency = max(dereference_latency, latency)
-                if row is None:
-                    continue
-            else:
-                row = dict(index_value) if isinstance(index_value, dict) else {}
-            if plan.selected_columns:
-                row = {column: row.get(column) for column in plan.selected_columns}
-            rows.append(row)
-        return QueryResult(
-            rows=rows,
-            latency=range_latency + dereference_latency,
-            index_entries_read=len(entries),
-            dereferences=dereferences,
-        )
+        if not plan.dereference:
+            rows = [dict(value) if isinstance(value, dict) else {}
+                    for _, value in entries]
+        elif entries:
+            # The whole bounded list goes down in one call, letting the
+            # storage layer collapse it into per-group multigets; the fetches
+            # hit independent replica groups in parallel, so the list costs
+            # its slowest fetch.  One dereference per index entry, duplicates
+            # included; an entry whose entity has no row adds none.
+            key_length = plan.final_key_length
+            final_keys = [key[-key_length:] for key, _ in entries]
+            rows_by_key, slowest = reader.entity_get_many(plan.final_entity, final_keys)
+            rows = [row for key in final_keys
+                    if (row := rows_by_key[key]) is not None]
+            latency += slowest
+            dereferences = len(final_keys)
+        else:
+            rows = []
+        if plan.selected_columns:
+            columns = plan.selected_columns
+            rows = [{column: row.get(column) for column in columns} for row in rows]
+        return QueryResult(rows, latency, len(entries), dereferences)
 
     # ------------------------------------------------------------------ binding
 
@@ -107,31 +106,24 @@ class QueryExecutor:
         if component.kind == "literal":
             return component.value
         if component.value not in params:
-            raise ExecutionError(f"missing query parameter {component.value!r}")
+            raise _missing_parameter(component.value)
         return params[component.value]
 
-    def _bind_prefix(self, plan: QueryPlan, params: Dict[str, Any]) -> Key:
-        return tuple(self._bind_component(component, params) for component in plan.prefix)
-
-    def _range_keys(
+    def _bounded(
         self,
-        plan: QueryPlan,
+        bound: RangeBound,
         prefix: Key,
+        start: Key,
+        end: Key,
         params: Dict[str, Any],
-    ) -> Tuple[Optional[Key], Optional[Key]]:
-        """Start/end keys for the single contiguous index scan.
+    ) -> Tuple[Key, Key]:
+        """The prefix scan's ``(start, end)`` narrowed by a sort-column bound.
 
         Strict bounds are encoded directly into the key range: a ``>`` low
         bound starts the range at the successor of the bound value, and a
         ``<`` high bound ends it exactly at the bound value (exclusive), so no
         post-filtering is ever needed.
         """
-        base = prefix_range(plan.namespace, prefix)
-        bound = plan.range_bound
-        if bound is None:
-            return base.start, base.end
-        start: Optional[Key] = base.start
-        end: Optional[Key] = base.end
         if bound.low is not None:
             low_value = self._bind_component(bound.low, params)
             if bound.op == ">":

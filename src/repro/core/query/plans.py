@@ -14,7 +14,7 @@ A compiled query template yields
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 INDEX_NAMESPACE_PREFIX = "index:"
 REVERSE_NAMESPACE_PREFIX = "revidx:"
@@ -162,7 +162,14 @@ class RangeBound:
 
 @dataclass
 class QueryPlan:
-    """How to execute a compiled query: one bounded range read + dereferences."""
+    """How to execute a compiled query: one bounded range read + dereferences.
+
+    A plan is compiled once and executed per query, so what execution needs
+    from the fields in another shape is derived when the plan is built:
+    ``namespace`` (the index's storage namespace) and ``prefix_binding`` (per
+    prefix component, whether it names a parameter, and the parameter name or
+    the literal).
+    """
 
     query_name: str
     index_name: str
@@ -174,10 +181,13 @@ class QueryPlan:
     final_entity: str
     final_key_length: int
     selected_columns: List[str] = field(default_factory=list)  # empty = all fields
+    namespace: str = field(init=False, compare=False)
+    prefix_binding: Tuple[Tuple[bool, Any], ...] = field(init=False, compare=False)
 
-    @property
-    def namespace(self) -> str:
-        return index_namespace(self.index_name)
+    def __post_init__(self) -> None:
+        self.namespace = index_namespace(self.index_name)
+        self.prefix_binding = tuple(
+            (component.kind == "parameter", component.value) for component in self.prefix)
 
     def parameter_names(self) -> List[str]:
         """Every parameter the plan needs bound at execution time."""

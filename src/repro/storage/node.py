@@ -331,11 +331,13 @@ class StorageNode:
             raise NodeDownError(f"node {self.node_id} is down")
         self._record_arrival(now)
         store = self._namespaces.get(namespace)
+        stored = (store._data if store is not None else {}).get
+        stats = self._stats
         out: Dict[Key, Optional[VersionedValue]] = {}
         for key in keys:
             validate_key(key)
-            self._stats.reads += 1
-            value = store._data.get(key) if store is not None else None
+            stats.reads += 1
+            value = stored(key)
             if value is not None and value.tombstone:
                 value = None
             out[key] = value

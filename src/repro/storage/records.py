@@ -29,7 +29,7 @@ def validate_key(key: Key) -> Key:
     return key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionedValue:
     """A value plus the metadata needed for conflict resolution and staleness.
 
@@ -78,7 +78,7 @@ class Record:
         return self.versioned.timestamp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyRange:
     """A half-open, contiguous range of keys ``[start, end)`` in one namespace.
 
@@ -119,8 +119,9 @@ class KeyRange:
         return f"{self.namespace}[{lo}, {hi})"
 
 
-def prefix_range(namespace: str, prefix: Key) -> KeyRange:
-    """The range of all keys that start with ``prefix``.
+def prefix_bounds(prefix: Key) -> Tuple[Key, Key]:
+    """``(start, end)`` of the half-open range of all keys that start with
+    ``prefix``.
 
     This is how "all index entries for user U" becomes a bounded contiguous
     range: the successor of the prefix is the prefix with an infinitesimally
@@ -132,11 +133,13 @@ def prefix_range(namespace: str, prefix: Key) -> KeyRange:
     # whose leading components equal `prefix` sorts at or after `prefix` and
     # strictly before the range end formed by replacing the last prefix
     # component with its immediate successor.
-    return KeyRange(
-        namespace=namespace,
-        start=prefix,
-        end=prefix[:-1] + (_successor(prefix[-1]),),
-    )
+    return prefix, prefix[:-1] + (_successor(prefix[-1]),)
+
+
+def prefix_range(namespace: str, prefix: Key) -> KeyRange:
+    """:func:`prefix_bounds` as a :class:`KeyRange` of ``namespace``."""
+    start, end = prefix_bounds(prefix)
+    return KeyRange(namespace=namespace, start=start, end=end)
 
 
 def key_part_successor(part: KeyPart) -> KeyPart:

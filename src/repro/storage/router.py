@@ -270,27 +270,32 @@ class Router:
         any batch with no live replica, fall back to the dual-routed
         single-key path.
         """
-        now = self._sim.now
-        cluster = self._cluster
-        track = cluster._load_tracker is not None  # noqa: SLF001 - router feeds it
+        now = self._clock.now
+        tracker = self._cluster._load_tracker  # noqa: SLF001 - router feeds it
         in_flight = self._migrations
+        group_for_token = self._partitioner.group_for_token
         results: Dict[Key, RequestResult] = {}
         by_group: Dict[str, List[Key]] = {}
-        for key in keys:
-            if key in results or any(key in batch for batch in by_group.values()):
-                continue  # duplicate within the batch: one fetch serves both
+        # De-duplicated up front: one fetch serves every occurrence of a key.
+        for key in dict.fromkeys(keys):
             token = str(key[0])  # partition_token(key), inlined for the hot path
             if in_flight and any(token in record.tokens for record in in_flight):
                 results[key] = self.read(namespace, key)
                 continue
-            by_group.setdefault(self._partitioner.group_for_token(token), []).append(key)
+            group_id = group_for_token(token)
+            batch = by_group.get(group_id)
+            if batch is None:
+                by_group[group_id] = [key]
+            else:
+                batch.append(key)
+        ops = self._ops
         for group_id, group_keys in by_group.items():
             group = self._groups[group_id]
-            self._ops["read"] += 1
+            ops["read"] += 1
             served = False
             for node_id in self._read_candidates(group):
                 node = self._nodes.get(node_id)
-                if node is None or not node.alive or node.draining:
+                if node is None or not node._alive or node._draining:  # noqa: SLF001
                     continue
                 try:
                     hop = self._network.delay(CLIENT_ENDPOINT, node_id)
@@ -305,11 +310,10 @@ class Router:
                     tracer.add("multiget", latency,
                                detail=f"group={group_id} keys={len(group_keys)} via {node_id}")
                 for key in group_keys:
-                    results[key] = RequestResult(success=True, latency=latency,
-                                                 value=values.get(key), node_id=node_id)
-                    if track:
-                        cluster.note_access(namespace, key, is_write=False,
-                                            token=str(key[0]))
+                    results[key] = RequestResult(True, latency, values[key], node_id=node_id)
+                    if tracker is not None:
+                        # One note per key: the decayed counts are not integers.
+                        tracker.note(str(key[0]), False, now)
                 served = True
                 break
             if not served:

@@ -8,12 +8,19 @@ per-group multigets rather than one independent request per entry.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core.query.executor import QueryExecutor
-from repro.storage.node import StorageNode
+from repro.core.query.executor import ExecutionError, QueryExecutor
+from repro.sim.network import NetworkPartitionError
+from repro.sim.simulator import Simulator
+from repro.storage.cluster import Cluster
+from repro.storage.node import NodeDownError, StorageNode
+from repro.storage.rebalancer import PartitionLoadTracker
 from repro.storage.records import VersionedValue
+from repro.storage.router import CLIENT_ENDPOINT, RequestResult, Router
 
 pytestmark = pytest.mark.tier1
 
@@ -154,42 +161,236 @@ class TestRouterReadMany:
         assert len(results) == 1
 
 
+class CountingPart(str):
+    """A key part that counts how often it is compared for equality."""
+
+    comparisons = 0
+
+    def __eq__(self, other):
+        CountingPart.comparisons += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def reference_read_many(router, namespace, keys):
+    """``Router.read_many`` as its docstring states it, through the public
+    hooks only (``alive`` / ``draining``, ``Cluster.note_access``, the
+    simulator's clock), de-duplicating by comparing every key with every key
+    before it: what the router's one-pass version must be equal to."""
+    cluster = router._cluster  # noqa: SLF001 - the reference routes on the same cluster
+    now = cluster.sim.now
+    distinct = []
+    for key in keys:
+        if not any(key == seen for seen in distinct):
+            distinct.append(key)
+    results, by_group = {}, {}
+    for key in distinct:
+        if cluster.migrations_for_key(namespace, key):
+            results[key] = router.read(namespace, key)
+        else:
+            by_group.setdefault(cluster.group_for_key(namespace, key).group_id,
+                                []).append(key)
+    for group_id, group_keys in by_group.items():
+        router._ops["read"] += 1  # noqa: SLF001 - one request per group batch
+        for node_id in router._read_candidates(cluster.groups[group_id]):  # noqa: SLF001
+            node = cluster.nodes.get(node_id)
+            if node is None or not node.alive or node.draining:
+                continue
+            try:
+                hop = cluster.network.delay(CLIENT_ENDPOINT, node_id)
+                values, service = node.multi_get(namespace, group_keys, now)
+            except (NetworkPartitionError, NodeDownError):
+                continue
+            for key in group_keys:
+                results[key] = RequestResult(success=True, latency=2.0 * hop + service,
+                                             value=values.get(key), node_id=node_id)
+                cluster.note_access(namespace, key, is_write=False)
+            break
+        else:
+            for key in group_keys:
+                results[key] = router.read(namespace, key)
+    return results
+
+
+class TestRouterReadManyOnePass:
+    """The batch is de-duplicated and grouped in one pass over its keys."""
+
+    def test_duplicate_check_is_linear_in_the_batch(self):
+        cluster = Cluster(simulator=Simulator(seed=3), replication_factor=2,
+                          initial_groups=1)
+        router = Router(cluster)
+        count = 2000
+        keys = [(CountingPart(f"k{i:04d}"),) for i in range(count)]
+        CountingPart.comparisons = 0
+        results = router.read_many("ns", keys)
+        assert len(results) == count and all(r.success for r in results.values())
+        assert router.op_counts()["read"] == 1  # one group, one request
+        # the pairwise check made count**2 / 2 = 2 000 000 of them
+        assert CountingPart.comparisons <= 10 * count
+
+    @staticmethod
+    def _twin(seed=5):
+        """Three range-partitioned groups: group-0 owns u000-u019 and is the
+        source of an in-flight migration of u040-u059 to group-2; group-1 owns
+        u020-u039 and has no live replica."""
+        sim = Simulator(seed=seed)
+        cluster = Cluster(simulator=sim, replication_factor=2, initial_groups=3,
+                          partitioner_kind="range")
+        tracker = PartitionLoadTracker()
+        cluster.attach_load_tracker(tracker)
+        router = Router(cluster)
+        for i in range(60):
+            router.write("ns", (f"u{i:03d}",), {"v": i})
+        sim.run_until(sim.now + 5.0)
+        cluster.split_partition("u020")
+        cluster.split_partition("u040")
+        done = cluster.migrate_partition("u020", "group-1")
+        sim.run_until(done.end_time + 1.0)
+        cluster.movement_rate_keys_per_sec = 0.1  # a long in-flight window
+        in_flight = cluster.migrate_partition("u040", "group-2")
+        assert done.completed and cluster.active_migrations() == [in_flight]
+        for node_id in cluster.groups["group-1"].node_ids:
+            cluster.nodes[node_id].crash()
+        return cluster, router, tracker
+
+    KEYS = [("u003",), ("u045",), ("u021",), ("u003",), ("u017",), ("absent",),
+            ("u058",), ("u033",), ("u045",), ("u010",), ("u021",)]
+
+    def test_equals_the_reference_under_migration_and_outage(self):
+        cluster, router, tracker = self._twin()
+        twin_cluster, twin_router, twin_tracker = self._twin()
+        results = router.read_many("ns", self.KEYS)
+        expected = reference_read_many(twin_router, "ns", self.KEYS)
+        assert results == expected  # values, latencies, serving nodes, errors
+        assert list(results) == list(expected)
+        assert results[("u003",)].value.value == {"v": 3}
+        assert results[("u045",)].value.value == {"v": 45}  # dual-routed
+        assert results[("absent",)].success and results[("absent",)].value is None
+        assert not results[("u021",)].success  # its group has no live replica
+        # the books: requests, failures, partition load, key touches per node
+        assert router.op_counts() == twin_router.op_counts()
+        assert router.op_counts()["failed"] == 2  # u021 and u033
+        assert tracker.counts() == twin_tracker.counts()
+        assert tracker.total_accesses == twin_tracker.total_accesses
+        assert ({node_id: node.stats.reads for node_id, node in cluster.nodes.items()}
+                == {node_id: node.stats.reads
+                    for node_id, node in twin_cluster.nodes.items()})
+        # the replica-choice and network streams were consumed alike
+        group, twin_group = cluster.groups["group-0"], twin_cluster.groups["group-0"]
+        assert (router._read_candidates(group)  # noqa: SLF001 - the next draw
+                == twin_router._read_candidates(twin_group))  # noqa: SLF001
+        assert (cluster.network.delay(CLIENT_ENDPOINT, group.primary)
+                == twin_cluster.network.delay(CLIENT_ENDPOINT, twin_group.primary))
+        # and every value is the one a single-key read returns
+        for key, result in results.items():
+            single = twin_router.read("ns", key)
+            assert (single.success, single.value) == (result.success, result.value)
+
+
 class TestExecutorBatchedDereference:
-    def _plan_and_data(self):
+    """The executor's dereference contract: ``entity_get_many(entity, keys) ->
+    (rows_by_key, slowest_latency)``, against a per-key model of it."""
+
+    ENTITIES = {("k0",): {"key": "k0", "v": 0}, ("k1",): {"key": "k1", "v": 1},
+                ("k2",): None,  # an index entry whose entity has no row
+                ("k3",): {"key": "k3", "v": 3}, ("k4",): {"key": "k4", "v": 4}}
+    LATENCIES = {("k0",): 0.002, ("k1",): 0.007, ("k2",): 0.009, ("k3",): 0.001,
+                 ("k4",): 0.003}
+    # ("k1",) is reached through two index entries
+    INDEX_ROWS = [(("t", 1, "k1"), {}), (("t", 2, "k0"), {}), (("t", 3, "k2"), {}),
+                  (("t", 4, "k1"), {}), (("t", 5, "k4"), {}), (("t", 6, "k3"), {})]
+
+    @staticmethod
+    def _plan(limit=5, selected_columns=()):
         from repro.core.query.plans import PrefixComponent, QueryPlan
 
-        plan = QueryPlan(
+        return QueryPlan(
             query_name="q", index_name="by_tag",
             prefix=[PrefixComponent(kind="parameter", value="tag")],
-            range_bound=None, limit=5, descending=False,
+            range_bound=None, limit=limit, descending=False,
             dereference=True, final_entity="items", final_key_length=1,
+            selected_columns=list(selected_columns),
         )
-        index_rows = [(("t", f"k{i}"), {}) for i in range(5)]
-        entities = {(f"k{i}",): {"key": f"k{i}", "v": i} for i in range(5)}
-        return plan, index_rows, entities
 
-    def test_batched_rows_equal_single_rows(self):
-        plan, index_rows, entities = self._plan_and_data()
-
+    def _reader(self, calls):
         def range_read(namespace, start, end, limit, reverse):
-            return list(index_rows), 0.001
+            assert namespace == "index:by_tag"
+            assert (start, end) == (("t",), ("t\x00",))
+            return self.INDEX_ROWS[:limit], 0.001
 
-        def entity_get(name, key):
-            return dict(entities[key]), 0.002
+        def entity_get(entity, key):  # the per-key store the batch adapts
+            row = self.ENTITIES[key]
+            return (dict(row) if row is not None else None), self.LATENCIES[key]
 
-        calls = {"many": 0}
+        def entity_get_many(entity, keys):
+            calls.append(list(keys))
+            fetched = {key: entity_get(entity, key) for key in keys}
+            return ({key: row for key, (row, _) in fetched.items()},
+                    max(latency for _, latency in fetched.values()))
 
-        def entity_get_many(name, keys):
-            calls["many"] += 1
-            return {key: (dict(entities[key]), 0.002) for key in keys}
+        return SimpleNamespace(range_read=range_read, entity_get=entity_get,
+                               entity_get_many=entity_get_many)
 
-        single = QueryExecutor(range_read, entity_get).execute(plan, {"tag": "t"})
-        batched = QueryExecutor(range_read, entity_get, entity_get_many).execute(
-            plan, {"tag": "t"})
-        assert calls["many"] == 1
-        assert batched.rows == single.rows
-        assert batched.dereferences == single.dereferences
-        assert batched.latency == pytest.approx(single.latency)
+    @staticmethod
+    def _per_key_model(plan, reader, params):
+        """One ``entity_get`` per index entry, composed by max."""
+        entries, latency = reader.range_read(
+            plan.namespace, (params["tag"],), (params["tag"] + "\x00",),
+            plan.limit, plan.descending)
+        rows, slowest = [], 0.0
+        for key, _ in entries:
+            row, fetch_latency = reader.entity_get(plan.final_entity,
+                                                   key[-plan.final_key_length:])
+            slowest = max(slowest, fetch_latency)
+            if row is None:
+                continue
+            if plan.selected_columns:
+                row = {column: row.get(column) for column in plan.selected_columns}
+            rows.append(row)
+        return rows, latency + slowest, len(entries), len(entries)
+
+    @pytest.mark.parametrize("limit", [5, None, 2])
+    @pytest.mark.parametrize("selected_columns", [(), ("v", "nope")])
+    def test_result_equals_the_per_key_model(self, limit, selected_columns):
+        plan = self._plan(limit, selected_columns)
+        calls = []
+        reader = self._reader(calls)
+        result = QueryExecutor().execute(plan, {"tag": "t"}, reader)
+        rows, latency, entries_read, dereferences = self._per_key_model(
+            plan, reader, {"tag": "t"})
+        assert len(calls) == 1  # the whole list went down in one call
+        assert calls[0] == [key[-1:] for key, _ in self.INDEX_ROWS[:limit]]
+        assert result.rows == rows
+        assert result.latency == latency
+        assert result.index_entries_read == entries_read
+        assert result.dereferences == dereferences
+        if limit is None:
+            assert result.dereferences == 6 and len(result.rows) == 5  # k2 has no row
+        if selected_columns:
+            assert result.rows[0] == {"v": 1, "nope": None}
+
+    def test_an_overlong_scan_is_cut_to_the_limit(self):
+        plan = self._plan(limit=3)
+        reader = self._reader([])
+        reader.range_read = lambda *scan: (list(self.INDEX_ROWS), 0.001)
+        result = QueryExecutor().execute(plan, {"tag": "t"}, reader)
+        assert result.index_entries_read == result.dereferences == 3
+
+    def test_an_empty_scan_dereferences_nothing(self):
+        calls = []
+        reader = self._reader(calls)
+        reader.range_read = lambda *scan: ([], 0.004)
+        result = QueryExecutor().execute(self._plan(), {"tag": "t"}, reader)
+        assert (result.rows, result.latency, result.dereferences) == ([], 0.004, 0)
+        assert calls == []
+
+    def test_unbound_and_non_key_parameters_are_rejected(self):
+        reader = self._reader([])
+        with pytest.raises(ExecutionError, match="missing query parameter 'tag'"):
+            QueryExecutor().execute(self._plan(), {"other": "t"}, reader)
+        with pytest.raises(TypeError, match="key parts must be str, int, or float"):
+            QueryExecutor().execute(self._plan(), {"tag": None}, reader)
 
     def test_engine_query_reads_own_writes_through_batch(self):
         """End-to-end: the batched dereference path preserves session
@@ -210,13 +411,13 @@ class TestExecutorBatchedDereference:
 
 
 class TestEngineDereferenceGlue:
-    """The ``entity_get_many`` closure ``Scads.query`` hands the executor."""
+    """``entity_get_many`` of the reader ``Scads.query`` hands the executor."""
 
     @staticmethod
-    def _glue(cache, monkeypatch):
-        """A loaded engine and the closure its next query builds."""
+    def _glue(cache):
+        """A loaded engine and a reader of it, as its next query would build."""
         from repro import Scads
-        from repro.core import engine as engine_module
+        from repro.core.engine import _QueryReader
         from repro.core.schema import EntitySchema, Field, FieldType
 
         engine = Scads(seed=7, autoscale=False, initial_groups=3, cache=cache)
@@ -224,34 +425,28 @@ class TestEngineDereferenceGlue:
             name="items", key_fields=[Field("key")],
             value_fields=[Field("v", FieldType.INT)], max_per_partition=50,
         ))
-        engine.register_query("all", "SELECT * FROM items WHERE key = <k>")
         engine.start()
         for i in range(6):
             engine.put("items", {"key": f"k{i}", "v": i})
         engine.settle()
         engine.get("items", ("k1",))  # with a tier: k1 is now cached
-        captured = {}
-
-        class Spy(QueryExecutor):
-            def __init__(self, range_read, entity_get, entity_get_many):
-                super().__init__(range_read, entity_get, entity_get_many)
-                captured["get_many"] = entity_get_many
-
-        monkeypatch.setattr(engine_module, "QueryExecutor", Spy)
-        engine.query("all", {"k": "k0"})
-        return engine, captured["get_many"]
+        return engine, _QueryReader(engine, None, None)
 
     @pytest.mark.parametrize("cache", [None, False], ids=["cached", "uncached"])
-    def test_duplicate_keys_read_once_with_identical_results(self, cache, monkeypatch):
+    def test_duplicate_keys_read_once_with_identical_results(self, cache):
         keys = [("k1",), ("k3",), ("k1",), ("absent",), ("k3",), ("k5",), ("k1",)]
-        duplicated_engine, duplicated = self._glue(cache, monkeypatch)
-        distinct_engine, distinct = self._glue(cache, monkeypatch)
+        duplicated_engine, duplicated = self._glue(cache)
+        distinct_engine, distinct = self._glue(cache)
         ops_before = dict(duplicated_engine.router._ops)  # noqa: SLF001
-        with_duplicates = duplicated("items", keys)
-        once_each = distinct("items", list(dict.fromkeys(keys)))
-        assert with_duplicates == once_each  # rows and latencies, same seed
-        assert with_duplicates[("k3",)][0] == {"key": "k3", "v": 3}
-        assert with_duplicates[("absent",)][0] is None
+        with_duplicates = duplicated.entity_get_many("items", keys)
+        once_each = distinct.entity_get_many("items", list(dict.fromkeys(keys)))
+        assert with_duplicates == once_each  # rows and slowest latency, same seed
+        rows, slowest = with_duplicates
+        assert rows[("k3",)] == {"key": "k3", "v": 3}
+        assert rows[("absent",)] is None
+        assert set(rows) == set(keys)
+        assert slowest > 0.0
+        assert duplicated.touched_cluster and distinct.touched_cluster
         assert duplicated_engine.router._ops == distinct_engine.router._ops  # noqa: SLF001
         assert duplicated_engine.router._ops != ops_before  # noqa: SLF001
         if cache is None:

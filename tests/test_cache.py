@@ -134,6 +134,21 @@ class TestPolicy:
         policy = AdmissionPolicy(self.spec(10.0))
         assert policy.entity_ttl(None) == 0.0
 
+    @pytest.mark.parametrize("headroom", [1.0, 10.0])  # 10.0 leaves no budget
+    @pytest.mark.parametrize("known_staleness", [None, -1.0, 0.0, 4.0, 9.0, 9.5, 30.0])
+    def test_the_tier_admits_for_exactly_the_policy_ttl(self, headroom, known_staleness):
+        sim = Simulator(seed=1)
+        tier = CacheTier(CacheConfig(propagation_headroom=headroom),
+                         spec=self.spec(10.0), simulator=sim)
+        sim.run_until(3.0)
+        ttl = tier.policy.entity_ttl(known_staleness)
+        entry = tier.admit_entity("ns", ("k",), "value", known_staleness)
+        if ttl <= 0:
+            assert entry is None and len(tier.store) == 0
+        else:
+            assert (entry.inserted_at, entry.expires_at) == (3.0, 3.0 + ttl)
+            assert tier.store.peek(entity_token("ns", ("k",))) is entry
+
     def test_headroom_swallowing_the_whole_budget_disables_caching(self):
         policy = AdmissionPolicy(self.spec(1.0), propagation_headroom=1.0)
         assert not policy.cacheable()
@@ -774,7 +789,8 @@ class TestLookupEntities:
             ("written",), ("c",), ("b",)]
 
     def sequential(self, tier, session):
-        served, misses = {}, []
+        """The per-key reference: rows, per-key hit latencies and misses."""
+        rows, latencies, misses = {}, [], []
         for key in dict.fromkeys(self.KEYS):
             entry = tier.lookup_entity(self.NAMESPACE, key, session)
             if entry is None:
@@ -782,9 +798,9 @@ class TestLookupEntities:
                 continue
             if session is not None:
                 session.note_read(self.NAMESPACE, key, entry.value)
-            row = dict(entry.value.value) if entry.value is not None else None
-            served[key] = (row, tier.sample_hit_latency())
-        return served, misses
+            rows[key] = dict(entry.value.value) if entry.value is not None else None
+            latencies.append(tier.sample_hit_latency())
+        return rows, latencies, misses
 
     @pytest.mark.parametrize("with_session", [True, False])
     def test_equals_sequential_lookups(self, with_session):
@@ -792,32 +808,44 @@ class TestLookupEntities:
         single_tier, single_session = self.make_tier()
         if not with_session:
             batched_session = single_session = None
-        served, misses = batched_tier.lookup_entities(
+        rows, slowest, misses = batched_tier.lookup_entities(
             self.NAMESPACE, self.KEYS, batched_session)
-        expected_served, expected_misses = self.sequential(single_tier, single_session)
-        assert served == expected_served  # rows, and latencies float for float
-        assert list(served) == list(expected_served)
+        expected_rows, latencies, expected_misses = self.sequential(
+            single_tier, single_session)
+        assert rows == expected_rows
+        assert list(rows) == list(expected_rows)
+        assert slowest == max(latencies)  # float for float
         assert misses == expected_misses
         assert ("old",) in misses and ("missing",) in misses
         assert (("written",) in misses) == with_session  # read-your-writes bypass
-        assert served[("gone",)][0] is None
+        assert rows[("gone",)] is None
         assert batched_tier.store.stats == single_tier.store.stats
         assert batched_tier.store.stats.ttl_expirations == 1
         assert batched_tier.session_bypasses == single_tier.session_bypasses
         assert batched_tier.session_bypasses == (1 if with_session else 0)
+        # a bypassed entry is refreshed like a served one
         assert list(batched_tier.store._entries) == list(single_tier.store._entries)
         if with_session:
             assert batched_session.stats == single_session.stats
             assert (batched_session._last_seen_version
                     == single_session._last_seen_version)
+            assert batched_session._last_seen_version  # monotonic reads: kept
         # the streams stay in step afterwards
+        assert batched_tier.sample_hit_latency() == single_tier.sample_hit_latency()
+
+    def test_nothing_served_draws_nothing(self):
+        batched_tier, _ = self.make_tier()
+        single_tier, _ = self.make_tier()
+        rows, slowest, misses = batched_tier.lookup_entities(
+            self.NAMESPACE, [("missing",), ("old",), ("missing",)], None)
+        assert (rows, slowest, misses) == ({}, 0.0, [("missing",), ("old",)])
         assert batched_tier.sample_hit_latency() == single_tier.sample_hit_latency()
 
     def test_uncacheable_spec_misses_everything_without_counting(self):
         spec = ConsistencySpec(read=ReadConsistency(staleness_bound=1.0))
         tier = CacheTier(CacheConfig(propagation_headroom=1.0), spec=spec,
                          simulator=Simulator(seed=1))
-        served, misses = tier.lookup_entities(self.NAMESPACE, self.KEYS, None)
-        assert served == {}
+        rows, slowest, misses = tier.lookup_entities(self.NAMESPACE, self.KEYS, None)
+        assert (rows, slowest) == ({}, 0.0)
         assert misses == list(dict.fromkeys(self.KEYS))
         assert tier.store.stats.lookups == 0

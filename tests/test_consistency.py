@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.consistency.arbitration import Arbitrator
 from repro.core.consistency.sessions import Session, SessionManager
@@ -118,6 +119,93 @@ class TestSessions:
         assert manager.total_fallbacks() == 1
         assert manager.session_count() == 1
         assert manager.get("missing") is None
+
+
+class _FullHistorySession:
+    """A session that records every write and read whatever its guarantee —
+    the model a :class:`Session`, which keeps only the history its guarantee
+    can consult, must answer like."""
+
+    def __init__(self, guarantee):
+        self.guarantee = guarantee
+        self.written, self.seen = {}, {}
+        self.reads = self.writes = 0
+
+    def note_write(self, namespace, key, value):
+        self.writes += 1
+        self.written[(namespace, key)] = value.version
+
+    def note_read(self, namespace, key, value):
+        self.reads += 1
+        if value is not None:
+            self.seen[(namespace, key)] = max(value.version,
+                                              self.seen.get((namespace, key), 0))
+
+    def acceptable(self, namespace, key, value):
+        observed = value.version if value is not None else 0
+        if self.guarantee.read_your_writes and observed < self.written.get((namespace, key), 0):
+            return False
+        return not (self.guarantee.monotonic_reads
+                    and observed < self.seen.get((namespace, key), 0))
+
+
+SESSION_KEYS = st.sampled_from([("a",), ("b",), ("c", 1)])
+SESSION_VALUES = st.one_of(st.none(), st.integers(min_value=1, max_value=6))
+SESSION_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("write"), SESSION_KEYS, st.integers(min_value=1, max_value=6)),
+    st.tuples(st.just("read"), SESSION_KEYS, SESSION_VALUES),
+    st.tuples(st.just("reads"), st.lists(st.tuples(SESSION_KEYS, SESSION_VALUES),
+                                         max_size=5, unique_by=lambda kv: kv[0])),
+    st.tuples(st.just("ask"), SESSION_KEYS, SESSION_VALUES),
+), max_size=40)
+
+
+class TestSessionHistory:
+    """Sessions keep history only for the guarantees they have."""
+
+    @staticmethod
+    def _value(version):
+        if version is None:
+            return None
+        return VersionedValue(value={"a": version}, timestamp=0.0, version=version)
+
+    @given(read_your_writes=st.booleans(), monotonic_reads=st.booleans(),
+           steps=SESSION_STEPS)
+    def test_batched_notes_and_pruned_history_answer_like_the_full_history(
+            self, read_your_writes, monotonic_reads, steps):
+        guarantee = SessionGuarantee(read_your_writes=read_your_writes,
+                                     monotonic_reads=monotonic_reads)
+        batched, single = Session("s", guarantee), Session("s", guarantee)
+        model = _FullHistorySession(guarantee)
+        for step in steps:
+            if step[0] == "reads":
+                pairs = [(key, self._value(version)) for key, version in step[1]]
+                batched.note_reads("ns", [key for key, _ in pairs],
+                                   [value for _, value in pairs])
+                for target in (single, model):
+                    for key, value in pairs:
+                        target.note_read("ns", key, value)
+                continue
+            kind, key, version = step
+            value = self._value(version)
+            if kind == "ask":
+                answer = model.acceptable("ns", key, value)
+                assert batched.acceptable("ns", key, value) is answer
+                assert single.acceptable("ns", key, value) is answer
+            else:
+                for target in (batched, single, model):
+                    getattr(target, f"note_{kind}")("ns", key, value)
+        assert batched.stats == single.stats
+        assert (batched.stats.reads, batched.stats.writes) == (model.reads, model.writes)
+        assert batched._last_seen_version == single._last_seen_version
+        assert batched._last_written_version == single._last_written_version
+        assert batched._last_seen_version == (model.seen if monotonic_reads else {})
+        assert batched._last_written_version == (model.written if read_your_writes else {})
+        for key in [("a",), ("b",), ("c", 1)]:
+            for version in (None, 1, 3, 6):
+                value = self._value(version)
+                assert (batched.acceptable("ns", key, value, count=False)
+                        is model.acceptable("ns", key, value))
 
 
 class TestConflictResolver:

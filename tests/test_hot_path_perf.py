@@ -22,18 +22,27 @@ namespace holding thousands of other users' scans.
 A fourth, from the write-path fast lane: **a propagation is one object** — the
 gc-tracked allocations of a replicated write and of a retry cycle are counted
 (not timed), so a closure per attempt cannot creep back in.
+
+A fifth, from the dereference fast lane: **a query's dereference list is served
+in one pass** — the interpreter-level calls of a cached query are counted (not
+timed) against the length of its list, sessions hold no history their
+guarantee cannot read, and the records on the path carry no ``__dict__``.
 """
 
 from __future__ import annotations
 
 import gc
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.store import StalenessBudgetCache
+from repro.apps.social_network import SocialNetworkApp
+from repro.cache.store import CacheEntry, StalenessBudgetCache
+from repro.core.engine import Scads
+from repro.core.query.executor import QueryResult
 from repro.sim.latency import (
     ConstantLatency,
     EmpiricalLatency,
@@ -52,7 +61,7 @@ from repro.storage.partitioner import (
     PartitionerError,
     RangePartitioner,
 )
-from repro.storage.records import VersionedValue
+from repro.storage.records import KeyRange, VersionedValue
 from repro.storage.replication import ReplicaGroup, ReplicationEngine
 
 pytestmark = [pytest.mark.tier1, pytest.mark.property]
@@ -383,3 +392,93 @@ def test_a_retry_cycle_re_arms_the_same_record():
     assert [event.name for event in fired[:2]] == ["replicate:entity:profiles",
                                                    "replicate-retry"]
     assert engine.pending_count() == 1 and record.applied_time is None
+
+
+# ------------------------------------------- one pass per dereference list
+
+
+def _social_engine(friends_of):
+    """An engine holding ``user -> number of friends`` friend lists."""
+    engine = Scads(seed=5, autoscale=False, initial_groups=2)
+    app = SocialNetworkApp(engine, register_friends_of_friends=False)
+    for user, count in friends_of.items():
+        for index in range(count):
+            app.add_friendship(user, f"{user}-friend{index:02d}")
+    engine.start()
+    engine.settle()
+    return engine
+
+
+def _profiled_calls(work):
+    """(Python-level, C-level) function calls made while ``work()`` runs."""
+    calls = {"call": 0, "c_call": 0}
+
+    def profiler(frame, event, arg):
+        if event in calls:
+            calls[event] += 1
+
+    sys.setprofile(profiler)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    # the call that switches profiling off is itself reported
+    return calls["call"], calls["c_call"] - 1
+
+
+def test_a_cached_query_makes_the_same_calls_whatever_its_length():
+    """All hits: the interpreter-level calls of ``query("friends")`` do not
+    depend on the number of dereferences, and the C-level ones grow by at most
+    4 each (one store probe, one LRU refresh, the payload check; the per-key
+    path made 2 more Python-level and 7 C-level calls per dereference)."""
+    engine = _social_engine({"few": 3, "many": 15})
+    for user in ("few", "many", "few", "many"):  # fills the cache, then the
+        engine.query("friends", {"user_id": user}, session_id=user)  # latency pool
+    counted = {}
+    for user in ("few", "many"):
+        params = {"user_id": user}
+        hits_before = engine.cache.store.stats.hits
+
+        def work():
+            counted[user] = engine.query("friends", params, session_id=user)
+
+        python_calls, c_calls = _profiled_calls(work)
+        served = engine.cache.store.stats.hits - hits_before
+        assert served == counted[user].dereferences + 1  # the scan and every row
+        counted[user] = (python_calls, c_calls, counted[user].dereferences)
+    few_python, few_c, few_dereferences = counted["few"]
+    many_python, many_c, many_dereferences = counted["many"]
+    assert (few_dereferences, many_dereferences) == (3, 15)
+    assert many_python == few_python
+    assert many_c - few_c <= 4 * (many_dereferences - few_dereferences)
+
+
+def test_a_session_without_guarantees_keeps_no_history():
+    """500 dereferences and 50 writes later both version maps are empty and
+    the counters exact."""
+    engine = _social_engine({"reader": 20})
+    session = engine.sessions.get("reader")
+    assert not session.guarantee.any_enabled
+    reads_before, writes_before = session.stats.reads, session.stats.writes
+    for _ in range(25):
+        assert engine.query("friends", {"user_id": "reader"},
+                            session_id="reader").dereferences == 20
+    for index in range(50):
+        assert engine.put("statuses", {"user_id": "reader", "status_id": index,
+                                       "text": "hi"}, session_id="reader").success
+    assert session.stats.reads - reads_before == 500
+    assert session.stats.writes - writes_before == 50
+    assert len(session._last_seen_version) == 0
+    assert len(session._last_written_version) == 0
+
+
+def test_hot_path_records_are_slotted():
+    versioned = VersionedValue({"a": 1}, timestamp=0.0)
+    records = [
+        versioned,
+        KeyRange("ns", ("a",), ("b",)),
+        CacheEntry(("entity", "ns", ("a",)), "ns", versioned, 0.0, 1.0, ("a",)),
+        QueryResult([], 0.0, 0, 0),
+    ]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__

@@ -7,6 +7,7 @@ of the storage substrate; the engine-level integration tests cover the wiring.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
@@ -282,11 +283,11 @@ class TestQueryOverMaintainedIndex:
                 keys = keys[:limit]
             return [(k, {"support": adapter.support(namespace, k)}) for k in keys], 0.001
 
-        def entity_get(entity, key):
-            return adapter.entity_row(entity, key), 0.001
+        def entity_get_many(entity, keys):
+            return {key: adapter.entity_row(entity, key) for key in keys}, 0.001
 
-        executor = QueryExecutor(range_read, entity_get)
-        result = executor.execute(plan, {"user_id": "alice"})
+        reader = SimpleNamespace(range_read=range_read, entity_get_many=entity_get_many)
+        result = QueryExecutor().execute(plan, {"user_id": "alice"}, reader)
         assert [row["name"] for row in result.rows] == ["Carol", "Bob"]
         assert result.index_entries_read == 2
 

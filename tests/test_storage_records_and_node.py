@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +126,45 @@ class TestKeyRange:
 
 
 # ----------------------------------------------------------------------- node
+
+
+class TestSlottedFrozenRecords:
+    """``VersionedValue`` and ``KeyRange`` are frozen *and* slotted: the sweep
+    fabric pickles them, callers ``replace`` them, sets and dicts hash them."""
+
+    RECORDS = [
+        vv({"name": "Ada"}, timestamp=3.5, version=4, writer="s1"),
+        vv(None, timestamp=1.0, version=2, tombstone=True),
+        KeyRange("ns", ("a", 1), ("a", 2)),
+        KeyRange("ns"),
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=repr)
+    def test_pickle_round_trip(self, record):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(record, protocol))
+            assert clone == record and type(clone) is type(record)
+            assert not hasattr(clone, "__dict__")
+
+    def test_replace_equality_and_hash(self):
+        value = vv({"a": 1}, timestamp=2.0, version=3)
+        newer = dataclasses.replace(value, version=4)
+        assert (newer.version, newer.value, newer.timestamp) == (4, {"a": 1}, 2.0)
+        assert newer != value and dataclasses.replace(newer, version=3) == value
+        key_range = KeyRange("ns", ("a",), ("b",))
+        wider = dataclasses.replace(key_range, end=None)
+        assert wider == KeyRange("ns", ("a",)) and wider.is_unbounded()
+        assert hash(wider) == hash(KeyRange("ns", ("a",)))
+        assert len({key_range, KeyRange("ns", ("a",), ("b",)), wider}) == 2
+        assert hash(vv(1)) == hash(vv(1))  # hashable payloads hash by value
+
+    def test_still_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            vv(1).version = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            KeyRange("ns").start = ("a",)
+        with pytest.raises((AttributeError, TypeError)):
+            object.__setattr__(KeyRange("ns"), "extra", 1)  # no __dict__ to grow
 
 
 class TestStorageNodeBasics:
