@@ -60,6 +60,16 @@ transfer's simulated duration elapses, writes are mirrored to the source, and
 source copies are reclaimed only at completion, so no request is dropped
 mid-move.  Splits are free (they only create a migratable unit) and cold
 adjacent ranges are re-merged in quiet windows.
+
+Operation accounting
+--------------------
+
+Every client operation is recorded exactly once — :meth:`Scads._record_op`
+makes one call into the engine's :class:`~repro.metrics.sla.OpRecorder`.  The
+provisioning monitor's SLA window, the all-time percentiles
+(``engine.latencies``), the fixed-clock compliance series, the operation
+counts and the miss-path latency label are all views of that one log; the
+monitor holds the recorder and closes its window every control step.
 """
 
 from __future__ import annotations
@@ -97,13 +107,8 @@ from repro.core.query.plans import (
     reverse_index_namespace,
 )
 from repro.core.schema import EntitySchema, Relationship, SchemaRegistry
-from repro.metrics.percentiles import LatencyRecorder, PercentileEstimator
-from repro.metrics.sla import (
-    COMPLIANCE_WINDOW_SECONDS,
-    ComplianceWindow,
-    SLATracker,
-    WindowedComplianceTracker,
-)
+from repro.metrics.percentiles import PercentileEstimator
+from repro.metrics.sla import ComplianceWindow, OpRecorder, SLAReport
 from repro.ml.forecaster import WorkloadForecaster
 from repro.obs.telemetry import Telemetry, TelemetryConfig, resolve_telemetry_config
 from repro.obs.timeline import DecisionTimeline
@@ -303,7 +308,6 @@ class Scads:
             observation (False — the reactive-scaler ablation).
         control_interval: seconds between provisioning-loop iterations.
         max_instances: hard cap on rented instances.
-        max_read_work / max_update_work: query-admission caps (the K's).
         partitioner_kind: ``"hash"`` (consistent hashing, default) or
             ``"range"`` (explicit split points; required for range-level
             split/merge actions).
@@ -326,9 +330,6 @@ class Scads:
             latency model, the pre-clamp behaviour), or ``"hybrid"``
             (default: analytical backbone, ML admitted as a bounded
             residual).  See :mod:`repro.core.provisioning.backends`.
-        planner_clamp_band: the hybrid backend's admissible fractional
-            deviation of the ML answer from the analytical answer
-            (0.3 = ±30%).
         telemetry: attach the observability layer — deterministic span
             tracing of sampled requests, the counters/gauges/histograms
             registry, and the provisioning decision timeline
@@ -368,10 +369,6 @@ class Scads:
             that predate the contention layer.
     """
 
-    # Samples kept in the cluster-served-read window when nothing drains it
-    # (see _record_op); a monitor-drained window never approaches this.
-    CLUSTER_READ_WINDOW_CAP = 100_000
-
     def __init__(
         self,
         seed: int = 0,
@@ -383,9 +380,6 @@ class Scads:
         predictive_scaling: bool = True,
         control_interval: float = 60.0,
         max_instances: int = 10_000,
-        max_read_work: int = 10_000,
-        max_update_work: int = 50_000,
-        node_mttf_hours: float = 4380.0,
         updates_per_second_per_node: float = 200.0,
         fifo_updates: bool = False,
         min_groups: int = 1,
@@ -395,7 +389,6 @@ class Scads:
         repartition_cold_utilisation: float = 0.5,
         cache: Union[None, bool, CacheConfig] = None,
         planner_backend: str = "hybrid",
-        planner_clamp_band: float = 0.3,
         telemetry: Union[None, bool, TelemetryConfig] = None,
         spot: bool = False,
         write_audit: Optional[bool] = None,
@@ -403,7 +396,7 @@ class Scads:
     ) -> None:
         self.spec = consistency or ConsistencySpec()
         self.sim = Simulator(seed=seed)
-        self.durability_model = DurabilityModel(node_mttf_hours=node_mttf_hours)
+        self.durability_model = DurabilityModel()
         if replication_factor is None:
             replication_factor = self.durability_model.required_replication_factor(
                 self.spec.durability.probability,
@@ -452,8 +445,7 @@ class Scads:
         self.telemetry: Optional[Telemetry] = None
         self.tracer: Optional[Tracer] = None
         self.timeline: Optional[DecisionTimeline] = None
-        # Cached registry histogram for the replication hot path (None keeps
-        # the telemetry-off cost at a single attribute check).
+        # Cached registry histogram for the replication hot path.
         self._tel_replication_lag: Optional[PercentileEstimator] = None
         if self.telemetry_config is not None:
             self.telemetry = Telemetry()
@@ -465,6 +457,7 @@ class Scads:
             self.timeline = DecisionTimeline()
             self.router.attach_tracer(self.tracer)
             self._tel_replication_lag = self.telemetry.histogram("replication.lag")
+            self.cluster.replication.add_lag_listener(self._on_replication_lag)
         self.pool = InstancePool(self.sim, instance_type=instance_type,
                                  max_instances=max_instances)
         self.market: Optional[SpotMarket] = None
@@ -479,8 +472,7 @@ class Scads:
             {} if (spot if write_audit is None else write_audit) else None
         )
         self.registry = SchemaRegistry()
-        self.analyzer = QueryAnalyzer(self.registry, max_read_work=max_read_work,
-                                      max_update_work=max_update_work)
+        self.analyzer = QueryAnalyzer(self.registry)
         self.compiler = QueryCompiler()
         self._executor = QueryExecutor()
         self._adapter = _RouterStorageAdapter(self)
@@ -496,7 +488,6 @@ class Scads:
         self.sessions = SessionManager(default_guarantee=self.spec.session)
         self.resolver = ConflictResolver(self.spec.write, replication_factor)
         self.arbitrator = Arbitrator(self.spec)
-        self.latencies = LatencyRecorder()
         self.slas: Dict[str, PerformanceSLA] = {
             "read": PerformanceSLA(
                 percentile=self.spec.performance.percentile,
@@ -511,30 +502,16 @@ class Scads:
                 op_type="write",
             ),
         }
-        self._trackers: Dict[str, SLATracker] = {
-            op: SLATracker(op, sla.percentile, sla.latency, sla.availability)
-            for op, sla in self.slas.items()
-        }
-        # Fixed-clock compliance windows (two ints per window per op) — the
-        # always-on series the validation grid's windowed SLA policy gates
-        # on, independent of whether the autoscale monitor ever ticks.
-        self._compliance: Dict[str, WindowedComplianceTracker] = {
-            op: WindowedComplianceTracker(COMPLIANCE_WINDOW_SECONDS, sla.latency)
-            for op, sla in self.slas.items()
-        }
-        self._op_counts: Dict[str, int] = {"read": 0, "write": 0}
+        # The one op log (see _record_op); the SLA window, all-time
+        # percentiles, compliance series and op counts are views of it.
+        # ``latencies`` is the name its percentile views are read under.
+        self.recorder = self.latencies = OpRecorder(self.slas)
         # Reads served under arbitration with an *unverifiable* staleness
         # bound (primary unreachable / failed mid-check).  The validation
         # grid requires this to stay 0 in fault-free cells: the declared
         # bound must hold by verification, not by luck.
         self._stale_served = 0
-        # Latencies of reads the *cluster* served this control window (cache
-        # hits excluded).  When cache absorption blends the window's read
-        # percentile, this is the clean label the latency model trains on.
-        self._cluster_read_window = PercentileEstimator()
         self._queries: Dict[str, CompiledQuery] = {}
-        self._window_lag_max = 0.0
-        self.cluster.replication.add_lag_listener(self._on_replication_lag)
 
         self.latency_model = LatencyPercentileModel(
             base_service_time=0.004,
@@ -552,7 +529,9 @@ class Scads:
         self.forecaster = WorkloadForecaster()
         self.monitor = SLAMonitor(
             cluster=self.cluster,
-            stats_provider=self,
+            recorder=self.recorder,
+            pending_maintenance=self.updater.pending_count,
+            cache_hit_counts=self.cache_hit_counts,
             latency_model=self.latency_model,
             lag_model=self.lag_model,
             slas=self.slas,
@@ -576,7 +555,6 @@ class Scads:
             max_nodes=max_instances,
             repartition_hot_utilisation=repartition_hot_utilisation,
             backend=planner_backend,
-            clamp_band=planner_clamp_band,
             sizing_model=self.sizing_model,
         )
         self.autoscale = autoscale
@@ -715,16 +693,11 @@ class Scads:
         self._record_op("write", result.latency, result.success)
         if not result.success:
             return OperationOutcome(success=False, latency=result.latency, error=result.error)
-        if self.cache is not None:
-            self.cache.note_entity_write(namespace, key)
+        self._note_acked_write(namespace, key, result.value, session_id)
         self.updater.enqueue(
             EntityWrite(entity=entity, old_row=old_row, new_row=resolved),
             staleness_bound=self.spec.read.staleness_bound,
         )
-        if self._write_audit is not None and result.value is not None:
-            self._write_audit[(namespace, key)] = result.value
-        if session_id is not None and result.value is not None:
-            self.sessions.open(session_id).note_write(namespace, key, result.value)
         return OperationOutcome(success=True, latency=result.latency, row=resolved)
 
     def delete(self, entity: str, key: Tuple,
@@ -741,16 +714,28 @@ class Scads:
         self._record_op("write", result.latency, result.success)
         if not result.success:
             return OperationOutcome(success=False, latency=result.latency, error=result.error)
-        if self.cache is not None:
-            self.cache.note_entity_write(namespace, key)
-        if self._write_audit is not None and result.value is not None:
-            self._write_audit[(namespace, key)] = result.value
+        self._note_acked_write(namespace, key, result.value, session_id)
         if old_row is not None:
             self.updater.enqueue(
                 EntityWrite(entity=entity, old_row=old_row, new_row=None),
                 staleness_bound=self.spec.read.staleness_bound,
             )
         return OperationOutcome(success=True, latency=result.latency, row=old_row)
+
+    def _note_acked_write(self, namespace: str, key: Key, version,
+                          session_id: Optional[str]) -> None:
+        """What every acknowledged entity write owes, a tombstone included:
+        invalidate cached copies, record the promised version for the audit,
+        and note it in the writing session so read-your-writes holds against
+        lagging replicas."""
+        if self.cache is not None:
+            self.cache.note_entity_write(namespace, key)
+        if version is None:
+            return
+        if self._write_audit is not None:
+            self._write_audit[(namespace, key)] = version
+        if session_id is not None:
+            self.sessions.open(session_id).note_write(namespace, key, version)
 
     # --------------------------------------------------------------------- reads
 
@@ -969,49 +954,18 @@ class Scads:
             self._stale_served += 1
         return value, latency, True, stale, None, known_staleness
 
-    # --------------------------------------------------------- provider interface
+    # ---------------------------------------------------------------- accounting
 
     def cumulative_operation_counts(self) -> Dict[str, int]:
-        """Cumulative read/write counts (WorkloadStatsProvider)."""
-        return dict(self._op_counts)
-
-    def sla_trackers(self) -> Dict[str, SLATracker]:
-        """Live SLA trackers (WorkloadStatsProvider)."""
-        return self._trackers
-
-    def pending_maintenance(self) -> int:
-        """Queued index-maintenance tasks (WorkloadStatsProvider)."""
-        return self.updater.pending_count()
-
-    def recent_max_propagation_lag(self) -> float:
-        """Max replication lag observed since the last call (WorkloadStatsProvider)."""
-        lag = self._window_lag_max
-        self._window_lag_max = 0.0
-        return lag
+        """Cumulative read/write attempt counts."""
+        return self.recorder.counts()
 
     def cache_hit_counts(self) -> Tuple[int, int]:
         """Cumulative cache (hits, misses); (0, 0) without a cache tier
-        (WorkloadStatsProvider — the monitor diffs these per window)."""
+        (the monitor diffs these per window)."""
         if self.cache is None:
             return (0, 0)
         return self.cache.hit_counts()
-
-    def drain_cluster_read_window(self) -> Optional[PercentileEstimator]:
-        """Latencies of cluster-served reads since the last drain, or None.
-
-        WorkloadStatsProvider: the monitor drains this every control window.
-        Cache hits never land here, so on windows where the blended read
-        percentile is poisoned by sub-millisecond front-tier service times
-        this is still an honest cluster-latency label.  Draining hands the
-        estimator over and starts a fresh window.  Only populated when a
-        cache tier is attached (always None — and cost-free — otherwise; an
-        uncached window's tracker report already IS the cluster label).
-        """
-        if len(self._cluster_read_window) == 0:
-            return None
-        window = self._cluster_read_window
-        self._cluster_read_window = PercentileEstimator()
-        return window
 
     def _note_index_write(self, namespace: str, key: Key) -> None:
         """Adapter hook: an index/reverse-index entry was written; invalidate
@@ -1020,26 +974,22 @@ class Scads:
             self.cache.note_index_write(namespace, key)
 
     def _on_replication_lag(self, record) -> None:
-        # Listeners fire only for applied propagations, so applied_time is set.
-        lag = record.applied_time - record.write_time
-        if lag > self._window_lag_max:
-            self._window_lag_max = lag
-        # Cached estimator reference: one list append per propagation,
-        # no registry lookup (propagations outnumber client ops by the
-        # replication factor, so this path's cost is what bounds the
-        # telemetry-on overhead — see test_telemetry_overhead).
-        lag_histogram = self._tel_replication_lag
-        if lag_histogram is not None:
-            lag_histogram.add(lag)
+        # Registered with telemetry on only.  Cached estimator reference: one
+        # list append per propagation, no registry lookup (propagations
+        # outnumber client ops by the replication factor, so this path's
+        # cost is what bounds the telemetry-on overhead — see
+        # test_telemetry_overhead).  Listeners fire only for applied
+        # propagations, so applied_time is set.
+        self._tel_replication_lag.add(record.applied_time - record.write_time)
 
     def _record_op(self, op_type: str, latency: float, success: bool,
                    cluster_served: bool = True) -> None:
-        self._op_counts[op_type] = self._op_counts.get(op_type, 0) + 1
-        self._trackers[op_type].observe(latency if success else None, success)
-        self._compliance[op_type].observe(
-            self.sim.now, latency if success else None)
+        # There is a miss path only behind a cache tier: an uncached
+        # window's report already IS the cluster label.
+        self.recorder.record(op_type, self.sim.now, latency, success,
+                             miss_path=cluster_served and self.cache is not None)
         # Per-op telemetry counters/histograms (`engine.*.ops`, latency
-        # distributions) duplicate state the engine already tracks, so they
+        # distributions) duplicate state the recorder already holds, so they
         # are folded in at collection time (collect_telemetry), not here;
         # only the outcomes with no existing home are counted on the path.
         telemetry = self.telemetry
@@ -1048,30 +998,16 @@ class Scads:
                 telemetry.count(f"engine.{op_type}.failures")
             elif not cluster_served:
                 telemetry.count("engine.read.cache_served")
-        if success:
-            self.latencies.record(op_type, latency)
-            # Only cache-attached engines track the miss path: the label is
-            # consumed solely on blended windows (impossible without a
-            # cache), and an uncached engine would otherwise pay per-read
-            # work and unbounded growth whenever no monitor drains it.
-            if cluster_served and op_type == "read" and self.cache is not None:
-                self._cluster_read_window.add(latency)
-                # With no monitor draining per control window (autoscale off),
-                # the window would grow without bound; past the cap nothing is
-                # consuming the label, so resetting loses nothing.  A drained
-                # window stays orders of magnitude below the cap.
-                if len(self._cluster_read_window) > self.CLUSTER_READ_WINDOW_CAP:
-                    self._cluster_read_window.reset()
 
     # ----------------------------------------------------------------- reporting
 
-    def sla_report(self, op_type: str = "read"):
+    def sla_report(self, op_type: str = "read") -> SLAReport:
         """Overall SLA attainment for one operation type."""
-        return self._trackers[op_type].overall_report()
+        return self.recorder.report(op_type)
 
     def sla_compliance_windows(self, op_type: str = "read") -> List[ComplianceWindow]:
         """Fixed-clock windowed compliance series (validation-grid substrate)."""
-        return self._compliance[op_type].windows()
+        return self.recorder.compliance_windows(op_type)
 
     def cost_so_far(self) -> float:
         """Dollars spent on instances so far."""
@@ -1131,8 +1067,8 @@ class Scads:
         """The telemetry registry, with hot-path-owned metrics folded in.
 
         Subsystems that already track their own state per request — the
-        router's plain-dict op counters, the engine's op counts and latency
-        recorder, the cache's hit counts — are copied into the registry here
+        router's plain-dict op counters, the engine's op recorder, the
+        cache's hit counts — are copied into the registry here
         (collection time) rather than double-counted per request, which is
         what keeps the telemetry-on overhead within its benchmarked bound.
         Idempotent: repeated collection overwrites rather than accumulates.
@@ -1142,13 +1078,13 @@ class Scads:
             return None
         for name, value in self.router.op_counts().items():
             telemetry.set_count(f"router.{name}", value)
-        for op_type, count in self._op_counts.items():
+        for op_type, count in self.recorder.counts().items():
             telemetry.set_count(f"engine.{op_type}.ops", count)
         # Successful-op latency distributions, from the recorder that
         # already observes them (failed ops carry no latency sample).
-        for op_type in self.latencies.op_types():
+        for op_type in self.recorder.op_types():
             telemetry.set_histogram(f"engine.{op_type}.latency",
-                                    self.latencies.all_time(op_type))
+                                    self.recorder.all_time(op_type))
         if self._tel_replication_lag is not None:
             telemetry.set_count("replication.propagations",
                                 len(self._tel_replication_lag))

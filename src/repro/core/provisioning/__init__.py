@@ -24,7 +24,7 @@ from repro.core.provisioning.backends import (
     MLBackend,
     make_backend,
 )
-from repro.core.provisioning.monitor import SLAMonitor, WindowObservation, WorkloadStatsProvider
+from repro.core.provisioning.monitor import SLAMonitor, WindowObservation
 from repro.core.provisioning.planner import CapacityPlan, CapacityPlanner
 from repro.core.provisioning.controller import ProvisioningController, ScalingAction
 
@@ -39,7 +39,6 @@ __all__ = [
     "make_backend",
     "SLAMonitor",
     "WindowObservation",
-    "WorkloadStatsProvider",
     "CapacityPlanner",
     "CapacityPlan",
     "ProvisioningController",

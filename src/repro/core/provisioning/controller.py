@@ -243,8 +243,7 @@ class ProvisioningController:
         # A contention-classified violation is a *host* problem: renting into
         # it is the pathological move (new nodes serve the same inflated
         # service times), so evacuation preempts every capacity branch.
-        if self._contention_config is not None \
-                and getattr(observation, "contention_suspected", False):
+        if self._contention_config is not None and observation.contention_suspected:
             action = self._handle_contention(plan, observation, now, current_groups)
             if action is not None:
                 return action

@@ -10,46 +10,13 @@ those observations into the ML performance models.  The resulting
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.consistency.spec import PerformanceSLA
-from repro.metrics.sla import SLAReport, SLATracker
+from repro.metrics.sla import OpRecorder, SLAReport
 from repro.ml.features import FeatureExtractor, WorkloadFeatures
 from repro.ml.performance_model import LatencyPercentileModel, PropagationLagModel
 from repro.storage.cluster import Cluster
-
-
-class WorkloadStatsProvider(Protocol):
-    """What the monitor needs from the serving engine."""
-
-    def cumulative_operation_counts(self) -> Dict[str, int]:
-        """Cumulative counts since start, keyed 'read' / 'write' (at least)."""
-
-    def sla_trackers(self) -> Dict[str, SLATracker]:
-        """The live SLA trackers, keyed by operation type."""
-
-    def pending_maintenance(self) -> int:
-        """Queued asynchronous index-maintenance tasks right now."""
-
-    def recent_max_propagation_lag(self) -> float:
-        """Largest replication/index propagation lag observed recently (seconds)."""
-
-    def cache_hit_counts(self) -> Tuple[int, int]:
-        """Cumulative cache-tier (hits, misses); (0, 0) without a cache.
-
-        Optional: providers predating the cache tier may omit it (the monitor
-        falls back to (0, 0) via ``getattr``).
-        """
-
-    def drain_cluster_read_window(self):
-        """Latencies of reads the *cluster* served this window (cache hits
-        excluded), as a :class:`~repro.metrics.percentiles.PercentileEstimator`
-        — or None when the window had none.
-
-        Optional, like :meth:`cache_hit_counts`: the monitor probes via
-        ``getattr`` and simply keeps the pre-existing skip-on-blend behaviour
-        when the provider cannot separate the miss path.
-        """
 
 
 @dataclass
@@ -69,8 +36,8 @@ class WindowObservation:
     # the cluster saw only ``request_rate * (1 - cache_hit_rate)`` of it, and
     # ``features`` are built from that cluster-side rate.
     cache_hit_rate: float = 0.0
-    # SLA-percentile latency over only the reads the cluster served this
-    # window (None when the provider cannot separate them, or none happened).
+    # SLA-percentile latency over only the reads the cluster served past the
+    # cache tier this window (None when none happened, or with no cache).
     # On blended windows this replaces the poisoned blended label.
     cluster_read_percentile: Optional[float] = None
     # Contention diagnosis (inert defaults when the contention layer is off).
@@ -100,7 +67,9 @@ class SLAMonitor:
     def __init__(
         self,
         cluster: Cluster,
-        stats_provider: WorkloadStatsProvider,
+        recorder: OpRecorder,
+        pending_maintenance: Callable[[], int],
+        cache_hit_counts: Callable[[], Tuple[int, int]],
         latency_model: LatencyPercentileModel,
         lag_model: PropagationLagModel,
         slas: Dict[str, PerformanceSLA],
@@ -112,7 +81,12 @@ class SLAMonitor:
         contention_config=None,
         tracer=None,
     ) -> None:
-        """``sizing_model`` is an optional
+        """``recorder`` is the engine's op log; each :meth:`close_window`
+        closes its window too.  ``pending_maintenance`` returns the queued
+        index-maintenance tasks right now and ``cache_hit_counts`` the
+        cumulative cache-tier (hits, misses) — (0, 0) without a cache.
+
+        ``sizing_model`` is an optional
         :class:`~repro.core.provisioning.analytic.AnalyticSizingModel`; when
         supplied, each clean training window also calibrates its percentile
         service time and demand amplification (bounded EWMAs — see
@@ -121,7 +95,7 @@ class SLAMonitor:
 
         ``rate_tracker`` is an optional
         :class:`~repro.storage.rebalancer.PartitionLoadTracker` (any object
-        with ``rate_estimate()``/``total_load()``).  When supplied — the
+        with ``rate_estimate()``/``total_load()``/``prunes_total``).  When supplied — the
         engine passes the rebalancer's tracker — the mean-utilisation feature
         is computed from its decayed-count rate inversion instead of the mean
         of per-node interarrival EWMAs, whose reciprocal is systematically
@@ -132,7 +106,9 @@ class SLAMonitor:
         if hotspot_skew_ratio <= 1.0:
             raise ValueError("hotspot_skew_ratio must be > 1")
         self._cluster = cluster
-        self._provider = stats_provider
+        self._recorder = recorder
+        self._pending_maintenance = pending_maintenance
+        self._cache_hit_counts = cache_hit_counts
         self._latency_model = latency_model
         self._lag_model = lag_model
         self._slas = dict(slas)
@@ -149,31 +125,30 @@ class SLAMonitor:
         # contention-classified windows (never part of the decision).
         self._tracer = tracer
         self._extractor = FeatureExtractor()
-        self._last_counts: Dict[str, int] = {}
         self._last_time: Optional[float] = None
         self._last_cache_counts: Tuple[int, int] = (0, 0)
+        # Largest replication lag applied since the previous window close.
+        self._window_lag_max = 0.0
+        cluster.replication.add_lag_listener(self._on_replication_lag)
         self._observations: List[WindowObservation] = []
 
     # ------------------------------------------------------------------ windows
 
     def close_window(self, now: float) -> WindowObservation:
         """Measure everything since the previous window close and train models."""
-        counts = self._provider.cumulative_operation_counts()
-        previous = self._last_counts or {key: 0 for key in counts}
-        window_counts = {key: counts.get(key, 0) - previous.get(key, 0) for key in counts}
+        reports, cluster_read_percentile = self._recorder.close_window()
         duration = now - self._last_time if self._last_time is not None else 0.0
-        self._last_counts = dict(counts)
         self._last_time = now
 
-        total_ops = sum(max(v, 0) for v in window_counts.values())
-        writes = max(window_counts.get("write", 0), 0)
+        total_ops = sum(report.request_count for report in reports.values())
+        writes = reports["write"].request_count
         request_rate = total_ops / duration if duration > 0 else 0.0
         write_fraction = writes / total_ops if total_ops > 0 else 0.0
         cache_hit_rate = self._window_cache_hit_rate(write_fraction)
 
         self._cluster.decay_load()
         stats = self._cluster.stats()
-        pending = self._provider.pending_maintenance()
+        pending = self._pending_maintenance()
         # The cluster never saw the reads the cache absorbed; feed the models
         # the rate that actually reached the nodes, or a well-cached workload
         # would teach the latency model that enormous rates are harmless.
@@ -188,7 +163,7 @@ class SLAMonitor:
         mean_utilisation = stats.mean_utilisation
         if self._rate_tracker is not None and self._rate_tracker.total_load() > 0 \
                 and stats.total_capacity_ops > 0 \
-                and getattr(self._rate_tracker, "prunes_total", 0) == 0:
+                and self._rate_tracker.prunes_total == 0:
             # Decayed-count rate inversion: steadier than per-node
             # interarrival EWMAs (see PartitionLoadTracker.rate_estimate).
             # Once the sketch has pruned, its totals under-count the cold
@@ -206,12 +181,8 @@ class SLAMonitor:
             pending_updates=pending,
         )
 
-        reports: Dict[str, SLAReport] = {}
-        for op_type, tracker in self._provider.sla_trackers().items():
-            reports[op_type] = tracker.close_window()
-
-        max_lag = self._provider.recent_max_propagation_lag()
-        cluster_read_percentile = self._drain_cluster_read_percentile()
+        max_lag = self._window_lag_max
+        self._window_lag_max = 0.0
         observation = WindowObservation(
             time=now,
             duration=duration,
@@ -298,22 +269,11 @@ class SLAMonitor:
             if windows:
                 observation.span_kind_fractions = windows[-1].kind_fractions()
 
-    def _drain_cluster_read_percentile(self) -> Optional[float]:
-        """SLA-percentile latency of this window's cluster-served reads.
-
-        Drained every window (whether or not training uses it) so the
-        provider's miss-path estimator stays windowed; None when the provider
-        predates the miss-path tracker or the window had no cluster reads.
-        """
-        drain = getattr(self._provider, "drain_cluster_read_window", None)
-        if not callable(drain):
-            return None
-        window = drain()
-        if window is None or len(window) == 0:
-            return None
-        read_sla = self._slas.get("read")
-        percentile = read_sla.percentile if read_sla is not None else 99.0
-        return window.percentile(percentile)
+    def _on_replication_lag(self, record) -> None:
+        # Listeners fire only for applied propagations, so applied_time is set.
+        lag = record.applied_time - record.write_time
+        if lag > self._window_lag_max:
+            self._window_lag_max = lag
 
     def _window_cache_hit_rate(self, write_fraction: float) -> float:
         """Fraction of this window's client demand the cache tier absorbed.
@@ -327,10 +287,7 @@ class SLAMonitor:
         ``1 - write_fraction`` converts it to a fraction of total demand
         (writes never consult the cache).
         """
-        counts_fn = getattr(self._provider, "cache_hit_counts", None)
-        if not callable(counts_fn):
-            return 0.0
-        hits, misses = counts_fn()
+        hits, misses = self._cache_hit_counts()
         last_hits, last_misses = self._last_cache_counts
         self._last_cache_counts = (hits, misses)
         window_hits = max(hits - last_hits, 0)
@@ -356,12 +313,11 @@ class SLAMonitor:
         # sub-millisecond cache hits with cluster reads, so the label says
         # "this cluster rate is harmless" when it is the *cache* that made it
         # harmless — a model trained on that under-provisions the moment the
-        # hit rate drops.  With a provider that tracks the miss path
-        # separately, the blend is repaired instead of skipped: the read
-        # label becomes the cluster-served-reads-only percentile (which
-        # matches the cluster-side features by construction), so the model
-        # keeps learning while the cache is hot.  Providers without the
-        # tracker keep the old skip.
+        # hit rate drops.  The recorder flags the miss path, so the blend is
+        # repaired instead of skipped: the read label becomes the
+        # cluster-served-reads-only percentile (which matches the
+        # cluster-side features by construction), so the model keeps
+        # learning while the cache is hot.
         hotspot_window = (
             self._exclude_hotspot_training
             and observation.features.max_utilisation

@@ -1,7 +1,7 @@
 """Latency percentile estimation.
 
 The SLAs in the paper are expressed over high percentiles (99.9th), so the
-recorder keeps exact samples within a window rather than a lossy sketch; the
+estimator keeps exact samples rather than a lossy sketch; the
 simulated request volumes make this affordable, and it removes sketch error
 as a confound when we report SLA attainment.
 
@@ -77,6 +77,13 @@ class PercentileEstimator:
         if self._sorted.shape[0] == 0:
             raise ValueError("no samples recorded")
         return self._sorted
+
+    def sorted_samples(self) -> np.ndarray:
+        """Every sample in ascending order (empty when none was recorded).
+
+        The estimator's own array, not a copy: callers must not mutate it.
+        """
+        return self._merged() if len(self) else _EMPTY
 
     @staticmethod
     def _percentile_of_sorted(arr: np.ndarray, p: float) -> float:
@@ -161,7 +168,7 @@ class PercentileEstimator:
         """Fraction of samples less than *or equal to* ``threshold``.
 
         The inclusive counterpart of :meth:`fraction_below`, matching the
-        ``latency <= target`` comparison :class:`~repro.metrics.sla.SLATracker`
+        ``latency <= target`` comparison :class:`~repro.metrics.sla.OpRecorder`
         uses — e.g. for asking a merged sweep cell's estimator what
         attainment a *different* SLA target would have had.
         """
@@ -196,58 +203,3 @@ class PercentileEstimator:
             "p999": self._percentile_of_sorted(arr, 99.9),
             "max": self._max,
         }
-
-
-class LatencyRecorder:
-    """Per-operation-type latency recording with windowing support.
-
-    The provisioning loop trains its ML models on *recent* behaviour, so the
-    recorder can be drained window-by-window while an all-time estimator keeps
-    the experiment-level summary.
-    """
-
-    def __init__(self) -> None:
-        self._all_time: Dict[str, PercentileEstimator] = {}
-        self._window: Dict[str, PercentileEstimator] = {}
-
-    def record(self, op_type: str, latency: float) -> None:
-        """Record one latency for an operation type ('read', 'write', ...)."""
-        estimator = self._all_time.get(op_type)
-        if estimator is None:
-            estimator = self._all_time[op_type] = PercentileEstimator()
-        estimator.add(latency)
-        estimator = self._window.get(op_type)
-        if estimator is None:
-            estimator = self._window[op_type] = PercentileEstimator()
-        estimator.add(latency)
-
-    def op_types(self) -> List[str]:
-        """Operation types seen so far."""
-        return sorted(self._all_time.keys())
-
-    def all_time(self, op_type: str) -> PercentileEstimator:
-        """All-time estimator for an operation type."""
-        if op_type not in self._all_time:
-            raise KeyError(f"no latencies recorded for operation type {op_type!r}")
-        return self._all_time[op_type]
-
-    def window(self, op_type: str) -> PercentileEstimator:
-        """Current-window estimator for an operation type."""
-        if op_type not in self._window:
-            raise KeyError(f"no latencies recorded for operation type {op_type!r}")
-        return self._window[op_type]
-
-    def window_count(self, op_type: str) -> int:
-        """Number of samples in the current window for ``op_type`` (0 if none)."""
-        est = self._window.get(op_type)
-        return len(est) if est is not None else 0
-
-    def roll_window(self) -> Dict[str, Dict[str, float]]:
-        """Close the current window, returning its per-op summary, and start a new one."""
-        summary = {op: est.snapshot() for op, est in self._window.items()}
-        self._window = {}
-        return summary
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """All-time per-operation summaries."""
-        return {op: est.snapshot() for op, est in self._all_time.items()}

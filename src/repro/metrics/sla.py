@@ -1,16 +1,21 @@
 """SLA attainment accounting.
 
 An SLA in SCADS is of the form "P percent of requests of type T must succeed
-within L seconds".  The tracker turns a stream of (success, latency)
-observations into attainment numbers, both per reporting window (what the
-provisioning loop reacts to) and for the whole experiment (what
+within L seconds".  :class:`OpRecorder` records every client operation once
+and answers that question three ways from the one log: per reporting window
+(what the provisioning loop reacts to), per fixed clock window (what the
+validation grid gates on) and for the whole experiment (what
 ``EXPERIMENTS.md`` reports).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
+
+from repro.metrics.percentiles import PercentileEstimator
 
 
 @dataclass
@@ -41,7 +46,7 @@ class SLAReport:
         the sweep aggregator does) for the exact value, otherwise the
         pessimistic ``max`` of the two is reported.  ``satisfied`` is
         recomputed from the combined fraction, matching
-        :meth:`SLATracker._report_over`.
+        :meth:`OpRecorder.report`.
         """
         if (self.op_type != other.op_type
                 or self.target_percentile != other.target_percentile
@@ -78,116 +83,10 @@ class SLAReport:
         )
 
 
-class SLATracker:
-    """Tracks one latency/availability SLA for one operation type."""
-
-    def __init__(
-        self,
-        op_type: str,
-        target_percentile: float,
-        target_latency: float,
-        availability_target: float = 0.999,
-    ) -> None:
-        if not 0.0 < target_percentile < 100.0:
-            raise ValueError(
-                f"target percentile must be in (0, 100), got {target_percentile}"
-            )
-        if target_latency <= 0:
-            raise ValueError(f"target latency must be positive, got {target_latency}")
-        if not 0.0 < availability_target <= 1.0:
-            raise ValueError(
-                f"availability target must be in (0, 1], got {availability_target}"
-            )
-        self.op_type = op_type
-        self.target_percentile = target_percentile
-        self.target_latency = target_latency
-        self.availability_target = availability_target
-        self._window_latencies: List[float] = []
-        self._window_failures = 0
-        self._all_latencies: List[float] = []
-        self._all_failures = 0
-        self._window_reports: List[SLAReport] = []
-
-    def observe(self, latency: Optional[float], success: bool = True) -> None:
-        """Record one request outcome.
-
-        Failed requests (success=False) count against availability; their
-        latency, if any, is ignored for the latency percentile.
-        """
-        if not success:
-            self._window_failures += 1
-            self._all_failures += 1
-            return
-        if latency is None:
-            raise ValueError("successful requests must report a latency")
-        if latency < 0:
-            raise ValueError(f"latency must be non-negative, got {latency}")
-        self._window_latencies.append(float(latency))
-        self._all_latencies.append(float(latency))
-
-    def _report_over(self, latencies: List[float], failures: int) -> SLAReport:
-        import numpy as np
-
-        total = len(latencies) + failures
-        if not latencies:
-            return SLAReport(
-                op_type=self.op_type,
-                target_percentile=self.target_percentile,
-                target_latency=self.target_latency,
-                observed_fraction_within=0.0 if total else 1.0,
-                observed_percentile_latency=float("inf") if total else 0.0,
-                request_count=total,
-                satisfied=total == 0,
-            )
-        arr = np.asarray(latencies)
-        within = float(np.sum(arr <= self.target_latency)) / total
-        observed_pct = float(np.percentile(arr, self.target_percentile))
-        satisfied = within >= self.target_percentile / 100.0
-        return SLAReport(
-            op_type=self.op_type,
-            target_percentile=self.target_percentile,
-            target_latency=self.target_latency,
-            observed_fraction_within=within,
-            observed_percentile_latency=observed_pct,
-            request_count=total,
-            satisfied=satisfied,
-        )
-
-    def close_window(self) -> SLAReport:
-        """Produce a report for the current window and start a new one."""
-        report = self._report_over(self._window_latencies, self._window_failures)
-        self._window_reports.append(report)
-        self._window_latencies = []
-        self._window_failures = 0
-        return report
-
-    def overall_report(self) -> SLAReport:
-        """Report over every observation since construction."""
-        return self._report_over(self._all_latencies, self._all_failures)
-
-    def availability(self) -> float:
-        """Fraction of all requests that succeeded."""
-        total = len(self._all_latencies) + self._all_failures
-        if total == 0:
-            return 1.0
-        return len(self._all_latencies) / total
-
-    def window_history(self) -> List[SLAReport]:
-        """Reports for every closed window, in order."""
-        return list(self._window_reports)
-
-    def violation_rate(self) -> float:
-        """Fraction of closed windows in which the SLA was violated."""
-        if not self._window_reports:
-            return 0.0
-        violated = sum(1 for r in self._window_reports if not r.satisfied)
-        return violated / len(self._window_reports)
-
-
 # --------------------------------------------------- fixed-clock compliance
 
 #: Width of the fixed compliance windows every engine tracks (seconds of
-#: simulated time).  Unlike :meth:`SLATracker.close_window`, which only fires
+#: simulated time).  Unlike :meth:`OpRecorder.close_window`, which only fires
 #: when the provisioning monitor ticks (autoscale on), these windows are a
 #: pure function of the sim clock — every run yields the same per-window
 #: compliance series for the validation grid's SLA policy to gate on.
@@ -231,7 +130,10 @@ class WindowedComplianceTracker:
 
     def observe(self, now: float, latency: Optional[float]) -> None:
         """Record one request; ``latency=None`` means the request failed."""
-        bucket = self._buckets.setdefault(int(now // self.window_seconds), [0, 0])
+        index = int(now // self.window_seconds)
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = [0, 0]
         bucket[0] += 1
         if latency is not None and latency <= self.target_latency:
             bucket[1] += 1
@@ -243,3 +145,136 @@ class WindowedComplianceTracker:
                              total=total, within=within)
             for index, (total, within) in sorted(self._buckets.items())
         ]
+
+
+# ------------------------------------------------------------ the one op log
+
+
+class _OpLog:
+    """Everything recorded for one operation type."""
+
+    __slots__ = ("op_type", "sla", "failures", "window_failures", "all_time",
+                 "window", "compliance")
+
+    def __init__(self, op_type: str, sla) -> None:
+        self.op_type = op_type
+        self.sla = sla
+        self.failures = 0
+        self.window_failures = 0
+        self.all_time = PercentileEstimator()
+        # Successful latencies since the last close_window(), indexed by the
+        # miss_path flag: each sample lands in exactly one of the two lists.
+        self.window: Tuple[List[float], List[float]] = ([], [])
+        self.compliance = WindowedComplianceTracker(
+            COMPLIANCE_WINDOW_SECONDS, sla.latency)
+
+    def report(self, latencies: np.ndarray, failures: int) -> SLAReport:
+        """Attainment over ``latencies`` (the successes) plus ``failures``."""
+        sla = self.sla
+        total = latencies.shape[0] + failures
+        if latencies.shape[0]:
+            within = float(np.sum(latencies <= sla.latency)) / total
+            observed = float(np.percentile(latencies, sla.percentile))
+        else:
+            # Nothing succeeded: met vacuously with no traffic at all,
+            # missed outright when every request failed.
+            within = 0.0 if total else 1.0
+            observed = float("inf") if total else 0.0
+        return SLAReport(
+            op_type=self.op_type,
+            target_percentile=sla.percentile,
+            target_latency=sla.latency,
+            observed_fraction_within=within,
+            observed_percentile_latency=observed,
+            request_count=total,
+            satisfied=within >= sla.percentile / 100.0,
+        )
+
+
+class OpRecorder:
+    """The one log of client operations; every SLA number is a view of it.
+
+    ``slas`` maps an operation type to its target (anything with
+    ``percentile`` and ``latency``, e.g. a
+    :class:`~repro.core.consistency.spec.PerformanceSLA`).  Per type the
+    recorder keeps the failure count, the all-time
+    :class:`~repro.metrics.percentiles.PercentileEstimator`, the successful
+    samples since the last :meth:`close_window` and the fixed-clock
+    compliance buckets; attempt counts, reports and percentiles are derived.
+    """
+
+    def __init__(self, slas: Mapping[str, object]) -> None:
+        self._logs: Dict[str, _OpLog] = {
+            op_type: _OpLog(op_type, sla) for op_type, sla in slas.items()
+        }
+
+    def record(self, op_type: str, now: float, latency: Optional[float],
+               success: bool = True, miss_path: bool = False) -> None:
+        """Record one operation outcome at simulated time ``now``.
+
+        Failed operations count against attainment; their latency, if any,
+        is ignored.  ``miss_path`` marks a success the storage cluster served
+        behind a cache tier; :meth:`close_window` reports the percentile of
+        those reads on their own, apart from the cache hits they blend with.
+        """
+        log = self._logs[op_type]
+        if success:
+            if latency is None:
+                raise ValueError("successful requests must report a latency")
+            log.all_time.add(latency)  # rejects a negative sample before it counts
+            log.window[miss_path].append(latency)
+        else:
+            log.failures += 1
+            log.window_failures += 1
+            latency = None
+        log.compliance.observe(now, latency)
+
+    def close_window(self) -> Tuple[Dict[str, SLAReport], Optional[float]]:
+        """Report on everything since the previous close and start a new window.
+
+        Returns the window's report per operation type (``request_count`` is
+        the window's attempt count) and the read SLA's percentile over only
+        the reads recorded ``miss_path`` — None when there were none.  Both
+        are control inputs (the latency and sizing models train on them), so
+        neither formula may change: ``np.percentile`` over the window's
+        samples for the report, the estimator's percentile for the miss path.
+        """
+        reports: Dict[str, SLAReport] = {}
+        cluster_read_percentile: Optional[float] = None
+        for op_type, log in self._logs.items():
+            others, missed = log.window
+            if op_type == "read" and missed:
+                miss_path = PercentileEstimator()
+                miss_path.extend(missed)
+                cluster_read_percentile = miss_path.percentile(log.sla.percentile)
+            reports[op_type] = log.report(
+                np.asarray(others + missed, dtype=float), log.window_failures)
+            log.window = ([], [])
+            log.window_failures = 0
+        return reports, cluster_read_percentile
+
+    def report(self, op_type: str) -> SLAReport:
+        """Attainment over every operation of one type since construction."""
+        log = self._logs[op_type]
+        return log.report(log.all_time.sorted_samples(), log.failures)
+
+    def compliance_windows(self, op_type: str) -> List[ComplianceWindow]:
+        """The fixed-clock compliance series of one operation type."""
+        return self._logs[op_type].compliance.windows()
+
+    def counts(self) -> Dict[str, int]:
+        """Cumulative attempts (successes and failures) per operation type."""
+        return {op_type: len(log.all_time) + log.failures
+                for op_type, log in self._logs.items()}
+
+    def op_types(self) -> List[str]:
+        """Operation types with at least one successful sample."""
+        return sorted(op_type for op_type, log in self._logs.items()
+                      if len(log.all_time))
+
+    def all_time(self, op_type: str) -> PercentileEstimator:
+        """All-time latency estimator of an operation type's successes."""
+        log = self._logs.get(op_type)
+        if log is None or not len(log.all_time):
+            raise KeyError(f"no latencies recorded for operation type {op_type!r}")
+        return log.all_time

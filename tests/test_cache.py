@@ -526,9 +526,8 @@ class TestMissPathLatencyLabel:
         assert len(engine.latency_model._targets) == targets_before
 
     def test_uncached_engine_skips_the_tracker_and_trains_unchanged(self):
-        """Without a cache the miss-path tracker stays empty (nothing can
-        blend, and nothing may grow unboundedly when no monitor drains it);
-        training uses the tracker report exactly as before the PR."""
+        """Without a cache no read is on a miss path (nothing can blend);
+        training uses the window's own report."""
         engine = Scads(seed=0, autoscale=False, initial_groups=2, cache=False)
         engine.register_entity(EntitySchema(
             "profiles", key_fields=[Field("user_id")],
@@ -537,12 +536,11 @@ class TestMissPathLatencyLabel:
         engine.settle(1.0)
         engine.monitor.close_window(engine.now)  # baseline (duration-0 window)
         engine.get("profiles", ("u1",))
-        assert len(engine._cluster_read_window) == 0
         targets_before = len(engine.latency_model._targets)
         observation = engine.monitor.close_window(engine.now + 30.0)
         assert observation.cache_hit_rate == 0.0
         assert observation.cluster_read_percentile is None
-        # An unblended window trains on the tracker report, as before.
+        # An unblended window trains on the window report.
         assert len(engine.latency_model._targets) == targets_before + 1
         assert engine.latency_model._targets[-1] == pytest.approx(
             observation.sla_reports["read"].observed_percentile_latency)

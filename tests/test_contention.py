@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.engine import Scads
 from repro.core.provisioning.monitor import SLAMonitor, WindowObservation
-from repro.metrics.sla import SLAReport
+from repro.metrics.sla import OpRecorder, SLAReport
 from repro.ml.features import WorkloadFeatures
 from repro.ml.performance_model import LatencyPercentileModel, PropagationLagModel
 from repro.obs.attribution import attribute_windows
@@ -326,7 +326,10 @@ class TestQuarantine:
 def make_monitor(cluster, cfg):
     return SLAMonitor(
         cluster=cluster,
-        stats_provider=None,  # unused by host_residuals/_diagnose
+        # The three window sources are unused by host_residuals/_diagnose.
+        recorder=OpRecorder({}),
+        pending_maintenance=lambda: 0,
+        cache_hit_counts=lambda: (0, 0),
         latency_model=LatencyPercentileModel(),
         lag_model=PropagationLagModel(),
         slas={},

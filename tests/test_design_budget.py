@@ -1,0 +1,48 @@
+"""A ratchet on the design-size numbers ROADMAP.md quotes (aim 2).
+
+Each bound is the value at the head of the last PR that simplified the thing
+it measures.  A PR that simplifies further lowers its bound in the same
+change; no PR raises one — a new engine knob or branch fails tier-1 here
+instead of waiting for the next re-anchor to be noticed.
+"""
+
+from __future__ import annotations
+
+import inspect
+from pathlib import Path
+
+import pytest
+
+from repro import Scads
+from repro.core.provisioning.controller import ProvisioningController
+
+pytestmark = pytest.mark.tier1
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+MAX_ENGINE_KWARGS = 22
+MAX_ENGINE_LINES = 1096
+MAX_ENGINE_IS_NOT_NONE = 44
+MAX_CLUSTER_LINES = 1073
+MAX_ACT_LINES = 168
+
+
+def test_engine_constructor_takes_no_new_knob():
+    parameters = inspect.signature(Scads.__init__).parameters
+    assert len(parameters) - 1 <= MAX_ENGINE_KWARGS  # minus self
+
+
+def test_engine_module_does_not_grow():
+    source = (SRC / "core" / "engine.py").read_text(encoding="utf-8")
+    assert len(source.splitlines()) <= MAX_ENGINE_LINES
+    assert source.count("is not None") <= MAX_ENGINE_IS_NOT_NONE
+
+
+def test_cluster_module_does_not_grow():
+    source = (SRC / "storage" / "cluster.py").read_text(encoding="utf-8")
+    assert len(source.splitlines()) <= MAX_CLUSTER_LINES
+
+
+def test_controller_act_does_not_grow():
+    source = inspect.getsource(ProvisioningController._act)
+    assert len(source.splitlines()) <= MAX_ACT_LINES

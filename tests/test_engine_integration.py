@@ -148,6 +148,21 @@ class TestSessionGuaranteesEndToEnd:
             outcome = engine.get("profiles", ("alice",), session_id="alice")
             assert outcome.success and outcome.row is not None
 
+    @pytest.mark.parametrize("cache", [True, False])
+    def test_read_your_writes_covers_a_delete_when_replicas_lag(self, cache):
+        spec = ConsistencySpec(session=SessionGuarantee(read_your_writes=True))
+        engine = simple_engine(consistency=spec, seed=5, initial_groups=1,
+                               replication_factor=3, cache=cache)
+        engine.put("profiles", {"user_id": "alice", "name": "Alice", "birthday": "03-14"},
+                   session_id="alice")
+        engine.settle()
+        engine.delete("profiles", ("alice",), session_id="alice")
+        # No time passes, so the replicas still hold the row; the session
+        # that deleted it must not read it back.
+        for _ in range(10):
+            outcome = engine.get("profiles", ("alice",), session_id="alice")
+            assert outcome.success and outcome.row is None
+
     def test_without_guarantee_stale_reads_are_possible(self):
         engine = simple_engine(seed=5)
         engine.put("profiles", {"user_id": "alice", "name": "Alice", "birthday": "03-14"})

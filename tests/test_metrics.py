@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.cost import CostReport
-from repro.metrics.percentiles import LatencyRecorder, PercentileEstimator
-from repro.metrics.sla import SLATracker, WindowedComplianceTracker
+from repro.core.consistency.spec import PerformanceSLA
+from repro.metrics.percentiles import PercentileEstimator
+from repro.metrics.sla import OpRecorder, SLAReport, WindowedComplianceTracker
 from repro.metrics.timeseries import TimeSeries, TimeSeriesRecorder
 
 pytestmark = pytest.mark.tier1
@@ -82,89 +84,195 @@ class TestPercentileEstimator:
         assert min(samples) <= estimator.percentile(50) <= max(samples)
 
 
+def make_recorder(percentile=99.0, latency=0.1):
+    sla = PerformanceSLA(percentile=percentile, latency=latency)
+    return OpRecorder({"read": sla, "write": sla})
+
+
 class TestLatencyRecorder:
+    """The recorder's per-operation-type latency views."""
+
     def test_records_per_op_type(self):
-        recorder = LatencyRecorder()
-        recorder.record("read", 0.01)
-        recorder.record("write", 0.02)
+        recorder = make_recorder()
+        recorder.record("read", 0.0, 0.01)
+        recorder.record("write", 0.0, 0.02)
         assert recorder.op_types() == ["read", "write"]
         assert recorder.all_time("read").mean() == pytest.approx(0.01)
 
-    def test_roll_window_resets_window_but_not_all_time(self):
-        recorder = LatencyRecorder()
-        recorder.record("read", 0.01)
-        summary = recorder.roll_window()
-        assert summary["read"]["count"] == 1
-        recorder.record("read", 0.03)
-        assert recorder.window_count("read") == 1
+    def test_close_window_resets_window_but_not_all_time(self):
+        recorder = make_recorder()
+        recorder.record("read", 0.0, 0.01)
+        reports, _ = recorder.close_window()
+        assert reports["read"].request_count == 1
+        recorder.record("read", 1.0, 0.03)
+        reports, _ = recorder.close_window()
+        assert reports["read"].request_count == 1
         assert len(recorder.all_time("read")) == 2
 
     def test_unknown_op_type_raises(self):
         with pytest.raises(KeyError):
-            LatencyRecorder().all_time("nope")
-
-    def test_window_count_zero_for_unknown(self):
-        assert LatencyRecorder().window_count("read") == 0
+            make_recorder().all_time("nope")
+        with pytest.raises(KeyError):
+            make_recorder().all_time("read")  # declared, but nothing recorded
 
 
 class TestSLATracker:
-    def _tracker(self):
-        return SLATracker("read", target_percentile=99.0, target_latency=0.1)
+    """The recorder's SLA attainment views, overall and per window."""
 
     def test_satisfied_when_all_requests_fast(self):
-        tracker = self._tracker()
+        recorder = make_recorder()
         for _ in range(100):
-            tracker.observe(0.01)
-        report = tracker.overall_report()
+            recorder.record("read", 0.0, 0.01)
+        report = recorder.report("read")
         assert report.satisfied
         assert report.observed_fraction_within == pytest.approx(1.0)
 
     def test_violated_when_tail_is_slow(self):
-        tracker = self._tracker()
+        recorder = make_recorder()
         for _ in range(90):
-            tracker.observe(0.01)
+            recorder.record("read", 0.0, 0.01)
         for _ in range(10):
-            tracker.observe(0.5)
-        report = tracker.overall_report()
+            recorder.record("read", 0.0, 0.5)
+        report = recorder.report("read")
         assert not report.satisfied
         assert report.violation_margin() > 0
 
     def test_failures_count_against_attainment(self):
-        tracker = self._tracker()
+        recorder = make_recorder()
         for _ in range(50):
-            tracker.observe(0.01)
+            recorder.record("read", 0.0, 0.01)
         for _ in range(50):
-            tracker.observe(None, success=False)
-        report = tracker.overall_report()
+            recorder.record("read", 0.0, None, success=False)
+        report = recorder.report("read")
         assert report.observed_fraction_within == pytest.approx(0.5)
-        assert tracker.availability() == pytest.approx(0.5)
-
-    def test_window_history_and_violation_rate(self):
-        tracker = self._tracker()
-        tracker.observe(0.01)
-        tracker.close_window()
-        tracker.observe(0.5)
-        tracker.close_window()
-        assert len(tracker.window_history()) == 2
-        assert tracker.violation_rate() == pytest.approx(0.5)
+        assert recorder.counts() == {"read": 100, "write": 0}
+        assert len(recorder.all_time("read")) == 50
 
     def test_empty_window_is_trivially_satisfied(self):
-        tracker = self._tracker()
-        report = tracker.close_window()
-        assert report.satisfied
-        assert report.request_count == 0
+        reports, miss_path_percentile = make_recorder().close_window()
+        assert reports["read"].satisfied
+        assert reports["read"].request_count == 0
+        assert miss_path_percentile is None
 
     def test_successful_observation_requires_latency(self):
         with pytest.raises(ValueError):
-            self._tracker().observe(None, success=True)
+            make_recorder().record("read", 0.0, None, success=True)
 
     def test_invalid_targets_rejected(self):
+        # A recorder is built from validated targets: none of these exists.
         with pytest.raises(ValueError):
-            SLATracker("read", 0.0, 0.1)
+            make_recorder(percentile=0.0)
         with pytest.raises(ValueError):
-            SLATracker("read", 99.0, -0.1)
+            make_recorder(latency=-0.1)
         with pytest.raises(ValueError):
-            SLATracker("read", 99.0, 0.1, availability_target=0.0)
+            PerformanceSLA(percentile=99.0, latency=0.1, availability=0.0)
+
+    def test_negative_latency_is_rejected_before_it_counts(self):
+        recorder = make_recorder()
+        with pytest.raises(ValueError):
+            recorder.record("read", 0.0, -0.01)
+        assert recorder.counts()["read"] == 0
+        assert recorder.compliance_windows("read") == []
+
+
+def _lerp_percentile(samples, p):
+    """PercentileEstimator's percentile, recomputed from raw samples."""
+    arr = np.sort(np.asarray(samples, dtype=float))
+    rank = (arr.shape[0] - 1) * (p / 100.0)
+    lo = int(rank)
+    hi = min(lo + 1, arr.shape[0] - 1)
+    return float(arr[lo]) + (float(arr[hi]) - float(arr[lo])) * (rank - lo)
+
+
+def _reference_report(op_type, sla, latencies, failures):
+    """An SLAReport straight from numpy over arrival-order samples."""
+    total = len(latencies) + failures
+    if not latencies:
+        return SLAReport(op_type, sla.percentile, sla.latency,
+                         0.0 if total else 1.0, float("inf") if total else 0.0,
+                         total, total == 0)
+    arr = np.asarray(latencies)
+    within = float(np.sum(arr <= sla.latency)) / total
+    return SLAReport(op_type, sla.percentile, sla.latency, within,
+                     float(np.percentile(arr, sla.percentile)), total,
+                     within >= sla.percentile / 100.0)
+
+
+_LATENCY = st.one_of(st.just(0.1),  # exactly on target: "within" is inclusive
+                     st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
+_STEP = st.one_of(
+    st.just("close"),
+    st.tuples(st.sampled_from(["read", "write"]),
+              st.floats(min_value=0.0, max_value=45.0, allow_nan=False),  # clock advance
+              _LATENCY, st.booleans(), st.booleans()),
+)
+
+
+class TestOpRecorderViews:
+    """Every view of the op log equals a recomputation from the raw stream."""
+
+    @pytest.mark.property
+    @given(steps=st.lists(_STEP, max_size=120),
+           percentile=st.sampled_from([50.0, 90.0, 99.0, 99.9]))
+    def test_views_match_the_raw_stream(self, steps, percentile):
+        sla = PerformanceSLA(percentile=percentile, latency=0.1)
+        recorder = OpRecorder({"read": sla, "write": sla})
+        now = 0.0
+        # Raw stream per op type: (now, latency, success, miss_path).
+        stream = {"read": [], "write": []}
+        window_start = {"read": 0, "write": 0}
+        for step in steps:
+            if step == "close":
+                reports, miss_path_percentile = recorder.close_window()
+                flagged = [lat for _, lat, ok, miss in
+                           stream["read"][window_start["read"]:] if ok and miss]
+                assert miss_path_percentile == (
+                    _lerp_percentile(flagged, percentile) if flagged else None)
+                for op_type, ops in stream.items():
+                    window = ops[window_start[op_type]:]
+                    assert reports[op_type] == _reference_report(
+                        op_type, sla, [lat for _, lat, ok, _ in window if ok],
+                        sum(not ok for _, _, ok, _ in window))
+                    window_start[op_type] = len(ops)
+                continue
+            op_type, advance, latency, success, miss_path = step
+            now += advance
+            recorder.record(op_type, now, latency, success, miss_path)
+            stream[op_type].append((now, latency, success, miss_path))
+
+        assert recorder.counts() == {op: len(ops) for op, ops in stream.items()}
+        successes = {op: [lat for _, lat, ok, _ in ops if ok]
+                     for op, ops in stream.items()}
+        assert recorder.op_types() == sorted(op for op in successes if successes[op])
+        for op_type, ops in stream.items():
+            latencies = successes[op_type]
+            assert recorder.report(op_type) == _reference_report(
+                op_type, sla, latencies, len(ops) - len(latencies))
+            buckets = {}
+            for at, latency, success, _ in ops:
+                bucket = buckets.setdefault(int(at // 60.0), [0, 0])
+                bucket[0] += 1
+                bucket[1] += success and latency <= sla.latency
+            assert [(w.start, w.total, w.within)
+                    for w in recorder.compliance_windows(op_type)] == [
+                (index * 60.0, total, within)
+                for index, (total, within) in sorted(buckets.items())]
+            if not latencies:
+                with pytest.raises(KeyError):
+                    recorder.all_time(op_type)
+                continue
+            running_sum = 0.0  # in arrival order, one add per sample
+            for latency in latencies:
+                running_sum += latency
+            assert recorder.all_time(op_type).snapshot() == {
+                "count": float(len(latencies)),
+                "mean": running_sum / len(latencies),
+                "p50": _lerp_percentile(latencies, 50),
+                "p95": _lerp_percentile(latencies, 95),
+                "p99": _lerp_percentile(latencies, 99),
+                "p999": _lerp_percentile(latencies, 99.9),
+                "max": max(latencies),
+            }
 
 
 class TestTimeSeries:
