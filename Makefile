@@ -2,10 +2,12 @@
 #   make test        - tier-1: fast correctness suite (what CI gates on)
 #   make test-all    - everything, including slow-marked tests
 #   make property    - hypothesis property suites at the thorough profile
-#   make bench       - the paper's experiment benchmarks (E1..E14, figures)
-#   make bench-smoke - every benchmark in fast smoke mode (BENCH_SMOKE=1:
-#                      shortened workloads, relative-economics assertions
-#                      skipped) — a cheap crash/regression sweep
+#   make bench       - the paper's experiment benchmarks (E1..E16, figures);
+#                      BENCH=<name> runs benchmarks/bench_<name>.py alone
+#                      (e.g. BENCH=e15_spot_fleet; globs allowed)
+#   make bench-smoke - every benchmark (or BENCH=<name>) in fast smoke mode
+#                      (BENCH_SMOKE=1: shortened workloads, relative-economics
+#                      assertions skipped) — a cheap crash/regression sweep
 #   make perf        - simulator-throughput harness; appends an entry to
 #                      BENCH_PERF.json (see PERFORMANCE.md)
 #   make sweep       - the standard scenario suite across all cores via the
@@ -23,18 +25,6 @@
 #   make perf-check  - validate BENCH_PERF.json against the perf-log schema
 #                      without recording anything (CI's report-only job)
 #   make ci          - the local mirror of every CI job, in CI's order
-#   make bench-provisioning - the provisioning-loop benchmarks (E6 scale-down
-#                      economics, fig4 consistency axes, E11 planner/forecast
-#                      ablations) in smoke mode — the quick check that the
-#                      planner backends still close the loop
-#   make bench-spot  - E15 mixed-fleet economics at full length: spot surge
-#                      + interruption storm vs all on-demand (the smoke tier
-#                      of the same scenario already rides in grid-smoke)
-#   make bench-noisy - E16 noisy-neighbor economics at full length:
-#                      placement-aware diagnosis + host evacuation vs the
-#                      capacity-only ablation that rents unhelpful nodes
-#                      (the smoke tier of the same scenario already rides
-#                      in grid-smoke)
 #   make trace-demo  - end-to-end request tracing demo: slowest traces with
 #                      per-span attribution, per-window p99 breakdown, and
 #                      the provisioning decision timeline (see repro.obs)
@@ -54,10 +44,9 @@
 
 PYTEST := python -m pytest
 
-.PHONY: test test-all property bench bench-smoke bench-provisioning \
-	bench-spot bench-noisy perf sweep sweep-smoke grid grid-smoke lint \
-	perf-check ci trace-demo perfbench perfbench-traced perfbench-compare \
-	perfbench-pairs
+.PHONY: test test-all property bench bench-smoke perf sweep sweep-smoke \
+	grid grid-smoke lint perf-check ci trace-demo perfbench perfbench-traced \
+	perfbench-compare perfbench-pairs
 
 test:
 	$(PYTEST) -x -q
@@ -70,22 +59,12 @@ property:
 
 # bench_*.py does not match pytest's default test_*.py collection pattern, so
 # the files are passed explicitly (a bare directory collects nothing).
+BENCH ?= *
 bench:
-	$(PYTEST) benchmarks/bench_*.py -q -s
+	$(PYTEST) benchmarks/bench_$(BENCH).py -q -s
 
 bench-smoke:
-	BENCH_SMOKE=1 $(PYTEST) benchmarks/bench_*.py -q -s
-
-bench-provisioning:
-	BENCH_SMOKE=1 $(PYTEST) benchmarks/bench_e6_scale_down_cost.py \
-		benchmarks/bench_fig4_consistency_axes.py \
-		benchmarks/bench_e11_ml_ablation.py -q -s
-
-bench-spot:
-	$(PYTEST) benchmarks/bench_e15_spot_fleet.py -q -s
-
-bench-noisy:
-	$(PYTEST) benchmarks/bench_e16_noisy_neighbor.py -q -s
+	BENCH_SMOKE=1 $(PYTEST) benchmarks/bench_$(BENCH).py -q -s
 
 perf:
 	BENCH_PERF_RECORD=1 $(PYTEST) benchmarks/bench_perf_throughput.py -q -s

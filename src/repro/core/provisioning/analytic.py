@@ -130,6 +130,21 @@ class SizingBreakdown:
         )
 
 
+# Log-sigma of the node service distribution (the simulator's nodes draw
+# log-normal service times).
+SERVICE_SIGMA = 0.45
+# Client<->node round trip added to every request, seconds.
+NETWORK_ROUND_TRIP = 0.001
+# Never plan a node hotter than this, even when the latency target would
+# admit it (queueing estimates are useless at rho -> 1).
+MAX_STABLE_UTILISATION = 0.95
+# EWMA weight of each window's implied calibration values.
+CALIBRATION_ALPHA = 0.25
+# Measured storage-ops-per-client-op stays within [1/band, band]; the prior
+# is 1.0 (no fan-out).
+AMPLIFICATION_BAND = 16.0
+
+
 class AnalyticSizingModel:
     """M/G/k-style closed-form node-count sizing with bounded calibration.
 
@@ -137,32 +152,18 @@ class AnalyticSizingModel:
         node_capacity_ops: per-node sustainable storage ops/sec (``mu``).
         base_service_time: median node service time at low load (seconds);
             anchors the percentile-service prior.
-        service_sigma: log-sigma of the node service distribution (the
-            simulator's nodes draw log-normal service times).
         percentile: the SLA percentile being sized for (e.g. 99.0).
-        network_round_trip: client<->node round trip added to every request.
-        max_stable_utilisation: never plan a node hotter than this, even
-            when the latency target would admit it (queueing estimates are
-            useless at rho -> 1).
-        calibration_alpha: EWMA weight of each window's implied values.
         calibration_band: calibrated percentile service time may move at
             most this factor away from the prior (in either direction) —
             the bound that makes measurement-driven runaway impossible.
-        amplification_band: measured storage-ops-per-client-op stays within
-            [1/band, band]; prior is 1.0 (no fan-out).
     """
 
     def __init__(
         self,
         node_capacity_ops: float,
         base_service_time: float = 0.004,
-        service_sigma: float = 0.45,
         percentile: float = 99.0,
-        network_round_trip: float = 0.001,
-        max_stable_utilisation: float = 0.95,
-        calibration_alpha: float = 0.25,
         calibration_band: float = 8.0,
-        amplification_band: float = 16.0,
     ) -> None:
         if node_capacity_ops <= 0:
             raise ValueError("node_capacity_ops must be positive")
@@ -170,24 +171,15 @@ class AnalyticSizingModel:
             raise ValueError("base_service_time must be positive")
         if not 0.0 < percentile < 100.0:
             raise ValueError(f"percentile must be in (0, 100), got {percentile}")
-        if not 0.0 < max_stable_utilisation < 1.0:
-            raise ValueError("max_stable_utilisation must be in (0, 1)")
-        if not 0.0 < calibration_alpha <= 1.0:
-            raise ValueError("calibration_alpha must be in (0, 1]")
-        if calibration_band < 1.0 or amplification_band < 1.0:
-            raise ValueError("calibration bands must be >= 1")
+        if calibration_band < 1.0:
+            raise ValueError("calibration_band must be >= 1")
         self.node_capacity_ops = float(node_capacity_ops)
         self.base_service_time = float(base_service_time)
-        self.service_sigma = float(service_sigma)
         self.percentile = float(percentile)
-        self.network_round_trip = float(network_round_trip)
-        self.max_stable_utilisation = float(max_stable_utilisation)
-        self.calibration_alpha = float(calibration_alpha)
         self.calibration_band = float(calibration_band)
-        self.amplification_band = float(amplification_band)
         # Prior: percentile of the log-normal base service distribution.
         z = normal_quantile(self.percentile / 100.0)
-        self.prior_service_time = self.base_service_time * math.exp(self.service_sigma * z)
+        self.prior_service_time = self.base_service_time * math.exp(SERVICE_SIGMA * z)
         self._calibrated_service: float | None = None
         self._calibrated_amplification: float | None = None
         self.windows_observed = 0
@@ -204,12 +196,12 @@ class AnalyticSizingModel:
         """
         if not math.isfinite(observed_percentile_latency) or observed_percentile_latency <= 0:
             return
-        rho = min(max(float(features.mean_utilisation), 0.0), self.max_stable_utilisation)
-        implied_service = (observed_percentile_latency - self.network_round_trip) * (1.0 - rho)
+        rho = min(max(float(features.mean_utilisation), 0.0), MAX_STABLE_UTILISATION)
+        implied_service = (observed_percentile_latency - NETWORK_ROUND_TRIP) * (1.0 - rho)
         lo = self.prior_service_time / self.calibration_band
         hi = self.prior_service_time * self.calibration_band
         implied_service = min(max(implied_service, lo), hi)
-        alpha = self.calibration_alpha
+        alpha = CALIBRATION_ALPHA
         if self._calibrated_service is None:
             self._calibrated_service = implied_service
         else:
@@ -220,8 +212,8 @@ class AnalyticSizingModel:
         if rate > 0 and features.node_count > 0:
             implied_amp = (float(features.mean_utilisation) * float(features.node_count)
                            * self.node_capacity_ops) / rate
-            implied_amp = min(max(implied_amp, 1.0 / self.amplification_band),
-                              self.amplification_band)
+            implied_amp = min(max(implied_amp, 1.0 / AMPLIFICATION_BAND),
+                              AMPLIFICATION_BAND)
             if self._calibrated_amplification is None:
                 self._calibrated_amplification = implied_amp
             else:
@@ -247,8 +239,8 @@ class AnalyticSizingModel:
         """Percentile latency a node serving ``per_node_rate`` should show."""
         if per_node_rate < 0:
             raise ValueError("per_node_rate must be non-negative")
-        rho = min(per_node_rate / self.node_capacity_ops, self.max_stable_utilisation)
-        return self.network_round_trip + self.percentile_service_time() / (1.0 - rho)
+        rho = min(per_node_rate / self.node_capacity_ops, MAX_STABLE_UTILISATION)
+        return NETWORK_ROUND_TRIP + self.percentile_service_time() / (1.0 - rho)
 
     def required_nodes(
         self,
@@ -276,14 +268,14 @@ class AnalyticSizingModel:
         amplification = self.amplification()
         effective_rate = arrival_rate * amplification
 
-        queue_budget = effective_target - self.network_round_trip
+        queue_budget = effective_target - NETWORK_ROUND_TRIP
         infeasible = queue_budget <= service
         if infeasible:
             # Even an idle node misses the target; renting more cannot fix
             # latency, so hold the capacity-stability floor and say so.
-            rho_star = self.max_stable_utilisation
+            rho_star = MAX_STABLE_UTILISATION
         else:
-            rho_star = min(1.0 - service / queue_budget, self.max_stable_utilisation)
+            rho_star = min(1.0 - service / queue_budget, MAX_STABLE_UTILISATION)
         nodes = 1 if effective_rate == 0 else int(
             math.ceil(effective_rate / (self.node_capacity_ops * rho_star)))
         nodes = min(max(nodes, 1), max_nodes)
@@ -295,7 +287,7 @@ class AnalyticSizingModel:
             amplification=amplification,
             node_capacity_ops=self.node_capacity_ops,
             percentile_service_time=service,
-            network_round_trip=self.network_round_trip,
+            network_round_trip=NETWORK_ROUND_TRIP,
             target_latency=target_latency,
             effective_target=effective_target,
             admissible_utilisation=rho_star,

@@ -1,48 +1,62 @@
 """The scale-up/scale-down controller: the acting half of Figure 2's loop.
 
-Every control interval the controller
+Every control interval :meth:`ProvisioningController.control_step`
 
 1. asks the monitor to close an observation window (which also trains the
    ML models),
 2. feeds the observed rate to the workload forecaster and asks it for the
    rate one provisioning lead time ahead (instance boot + data movement),
 3. asks the planner for the target node count, and
-4. rents or releases instances to move the cluster toward the target,
-   attaching new machines as whole replica groups so the durability SLA's
-   replication factor is never violated mid-scale.
+4. acts: ``_act`` walks four stages in a fixed order and takes the first
+   decision any of them makes.  Every stage is a method
+   ``(plan, observation, groups) -> Optional[ScalingAction]`` that returns
+   ``None`` to pass the window on.
 
-When a :class:`~repro.storage.rebalancer.Rebalancer` is attached, the acting
-step grows a REPARTITION branch: if the planner flags the window as a
-*repartition candidate* (one hot replica group, cluster-wide headroom), the
-controller first tries a sub-group split/migrate — which moves only the hot
-keys and rents nothing — and only falls back to launching a group when
-repeated repartitioning has not relieved the pressure.
+The stages, in order:
 
-With a :class:`~repro.core.provisioning.spotfleet.SpotFleetManager`
-attached, a read-dominated capacity deficit is covered by *surge read
-replicas* (spot-first, on-demand fallback) instead of whole on-demand
-groups — durable quorum members are never exposed to revocation — and
-scale-down sheds surge capacity before it touches a replica group.
+``_evacuate`` — a host problem is not a capacity problem.  With the
+    contention layer on (``Scads(contention=...)``), a violated window the
+    monitor classifies as *contention* (service-dominated at low
+    utilisation, a noisy host named by the per-host residual estimator) is
+    remediated before any capacity logic: renting into contention is the
+    capacity-only controller's pathological move — the new nodes serve the
+    same inflated service times — so the controller live-migrates every
+    replica off the noisy host onto quiet hosts (anti-affinity preserved,
+    modelling a stop/start re-placement: no extra instances rented, the data
+    re-copy charged through the cluster's movement accounting).  The
+    diagnosis lands on the decision timeline with its evidence either way;
+    the ``placement_aware=False`` config arm stops there — the capacity-only
+    ablation ``bench_e16`` compares against.
 
-With the contention layer on (``Scads(contention=...)``), a violated window
-the monitor classifies as *contention* (service-dominated at low
-utilisation, a noisy host named by the per-host residual estimator) takes an
-EVACUATE branch before any capacity logic: renting into contention is the
-capacity-only controller's pathological move — the new nodes serve the same
-inflated service times — so the controller instead live-migrates every
-replica off the noisy host onto quiet hosts (anti-affinity preserved,
-modelling a stop/start re-placement: no extra instances rented, the data
-re-copy charged through the cluster's movement accounting).  Every
-diagnosis and evacuation lands on the decision timeline with its evidence.
-The ``placement_aware=False`` config arm keeps the diagnosis but disables
-the remediation — the capacity-only ablation ``bench_e16`` compares
-against.
+``_repartition`` — neither is a placement problem.  With a
+    :class:`~repro.storage.rebalancer.Rebalancer` attached, a violated
+    window the planner flags as a *repartition candidate* (one hot replica
+    group, cluster-wide headroom) gets a sub-group split/migrate, which
+    moves only the hot keys and rents nothing; the stage rents a single
+    group only when the rebalancer cannot act or repeated repartitioning has
+    not relieved the pressure.  It counts the repartition streak.
 
-Scale-down is deliberately conservative (sustained low demand over several
-windows, at most one group per interval, and never while the current window
-is violating its SLA) because removing capacity is cheap to defer and
-expensive to get wrong — the asymmetry the paper's economics argument
-relies on.
+``_grow`` — capacity is sized in nodes: the planner's target minus every
+    node serving or already paid for.  With a
+    :class:`~repro.core.provisioning.spotfleet.SpotFleetManager` attached
+    and a read-dominated window, *surge read replicas* (spot-first,
+    on-demand fallback) cover the deficit first — durable quorum members are
+    never exposed to revocation; what is left is rented as whole replica
+    groups, so the durability SLA's replication factor is never violated
+    mid-scale.  Without a fleet every node belongs to a group and the same
+    arithmetic is the plain group count.
+
+``_shrink`` — deliberately conservative (sustained low demand over several
+    windows, never while a group is booting or the current window is
+    violating its SLA, surge capacity before any replica group, at most one
+    group per interval) because removing capacity is cheap to defer and
+    expensive to get wrong — the asymmetry the paper's economics argument
+    relies on.  It counts the low-demand streak.
+
+When no stage decides, the window is quiet: the rebalancer merges split
+points that went cold and the action is a plain ``hold``.  A stage that
+pre-empts a later one clears that stage's streak, so a streak always counts
+consecutive windows.
 """
 
 from __future__ import annotations
@@ -79,6 +93,14 @@ class ScalingAction:
     reason: str
 
 
+# After this many repartitions in a row the hotspot is not a placement
+# problem after all: rent a group.
+MAX_CONSECUTIVE_REPARTITIONS = 2
+# Surge replicas are read fan-out (one primary still takes every write), so
+# they cover a deficit only while writes are at most this share of traffic.
+SPOT_WRITE_FRACTION_CEILING = 0.35
+
+
 class ProvisioningController:
     """Closed-loop, model-driven provisioning of the storage cluster."""
 
@@ -94,16 +116,13 @@ class ProvisioningController:
         slas: Dict[str, PerformanceSLA],
         spec: ConsistencySpec,
         control_interval: float = 60.0,
-        provisioning_lead_time: Optional[float] = None,
         scale_down_patience: int = 5,
         scale_down_hysteresis: float = 0.3,
         max_groups_per_step: int = 50,
         predictive: bool = True,
         rebalancer: Optional[Rebalancer] = None,
-        max_consecutive_repartitions: int = 2,
         timeline=None,
         spot_fleet=None,
-        spot_write_fraction_ceiling: float = 0.35,
         contention_config=None,
     ) -> None:
         if control_interval <= 0:
@@ -114,8 +133,6 @@ class ProvisioningController:
             raise ValueError("scale_down_hysteresis must be >= 0")
         if max_groups_per_step < 1:
             raise ValueError("max_groups_per_step must be >= 1")
-        if max_consecutive_repartitions < 1:
-            raise ValueError("max_consecutive_repartitions must be >= 1")
         self._sim = simulator
         self._cluster = cluster
         self._pool = pool
@@ -126,18 +143,11 @@ class ProvisioningController:
         self._slas = dict(slas)
         self._spec = spec
         self.control_interval = control_interval
-        boot_delay = pool.instance_type.boot_delay
-        self.provisioning_lead_time = (
-            provisioning_lead_time
-            if provisioning_lead_time is not None
-            else boot_delay + 2.0 * control_interval
-        )
         self.scale_down_patience = scale_down_patience
         self.scale_down_hysteresis = scale_down_hysteresis
         self.max_groups_per_step = max_groups_per_step
         self.predictive = predictive
         self._rebalancer = rebalancer
-        self.max_consecutive_repartitions = max_consecutive_repartitions
         self._consecutive_repartitions = 0
         self._group_instances: Dict[str, List[str]] = {}
         self._pending_groups = 0
@@ -154,9 +164,8 @@ class ProvisioningController:
         # on-demand fallback) instead of whole on-demand groups, and
         # scale-down sheds surge capacity before touching durable groups.
         self._spot_fleet = spot_fleet
-        self.spot_write_fraction_ceiling = spot_write_fraction_ceiling
         # Optional repro.sim.hosts.ContentionConfig: arms the evacuation
-        # branch (placement_aware) on contention-classified violations.
+        # stage (placement_aware) on contention-classified violations.
         self._contention_config = contention_config
         self._adopt_existing_groups()
 
@@ -194,7 +203,10 @@ class ProvisioningController:
         observation = self._monitor.close_window(now)
         self._forecaster.observe(now, observation.request_rate)
         if self.predictive:
-            forecast = self._forecaster.forecast(self.provisioning_lead_time)
+            # One provisioning lead time: what is rented now serves after the
+            # boot delay and two control intervals of acting and data movement.
+            forecast = self._forecaster.forecast(
+                self._pool.instance_type.boot_delay + 2.0 * self.control_interval)
             # Never plan below what we are already seeing: the forecast hedges
             # the future, it must not talk us into ignoring the present.
             forecast = max(forecast, observation.request_rate)
@@ -235,190 +247,46 @@ class ProvisioningController:
         return supply
 
     def _act(self, plan: CapacityPlan, observation: WindowObservation) -> ScalingAction:
-        replication = self._cluster.replication_factor
-        target_groups = max(int(math.ceil(plan.target_nodes / replication)), 1)
-        current_groups = self._cluster.group_count()
-        effective_current = current_groups + self._pending_groups
-        now = self._sim.now
-        # A contention-classified violation is a *host* problem: renting into
-        # it is the pathological move (new nodes serve the same inflated
-        # service times), so evacuation preempts every capacity branch.
-        if self._contention_config is not None and observation.contention_suspected:
-            action = self._handle_contention(plan, observation, now, current_groups)
+        groups = self._cluster.group_count()
+        for stage in (self._evacuate, self._repartition, self._grow, self._shrink):
+            action = stage(plan, observation, groups)
             if action is not None:
                 return action
-        # A violated SLA with cluster-wide headroom is a *placement* problem:
-        # try a split/migrate first, and rent a single group only when the
-        # rebalancer cannot act (e.g. one token hotter than any group).
-        if plan.repartition_candidate and observation.any_sla_violated():
-            action = self._try_repartition(plan, now, current_groups)
-            if action is not None:
-                return action
-        if target_groups > effective_current:
-            self._consecutive_repartitions = 0
-            surge_added = 0
-            if self._spot_fleet is not None \
-                    and observation.write_fraction <= self.spot_write_fraction_ceiling:
-                deficit = plan.target_nodes - self._node_supply()
-                if deficit <= 0:
-                    # The group-count math over-asks (groups come in
-                    # replication-factor multiples; surge nodes do not):
-                    # per-node supply already covers the target, so renting a
-                    # whole group would overshoot.
-                    self._low_demand_windows = 0
-                    return ScalingAction(
-                        time=now, kind="hold",
-                        groups_before=current_groups,
-                        groups_after=current_groups,
-                        target_nodes=plan.target_nodes,
-                        forecast_rate=plan.forecast_rate,
-                        reason=f"{plan.reason}; surge capacity covers target",
-                    )
-                surge_added = self._spot_fleet.add_surge(deficit)
-            if self._spot_fleet is None:
-                to_add = min(target_groups - effective_current,
-                             self.max_groups_per_step)
-            else:
-                # Surge is read fan-out, capped per group (one primary still
-                # takes every write); whatever deficit the fleet would not
-                # absorb needs whole groups, which split the keyspace and
-                # add primaries.
-                deficit = plan.target_nodes - self._node_supply()
-                if deficit <= 0:
-                    self._low_demand_windows = 0
-                    return ScalingAction(
-                        time=now, kind="surge_up",
-                        groups_before=current_groups,
-                        groups_after=current_groups,
-                        target_nodes=plan.target_nodes,
-                        forecast_rate=plan.forecast_rate,
-                        reason=f"{plan.reason}; +{surge_added} surge read "
-                               "replicas (spot-first)",
-                    )
-                to_add = min(int(math.ceil(deficit / replication)),
-                             self.max_groups_per_step)
-            launched = 0
-            for _ in range(to_add):
-                if not self._launch_group():
-                    break  # pool exhausted; rent what fits and carry on
-                launched += 1
-            self._low_demand_windows = 0
-            if launched == 0 and surge_added == 0:
-                return ScalingAction(
-                    time=now, kind="hold",
-                    groups_before=current_groups,
-                    groups_after=current_groups,
-                    target_nodes=plan.target_nodes,
-                    forecast_rate=plan.forecast_rate,
-                    reason=f"{plan.reason}; pool at capacity",
-                )
-            if launched == 0:
-                return ScalingAction(
-                    time=now, kind="surge_up",
-                    groups_before=current_groups,
-                    groups_after=current_groups,
-                    target_nodes=plan.target_nodes,
-                    forecast_rate=plan.forecast_rate,
-                    reason=f"{plan.reason}; +{surge_added} surge read "
-                           "replicas (spot-first); pool capped for groups",
-                )
-            reason = plan.reason
-            if surge_added:
-                reason = (f"{plan.reason}; +{surge_added} surge read replicas "
-                          "(spot-first) alongside group growth")
-            return ScalingAction(
-                time=now, kind="scale_up",
-                groups_before=current_groups,
-                groups_after=current_groups + self._pending_groups,
-                target_nodes=plan.target_nodes,
-                forecast_rate=plan.forecast_rate,
-                reason=reason,
-            )
-        self._consecutive_repartitions = 0
-        surge_surplus = 0
-        if self._spot_fleet is not None:
-            # Surge replicas do not come in group multiples, so surplus is
-            # measured in nodes: whatever supply exceeds the target, capped
-            # by what the surge fleet actually holds.
-            surge_surplus = min(self._node_supply() - plan.target_nodes,
-                                self._spot_fleet.surge_count())
-            surge_surplus = max(surge_surplus, 0)
-        # The planner's target is self-referential: its features are measured
-        # on the *current* fleet, so removing a group raises utilisation and
-        # can push the next window's target up by the hybrid backend's whole
-        # ±clamp band (default 30%) with demand unchanged.  Releasing
-        # requires the target to fit the shrunk fleet with that much slack,
-        # or the controller would release and re-rent every few windows —
-        # each flap billing a whole instance-hour per node.
-        shrinkable = (
-            current_groups > 1
-            and plan.target_nodes * (1.0 + self.scale_down_hysteresis)
-            <= (current_groups - 1) * replication
-        )
-        if (shrinkable or surge_surplus > 0) \
-                and self._pending_groups == 0 \
-                and not observation.any_sla_violated():
-            # A low planner target during a violated window is a model
-            # artifact (saturation corrupts the service-time features), not
-            # low demand — never shrink a fleet that is missing its SLA.
-            self._low_demand_windows += 1
-            if self._low_demand_windows >= self.scale_down_patience:
-                if surge_surplus > 0:
-                    released = self._spot_fleet.release_surge(surge_surplus)
-                    if released:
-                        windows = self._low_demand_windows
-                        self._low_demand_windows = 0
-                        return ScalingAction(
-                            time=now, kind="surge_down",
-                            groups_before=current_groups,
-                            groups_after=current_groups,
-                            target_nodes=plan.target_nodes,
-                            forecast_rate=plan.forecast_rate,
-                            reason=f"{plan.reason}; released {released} surge "
-                                   f"replicas after {windows} low windows",
-                        )
-                if shrinkable:
-                    removed = self._remove_one_group()
-                    if removed:
-                        return ScalingAction(
-                            time=now, kind="scale_down",
-                            groups_before=current_groups,
-                            groups_after=current_groups - 1,
-                            target_nodes=plan.target_nodes,
-                            forecast_rate=plan.forecast_rate,
-                            reason=f"{plan.reason}; sustained low demand "
-                                   f"({self._low_demand_windows} windows)",
-                        )
-        else:
-            self._low_demand_windows = 0
         if self._rebalancer is not None:
             # Quiet window: free hygiene — merge split points that went cold.
             self._rebalancer.merge_cold_partitions()
+        return self._action("hold", plan, groups)
+
+    def _action(self, kind: str, plan: CapacityPlan, groups: int, note: str = "",
+                groups_after: Optional[int] = None,
+                reason: Optional[str] = None) -> ScalingAction:
+        """The one place a decision is written down: ``reason`` defaults to
+        the plan's own, with the stage's ``note`` appended."""
+        if reason is None:
+            reason = f"{plan.reason}; {note}" if note else plan.reason
         return ScalingAction(
-            time=now, kind="hold",
-            groups_before=current_groups,
-            groups_after=current_groups,
-            target_nodes=plan.target_nodes,
-            forecast_rate=plan.forecast_rate,
-            reason=plan.reason,
+            time=self._sim.now, kind=kind, groups_before=groups,
+            groups_after=groups if groups_after is None else groups_after,
+            target_nodes=plan.target_nodes, forecast_rate=plan.forecast_rate,
+            reason=reason,
         )
 
-    # --------------------------------------------------------------- contention
+    # ------------------------------------------------------- stage 1: evacuate
 
-    def _handle_contention(self, plan: CapacityPlan,
-                           observation: WindowObservation, now: float,
-                           current_groups: int) -> Optional[ScalingAction]:
+    def _evacuate(self, plan: CapacityPlan, observation: WindowObservation,
+                  groups: int) -> Optional[ScalingAction]:
         """Remediate a contention-classified violated window.
 
         Records the diagnosis (with its residual/utilisation evidence, plus
         the worst-decile span-kind split when tracing is on) on the decision
         timeline, then — on the placement-aware arm — evacuates every replica
-        off the named noisy host onto quiet hosts and reports an ``evacuate``
-        action instead of letting any rent/scale branch run.  Returns None to
-        fall through to the ordinary capacity logic when remediation is
-        disabled (``placement_aware=False``, the capacity-only ablation) or
-        nothing was movable.
+        off the named noisy host onto quiet hosts.  Passes the window on when
+        remediation is disabled (``placement_aware=False``, the capacity-only
+        ablation) or nothing was movable.
         """
+        if self._contention_config is None or not observation.contention_suspected:
+            return None
+        now = self._sim.now
         evidence = (
             f"noisy host {observation.noisy_host or 'unnamed'}: "
             f"residual {observation.noisy_host_residual:.2f} "
@@ -446,8 +314,7 @@ class ProvisioningController:
         self._cluster.quarantine_host(
             observation.noisy_host,
             until=now + self._contention_config.quarantine_seconds)
-        self._low_demand_windows = 0
-        self._consecutive_repartitions = 0
+        self._consecutive_repartitions = self._low_demand_windows = 0
         if self._timeline is not None:
             listed = ", ".join(f"{old}->{new}" for old, new in moves[:4])
             if len(moves) > 4:
@@ -455,78 +322,155 @@ class ProvisioningController:
             self._timeline.record_event(
                 now, "host-evacuate", len(moves),
                 detail=f"{observation.noisy_host}: {listed}")
-        return ScalingAction(
-            time=now, kind="evacuate",
-            groups_before=current_groups,
-            groups_after=current_groups,
-            target_nodes=plan.target_nodes,
-            forecast_rate=plan.forecast_rate,
+        return self._action(
+            "evacuate", plan, groups,
             reason=f"contention, not capacity — {evidence}; migrated "
                    f"{len(moves)} replicas off {observation.noisy_host} "
-                   "instead of renting",
-        )
+                   "instead of renting")
 
-    # -------------------------------------------------------------- repartition
+    # ---------------------------------------------------- stage 2: repartition
 
-    def _try_repartition(self, plan: CapacityPlan, now: float,
-                         current_groups: int) -> Optional[ScalingAction]:
+    def _repartition(self, plan: CapacityPlan, observation: WindowObservation,
+                     groups: int) -> Optional[ScalingAction]:
         """Resolve a hotspot: split/migrate if possible, rent one group if not.
 
-        Returns None (let the ordinary capacity logic run) only when no
-        rebalancer is attached.  With one attached, a hotspot window always
-        produces a decision: a repartition action, a hold while the last
-        migration's load shift settles, or — when the rebalancer cannot act or
-        repeated repartitions have not relieved the pressure — renting a
-        single group, which under the range partitioner splits the busiest
-        group's keyspace anyway.
+        With a rebalancer attached and a group-level imbalance it can act
+        on, a hotspot window always produces a decision: a repartition, a
+        hold while the last migration's load shift settles, or — when the
+        rebalancer cannot act or repeated repartitions have not relieved the
+        pressure — renting a single group, which under the range partitioner
+        splits the busiest group's keyspace anyway.  Otherwise (and when the
+        pool cannot fit that group) the capacity stages decide.
         """
-        if self._rebalancer is None:
-            return None
-        if self._rebalancer.find_imbalance() is None:
-            # The planner's node-level hotspot flag has no group-level
-            # counterpart the rebalancer could act on; let the ordinary
-            # capacity logic decide.
-            return None
-        if self._rebalancer.in_cooldown():
-            # A migration's load shift is still settling; acting again now
-            # would double-treat the same hotspot.  Hold one window instead.
-            return ScalingAction(
-                time=now, kind="hold",
-                groups_before=current_groups,
-                groups_after=current_groups,
-                target_nodes=plan.target_nodes,
-                forecast_rate=plan.forecast_rate,
-                reason=f"{plan.reason}; waiting for migration to settle",
-            )
-        action = None
-        if self._consecutive_repartitions < self.max_consecutive_repartitions:
-            action = self._rebalancer.rebalance_once()
-        if action is None:
-            # Placement alone cannot fix this hotspot; rent a single group
-            # (unless the pool is exhausted, in which case fall through).
-            if not self._launch_group():
-                return None
+        rebalancer = self._rebalancer
+        if rebalancer is None \
+                or not (plan.repartition_candidate and observation.any_sla_violated()) \
+                or rebalancer.find_imbalance() is None:
+            # No hotspot, or the planner's node-level hotspot flag has no
+            # group-level counterpart the rebalancer could act on.
             self._consecutive_repartitions = 0
-            self._low_demand_windows = 0
-            return ScalingAction(
-                time=now, kind="scale_up",
-                groups_before=current_groups,
-                groups_after=current_groups + self._pending_groups,
-                target_nodes=plan.target_nodes,
-                forecast_rate=plan.forecast_rate,
-                reason=f"{plan.reason}; hotspot unresolved by repartitioning",
-            )
-        self._consecutive_repartitions += 1
+            return None
+        if rebalancer.in_cooldown():
+            # A migration's load shift is still settling; acting again now
+            # would double-treat the same hotspot.  Hold one window instead
+            # (the window breaks neither streak).
+            return self._action("hold", plan, groups,
+                                "waiting for migration to settle")
+        # Either way the window was violated: it is not a low-demand window.
         self._low_demand_windows = 0
-        return ScalingAction(
-            time=now, kind="repartition",
-            groups_before=current_groups,
-            groups_after=current_groups,
-            target_nodes=plan.target_nodes,
-            forecast_rate=plan.forecast_rate,
-            reason=f"{plan.reason}; {action.kind} moved {action.keys_moved} keys "
-                   "instead of renting a group",
+        moved = None
+        if self._consecutive_repartitions < MAX_CONSECUTIVE_REPARTITIONS:
+            moved = rebalancer.rebalance_once()
+        if moved is not None:
+            self._consecutive_repartitions += 1
+            return self._action(
+                "repartition", plan, groups,
+                f"{moved.kind} moved {moved.keys_moved} keys "
+                "instead of renting a group")
+        # Placement alone cannot fix this hotspot; rent a single group.
+        self._consecutive_repartitions = 0
+        if not self._launch_group():
+            return None
+        return self._action("scale_up", plan, groups,
+                            "hotspot unresolved by repartitioning",
+                            groups_after=groups + self._pending_groups)
+
+    # ----------------------------------------------------------- stage 3: grow
+
+    def _grow(self, plan: CapacityPlan, observation: WindowObservation,
+              groups: int) -> Optional[ScalingAction]:
+        """Cover a capacity deficit: surge replicas first, then whole groups."""
+        replication = self._cluster.replication_factor
+        if math.ceil(plan.target_nodes / replication) <= groups + self._pending_groups:
+            return None  # the groups serving or booting cover the target
+        self._low_demand_windows = 0
+        deficit = plan.target_nodes - self._node_supply()
+        if deficit <= 0:
+            # Groups come in replication-factor multiples, surge nodes do
+            # not: per-node supply already covers the target, so renting a
+            # whole group would overshoot.
+            return self._action("hold", plan, groups,
+                                "surge capacity covers target")
+        surge = 0
+        if self._spot_fleet is not None \
+                and observation.write_fraction <= SPOT_WRITE_FRACTION_CEILING:
+            surge = self._spot_fleet.add_surge(deficit)
+            deficit = plan.target_nodes - self._node_supply()
+        bought = f"+{surge} surge read replicas (spot-first)"
+        if deficit <= 0:
+            return self._action("surge_up", plan, groups, bought)
+        # Surge is capped per group; whatever deficit the fleet would not
+        # absorb needs whole groups, which split the keyspace and add
+        # primaries.  Without a fleet every node belongs to a group, so this
+        # is ceil(target / replication) - (groups + pending) exactly.
+        launched = 0
+        for _ in range(min(math.ceil(deficit / replication),
+                           self.max_groups_per_step)):
+            if not self._launch_group():
+                break  # pool exhausted; rent what fits and carry on
+            launched += 1
+        if launched:
+            return self._action(
+                "scale_up", plan, groups,
+                f"{bought} alongside group growth" if surge else "",
+                groups_after=groups + self._pending_groups)
+        if surge:
+            return self._action("surge_up", plan, groups,
+                                f"{bought}; pool capped for groups")
+        return self._action("hold", plan, groups, "pool at capacity")
+
+    # --------------------------------------------------------- stage 4: shrink
+
+    def _shrink(self, plan: CapacityPlan, observation: WindowObservation,
+                groups: int) -> Optional[ScalingAction]:
+        """Release capacity after sustained low demand: surge, then one group."""
+        replication = self._cluster.replication_factor
+        surge_surplus = 0
+        if self._spot_fleet is not None:
+            # Surge replicas do not come in group multiples, so surplus is
+            # measured in nodes: whatever supply exceeds the target, capped
+            # by what the surge fleet actually holds.
+            surge_surplus = max(min(self._node_supply() - plan.target_nodes,
+                                    self._spot_fleet.surge_count()), 0)
+        # The planner's target is self-referential: its features are measured
+        # on the *current* fleet, so removing a group raises utilisation and
+        # can push the next window's target up by the hybrid backend's whole
+        # ±clamp band (default 30%) with demand unchanged.  Releasing
+        # requires the target to fit the shrunk fleet with that much slack,
+        # or the controller would release and re-rent every few windows —
+        # each flap billing a whole instance-hour per node.
+        shrinkable = (
+            groups > 1
+            and plan.target_nodes * (1.0 + self.scale_down_hysteresis)
+            <= (groups - 1) * replication
         )
+        if not (shrinkable or surge_surplus > 0) \
+                or self._pending_groups != 0 \
+                or observation.any_sla_violated():
+            # A low planner target during a violated window is a model
+            # artifact (saturation corrupts the service-time features), not
+            # low demand — never shrink a fleet that is missing its SLA.
+            self._low_demand_windows = 0
+            return None
+        self._low_demand_windows += 1
+        windows = self._low_demand_windows
+        if windows < self.scale_down_patience:
+            return None
+        if surge_surplus > 0:
+            released = self._spot_fleet.release_surge(surge_surplus)
+            if released:
+                self._low_demand_windows = 0
+                return self._action(
+                    "surge_down", plan, groups,
+                    f"released {released} surge replicas after {windows} "
+                    "low windows")
+        if shrinkable and self._remove_one_group():
+            self._low_demand_windows = 0
+            return self._action(
+                "scale_down", plan, groups,
+                f"sustained low demand ({windows} windows)",
+                groups_after=groups - 1)
+        return None
 
     # ----------------------------------------------------------------- scaling up
 
@@ -572,7 +516,6 @@ class ProvisioningController:
         released = self._group_instances.pop(group_id, [])
         for instance_id in released:
             self._pool.terminate(instance_id)
-        self._low_demand_windows = 0
         if self._timeline is not None:
             self._timeline.record_event(
                 self._sim.now, "release", len(released), group_id=group_id,

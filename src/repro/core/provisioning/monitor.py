@@ -63,6 +63,10 @@ class SLAMonitor:
     # Above this window absorption, the observed latency percentile is a
     # cache/cluster blend and is not used as a latency-model label.
     CACHE_BLEND_TRAINING_CUTOFF = 0.05
+    # A window whose hottest node runs at this multiple of the mean
+    # utilisation (with hotspot exclusion on) is a placement problem and is
+    # not used as a latency-model label.
+    HOTSPOT_SKEW_RATIO = 1.6
 
     def __init__(
         self,
@@ -74,7 +78,6 @@ class SLAMonitor:
         lag_model: PropagationLagModel,
         slas: Dict[str, PerformanceSLA],
         exclude_hotspot_training: bool = False,
-        hotspot_skew_ratio: float = 1.6,
         rate_tracker=None,
         sizing_model=None,
         telemetry=None,
@@ -103,8 +106,6 @@ class SLAMonitor:
         feature keeps using node EWMAs: it exists to capture single-node
         hotspots, which an aggregate rate cannot see.
         """
-        if hotspot_skew_ratio <= 1.0:
-            raise ValueError("hotspot_skew_ratio must be > 1")
         self._cluster = cluster
         self._recorder = recorder
         self._pending_maintenance = pending_maintenance
@@ -113,7 +114,6 @@ class SLAMonitor:
         self._lag_model = lag_model
         self._slas = dict(slas)
         self._exclude_hotspot_training = exclude_hotspot_training
-        self._hotspot_skew_ratio = hotspot_skew_ratio
         self._rate_tracker = rate_tracker
         self._sizing_model = sizing_model
         # Optional obs.Telemetry: per-window counters/gauges/histograms.
@@ -321,7 +321,7 @@ class SLAMonitor:
         hotspot_window = (
             self._exclude_hotspot_training
             and observation.features.max_utilisation
-            >= self._hotspot_skew_ratio * max(observation.features.mean_utilisation, 1e-9)
+            >= self.HOTSPOT_SKEW_RATIO * max(observation.features.mean_utilisation, 1e-9)
             and observation.features.max_utilisation >= 0.3
         )
         blended_window = observation.cache_hit_rate >= self.CACHE_BLEND_TRAINING_CUTOFF

@@ -72,6 +72,11 @@ class CapacityPlan:
         )
 
 
+# Extra capacity multiplier applied when the update queue is predicted to
+# endanger the staleness bound.
+STALENESS_SCALE_FACTOR = 1.25
+
+
 class CapacityPlanner:
     """Chooses a target node count that meets every declared requirement.
 
@@ -83,8 +88,6 @@ class CapacityPlanner:
             the latency model is optimistic (defence in depth).
         min_nodes: never plan below this many nodes (replication needs).
         max_nodes: hard cap (the pool's size, or a budget cap).
-        staleness_scale_factor: extra capacity multiplier applied when the
-            update queue is predicted to endanger the staleness bound.
         repartition_hot_utilisation: a window whose worst node exceeds this
             while the cluster mean stays under ``target_utilisation`` is
             flagged as a repartition candidate (hotspot, not overload).
@@ -105,7 +108,6 @@ class CapacityPlanner:
         target_utilisation: float = 0.6,
         min_nodes: int = 2,
         max_nodes: int = 10_000,
-        staleness_scale_factor: float = 1.25,
         repartition_hot_utilisation: float = 0.75,
         backend: str = "hybrid",
         clamp_band: float = 0.3,
@@ -117,8 +119,6 @@ class CapacityPlanner:
             raise ValueError("need 1 <= min_nodes <= max_nodes")
         if node_capacity_ops <= 0:
             raise ValueError("node_capacity_ops must be positive")
-        if staleness_scale_factor < 1.0:
-            raise ValueError("staleness_scale_factor must be >= 1")
         if not 0.0 < repartition_hot_utilisation <= 1.5:
             raise ValueError("repartition_hot_utilisation must be in (0, 1.5]")
         self.repartition_hot_utilisation = repartition_hot_utilisation
@@ -128,7 +128,6 @@ class CapacityPlanner:
         self.target_utilisation = target_utilisation
         self.min_nodes = min_nodes
         self.max_nodes = max_nodes
-        self.staleness_scale_factor = staleness_scale_factor
         self.clamp_band = clamp_band
         if sizing_model is None:
             sizing_model = AnalyticSizingModel(
@@ -207,7 +206,7 @@ class CapacityPlanner:
             staleness_bound=spec.read.staleness_bound,
         )
         if staleness_pressure:
-            target = int(math.ceil(target * self.staleness_scale_factor))
+            target = int(math.ceil(target * STALENESS_SCALE_FACTOR))
         target = min(max(target, self.min_nodes), self.max_nodes)
         if latency_nodes >= utilisation_nodes:
             reason = f"latency model ({self.backend_name})"

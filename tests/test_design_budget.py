@@ -24,7 +24,9 @@ MAX_ENGINE_KWARGS = 22
 MAX_ENGINE_LINES = 1096
 MAX_ENGINE_IS_NOT_NONE = 44
 MAX_CLUSTER_LINES = 1073
-MAX_ACT_LINES = 168
+MAX_ACT_LINES = 10
+MAX_CONTROLLER_LINES = 600
+MAX_CONTROLLER_KWARGS = 18
 
 
 def test_engine_constructor_takes_no_new_knob():
@@ -46,3 +48,19 @@ def test_cluster_module_does_not_grow():
 def test_controller_act_does_not_grow():
     source = inspect.getsource(ProvisioningController._act)
     assert len(source.splitlines()) <= MAX_ACT_LINES
+
+
+def test_controller_module_does_not_grow():
+    source = (SRC / "core" / "provisioning" / "controller.py").read_text(encoding="utf-8")
+    assert len(source.splitlines()) <= MAX_CONTROLLER_LINES
+
+
+def test_controller_constructor_takes_no_new_knob():
+    parameters = inspect.signature(ProvisioningController.__init__).parameters
+    assert len(parameters) - 1 <= MAX_CONTROLLER_KWARGS  # minus self
+
+
+def test_scaling_actions_are_constructed_in_one_place():
+    constructions = sum(path.read_text(encoding="utf-8").count("ScalingAction(")
+                        for path in SRC.rglob("*.py"))
+    assert constructions == 1

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.consistency.spec import ConsistencySpec, PerformanceSLA
+from repro.core.engine import Scads
 from repro.core.provisioning.planner import CapacityPlanner
 from repro.ml.performance_model import LatencyPercentileModel, PropagationLagModel
 from repro.workloads.traces import AnimotoViralTrace, ConstantTrace
@@ -130,39 +136,180 @@ class TestScaleDownGuard:
     scale-down at the foot of a ramp the fleet was already missing).
     """
 
-    def _controller(self, groups=4):
-        from repro.core.engine import Scads
-
-        return Scads(seed=3, autoscale=True, initial_groups=groups,
-                     cache=False, repartition=False).controller
-
-    @staticmethod
-    def _plan(target_nodes):
-        from types import SimpleNamespace
-
-        return SimpleNamespace(target_nodes=target_nodes, forecast_rate=10.0,
-                               reason="unit", repartition_candidate=False)
-
-    @staticmethod
-    def _observation(violated):
-        from types import SimpleNamespace
-
-        return SimpleNamespace(any_sla_violated=lambda: violated)
-
     def test_holds_and_resets_patience_while_violated(self):
-        controller = self._controller(groups=4)
+        controller = _engine(4).controller
         controller._low_demand_windows = controller.scale_down_patience
-        action = controller._act(self._plan(target_nodes=2),
-                                 self._observation(violated=True))
+        action = controller._act(_plan(2), _observation(violated=True))
         assert action.kind == "hold"
         assert controller._cluster.group_count() == 4
         # The violated window does not count toward scale-down patience.
         assert controller._low_demand_windows == 0
 
     def test_scales_down_once_compliant_again(self):
-        controller = self._controller(groups=4)
+        controller = _engine(4).controller
         controller._low_demand_windows = controller.scale_down_patience - 1
-        action = controller._act(self._plan(target_nodes=2),
-                                 self._observation(violated=False))
+        action = controller._act(_plan(2), _observation(violated=False))
         assert action.kind == "scale_down"
         assert controller._cluster.group_count() == 3
+
+
+# ------------------------------------------- the controller's decision table
+
+
+def _plan(target_nodes, candidate=False):
+    return SimpleNamespace(target_nodes=target_nodes, forecast_rate=10.0,
+                           reason="unit", repartition_candidate=candidate)
+
+
+def _observation(violated=False, **measured):
+    return SimpleNamespace(any_sla_violated=lambda: violated, **measured)
+
+
+def _engine(groups, **knobs):
+    """A small fleetless engine whose control loop never starts."""
+    defaults = dict(seed=3, autoscale=True, initial_groups=groups,
+                    replication_factor=3, cache=False, repartition=False)
+    return Scads(**{**defaults, **knobs})
+
+
+def _fleet_engine(surge=0, **knobs):
+    """One rf-3 group with a surge fleet and ``surge`` attached replicas."""
+    engine = _engine(1, spot=True, **knobs)
+    if surge:
+        assert engine.spot_fleet.add_surge(surge) == surge
+        engine.run_for(200.0)  # boot and attach
+        assert engine.spot_fleet.pending_surge() == 0
+    return engine
+
+
+def _hotspot_engine(in_cooldown=False, moves=True):
+    """Two range-partitioned groups whose rebalancer is scripted."""
+    from repro.storage.rebalancer import RebalanceAction
+
+    engine = _engine(2, partitioner_kind="range", repartition=True)
+    engine.rebalancer.find_imbalance = lambda: ("group-0", "group-1")
+    engine.rebalancer.in_cooldown = lambda: in_cooldown
+    engine.rebalancer.rebalance_once = lambda: RebalanceAction(
+        time=0.0, kind="split_migrate", detail="stub", keys_moved=3) if moves else None
+    return engine
+
+
+_NOISY = dict(contention_suspected=True, noisy_host="host-0",
+              noisy_host_residual=2.0, span_kind_fractions=None,
+              features=SimpleNamespace(mean_utilisation=0.2))
+_READS = dict(write_fraction=0.1)
+
+# One row per action shape.  Streaks are (consecutive repartitions, low-demand
+# windows) before and after the step.
+# id: (engine, plan, observation, streaks before,
+#      kind, groups before, groups after, reason, streaks after)
+DECISION_TABLE = {
+    "evacuate": (
+        lambda: _engine(2, contention={"tenancy": 4}), _plan(6),
+        _observation(True, **_NOISY), (1, 3),
+        "evacuate", 2, 2,
+        "contention, not capacity — noisy host host-0: residual 2.00 at mean "
+        "utilisation 0.20; migrated 2 replicas off host-0 instead of renting", (0, 0)),
+    "repartition": (
+        _hotspot_engine, _plan(6, candidate=True), _observation(True), (1, 3),
+        "repartition", 2, 2,
+        "unit; split_migrate moved 3 keys instead of renting a group", (2, 0)),
+    "hold-migration-settling": (
+        lambda: _hotspot_engine(in_cooldown=True), _plan(6, candidate=True),
+        _observation(True), (1, 3),
+        "hold", 2, 2, "unit; waiting for migration to settle", (1, 3)),
+    "scale_up-hotspot-unresolved": (
+        lambda: _hotspot_engine(moves=False), _plan(6, candidate=True),
+        _observation(True), (1, 3),
+        "scale_up", 2, 3, "unit; hotspot unresolved by repartitioning", (0, 0)),
+    "scale_up-repartition-streak-spent": (
+        _hotspot_engine, _plan(6, candidate=True), _observation(True), (2, 3),
+        "scale_up", 2, 3, "unit; hotspot unresolved by repartitioning", (0, 0)),
+    "scale_up": (
+        lambda: _engine(1), _plan(6), _observation(), (1, 3),
+        "scale_up", 1, 2, "unit", (0, 0)),
+    "scale_up-with-surge": (
+        _fleet_engine, _plan(9), _observation(**_READS), (1, 3),
+        "scale_up", 1, 3,
+        "unit; +2 surge read replicas (spot-first) alongside group growth", (0, 0)),
+    "surge_up": (
+        _fleet_engine, _plan(5), _observation(**_READS), (1, 3),
+        "surge_up", 1, 1, "unit; +2 surge read replicas (spot-first)", (0, 0)),
+    "surge_up-pool-capped-for-groups": (
+        lambda: _fleet_engine(max_instances=5), _plan(9), _observation(**_READS), (1, 3),
+        "surge_up", 1, 1,
+        "unit; +2 surge read replicas (spot-first); pool capped for groups", (0, 0)),
+    "hold-surge-covers-target": (
+        lambda: _fleet_engine(surge=1), _plan(4), _observation(**_READS), (1, 3),
+        "hold", 1, 1, "unit; surge capacity covers target", (0, 0)),
+    # Regression: a write-heavy window skips the surge step; with supply
+    # already at the target this used to be logged as surge_up "+0 surge
+    # read replicas", bumping surge_up_count() with nothing bought.
+    "hold-surge-covers-target-write-heavy": (
+        lambda: _fleet_engine(surge=1), _plan(4), _observation(write_fraction=0.6), (1, 3),
+        "hold", 1, 1, "unit; surge capacity covers target", (0, 0)),
+    "hold-pool-at-capacity": (
+        lambda: _engine(1, max_instances=3), _plan(6), _observation(), (1, 3),
+        "hold", 1, 1, "unit; pool at capacity", (0, 0)),
+    "surge_down": (
+        lambda: _fleet_engine(surge=2), _plan(3), _observation(), (1, 4),
+        "surge_down", 1, 1, "unit; released 2 surge replicas after 5 low windows", (0, 0)),
+    # Regression: the reason used to read the streak after its reset and
+    # always said "(0 windows)".
+    "scale_down": (
+        lambda: _engine(4), _plan(2), _observation(), (1, 4),
+        "scale_down", 4, 3, "unit; sustained low demand (5 windows)", (0, 0)),
+    "hold-low-window-counted": (
+        lambda: _engine(4), _plan(2), _observation(), (1, 3),
+        "hold", 4, 4, "unit", (0, 4)),
+    "hold": (
+        lambda: _engine(2), _plan(6), _observation(), (1, 3),
+        "hold", 2, 2, "unit", (0, 0)),
+}
+
+
+@pytest.mark.parametrize("row", DECISION_TABLE.values(), ids=DECISION_TABLE.keys())
+def test_decision_table(row):
+    build, plan, observation, before, kind, groups_before, groups_after, reason, after = row
+    controller = build().controller
+    assert controller.scale_down_patience == 5
+    controller._consecutive_repartitions, controller._low_demand_windows = before
+    action = controller._act(plan, observation)
+    assert (action.kind, action.groups_before, action.groups_after, action.reason) \
+        == (kind, groups_before, groups_after, reason)
+    assert (controller._consecutive_repartitions,
+            controller._low_demand_windows) == after
+
+
+def test_without_a_fleet_every_node_belongs_to_a_group():
+    # The premise of sizing growth in nodes on one path: with no surge fleet,
+    # nodes == groups x replication factor whatever the cluster has been through.
+    engine = _engine(2, contention={"tenancy": 4})
+    controller, cluster = engine.controller, engine.cluster
+
+    def holds():
+        return cluster.node_count() == cluster.group_count() * cluster.replication_factor
+
+    quiet = _observation(contention_suspected=False)
+    assert controller._act(_plan(12), quiet).kind == "scale_up"
+    engine.run_for(200.0)  # boot and attach
+    assert cluster.group_count() == 4 and holds()
+    controller._low_demand_windows = controller.scale_down_patience
+    assert controller._act(_plan(2), quiet).kind == "scale_down"
+    assert cluster.group_count() == 3 and holds()
+    assert cluster.evacuate_host("host-0") and holds()
+    node = next(iter(cluster.nodes.values()))
+    node.crash()
+    assert holds()
+    node.recover()
+    assert holds()
+
+
+@pytest.mark.property
+@given(target=st.integers(0, 10**6), groups=st.integers(1, 10**5),
+       replication=st.integers(1, 7))
+def test_group_deficit_in_nodes_is_the_group_count_deficit(target, groups, replication):
+    # ceil((T - (g + p) rf) / rf) == ceil(T / rf) - (g + p): why a fleetless
+    # controller needs no group-count formula of its own.
+    assert math.ceil((target - groups * replication) / replication) \
+        == math.ceil(target / replication) - groups
