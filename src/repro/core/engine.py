@@ -118,6 +118,7 @@ from repro.sim.hosts import ContentionProcess, HostMap, resolve_contention_confi
 from repro.sim.simulator import Simulator
 from repro.storage.cluster import Cluster
 from repro.storage.durability import DurabilityModel
+from repro.storage.node import BASE_SERVICE_TIME
 from repro.storage.rebalancer import Rebalancer
 from repro.storage.records import Key, KeyRange, prefix_range
 from repro.storage.router import Router
@@ -513,18 +514,16 @@ class Scads:
         self._stale_served = 0
         self._queries: Dict[str, CompiledQuery] = {}
 
-        self.latency_model = LatencyPercentileModel(
-            base_service_time=0.004,
+        # The learned and the closed-form model describe the same node.
+        node_model = dict(
+            base_service_time=BASE_SERVICE_TIME,
             node_capacity_ops=instance_type.capacity_ops_per_sec,
             percentile=self.spec.performance.percentile,
         )
+        self.latency_model = LatencyPercentileModel(**node_model)
         # Closed-form M/G/k sizing backbone; calibrated per window by the
         # monitor and consulted by the analytical/hybrid planner backends.
-        self.sizing_model = AnalyticSizingModel(
-            node_capacity_ops=instance_type.capacity_ops_per_sec,
-            base_service_time=0.004,
-            percentile=self.spec.performance.percentile,
-        )
+        self.sizing_model = AnalyticSizingModel(**node_model)
         self.lag_model = PropagationLagModel()
         self.forecaster = WorkloadForecaster()
         self.monitor = SLAMonitor(

@@ -509,8 +509,8 @@ class ProvisioningController:
     def _remove_one_group(self) -> bool:
         """Decommission the most recently added replica group and its instances."""
         removable = [gid for gid in self._cluster.groups if gid in self._group_instances]
-        if len(removable) <= 1:
-            return False
+        if len(removable) <= 1 or not self._cluster.live_members(removable[-1]):
+            return False  # nothing to release, or nobody alive to read its data from
         group_id = removable[-1]
         self._cluster.remove_replica_group(group_id)
         released = self._group_instances.pop(group_id, [])

@@ -8,7 +8,7 @@ module provides the substrate those experiments inject faults into.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
 import numpy as np
 
@@ -58,10 +58,9 @@ class NetworkModel:
     def __init__(
         self,
         rng: np.random.Generator,
-        default_latency: Optional[LatencyModel] = None,
     ) -> None:
         self._rng = rng
-        self._default_latency = default_latency or LogNormalLatency(0.0005, 0.3)
+        self._default_latency = LogNormalLatency(0.0005, 0.3)
         self._links: Dict[Tuple[str, str], Link] = {}
         self._partitions: Set[Partition] = set()
         self._congestion: Dict[Tuple[str, str], float] = {}

@@ -16,6 +16,22 @@ network hop between the primaries), and until that duration elapses the
 migration is "in flight" — the router dual-routes requests for the affected
 keys so none are dropped, and the source copies are only deleted when the
 migration completes.
+
+Data movement
+-------------
+Every path that moves keys is built from three primitives:
+
+* :meth:`Cluster._misplaced` — the one key sweep: every key on a node that
+  its group no longer owns, with the new owner (resolved once per token).
+* :meth:`Cluster.deliver` — the one group delivery: live members apply the
+  value now, down members get it through the replication engine's retry
+  loop, so *a moved value outlives a crashed receiver*.
+* :meth:`Cluster._new_node` / :meth:`Cluster._copy_store` — the one node
+  seeding: build a member, fill it from another under last-write-wins.
+
+Callers sweep, deliver, and only then delete at the source: *source copies
+are reclaimed only after delivery*.  Sweep order (group, namespace, key) is
+part of a run's fingerprint: delivery to a down member draws a network delay.
 """
 
 from __future__ import annotations
@@ -36,7 +52,7 @@ from repro.storage.partitioner import (
     RangePartitioner,
     partition_token,
 )
-from repro.storage.records import Key, KeyRange
+from repro.storage.records import Key, KeyRange, VersionedValue
 from repro.storage.replication import ReplicaGroup, ReplicationEngine
 
 
@@ -107,7 +123,6 @@ class Cluster:
         replication_factor: int = 3,
         initial_groups: int = 2,
         node_capacity_ops: float = 1000.0,
-        node_base_latency: float = 0.004,
         partitioner_kind: str = "hash",
         movement_rate_keys_per_sec: float = 50_000.0,
         host_map=None,
@@ -119,7 +134,6 @@ class Cluster:
         self.sim = simulator
         self.replication_factor = replication_factor
         self.node_capacity_ops = node_capacity_ops
-        self.node_base_latency = node_base_latency
         self.movement_rate_keys_per_sec = movement_rate_keys_per_sec
         self.host_map = host_map
         self.network = NetworkModel(simulator.random.get("network"))
@@ -173,8 +187,82 @@ class Cluster:
     def _new_group_id(self) -> str:
         return f"group-{next(self._group_counter)}"
 
-    def _new_node_id(self, group_id: str) -> str:
-        return f"node-{next(self._node_counter)}@{group_id}"
+    def _new_node(self, group_id: str) -> StorageNode:
+        """Build and register an empty member for ``group_id`` (not yet placed
+        on a host or listed in the group: callers differ in both)."""
+        node_id = f"node-{next(self._node_counter)}@{group_id}"
+        node = self.nodes[node_id] = StorageNode(
+            node_id=node_id,
+            rng=self.sim.random.get(f"node:{node_id}"),
+            capacity_ops_per_sec=self.node_capacity_ops,
+        )
+        return node
+
+    # ----------------------------------------------------------- data movement
+
+    @staticmethod
+    def _copy_store(source: StorageNode, dest: StorageNode) -> int:
+        """Copy everything ``source`` holds onto ``dest`` under last-write-wins;
+        returns how many values ``dest`` took."""
+        taken = 0
+        for namespace in source.namespaces():
+            for key, value in source.scan_namespace(namespace):
+                if dest.apply_replica_write(namespace, key, value):
+                    taken += 1
+        return taken
+
+    def live_members(self, group_id: str) -> List[StorageNode]:
+        """The group's alive nodes in membership order.  A sweep of the group
+        reads the first: its primary when alive, else its first live member."""
+        return [self.nodes[n] for n in self.groups[group_id].node_ids if self.nodes[n].alive]
+
+    def _in_flight_tokens(self) -> Dict[str, Set[str]]:
+        """Source group id -> partition tokens of its in-flight migrations."""
+        tokens_by_source: Dict[str, Set[str]] = {}
+        for record in self._migrations:
+            tokens_by_source.setdefault(record.source_group, set()).update(record.tokens)
+        return tokens_by_source
+
+    def _misplaced(self, node: StorageNode, group_id: str,
+                   skip_tokens=()) -> List[Tuple[str, Key, VersionedValue, str]]:
+        """Every ``(namespace, key, value, owner_id)`` on ``node`` that
+        ``group_id`` no longer owns, in namespace then key order.
+
+        Ownership is resolved once per *partition token* (a memo over the
+        scan), not once per key — topology churn over a large keyspace was the
+        dominant superlinear cost of long autoscaled runs.  ``skip_tokens``
+        are left alone: the source side of an in-flight migration, whose
+        reclamation is already scheduled.
+        """
+        group_for_token = self.partitioner.group_for_token
+        owner_by_token: Dict[str, str] = {}
+        misplaced = []
+        for namespace in node.namespaces():
+            for key, value in node.scan_namespace(namespace):
+                token = str(key[0])  # partition_token(key), inlined
+                owner = owner_by_token.get(token)
+                if owner is None:
+                    owner = owner_by_token[token] = group_for_token(token)
+                if owner != group_id and token not in skip_tokens:
+                    misplaced.append((namespace, key, value, owner))
+        return misplaced
+
+    def deliver(self, group: ReplicaGroup, source_id: str, namespace: str,
+                key: Key, value: VersionedValue) -> None:
+        """Hand one moved value to every member of ``group``.
+
+        Live members apply it now (last-write-wins protects newer data); a
+        down or already-detached member gets it through the replication
+        engine's retry loop from ``source_id``, so the value is not lost when
+        the source copy is reclaimed.  The only place that decides how moved
+        data reaches a group with a dead member.
+        """
+        for node_id in group.node_ids:
+            node = self.nodes.get(node_id)
+            if node is not None and node.alive:
+                node.apply_replica_write(namespace, key, value)
+            else:
+                self.replication.replicate_to(source_id, node_id, namespace, key, value)
 
     # --------------------------------------------------------------- placement
 
@@ -276,29 +364,18 @@ class Cluster:
         old = self.nodes.get(node_id)
         if group is None or old is None:
             return None
-        new_id = self._new_node_id(group.group_id)
-        node = StorageNode(
-            node_id=new_id,
-            rng=self.sim.random.get(f"node:{new_id}"),
-            capacity_ops_per_sec=self.node_capacity_ops,
-            base_median_latency=self.node_base_latency,
-        )
+        node = self._new_node(group.group_id)
+        new_id = node.node_id
         source = self.nodes.get(group.primary)
         if source is None or not source.alive:
             source = old
-        copied = 0
-        for namespace in source.namespaces():
-            for key, value in source.scan_namespace(namespace):
-                node.apply_replica_write(namespace, key, value)
-                copied += 1
-        self.nodes[new_id] = node
+        self._keys_moved_total += self._copy_store(source, node)
         self._place_node(new_id, group.node_ids, extra_avoid=avoid_hosts)
         was_primary = group.node_ids[0] == node_id
         rest = [nid for nid in group.node_ids if nid != node_id]
         # New list object, never in-place mutation: the router's rotation
         # cache invalidates on list identity.
         group.node_ids = [new_id] + rest if was_primary else rest + [new_id]
-        self._keys_moved_total += copied
         self._release_placement(node_id)
         old.wipe()
         del self.nodes[node_id]
@@ -327,14 +404,7 @@ class Cluster:
         group_id = self._new_group_id()
         node_ids = []
         for _ in range(self.replication_factor):
-            node_id = self._new_node_id(group_id)
-            node = StorageNode(
-                node_id=node_id,
-                rng=self.sim.random.get(f"node:{node_id}"),
-                capacity_ops_per_sec=self.node_capacity_ops,
-                base_median_latency=self.node_base_latency,
-            )
-            self.nodes[node_id] = node
+            node_id = self._new_node(group_id).node_id
             node_ids.append(node_id)
             self._place_node(node_id, node_ids)
         group = ReplicaGroup(group_id=group_id, node_ids=node_ids)
@@ -367,19 +437,11 @@ class Cluster:
         group = self.groups.get(group_id)
         if group is None:
             raise KeyError(f"unknown group {group_id!r}")
-        node_id = self._new_node_id(group_id)
-        node = StorageNode(
-            node_id=node_id,
-            rng=self.sim.random.get(f"node:{node_id}"),
-            capacity_ops_per_sec=self.node_capacity_ops,
-            base_median_latency=self.node_base_latency,
-        )
+        node = self._new_node(group_id)
+        node_id = node.node_id
         primary = self.nodes.get(group.primary)
         if primary is not None and primary.alive:
-            for namespace in primary.namespaces():
-                for key, value in primary.scan_namespace(namespace):
-                    node.apply_replica_write(namespace, key, value)
-        self.nodes[node_id] = node
+            self._copy_store(primary, node)
         self._place_node(node_id, group.node_ids)
         # New list object, never in-place append: the router's rotation
         # cache invalidates on list identity.
@@ -463,14 +525,10 @@ class Cluster:
         self._place_node(node_id, group.node_ids)
         group.node_ids = group.node_ids + [node_id]
         self.reconcile_node(node_id)
-        refreshed = 0
         primary = self.nodes.get(group.primary)
         if primary is not None and primary.alive and primary.node_id != node_id:
-            for namespace in primary.namespaces():
-                for key, value in primary.scan_namespace(namespace):
-                    if node.apply_replica_write(namespace, key, value):
-                        refreshed += 1
-        return refreshed
+            return self._copy_store(primary, node)
+        return 0
 
     def drop_hibernated(self, node_id: str) -> bool:
         """Forget a hibernated node (its instance was terminated)."""
@@ -487,8 +545,7 @@ class Cluster:
 
     def group_mean_utilisation(self, group_id: str) -> float:
         """Mean utilisation over one group's alive nodes (0 when none alive)."""
-        group = self.groups[group_id]
-        alive = [self.nodes[n] for n in group.node_ids if self.nodes[n].alive]
+        alive = self.live_members(group_id)
         if not alive:
             return 0.0
         return sum(node.utilisation() for node in alive) / len(alive)
@@ -501,8 +558,15 @@ class Cluster:
         range partitioner — the donor group is chosen by node utilisation but
         the split point is the stored-key median, not the load median (the
         load-aware rebalancer does better; this is its add-a-group baseline).
+        A group whose primary is down cannot donate: the changed-key sweep
+        would skip it, so its range would change owner without its data (the
+        guard :meth:`migrate_partition` has).  With no donor the group joins
+        empty and the rebalancer hands it load later.
         """
-        donors = [g for g in self.groups.values() if g.group_id != group_id]
+        donors = [g for g in self.groups.values()
+                  if g.group_id != group_id and self.nodes[g.primary].alive]
+        if not donors:
+            return
 
         def donor_load(group: ReplicaGroup) -> Tuple[float, int]:
             return (self.group_mean_utilisation(group.group_id),
@@ -543,6 +607,12 @@ class Cluster:
         if len(self.groups) == 1:
             raise ValueError("cannot remove the last replica group")
         group = self.groups[group_id]
+        live = self.live_members(group_id)
+        if not live:
+            raise ValueError(
+                f"cannot remove {group_id!r}: every member is down, so its "
+                "data cannot be read to be moved")
+        source = live[0]
         if isinstance(self.partitioner, RangePartitioner):
             # Hand the departing group's ranges to the least-loaded survivors
             # (the partitioner's own fallback would pile them onto the first
@@ -562,29 +632,11 @@ class Cluster:
                     handed[target.group_id] += 1
                     self.partitioner.reassign(part.index, target.group_id)
         self.partitioner.remove_group(group_id)
-        # Move every key the departing group holds to its new owner;
-        # ownership resolved once per partition token over the scan.
-        primary = self.nodes[group.primary]
-        moved = 0
-        owner_by_token: Dict[str, ReplicaGroup] = {}
-        for namespace in primary.namespaces():
-            for key, value in primary.scan_namespace(namespace):
-                token = str(key[0])
-                target_group = owner_by_token.get(token)
-                if target_group is None:
-                    target_group = owner_by_token[token] = self.groups[
-                        self.partitioner.group_for_token(token)]
-                for node_id in target_group.node_ids:
-                    node = self.nodes[node_id]
-                    if node.alive:
-                        node.apply_replica_write(namespace, key, value)
-                    else:
-                        # Decommission must survive a crashed receiver; the
-                        # copy is delivered with retries once it recovers.
-                        self.replication.replicate_to(
-                            group.primary, node_id, namespace, key, value)
-                moved += 1
-        self._keys_moved_total += moved
+        # The group owns nothing now, so every key it holds is misplaced.
+        departing = self._misplaced(source, group_id)
+        for namespace, key, value, owner in departing:
+            self.deliver(self.groups[owner], source.node_id, namespace, key, value)
+        self._keys_moved_total += len(departing)
         for node_id in group.node_ids:
             self._release_placement(node_id)
             self.nodes[node_id].wipe()
@@ -592,49 +644,29 @@ class Cluster:
         del self.groups[group_id]
         self._rebalance_count += 1
 
-    def _rebalance(self) -> float:
-        """Move keys whose owner changed to their new replica group.
+    def _rebalance(self) -> None:
+        """Move keys whose owner changed to their new replica group, at once.
 
-        Returns the simulated duration of the movement (keys moved divided by
-        the movement rate); callers that model rebalance latency can use it.
-
-        Every rebalance scans every stored key, so ownership is resolved once
-        per *partition token* (a local memo over the scan) rather than once
-        per key — topology churn over a large keyspace was the dominant
-        superlinear cost of long autoscaled runs.
+        A group with no live member is skipped: each of its nodes hands back
+        what it no longer owns when it recovers (:meth:`reconcile_node`).
         """
         moved = 0
-        group_for_token = self.partitioner.group_for_token
         for group in list(self.groups.values()):
-            group_id = group.group_id
-            primary = self.nodes[group.primary]
-            for namespace in primary.namespaces():
-                owner_by_token: Dict[str, str] = {}
-                to_move: List[Tuple[Key, object, str]] = []
-                for key, value in primary.scan_namespace(namespace):
-                    token = str(key[0])  # partition_token(key), inlined
-                    owner = owner_by_token.get(token)
-                    if owner is None:
-                        owner = owner_by_token[token] = group_for_token(token)
-                    if owner != group_id:
-                        to_move.append((key, value, owner))
-                for key, value, owner in to_move:
-                    target_group = self.groups[owner]
-                    for node_id in target_group.node_ids:
-                        self.nodes[node_id].apply_replica_write(namespace, key, value)
-                    for node_id in group.node_ids:
-                        node = self.nodes[node_id]
-                        if node.alive:
-                            # Remove the migrated copy directly; this is data
-                            # movement, not a client delete, so no tombstone.
-                            store = node._store(namespace)  # noqa: SLF001 - cluster owns its nodes
-                            store.delete(key)
-                    moved += 1
+            live = self.live_members(group.group_id)
+            if not live:
+                continue
+            source = live[0]
+            for namespace, key, value, owner in self._misplaced(source, group.group_id):
+                self.deliver(self.groups[owner], source.node_id, namespace, key, value)
+                for node_id in group.node_ids:
+                    node = self.nodes[node_id]
+                    if node.alive:
+                        # Remove the migrated copy directly; this is data
+                        # movement, not a client delete, so no tombstone.
+                        node._store(namespace).delete(key)  # noqa: SLF001 - cluster owns its nodes
+                moved += 1
         self._keys_moved_total += moved
         self._rebalance_count += 1
-        if self.movement_rate_keys_per_sec <= 0:
-            return 0.0
-        return moved / self.movement_rate_keys_per_sec
 
     # ---------------------------------------------------------- repartitioning
 
@@ -742,49 +774,23 @@ class Cluster:
         time is charged, and reclamation happens at completion so the router
         can dual-route in the meantime.
         """
-        in_flight_by_source: Dict[str, Set[str]] = {}
-        for record in self._migrations:
-            in_flight_by_source.setdefault(record.source_group, set()).update(record.tokens)
+        in_flight = self._in_flight_tokens()
         moves: Dict[Tuple[str, str], List[Tuple[str, Key, object]]] = {}
-        group_for_token = self.partitioner.group_for_token
         for group in list(self.groups.values()):
             group_id = group.group_id
             primary = self.nodes[group.primary]
             if not primary.alive:
                 continue
-            already_moving = in_flight_by_source.get(group_id, set())
-            owner_by_token: Dict[str, str] = {}
-            for namespace in primary.namespaces():
-                for key, value in primary.scan_namespace(namespace):
-                    token = str(key[0])  # partition_token(key), inlined
-                    owner = owner_by_token.get(token)
-                    if owner is None:
-                        owner = owner_by_token[token] = group_for_token(token)
-                    if owner == group_id:
-                        continue
-                    if token in already_moving:
-                        # This copy is the source side of an in-flight
-                        # migration; its reclamation is already scheduled.
-                        continue
-                    moves.setdefault((group_id, owner), []).append(
-                        (namespace, key, value)
-                    )
+            for namespace, key, value, owner in self._misplaced(
+                    primary, group_id, in_flight.get(group_id, ())):
+                moves.setdefault((group_id, owner), []).append((namespace, key, value))
         records = []
         for (source_id, target_id), items in moves.items():
             target_group = self.groups[target_id]
             source_primary_id = self.groups[source_id].primary
             tokens: Set[str] = set()
             for namespace, key, value in items:
-                for node_id in target_group.node_ids:
-                    node = self.nodes[node_id]
-                    if node.alive:
-                        node.apply_replica_write(namespace, key, value)
-                    else:
-                        # A downed target replica must still receive the copy
-                        # once it recovers, or the key silently vanishes from
-                        # it after source reclamation.
-                        self.replication.replicate_to(
-                            source_primary_id, node_id, namespace, key, value)
+                self.deliver(target_group, source_primary_id, namespace, key, value)
                 tokens.add(partition_token(key))
             moved = len(items)
             self._keys_moved_total += moved
@@ -794,8 +800,7 @@ class Cluster:
                 # One bulk-transfer hop between the primaries; if they are
                 # partitioned the state copy is still modelled (the migration
                 # would simply stall until heal in a real system).
-                duration += self.network.delay(self.groups[source_id].primary,
-                                               target_group.primary)
+                duration += self.network.delay(source_primary_id, target_group.primary)
             except NetworkPartitionError:
                 pass
             record = MigrationRecord(
@@ -839,33 +844,24 @@ class Cluster:
         source = self.groups.get(record.source_group)
         if source is None:
             return  # the source group was decommissioned mid-flight
-        target_nodes = ([self.nodes[n] for n in target.node_ids]
-                        if target is not None else [])
         for node_id in source.node_ids:
             node = self.nodes.get(node_id)
             if node is None or not node.alive:
                 # A crashed source keeps its stale copies; they are detected
                 # and re-moved by the next changed-key sweep after recovery.
                 continue
-            for namespace in node.namespaces():
-                store = node._store(namespace)  # noqa: SLF001 - cluster owns its nodes
-                doomed = [
-                    key for key, _ in node.scan_namespace(namespace)
-                    if partition_token(key) in record.tokens
-                    # Ownership may have moved *back* since this migration
-                    # started (ping-pong); never reclaim what we now own.
-                    and self.partitioner.group_for_key(namespace, key)
-                    != record.source_group
-                ]
-                for key in doomed:
-                    # Final refresh before reclaiming: catch-up deliveries
-                    # that expired during the window must not lose the
-                    # freshest source-side copy (last-write-wins applies).
-                    value = store.get(key)
-                    if value is not None:
-                        for target_node in target_nodes:
-                            target_node.apply_replica_write(namespace, key, value)
-                    store.delete(key)
+            # Ownership may have moved *back* since this migration started
+            # (ping-pong): the sweep never reclaims what the source owns now.
+            for namespace, key, value, owner in self._misplaced(node, record.source_group):
+                if partition_token(key) not in record.tokens:
+                    continue
+                # Final refresh before reclaiming: catch-up deliveries that
+                # expired during the window must not lose the freshest
+                # source-side copy (last-write-wins applies).  It goes to the
+                # key's owner *now* — the target, unless the range was moved
+                # on (or the target removed) while this transfer was in flight.
+                self.deliver(self.groups[owner], node_id, namespace, key, value)
+                node._store(namespace).delete(key)  # noqa: SLF001 - cluster owns its nodes
 
     def reconcile_node(self, node_id: str) -> int:
         """Reclaim stale copies on a (typically just-recovered) node.
@@ -882,44 +878,16 @@ class Cluster:
         Returns the number of keys reclaimed.
         """
         node = self.nodes.get(node_id)
-        if node is None or not node.alive:
+        group = self._owning_group(node_id)
+        if node is None or not node.alive or group is None:
             return 0
-        group_id = next((gid for gid, group in self.groups.items()
-                         if node_id in group.node_ids), None)
-        if group_id is None:
-            return 0
-        in_flight_tokens = {
-            token for record in self._migrations
-            if record.source_group == group_id
-            for token in record.tokens
-        }
-        reclaimed = 0
-        for namespace in node.namespaces():
-            doomed: List[Key] = []
-            for key, value in node.scan_namespace(namespace):
-                if partition_token(key) in in_flight_tokens:
-                    continue
-                owner_id = self.partitioner.group_for_key(namespace, key)
-                if owner_id == group_id:
-                    continue
-                owner = self.groups.get(owner_id)
-                if owner is not None:
-                    for owner_node_id in owner.node_ids:
-                        owner_node = self.nodes.get(owner_node_id)
-                        if owner_node is not None and owner_node.alive:
-                            owner_node.apply_replica_write(namespace, key, value)
-                        else:
-                            # Deliver with retries once the owner replica
-                            # recovers, exactly like migration catch-up.
-                            self.replication.replicate_to(
-                                node_id, owner_node_id, namespace, key, value)
-                doomed.append(key)
-            store = node._store(namespace)  # noqa: SLF001 - cluster owns its nodes
-            for key in doomed:
-                store.delete(key)
-            reclaimed += len(doomed)
-        self._reconciled_keys_total += reclaimed
-        return reclaimed
+        stale = self._misplaced(node, group.group_id,
+                                self._in_flight_tokens().get(group.group_id, ()))
+        for namespace, key, value, owner in stale:
+            self.deliver(self.groups[owner], node_id, namespace, key, value)
+            node._store(namespace).delete(key)  # noqa: SLF001 - cluster owns its nodes
+        self._reconciled_keys_total += len(stale)
+        return len(stale)
 
     def active_migrations(self) -> List[MigrationRecord]:
         """Migrations whose simulated transfer has not finished yet."""
@@ -984,20 +952,14 @@ class Cluster:
         the target primary, and anything that reads this count (cache sizing,
         storage billing) must see each logical key exactly once.
 
-        While migrations are in flight this scans each source primary once
-        per call (token-set membership first, owner lookup only on matches).
-        At simulation scale that is cheap; if keyspaces grow to where the
-        per-control-window ``stats()`` call hurts, replace the sweep with an
-        incremental duplicate count maintained by the dual-write/reclaim
-        paths.
+        While migrations are in flight this sweeps each source primary once
+        per call.  At simulation scale that is cheap; if keyspaces grow to
+        where the per-control-window ``stats()`` call hurts, replace the sweep
+        with an incremental duplicate count maintained by the
+        dual-write/reclaim paths.
         """
         total = sum(self.nodes[g.primary].key_count() for g in self.groups.values())
-        if not self._migrations:
-            return total
-        tokens_by_source: Dict[str, Set[str]] = {}
-        for record in self._migrations:
-            tokens_by_source.setdefault(record.source_group, set()).update(record.tokens)
-        for source_id, tokens in tokens_by_source.items():
+        for source_id, tokens in self._in_flight_tokens().items():
             group = self.groups.get(source_id)
             if group is None:
                 continue
@@ -1010,15 +972,10 @@ class Cluster:
                 total -= sum(record.keys_moved for record in self._migrations
                              if record.source_group == source_id)
                 continue
-            for namespace in primary.namespaces():
-                for key, _ in primary.scan_namespace(namespace):
-                    if (partition_token(key) in tokens
-                            # Ownership can ping-pong back mid-flight; a copy
-                            # the source owns again is the live one, not a
-                            # duplicate.
-                            and self.partitioner.group_for_key(namespace, key)
-                            != source_id):
-                        total -= 1
+            # Ownership can ping-pong back mid-flight; a copy the source owns
+            # again is the live one, not a duplicate, and is not misplaced.
+            total -= sum(1 for _, key, _, _ in self._misplaced(primary, source_id)
+                         if partition_token(key) in tokens)
         return total
 
     def decay_load(self) -> None:

@@ -21,6 +21,14 @@ from repro.sim.latency import LogNormalLatency, QueueingLatency
 from repro.storage.records import Key, KeyRange, VersionedValue, validate_key
 
 
+# Median service time of a node at low load, in seconds.  The engine hands the
+# same number to the latency and sizing models, so it is defined once here.
+BASE_SERVICE_TIME = 0.004
+LATENCY_SIGMA = 0.45
+# Smoothing factor of the arrival-rate estimate.
+RATE_EWMA_ALPHA = 0.2
+
+
 class NodeDownError(RuntimeError):
     """Raised when an operation is attempted on a crashed node."""
 
@@ -104,8 +112,6 @@ class StorageNode:
         rng: random generator for service-time sampling.
         capacity_ops_per_sec: sustainable request rate before queueing delay
             dominates; the autoscaler reasons in these units.
-        base_median_latency: median service time at low load, in seconds.
-        rate_ewma_alpha: smoothing factor for the arrival-rate estimate.
     """
 
     def __init__(
@@ -113,17 +119,13 @@ class StorageNode:
         node_id: str,
         rng: np.random.Generator,
         capacity_ops_per_sec: float = 1000.0,
-        base_median_latency: float = 0.004,
-        latency_sigma: float = 0.45,
-        rate_ewma_alpha: float = 0.2,
     ) -> None:
         if capacity_ops_per_sec <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_ops_per_sec}")
         self.node_id = node_id
         self.capacity_ops_per_sec = float(capacity_ops_per_sec)
         self._rng = rng
-        self._latency = QueueingLatency(LogNormalLatency(base_median_latency, latency_sigma))
-        self._rate_ewma_alpha = rate_ewma_alpha
+        self._latency = QueueingLatency(LogNormalLatency(BASE_SERVICE_TIME, LATENCY_SIGMA))
         self._namespaces: Dict[str, _NamespaceStore] = {}
         self._stats = NodeStats()
         self._last_arrival: Optional[float] = None
@@ -200,8 +202,7 @@ class StorageNode:
                 if ewma is None:
                     ewma = per_op_gap
                 else:
-                    alpha = self._rate_ewma_alpha
-                    ewma = alpha * per_op_gap + (1 - alpha) * ewma
+                    ewma = RATE_EWMA_ALPHA * per_op_gap + (1 - RATE_EWMA_ALPHA) * ewma
                 self._ewma_interarrival = ewma
                 self._burst_count = 1
                 self._last_arrival = now
@@ -234,8 +235,8 @@ class StorageNode:
         idle_gap = now - self._last_arrival
         if idle_gap > self._ewma_interarrival:
             self._ewma_interarrival = (
-                self._rate_ewma_alpha * idle_gap
-                + (1 - self._rate_ewma_alpha) * self._ewma_interarrival
+                RATE_EWMA_ALPHA * idle_gap
+                + (1 - RATE_EWMA_ALPHA) * self._ewma_interarrival
             )
             self._last_arrival = now
             self._burst_count = 1

@@ -37,6 +37,9 @@ from repro.storage.partitioner import (
     partition_token,
 )
 
+# Ring-weight shift per action (hash partitioner).
+WEIGHT_STEP = 0.25
+
 
 @dataclass
 class RebalanceAction:
@@ -160,7 +163,6 @@ class Rebalancer:
             than ``hot_utilisation``.  Defaults to the midpoint of
             ``cold_utilisation`` and ``hot_utilisation`` so it scales with
             however the detection thresholds were calibrated.
-        weight_step: ring-weight shift per action (hash partitioner).
         cooldown: minimum simulated seconds between actions, so one migration
             can take effect (and its load stats settle) before the next.
     """
@@ -173,7 +175,6 @@ class Rebalancer:
         cold_utilisation: float = 0.5,
         merge_load_fraction: float = 0.05,
         receiver_target_utilisation: Optional[float] = None,
-        weight_step: float = 0.25,
         cooldown: float = 0.0,
     ) -> None:
         if not 0.0 < cold_utilisation < hot_utilisation:
@@ -190,7 +191,6 @@ class Rebalancer:
         self.cold_utilisation = cold_utilisation
         self.merge_load_fraction = merge_load_fraction
         self.receiver_target_utilisation = receiver_target_utilisation
-        self.weight_step = weight_step
         self.cooldown = cooldown
         self._actions: List[RebalanceAction] = []
         self._last_action_time: Optional[float] = None
@@ -439,7 +439,7 @@ class Rebalancer:
 
     def _weight_action(self, hot: str, cold: str) -> Optional[RebalanceAction]:
         weight_before = self._cluster.partitioner.weight_of(hot)
-        records = self._cluster.shift_weight(hot, cold, step=self.weight_step)
+        records = self._cluster.shift_weight(hot, cold, step=WEIGHT_STEP)
         if self._cluster.partitioner.weight_of(hot) == weight_before:
             # Donor already at the floor: shedding is impossible, so report
             # no action and let the controller fall back to renting capacity.
@@ -447,7 +447,7 @@ class Rebalancer:
         moved = sum(record.keys_moved for record in records)
         return RebalanceAction(
             time=self._cluster.sim.now, kind="weight_shift", keys_moved=moved,
-            detail=f"weight {self.weight_step:.2f} {hot} -> {cold} "
+            detail=f"weight {WEIGHT_STEP:.2f} {hot} -> {cold} "
                    f"({len(records)} transfer(s))",
         )
 

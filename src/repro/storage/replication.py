@@ -25,6 +25,10 @@ from repro.storage.node import NodeDownError, StorageNode
 from repro.storage.records import Key, VersionedValue
 
 
+# Per-write replication processing time at the replica, on top of the hop.
+PROCESSING_DELAY = 0.002
+
+
 @dataclass
 class ReplicaGroup:
     """A set of storage nodes holding copies of the same key ranges."""
@@ -138,8 +142,6 @@ class ReplicationEngine:
         simulator: the discrete-event simulator used to schedule propagation.
         network: network model supplying hop delays and partitions.
         nodes: mapping from node id to :class:`StorageNode`.
-        processing_delay: extra per-write replication processing time at the
-            replica, on top of the network hop.
         retry_interval: how long to wait before retrying a propagation that
             failed because of a partition or a crashed replica.
     """
@@ -151,7 +153,6 @@ class ReplicationEngine:
         simulator: Simulator,
         network: NetworkModel,
         nodes: Dict[str, StorageNode],
-        processing_delay: float = 0.002,
         retry_interval: float = 1.0,
         max_retries: int = 100,
     ) -> None:
@@ -159,7 +160,6 @@ class ReplicationEngine:
         self._clock = simulator.clock
         self._network = network
         self._nodes = nodes
-        self._processing_delay = processing_delay
         self._retry_interval = retry_interval
         self._max_retries = max_retries
         # Completed propagations are recorded as bare lag floats in a
@@ -225,10 +225,10 @@ class ReplicationEngine:
     ) -> PropagationRecord:
         """Propagate one write to one specific node, with the retry loop.
 
-        Used by the router's migration dual-write path: a write accepted at
-        the migration source while the target primary is down must still
-        reach that primary once it recovers, or reclamation of the source
-        copies would lose it.
+        Used by ``Cluster.deliver`` for a member that is down when moved data
+        (or a write accepted at a migration source) reaches its group: the
+        value must still arrive once the node recovers, or reclamation of the
+        source copies would lose it.
         """
         record = PropagationRecord(self, namespace, key, value, self._clock.now,
                                    source_id, replica_id, None, self._max_retries)
@@ -251,7 +251,7 @@ class ReplicationEngine:
             return
         delay = record._delay_override
         if delay is None:
-            delay = hop + self._processing_delay
+            delay = hop + PROCESSING_DELAY
         self._sim.schedule(delay, record, name=name)
 
     def _schedule_retry(self, record: PropagationRecord) -> None:

@@ -477,16 +477,10 @@ class Router:
                 service = source_primary.put(namespace, key, versioned, now)
             except (NetworkPartitionError, NodeDownError):
                 continue
-            for node_id in group.node_ids:
-                node = self._nodes.get(node_id)
-                if node is not None and node.alive:
-                    node.apply_replica_write(namespace, key, versioned)
-                else:
-                    # A downed target node (often the primary that forced this
-                    # fallback) must still receive the write once it recovers,
-                    # or source reclamation at completion would lose it.
-                    self._replication.replicate_to(
-                        source.primary, node_id, namespace, key, versioned)
+            # The downed target node (often the primary that forced this
+            # fallback) must still receive the write once it recovers, or
+            # source reclamation at completion would lose it.
+            self._cluster.deliver(group, source.primary, namespace, key, versioned)
             self._replication.propagate(source, namespace, key, versioned)
             return RequestResult(success=True, latency=2.0 * hop + service,
                                  value=versioned, node_id=source.primary)

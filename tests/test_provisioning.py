@@ -13,6 +13,7 @@ from repro.core.consistency.spec import ConsistencySpec, PerformanceSLA
 from repro.core.engine import Scads
 from repro.core.provisioning.planner import CapacityPlanner
 from repro.ml.performance_model import LatencyPercentileModel, PropagationLagModel
+from repro.storage.failure import FailureInjector
 from repro.workloads.traces import AnimotoViralTrace, ConstantTrace
 
 pytestmark = pytest.mark.tier1
@@ -151,6 +152,51 @@ class TestScaleDownGuard:
         action = controller._act(_plan(2), _observation(violated=False))
         assert action.kind == "scale_down"
         assert controller._cluster.group_count() == 3
+
+
+class TestTopologyChangesDuringOutages:
+    """The control plane keeps running when a fleet change meets an outage."""
+
+    def _loaded(self, groups):
+        engine = _engine(groups)
+        keys = [(f"user{i:03d}",) for i in range(120)]
+        for key in keys:
+            assert engine.router.write("ns", key, {"v": key[0]}).success
+        engine.run_for(5.0)
+        return engine, keys
+
+    def test_group_boot_completes_while_a_primary_is_down(self):
+        engine, keys = self._loaded(2)
+        cluster = engine.cluster
+        boot = engine.pool.instance_type.boot_delay
+        down = cluster.groups["group-1"].primary
+        FailureInjector(cluster).crash_node(down, at=engine.sim.now + 1.0, duration=boot + 60.0)
+        assert engine.controller._launch_group()
+        # At the parent the ``boot`` event's rebalance scanned the crashed
+        # primary and the NodeDownError ended the run here.
+        engine.run_for(boot + 30.0)
+        assert not cluster.nodes[down].alive and cluster.group_count() == 3
+        engine.run_for(300.0)  # outage over: the injector recovers and reconciles
+        assert cluster.nodes[down].alive
+        for key in keys:
+            result = engine.router.read("ns", key, from_primary=True)
+            assert result.success and result.value is not None, key
+        assert cluster.total_keys() == len(keys)
+
+    def test_shrink_holds_while_the_group_to_release_is_entirely_down(self):
+        engine, keys = self._loaded(4)
+        controller, cluster = engine.controller, engine.cluster
+        for node_id in cluster.groups["group-3"].node_ids:
+            cluster.nodes[node_id].crash()
+        controller._low_demand_windows = controller.scale_down_patience - 1
+        action = controller._act(_plan(2), _observation(violated=False))
+        assert action.kind == "hold" and cluster.group_count() == 4
+        # The streak is kept, so the release happens once a member is back.
+        cluster.nodes[cluster.groups["group-3"].primary].recover()
+        action = controller._act(_plan(2), _observation(violated=False))
+        assert action.kind == "scale_down" and cluster.group_count() == 3
+        for key in keys:
+            assert engine.router.read("ns", key, from_primary=True).value is not None, key
 
 
 # ------------------------------------------- the controller's decision table

@@ -265,6 +265,343 @@ class TestCluster:
             make_cluster(replication=0)
 
 
+# -------------------------------------------------------------- data movement
+
+
+def _loaded_cluster(partitioner_kind, keys=200):
+    """Three rf-2 groups holding ``keys`` settled, routed writes."""
+    cluster = make_cluster(groups=3, replication=2, partitioner_kind=partitioner_kind)
+    router = Router(cluster)
+    written = [(f"user{i:03d}",) for i in range(keys)]
+    for key in written:
+        assert router.write("ns", key, {"v": key[0]}).success
+    cluster.sim.run_until(cluster.sim.now + 5.0)
+    if partitioner_kind == "range":
+        # Ranges do not spread by themselves: give each group a third.
+        for group_id, third in (("group-1", keys // 3), ("group-2", 2 * keys // 3)):
+            cluster.split_partition(written[third][0])
+            assert cluster.migrate_partition(written[third][0], group_id) is not None
+    cluster.sim.run_until(cluster.sim.now + 5.0)
+    assert not cluster.active_migrations()
+    assert all(cluster.nodes[g.primary].key_count() > 0 for g in cluster.groups.values())
+    return cluster, router, written
+
+
+def _recover_and_reconcile(cluster, node_ids):
+    """What the failure injector does when an outage ends, then settle."""
+    for node_id in node_ids:
+        node = cluster.nodes.get(node_id)
+        if node is not None:
+            node.recover()
+            cluster.reconcile_node(node_id)
+    cluster.sim.run_until(cluster.sim.now + 150.0)
+
+
+def _assert_nothing_lost(cluster, router, written):
+    for key in written:
+        result = router.read("ns", key, from_primary=True)
+        assert result.success and result.value is not None, key
+    assert cluster.total_keys() == len(written)
+
+
+@pytest.mark.parametrize("partitioner_kind", ["hash", "range"])
+class TestTopologyChangeDuringPrimaryOutage:
+    """A group joins or leaves while a primary the sweep would read is down.
+
+    At the parent of the PR that added these, each sweep scanned
+    ``nodes[group.primary]`` unconditionally and the ``NodeDownError`` killed
+    the ``boot`` event or control step it ran in.
+    """
+
+    def test_group_joins_while_the_busiest_groups_primary_is_down(self, partitioner_kind):
+        cluster, router, written = _loaded_cluster(partitioner_kind)
+        # The group the range partitioner would pick as donor (the hash
+        # partitioner's rebalance sweeps every group, this one included).
+        busiest = max(cluster.groups.values(), key=lambda g: (
+            cluster.group_mean_utilisation(g.group_id),
+            cluster.nodes[g.primary].key_count()))
+        down = busiest.primary
+        cluster.nodes[down].crash()
+        cluster.add_replica_group()
+        assert cluster.group_count() == 4
+        # Nothing the live members serve went missing during the outage.
+        for key in written:
+            result = router.read("ns", key)
+            assert result.success and result.value is not None, key
+        _recover_and_reconcile(cluster, [down])
+        _assert_nothing_lost(cluster, router, written)
+
+    def test_group_leaves_while_its_primary_is_down(self, partitioner_kind):
+        cluster, router, written = _loaded_cluster(partitioner_kind)
+        victim = cluster.groups[list(cluster.groups)[-1]]
+        down = victim.primary
+        cluster.nodes[down].crash()
+        cluster.remove_replica_group(victim.group_id)
+        assert victim.group_id not in cluster.groups
+        _recover_and_reconcile(cluster, [down])
+        _assert_nothing_lost(cluster, router, written)
+
+    def test_group_with_every_member_down_is_not_removed(self, partitioner_kind):
+        cluster, router, written = _loaded_cluster(partitioner_kind)
+        victim = cluster.groups[list(cluster.groups)[-1]]
+        for node_id in victim.node_ids:
+            cluster.nodes[node_id].crash()
+        with pytest.raises(ValueError, match="every member is down"):
+            cluster.remove_replica_group(victim.group_id)
+        # Refused before anything changed hands: the only copies are intact.
+        assert victim.group_id in cluster.groups
+        assert victim.group_id in cluster.partitioner.groups()
+        _recover_and_reconcile(cluster, victim.node_ids)
+        _assert_nothing_lost(cluster, router, written)
+
+    def test_group_joins_while_a_whole_group_is_down(self, partitioner_kind):
+        cluster, router, written = _loaded_cluster(partitioner_kind)
+        dark = cluster.groups["group-1"]
+        for node_id in dark.node_ids:
+            cluster.nodes[node_id].crash()
+        cluster.add_replica_group()
+        _recover_and_reconcile(cluster, dark.node_ids)
+        _assert_nothing_lost(cluster, router, written)
+
+
+def test_range_moved_on_mid_flight_is_not_handed_back_to_the_first_target():
+    """A->B then B->C while A->B is in flight: when A->B completes, its final
+    refresh goes to the keys' owner now (C), not to B, which gave them up."""
+    cluster, router, written = _loaded_cluster("range")  # is exactly that chain
+    counts = {g: [cluster.nodes[n].key_count() for n in group.node_ids]
+              for g, group in cluster.groups.items()}
+    assert counts == {"group-0": [66, 66], "group-1": [67, 67], "group-2": [67, 67]}
+    assert cluster.total_keys() == len(written)
+
+
+class TestDeliver:
+    def _cluster_and_value(self):
+        cluster = make_cluster(groups=2, replication=3)
+        router = Router(cluster)
+        value = router.write("ns", ("k",), {"v": 1}).value
+        return cluster, value
+
+    def test_live_members_apply_at_once(self):
+        cluster, value = self._cluster_and_value()
+        cluster.sim.run_until(cluster.sim.now + 5.0)
+        group = cluster.groups["group-1"]
+        cluster.deliver(group, cluster.groups["group-0"].primary, "moved", ("k",), value)
+        for node_id in group.node_ids:
+            assert cluster.nodes[node_id].peek("moved", ("k",)) == value
+        assert cluster.replication.pending_count() == 0  # nothing left to retry
+
+    def test_down_member_receives_it_after_recovery(self):
+        cluster, value = self._cluster_and_value()
+        cluster.sim.run_until(cluster.sim.now + 5.0)
+        group = cluster.groups["group-1"]
+        down = cluster.nodes[group.replicas[0]]
+        down.crash()
+        cluster.deliver(group, cluster.groups["group-0"].primary, "moved", ("k",), value)
+        assert cluster.replication.pending_count() == 1
+        cluster.sim.run_until(cluster.sim.now + 10.0)  # still down: keeps retrying
+        assert cluster.replication.pending_count() == 1
+        down.recover()
+        cluster.sim.run_until(cluster.sim.now + 5.0)
+        assert down.peek("moved", ("k",)) == value
+        assert cluster.replication.pending_count() == 0
+
+    def test_missing_member_id_does_not_raise(self):
+        cluster, value = self._cluster_and_value()
+        cluster.sim.run_until(cluster.sim.now + 5.0)
+        group = cluster.groups["group-1"]
+        group.node_ids = group.node_ids + ["node-99@group-1"]  # already detached
+        cluster.deliver(group, cluster.groups["group-0"].primary, "moved", ("k",), value)
+        cluster.sim.run_until(cluster.sim.now + 5.0)
+        assert cluster.replication.pending_count() == 0  # dropped, not retried forever
+        assert cluster.nodes[group.primary].peek("moved", ("k",)) == value
+
+    def test_older_value_does_not_clobber_a_newer_one(self):
+        cluster = make_cluster(groups=1, replication=2)
+        router = Router(cluster)
+        old = router.write("ns", ("k",), {"v": 1}).value
+        cluster.sim.run_until(cluster.sim.now + 1.0)
+        new = router.write("ns", ("k",), {"v": 2}).value
+        cluster.sim.run_until(cluster.sim.now + 1.0)
+        group = cluster.groups["group-0"]
+        cluster.deliver(group, group.primary, "ns", ("k",), old)
+        for node_id in group.node_ids:
+            assert cluster.nodes[node_id].peek("ns", ("k",)) == new
+
+
+class TestCopyStore:
+    def test_returns_what_the_destination_took_under_last_write_wins(self):
+        cluster = make_cluster(groups=2, replication=1)
+        router = Router(cluster)
+        source = cluster.nodes[cluster.groups["group-0"].primary]
+        dest = cluster.nodes[cluster.groups["group-1"].primary]
+        stamp = router.write("ns", ("seed",), {"v": 0}).value
+        cluster.sim.run_until(cluster.sim.now + 1.0)
+        newer = router.write("ns", ("seed",), {"v": 1}).value
+        source.wipe()
+        dest.wipe()
+        for i in range(6):
+            source.apply_replica_write("a" if i % 2 else "b", (f"k{i}",), stamp)
+        # The destination already holds a newer k0, the same k1 and an older k2.
+        dest.apply_replica_write("b", ("k0",), newer)
+        dest.apply_replica_write("a", ("k1",), stamp)
+        source.apply_replica_write("b", ("k2",), newer)
+        dest.apply_replica_write("b", ("k2",), stamp)
+        taken = Cluster._copy_store(source, dest)
+        # k0 refused (newer there); everything else is new, equal or fresher.
+        assert taken == 5
+        assert dest.peek("b", ("k0",)) == newer
+        assert dest.peek("b", ("k2",)) == newer
+        assert dest.key_count() == source.key_count() == 6
+
+    def test_fresh_destination_takes_everything(self):
+        cluster, _, written = _loaded_cluster("hash", keys=40)
+        source = cluster.nodes[cluster.groups["group-0"].primary]
+        fresh = cluster._new_node("group-0")
+        assert Cluster._copy_store(source, fresh) == source.key_count() > 0
+        assert fresh.scan_namespace("ns") == source.scan_namespace("ns")
+
+
+# One property over every way the cluster moves data, checked against a dict.
+
+_NS = "ns"
+_KEYS = [(f"k{i:02d}",) for i in range(16)]
+_key = st.integers(0, len(_KEYS) - 1)
+_pick = st.integers(0, 63)
+_movement_ops = st.lists(st.one_of(
+    st.tuples(st.just("write"), _key, st.integers(0, 999)),
+    st.tuples(st.just("write"), _key, st.integers(0, 999)),
+    st.tuples(st.just("delete"), _key),
+    st.tuples(st.just("add_group")),
+    st.tuples(st.just("remove_group"), _pick),
+    st.tuples(st.just("crash"), _pick),
+    st.tuples(st.just("recover"), _pick),
+    st.tuples(st.just("replace"), _pick),
+    st.tuples(st.just("surge"), _pick),
+    st.tuples(st.just("hibernate"), _pick),
+    st.tuples(st.just("resume"), _pick),
+    st.tuples(st.just("repartition"), _key, _pick, _pick),
+), min_size=1, max_size=40)
+
+
+def _apply_movement_op(cluster, router, model, op):
+    """Run one op (indices wrap over what exists now); skip what the cluster
+    documents as unsupported rather than what merely looks dangerous."""
+    sim = cluster.sim
+    groups = sorted(cluster.groups)
+    node_ids = sorted(cluster.nodes)
+    kind = op[0]
+
+    def primary_alive(group):
+        return cluster.nodes[group.primary].alive
+
+    if kind in ("remove_group", "replace", "surge", "resume"):
+        # These read one node as the stand-in for its group.  A node is only
+        # that once the retry loop has caught it up on what was acknowledged
+        # while it was down (deliveries are per target node, not re-routed).
+        sim.run_until(sim.now + 2.0)
+    if kind in ("write", "delete"):
+        key = _KEYS[op[1]]
+        result = (router.write(_NS, key, {"v": op[2]}) if kind == "write"
+                  else router.delete(_NS, key))
+        if result.success:
+            model[key] = result.value
+    elif kind == "add_group":
+        if len(groups) < 5:
+            cluster.add_replica_group()
+    elif kind == "remove_group":
+        group_id = groups[op[1] % len(groups)]
+        if len(groups) == 1 or not cluster.live_members(group_id):
+            with pytest.raises(ValueError):
+                cluster.remove_replica_group(group_id)
+        else:
+            cluster.remove_replica_group(group_id)
+    elif kind == "crash":
+        cluster.nodes[node_ids[op[1] % len(node_ids)]].crash()
+    elif kind == "recover":
+        node_id = node_ids[op[1] % len(node_ids)]
+        cluster.nodes[node_id].recover()
+        cluster.reconcile_node(node_id)
+    elif kind == "replace":
+        node_id = node_ids[op[1] % len(node_ids)]
+        group = cluster._owning_group(node_id)
+        # Seeding reads the primary, else the departing node: one must be up.
+        if primary_alive(group) or cluster.nodes[node_id].alive:
+            assert cluster.replace_replica(node_id) in cluster.nodes
+    elif kind == "surge":
+        group = cluster.groups[groups[op[1] % len(groups)]]
+        # A surge replica is seeded from the primary or not at all.
+        if primary_alive(group) and len(group.node_ids) < 4:
+            cluster.add_surge_replica(group.group_id)
+    elif kind == "hibernate":
+        node_id = node_ids[op[1] % len(node_ids)]
+        if cluster._owning_group(node_id).primary != node_id:
+            assert cluster.hibernate_node(node_id)
+    elif kind == "resume":
+        frozen = sorted(cluster.hibernated_node_ids())
+        if frozen:
+            node_id = frozen[op[1] % len(frozen)]
+            home = cluster.groups.get(cluster._hibernated[node_id][0])
+            if home is None:
+                assert cluster.resume_hibernated(node_id) is None
+                cluster.drop_hibernated(node_id)
+            elif primary_alive(home):  # catch-up reads the primary
+                assert cluster.resume_hibernated(node_id) is not None
+    elif kind == "repartition":
+        token, target = _KEYS[op[1]][0], groups[op[2] % len(groups)]
+        if isinstance(cluster.partitioner, RangePartitioner):
+            try:
+                cluster.split_partition(token)
+            except PartitionerError:
+                pass  # already a split point
+            cluster.migrate_partition(token, target)
+        elif target != groups[op[3] % len(groups)]:
+            cluster.shift_weight(groups[op[3] % len(groups)], target)
+    sim.run_until(sim.now + 0.05)
+
+
+def _quiesce(cluster):
+    """End every outage, let retries and transfers finish, then run the
+    anti-entropy pass (``reconcile_node``) on every node."""
+    # Primaries catch up before anything is seeded from them again.
+    _recover_and_reconcile(
+        cluster, [node_id for node_id, node in cluster.nodes.items() if not node.alive])
+    for node_id in cluster.hibernated_node_ids():
+        if cluster.resume_hibernated(node_id) is None:
+            cluster.drop_hibernated(node_id)
+    cluster.sim.run_until(cluster.sim.now + 150.0)
+    for node_id in list(cluster.nodes):
+        cluster.reconcile_node(node_id)
+    cluster.sim.run_until(cluster.sim.now + 150.0)
+
+
+@pytest.mark.property
+@pytest.mark.parametrize("partitioner_kind", ["hash", "range"])
+@given(ops=_movement_ops)
+def test_no_sequence_of_data_movement_loses_or_strands_a_key(partitioner_kind, ops):
+    """Routed writes and deletes interleaved with every topology change and
+    node outage the cluster offers: once the cluster is whole and quiet again,
+    it holds exactly what a plain dict of the acknowledged writes holds."""
+    cluster = make_cluster(groups=2, replication=2, partitioner_kind=partitioner_kind)
+    router = Router(cluster)
+    model = {}
+    for op in ops:
+        _apply_movement_op(cluster, router, model, op)
+    _quiesce(cluster)
+    assert not cluster.active_migrations()
+    assert cluster.replication.pending_count() == 0
+    # Every key's newest value is on every member of the group that owns it.
+    for key, newest in model.items():
+        for node_id in cluster.group_for_key(_NS, key).node_ids:
+            assert cluster.nodes[node_id].peek(_NS, key, include_tombstones=True) == newest, (
+                key, node_id)
+    # Nobody else holds it.
+    for node_id, node in cluster.nodes.items():
+        for key, _ in node.scan_namespace(_NS):
+            assert node_id in cluster.group_for_key(_NS, key).node_ids, (key, node_id)
+    # Tombstones are stored values, so the model's size is the key count.
+    assert cluster.total_keys() == len(model)
+
+
 # --------------------------------------------------------------------- router
 
 
