@@ -8,12 +8,8 @@
 #   make bench-smoke - every benchmark (or BENCH=<name>) in fast smoke mode
 #                      (BENCH_SMOKE=1: shortened workloads, relative-economics
 #                      assertions skipped) — a cheap crash/regression sweep
-#   make perf        - simulator-throughput harness; appends an entry to
-#                      BENCH_PERF.json (see PERFORMANCE.md)
 #   make sweep       - the standard scenario suite across all cores via the
 #                      parallel experiment fabric (see PERFORMANCE.md)
-#   make sweep-smoke - tiny sweep grid on 2 workers; also runs inside
-#                      make bench-smoke via the bench_*.py glob
 #   make grid        - the default-on validation grid: scenario corpus x
 #                      {baseline, repartition, cache, both} cells with paired
 #                      seeds, gated by the pass/fail verdict table (exits
@@ -22,8 +18,6 @@
 #                      economics/dominance gate skipped, SLA + consistency
 #                      gates kept)
 #   make lint        - ruff when installed, else compileall as the floor
-#   make perf-check  - validate BENCH_PERF.json against the perf-log schema
-#                      without recording anything (CI's report-only job)
 #   make ci          - the local mirror of every CI job, in CI's order
 #   make trace-demo  - end-to-end request tracing demo: slowest traces with
 #                      per-span attribution, per-window p99 breakdown, and
@@ -44,9 +38,8 @@
 
 PYTEST := python -m pytest
 
-.PHONY: test test-all property bench bench-smoke perf sweep sweep-smoke \
-	grid grid-smoke lint perf-check ci trace-demo perfbench perfbench-traced \
-	perfbench-compare perfbench-pairs
+.PHONY: test test-all property bench bench-smoke sweep grid grid-smoke lint ci \
+	trace-demo perfbench perfbench-traced perfbench-compare perfbench-pairs
 
 test:
 	$(PYTEST) -x -q
@@ -66,14 +59,8 @@ bench:
 bench-smoke:
 	BENCH_SMOKE=1 $(PYTEST) benchmarks/bench_$(BENCH).py -q -s
 
-perf:
-	BENCH_PERF_RECORD=1 $(PYTEST) benchmarks/bench_perf_throughput.py -q -s
-
 sweep:
 	python scripts/run_sweep.py --suite standard --workers auto
-
-sweep-smoke:
-	BENCH_SMOKE=1 $(PYTEST) benchmarks/bench_perf_throughput.py -q -s -k sweep
 
 grid:
 	python scripts/run_grid.py --workers auto
@@ -91,11 +78,8 @@ lint:
 	fi
 	python -m compileall -q src scripts benchmarks tests perfbench
 
-perf-check:
-	python scripts/validate_perf_log.py
-
 # The local mirror of .github/workflows/ci.yml, job by job.
-ci: lint test perf-check bench-smoke grid-smoke
+ci: lint test bench-smoke grid-smoke
 
 trace-demo:
 	python examples/trace_demo.py

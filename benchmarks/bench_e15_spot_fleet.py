@@ -27,11 +27,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.experiments.harness import (
-    default_spec,
-    run_closed_loop,
-    smoke_mode,
-)
+from repro.experiments.harness import smoke_mode
+from repro.parallel.executor import run_scenario
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
 
 SEED = 42
@@ -43,18 +40,11 @@ def _scenario():
 
 
 def _run(spec, spot: bool):
-    knobs = dict(spec.engine_knobs)
-    knobs["spot"] = spot
-    knobs["telemetry"] = True
-    faults = spec.faults if spot else ()
-    return run_closed_loop(
-        trace=spec.trace.build(), duration=spec.duration, seed=SEED,
-        n_users=spec.n_users, friend_cap=spec.friend_cap,
-        spec=default_spec(latency=spec.sla_latency),
-        initial_groups=spec.initial_groups,
-        control_interval=spec.control_interval,
-        mix_kind=spec.mix, faults=faults, engine_kwargs=knobs,
-    )
+    return run_scenario(spec.with_overrides(**{
+        "engine_knobs.spot": spot,
+        "engine_knobs.telemetry": True,
+        "faults": spec.faults if spot else (),
+    }), SEED)
 
 
 def _violated_fraction(engine, op: str, spec) -> float:

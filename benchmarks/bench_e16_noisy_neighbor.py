@@ -29,19 +29,12 @@ timeline with its evidence.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 
-from repro.experiments.harness import (
-    default_spec,
-    run_closed_loop,
-    smoke_mode,
-)
-from repro.experiments.perf_log import append_entry
+from repro.experiments.harness import smoke_mode
 from repro.metrics.sla import COMPLIANCE_WINDOW_SECONDS
+from repro.parallel.executor import run_scenario
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
-
-BENCH_PERF_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_PERF.json")
 
 SEED = 42
 
@@ -52,18 +45,11 @@ def _scenario():
 
 
 def _run(spec, placement_aware: bool):
-    knobs = dict(spec.engine_knobs)
-    knobs["contention"] = {**knobs["contention"],
-                           "placement_aware": placement_aware}
-    knobs["telemetry"] = True
-    return run_closed_loop(
-        trace=spec.trace.build(), duration=spec.duration, seed=SEED,
-        n_users=spec.n_users, friend_cap=spec.friend_cap,
-        spec=default_spec(latency=spec.sla_latency),
-        initial_groups=spec.initial_groups,
-        control_interval=spec.control_interval,
-        mix_kind=spec.mix, faults=spec.faults, engine_kwargs=knobs,
-    )
+    return run_scenario(spec.with_overrides(**{
+        "engine_knobs.contention": {**spec.engine_knobs["contention"],
+                                    "placement_aware": placement_aware},
+        "engine_knobs.telemetry": True,
+    }), SEED)
 
 
 def _violated_fraction(engine, op: str, spec) -> float:
@@ -172,21 +158,3 @@ def test_e16_noisy_neighbor_economics(benchmark, table_printer):
         assert kinds[kind] >= 1, f"timeline missing {kind}"
     diagnosis = next(e for e in events if e["kind"] == "contention-diagnosis")
     assert "residual" in diagnosis["detail"]
-    # Recording is opt-in, like the perf harness: `make bench` must not
-    # dirty the committed trajectory.
-    if os.environ.get("BENCH_PERF_RECORD", "") in ("", "0"):
-        return
-    append_entry(BENCH_PERF_PATH, {
-        "label": os.environ.get("BENCH_PERF_LABEL", "run"),
-        "contention": {
-            "placement_dollars": round(p_cost, 3),
-            "capacity_dollars": round(c_cost, 3),
-            "placement_recovery_seconds": round(p_rec, 1),
-            "capacity_recovery_seconds": round(c_rec, 1),
-            "contention_windows": sum(
-                1 for o in placement.engine.monitor.observations()
-                if o.contention_suspected),
-            "evacuations": placement.engine.controller.evacuation_count(),
-            "capacity_scale_ups": capacity.engine.controller.scale_up_count(),
-        },
-    })

@@ -24,9 +24,11 @@ DURATION = 3000.0 * _SCALE
 
 def run_experiment():
     autoscaled = run_closed_loop(TRACE, DURATION, seed=13, n_users=150,
-                                 autoscale=True, write_heavy=True, initial_groups=1)
+                                 autoscale=True, mix_kind="write_heavy",
+                                 initial_groups=1)
     static = run_closed_loop(TRACE, DURATION, seed=13, n_users=150,
-                             autoscale=False, write_heavy=True, initial_groups=1)
+                             autoscale=False, mix_kind="write_heavy",
+                             initial_groups=1)
     return autoscaled, static
 
 

@@ -100,7 +100,7 @@ def main() -> None:
         overrides["duration"] = args.duration
     scenario = scenario.with_overrides(**overrides)
 
-    summary = run_scenario(scenario, seed=args.seed)
+    summary = run_scenario(scenario, seed=args.seed).portable()
     traces = summary.traces or []
     slowest = sorted(traces, key=lambda t: t.latency, reverse=True)[:args.slowest]
     document = {

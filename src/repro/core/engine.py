@@ -316,16 +316,15 @@ class Scads:
             loop repair load skew with targeted split/migrate actions
             instead of renting whole replica groups (see the module
             docstring's "Elasticity & repartitioning" section).  **Default
-            on** (``None`` resolves to enabled); pass ``False`` to opt out
-            and scale in whole replica groups only.
+            on**; pass ``False`` to opt out and scale in whole replica
+            groups only.
         repartition_hot_utilisation / repartition_cold_utilisation: group
             utilisation thresholds that define a migratable imbalance.
         cache: the staleness-budget cache tier (see the module docstring's
             "Staleness-budget cache tier" section).  **Default on** with
-            :class:`~repro.cache.tier.CacheConfig` defaults (``None``
-            resolves to enabled, as does ``True``); pass a config to size
-            the cache or tune the propagation headroom, or ``False`` to opt
-            out so every read pays full cluster latency.
+            :class:`~repro.cache.tier.CacheConfig` defaults; pass a config
+            to size the cache or tune the propagation headroom, or ``False``
+            to opt out so every read pays full cluster latency.
         planner_backend: how the planner answers the latency sizing question —
             ``"analytical"`` (closed-form M/G/k model), ``"ml"`` (learned
             latency model, the pre-clamp behaviour), or ``"hybrid"``
@@ -385,10 +384,10 @@ class Scads:
         fifo_updates: bool = False,
         min_groups: int = 1,
         partitioner_kind: str = "hash",
-        repartition: Optional[bool] = None,
+        repartition: bool = True,
         repartition_hot_utilisation: float = 0.75,
         repartition_cold_utilisation: float = 0.5,
-        cache: Union[None, bool, CacheConfig] = None,
+        cache: Union[bool, CacheConfig] = True,
         planner_backend: str = "hybrid",
         telemetry: Union[None, bool, TelemetryConfig] = None,
         spot: bool = False,
@@ -421,9 +420,7 @@ class Scads:
             self.contention = ContentionProcess(
                 self.sim, self.host_map, self.contention_config)
         # Both big subsystems default ON (the validation grid's green verdict
-        # is the receipt — see PERFORMANCE.md "Validation grid"); ``False``
-        # opts out explicitly, ``None`` means "the shipped default".
-        repartition = True if repartition is None else bool(repartition)
+        # is the receipt — see PERFORMANCE.md "Validation grid").
         self.repartition = repartition
         self.rebalancer: Optional[Rebalancer] = None
         if repartition:
@@ -437,8 +434,6 @@ class Scads:
             )
         self.router = Router(self.cluster)
         self.cache: Optional[CacheTier] = None
-        if cache is None:
-            cache = True  # shipped default: the staleness-budget tier is on
         if cache:
             cache_config = cache if isinstance(cache, CacheConfig) else CacheConfig()
             self.cache = CacheTier(cache_config, spec=self.spec, simulator=self.sim)

@@ -309,7 +309,7 @@ def install_fault_plan(engine: Scads, plan: Sequence,
     ``plan`` items carry ``kind`` / ``at`` / ``duration`` / ``params`` (see
     :class:`repro.parallel.spec.FaultSpec`); ``at`` is relative to
     ``start_time`` (default: the engine's current simulated time, i.e. the
-    moment the closed loop starts).  Two kinds are registered:
+    moment the closed loop starts).  Four kinds are registered:
 
     * ``zone_outage`` — the ``zone_index``-th member of every replica group
       crashes simultaneously and recovers after ``duration`` (regional
@@ -324,9 +324,8 @@ def install_fault_plan(engine: Scads, plan: Sequence,
       ``intensity`` for ``duration`` (needs an engine built with
       ``contention=...``).
     """
-    injector = FailureInjector(engine.cluster,
-                               market=getattr(engine, "market", None),
-                               contention=getattr(engine, "contention", None))
+    injector = FailureInjector(engine.cluster, market=engine.market,
+                               contention=engine.contention)
     offset = engine.now if start_time is None else start_time
     for fault in plan:
         params = dict(getattr(fault, "params", {}) or {})
@@ -363,19 +362,16 @@ def run_closed_loop(
     initial_groups: int = 1,
     control_interval: float = 30.0,
     sampling_fraction: float = 1.0,
-    write_heavy: bool = False,
     instance_type: InstanceType = SCALED_DOWN_INSTANCE,
-    fifo_updates: bool = False,
     engine_kwargs: Optional[Dict[str, object]] = None,
-    mix_kind: Optional[str] = None,
+    mix_kind: str = "cloudstone",
     faults: Sequence = (),
 ) -> ClosedLoopResult:
     """Run one complete closed-loop experiment and collect its results.
 
-    ``mix_kind`` names a registered operation mix (see :func:`build_mix`) and
-    supersedes the older ``write_heavy`` flag when given; ``faults`` is a
-    declarative fault plan installed via :func:`install_fault_plan` before
-    the load starts.
+    ``mix_kind`` names a registered operation mix (see :func:`build_mix`);
+    ``faults`` is a declarative fault plan installed via
+    :func:`install_fault_plan` before the load starts.
     """
     engine, app, graph = build_engine_and_app(
         seed=seed,
@@ -387,12 +383,10 @@ def run_closed_loop(
         initial_groups=initial_groups,
         control_interval=control_interval,
         instance_type=instance_type,
-        fifo_updates=fifo_updates,
         engine_kwargs=engine_kwargs,
     )
     engine.start()
-    kind = mix_kind or ("write_heavy" if write_heavy else "cloudstone")
-    mix = build_mix(kind, graph, engine.sim.random.get("workload-mix"))
+    mix = build_mix(mix_kind, graph, engine.sim.random.get("workload-mix"))
     generator = LoadGenerator(
         engine.sim, trace, mix, app.execute, sampling_fraction=sampling_fraction
     )

@@ -23,25 +23,29 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.experiments.harness import ClosedLoopSummary, default_spec, run_closed_loop
+from repro.experiments.harness import ClosedLoopResult, default_spec, run_closed_loop
 from repro.parallel.results import RunFailure, RunRecord, RunSuccess, SweepResult
 from repro.parallel.spec import MIX_KINDS, RunSpec, ScenarioSpec, SweepGrid
 
 ProgressCallback = Callable[[int, int, RunRecord], None]
 
 
-def run_scenario(scenario: ScenarioSpec, seed: int) -> ClosedLoopSummary:
-    """Execute one scenario spec with one seed; the worker-side entry point.
+def run_scenario(scenario: ScenarioSpec, seed: int) -> ClosedLoopResult:
+    """Execute one scenario spec with one seed.
 
-    Everything is built fresh from the spec — this function must stay a pure
-    function of ``(scenario, seed)`` or parallel sweeps lose their
-    serial-equivalence guarantee.
+    The only place a :class:`ScenarioSpec` is unpacked into harness
+    arguments: sweep workers (:func:`execute_run`), benchmarks and scripts
+    all come through here, so a run is configured by the spec it names and
+    by nothing else.  Everything is built fresh from the spec — this must
+    stay a pure function of ``(scenario, seed)`` or parallel sweeps lose
+    their serial-equivalence guarantee.  The result carries the live engine;
+    ``.portable()`` is the picklable summary a worker ships back.
     """
     if scenario.mix not in MIX_KINDS:
         raise ValueError(
             f"unknown mix {scenario.mix!r}; registered: {sorted(MIX_KINDS)}"
         )
-    result = run_closed_loop(
+    return run_closed_loop(
         trace=scenario.trace.build(),
         duration=scenario.duration,
         seed=seed,
@@ -59,11 +63,9 @@ def run_scenario(scenario: ScenarioSpec, seed: int) -> ClosedLoopSummary:
         control_interval=scenario.control_interval,
         sampling_fraction=scenario.sampling_fraction,
         mix_kind=scenario.mix,
-        fifo_updates=scenario.fifo_updates,
-        engine_kwargs=dict(scenario.engine_knobs) or None,
+        engine_kwargs=dict(scenario.engine_knobs),
         faults=scenario.faults,
     )
-    return result.portable()
 
 
 def execute_run(run: RunSpec) -> RunRecord:
@@ -76,7 +78,7 @@ def execute_run(run: RunSpec) -> RunRecord:
     """
     start = time.perf_counter()
     try:
-        summary = run_scenario(run.scenario, run.seed)
+        summary = run_scenario(run.scenario, run.seed).portable()
         return RunSuccess(
             index=run.index,
             run_id=run.run_id,

@@ -2,9 +2,9 @@
 
 These mirror the closed-loop workloads the paper benchmarks drive through
 :func:`repro.experiments.harness.run_closed_loop` — the flat CloudStone
-closed loop the perf harness freezes, the write-heavy mix, the scale-down
-diurnal cycle, the Halloween spike, the Animoto viral ramp, and the
-cache-tier variant — plus the validation-grid corpus: a diurnal cycle with
+closed loop, the write-heavy mix, the scale-down diurnal cycle, the
+Halloween spike, the Animoto viral ramp, and the cache-tier variant —
+plus the validation-grid corpus: a diurnal cycle with
 a flash crowd erupting on top, a regional failover driven by the failure
 injector, a write storm whose index-maintenance backlog must drain
 ("compaction"), and a cache-hostile uniform-read scan.  ``make sweep`` runs
@@ -15,9 +15,9 @@ benchmarks compress them: every claim is about *relative* behaviour, so the
 suite keeps the phenomena (ramps outpacing boot delays, troughs deep enough
 to scale down into) at wall-clock costs a laptop can afford.
 
-``smoke_suite`` is the tiny-grid variant ``make sweep-smoke`` and the
-bench-smoke sweep harness use: seconds of simulated time per run, enough to
-prove the fan-out machinery end to end without measuring anything.
+``smoke_grid`` is the tiny-grid variant the sweep tests use: seconds of
+simulated time per run, enough to prove the fan-out machinery end to end
+without measuring anything.
 ``smoke_variant`` shrinks any corpus scenario the same way for the grid's
 smoke tier (``make grid-smoke``), keeping each family's *shape* — the spike
 still spikes, the zone still fails — inside a seconds-long run.
@@ -29,8 +29,7 @@ from typing import Any, Dict, List
 
 from repro.parallel.spec import FaultSpec, ScenarioSpec, SweepGrid, TraceSpec
 
-# The perf harness's frozen standard scenario (see
-# benchmarks/bench_perf_throughput.py) expressed as data.
+# The flat CloudStone closed loop at a constant offered rate.
 STANDARD_CLOSED_LOOP = ScenarioSpec(
     name="standard-closed-loop",
     trace=TraceSpec("constant", {"rate": 300.0}),
@@ -39,9 +38,7 @@ STANDARD_CLOSED_LOOP = ScenarioSpec(
     autoscale=True,
     predictive_scaling=False,
     # A production-sane fleet for the declared steady rate: a steady-load
-    # scenario gates serving, not cold-boot from a starved fleet (the
-    # perf harness pins its own pre-flip 4-group shape, see
-    # benchmarks/bench_perf_throughput.py).
+    # scenario gates serving, not cold-boot from a starved fleet.
     initial_groups=10,
     control_interval=30.0,
     # Reads stay clean; the write tail crosses the bound in the windows
@@ -368,7 +365,7 @@ def smoke_scenario(duration: float = 20.0, rate: float = 30.0) -> ScenarioSpec:
 
 def smoke_grid(runs: int = 4, base_seed: int = 0,
                duration: float = 20.0, rate: float = 30.0) -> SweepGrid:
-    """The tiny grid ``make sweep-smoke`` executes with two workers."""
+    """Seeded replicates of :func:`smoke_scenario` as one single-cell grid."""
     return SweepGrid(scenario=smoke_scenario(duration=duration, rate=rate),
                      replicates=runs, base_seed=base_seed)
 

@@ -109,10 +109,13 @@ class FaultSpec:
 class ScenarioSpec:
     """One closed-loop harness scenario, named entirely as data.
 
-    The fields mirror :func:`repro.experiments.harness.run_closed_loop`'s
-    arguments; ``engine_knobs`` reaches any :class:`~repro.core.engine.Scads`
-    keyword the harness does not name explicitly (``cache=True``,
-    ``repartition=True``, ``partitioner_kind="range"``, ...).  The spec
+    :func:`repro.parallel.executor.run_scenario` is the one place the fields
+    are unpacked into :func:`repro.experiments.harness.run_closed_loop`
+    arguments — a benchmark arm that differs from a corpus scenario says so
+    with :meth:`with_overrides` and runs through it, never through its own
+    copy of the mapping.  ``engine_knobs`` reaches any
+    :class:`~repro.core.engine.Scads` keyword the harness does not name
+    explicitly (``cache=False``, ``partitioner_kind="range"``, ...).  The spec
     deliberately has **no seed field**: seeds are assigned per run by
     :meth:`SweepGrid.expand`, never baked into the scenario, so replicates of
     the same cell differ only in their derived seed.
@@ -157,7 +160,6 @@ class ScenarioSpec:
     initial_groups: int = 1
     control_interval: float = 30.0
     sampling_fraction: float = 1.0
-    fifo_updates: bool = False
     engine_knobs: Dict[str, Any] = field(default_factory=dict)
     faults: Tuple[FaultSpec, ...] = ()
 

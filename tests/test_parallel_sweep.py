@@ -18,6 +18,7 @@ Correctness contract under test:
 from __future__ import annotations
 
 import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.parallel.executor import execute_run, run_scenario, run_sweep
 from repro.parallel.results import RunFailure, RunSuccess
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_grid, suites
 from repro.parallel.spec import (
+    FaultSpec,
     RunSpec,
     ScenarioSpec,
     SweepGrid,
@@ -218,12 +220,40 @@ class TestPortableSummaries:
             record.summary.read_latency.snapshot()
         assert clone.summary.read_report == record.summary.read_report
 
+    # The scorer's fields: the grid judges a finished run by them, the
+    # harness never sees them.
+    POLICY_FIELDS = {"name", "sla_violation_budget", "sla_write_violation_budget",
+                     "sla_ops", "sla_reattain_windows", "sla_min_window_ops"}
+    # Every other field, with a non-default value and where a run shows it.
+    HARNESS_FIELDS = {
+        "trace": (TraceSpec("constant", {"rate": 40.0}), lambda r: r.operations > 300),
+        "duration": (6.0, lambda r: r.duration),
+        "n_users": (50, lambda r: r.engine.get("profiles", ("u00000049",)).row is not None),
+        "friend_cap": (5, lambda r: r.app.friend_cap),
+        "mix": ("uniform_read", lambda r: r.engine.cumulative_operation_counts()["write"]),
+        "sla_latency": (0.3, lambda r: r.engine.spec.performance.latency),
+        "sla_percentile": (95.0, lambda r: r.engine.spec.performance.percentile),
+        "staleness_bound": (30.0, lambda r: r.engine.spec.read.staleness_bound),
+        "read_your_writes": (True, lambda r: r.engine.spec.session.read_your_writes),
+        "autoscale": (False, lambda r: r.engine.autoscale),
+        "predictive_scaling": (False, lambda r: r.engine.controller.predictive),
+        "initial_groups": (3, lambda r: len(r.engine.cluster.groups)),
+        "control_interval": (4.0, lambda r: r.engine.controller.control_interval),
+        "sampling_fraction": (0.25, lambda r: r.operations > 100),
+        "engine_knobs": ({"cache": False}, lambda r: r.engine.cache is not None),
+        "faults": ((FaultSpec("zone_outage", at=2.0, duration=100.0),),
+                   lambda r: all(n.alive for n in r.engine.cluster.nodes.values())),
+    }
+
     def test_run_scenario_honours_engine_knobs(self):
-        scenario = tiny_scenario(**{"engine_knobs.cache": False})
-        summary = run_scenario(scenario, seed=2)
-        assert summary.cache_hit_rate == 0.0
+        """No spec field is dropped on the way to the harness: each one, set
+        to a non-default value, yields a run that differs where it should."""
+        assert set(self.HARNESS_FIELDS) | self.POLICY_FIELDS == \
+            {f.name for f in fields(ScenarioSpec)}
         plain = run_scenario(tiny_scenario(), seed=2)
-        assert plain.cache_hit_rate > 0.0  # the cache tier is on by default
+        for name, (value, probe) in self.HARNESS_FIELDS.items():
+            configured = run_scenario(tiny_scenario(**{name: value}), seed=2)
+            assert probe(configured) != probe(plain), name
 
     def test_cell_rescoring_against_alternative_sla_targets(self):
         grid = smoke_grid(runs=2, base_seed=4, duration=8.0, rate=20.0)
