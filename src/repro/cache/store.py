@@ -349,8 +349,11 @@ class StalenessBudgetCache:
 
     def put_range(self, namespace: str, start: Optional[Key], end: Optional[Key],
                   limit: Optional[int], reverse: bool, rows: Any,
-                  now: float, ttl: float) -> Optional[CacheEntry]:
-        """Admit one bounded range read's rows under its exact parameters."""
+                  now: float, ttl: float,
+                  key_range: Optional[KeyRange] = None) -> Optional[CacheEntry]:
+        """Admit one bounded range read's rows under its exact parameters
+        (``key_range``: the scan's ``KeyRange(namespace, start, end)`` when
+        the caller already holds it)."""
         if ttl <= 0:
             return None
         cost = max(1, len(rows))
@@ -363,7 +366,7 @@ class StalenessBudgetCache:
             value=rows,
             inserted_at=now,
             expires_at=now + ttl,
-            key_range=KeyRange(namespace=namespace, start=start, end=end),
+            key_range=key_range or KeyRange(namespace=namespace, start=start, end=end),
             cost=cost,
         )
         if token in self._entries:

@@ -21,7 +21,7 @@ from repro.core.consistency.sessions import Session
 from repro.core.consistency.spec import ConsistencySpec
 from repro.sim.latency import LogNormalLatency
 from repro.sim.simulator import Simulator
-from repro.storage.records import Key
+from repro.storage.records import Key, KeyRange
 
 
 @dataclass(frozen=True)
@@ -189,17 +189,22 @@ class CacheTier:
 
     def admit_range(self, namespace: str, start: Optional[Key],
                     end: Optional[Key], limit: Optional[int], reverse: bool,
-                    rows: List[Tuple[Key, Any]]) -> Optional[CacheEntry]:
+                    rows: List[Tuple[Key, Any]],
+                    key_range: Optional[KeyRange] = None) -> Optional[CacheEntry]:
         """Read-through fill of one compiled-query range read.
 
         The rows must come from a primary read (see :meth:`admits_ranges`);
         the TTL derivation in :meth:`AdmissionPolicy.range_ttl` relies on it.
+        The entry keeps ``rows`` itself, not a copy (lookups hand out copies),
+        so the caller must not mutate the list afterwards; a caller that
+        already built the scan's ``KeyRange(namespace, start, end)`` passes it
+        to be kept as well.
         """
         if not self.admits_ranges():
             return None
         return self.store.put_range(
-            namespace, start, end, limit, reverse, list(rows),
-            self._clock.now, self.policy.range_ttl(),
+            namespace, start, end, limit, reverse, rows,
+            self._clock.now, self.policy.range_ttl(), key_range,
         )
 
     # ------------------------------------------------------------- invalidation

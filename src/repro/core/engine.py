@@ -121,7 +121,7 @@ from repro.storage.durability import DurabilityModel
 from repro.storage.node import BASE_SERVICE_TIME
 from repro.storage.rebalancer import Rebalancer
 from repro.storage.records import Key, KeyRange, prefix_range
-from repro.storage.router import Router
+from repro.storage.router import ReadOutcome, Router
 
 
 @dataclass(slots=True)
@@ -249,17 +249,18 @@ class _QueryReader:
             # with the cache off, reads keep their replica load-balancing.
             will_admit = cache.admits_ranges()
         self.touched_cluster = True
+        key_range = KeyRange(namespace, start, end)
         result = engine.router.read_range(
-            KeyRange(namespace=namespace, start=start, end=end),
-            limit=limit, reverse=reverse, from_primary=will_admit,
-        )
+            key_range, limit=limit, reverse=reverse, from_primary=will_admit)
         self.range_latency_total += result.latency
         if not result.success:
             return [], result.latency
-        rows = [(key, value.value if isinstance(value.value, dict) else {})
+        # The one copy between the serving node and the executor; the cache
+        # keeps this same list (and the same KeyRange), so nobody mutates it.
+        rows = [(key, payload if isinstance(payload := value.value, dict) else {})
                 for key, value in result.rows]
         if will_admit:
-            cache.admit_range(namespace, start, end, limit, reverse, rows)
+            cache.admit_range(namespace, start, end, limit, reverse, rows, key_range)
         return rows, result.latency
 
     def entity_get_many(
@@ -277,20 +278,10 @@ class _QueryReader:
             rows, slowest, misses = {}, 0.0, list(dict.fromkeys(keys))
         if misses:
             self.touched_cluster = True
-            routed = engine.router.read_many(namespace, misses)
-            verify = engine._verify_replica_read
-            for key in misses:
-                value, latency, success, stale, _, freshness = verify(
-                    namespace, key, routed[key], session)
-                if latency > slowest:
-                    slowest = latency
-                row = None
-                if success:
-                    if cache is not None and not stale:
-                        cache.admit_entity(namespace, key, value, freshness)
-                    if value is not None and isinstance(value.value, dict):
-                        row = dict(value.value)
-                rows[key] = row
+            fetched, slowest_miss, _, _ = engine._verify_replica_read(
+                namespace, misses, engine.router.read_many(namespace, misses), session)
+            rows.update(fetched)
+            slowest = max(slowest, slowest_miss)
         return rows, slowest
 
 
@@ -757,17 +748,15 @@ class Scads:
                 return OperationOutcome(success=True, latency=latency, row=row)
             if traced:
                 tracer.add("cache_miss", 0.0)
-        value, latency, success, stale, error, freshness = self._consistent_read(
-            namespace, key, session)
+        rows, latency, error, stale = self._verify_replica_read(
+            namespace, (key,), {key: self.router.read_one(namespace, key)}, session)
+        success = error is None
         if traced:
             tracer.end(latency, success)
         self._record_op("read", latency, success)
         if not success:
-            return OperationOutcome(success=False, latency=latency, error=error, stale=stale)
-        if self.cache is not None and not stale:
-            self.cache.admit_entity(namespace, key, value, freshness)
-        row = dict(value.value) if value is not None and isinstance(value.value, dict) else None
-        return OperationOutcome(success=True, latency=latency, row=row, stale=stale)
+            return OperationOutcome(success=False, latency=latency, error=error)
+        return OperationOutcome(success=True, latency=latency, row=rows[key], stale=stale)
 
     def query(self, name: str, params: Dict[str, Any],
               session_id: Optional[str] = None) -> QueryResult:
@@ -800,10 +789,8 @@ class Scads:
 
         Returns ``(row, latency)`` on a hit — with the session's monotonic
         history updated, exactly as a cluster read would — or None on
-        miss/bypass/no cache (the caller then reads through the cluster).
+        miss/bypass (the caller then reads through the cluster).
         """
-        if self.cache is None:
-            return None
         entry = self.cache.lookup_entity(namespace, key, session)
         if entry is None:
             return None
@@ -816,137 +803,149 @@ class Scads:
 
     # ------------------------------------------------------- consistency-aware read
 
-    def _consistent_read(
-        self,
-        namespace: str,
-        key: Key,
-        session: Optional[Session],
-    ):
-        """Replica read with staleness-bound and session-guarantee enforcement.
+    def _verify_replica_read(self, namespace: str, keys: Sequence[Key],
+                             routed: Dict[Key, ReadOutcome],
+                             session: Optional[Session]):
+        """The staleness-bound and session-guarantee rule for cluster reads —
+        the only copy of it: ``Scads.get`` passes one key and its one-key
+        outcome, a query's dereference list its cache misses and what
+        ``Router.read_many`` returned for them.
 
-        Returns (value, latency, success, stale, error, known_staleness).
-        ``known_staleness`` is how many seconds the returned value was behind
-        the primary when it was served — 0.0 when verified current, a
-        positive age when the primary held a newer (still in-bound) version,
-        and None when the bound could not be verified.  The cache tier
-        subtracts it from the staleness budget when deriving an entry's TTL,
-        and never admits unverified (None) reads.
+        Resolved once per :class:`~repro.storage.router.ReadOutcome` (one per
+        multiget, shared by the keys it served): the owning group's primary,
+        whether it served the request itself — then every value is current by
+        construction, unless a session guarantee still has to be checked (a
+        migration-window write can leave a session ahead of the owner's
+        primary; the re-read below dual-routes to catch that) — whether the
+        client can reach it, and whether it is alive to be asked.
+
+        Per key, in the order of ``keys``: the primary's version against the
+        served one (newer and committed for longer than the declared bound:
+        too stale to serve), the session's verdict, the re-read from the
+        primary (its latency is added to that key's) or the arbitrator's
+        availability-vs-consistency decision when the primary cannot answer,
+        ``session.note_read``, the cache admission and the row copy.
+        Admissions must happen in ``keys`` order — the query path's
+        first-occurrence order of its misses — and not outcome by outcome:
+        the LRU eviction sequence follows it.
+
+        Returns ``(rows, slowest, error, stale)``: the row copy under every
+        key (None when there is no row, or the read failed), the largest
+        per-key latency (the fetches ran in parallel), the error of the last
+        failed key (None when every read succeeded) and whether any key was
+        served without its bound verified.  How far behind the primary a
+        served value was known to be (0.0 verified current, an age when the
+        primary holds a newer in-bound version, None unverifiable) goes to
+        :meth:`CacheTier.admit_entity`, which subtracts it from the TTL and
+        never admits an unverified read.
         """
-        result = self.router.read(namespace, key)
-        return self._verify_replica_read(namespace, key, result, session)
-
-    def _verify_replica_read(self, namespace: str, key: Key, result, session):
-        """Staleness-bound and session-guarantee checks on a routed read.
-
-        Split from :meth:`_consistent_read` so batched dereferences can fetch
-        values as per-group multigets and still run the identical per-key
-        verification.  Same return shape as ``_consistent_read``.
-        """
-        if not result.success:
-            return None, result.latency, False, False, result.error, None
-        value = result.value
-        latency = result.latency
-        stale = False
-        known_staleness: Optional[float] = None
-
-        group = self.cluster.group_for_key(namespace, key)
-        primary_id = group.primary
-        # Fast path: a read served by the owning primary is verified current
-        # by construction — the staleness peek below would compare the
-        # primary's value to itself (and the successful hop implies the
-        # primary is reachable).  Sessions with a guarantee still run their
-        # checks: a migration-window write can leave a session ahead of the
-        # current owner's primary, and the re-read below dual-routes to
-        # catch that.
-        served_by_primary = result.node_id == primary_id
+        cache = self.cache
+        now = self.sim.now
+        staleness_bound = self.spec.read.staleness_bound
         session_checks = session is not None and session.guarantee.any_enabled
-        if served_by_primary and not session_checks:
-            if session is not None:
-                session.note_read(namespace, key, value)
-            return value, latency, True, False, None, 0.0
-        primary_reachable = served_by_primary or self.cluster.network.is_reachable(
-            "client", primary_id)
-
-        needs_primary = False
-        # Staleness bound: if the primary holds a newer version that has been
-        # committed for longer than the declared bound, the replica value is
-        # too stale to serve.
-        if served_by_primary:
-            known_staleness = 0.0
-        elif primary_reachable:
-            primary_node = self.cluster.nodes.get(primary_id)
-            if primary_node is not None and primary_node.alive:
-                try:
-                    primary_value = primary_node.peek(namespace, key)
-                except Exception:  # NodeDownError
-                    primary_value = None
-                if primary_value is not None:
-                    replica_version = value.version if value is not None else 0
-                    age = self.sim.now - primary_value.timestamp
-                    if primary_value.version <= replica_version:
-                        known_staleness = 0.0
-                    elif age > self.spec.read.staleness_bound:
-                        needs_primary = True
-                    elif primary_value.version == replica_version + 1:
-                        # Exactly one version behind: the primary value's age
-                        # is precisely when the replica value was superseded.
-                        known_staleness = age
-                    else:
+        resolved: Dict[ReadOutcome, tuple] = {}
+        outcome = None
+        rows: Dict[Key, Optional[Dict[str, Any]]] = {}
+        slowest = 0.0
+        error = None
+        any_stale = False
+        for key in keys:
+            if routed[key] is not outcome:
+                outcome = routed[key]
+                values = outcome.values
+                served_latency = outcome.latency
+                unserved = None if outcome.success else (outcome.error or "read failed")
+                context = resolved.get(outcome)
+                if context is not None:
+                    served_by_primary, primary_reachable, peek = context
+                elif unserved is None:
+                    cluster = self.cluster
+                    primary_id = outcome.group.primary
+                    served_by_primary = outcome.node_id == primary_id
+                    primary_reachable = served_by_primary or cluster.network.is_reachable(
+                        "client", primary_id)
+                    peek = None
+                    if primary_reachable and not served_by_primary:
+                        primary_node = cluster.nodes.get(primary_id)
+                        if primary_node is not None and primary_node.alive:
+                            peek = primary_node.peek
+                    resolved[outcome] = (served_by_primary, primary_reachable, peek)
+            latency = served_latency
+            failure = unserved
+            stale = False
+            if failure is None:
+                value = values[key]
+                known_staleness: Optional[float] = None
+                needs_primary = False
+                if served_by_primary:
+                    known_staleness = 0.0
+                elif peek is not None:
+                    primary_value = peek(namespace, key)
+                    if primary_value is not None:
+                        replica_version = value.version if value is not None else 0
+                        age = now - primary_value.timestamp
+                        if primary_value.version <= replica_version:
+                            known_staleness = 0.0
+                        elif age > staleness_bound:
+                            needs_primary = True
+                        elif primary_value.version == replica_version + 1:
+                            # Exactly one version behind: the primary value's age is
+                            # precisely when the replica value was superseded.
+                            known_staleness = age
                         # Two or more versions behind: the served value was
                         # superseded by an *older* intermediate write whose
                         # commit time the primary no longer holds, so its true
                         # staleness is unknown — serve it (the paper's bound
-                        # is enforced against the newest version, as before)
-                        # but never admit it to the cache.
+                        # is enforced against the newest version) but never
+                        # admit it to the cache.
+                    elif value is None:
+                        # Verified negative: the primary has nothing newer either.
+                        known_staleness = 0.0
+                elif not primary_reachable:
+                    # Cannot verify the bound at all: availability vs. read consistency.
+                    stale = True
+                    if self.arbitrator.resolve_read_conflict(
+                            now, "staleness_check_unreachable").failed_request:
+                        failure = "read consistency prioritised over availability"
+            # Session guarantees: the replica value must be at least as new as
+            # what this session wrote / has already seen (asked first: the
+            # session counts its fallbacks).
+            if failure is None and ((session_checks and not session.acceptable(
+                    namespace, key, value)) or needs_primary):
+                if primary_reachable:
+                    primary_result = self.router.read(namespace, key, from_primary=True)
+                    latency += primary_result.latency
+                    if primary_result.success:
+                        value = primary_result.value
+                        known_staleness = 0.0
+                    else:
+                        stale = True
                         known_staleness = None
-                elif value is None:
-                    # Verified negative: the primary has nothing newer either.
-                    known_staleness = 0.0
-        else:
-            # Cannot verify the bound at all: availability vs. read consistency.
-            decision = self.arbitrator.resolve_read_conflict(
-                self.sim.now, "staleness_check_unreachable"
-            )
-            if decision.failed_request:
-                return (None, latency, False, False,
-                        "read consistency prioritised over availability", None)
-            stale = True
-
-        # Session guarantees: the replica value must be at least as new as what
-        # this session wrote / has already seen (a session with no guarantee
-        # enabled accepts everything).
-        if session_checks and not session.acceptable(namespace, key, value):
-            needs_primary = True
-
-        if needs_primary:
-            if primary_reachable:
-                primary_result = self.router.read(namespace, key, from_primary=True)
-                latency += primary_result.latency
-                if primary_result.success:
-                    value = primary_result.value
-                    known_staleness = 0.0
+                        if self.arbitrator.resolve_read_conflict(
+                                now, "primary_read_failed").failed_request:
+                            failure = primary_result.error
                 else:
-                    decision = self.arbitrator.resolve_read_conflict(
-                        self.sim.now, "primary_read_failed"
-                    )
-                    if decision.failed_request:
-                        return None, latency, False, False, primary_result.error, None
                     stale = True
                     known_staleness = None
-            else:
-                decision = self.arbitrator.resolve_session_conflict(
-                    self.sim.now, "primary_unreachable_for_session_guarantee"
-                )
-                if decision.failed_request:
-                    return None, latency, False, False, "session guarantee unsatisfiable", None
-                stale = True
-                known_staleness = None
-
-        if session is not None:
-            session.note_read(namespace, key, value)
-        if stale:
-            self._stale_served += 1
-        return value, latency, True, stale, None, known_staleness
+                    if self.arbitrator.resolve_session_conflict(
+                            now, "primary_unreachable_for_session_guarantee").failed_request:
+                        failure = "session guarantee unsatisfiable"
+            if latency > slowest:
+                slowest = latency
+            if failure is not None:
+                error = failure
+                rows[key] = None
+                continue
+            if session is not None:
+                session.note_read(namespace, key, value)
+            if stale:
+                self._stale_served += 1
+                any_stale = True
+            elif cache is not None:
+                cache.admit_entity(namespace, key, value, known_staleness)
+            rows[key] = (dict(value.value)
+                         if value is not None and isinstance(value.value, dict) else None)
+        return rows, slowest, error, any_stale
 
     # ---------------------------------------------------------------- accounting
 

@@ -18,23 +18,28 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.core.index.maintenance import EntityWrite, IndexMaintainer
 from repro.sim.simulator import Simulator
 
 
-@dataclass(order=True)
+@dataclass(slots=True, eq=False)
 class UpdateTask:
-    """One pending index-maintenance task, ordered by its propagation deadline."""
+    """One pending index-maintenance task.
+
+    The updater's heap holds ``(sort_key, seq, task)`` tuples — the
+    propagation deadline (arrival time in FIFO mode), then arrival order;
+    ``seq`` is unique, so tasks themselves are never compared.
+    """
 
     sort_key: float
     seq: int
-    write: EntityWrite = field(compare=False)
-    enqueue_time: float = field(compare=False, default=0.0)
-    deadline: float = field(compare=False, default=0.0)
-    completion_time: Optional[float] = field(compare=False, default=None)
+    write: EntityWrite
+    enqueue_time: float = 0.0
+    deadline: float = 0.0
+    completion_time: Optional[float] = None
 
     @property
     def lag(self) -> Optional[float]:
@@ -110,7 +115,7 @@ class AsyncIndexUpdater:
         self.drain_interval = drain_interval
         self.default_staleness_bound = default_staleness_bound
         self.fifo = fifo
-        self._heap: List[UpdateTask] = []
+        self._heap: List[Tuple[float, int, UpdateTask]] = []
         self._seq = itertools.count()
         self._stats = UpdaterStats()
         # Only the most recent completions are kept (each task pins its
@@ -144,14 +149,9 @@ class AsyncIndexUpdater:
         now = self._sim.now
         deadline = now + bound
         sort_key = now if self.fifo else deadline
-        task = UpdateTask(
-            sort_key=sort_key,
-            seq=next(self._seq),
-            write=write,
-            enqueue_time=now,
-            deadline=deadline,
-        )
-        heapq.heappush(self._heap, task)
+        seq = next(self._seq)
+        task = UpdateTask(sort_key, seq, write, now, deadline)
+        heapq.heappush(self._heap, (sort_key, seq, task))
         return task
 
     # -------------------------------------------------------------------- drain
@@ -165,7 +165,7 @@ class AsyncIndexUpdater:
         budget = self.capacity_per_interval() + self._carryover_capacity
         processed = 0
         while self._heap and budget >= 1.0:
-            task = heapq.heappop(self._heap)
+            task = heapq.heappop(self._heap)[2]
             self._maintainer.apply(task.write)
             task.completion_time = self._sim.now
             self._record_completion(task)
@@ -179,7 +179,7 @@ class AsyncIndexUpdater:
         """Synchronously process queued tasks (used by tests and flush paths)."""
         processed = 0
         while self._heap and (max_tasks is None or processed < max_tasks):
-            task = heapq.heappop(self._heap)
+            task = heapq.heappop(self._heap)[2]
             self._maintainer.apply(task.write)
             task.completion_time = self._sim.now
             self._record_completion(task)
@@ -212,7 +212,9 @@ class AsyncIndexUpdater:
         """The most urgent pending deadline (None when the queue is empty)."""
         if not self._heap:
             return None
-        return min(task.deadline for task in self._heap[: 50]) if self.fifo else self._heap[0].deadline
+        if self.fifo:
+            return min(task.deadline for _, _, task in self._heap[:50])
+        return self._heap[0][2].deadline
 
     def behind_schedule(self, margin: float = 0.0) -> bool:
         """True when the most urgent pending deadline is already (nearly) due.

@@ -2,7 +2,10 @@
 
 Events are ordered by (time, priority, sequence number).  The sequence number
 makes ordering of simultaneous events deterministic (insertion order), which
-keeps every experiment in the repository reproducible run-to-run.
+keeps every experiment in the repository reproducible run-to-run.  The heap
+holds ``(time, priority, seq, event)`` tuples: ``seq`` is unique, so the
+comparison is decided by the three numbers in C and never reaches the
+:class:`Event` itself.
 """
 
 from __future__ import annotations
@@ -16,10 +19,8 @@ class Event:
     """A scheduled callback.
 
     A plain ``__slots__`` class rather than a dataclass: events are the
-    single most-allocated object in a simulation, and the heap compares them
-    on every push/pop, so construction and ``__lt__`` are kept hand-written
-    (the dataclass-generated compare builds a tuple per operand per
-    comparison).
+    single most-allocated object in a simulation, so construction is kept
+    hand-written.
 
     Attributes:
         time: simulated time (seconds) at which the event fires.
@@ -27,9 +28,12 @@ class Event:
         seq: insertion sequence number, assigned by the queue.
         action: zero-argument callable run when the event fires.
         name: optional label used in traces and error messages.
+        cancelled: the queue skips the event when it reaches the front.
+        popped: the queue has handed the event out (it fired or is firing),
+            or dropped it in ``clear()``; it can no longer be cancelled.
     """
 
-    __slots__ = ("time", "priority", "seq", "action", "name", "cancelled")
+    __slots__ = ("time", "priority", "seq", "action", "name", "cancelled", "popped")
 
     def __init__(
         self,
@@ -46,18 +50,7 @@ class Event:
         self.action = action
         self.name = name
         self.cancelled = cancelled
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.priority, self.seq) == (other.time, other.priority, other.seq)
+        self.popped = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Event(time={self.time!r}, priority={self.priority!r}, "
@@ -78,7 +71,7 @@ class EventQueue:
     """A priority queue of :class:`Event` ordered by time."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -96,8 +89,9 @@ class EventQueue:
         name: str = "",
     ) -> Event:
         """Schedule ``action`` at ``time`` and return the event handle."""
-        event = Event(time, priority, next(self._counter), action, name)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, action, name)
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
 
@@ -106,10 +100,12 @@ class EventQueue:
 
         Raises ``IndexError`` if the queue holds no live events.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[3]
             if event.cancelled:
                 continue
+            event.popped = True
             self._live -= 1
             return event
         raise IndexError("pop from an empty event queue")
@@ -123,32 +119,42 @@ class EventQueue:
         """
         heap = self._heap
         while heap:
-            event = heap[0]
+            entry = heap[0]
+            event = entry[3]
             if event.cancelled:
                 heapq.heappop(heap)
                 continue
-            if event.time > end_time:
+            if entry[0] > end_time:
                 return None
             heapq.heappop(heap)
+            event.popped = True
             self._live -= 1
             return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the next live event, or None if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (lazy removal)."""
-        if not event.cancelled:
+        """Cancel a previously scheduled event (lazy removal).
+
+        An event the queue no longer holds — it already fired, is firing right
+        now (a periodic action cancelling itself), or was dropped by
+        :meth:`clear` — is not counted as live, so cancelling it is a no-op.
+        """
+        if not event.cancelled and not event.popped:
             event.cancel()
             self._live -= 1
 
     def clear(self) -> None:
         """Drop every pending event."""
+        for entry in self._heap:
+            entry[3].popped = True
         self._heap.clear()
         self._live = 0

@@ -79,7 +79,8 @@ class Simulator:
             if state["cancelled"]:
                 return
             action()
-            state["event"] = self.schedule(interval, tick, name=name)
+            if not state["cancelled"]:  # the action may cancel its own schedule
+                state["event"] = self.schedule(interval, tick, name=name)
 
         first_delay = interval if start_delay is None else start_delay
         state["event"] = self.schedule(first_delay, tick, name=name)

@@ -85,20 +85,27 @@ class _NamespaceStore:
     def range(self, start: Optional[Key], end: Optional[Key],
               limit: Optional[int] = None,
               reverse: bool = False) -> List[Tuple[Key, VersionedValue]]:
-        """All (key, value) pairs with start <= key < end, in key order.
+        """The live (key, value) pairs with start <= key < end, in key order.
 
         With ``reverse=True`` the scan walks backwards from the end of the
         range (still returning keys in descending order), so a LIMIT on a
-        descending query reads only ``limit`` entries.
+        descending query reads only ``limit`` entries.  ``limit`` bounds the
+        entries *read*: a tombstone among them is skipped, not replaced.  The
+        result is built in one pass over the bounded slice of the sorted keys
+        and is the caller's to keep.
         """
-        lo = 0 if start is None else bisect.bisect_left(self._sorted_keys, start)
-        hi = len(self._sorted_keys) if end is None else bisect.bisect_left(self._sorted_keys, end)
-        keys = self._sorted_keys[lo:hi]
-        if reverse:
-            keys = keys[::-1]
-        if limit is not None:
-            keys = keys[:limit]
-        return [(k, self._data[k]) for k in keys]
+        keys = self._sorted_keys
+        lo = 0 if start is None else bisect.bisect_left(keys, start)
+        hi = len(keys) if end is None else bisect.bisect_left(keys, end)
+        if limit is not None and hi - lo > limit:
+            if reverse:
+                lo = hi - limit
+            else:
+                hi = lo + limit
+        data = self._data
+        scanned = reversed(keys[lo:hi]) if reverse else keys[lo:hi]
+        return [(key, value) for key in scanned
+                if not (value := data[key]).tombstone]
 
     def keys(self) -> Iterator[Key]:
         return iter(self._sorted_keys)
@@ -333,15 +340,14 @@ class StorageNode:
         self._record_arrival(now)
         store = self._namespaces.get(namespace)
         stored = (store._data if store is not None else {}).get
-        stats = self._stats
         out: Dict[Key, Optional[VersionedValue]] = {}
         for key in keys:
             validate_key(key)
-            stats.reads += 1
             value = stored(key)
             if value is not None and value.tombstone:
                 value = None
             out[key] = value
+        self._stats.reads += len(keys)
         per_key_cost = 0.00002  # 20 microseconds per additional key
         latency = self._latency.sample(self._rng) + per_key_cost * max(len(keys) - 1, 0)
         return out, latency
@@ -411,12 +417,8 @@ class StorageNode:
         self._check_alive()
         self._record_arrival(now)
         self._stats.range_reads += 1
-        store = self._store(key_range.namespace)
-        rows = [
-            (key, value)
-            for key, value in store.range(key_range.start, key_range.end, limit, reverse)
-            if not value.tombstone
-        ]
+        rows = self._store(key_range.namespace).range(
+            key_range.start, key_range.end, limit, reverse)
         per_row_cost = 0.00002  # 20 microseconds per adjacent row
         latency = self.service_time() + per_row_cost * len(rows)
         return rows, latency

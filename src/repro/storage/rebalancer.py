@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.storage.cluster import Cluster
 from repro.storage.partitioner import (
@@ -80,6 +80,20 @@ class PartitionLoadTracker:
         self.total_accesses += 1
         if len(self._counts) > self._max_tokens:
             self._prune()
+
+    def note_reads(self, tokens: Sequence[str], now: float) -> None:
+        """:meth:`note` for each of ``tokens`` in order, as one call — a
+        multiget's keys are noted together.  Still one ``+ 1.0`` per token:
+        the decayed counts are not integers, so ``+ n`` would round
+        differently."""
+        self._maybe_decay(now)
+        counts = self._counts
+        for token in tokens:
+            counts[token] = counts.get(token, 0.0) + 1.0
+            if len(counts) > self._max_tokens:
+                self._prune()
+                counts = self._counts
+        self.total_accesses += len(tokens)
 
     def _maybe_decay(self, now: float) -> None:
         elapsed = now - self._last_decay

@@ -46,6 +46,27 @@ class RequestResult:
     error: Optional[str] = None
 
 
+@dataclass(slots=True, eq=False)
+class ReadOutcome:
+    """What one storage request of :meth:`Router.read_many` returned.
+
+    One outcome is shared by every key the request served: a per-group
+    multiget carries the whole batch in ``values``, a dual-routed single-key
+    fallback carries one key.  ``group`` is the replica group that owns the
+    keys *now* (for a key under migration the serving ``node_id`` may belong
+    to the source group instead); everything except ``values`` is a fact
+    about the request, not about a key, so a caller checking the read
+    resolves it once per outcome.
+    """
+
+    success: bool
+    latency: float
+    values: Dict[Key, Optional[VersionedValue]]
+    group: ReplicaGroup
+    node_id: Optional[str] = None
+    error: Optional[str] = None
+
+
 class Router:
     """Routes client operations onto the simulated cluster."""
 
@@ -257,7 +278,15 @@ class Router:
         self._ops["failed"] += 1
         return RequestResult(success=False, latency=0.0, error=last_error)
 
-    def read_many(self, namespace: str, keys: Sequence[Key]) -> Dict[Key, RequestResult]:
+    def read_one(self, namespace: str, key: Key) -> ReadOutcome:
+        """:meth:`read` as a one-key :class:`ReadOutcome` — the dual-routed
+        single-key path in the shape :meth:`read_many` returns."""
+        result = self.read(namespace, key)
+        group = self._groups[self._partitioner.group_for_token(str(key[0]))]
+        return ReadOutcome(result.success, result.latency, {key: result.value},
+                           group, result.node_id, result.error)
+
+    def read_many(self, namespace: str, keys: Sequence[Key]) -> Dict[Key, ReadOutcome]:
         """Batched point reads: one storage request per replica group.
 
         The query layer dereferences a bounded list of index entries; issuing
@@ -268,28 +297,35 @@ class Router:
         per-key demand is modest.  Groups are contacted in parallel (client
         waits for the slowest batch).  Keys under an in-flight migration, and
         any batch with no live replica, fall back to the dual-routed
-        single-key path.
+        single-key path (:meth:`read_one`).
+
+        The batch is the unit of the result too: every distinct key maps to
+        the :class:`ReadOutcome` of the request that served it, and the keys
+        of one multiget share one outcome object (group, serving node,
+        latency, ``{key: value}``) — nothing is allocated per key.  What is
+        per key is only ``outcome.values[key]``.
         """
         now = self._clock.now
         tracker = self._cluster._load_tracker  # noqa: SLF001 - router feeds it
         in_flight = self._migrations
         group_for_token = self._partitioner.group_for_token
-        results: Dict[Key, RequestResult] = {}
-        by_group: Dict[str, List[Key]] = {}
+        results: Dict[Key, ReadOutcome] = {}
+        by_group: Dict[str, Tuple[List[Key], List[str]]] = {}  # keys, their tokens
         # De-duplicated up front: one fetch serves every occurrence of a key.
         for key in dict.fromkeys(keys):
             token = str(key[0])  # partition_token(key), inlined for the hot path
             if in_flight and any(token in record.tokens for record in in_flight):
-                results[key] = self.read(namespace, key)
+                results[key] = self.read_one(namespace, key)
                 continue
             group_id = group_for_token(token)
             batch = by_group.get(group_id)
             if batch is None:
-                by_group[group_id] = [key]
+                by_group[group_id] = ([key], [token])
             else:
-                batch.append(key)
+                batch[0].append(key)
+                batch[1].append(token)
         ops = self._ops
-        for group_id, group_keys in by_group.items():
+        for group_id, (group_keys, tokens) in by_group.items():
             group = self._groups[group_id]
             ops["read"] += 1
             served = False
@@ -309,18 +345,18 @@ class Router:
                     # by max and replaces these with one aggregate span.
                     tracer.add("multiget", latency,
                                detail=f"group={group_id} keys={len(group_keys)} via {node_id}")
+                outcome = ReadOutcome(True, latency, values, group, node_id)
                 for key in group_keys:
-                    results[key] = RequestResult(True, latency, values[key], node_id=node_id)
-                    if tracker is not None:
-                        # One note per key: the decayed counts are not integers.
-                        tracker.note(str(key[0]), False, now)
+                    results[key] = outcome
+                if tracker is not None:
+                    tracker.note_reads(tokens, now)
                 served = True
                 break
             if not served:
                 # No live replica took the batch; the single-key path knows
                 # the migration fallbacks and error shapes.
                 for key in group_keys:
-                    results[key] = self.read(namespace, key)
+                    results[key] = self.read_one(namespace, key)
         return results
 
     def read_range(
@@ -330,13 +366,19 @@ class Router:
         from_primary: bool = False,
         reverse: bool = False,
     ) -> RequestResult:
-        """Bounded contiguous range read — the only scan the query layer issues."""
+        """Bounded contiguous range read — the only scan the query layer issues.
+
+        A range one group answered (every prefix scan a compiled query issues
+        on the hash ring) is handed through as the serving node built it:
+        already in scan order, already bounded by ``limit``, the list itself
+        and not a copy.  Only a range that fanned out to several groups is
+        merged, sorted and cut to ``limit`` here.
+        """
         now = self._sim.now
         groups = self._cluster.groups_for_range(key_range)
         self._ops["range"] += 1
-        all_rows: List[Tuple[Key, VersionedValue]] = []
+        answers: List[List[Tuple[Key, VersionedValue]]] = []  # one per group
         total_latency = 0.0
-        contacted = 0
         tracer = self._tracer
         traced = tracer is not None and tracer.active
         # Groups fan out in parallel and the client waits for the slowest, so
@@ -363,7 +405,7 @@ class Router:
                                detail=f"group={group.group_id} via {node_id}")
                     tracer.add("queue", queue_wait)
                     tracer.add("service", base_service)
-                all_rows.extend(rows)
+                answers.append(rows)
                 # Multi-group ranges fan out in parallel; the client waits for
                 # the slowest group, not the sum.
                 contribution = 2.0 * hop + service
@@ -372,7 +414,6 @@ class Router:
                     if traced:
                         winner_spans = (group_mark, tracer.mark())
                 served = True
-                contacted += 1
                 break
             if not served:
                 rows, hop_latency = self._range_migration_fallback(group, key_range,
@@ -383,21 +424,24 @@ class Router:
                         tracer.add("dual_route", hop_latency,
                                    detail=f"range for group={group.group_id} "
                                           "served by migration source")
-                    all_rows.extend(rows)
+                    answers.append(rows)
                     if hop_latency > total_latency:
                         total_latency = hop_latency
                         if traced:
                             winner_spans = (group_mark, tracer.mark())
-                    contacted += 1
                     continue
                 self._ops["failed"] += 1
                 if traced:
                     tracer.demote_since(fanout_mark)
                 return RequestResult(success=False, latency=total_latency,
                                      error=f"range unavailable in group {group.group_id}")
-        all_rows.sort(key=lambda kv: kv[0], reverse=reverse)
-        if limit is not None:
-            all_rows = all_rows[:limit]
+        if len(answers) == 1:
+            all_rows = answers[0]
+        else:
+            all_rows = [row for rows in answers for row in rows]
+            all_rows.sort(key=lambda kv: kv[0], reverse=reverse)
+            if limit is not None:
+                all_rows = all_rows[:limit]
         cluster = self._cluster
         if cluster._load_tracker is not None:  # noqa: SLF001 - router feeds it
             # Range scans are real partition load too: charge each partition

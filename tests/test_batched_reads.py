@@ -131,7 +131,8 @@ class TestRouterReadMany:
         batched = router.read_many("entity:items", keys)
         for key in keys:
             assert batched[key].success
-            assert batched[key].value.value == router.read("entity:items", key).value.value
+            assert (batched[key].values[key].value
+                    == router.read("entity:items", key).value.value)
 
     def test_one_request_per_group(self):
         engine = self._engine()
@@ -150,6 +151,14 @@ class TestRouterReadMany:
         assert len(results) == len(keys)
         assert after["read"] - before["read"] == len(groups_touched)
         assert after["read"] - before["read"] < len(keys)
+        # ... and one shared outcome per request, holding exactly its keys
+        outcomes = {id(outcome): outcome for outcome in results.values()}
+        assert len(outcomes) == len(groups_touched)
+        for outcome in outcomes.values():
+            assert set(outcome.values) == {
+                key for key in keys if engine.cluster.partitioner.group_for_token(
+                    key[0]) == outcome.group.group_id}
+            assert outcome.node_id in outcome.group.node_ids
 
     def test_duplicate_keys_fetched_once(self):
         engine = self._engine(groups=1)
@@ -213,6 +222,15 @@ def reference_read_many(router, namespace, keys):
     return results
 
 
+def per_key(results):
+    """``{key: (success, latency, value, serving node, error)}`` of a
+    ``read_many`` result or of the reference's per-key ``RequestResult``s."""
+    return {key: (result.success, result.latency,
+                  result.values[key] if hasattr(result, "values") else result.value,
+                  result.node_id, result.error)
+            for key, result in results.items()}
+
+
 class TestRouterReadManyOnePass:
     """The batch is de-duplicated and grouped in one pass over its keys."""
 
@@ -262,12 +280,33 @@ class TestRouterReadManyOnePass:
         twin_cluster, twin_router, twin_tracker = self._twin()
         results = router.read_many("ns", self.KEYS)
         expected = reference_read_many(twin_router, "ns", self.KEYS)
-        assert results == expected  # values, latencies, serving nodes, errors
+        # values, latencies, serving nodes, errors
+        assert per_key(results) == per_key(expected)
         assert list(results) == list(expected)
-        assert results[("u003",)].value.value == {"v": 3}
-        assert results[("u045",)].value.value == {"v": 45}  # dual-routed
-        assert results[("absent",)].success and results[("absent",)].value is None
-        assert not results[("u021",)].success  # its group has no live replica
+        assert results[("u003",)].values[("u003",)].value == {"v": 3}
+        assert results[("absent",)].success
+        assert results[("absent",)].values[("absent",)] is None
+        # group-0's multiget is one outcome shared by the keys it served ...
+        batch = results[("u003",)]
+        assert list(batch.values) == [("u003",), ("u017",), ("absent",), ("u010",)]
+        assert all(results[key] is batch for key in batch.values)
+        assert batch.group is cluster.groups["group-0"]
+        # ... a key under the in-flight migration came back through the
+        # dual-routed single-key read, as a one-key outcome of the same type
+        # whose group is the new owner even when the source served it ...
+        for key in (("u045",), ("u058",)):
+            moving = results[key]
+            assert type(moving) is type(batch) and list(moving.values) == [key]
+            assert moving.success and moving.values[key].value == {"v": int(key[0][1:])}
+            assert moving.group is cluster.groups["group-2"]
+            assert moving.node_id in (cluster.groups["group-0"].node_ids
+                                      + cluster.groups["group-2"].node_ids)
+        # ... and so did each key of the batch no live replica took.
+        for key in (("u021",), ("u033",)):
+            dead = results[key]
+            assert type(dead) is type(batch) and list(dead.values) == [key]
+            assert not dead.success and dead.values[key] is None
+            assert dead.error.startswith("node ") and dead.group is cluster.groups["group-1"]
         # the books: requests, failures, partition load, key touches per node
         assert router.op_counts() == twin_router.op_counts()
         assert router.op_counts()["failed"] == 2  # u021 and u033
@@ -285,7 +324,7 @@ class TestRouterReadManyOnePass:
         # and every value is the one a single-key read returns
         for key, result in results.items():
             single = twin_router.read("ns", key)
-            assert (single.success, single.value) == (result.success, result.value)
+            assert (single.success, single.value) == (result.success, result.values[key])
 
 
 class TestExecutorBatchedDereference:
@@ -413,24 +452,66 @@ class TestExecutorBatchedDereference:
 class TestEngineDereferenceGlue:
     """``entity_get_many`` of the reader ``Scads.query`` hands the executor."""
 
+    NAMESPACE = "entity:items"
+
     @staticmethod
-    def _glue(cache):
+    def _glue(cache, groups=3, items=6, session=None, warm=True, **engine_kwargs):
         """A loaded engine and a reader of it, as its next query would build."""
         from repro import Scads
         from repro.core.engine import _QueryReader
         from repro.core.schema import EntitySchema, Field, FieldType
 
-        engine = Scads(seed=7, autoscale=False, initial_groups=3, cache=cache)
+        engine = Scads(seed=7, autoscale=False, initial_groups=groups, cache=cache,
+                       **engine_kwargs)
         engine.register_entity(EntitySchema(
             name="items", key_fields=[Field("key")],
             value_fields=[Field("v", FieldType.INT)], max_per_partition=50,
         ))
         engine.start()
-        for i in range(6):
+        for i in range(items):
             engine.put("items", {"key": f"k{i}", "v": i})
         engine.settle()
-        engine.get("items", ("k1",))  # with a tier: k1 is now cached
-        return engine, _QueryReader(engine, None, None)
+        if warm:
+            engine.get("items", ("k1",))  # with a tier: k1 is now cached
+        if session is not None:
+            session = engine.open_session("s", session)
+        return engine, _QueryReader(engine, session, None)
+
+    def _primary_of_the_one_group(self, engine):
+        (group,) = engine.cluster.groups.values()
+        return group, engine.cluster.nodes[group.primary]
+
+    def _advance_primary_only(self, engine, keys):
+        """Version 2 of ``keys`` at the primary alone: the replicas stay at 1."""
+        _, primary = self._primary_of_the_one_group(engine)
+        for key in keys:
+            primary.put(self.NAMESPACE, key, VersionedValue(
+                value={"key": key[0], "v": 100 + int(key[0][1:])},
+                timestamp=engine.now, version=2), engine.now)
+
+    def _replica_served(self, engine, keys):
+        """``read_many`` of a one-group batch until a replica serves it."""
+        for _ in range(64):
+            routed = engine.router.read_many(self.NAMESPACE, keys)
+            outcome = routed[keys[0]]
+            assert all(routed[key] is outcome for key in keys)
+            if outcome.node_id != outcome.group.primary:
+                return routed, outcome
+        pytest.fail("no replica-served batch in 64 attempts")
+
+    @staticmethod
+    def _spy_on_primary_reads(engine):
+        """Record every ``router.read(..., from_primary=True)`` and its result."""
+        calls, read = [], engine.router.read
+
+        def spy(namespace, key, from_primary=False, read_quorum=1):
+            result = read(namespace, key, from_primary, read_quorum)
+            if from_primary:
+                calls.append((key, result))
+            return result
+
+        engine.router.read = spy
+        return calls
 
     @pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
     def test_duplicate_keys_read_once_with_identical_results(self, cache):
@@ -454,3 +535,118 @@ class TestEngineDereferenceGlue:
                     == distinct_engine.cache.store.stats)
         else:
             assert duplicated_engine.cache is None
+
+    def test_misses_are_admitted_in_first_occurrence_order_not_group_order(self):
+        from repro.cache.tier import CacheConfig
+
+        engine, reader = self._glue(CacheConfig(capacity=4), items=12, warm=False)
+        group_of = {}
+        for i in range(12):
+            group_of.setdefault(engine.cluster.partitioner.group_for_token(f"k{i}"),
+                                []).append((f"k{i}",))
+        first, second = sorted(group_of.values(), key=len, reverse=True)[:2]
+        assert len(first) >= 3 and len(second) >= 3
+        # a1 b1 a1 a2 b2 a3 b3: two multigets, their keys interleaved
+        keys = [first[0], second[0], first[0], first[1], second[1], first[2], second[2]]
+        rows, _ = reader.entity_get_many("items", keys)
+        assert all(rows[key] is not None for key in keys)
+        stats = engine.cache.store.stats
+        assert (stats.insertions, stats.lru_evictions) == (6, 2)
+        # The victims are the first two misses; admitting one outcome after
+        # the other would have evicted a1 and a2 and kept b1.
+        assert [token[2] for token in engine.cache.store._entries] == [  # noqa: SLF001
+            first[1], second[1], first[2], second[2]]
+
+    def test_only_the_keys_beyond_the_bound_are_re_read_from_the_primary(self):
+        engine, _ = self._glue(False, groups=1)
+        keys = [(f"k{i}",) for i in range(6)]
+        too_stale = [("k1",), ("k4",)]
+        self._advance_primary_only(engine, too_stale)
+        engine.run_for(engine.spec.read.staleness_bound + 1.0)
+        self._advance_primary_only(engine, [("k2",)])  # newer, but inside the bound
+        routed, outcome = self._replica_served(engine, keys)
+        re_reads = self._spy_on_primary_reads(engine)
+        rows, slowest, error, stale = engine._verify_replica_read(  # noqa: SLF001
+            self.NAMESPACE, keys, routed, None)
+        assert error is None and not stale
+        assert [key for key, _ in re_reads] == too_stale
+        assert all(result.success for _, result in re_reads)
+        # the re-read keys carry the primary's value and their added latency;
+        # the rest of the batch is served as the replica read it
+        assert {key: row["v"] for key, row in rows.items()} == {
+            ("k0",): 0, ("k1",): 101, ("k2",): 2, ("k3",): 3, ("k4",): 104, ("k5",): 5}
+        assert slowest == outcome.latency + max(result.latency for _, result in re_reads)
+
+    @pytest.mark.parametrize("availability_first", [True, False],
+                             ids=["serve-stale", "fail"])
+    def test_unreachable_primary_is_arbitrated_per_key_as_get_does(self, availability_first):
+        from repro.core.consistency.spec import DEFAULT_PRIORITY, Axis, ConsistencySpec
+
+        priority = list(DEFAULT_PRIORITY)
+        if not availability_first:
+            priority.remove(Axis.READ_CONSISTENCY)
+            priority.insert(priority.index(Axis.AVAILABILITY), Axis.READ_CONSISTENCY)
+        keys = [(f"k{i}",) for i in range(4)]
+        engines = []
+        for _ in range(2):
+            engine, _ = self._glue(True, groups=1, warm=False,
+                                   consistency=ConsistencySpec(priority=priority))
+            group, _ = self._primary_of_the_one_group(engine)
+            engine.cluster.network.partition({CLIENT_ENDPOINT}, {group.primary})
+            engines.append(engine)
+        batched, single = engines
+        routed, _ = self._replica_served(batched, keys)
+        rows, _, error, stale = batched._verify_replica_read(  # noqa: SLF001
+            self.NAMESPACE, keys, routed, None)
+        gets = [single.get("items", key) for key in keys]
+        assert stale == any(outcome.stale for outcome in gets) == availability_first
+        assert batched.stale_read_count() == single.stale_read_count() == (
+            len(keys) if availability_first else 0)
+        assert (len(batched.arbitrator.decisions()) == len(single.arbitrator.decisions())
+                == len(keys))
+        assert [rows[key] for key in keys] == [outcome.row for outcome in gets]
+        assert error == gets[-1].error
+        assert (error is None) == availability_first
+        # a read whose bound could not be verified is never admitted
+        assert len(batched.cache.store) == len(single.cache.store) == 0
+
+    def test_a_down_primary_leaves_the_batch_unverified_as_get_does(self):
+        keys = [(f"k{i}",) for i in range(4)]
+        batched, _ = self._glue(True, groups=1, warm=False)
+        single, _ = self._glue(True, groups=1, warm=False)
+        for engine in (batched, single):
+            self._primary_of_the_one_group(engine)[1].crash()
+        routed, _ = self._replica_served(batched, keys)
+        rows, _, error, stale = batched._verify_replica_read(  # noqa: SLF001
+            self.NAMESPACE, keys, routed, None)
+        gets = [single.get("items", key) for key in keys]
+        assert error is None and not stale and not any(outcome.stale for outcome in gets)
+        assert [rows[key] for key in keys] == [outcome.row for outcome in gets]
+        assert batched.arbitrator.decisions() == single.arbitrator.decisions() == []
+        assert len(batched.cache.store) == len(single.cache.store) == 0
+
+    def test_a_monotonic_reads_session_rejects_per_key_inside_a_batch(self):
+        from repro.core.consistency.spec import SessionGuarantee
+
+        engine, reader = self._glue(False, groups=1,
+                                    session=SessionGuarantee(monotonic_reads=True))
+        session = reader._session  # noqa: SLF001
+        keys = [(f"k{i}",) for i in range(4)]
+        self._advance_primary_only(engine, [("k3",)])
+        engine.run_for(engine.spec.read.staleness_bound + 1.0)  # k3: beyond the bound
+        self._advance_primary_only(engine, [("k2",)])  # k2: inside it
+        _, primary = self._primary_of_the_one_group(engine)
+        for key in (("k2",), ("k3",)):
+            session.note_read(self.NAMESPACE, key, primary.peek(self.NAMESPACE, key))
+        routed, _ = self._replica_served(engine, keys)
+        re_reads = self._spy_on_primary_reads(engine)
+        rows, _, error, stale = engine._verify_replica_read(  # noqa: SLF001
+            self.NAMESPACE, keys, routed, session)
+        assert error is None and not stale
+        # version 1 after seeing 2: k2 on the session's word alone, k3 once,
+        # though the staleness bound asks for it too — and the session is
+        # asked (and counts its fallback) either way
+        assert [key for key, _ in re_reads] == [("k2",), ("k3",)]
+        assert session.stats.monotonic_fallbacks == 2
+        assert [rows[key]["v"] for key in keys] == [0, 1, 102, 103]
+        assert session.stats.reads == 2 + len(keys)

@@ -267,6 +267,26 @@ class TestEngineIntegration:
         assert "cache absorbing" in absorbed.reason
 
 
+def cluster_reads(engine, namespace, key, attempts=64):
+    """``attempts`` cluster reads of one key as ``Scads.get`` issues them on a
+    cache miss; yields, per read, the value and the known staleness the
+    verification offered to the cache."""
+    offered = []
+    admit = engine.cache.admit_entity
+
+    def spy(namespace, key, value, known_staleness):
+        offered.append((value, known_staleness))
+        return admit(namespace, key, value, known_staleness)
+
+    engine.cache.admit_entity = spy
+    for _ in range(attempts):
+        rows, _, error, stale = engine._verify_replica_read(
+            namespace, (key,), {key: engine.router.read_one(namespace, key)}, None)
+        assert error is None and not stale and len(offered) == 1
+        assert rows[key] == offered[0][0].value
+        yield offered.pop()
+
+
 class TestStalenessEdgeCases:
     def test_replica_two_versions_behind_is_never_admitted(self):
         """A replica that missed two writes has unknowable true staleness
@@ -285,10 +305,7 @@ class TestStalenessEdgeCases:
                 value={"user_id": "u1", "bio": f"v{version}"},
                 timestamp=engine.now, version=version), engine.now)
         saw_replica_read = False
-        for _ in range(64):
-            value, _, success, _, _, freshness = engine._consistent_read(
-                namespace, ("u1",), None)
-            assert success
+        for value, freshness in cluster_reads(engine, namespace, ("u1",)):
             if value.version == 1:  # served by a lagging replica
                 saw_replica_read = True
                 assert freshness is None, \
@@ -311,10 +328,7 @@ class TestStalenessEdgeCases:
             value={"user_id": "u1", "bio": "v2"},
             timestamp=engine.now, version=2), engine.now)
         engine.run_for(3.0)  # version 1 has now been superseded for 3 seconds
-        for _ in range(64):
-            value, _, success, _, _, freshness = engine._consistent_read(
-                namespace, ("u1",), None)
-            assert success
+        for value, freshness in cluster_reads(engine, namespace, ("u1",)):
             if value.version == 1:
                 assert freshness == pytest.approx(3.0, abs=0.01)
                 return

@@ -20,6 +20,7 @@ from repro.experiments.harness import run_closed_loop
 from repro.storage.cluster import Cluster
 from repro.storage.node import StorageNode
 from repro.storage.replication import ReplicationEngine
+from repro.storage.router import Router
 
 pytestmark = pytest.mark.tier1
 
@@ -27,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 MAX_ENGINE_KWARGS = 22
-MAX_ENGINE_LINES = 1090
+MAX_ENGINE_LINES = 1089
 MAX_ENGINE_IS_NOT_NONE = 44
 MAX_CLUSTER_LINES = 1030
 # Data movement is three primitives (see cluster.py's "Data movement"): the
@@ -50,6 +51,17 @@ def test_engine_module_does_not_grow():
     source = (SRC / "core" / "engine.py").read_text(encoding="utf-8")
     assert len(source.splitlines()) <= MAX_ENGINE_LINES
     assert source.count("is not None") <= MAX_ENGINE_IS_NOT_NONE
+
+
+def test_the_cluster_read_path_pays_per_batch_not_per_key():
+    # One shared outcome per multiget: no per-key result record ...
+    assert "RequestResult(" not in inspect.getsource(Router.read_many)
+    # ... and the owning group is a fact about the outcome: the one
+    # verification rule never resolves it per key (it reads outcome.group).
+    assert inspect.getsource(Scads._verify_replica_read).count("group_for_key(") <= 1
+    engine = (SRC / "core" / "engine.py").read_text(encoding="utf-8")
+    assert engine.count("def _verify_replica_read(") == 1
+    assert "_consistent_read" not in engine  # no per-key twin of the rule
 
 
 def test_cluster_module_does_not_grow():

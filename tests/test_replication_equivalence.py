@@ -221,7 +221,7 @@ class Harness:
         counts = {node_id: (node.stats.keys_stored, node.stats.writes)
                   for node_id, node in self.nodes.items()}
         queued = sorted((event.time, event.priority, event.seq, event.name)
-                        for event in self.sim.queue._heap if not event.cancelled)
+                        for *_, event in self.sim.queue._heap if not event.cancelled)
         return {
             "stores": stores,
             "counts": counts,
@@ -312,7 +312,7 @@ def test_record_is_the_scheduled_action_and_exposes_the_lag():
     record = harness.engine.replicate_to("n0", "n3", NAMESPACES[0], KEYS[0],
                                          harness._value())
     assert record.lag is None and record.applied_time is None
-    (event,) = harness.sim.queue._heap
+    ((*_, event),) = harness.sim.queue._heap
     assert event.action is record and event.name == f"replicate:{NAMESPACES[0]}"
     harness.sim.run_until(1.0)
     assert record.lag == record.applied_time - record.write_time > 0.0

@@ -135,9 +135,21 @@ class TestEventQueue:
 
     def test_clear_empties_queue(self):
         queue = EventQueue()
-        queue.push(1.0, lambda: None)
+        dropped = queue.push(1.0, lambda: None)
         queue.clear()
         assert not queue
+        queue.push(2.0, lambda: None)
+        queue.cancel(dropped)  # no longer held: not counted a second time
+        assert len(queue) == 1
+
+    def test_cancelling_a_popped_event_leaves_the_live_count(self):
+        queue = EventQueue()
+        first = queue.push(1.0, lambda: None)
+        queue.push(2.0, lambda: None)
+        assert queue.pop() is first
+        queue.cancel(first)
+        assert len(queue) == len(queue._heap) == 1  # noqa: SLF001
+        assert queue.pop_due(5.0) is not None and not queue
 
 
 # ------------------------------------------------------------------ simulator
@@ -190,6 +202,25 @@ class TestSimulator:
         cancel()
         sim.run_until(100.0)
         assert fired == [10.0, 20.0]
+
+    def test_periodic_action_cancelling_itself(self):
+        """The cancel handle called from inside the periodic action cancels
+        the event that is firing: it is not counted live twice, the tick does
+        not re-arm, and ``run()`` goes on to the events still queued."""
+        sim = Simulator()
+        fired = []
+        handle = {}
+
+        def action():
+            fired.append(sim.now)
+            if len(fired) == 2:
+                handle["cancel"]()
+
+        handle["cancel"] = sim.schedule_periodic(1.0, action)
+        sim.schedule(10.0, lambda: fired.append("one-shot"))
+        assert sim.run() == 10.0
+        assert fired == [1.0, 2.0, "one-shot"]
+        assert len(sim.queue) == len(sim.queue._heap) == 0  # noqa: SLF001
 
     def test_nested_scheduling_from_events(self):
         sim = Simulator()

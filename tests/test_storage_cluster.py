@@ -694,6 +694,35 @@ class TestRouter:
         result = router.read_range(prefix_range("idx", ("alice",)), limit=2, reverse=True)
         assert [key[1] for key, _ in result.rows] == [4, 3]
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("limit", [None, 1, 3, 50])
+    @pytest.mark.parametrize("span", ["one-group", "three-groups"])
+    def test_range_read_equals_sort_and_slice(self, span, limit, reverse):
+        """A range one group answers is the serving node's list, uncopied; it
+        must be what merging, sorting and cutting every group's answer gives,
+        which is still how a range that fans out is put together."""
+        cluster, router = self._setup(groups=3, replication=2)
+        for user in range(8):
+            for day in range(5):
+                router.write("idx", (f"u{user}", day), {"d": day})
+        router.delete("idx", ("u3", 1))
+        cluster.sim.run_until(cluster.sim.now + 5.0)
+        key_range = (prefix_range("idx", ("u3",)) if span == "one-group"
+                     else KeyRange("idx", ("u0",), ("u9",)))
+        groups = cluster.groups_for_range(key_range)
+        assert len(groups) == (1 if span == "one-group" else 3)
+        expected = []
+        for group in groups:
+            store = cluster.nodes[group.primary]._namespaces["idx"]  # noqa: SLF001
+            expected.extend(store.range(key_range.start, key_range.end, limit, reverse))
+        in_order = sorted(expected, key=lambda row: row[0], reverse=reverse)
+        assert (expected == in_order) == (span == "one-group")
+        expected = in_order if limit is None else in_order[:limit]
+        result = router.read_range(key_range, limit=limit, reverse=reverse,
+                                   from_primary=True)
+        assert result.success and result.rows == expected
+        assert all(not value.tombstone for _, value in result.rows)
+
     def test_op_counts_track_operations(self):
         _, router = self._setup()
         router.write("ns", ("k",), {"a": 1})

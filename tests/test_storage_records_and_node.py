@@ -358,6 +358,13 @@ class TestStorageNodeRanges:
                     vv(None, timestamp=2.0, version=2, tombstone=True), now=2.0)
         rows, _ = node.get_range(prefix_range("idx", ("u1",)), now=3.0)
         assert len(rows) == 2
+        # ``limit`` bounds the entries read: a tombstone among them is
+        # skipped, not replaced by the next live row.
+        rows, _ = node.get_range(prefix_range("idx", ("u1",)), now=3.0, limit=2)
+        assert [key[1] for key, _ in rows] == ["03-10"]
+        rows, _ = node.get_range(prefix_range("idx", ("u1",)), now=3.0, limit=3,
+                                 reverse=True)
+        assert [key[1] for key, _ in rows] == ["07-20", "03-10"]
 
     def test_range_latency_grows_with_rows(self):
         node = make_node()
