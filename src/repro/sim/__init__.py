@@ -2,13 +2,14 @@
 
 Everything in the reproduction that involves time — request latency,
 replication lag, instance boot delay, billing hours — runs against a virtual
-clock managed by :class:`Simulator`.  The kernel is deliberately small:
-events, an event queue, a clock, reproducible random streams, latency
-distributions, and a network model with injectable partitions and congestion.
+clock managed by :class:`Simulator`.  The kernel is deliberately small: an
+event queue whose heap entries are the events, a clock, reproducible random
+streams, latency distributions, and a network model with injectable partitions
+and congestion.
 """
 
 from repro.sim.clock import VirtualClock
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Entry, EventQueue
 from repro.sim.simulator import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.latency import (
@@ -24,7 +25,7 @@ from repro.sim.network import Link, NetworkModel, Partition
 
 __all__ = [
     "VirtualClock",
-    "Event",
+    "Entry",
     "EventQueue",
     "Simulator",
     "RandomStreams",

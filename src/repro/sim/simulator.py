@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import VirtualClock
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Entry, EventQueue
 from repro.sim.randomness import RandomStreams
 
 
@@ -40,7 +41,7 @@ class Simulator:
         action: Callable[[], Any],
         priority: int = 0,
         name: str = "",
-    ) -> Event:
+    ) -> Entry:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
@@ -52,7 +53,7 @@ class Simulator:
         action: Callable[[], Any],
         priority: int = 0,
         name: str = "",
-    ) -> Event:
+    ) -> Entry:
         """Schedule ``action`` at an absolute simulated time."""
         if time < self.now:
             raise ValueError(
@@ -73,23 +74,21 @@ class Simulator:
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
-        state = {"cancelled": False, "event": None}
+        state = {"cancelled": False, "entry": None}
 
         def tick() -> None:
             if state["cancelled"]:
                 return
             action()
             if not state["cancelled"]:  # the action may cancel its own schedule
-                state["event"] = self.schedule(interval, tick, name=name)
+                state["entry"] = self.schedule(interval, tick, name=name)
 
         first_delay = interval if start_delay is None else start_delay
-        state["event"] = self.schedule(first_delay, tick, name=name)
+        state["entry"] = self.schedule(first_delay, tick, name=name)
 
         def cancel() -> None:
             state["cancelled"] = True
-            event = state["event"]
-            if event is not None:
-                self.queue.cancel(event)
+            self.queue.cancel(state["entry"])
 
         return cancel
 
@@ -97,9 +96,10 @@ class Simulator:
         """Fire the next event.  Returns False if the queue was empty."""
         if not self.queue:
             return False
-        event = self.queue.pop()
-        self.clock.advance_to(event.time)
-        event.fire()
+        time, _, _, action, _ = self.queue.pop()
+        self.clock.advance_to(time)
+        if action is not None:
+            action()
         self._event_count += 1
         return True
 
@@ -109,18 +109,17 @@ class Simulator:
         Events scheduled exactly at ``end_time`` are processed.  The clock is
         left at ``end_time`` even if the queue drains earlier, so that
         duration-based accounting (billing, SLA windows) sees the full span.
-        The dispatch loop is inlined (rather than calling :meth:`step`) —
-        it is the innermost loop of every experiment.
+        The dispatch loop is inlined (rather than calling :meth:`step`) and
+        pops the queue's heap directly — it is the innermost loop of every
+        experiment, and every entry in the heap is live.
         """
         processed = 0
-        queue = self.queue
+        heap = self.queue._heap
+        heappop = heapq.heappop
         clock = self.clock
-        while True:
-            event = queue.pop_due(end_time)
-            if event is None:
-                break
-            clock.advance_to(event.time)
-            action = event.action
+        while heap and heap[0][0] <= end_time:
+            time, _, _, action, _ = heappop(heap)
+            clock.advance_to(time)
             if action is not None:
                 action()
             self._event_count += 1

@@ -40,6 +40,7 @@ MAX_CONTROLLER_LINES = 600
 MAX_CONTROLLER_KWARGS = 18
 MAX_RUN_CLOSED_LOOP_PARAMETERS = 15
 MAX_MAKE_TARGETS = 15
+MAX_EVENTS_LINES = 86
 
 
 def test_engine_constructor_takes_no_new_knob():
@@ -79,6 +80,16 @@ def test_moved_data_reaches_a_group_in_one_place():
     # not written out again beside the primitives.
     assert cluster.count("StorageNode(") == 1
     assert cluster.count("scan_namespace(") <= MAX_CLUSTER_SCANS
+
+
+def test_an_event_is_one_heap_entry():
+    # No event object and no lazy cancellation: the heap holds only live
+    # entries, and cancel() takes one out at once.
+    source = (SRC / "sim" / "events.py").read_text(encoding="utf-8")
+    assert "class Event:" not in source and "class Event(" not in source
+    for word in ("cancelled", "popped", "_live"):
+        assert word not in source, word
+    assert len(source.splitlines()) <= MAX_EVENTS_LINES
 
 
 @pytest.mark.parametrize("cls", list(MAX_STORAGE_KWARGS), ids=lambda cls: cls.__name__)

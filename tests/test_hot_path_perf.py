@@ -353,9 +353,9 @@ def _tracked_allocations(work) -> int:
 
 
 def test_a_replicated_write_allocates_one_object_per_replica_apply():
-    """rf 3: each of the two scheduled applies is the record, its Event and the
-    event's heap entry (the closure-based engine allocated 13 tracked objects
-    per apply)."""
+    """rf 3: each of the two scheduled applies is the record and its heap
+    entry, which is the event (the closure-based engine allocated 13 tracked
+    objects per apply)."""
     sim, _, engine, group = _replication_fixture()
     writes = [(("user", index), VersionedValue(index, timestamp=0.0, version=1))
               for index in range(200)]
@@ -366,7 +366,7 @@ def test_a_replicated_write_allocates_one_object_per_replica_apply():
             engine.propagate(group, "entity:profiles", key, value)
 
     scheduled = 2 * len(writes)
-    assert _tracked_allocations(work) <= 4 * scheduled
+    assert _tracked_allocations(work) <= 3 * scheduled
     assert engine.pending_count() == scheduled + 2
 
 
@@ -383,15 +383,15 @@ def test_a_retry_cycle_re_arms_the_same_record():
 
     def work():
         for _ in range(2 * cycles):
-            event = sim.queue.pop()
-            sim.clock.advance_to(event.time)
-            event.action()
-            fired.append(event)
+            entry = sim.queue.pop()
+            sim.clock.advance_to(entry[0])
+            entry[3]()
+            fired.append(entry)
 
     assert _tracked_allocations(work) <= 3 * cycles
-    assert all(event.action is record for event in fired)
-    assert [event.name for event in fired[:2]] == ["replicate:entity:profiles",
-                                                   "replicate-retry"]
+    assert all(entry[3] is record for entry in fired)
+    assert [entry[4] for entry in fired[:2]] == ["replicate:entity:profiles",
+                                                 "replicate-retry"]
     assert engine.pending_count() == 1 and record.applied_time is None
 
 

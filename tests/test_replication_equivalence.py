@@ -220,8 +220,8 @@ class Harness:
         }
         counts = {node_id: (node.stats.keys_stored, node.stats.writes)
                   for node_id, node in self.nodes.items()}
-        queued = sorted((event.time, event.priority, event.seq, event.name)
-                        for *_, event in self.sim.queue._heap if not event.cancelled)
+        queued = sorted((time, priority, seq, name)
+                        for time, priority, seq, _, name in self.sim.queue._heap)
         return {
             "stores": stores,
             "counts": counts,
@@ -296,7 +296,7 @@ def test_retry_budget_exhaustion_matches_the_reference():
     ]
     subject = assert_twins_agree(ops, seed=7)
     assert subject.engine.pending_count() == 0
-    assert subject.sim.queue._live == 0
+    assert len(subject.sim.queue) == 0
     n1 = subject.nodes["n1"]
     assert n1.peek(NAMESPACES[0], KEYS[0]) is None          # given up on
     assert n1.peek(NAMESPACES[1], KEYS[1]) is None          # replicate_to, same fate
@@ -312,8 +312,8 @@ def test_record_is_the_scheduled_action_and_exposes_the_lag():
     record = harness.engine.replicate_to("n0", "n3", NAMESPACES[0], KEYS[0],
                                          harness._value())
     assert record.lag is None and record.applied_time is None
-    ((*_, event),) = harness.sim.queue._heap
-    assert event.action is record and event.name == f"replicate:{NAMESPACES[0]}"
+    (entry,) = harness.sim.queue._heap
+    assert entry[3] is record and entry[4] == f"replicate:{NAMESPACES[0]}"
     harness.sim.run_until(1.0)
     assert record.lag == record.applied_time - record.write_time > 0.0
     assert harness.heard == [(NAMESPACES[0], KEYS[0], "n3", 0.0,

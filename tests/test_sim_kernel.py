@@ -75,6 +75,13 @@ class TestVirtualClock:
 # ---------------------------------------------------------------- event queue
 
 
+def _fire_all(queue):
+    """Pop every entry and run its action."""
+    while queue:
+        _, _, _, action, _ = queue.pop()
+        action()
+
+
 class TestEventQueue:
     def test_pop_returns_events_in_time_order(self):
         queue = EventQueue()
@@ -82,17 +89,16 @@ class TestEventQueue:
         queue.push(3.0, lambda: fired.append("c"))
         queue.push(1.0, lambda: fired.append("a"))
         queue.push(2.0, lambda: fired.append("b"))
-        while queue:
-            queue.pop().fire()
+        _fire_all(queue)
         assert fired == ["a", "b", "c"]
 
     def test_simultaneous_events_fire_in_insertion_order(self):
         queue = EventQueue()
         fired = []
-        queue.push(1.0, lambda: fired.append("first"))
-        queue.push(1.0, lambda: fired.append("second"))
-        while queue:
-            queue.pop().fire()
+        first = queue.push(1.0, lambda: fired.append("first"))
+        second = queue.push(1.0, lambda: fired.append("second"))
+        assert first[2] < second[2]  # the entry's seq is the insertion order
+        _fire_all(queue)
         assert fired == ["first", "second"]
 
     def test_priority_breaks_ties(self):
@@ -100,26 +106,26 @@ class TestEventQueue:
         fired = []
         queue.push(1.0, lambda: fired.append("low"), priority=5)
         queue.push(1.0, lambda: fired.append("high"), priority=0)
-        while queue:
-            queue.pop().fire()
+        _fire_all(queue)
         assert fired == ["high", "low"]
 
     def test_len_counts_live_events(self):
         queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
+        entry = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         assert len(queue) == 2
-        queue.cancel(event)
-        assert len(queue) == 1
+        queue.cancel(entry)
+        assert len(queue) == len(queue._heap) == 1  # noqa: SLF001
 
     def test_cancelled_events_are_skipped(self):
+        """Cancelling takes the entry out of the heap at once."""
         queue = EventQueue()
         fired = []
-        event = queue.push(1.0, lambda: fired.append("cancelled"))
+        entry = queue.push(1.0, lambda: fired.append("cancelled"))
         queue.push(2.0, lambda: fired.append("kept"))
-        queue.cancel(event)
-        while queue:
-            queue.pop().fire()
+        queue.cancel(entry)
+        assert all(queued is not entry for queued in queue._heap)  # noqa: SLF001
+        _fire_all(queue)
         assert fired == ["kept"]
 
     def test_pop_empty_raises(self):
@@ -128,9 +134,9 @@ class TestEventQueue:
 
     def test_peek_time_skips_cancelled(self):
         queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
+        entry = queue.push(1.0, lambda: None)
         queue.push(5.0, lambda: None)
-        queue.cancel(event)
+        queue.cancel(entry)
         assert queue.peek_time() == 5.0
 
     def test_clear_empties_queue(self):
@@ -139,7 +145,7 @@ class TestEventQueue:
         queue.clear()
         assert not queue
         queue.push(2.0, lambda: None)
-        queue.cancel(dropped)  # no longer held: not counted a second time
+        queue.cancel(dropped)  # no longer held: nothing else is removed
         assert len(queue) == 1
 
     def test_cancelling_a_popped_event_leaves_the_live_count(self):
@@ -205,8 +211,8 @@ class TestSimulator:
 
     def test_periodic_action_cancelling_itself(self):
         """The cancel handle called from inside the periodic action cancels
-        the event that is firing: it is not counted live twice, the tick does
-        not re-arm, and ``run()`` goes on to the events still queued."""
+        the entry that is firing: nothing still queued is removed, the tick
+        does not re-arm, and ``run()`` goes on to the events still queued."""
         sim = Simulator()
         fired = []
         handle = {}
@@ -444,6 +450,11 @@ class TestNetworkModel:
 # ------------------------------------------------------------ property tests
 
 
+# Queue operations for the model test, weighted toward growing the heap and
+# cancelling inside it.
+_QUEUE_OPS = ["push"] * 5 + ["cancel"] * 3 + ["cancel-gone", "pop_due", "clear"]
+
+
 class TestSimulatorProperties:
     @given(delays=st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)
@@ -469,5 +480,43 @@ class TestSimulatorProperties:
             queue.push(time, lambda: None, priority=priority)
         popped = []
         while queue:
-            popped.append(queue.pop().time)
+            popped.append(queue.pop()[0])
         assert popped == sorted(popped)
+
+    @pytest.mark.property
+    @given(
+        fill=st.lists(st.tuples(st.just("push"), st.integers(0, 100), st.integers(0, 2)),
+                      min_size=10, max_size=40),
+        ops=st.lists(st.tuples(st.sampled_from(_QUEUE_OPS), st.integers(0, 100),
+                               st.integers(0, 2)), max_size=100),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_event_queue_matches_a_sorted_list(self, fill, ops):
+        """Against a sorted-list model: pending entries pop in (time,
+        priority, insertion) order, a cancelled pending entry is gone at once
+        with the heap still ordered, and cancelling an entry that fired or was
+        dropped by ``clear()`` changes nothing.  ``fill`` starts every example
+        from a heap deep enough for a cancel to land on an inner node."""
+        queue = EventQueue()
+        model = []  # pending entries, sorted by (time, priority, seq)
+        gone = []   # entries that fired or were dropped by clear()
+        for kind, number, priority in fill + ops:
+            if kind == "push":
+                model.append(queue.push(float(number), None, priority=priority))
+                model.sort(key=lambda entry: entry[:3])
+            elif kind == "cancel" and model:
+                queue.cancel(model.pop(number % len(model)))
+            elif kind == "cancel-gone" and gone:
+                queue.cancel(gone[number % len(gone)])
+            elif kind == "clear":
+                queue.clear()
+                gone.extend(model)
+                model.clear()
+            elif kind == "pop_due":
+                due = model.pop(0) if model and model[0][0] <= number else None
+                assert queue.pop_due(float(number)) is due
+                if due is not None:
+                    gone.append(due)
+            assert len(queue) == len(model)
+            assert queue.peek_time() == (model[0][0] if model else None)
+        assert [queue.pop() for _ in range(len(queue))] == model
