@@ -21,7 +21,8 @@ from repro.workloads.social_graph import SocialGraph
 
 # The paper's example bound: Facebook limits users to 5 000 friends.
 DEFAULT_FRIEND_CAP = 5000
-DEFAULT_STATUS_CAP = 1000
+# Status updates declared per user (the statuses entity's partition bound).
+STATUS_CAP = 1000
 
 
 @dataclass
@@ -43,13 +44,11 @@ class SocialNetworkApp:
         self,
         engine: Scads,
         friend_cap: int = DEFAULT_FRIEND_CAP,
-        status_cap: int = DEFAULT_STATUS_CAP,
         page_size: int = 20,
         register_friends_of_friends: bool = True,
     ) -> None:
         self.engine = engine
         self.friend_cap = friend_cap
-        self.status_cap = status_cap
         self.page_size = page_size
         self.stats = AppStats()
         self._declare_schema()
@@ -88,7 +87,7 @@ class SocialNetworkApp:
                     Field("status_id", FieldType.INT),
                 ],
                 value_fields=[Field("text", FieldType.STRING)],
-                max_per_partition=self.status_cap,
+                max_per_partition=STATUS_CAP,
             )
         )
         self.engine.register_relationship(

@@ -28,18 +28,14 @@ class NaiveQueryResult:
 
 
 class NaiveRdbms:
-    """Single-node store executing joins by nested-loop scans.
+    """Single-node store executing joins by nested-loop scans."""
 
-    Args:
-        row_scan_cost: seconds of CPU per row touched while scanning.
-        base_cost: fixed per-query overhead (parsing, planning, round trip).
-    """
+    # Seconds of CPU per row touched while scanning.
+    row_scan_cost = 2e-6
+    # Fixed per-query overhead (parsing, planning, round trip).
+    base_cost = 0.002
 
-    def __init__(self, row_scan_cost: float = 2e-6, base_cost: float = 0.002) -> None:
-        if row_scan_cost <= 0 or base_cost < 0:
-            raise ValueError("row_scan_cost must be positive and base_cost non-negative")
-        self.row_scan_cost = row_scan_cost
-        self.base_cost = base_cost
+    def __init__(self) -> None:
         self._tables: Dict[str, Dict[Tuple, Dict[str, Any]]] = {}
 
     # -------------------------------------------------------------------- data

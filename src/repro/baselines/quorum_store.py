@@ -50,7 +50,6 @@ class QuorumStore:
         config: QuorumConfig,
         seed: int = 0,
         initial_groups: int = 2,
-        node_capacity_ops: float = 1000.0,
     ) -> None:
         self.config = config
         self.sim = Simulator(seed=seed)
@@ -58,7 +57,6 @@ class QuorumStore:
             simulator=self.sim,
             replication_factor=config.n,
             initial_groups=initial_groups,
-            node_capacity_ops=node_capacity_ops,
         )
         self.router = Router(self.cluster)
         self._writes = 0

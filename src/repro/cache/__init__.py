@@ -15,13 +15,12 @@ Pieces:
 * :mod:`repro.cache.policy` — admission/bypass policy derived from the
   :class:`~repro.core.consistency.spec.ConsistencySpec` and the caller's
   session guarantees;
-* :mod:`repro.cache.invalidation` — write-through invalidation wired into the
-  engine's entity write path and the asynchronous index updater;
 * :mod:`repro.cache.tier` — the :class:`~repro.cache.tier.CacheTier` facade
-  the engine embeds (``Scads(cache=...)``).
+  the engine embeds (``Scads(cache=...)``), with write-through invalidation
+  wired into the engine's entity write path and the asynchronous index
+  updater.
 """
 
-from repro.cache.invalidation import WriteThroughInvalidator
 from repro.cache.policy import AdmissionPolicy
 from repro.cache.store import CacheEntry, CacheStats, StalenessBudgetCache
 from repro.cache.tier import CacheConfig, CacheTier
@@ -33,5 +32,4 @@ __all__ = [
     "CacheStats",
     "CacheTier",
     "StalenessBudgetCache",
-    "WriteThroughInvalidator",
 ]

@@ -1,12 +1,28 @@
 """The cache tier facade the engine embeds (``Scads(cache=...)``).
 
-:class:`CacheTier` bundles the store, the admission policy, and the
-write-through invalidator, and owns the *latency model* of a cache hit: a hit
-is served from the front tier's memory without touching the cluster, so it
-samples a sub-millisecond log-normal service time from
+:class:`CacheTier` bundles the store and the admission policy, wires the
+engine's write paths into invalidations, and owns the *latency model* of a
+cache hit: a hit is served from the front tier's memory without touching the
+cluster, so it samples a sub-millisecond log-normal service time from
 :mod:`repro.sim.latency` instead of paying network hops plus node service
 time.  The engine records that latency under the same read SLA as cluster
 reads — the cache is part of the serving system, not an accounting trick.
+
+Two kinds of writes can make a cached answer wrong, and both invalidate:
+
+* **entity writes** (``Scads.put`` / ``Scads.delete``) — drop the written
+  key's entity entry immediately, plus any cached *entity-namespace* range
+  read covering the key;
+* **index writes** — when the asynchronous index updater applies maintenance
+  it rewrites index/reverse-index entries through the engine's storage
+  adapter; each such write drops the cached query scans whose
+  :class:`~repro.storage.records.KeyRange` contains the written index key.
+
+The split matters for the staleness contract: a cached query scan keeps
+serving the *pre-write* rows between the base write and the moment its index
+maintenance is applied — which is precisely the asynchrony the declared
+staleness bound already permits (the updater's deadline is that bound), and
+the TTL derived in :mod:`repro.cache.policy` caps the exposure independently.
 """
 
 from __future__ import annotations
@@ -14,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.cache.invalidation import WriteThroughInvalidator
 from repro.cache.policy import AdmissionPolicy
 from repro.cache.store import CacheEntry, StalenessBudgetCache, entity_token
 from repro.core.consistency.sessions import Session
@@ -23,34 +38,25 @@ from repro.sim.latency import LogNormalLatency
 from repro.sim.simulator import Simulator
 from repro.storage.records import Key, KeyRange
 
+# Log-normal service time of a cache hit — a front-tier memory lookup, orders
+# of magnitude below a routed cluster read.
+HIT_LATENCY_MEDIAN = 0.0005
+HIT_LATENCY_SIGMA = 0.3
+
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Knobs for the staleness-budget cache tier.
+    """Sizing for the staleness-budget cache tier.
 
     Args:
         capacity: maximum rows held (LRU evicts past it).
-        propagation_headroom: seconds subtracted from the staleness bound when
-            deriving TTLs; None derives it from the bound (see
-            :class:`~repro.cache.policy.AdmissionPolicy`).
-        hit_latency_median / hit_latency_sigma: log-normal service time of a
-            cache hit — a front-tier memory lookup, orders of magnitude below
-            a routed cluster read.
-        cache_ranges: also cache compiled-query range reads (entity gets are
-            always eligible).
     """
 
     capacity: int = 4096
-    propagation_headroom: Optional[float] = None
-    hit_latency_median: float = 0.0005
-    hit_latency_sigma: float = 0.3
-    cache_ranges: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if self.hit_latency_median <= 0:
-            raise ValueError("hit_latency_median must be positive")
 
 
 class CacheTier:
@@ -60,14 +66,10 @@ class CacheTier:
                  simulator: Simulator) -> None:
         self.config = config
         self.store = StalenessBudgetCache(capacity=config.capacity)
-        self.policy = AdmissionPolicy(
-            spec, propagation_headroom=config.propagation_headroom
-        )
-        self.invalidator = WriteThroughInvalidator(self.store)
+        self.policy = AdmissionPolicy(spec)
         self._clock = simulator.clock
         self._hit_latency = LogNormalLatency(
-            median=config.hit_latency_median, sigma=config.hit_latency_sigma
-        )
+            median=HIT_LATENCY_MEDIAN, sigma=HIT_LATENCY_SIGMA)
         self._rng = simulator.random.get("cache:hit-latency")
         self.session_bypasses = 0
 
@@ -185,7 +187,7 @@ class CacheTier:
         be missing — caching a replica's view could keep superseded rows
         alive for a full TTL with nothing left to evict them.
         """
-        return self.config.cache_ranges and self.policy.cacheable()
+        return self.policy.cacheable()
 
     def admit_range(self, namespace: str, start: Optional[Key],
                     end: Optional[Key], limit: Optional[int], reverse: bool,
@@ -210,10 +212,14 @@ class CacheTier:
     # ------------------------------------------------------------- invalidation
 
     def note_entity_write(self, namespace: str, key: Key) -> None:
-        self.invalidator.note_entity_write(namespace, key)
+        """An entity row was written or deleted; drop everything it could
+        have served: its entity entry and covering cached ranges."""
+        self.store.invalidate_key(namespace, key)
 
     def note_index_write(self, namespace: str, key: Key) -> None:
-        self.invalidator.note_index_write(namespace, key)
+        """An index (or reverse-index) entry was applied by the asynchronous
+        updater; drop the cached scans whose range covers it."""
+        self.store.invalidate_key(namespace, key)
 
     # ---------------------------------------------------------------- reporting
 

@@ -70,8 +70,7 @@ class SpotMarket:
     DROUGHT_PROBABILITY = 0.004
     DROUGHT_STEPS = (3, 10)
 
-    def __init__(self, simulator: Simulator,
-                 instance_types: Optional[List[InstanceType]] = None) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self._sim = simulator
         self._types: Dict[str, InstanceType] = {}
         self._prices: Dict[str, List[float]] = {}
@@ -86,8 +85,6 @@ class SpotMarket:
         self._storms: List[Tuple[float, float]] = []
         self._on_revoke: Optional[Callable[[str], None]] = None
         self._ticking = False
-        for instance_type in instance_types or []:
-            self.add_instance_type(instance_type)
 
     # ------------------------------------------------------------------- setup
 
@@ -202,9 +199,6 @@ class SpotMarket:
         """Stop tracking an instance (drained, hibernated, or terminated)."""
         self._registered.pop(instance_id, None)
         self._notices.pop(instance_id, None)
-
-    def registered_count(self) -> int:
-        return len(self._registered)
 
     def notices(self) -> List[InterruptionNotice]:
         """Every notice ever delivered, in delivery order."""

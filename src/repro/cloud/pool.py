@@ -49,7 +49,6 @@ class InstancePool:
         simulator: Simulator,
         instance_type: InstanceType = INSTANCE_TYPES["m1.small"],
         max_instances: int = 10_000,
-        market: Optional[SpotMarket] = None,
     ) -> None:
         if max_instances < 1:
             raise ValueError("max_instances must be at least 1")
@@ -65,8 +64,6 @@ class InstancePool:
         # Fleet-layer hook: called with (instance, deadline, reason) when the
         # market delivers an interruption notice for one of our instances.
         self.on_spot_interruption: Optional[Callable[[Instance, float, str], None]] = None
-        if market is not None:
-            self.attach_market(market)
 
     # ------------------------------------------------------------------ market
 

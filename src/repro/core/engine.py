@@ -110,7 +110,7 @@ from repro.core.schema import EntitySchema, Relationship, SchemaRegistry
 from repro.metrics.percentiles import PercentileEstimator
 from repro.metrics.sla import ComplianceWindow, OpRecorder, SLAReport
 from repro.ml.forecaster import WorkloadForecaster
-from repro.obs.telemetry import Telemetry, TelemetryConfig, resolve_telemetry_config
+from repro.obs.telemetry import Telemetry
 from repro.obs.timeline import DecisionTimeline
 from repro.obs.tracing import Tracer
 from repro.ml.performance_model import LatencyPercentileModel, PropagationLagModel
@@ -314,8 +314,8 @@ class Scads:
         cache: the staleness-budget cache tier (see the module docstring's
             "Staleness-budget cache tier" section).  **Default on** with
             :class:`~repro.cache.tier.CacheConfig` defaults; pass a config
-            to size the cache or tune the propagation headroom, or ``False``
-            to opt out so every read pays full cluster latency.
+            to size the cache, or ``False`` to opt out so every read pays
+            full cluster latency.
         planner_backend: how the planner answers the latency sizing question —
             ``"analytical"`` (closed-form M/G/k model), ``"ml"`` (learned
             latency model, the pre-clamp behaviour), or ``"hybrid"``
@@ -324,13 +324,13 @@ class Scads:
         telemetry: attach the observability layer — deterministic span
             tracing of sampled requests, the counters/gauges/histograms
             registry, and the provisioning decision timeline
-            (:mod:`repro.obs`).  ``True`` uses
-            :class:`~repro.obs.telemetry.TelemetryConfig` defaults; pass a
-            config to tune the trace sampling interval.  Trace sampling is
-            a per-stream modulo, never an RNG draw, so a telemetry-on run
-            produces byte-identical operation results to a telemetry-off
-            run with the same seed.  Defaults to off, where the remaining
-            cost is one attribute check per operation.
+            (:mod:`repro.obs`).  Every
+            :data:`~repro.obs.tracing.TRACE_SAMPLE_INTERVAL`-th op per stream
+            is traced.  Trace sampling is a per-stream modulo, never an RNG
+            draw, so a telemetry-on run produces byte-identical operation
+            results to a telemetry-off run with the same seed.  Defaults to
+            off, where the remaining cost is one attribute check per
+            operation.
         spot: attach a :class:`~repro.cloud.market.SpotMarket` and a
             :class:`~repro.core.provisioning.spotfleet.SpotFleetManager`:
             the controller covers read-dominated capacity deficits with
@@ -347,17 +347,15 @@ class Scads:
         contention: model shared physical hosts and co-tenant interference
             (:mod:`repro.sim.hosts`).  ``True`` uses
             :class:`~repro.sim.hosts.ContentionConfig` defaults; a dict
-            (picklable scenario knob) or a config tunes tenancy, episode
-            shape, and the diagnosis thresholds the monitor/controller use
-            to tell contention from capacity shortfall.  Nodes are placed
-            on hosts with replica-group anti-affinity, a deterministic
-            per-host load process (own RNG streams) inflates colocated
-            nodes' *service* times, and the controller live-migrates
-            replicas off hosts diagnosed noisy instead of renting into the
-            violation (``placement_aware=False`` in the config keeps the
-            diagnosis but disables the remediation — the capacity-only
-            ablation).  Default off; off runs are byte-identical to builds
-            that predate the contention layer.
+            (picklable scenario knob) or a config sets the tenancy and
+            whether the controller remediates.  Nodes are placed on hosts
+            with replica-group anti-affinity, scripted ``host_degradation``
+            episodes inflate colocated nodes' *service* times, and the
+            controller live-migrates replicas off hosts diagnosed noisy
+            instead of renting into the violation (``placement_aware=False``
+            in the config keeps the diagnosis but disables the remediation —
+            the capacity-only ablation).  Default off; off runs are
+            byte-identical to builds that predate the contention layer.
     """
 
     def __init__(
@@ -380,7 +378,7 @@ class Scads:
         repartition_cold_utilisation: float = 0.5,
         cache: Union[bool, CacheConfig] = True,
         planner_backend: str = "hybrid",
-        telemetry: Union[None, bool, TelemetryConfig] = None,
+        telemetry: bool = False,
         spot: bool = False,
         write_audit: Optional[bool] = None,
         contention=None,
@@ -399,6 +397,7 @@ class Scads:
         self.contention: Optional[ContentionProcess] = None
         if self.contention_config is not None:
             self.host_map = HostMap(tenancy=self.contention_config.tenancy)
+            self.contention = ContentionProcess(self.sim, self.host_map)
         self.cluster = Cluster(
             simulator=self.sim,
             replication_factor=replication_factor,
@@ -407,9 +406,6 @@ class Scads:
             partitioner_kind=partitioner_kind,
             host_map=self.host_map,
         )
-        if self.contention_config is not None:
-            self.contention = ContentionProcess(
-                self.sim, self.host_map, self.contention_config)
         # Both big subsystems default ON (the validation grid's green verdict
         # is the receipt — see PERFORMANCE.md "Validation grid").
         self.repartition = repartition
@@ -428,19 +424,14 @@ class Scads:
         if cache:
             cache_config = cache if isinstance(cache, CacheConfig) else CacheConfig()
             self.cache = CacheTier(cache_config, spec=self.spec, simulator=self.sim)
-        self.telemetry_config = resolve_telemetry_config(telemetry)
         self.telemetry: Optional[Telemetry] = None
         self.tracer: Optional[Tracer] = None
         self.timeline: Optional[DecisionTimeline] = None
         # Cached registry histogram for the replication hot path.
         self._tel_replication_lag: Optional[PercentileEstimator] = None
-        if self.telemetry_config is not None:
+        if telemetry:
             self.telemetry = Telemetry()
-            self.tracer = Tracer(
-                sample_interval=self.telemetry_config.trace_sample_interval,
-                max_traces=self.telemetry_config.max_traces,
-                telemetry=self.telemetry,
-            )
+            self.tracer = Tracer(telemetry=self.telemetry)
             self.timeline = DecisionTimeline()
             self.router.attach_tracer(self.tracer)
             self._tel_replication_lag = self.telemetry.histogram("replication.lag")

@@ -102,7 +102,6 @@ class IndexMaintainer:
     def __init__(self, registry: SchemaRegistry, storage: StorageAdapter) -> None:
         self._registry = registry
         self._storage = storage
-        self._queries: List[CompiledQuery] = []
         self._reverse_indexes: Dict[str, ReverseIndexSpec] = {}
         # entity name -> reverse index specs that index it
         self._reverse_by_entity: Dict[str, List[ReverseIndexSpec]] = {}
@@ -113,19 +112,12 @@ class IndexMaintainer:
 
     def register(self, compiled: CompiledQuery) -> None:
         """Register a compiled query so its index is maintained from now on."""
-        self._queries.append(compiled)
         for reverse in compiled.reverse_indexes:
             if reverse.name not in self._reverse_indexes:
                 self._reverse_indexes[reverse.name] = reverse
                 self._reverse_by_entity.setdefault(reverse.entity, []).append(reverse)
         for entity in compiled.index_spec.entities():
             self._queries_by_entity.setdefault(entity, []).append(compiled)
-
-    def registered_queries(self) -> List[CompiledQuery]:
-        return list(self._queries)
-
-    def reverse_index_specs(self) -> List[ReverseIndexSpec]:
-        return list(self._reverse_indexes.values())
 
     # -------------------------------------------------------------- maintenance
 

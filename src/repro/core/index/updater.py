@@ -83,7 +83,6 @@ class AsyncIndexUpdater:
             each storage node; total capacity is this times ``node_count_fn()``.
         node_count_fn: callable returning the current number of alive storage
             nodes (the cluster supplies this, so scaling changes capacity).
-        drain_interval: how often the drain process wakes up.
         default_staleness_bound: deadline used for writes whose data has no
             declared read-consistency bound (the paper's "ten minutes" example).
         fifo: process tasks in arrival order instead of deadline order
@@ -91,6 +90,8 @@ class AsyncIndexUpdater:
     """
 
     COMPLETED_TASK_WINDOW = 10_000
+    # How often the drain process wakes up (seconds).
+    drain_interval = 0.25
 
     def __init__(
         self,
@@ -98,21 +99,17 @@ class AsyncIndexUpdater:
         maintainer: IndexMaintainer,
         node_count_fn: Callable[[], int],
         updates_per_second_per_node: float = 200.0,
-        drain_interval: float = 0.25,
         default_staleness_bound: float = 600.0,
         fifo: bool = False,
     ) -> None:
         if updates_per_second_per_node <= 0:
             raise ValueError("updates_per_second_per_node must be positive")
-        if drain_interval <= 0:
-            raise ValueError("drain_interval must be positive")
         if default_staleness_bound <= 0:
             raise ValueError("default_staleness_bound must be positive")
         self._sim = simulator
         self._maintainer = maintainer
         self._node_count_fn = node_count_fn
         self.updates_per_second_per_node = updates_per_second_per_node
-        self.drain_interval = drain_interval
         self.default_staleness_bound = default_staleness_bound
         self.fifo = fifo
         self._heap: List[Tuple[float, int, UpdateTask]] = []

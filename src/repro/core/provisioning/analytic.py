@@ -143,6 +143,10 @@ CALIBRATION_ALPHA = 0.25
 # Measured storage-ops-per-client-op stays within [1/band, band]; the prior
 # is 1.0 (no fan-out).
 AMPLIFICATION_BAND = 16.0
+# Calibrated percentile service time may move at most this factor away from
+# the prior (in either direction) — the bound that makes measurement-driven
+# runaway impossible.
+CALIBRATION_BAND = 8.0
 
 
 class AnalyticSizingModel:
@@ -153,9 +157,6 @@ class AnalyticSizingModel:
         base_service_time: median node service time at low load (seconds);
             anchors the percentile-service prior.
         percentile: the SLA percentile being sized for (e.g. 99.0).
-        calibration_band: calibrated percentile service time may move at
-            most this factor away from the prior (in either direction) —
-            the bound that makes measurement-driven runaway impossible.
     """
 
     def __init__(
@@ -163,7 +164,6 @@ class AnalyticSizingModel:
         node_capacity_ops: float,
         base_service_time: float = 0.004,
         percentile: float = 99.0,
-        calibration_band: float = 8.0,
     ) -> None:
         if node_capacity_ops <= 0:
             raise ValueError("node_capacity_ops must be positive")
@@ -171,12 +171,9 @@ class AnalyticSizingModel:
             raise ValueError("base_service_time must be positive")
         if not 0.0 < percentile < 100.0:
             raise ValueError(f"percentile must be in (0, 100), got {percentile}")
-        if calibration_band < 1.0:
-            raise ValueError("calibration_band must be >= 1")
         self.node_capacity_ops = float(node_capacity_ops)
         self.base_service_time = float(base_service_time)
         self.percentile = float(percentile)
-        self.calibration_band = float(calibration_band)
         # Prior: percentile of the log-normal base service distribution.
         z = normal_quantile(self.percentile / 100.0)
         self.prior_service_time = self.base_service_time * math.exp(SERVICE_SIGMA * z)
@@ -198,8 +195,8 @@ class AnalyticSizingModel:
             return
         rho = min(max(float(features.mean_utilisation), 0.0), MAX_STABLE_UTILISATION)
         implied_service = (observed_percentile_latency - NETWORK_ROUND_TRIP) * (1.0 - rho)
-        lo = self.prior_service_time / self.calibration_band
-        hi = self.prior_service_time * self.calibration_band
+        lo = self.prior_service_time / CALIBRATION_BAND
+        hi = self.prior_service_time * CALIBRATION_BAND
         implied_service = min(max(implied_service, lo), hi)
         alpha = CALIBRATION_ALPHA
         if self._calibrated_service is None:
@@ -234,13 +231,6 @@ class AnalyticSizingModel:
         return self._calibrated_amplification
 
     # ---------------------------------------------------------------- sizing
-
-    def predicted_percentile_latency(self, per_node_rate: float) -> float:
-        """Percentile latency a node serving ``per_node_rate`` should show."""
-        if per_node_rate < 0:
-            raise ValueError("per_node_rate must be non-negative")
-        rho = min(per_node_rate / self.node_capacity_ops, MAX_STABLE_UTILISATION)
-        return NETWORK_ROUND_TRIP + self.percentile_service_time() / (1.0 - rho)
 
     def required_nodes(
         self,

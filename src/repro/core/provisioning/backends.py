@@ -14,7 +14,7 @@ E11's ablation compares them head-to-head:
   mistaught — SLA-violation windows once drove it to demand ``max_nodes``.
 * ``hybrid`` (the default) — the analytical answer as the backbone, with
   the ML answer admitted only as a *bounded residual*: it may move the
-  node count at most ``clamp_band`` (a fraction, e.g. 0.3 = +-30%) away
+  node count at most :data:`CLAMP_BAND` (a fraction, 0.3 = +-30%) away
   from the analytical answer.  Whatever the training windows contained,
   the plan stays within the band — runaway is structurally impossible.
 
@@ -34,6 +34,10 @@ from repro.core.provisioning.analytic import AnalyticSizingModel
 from repro.ml.performance_model import LatencyPercentileModel
 
 PLANNER_BACKENDS = ("analytical", "ml", "hybrid")
+
+# The hybrid backend's admissible fractional deviation from the analytical
+# answer.
+CLAMP_BAND = 0.3
 
 
 @dataclass(frozen=True)
@@ -119,29 +123,22 @@ class MLBackend:
 class HybridBackend:
     """Analytical backbone with the ML answer clamped to a band around it.
 
-    ``clamp_band`` is the admissible fractional deviation: with the
-    analytical answer ``a`` the plan lies in
-    ``[floor(a * (1 - band)), ceil(a * (1 + band))]`` (never below 1).
+    With the analytical answer ``a`` the plan lies in
+    ``[floor(a * (1 - CLAMP_BAND)), ceil(a * (1 + CLAMP_BAND))]`` (never
+    below 1).
     """
 
     name = "hybrid"
 
-    def __init__(
-        self,
-        sizing_model: AnalyticSizingModel,
-        latency_model: LatencyPercentileModel,
-        clamp_band: float = 0.3,
-    ) -> None:
-        if not 0.0 <= clamp_band < 1.0:
-            raise ValueError(f"clamp_band must be in [0, 1), got {clamp_band}")
+    def __init__(self, sizing_model: AnalyticSizingModel,
+                 latency_model: LatencyPercentileModel) -> None:
         self.sizing_model = sizing_model
         self.latency_model = latency_model
-        self.clamp_band = clamp_band
 
     def band(self, analytic_nodes: int) -> tuple:
         """The inclusive [low, high] node band around the analytical answer."""
-        low = max(int(math.floor(analytic_nodes * (1.0 - self.clamp_band))), 1)
-        high = max(int(math.ceil(analytic_nodes * (1.0 + self.clamp_band))), 1)
+        low = max(int(math.floor(analytic_nodes * (1.0 - CLAMP_BAND))), 1)
+        high = max(int(math.ceil(analytic_nodes * (1.0 + CLAMP_BAND))), 1)
         return low, high
 
     def latency_requirement(
@@ -170,7 +167,7 @@ class HybridBackend:
         detail = breakdown.describe()
         if clamped:
             detail += (f"; ml residual {search.nodes} clamped to "
-                       f"[{low}, {high}] (+-{self.clamp_band:.0%})")
+                       f"[{low}, {high}] (+-{CLAMP_BAND:.0%})")
         else:
             detail += f"; ml residual kept {nodes} within [{low}, {high}]"
         return LatencyRequirement(
@@ -183,18 +180,14 @@ class HybridBackend:
         )
 
 
-def make_backend(
-    kind: str,
-    sizing_model: AnalyticSizingModel,
-    latency_model: LatencyPercentileModel,
-    clamp_band: float = 0.3,
-):
+def make_backend(kind: str, sizing_model: AnalyticSizingModel,
+                 latency_model: LatencyPercentileModel):
     """Build a planner backend by name (``analytical`` / ``ml`` / ``hybrid``)."""
     if kind == "analytical":
         return AnalyticalBackend(sizing_model)
     if kind == "ml":
         return MLBackend(latency_model)
     if kind == "hybrid":
-        return HybridBackend(sizing_model, latency_model, clamp_band=clamp_band)
+        return HybridBackend(sizing_model, latency_model)
     raise ValueError(
         f"unknown planner backend {kind!r}; expected one of {PLANNER_BACKENDS}")

@@ -73,6 +73,7 @@ from repro.core.consistency.spec import ConsistencySpec, PerformanceSLA
 from repro.metrics.timeseries import TimeSeriesRecorder
 from repro.ml.forecaster import WorkloadForecaster
 from repro.obs.timeline import ProvisioningDecision, SlaVerdict
+from repro.sim.hosts import QUARANTINE_SECONDS
 from repro.sim.simulator import Simulator
 from repro.storage.cluster import Cluster
 from repro.storage.rebalancer import Rebalancer
@@ -104,6 +105,13 @@ SPOT_WRITE_FRACTION_CEILING = 0.35
 class ProvisioningController:
     """Closed-loop, model-driven provisioning of the storage cluster."""
 
+    # Consecutive low-demand windows before a scale-down.
+    scale_down_patience = 5
+    # A release must leave the shrunk fleet this fraction above the target.
+    scale_down_hysteresis = 0.3
+    # Most replica groups rented in one control step.
+    max_groups_per_step = 50
+
     def __init__(
         self,
         simulator: Simulator,
@@ -116,9 +124,6 @@ class ProvisioningController:
         slas: Dict[str, PerformanceSLA],
         spec: ConsistencySpec,
         control_interval: float = 60.0,
-        scale_down_patience: int = 5,
-        scale_down_hysteresis: float = 0.3,
-        max_groups_per_step: int = 50,
         predictive: bool = True,
         rebalancer: Optional[Rebalancer] = None,
         timeline=None,
@@ -127,12 +132,6 @@ class ProvisioningController:
     ) -> None:
         if control_interval <= 0:
             raise ValueError("control_interval must be positive")
-        if scale_down_patience < 1:
-            raise ValueError("scale_down_patience must be >= 1")
-        if scale_down_hysteresis < 0:
-            raise ValueError("scale_down_hysteresis must be >= 0")
-        if max_groups_per_step < 1:
-            raise ValueError("max_groups_per_step must be >= 1")
         self._sim = simulator
         self._cluster = cluster
         self._pool = pool
@@ -143,9 +142,6 @@ class ProvisioningController:
         self._slas = dict(slas)
         self._spec = spec
         self.control_interval = control_interval
-        self.scale_down_patience = scale_down_patience
-        self.scale_down_hysteresis = scale_down_hysteresis
-        self.max_groups_per_step = max_groups_per_step
         self.predictive = predictive
         self._rebalancer = rebalancer
         self._consecutive_repartitions = 0
@@ -313,7 +309,7 @@ class ProvisioningController:
         # least-occupied host and re-poison the fleet mid-episode.
         self._cluster.quarantine_host(
             observation.noisy_host,
-            until=now + self._contention_config.quarantine_seconds)
+            until=now + QUARANTINE_SECONDS)
         self._consecutive_repartitions = self._low_demand_windows = 0
         if self._timeline is not None:
             listed = ", ".join(f"{old}->{new}" for old, new in moves[:4])

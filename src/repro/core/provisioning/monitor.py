@@ -16,6 +16,7 @@ from repro.core.consistency.spec import PerformanceSLA
 from repro.metrics.sla import OpRecorder, SLAReport
 from repro.ml.features import FeatureExtractor, WorkloadFeatures
 from repro.ml.performance_model import LatencyPercentileModel, PropagationLagModel
+from repro.sim.hosts import QUIET_UTILISATION, RESIDUAL_THRESHOLD
 from repro.storage.cluster import Cluster
 
 
@@ -238,26 +239,26 @@ class SLAMonitor:
     def _diagnose(self, observation: WindowObservation) -> None:
         """Classify a violated window: capacity shortfall vs contention.
 
-        Contention = the worst host's residual clears ``residual_threshold``
-        while mean utilisation is at or below ``quiet_utilisation``:
+        Contention = the worst host's residual clears
+        :data:`~repro.sim.hosts.RESIDUAL_THRESHOLD` while mean utilisation is
+        at or below :data:`~repro.sim.hosts.QUIET_UTILISATION`:
         service-dominated latency at low queueing.  Renting nodes cannot fix
         that — the controller's remediation is to evacuate the named host.
         When a tracer is attached, the window's worst-decile span-kind split
         is recorded as *evidence* only; the classification never reads it,
         so telemetry-on runs stay byte-identical to telemetry-off runs.
         """
-        cfg = self._contention_config
         residuals = self.host_residuals()
         if not residuals:
             return
         noisy = max(residuals, key=residuals.get)
         observation.noisy_host_residual = residuals[noisy]
-        if residuals[noisy] >= cfg.residual_threshold:
+        if residuals[noisy] >= RESIDUAL_THRESHOLD:
             observation.noisy_host = noisy
         observation.contention_suspected = (
             observation.any_sla_violated()
             and observation.noisy_host != ""
-            and observation.features.mean_utilisation <= cfg.quiet_utilisation
+            and observation.features.mean_utilisation <= QUIET_UTILISATION
         )
         if self._tracer is not None and observation.contention_suspected \
                 and observation.duration > 0:

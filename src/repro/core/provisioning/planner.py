@@ -10,9 +10,9 @@ The latency requirement is answered by a pluggable backend (see
 :mod:`repro.core.provisioning.backends`): ``analytical`` (closed-form
 M/G/k-style sizing), ``ml`` (the learned latency model inverted by
 bisection), or the default ``hybrid`` in which the ML answer is a bounded
-residual clamped to ``clamp_band`` around the analytical answer.  The
-utilisation ceiling and staleness headroom apply identically under every
-backend.
+residual clamped to :data:`~repro.core.provisioning.backends.CLAMP_BAND`
+around the analytical answer.  The utilisation ceiling and staleness headroom
+apply identically under every backend.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from repro.core.consistency.spec import ConsistencySpec, PerformanceSLA
 from repro.core.provisioning.analytic import AnalyticSizingModel
-from repro.core.provisioning.backends import make_backend
+from repro.core.provisioning.backends import CLAMP_BAND, make_backend
 from repro.ml.performance_model import LatencyPercentileModel, PropagationLagModel
 
 
@@ -84,37 +84,34 @@ class CapacityPlanner:
         latency_model: trained (or prior-driven) percentile latency model.
         lag_model: trained (or prior-driven) propagation lag model.
         node_capacity_ops: per-node sustainable ops/sec.
-        target_utilisation: utilisation ceiling the plan aims for even when
-            the latency model is optimistic (defence in depth).
         min_nodes: never plan below this many nodes (replication needs).
         max_nodes: hard cap (the pool's size, or a budget cap).
         repartition_hot_utilisation: a window whose worst node exceeds this
             while the cluster mean stays under ``target_utilisation`` is
             flagged as a repartition candidate (hotspot, not overload).
         backend: latency-sizing backend — ``analytical``, ``ml``, or
-            ``hybrid`` (default; ML clamped to ±``clamp_band`` around the
+            ``hybrid`` (default; ML clamped to ±``CLAMP_BAND`` around the
             analytical answer).
-        clamp_band: the hybrid backend's admissible fractional deviation.
         sizing_model: the analytical model; built from the latency model's
             calibration (capacity, base service time, percentile) when not
             supplied.
     """
+
+    # Utilisation ceiling the plan aims for even when the latency model is
+    # optimistic (defence in depth).
+    target_utilisation = 0.6
 
     def __init__(
         self,
         latency_model: LatencyPercentileModel,
         lag_model: PropagationLagModel,
         node_capacity_ops: float,
-        target_utilisation: float = 0.6,
         min_nodes: int = 2,
         max_nodes: int = 10_000,
         repartition_hot_utilisation: float = 0.75,
         backend: str = "hybrid",
-        clamp_band: float = 0.3,
         sizing_model: Optional[AnalyticSizingModel] = None,
     ) -> None:
-        if not 0.0 < target_utilisation < 1.0:
-            raise ValueError("target_utilisation must be in (0, 1)")
         if min_nodes < 1 or max_nodes < min_nodes:
             raise ValueError("need 1 <= min_nodes <= max_nodes")
         if node_capacity_ops <= 0:
@@ -125,10 +122,8 @@ class CapacityPlanner:
         self.latency_model = latency_model
         self.lag_model = lag_model
         self.node_capacity_ops = node_capacity_ops
-        self.target_utilisation = target_utilisation
         self.min_nodes = min_nodes
         self.max_nodes = max_nodes
-        self.clamp_band = clamp_band
         if sizing_model is None:
             sizing_model = AnalyticSizingModel(
                 node_capacity_ops=node_capacity_ops,
@@ -137,8 +132,7 @@ class CapacityPlanner:
             )
         self.sizing_model = sizing_model
         self.backend_name = backend
-        self._backend = make_backend(
-            backend, sizing_model, latency_model, clamp_band=clamp_band)
+        self._backend = make_backend(backend, sizing_model, latency_model)
 
     def plan(
         self,
@@ -217,7 +211,7 @@ class CapacityPlanner:
                        "holding capacity floor]")
         if binding is not None and binding.clamped:
             reason += (f" [ml answer {binding.ml_nodes} clamped to "
-                       f"±{self.clamp_band:.0%} of analytical "
+                       f"±{CLAMP_BAND:.0%} of analytical "
                        f"{binding.analytic_nodes}]")
         if staleness_pressure:
             reason += " + staleness headroom"
@@ -246,6 +240,6 @@ class CapacityPlanner:
             ml_nodes=None if binding is None else binding.ml_nodes,
             latency_infeasible=False if binding is None else binding.infeasible,
             ml_clamped=False if binding is None else binding.clamped,
-            clamp_band=self.clamp_band,
+            clamp_band=CLAMP_BAND,
             latency_detail="" if binding is None else binding.detail,
         )

@@ -76,28 +76,23 @@ class InterruptionRecord:
 class SpotFleetManager:
     """Owns the surge (spot-first) half of a mixed fleet."""
 
+    drain_seconds = DRAIN_SECONDS
+    max_surge_per_group = MAX_SURGE_PER_GROUP
+
     def __init__(
         self,
         simulator: Simulator,
         cluster: Cluster,
         pool: InstancePool,
         timeline=None,
-        drain_seconds: float = DRAIN_SECONDS,
-        max_surge_per_group: int = MAX_SURGE_PER_GROUP,
     ) -> None:
         if pool.market is None:
             raise ValueError("SpotFleetManager needs a pool with an attached market")
-        if drain_seconds <= 0:
-            raise ValueError("drain_seconds must be positive")
-        if max_surge_per_group < 1:
-            raise ValueError("max_surge_per_group must be >= 1")
         self._sim = simulator
         self._cluster = cluster
         self._pool = pool
         self._market = pool.market
         self._timeline = timeline
-        self.drain_seconds = drain_seconds
-        self.max_surge_per_group = max_surge_per_group
         # instance_id -> node_id for attached surge replicas ("" while booting).
         self._surge_nodes: Dict[str, str] = {}
         # instance_id -> group the surge replica was placed in (assigned at

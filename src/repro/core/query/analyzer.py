@@ -122,23 +122,17 @@ class QueryAnalyzer:
 
     Args:
         registry: the application's schema registry.
-        max_read_work: largest admissible per-query read cost (index entries
-            touched).  The paper's "constant cost per user" K for reads.
-        max_update_work: largest admissible per-update maintenance cost
-            (lookups plus index writes).  The paper's O(K) for updates.
     """
 
-    def __init__(
-        self,
-        registry: SchemaRegistry,
-        max_read_work: int = 10_000,
-        max_update_work: int = 50_000,
-    ) -> None:
-        if max_read_work < 1 or max_update_work < 1:
-            raise ValueError("work bounds must be positive")
+    # Largest admissible per-query read cost (index entries touched): the
+    # paper's "constant cost per user" K for reads.
+    max_read_work = 10_000
+    # Largest admissible per-update maintenance cost (lookups plus index
+    # writes): the paper's O(K) for updates.
+    max_update_work = 50_000
+
+    def __init__(self, registry: SchemaRegistry) -> None:
         self.registry = registry
-        self.max_read_work = max_read_work
-        self.max_update_work = max_update_work
 
     # ----------------------------------------------------------------- analyse
 

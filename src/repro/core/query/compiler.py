@@ -64,9 +64,6 @@ class QueryCompiler:
         self._compiled[name] = compiled
         return compiled
 
-    def compiled_queries(self) -> List[CompiledQuery]:
-        return list(self._compiled.values())
-
     # --------------------------------------------------------------- index spec
 
     def _build_index_spec(self, name: str, analyzed: AnalyzedQuery) -> IndexSpec:

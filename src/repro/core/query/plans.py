@@ -130,10 +130,6 @@ class IndexSpec:
             + len(self.final_key_fields)
         )
 
-    def prefix_length(self) -> int:
-        """Number of leading key components fixed by the anchor parameters."""
-        return 1 + len(self.extra_anchor_columns)
-
     def entities(self) -> List[str]:
         """Distinct entity names along the path, anchor first."""
         seen: List[str] = []

@@ -134,16 +134,6 @@ class EntitySchema:
     def value_field_names(self) -> List[str]:
         return [f.name for f in self.value_fields]
 
-    @property
-    def field_names(self) -> List[str]:
-        return list(self._fields_by_name)
-
-    def field_by_name(self, name: str) -> Field:
-        field_ = self._fields_by_name.get(name)
-        if field_ is None:
-            raise SchemaError(f"entity {self.name!r} has no field {name!r}")
-        return field_
-
     def has_field(self, name: str) -> bool:
         return name in self._fields_by_name
 

@@ -24,18 +24,14 @@ class EnsembleModel:
     :mod:`repro.ml`.
     """
 
-    def __init__(self, members: Sequence, validation_fraction: float = 0.25) -> None:
+    # Share of the (most recent) rows held out to weight the members.
+    validation_fraction = 0.25
+
+    def __init__(self, members: Sequence) -> None:
         if not members:
             raise ValueError("an ensemble needs at least one member model")
-        if not 0.0 < validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in (0, 1)")
         self._members = list(members)
-        self._validation_fraction = validation_fraction
         self._weights: Optional[np.ndarray] = None
-
-    @property
-    def is_fitted(self) -> bool:
-        return self._weights is not None
 
     @property
     def member_weights(self) -> List[float]:
@@ -53,7 +49,7 @@ class EnsembleModel:
         if x.shape[0] == 0:
             raise ValueError("cannot fit on an empty dataset")
         n = x.shape[0]
-        split = max(int(n * (1.0 - self._validation_fraction)), 1)
+        split = max(int(n * (1.0 - self.validation_fraction)), 1)
         train_x, train_y = x[:split], y[:split]
         valid_x, valid_y = x[split:], y[split:]
         if valid_x.shape[0] == 0:

@@ -17,22 +17,16 @@ import numpy as np
 
 
 class WorkloadForecaster:
-    """Short-horizon request-rate forecaster built from observed history.
+    """Short-horizon request-rate forecaster built from observed history."""
 
-    Args:
-        window: number of recent observations used for trend fitting.
-        min_observations: below this, the forecaster just returns the latest
-            rate (no extrapolation) — avoids wild forecasts from two points.
-    """
+    # Number of recent observations used for trend fitting.
+    window = 30
+    # Below this, the forecaster just returns the latest rate (no
+    # extrapolation) — avoids wild forecasts from two points.
+    min_observations = 5
 
-    def __init__(self, window: int = 30, min_observations: int = 5) -> None:
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window}")
-        if min_observations < 2:
-            raise ValueError(f"min_observations must be >= 2, got {min_observations}")
-        self.window = window
-        self.min_observations = min_observations
-        self._history: Deque[Tuple[float, float]] = deque(maxlen=window)
+    def __init__(self) -> None:
+        self._history: Deque[Tuple[float, float]] = deque(maxlen=self.window)
 
     def observe(self, time: float, rate: float) -> None:
         """Record the observed aggregate request rate at a point in time."""
@@ -41,9 +35,6 @@ class WorkloadForecaster:
         if self._history and time < self._history[-1][0]:
             raise ValueError("observations must arrive in time order")
         self._history.append((float(time), float(rate)))
-
-    def observation_count(self) -> int:
-        return len(self._history)
 
     def latest_rate(self) -> float:
         """The most recently observed rate (0 if nothing observed yet)."""

@@ -26,10 +26,6 @@ class KNNRegressor:
         self._targets: Optional[np.ndarray] = None
         self._scale: Optional[np.ndarray] = None
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._features is not None
-
     def fit(self, features: Sequence[Sequence[float]], targets: Sequence[float]) -> "KNNRegressor":
         """Store the training set (lazy learner) with per-feature scaling."""
         x = np.atleast_2d(np.asarray(features, dtype=float))

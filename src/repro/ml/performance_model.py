@@ -64,39 +64,33 @@ class LatencyPercentileModel:
         node_capacity_ops: per-node sustainable ops/sec; anchors the prior's
             utilisation term.
         percentile: the SLA percentile being modelled (e.g. 99.9).
-        min_training_windows: observations required before trusting the
-            learned model over the analytic prior.
-        retrain_every: refit cadence, in observations.
-        max_training_windows: sliding-window bound on retained observations.
     """
 
     # Tail inflation of the percentile over the median for a log-normal-ish
     # service distribution; only used by the analytic prior.
     PRIOR_TAIL_FACTOR = 4.0
+    # Observations required before trusting the learned model over the prior.
+    min_training_windows = 8
+    # Refit cadence, in observations.
+    retrain_every = 4
+    # Sliding-window bound on retained observations.
+    max_training_windows = 512
 
     def __init__(
         self,
         base_service_time: float = 0.004,
         node_capacity_ops: float = 1000.0,
         percentile: float = 99.9,
-        min_training_windows: int = 8,
-        retrain_every: int = 4,
-        max_training_windows: int = 512,
     ) -> None:
         if base_service_time <= 0 or node_capacity_ops <= 0:
             raise ValueError("base_service_time and node_capacity_ops must be positive")
         if not 0.0 < percentile < 100.0:
             raise ValueError(f"percentile must be in (0, 100), got {percentile}")
-        if max_training_windows < min_training_windows:
-            raise ValueError("max_training_windows must be >= min_training_windows")
         self.base_service_time = base_service_time
         self.node_capacity_ops = node_capacity_ops
         self.percentile = percentile
-        self.min_training_windows = min_training_windows
-        self.retrain_every = retrain_every
-        self.max_training_windows = max_training_windows
-        self._features: Deque[np.ndarray] = deque(maxlen=max_training_windows)
-        self._targets: Deque[float] = deque(maxlen=max_training_windows)
+        self._features: Deque[np.ndarray] = deque(maxlen=self.max_training_windows)
+        self._targets: Deque[float] = deque(maxlen=self.max_training_windows)
         self._model: Optional[EnsembleModel] = None
         self._observations_since_fit = 0
         self.fit_count = 0
@@ -251,26 +245,16 @@ class PropagationLagModel:
 
     Like the latency model, training is bounded: a sliding window of the
     most recent ``max_training_windows`` observations, refit every
-    ``retrain_every`` observations (the old behaviour refit on *every*
-    observe past the minimum — O(n^2) over a long run — while the
-    observation lists grew without bound).
+    ``retrain_every`` observations.
     """
 
-    def __init__(
-        self,
-        min_training_windows: int = 6,
-        retrain_every: int = 4,
-        max_training_windows: int = 512,
-    ) -> None:
-        if max_training_windows < min_training_windows:
-            raise ValueError("max_training_windows must be >= min_training_windows")
-        if retrain_every < 1:
-            raise ValueError("retrain_every must be >= 1")
-        self.min_training_windows = min_training_windows
-        self.retrain_every = retrain_every
-        self.max_training_windows = max_training_windows
-        self._features: Deque[list] = deque(maxlen=max_training_windows)
-        self._targets: Deque[float] = deque(maxlen=max_training_windows)
+    min_training_windows = 6
+    retrain_every = 4
+    max_training_windows = 512
+
+    def __init__(self) -> None:
+        self._features: Deque[list] = deque(maxlen=self.max_training_windows)
+        self._targets: Deque[float] = deque(maxlen=self.max_training_windows)
         self._model: Optional[RidgeRegressionModel] = None
         self._observations_since_fit = 0
         self.fit_count = 0

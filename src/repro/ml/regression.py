@@ -35,10 +35,6 @@ class LinearRegressionModel:
     def __init__(self) -> None:
         self._weights: Optional[np.ndarray] = None
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._weights is not None
-
     def fit(self, features: Sequence[Sequence[float]], targets: Sequence[float]) -> "LinearRegressionModel":
         """Fit weights minimising squared error."""
         x = _design_matrix(np.asarray(features, dtype=float))
@@ -100,27 +96,21 @@ class QuantileRegressionModel:
     Args:
         quantile: the conditional quantile to estimate, e.g. 0.999 for the
             99.9th-percentile latency SLA.
-        learning_rate: subgradient step size.
         iterations: number of passes over the data.
     """
 
-    def __init__(self, quantile: float = 0.99, learning_rate: float = 0.05,
-                 iterations: int = 400) -> None:
+    # Subgradient step size.
+    learning_rate = 0.05
+
+    def __init__(self, quantile: float = 0.99, iterations: int = 400) -> None:
         if not 0.0 < quantile < 1.0:
             raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         self.quantile = quantile
-        self.learning_rate = learning_rate
         self.iterations = iterations
         self._weights: Optional[np.ndarray] = None
         self._feature_scale: Optional[np.ndarray] = None
-
-    @property
-    def is_fitted(self) -> bool:
-        return self._weights is not None
 
     def fit(self, features: Sequence[Sequence[float]], targets: Sequence[float]) -> "QuantileRegressionModel":
         """Fit by minimising the pinball (quantile) loss."""

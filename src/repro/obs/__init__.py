@@ -8,7 +8,7 @@ results are byte-identical at any worker count.
 """
 
 from repro.obs.attribution import WindowAttribution, attribute_windows, format_attribution
-from repro.obs.telemetry import Telemetry, TelemetryConfig
+from repro.obs.telemetry import Telemetry
 from repro.obs.timeline import DecisionTimeline, FleetEvent, ProvisioningDecision, SlaVerdict
 from repro.obs.tracing import SPAN_KINDS, Span, TraceRecord, Tracer
 
@@ -18,7 +18,6 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "Telemetry",
-    "TelemetryConfig",
     "WindowAttribution",
     "attribute_windows",
     "format_attribution",

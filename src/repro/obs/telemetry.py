@@ -20,32 +20,9 @@ default, and cheap — a counter bump is one dict ``get`` + add.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.metrics.percentiles import PercentileEstimator
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Knobs for the observability layer.
-
-    ``trace_sample_interval`` — every Nth operation *per op stream* opens
-    a trace.  Sampling is a deterministic modulo on a per-stream counter,
-    never an RNG draw, so enabling tracing cannot perturb the simulation.
-    ``max_traces`` bounds retained traces per tracer (oldest kept: the
-    cap stops appends rather than evicting, so the retained prefix is
-    identical regardless of when the run is inspected).
-    """
-
-    trace_sample_interval: int = 64
-    max_traces: int = 20000
-
-    def __post_init__(self) -> None:
-        if self.trace_sample_interval < 1:
-            raise ValueError("trace_sample_interval must be >= 1")
-        if self.max_traces < 0:
-            raise ValueError("max_traces must be >= 0")
 
 
 class Telemetry:
@@ -143,22 +120,3 @@ class Telemetry:
         self.gauges = state["gauges"]  # type: ignore[assignment]
         self._histograms = state["histograms"]  # type: ignore[assignment]
 
-
-def resolve_telemetry_config(
-    telemetry: "Optional[object]",
-) -> Optional[TelemetryConfig]:
-    """Normalise the ``Scads(telemetry=...)`` knob.
-
-    Accepts ``None``/``False`` (off), ``True`` (defaults), or a
-    :class:`TelemetryConfig`.
-    """
-    if telemetry is None or telemetry is False:
-        return None
-    if telemetry is True:
-        return TelemetryConfig()
-    if isinstance(telemetry, TelemetryConfig):
-        return telemetry
-    raise TypeError(
-        "telemetry must be None, a bool, or a TelemetryConfig, "
-        f"got {type(telemetry).__name__}"
-    )

@@ -29,6 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+# Every Nth operation *per op stream* opens a trace.
+TRACE_SAMPLE_INTERVAL = 64
+# Retained traces per tracer.  The cap stops appends rather than evicting, so
+# the retained prefix is identical regardless of when the run is inspected.
+MAX_TRACES = 20000
+
 SPAN_KINDS = frozenset(
     {
         "queue",
@@ -117,16 +123,9 @@ class Tracer:
         "_next_id",
     )
 
-    def __init__(
-        self,
-        sample_interval: int = 64,
-        max_traces: int = 20000,
-        telemetry: Optional[object] = None,
-    ) -> None:
-        if sample_interval < 1:
-            raise ValueError("sample_interval must be >= 1")
-        self.sample_interval = sample_interval
-        self.max_traces = max_traces
+    def __init__(self, telemetry: Optional[object] = None) -> None:
+        self.sample_interval = TRACE_SAMPLE_INTERVAL
+        self.max_traces = MAX_TRACES
         self.traces: List[TraceRecord] = []
         self.telemetry = telemetry
         self._op_counts: Dict[str, int] = {}

@@ -344,12 +344,6 @@ def smoke_variant(spec: ScenarioSpec) -> ScenarioSpec:
     return spec.with_overrides(**{**common, **overrides})
 
 
-def standard_suite_grids(replicates: int = 1, base_seed: int = 0) -> List[SweepGrid]:
-    """One single-cell grid per suite scenario (replicated, seeded)."""
-    return [SweepGrid(scenario=spec, replicates=replicates, base_seed=base_seed)
-            for spec in STANDARD_SUITE]
-
-
 def smoke_scenario(duration: float = 20.0, rate: float = 30.0) -> ScenarioSpec:
     """A seconds-long closed loop for smoke sweeps and determinism tests."""
     return ScenarioSpec(

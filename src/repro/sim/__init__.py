@@ -21,7 +21,7 @@ from repro.sim.latency import (
     ParetoLatency,
     QueueingLatency,
 )
-from repro.sim.network import Link, NetworkModel, Partition
+from repro.sim.network import NetworkModel, Partition
 
 __all__ = [
     "VirtualClock",
@@ -36,7 +36,6 @@ __all__ = [
     "ParetoLatency",
     "EmpiricalLatency",
     "QueueingLatency",
-    "Link",
     "NetworkModel",
     "Partition",
 ]

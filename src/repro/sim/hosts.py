@@ -11,65 +11,46 @@ against:
   configurable tenancy bound and an avoid-set hook, which the cluster uses
   for replica-group anti-affinity (a group must never reach read/write quorum
   on one host).
-* :class:`ContentionProcess` — a deterministic per-host co-tenant load
-  process.  Like ``cloud/market.py`` it owns named RNG streams
-  (``contention:{host_id}``) and extends each host's trace lazily with a
-  FIXED number of variates per step, so paired-seed sweeps stay byte-identical
-  at any worker count and forced episodes (which consume no RNG at all) never
-  shift the spontaneous trace.  The factor it produces multiplies the *base
+* :class:`ContentionProcess` — scripted per-host co-tenant episodes (the
+  ``host_degradation`` fault), pushed onto colocated nodes once per
+  :data:`STEP_SECONDS`.  Episodes consume no randomness, so a scenario's
+  contention follows from its fault plan alone and paired-seed sweeps stay
+  byte-identical at any worker count.  The factor multiplies the *base
   service draw* of every colocated node simultaneously — correlated episodes,
   not i.i.d. noise.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
+
+# How often every host's factor is pushed onto its colocated nodes.
+STEP_SECONDS = 60.0
+
+# Diagnosis thresholds (consumed by the SLA monitor / controller): a host whose
+# mean service residual reaches RESIDUAL_THRESHOLD while fleet mean utilisation
+# is at or below QUIET_UTILISATION is noisy, not short of capacity.
+RESIDUAL_THRESHOLD = 1.5
+QUIET_UTILISATION = 0.7
+
+# How long an evacuated host stays off-limits to new placements.  An evacuated
+# host has no colocated nodes left, so its residual signal goes dark; without
+# a hold, the very next rent would land on the (empty, least-occupied, still
+# degraded) host and re-poison the fleet.
+QUARANTINE_SECONDS = 600.0
 
 
 @dataclass
 class ContentionConfig:
-    """Knobs for host tenancy, co-tenant episodes, and diagnosis thresholds.
-
-    ``spontaneous_rate`` is the per-step probability that a host's co-tenants
-    spontaneously start an episode; the default 0.0 means all contention is
-    scripted through :meth:`ContentionProcess.force_episode` (the
-    ``host_degradation`` fault), which keeps grid scenarios exactly
-    reproducible from their fault plan alone.
-    """
+    """Host tenancy, and whether the controller remediates contention."""
 
     tenancy: int = 4                  # max nodes sharing one physical host
-    step_seconds: float = 60.0        # trace resolution / push cadence
-    spontaneous_rate: float = 0.0     # P(episode starts) per host-step
-    intensity_mean: float = 3.0       # median service inflation of an episode
-    intensity_sigma: float = 0.3      # log-space spread of episode intensity
-    max_episode_steps: int = 10       # spontaneous episode length cap
-    # Diagnosis thresholds (consumed by the SLA monitor / controller).
-    residual_threshold: float = 1.5   # host mean service residual => noisy
-    quiet_utilisation: float = 0.7    # "low utilisation" bound for contention
     placement_aware: bool = True      # False = capacity-only ablation arm
-    # How long an evacuated host stays off-limits to new placements.  An
-    # evacuated host has no colocated nodes left, so its residual signal goes
-    # dark; without a hold, the very next rent would land on the (empty,
-    # least-occupied, still-degraded) host and re-poison the fleet.
-    quarantine_seconds: float = 600.0
 
     def __post_init__(self) -> None:
         if self.tenancy < 1:
             raise ValueError(f"tenancy must be >= 1, got {self.tenancy}")
-        if self.step_seconds <= 0:
-            raise ValueError(
-                f"step_seconds must be positive, got {self.step_seconds}")
-        if not 0.0 <= self.spontaneous_rate <= 1.0:
-            raise ValueError(
-                f"spontaneous_rate must be in [0, 1], got {self.spontaneous_rate}")
-        if self.intensity_mean < 1.0:
-            raise ValueError(
-                f"intensity_mean must be >= 1, got {self.intensity_mean}")
-        if self.quarantine_seconds < 0:
-            raise ValueError(
-                f"quarantine_seconds must be >= 0, got {self.quarantine_seconds}")
 
 
 def resolve_contention_config(knob) -> Optional[ContentionConfig]:
@@ -146,57 +127,17 @@ class HostMap:
 
 
 class ContentionProcess:
-    """Deterministic co-tenant service-time inflation, per physical host.
+    """Scripted co-tenant service-time inflation, per physical host.
 
-    Each host owns the RNG stream ``contention:{host_id}`` and a lazily
-    extended factor trace at ``step_seconds`` resolution.  Every step consumes
-    exactly three variates — ``uniform`` (episode start), ``normal``
-    (intensity), ``uniform`` (length) — whether or not an episode fires, so
-    the trace for a given (seed, host) pair is identical no matter when or
-    how often it is interrogated.  Forced episodes (scripted faults) are kept
-    as ``(start, end, intensity)`` windows outside the trace and consume no
-    randomness, mirroring ``SpotMarket``'s forced storms.
+    Episodes (scripted faults) are kept as ``(start, end, intensity)``
+    windows and consume no randomness, mirroring ``SpotMarket``'s forced
+    storms.
     """
 
-    def __init__(self, sim, host_map: HostMap,
-                 config: Optional[ContentionConfig] = None) -> None:
+    def __init__(self, sim, host_map: HostMap) -> None:
         self._sim = sim
         self.host_map = host_map
-        self.config = config or ContentionConfig()
-        self._traces: Dict[str, List[float]] = {}
-        # Spontaneous-episode generator state: (remaining_steps, intensity).
-        self._state: Dict[str, Tuple[int, float]] = {}
         self._forced: Dict[str, List[Tuple[float, float, float]]] = {}
-
-    # ------------------------------------------------------------ trace build
-
-    def _ensure_steps(self, host_id: str, step: int) -> List[float]:
-        trace = self._traces.get(host_id)
-        if trace is None:
-            trace = self._traces[host_id] = []
-            self._state[host_id] = (0, 1.0)
-        if len(trace) > step:
-            return trace
-        rng = self._sim.random.get(f"contention:{host_id}")
-        cfg = self.config
-        remaining, intensity = self._state[host_id]
-        mu = math.log(cfg.intensity_mean)
-        while len(trace) <= step:
-            u_start = rng.uniform()
-            z_intensity = rng.normal()
-            u_length = rng.uniform()
-            if remaining <= 0 and u_start < cfg.spontaneous_rate:
-                intensity = max(1.0, math.exp(mu + cfg.intensity_sigma * z_intensity))
-                remaining = 1 + int(u_length * max(0, cfg.max_episode_steps - 1))
-            if remaining > 0:
-                trace.append(intensity)
-                remaining -= 1
-            else:
-                trace.append(1.0)
-        self._state[host_id] = (remaining, intensity)
-        return trace
-
-    # ------------------------------------------------------------ public API
 
     def force_episode(self, host_id: str, start: float, duration: float,
                       intensity: float) -> None:
@@ -209,9 +150,9 @@ class ContentionProcess:
             (float(start), float(start) + float(duration), float(intensity)))
 
     def factor_at(self, host_id: str, time: float) -> float:
-        """Service-time multiplier in force on ``host_id`` at ``time``."""
-        step = max(0, int(time // self.config.step_seconds))
-        factor = self._ensure_steps(host_id, step)[step]
+        """Service-time multiplier on ``host_id`` at ``time``: the largest
+        episode intensity covering ``time``, else 1.0."""
+        factor = 1.0
         for start, end, intensity in self._forced.get(host_id, ()):
             if start <= time < end and intensity > factor:
                 factor = intensity
@@ -237,5 +178,5 @@ class ContentionProcess:
                     if node is not None:
                         node.set_contention(factor)
 
-        self._sim.schedule_periodic(self.config.step_seconds, tick,
+        self._sim.schedule_periodic(STEP_SECONDS, tick,
                                     start_delay=0.0, name="contention-tick")

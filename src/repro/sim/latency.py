@@ -158,7 +158,7 @@ class LogNormalLatency(LatencyModel):
 class ParetoLatency(LatencyModel):
     """Heavy-tailed service times for modelling stragglers / 'unlucky' requests."""
 
-    def __init__(self, scale: float, shape: float = 2.5) -> None:
+    def __init__(self, scale: float, shape: float) -> None:
         if scale <= 0 or shape <= 1.0:
             raise ValueError("scale must be > 0 and shape must be > 1 for a finite mean")
         self.scale = float(scale)

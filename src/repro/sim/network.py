@@ -1,4 +1,4 @@
-"""Network model: links between nodes/datacenters, partitions, congestion.
+"""Network model: hop latency, partitions, and congestion between endpoints.
 
 The SCADS paper's arbitration story (Section 3.3.1) hinges on what the system
 does when "two datacenters become disconnected" or links are congested; this
@@ -7,30 +7,16 @@ module provides the substrate those experiments inject faults into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set, Tuple
 
 import numpy as np
 
-from repro.sim.latency import LatencyModel, LogNormalLatency
+from repro.sim.latency import LogNormalLatency
 
 
 class NetworkPartitionError(RuntimeError):
     """Raised when a message is sent across an active network partition."""
-
-
-@dataclass
-class Link:
-    """A directed link between two endpoints (nodes or datacenters)."""
-
-    src: str
-    dst: str
-    latency: LatencyModel = field(default_factory=lambda: LogNormalLatency(0.0005, 0.3))
-    congestion_factor: float = 1.0
-
-    def delay(self, rng: np.random.Generator) -> float:
-        """One-way message delay on this link, including congestion."""
-        return self.latency.sample(rng) * self.congestion_factor
 
 
 @dataclass(frozen=True)
@@ -48,11 +34,11 @@ class Partition:
 
 
 class NetworkModel:
-    """Tracks links, active partitions, and per-link congestion.
+    """Tracks active partitions and per-link congestion.
 
-    Endpoints that have no explicit link use the default latency model; this
-    keeps small experiments simple while still letting the failure-injection
-    benches congest or cut specific paths.
+    Every hop samples one default latency model; this keeps small experiments
+    simple while still letting the failure-injection benches congest or cut
+    specific paths.
     """
 
     def __init__(
@@ -61,13 +47,8 @@ class NetworkModel:
     ) -> None:
         self._rng = rng
         self._default_latency = LogNormalLatency(0.0005, 0.3)
-        self._links: Dict[Tuple[str, str], Link] = {}
         self._partitions: Set[Partition] = set()
         self._congestion: Dict[Tuple[str, str], float] = {}
-
-    def add_link(self, link: Link) -> None:
-        """Register an explicit link (overrides the default latency model)."""
-        self._links[(link.src, link.dst)] = link
 
     def set_congestion(self, src: str, dst: str, factor: float) -> None:
         """Multiply delays on ``src -> dst`` by ``factor`` (1.0 clears it)."""
@@ -105,19 +86,14 @@ class NetworkModel:
         """One-way message delay from ``src`` to ``dst``.
 
         Raises :class:`NetworkPartitionError` if the endpoints are partitioned.
-        The healthy-network case (no partitions, no explicit links, no
-        congestion) is the per-request hot path and skips every lookup.
+        The healthy-network case (no partitions, no congestion) is the
+        per-request hot path and skips every lookup.
         """
         if src == dst:
             return 0.0
         if self._partitions and not self.is_reachable(src, dst):
             raise NetworkPartitionError(f"{src} cannot reach {dst}: network partition")
-        if self._links:
-            link = self._links.get((src, dst))
-            base = (link.delay(self._rng) if link is not None
-                    else self._default_latency.sample(self._rng))
-        else:
-            base = self._default_latency.sample(self._rng)
+        base = self._default_latency.sample(self._rng)
         if self._congestion:
             return base * self._congestion.get((src, dst), 1.0)
         return base

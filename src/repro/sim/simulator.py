@@ -19,8 +19,8 @@ class Simulator:
     billing ticks) use :meth:`schedule_periodic`.
     """
 
-    def __init__(self, seed: int = 0, start: float = 0.0) -> None:
-        self.clock = VirtualClock(start=start)
+    def __init__(self, seed: int = 0) -> None:
+        self.clock = VirtualClock()
         self.queue = EventQueue()
         self.random = RandomStreams(seed)
         self._event_count = 0

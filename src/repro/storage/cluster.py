@@ -98,7 +98,9 @@ class Cluster:
     """A simulated elastic storage cluster.
 
     Class attribute ``MIGRATION_COMPLETION_RETRY`` is how often a finished
-    transfer re-checks a still-down target before reclaiming source copies.
+    transfer re-checks a still-down target before reclaiming source copies;
+    ``movement_rate_keys_per_sec`` is how fast data movement proceeds, so a
+    targeted migration takes simulated time instead of being instantaneous.
 
     Args:
         simulator: discrete-event simulator shared by all components.
@@ -106,8 +108,6 @@ class Cluster:
         initial_groups: number of replica groups to start with.
         node_capacity_ops: per-node sustainable ops/sec.
         partitioner_kind: ``"hash"`` (consistent hashing, default) or ``"range"``.
-        movement_rate_keys_per_sec: how fast data movement proceeds; used to
-            account a rebalance duration so scale-up is not instantaneous.
         host_map: optional :class:`repro.sim.hosts.HostMap`.  When present,
             every node is placed on a shared physical host with replica-group
             anti-affinity (no group ever holds read/write quorum on one
@@ -116,6 +116,7 @@ class Cluster:
     """
 
     MIGRATION_COMPLETION_RETRY = 5.0
+    movement_rate_keys_per_sec = 50_000.0
 
     def __init__(
         self,
@@ -124,7 +125,6 @@ class Cluster:
         initial_groups: int = 2,
         node_capacity_ops: float = 1000.0,
         partitioner_kind: str = "hash",
-        movement_rate_keys_per_sec: float = 50_000.0,
         host_map=None,
     ) -> None:
         if replication_factor < 1:
@@ -134,7 +134,6 @@ class Cluster:
         self.sim = simulator
         self.replication_factor = replication_factor
         self.node_capacity_ops = node_capacity_ops
-        self.movement_rate_keys_per_sec = movement_rate_keys_per_sec
         self.host_map = host_map
         self.network = NetworkModel(simulator.random.get("network"))
         self.nodes: Dict[str, StorageNode] = {}
@@ -142,13 +141,10 @@ class Cluster:
         self._node_counter = itertools.count()
         self._group_counter = itertools.count()
         self._keys_moved_total = 0
-        self._rebalance_count = 0
         self._migrations: List[MigrationRecord] = []
         self._migration_counter = itertools.count()
         self._splits_total = 0
-        self._merges_total = 0
         self._migrations_total = 0
-        self._migration_seconds_total = 0.0
         self._reconciled_keys_total = 0
         self._load_tracker = None
         # Hibernated surge replicas: node_id -> (home group id, frozen node).
@@ -642,7 +638,6 @@ class Cluster:
             self.nodes[node_id].wipe()
             del self.nodes[node_id]
         del self.groups[group_id]
-        self._rebalance_count += 1
 
     def _rebalance(self) -> None:
         """Move keys whose owner changed to their new replica group, at once.
@@ -666,7 +661,6 @@ class Cluster:
                         node._store(namespace).delete(key)  # noqa: SLF001 - cluster owns its nodes
                 moved += 1
         self._keys_moved_total += moved
-        self._rebalance_count += 1
 
     # ---------------------------------------------------------- repartitioning
 
@@ -733,7 +727,6 @@ class Cluster:
             partitioner.reassign(right.index, info.owner)
             moved = sum(r.keys_moved for r in self._migrate_changed_keys())
         partitioner.merge_at(info.index)
-        self._merges_total += 1
         return moved
 
     def shift_weight(self, from_group_id: str, to_group_id: str,
@@ -794,8 +787,7 @@ class Cluster:
                 tokens.add(partition_token(key))
             moved = len(items)
             self._keys_moved_total += moved
-            duration = (moved / self.movement_rate_keys_per_sec
-                        if self.movement_rate_keys_per_sec > 0 else 0.0)
+            duration = moved / self.movement_rate_keys_per_sec
             try:
                 # One bulk-transfer hop between the primaries; if they are
                 # partitioned the state copy is still modelled (the migration
@@ -814,7 +806,6 @@ class Cluster:
             )
             self._migrations.append(record)
             self._migrations_total += 1
-            self._migration_seconds_total += duration
             self.sim.schedule(duration, lambda r=record: self._complete_migration(r),
                               name=f"{record.migration_id}:{source_id}->{target_id}")
             records.append(record)
@@ -1004,25 +995,12 @@ class Cluster:
         return self._keys_moved_total
 
     @property
-    def rebalance_count(self) -> int:
-        return self._rebalance_count
-
-    @property
     def splits_total(self) -> int:
         return self._splits_total
 
     @property
-    def merges_total(self) -> int:
-        return self._merges_total
-
-    @property
     def migrations_total(self) -> int:
         return self._migrations_total
-
-    @property
-    def migration_seconds_total(self) -> float:
-        """Simulated seconds spent transferring keys in targeted migrations."""
-        return self._migration_seconds_total
 
     @property
     def reconciled_keys_total(self) -> int:

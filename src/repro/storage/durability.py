@@ -85,20 +85,3 @@ class DurabilityModel:
             f"{target_durability} with MTTF {self.node_mttf_hours}h and "
             f"re-replication {self.re_replication_hours}h"
         )
-
-    def replication_cost_savings(
-        self,
-        relaxed_durability: float,
-        strict_durability: float,
-        horizon_hours: float = 8760.0,
-    ) -> float:
-        """Fractional storage saved by relaxing the durability SLA.
-
-        The paper's example: old comments can tolerate a lower durability
-        target, saving replication cost.
-        """
-        strict = self.required_replication_factor(strict_durability, horizon_hours)
-        relaxed = self.required_replication_factor(relaxed_durability, horizon_hours)
-        if strict == 0:
-            return 0.0
-        return 1.0 - relaxed / strict

@@ -56,11 +56,6 @@ class PartitionInfo:
     upper: Optional[str]
     owner: str
 
-    def contains_token(self, token: str) -> bool:
-        if token < self.lower:
-            return False
-        return self.upper is None or token < self.upper
-
 
 class Partitioner:
     """Interface shared by the partitioning strategies.
@@ -131,13 +126,13 @@ class ConsistentHashPartitioner(Partitioner):
     Changing a group's weight adds or removes only that group's points, so the
     set of tokens whose owner changes is proportional to the weight delta —
     the incremental topology change the hot-partition rebalancer relies on.
+    Groups join through :meth:`add_group`.
     """
 
-    def __init__(self, group_ids: Sequence[str] = (), virtual_nodes: int = 64) -> None:
+    virtual_nodes = 64
+
+    def __init__(self) -> None:
         super().__init__()
-        if virtual_nodes <= 0:
-            raise ValueError(f"virtual_nodes must be positive, got {virtual_nodes}")
-        self._virtual_nodes = virtual_nodes
         self._ring: List[int] = []
         self._ring_owners: Dict[int, str] = {}
         self._groups: List[str] = []
@@ -145,8 +140,6 @@ class ConsistentHashPartitioner(Partitioner):
         # Ring points each group actually owns, in vnode-index order, so
         # weight reductions can retire the most recently placed points first.
         self._points: Dict[str, List[int]] = {}
-        for group_id in group_ids:
-            self.add_group(group_id)
 
     def groups(self) -> List[str]:
         return list(self._groups)
@@ -204,7 +197,7 @@ class ConsistentHashPartitioner(Partitioner):
         return target - current
 
     def _target_vnodes(self, weight: float) -> int:
-        return max(1, int(round(self._virtual_nodes * weight)))
+        return max(1, int(round(self.virtual_nodes * weight)))
 
     def _add_vnodes(self, group_id: str, target: int) -> None:
         points = self._points[group_id]

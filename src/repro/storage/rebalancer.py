@@ -61,13 +61,10 @@ class PartitionLoadTracker:
     and migration decisions should be based on.
     """
 
-    def __init__(self, max_tokens: int = 1024, half_life: float = 60.0) -> None:
-        if max_tokens < 2:
-            raise ValueError(f"max_tokens must be >= 2, got {max_tokens}")
-        if half_life <= 0:
-            raise ValueError(f"half_life must be positive, got {half_life}")
-        self._max_tokens = max_tokens
-        self._half_life = half_life
+    max_tokens = 1024
+    half_life = 60.0  # seconds
+
+    def __init__(self) -> None:
         self._counts: Dict[str, float] = {}
         self._last_decay = 0.0
         self.total_accesses = 0
@@ -78,7 +75,7 @@ class PartitionLoadTracker:
         self._maybe_decay(now)
         self._counts[token] = self._counts.get(token, 0.0) + 1.0
         self.total_accesses += 1
-        if len(self._counts) > self._max_tokens:
+        if len(self._counts) > self.max_tokens:
             self._prune()
 
     def note_reads(self, tokens: Sequence[str], now: float) -> None:
@@ -90,22 +87,22 @@ class PartitionLoadTracker:
         counts = self._counts
         for token in tokens:
             counts[token] = counts.get(token, 0.0) + 1.0
-            if len(counts) > self._max_tokens:
+            if len(counts) > self.max_tokens:
                 self._prune()
                 counts = self._counts
         self.total_accesses += len(tokens)
 
     def _maybe_decay(self, now: float) -> None:
         elapsed = now - self._last_decay
-        if elapsed < self._half_life / 4.0:
+        if elapsed < self.half_life / 4.0:
             return
-        factor = 0.5 ** (elapsed / self._half_life)
+        factor = 0.5 ** (elapsed / self.half_life)
         self._counts = {t: c * factor for t, c in self._counts.items() if c * factor >= 0.25}
         self._last_decay = now
 
     def _prune(self) -> None:
         keep = sorted(self._counts.items(), key=lambda tc: tc[1],
-                      reverse=True)[: self._max_tokens // 2]
+                      reverse=True)[: self.max_tokens // 2]
         self._counts = dict(keep)
         # Pruning discards the cold tail's mass, so from here on the sketch
         # under-counts total load (fine for hot/cold *ranking*, not for
@@ -128,7 +125,7 @@ class PartitionLoadTracker:
         unbiased rate — unlike summing per-node interarrival EWMAs, whose
         reciprocal is systematically high (Jensen) and noisy.
         """
-        return self.total_load() * math.log(2) / self._half_life
+        return self.total_load() * math.log(2) / self.half_life
 
     def load_between(self, lower: str, upper: Optional[str]) -> float:
         """Tracked load whose token falls in ``[lower, upper)``."""
@@ -163,48 +160,39 @@ class Rebalancer:
     """Detects hot/cold replica groups and repairs skew with sub-group actions.
 
     Args:
-        cluster: the cluster to operate on (the tracker is attached to it).
-        tracker: per-partition load sketch fed by the router.
+        cluster: the cluster to operate on (the rebalancer's
+            :class:`PartitionLoadTracker` is attached to it).
         hot_utilisation: a group whose mean node utilisation exceeds this is a
             migration source candidate.
         cold_utilisation: a group below this can absorb migrated load.
-        merge_load_fraction: adjacent same-owner partitions whose combined
-            tracked load is below this fraction of the total are merge
-            candidates during cold hygiene.
-        receiver_target_utilisation: a migration must not push the receiving
-            group's mean utilisation past this; it is the utilisation at which
-            tail latency still comfortably meets the SLA, so it is tighter
-            than ``hot_utilisation``.  Defaults to the midpoint of
-            ``cold_utilisation`` and ``hot_utilisation`` so it scales with
-            however the detection thresholds were calibrated.
         cooldown: minimum simulated seconds between actions, so one migration
             can take effect (and its load stats settle) before the next.
+
+    ``receiver_target_utilisation`` caps the receiving group's mean
+    utilisation after a migration; it is the utilisation at which tail
+    latency still comfortably meets the SLA, so it is tighter than
+    ``hot_utilisation``: the midpoint of the two detection thresholds, so it
+    scales with however they were calibrated.
     """
+
+    # Adjacent same-owner partitions whose combined tracked load is below this
+    # fraction of the total are merge candidates during cold hygiene.
+    merge_load_fraction = 0.05
 
     def __init__(
         self,
         cluster: Cluster,
-        tracker: Optional[PartitionLoadTracker] = None,
         hot_utilisation: float = 0.75,
         cold_utilisation: float = 0.5,
-        merge_load_fraction: float = 0.05,
-        receiver_target_utilisation: Optional[float] = None,
         cooldown: float = 0.0,
     ) -> None:
         if not 0.0 < cold_utilisation < hot_utilisation:
             raise ValueError("need 0 < cold_utilisation < hot_utilisation")
-        if not 0.0 <= merge_load_fraction < 1.0:
-            raise ValueError("merge_load_fraction must be in [0, 1)")
-        if receiver_target_utilisation is None:
-            receiver_target_utilisation = (cold_utilisation + hot_utilisation) / 2.0
-        if receiver_target_utilisation <= 0:
-            raise ValueError("receiver_target_utilisation must be positive")
         self._cluster = cluster
-        self.tracker = tracker or PartitionLoadTracker()
+        self.tracker = PartitionLoadTracker()
         self.hot_utilisation = hot_utilisation
         self.cold_utilisation = cold_utilisation
-        self.merge_load_fraction = merge_load_fraction
-        self.receiver_target_utilisation = receiver_target_utilisation
+        self.receiver_target_utilisation = (cold_utilisation + hot_utilisation) / 2.0
         self.cooldown = cooldown
         self._actions: List[RebalanceAction] = []
         self._last_action_time: Optional[float] = None
@@ -290,15 +278,6 @@ class Rebalancer:
             self._actions.append(action)
             self._last_action_time = now
         return action
-
-    def _group_rate(self, group_id: str) -> float:
-        """Estimated request rate arriving at one group (ops/sec)."""
-        group = self._cluster.groups[group_id]
-        return sum(
-            self._cluster.nodes[node_id].arrival_rate()
-            for node_id in group.node_ids
-            if self._cluster.nodes[node_id].alive
-        )
 
     def _tracked_group_load(self, group_id: str) -> float:
         """Tracked load currently owned by one group (range partitioner)."""

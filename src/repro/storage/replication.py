@@ -142,26 +142,20 @@ class ReplicationEngine:
         simulator: the discrete-event simulator used to schedule propagation.
         network: network model supplying hop delays and partitions.
         nodes: mapping from node id to :class:`StorageNode`.
-        retry_interval: how long to wait before retrying a propagation that
-            failed because of a partition or a crashed replica.
     """
 
     COMPLETED_LAG_WINDOW = 10_000
+    # How long to wait before retrying a propagation that failed because of
+    # a partition or a crashed replica, and how many retries one delivery gets.
+    retry_interval = 1.0
+    max_retries = 100
 
-    def __init__(
-        self,
-        simulator: Simulator,
-        network: NetworkModel,
-        nodes: Dict[str, StorageNode],
-        retry_interval: float = 1.0,
-        max_retries: int = 100,
-    ) -> None:
+    def __init__(self, simulator: Simulator, network: NetworkModel,
+                 nodes: Dict[str, StorageNode]) -> None:
         self._sim = simulator
         self._clock = simulator.clock
         self._network = network
         self._nodes = nodes
-        self._retry_interval = retry_interval
-        self._max_retries = max_retries
         # Completed propagations are recorded as bare lag floats in a
         # bounded recent window (plus an all-time running max): keeping every
         # PropagationRecord alive forever made long closed-loop runs
@@ -199,7 +193,7 @@ class ReplicationEngine:
         now = self._clock.now
         name = self._event_name(namespace)
         nodes = self._nodes
-        max_retries = self._max_retries
+        max_retries = self.max_retries
         for i in range(1, len(node_ids)):
             replica_id = node_ids[i]
             replica = nodes.get(replica_id)
@@ -231,7 +225,7 @@ class ReplicationEngine:
         source copies would lose it.
         """
         record = PropagationRecord(self, namespace, key, value, self._clock.now,
-                                   source_id, replica_id, None, self._max_retries)
+                                   source_id, replica_id, None, self.max_retries)
         self._pending += 1
         self._schedule_apply(record, self._event_name(namespace))
         return record
@@ -262,7 +256,7 @@ class ReplicationEngine:
             return
         record._retries_left -= 1
         record._awaiting_retry = True
-        self._sim.schedule(self._retry_interval, record, name="replicate-retry")
+        self._sim.schedule(self.retry_interval, record, name="replicate-retry")
 
     # --------------------------------------------------------------- sync path
 

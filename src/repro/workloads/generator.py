@@ -19,6 +19,11 @@ from repro.workloads.opmix import CloudStoneMix, Operation
 from repro.workloads.traces import LoadTrace
 
 
+# Upper bound on the gap between issued operations (seconds), so rate changes
+# are noticed even when the current rate is near zero.
+MAX_INTERARRIVAL = 30.0
+
+
 @dataclass
 class GeneratorStats:
     """Counters describing what the generator issued."""
@@ -38,8 +43,6 @@ class LoadGenerator:
         execute: callback invoked with each :class:`Operation`; the SCADS
             engine (or a baseline) supplies this.
         sampling_fraction: fraction of nominal operations actually simulated.
-        max_interarrival: upper bound on the gap between issued operations so
-            rate changes are noticed even when the current rate is near zero.
     """
 
     def __init__(
@@ -49,18 +52,14 @@ class LoadGenerator:
         mix: CloudStoneMix,
         execute: Callable[[Operation], None],
         sampling_fraction: float = 1.0,
-        max_interarrival: float = 30.0,
     ) -> None:
         if not 0.0 < sampling_fraction <= 1.0:
             raise ValueError(f"sampling_fraction must be in (0, 1], got {sampling_fraction}")
-        if max_interarrival <= 0:
-            raise ValueError("max_interarrival must be positive")
         self._sim = simulator
         self._trace = trace
         self._mix = mix
         self._execute = execute
         self._sampling_fraction = sampling_fraction
-        self._max_interarrival = max_interarrival
         self._rng = simulator.random.get("load-generator")
         self._running = False
         self.stats = GeneratorStats()
@@ -102,7 +101,7 @@ class LoadGenerator:
             return
         rate = self._trace.rate_at(self._sim.clock.now) * self._sampling_fraction
         if rate <= 0:
-            delay = self._max_interarrival
+            delay = MAX_INTERARRIVAL
         else:
             pool = self._exp_pool
             index = self._exp_index
@@ -111,8 +110,8 @@ class LoadGenerator:
                 index = 0
             self._exp_index = index + 1
             delay = pool[index] / rate
-            if delay > self._max_interarrival:
-                delay = self._max_interarrival
+            if delay > MAX_INTERARRIVAL:
+                delay = MAX_INTERARRIVAL
         self._sim.schedule(delay, self._tick, name="load-generator")
 
     def _tick(self) -> None:

@@ -11,9 +11,15 @@ query templates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 import numpy as np
+
+
+HOMETOWNS = (
+    "berkeley", "san-francisco", "oakland", "palo-alto", "seattle",
+    "new-york", "austin", "chicago", "boston", "portland",
+)
 
 
 @dataclass
@@ -43,7 +49,6 @@ class SocialGraph:
         rng: np.random.Generator,
         max_friends: int = 5000,
         mean_friends: float = 50.0,
-        hometowns: Optional[List[str]] = None,
     ) -> None:
         if n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {n_users}")
@@ -55,10 +60,6 @@ class SocialGraph:
         self.max_friends = max_friends
         self.mean_friends = mean_friends
         self._rng = rng
-        self._hometowns = hometowns or [
-            "berkeley", "san-francisco", "oakland", "palo-alto", "seattle",
-            "new-york", "austin", "chicago", "boston", "portland",
-        ]
         self.profiles: Dict[str, UserProfile] = {}
         self._friends: Dict[str, Set[str]] = {}
         self._generate()
@@ -77,7 +78,7 @@ class SocialGraph:
                 user_id=user_id,
                 name=f"user-{i}",
                 birthday=f"{month:02d}-{day:02d}",
-                hometown=self._hometowns[int(self._rng.integers(0, len(self._hometowns)))],
+                hometown=HOMETOWNS[int(self._rng.integers(0, len(HOMETOWNS)))],
                 signup_day=int(self._rng.integers(0, 365)),
             )
             self._friends[user_id] = set()
@@ -168,7 +169,3 @@ class SocialGraph:
             return 0.0
         return float(np.mean([len(f) for f in self._friends.values()]))
 
-    def random_user(self, rng: Optional[np.random.Generator] = None) -> str:
-        """A uniformly random user id."""
-        generator = rng if rng is not None else self._rng
-        return self._user_id(int(generator.integers(0, self.n_users)))

@@ -128,10 +128,6 @@ class TestNaiveRdbms:
         assert db.row_count("profiles") == 20
         assert db.total_rows() == 20 + 60
 
-    def test_invalid_costs_rejected(self):
-        with pytest.raises(ValueError):
-            NaiveRdbms(row_scan_cost=0.0)
-
 
 class TestQuorumStore:
     def test_write_and_quorum_read(self):

@@ -138,8 +138,8 @@ class TestPolicy:
     @pytest.mark.parametrize("known_staleness", [None, -1.0, 0.0, 4.0, 9.0, 9.5, 30.0])
     def test_the_tier_admits_for_exactly_the_policy_ttl(self, headroom, known_staleness):
         sim = Simulator(seed=1)
-        tier = CacheTier(CacheConfig(propagation_headroom=headroom),
-                         spec=self.spec(10.0), simulator=sim)
+        tier = CacheTier(CacheConfig(), spec=self.spec(10.0), simulator=sim)
+        tier.policy = AdmissionPolicy(self.spec(10.0), propagation_headroom=headroom)
         sim.run_until(3.0)
         ttl = tier.policy.entity_ttl(known_staleness)
         entry = tier.admit_entity("ns", ("k",), "value", known_staleness)
@@ -855,8 +855,8 @@ class TestLookupEntities:
 
     def test_uncacheable_spec_misses_everything_without_counting(self):
         spec = ConsistencySpec(read=ReadConsistency(staleness_bound=1.0))
-        tier = CacheTier(CacheConfig(propagation_headroom=1.0), spec=spec,
-                         simulator=Simulator(seed=1))
+        tier = CacheTier(CacheConfig(), spec=spec, simulator=Simulator(seed=1))
+        tier.policy = AdmissionPolicy(spec, propagation_headroom=1.0)
         rows, slowest, misses = tier.lookup_entities(self.NAMESPACE, self.KEYS, None)
         assert (rows, slowest) == ({}, 0.0)
         assert misses == list(dict.fromkeys(self.KEYS))

@@ -1,7 +1,7 @@
 """Noisy neighbors as a first-class fault: the contention layer end to end.
 
 Covers the substrate (host placement with replica-group anti-affinity, the
-deterministic per-host co-tenant load process, service-side latency
+scripted per-host co-tenant episodes, service-side latency
 inflation and the residual estimator), the diagnosis (per-host health
 aggregation and the monitor's contention-vs-capacity window classification,
 which never consults the tracer), the remediation plumbing (host
@@ -29,6 +29,8 @@ from repro.parallel.executor import run_sweep
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
 from repro.parallel.spec import FAULT_KINDS, SweepGrid
 from repro.sim.hosts import (
+    QUIET_UTILISATION,
+    RESIDUAL_THRESHOLD,
     ContentionConfig,
     ContentionProcess,
     HostMap,
@@ -92,65 +94,26 @@ class TestHostMap:
 # ------------------------------------------------------ contention process
 
 
-def make_process(seed, **cfg):
-    sim = Simulator(seed=seed)
-    config = ContentionConfig(**cfg)
-    return ContentionProcess(sim, HostMap(tenancy=config.tenancy), config)
+def make_process(seed):
+    return ContentionProcess(Simulator(seed=seed), HostMap())
 
 
-SPONTANEOUS = dict(spontaneous_rate=0.3, intensity_mean=2.5, step_seconds=60.0)
+def contention_streams(sim):
+    return [name for name in sim.random._streams if name.startswith("contention:")]
 
 
 class TestContentionProcess:
-    def test_trace_is_deterministic_per_seed(self):
-        a = make_process(7, **SPONTANEOUS)
-        b = make_process(7, **SPONTANEOUS)
-        c = make_process(8, **SPONTANEOUS)
-        trace_a = [a.factor_at("host-0", t * 60.0) for t in range(200)]
-        trace_b = [b.factor_at("host-0", t * 60.0) for t in range(200)]
-        trace_c = [c.factor_at("host-0", t * 60.0) for t in range(200)]
-        assert trace_a == trace_b
-        assert trace_a != trace_c
-        assert any(f > 1.0 for f in trace_a)  # episodes actually fire
-        assert any(f == 1.0 for f in trace_a)  # and end
-
-    def test_trace_independent_of_query_order(self):
-        # Every step consumes exactly three variates whether or not an
-        # episode fires, so the factor at step k never depends on which
-        # steps were asked first (the market's lazy-trace property).
-        a = make_process(3, **SPONTANEOUS)
-        b = make_process(3, **SPONTANEOUS)
-        far_first = a.factor_at("host-0", 9000.0)
-        for t in range(0, 9060, 60):
-            b.factor_at("host-0", float(t))
-        assert far_first == b.factor_at("host-0", 9000.0)
-
-    def test_per_host_streams_are_independent(self):
-        # Interrogating one host never shifts another host's trace.
-        a = make_process(11, **SPONTANEOUS)
-        b = make_process(11, **SPONTANEOUS)
-        for t in range(100):
-            b.factor_at("other-host", t * 60.0)
-        trace_a = [a.factor_at("host-0", t * 60.0) for t in range(100)]
-        trace_b = [b.factor_at("host-0", t * 60.0) for t in range(100)]
-        assert trace_a == trace_b
-
     def test_forced_episode_consumes_no_rng(self):
-        plain = make_process(5, **SPONTANEOUS)
-        forced = make_process(5, **SPONTANEOUS)
-        forced.force_episode("host-0", start=300.0, duration=120.0,
-                             intensity=9.0)
-        assert forced.forced_episodes("host-0") == ((300.0, 420.0, 9.0),)
+        proc = make_process(5)
+        proc.force_episode("host-0", start=300.0, duration=120.0,
+                           intensity=9.0)
+        assert proc.forced_episodes("host-0") == ((300.0, 420.0, 9.0),)
         for t in range(200):
             at = t * 60.0
-            spontaneous = plain.factor_at("host-0", at)
-            combined = forced.factor_at("host-0", at)
-            if 300.0 <= at < 420.0:
-                assert combined == max(9.0, spontaneous)
-            else:
-                # Outside the forced window the spontaneous trace is
-                # untouched — the episode drew no randomness.
-                assert combined == spontaneous
+            expected = 9.0 if 300.0 <= at < 420.0 else 1.0
+            assert proc.factor_at("host-0", at) == expected
+            assert proc.factor_at("host-1", at) == 1.0
+        assert contention_streams(proc._sim) == []
 
     def test_forced_episode_validation(self):
         proc = make_process(0)
@@ -161,13 +124,7 @@ class TestContentionProcess:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ContentionConfig(spontaneous_rate=1.5)
-        with pytest.raises(ValueError):
-            ContentionConfig(intensity_mean=0.9)
-        with pytest.raises(ValueError):
-            ContentionConfig(step_seconds=0.0)
-        with pytest.raises(ValueError):
-            ContentionConfig(quarantine_seconds=-1.0)
+            ContentionConfig(tenancy=0)
 
 
 # ------------------------------------------------- latency model physics
@@ -375,10 +332,10 @@ class TestContentionDiagnosis:
         cluster, cfg = self._contended_cluster()
         residuals = make_monitor(cluster, cfg).host_residuals()
         assert set(residuals) == set(cluster.host_map.hosts())
-        assert residuals["host-0"] > cfg.residual_threshold
+        assert residuals["host-0"] > RESIDUAL_THRESHOLD
         for host, value in residuals.items():
             if host != "host-0":
-                assert value < cfg.residual_threshold
+                assert value < RESIDUAL_THRESHOLD
 
     def test_violated_quiet_window_is_classified_contention(self):
         cluster, cfg = self._contended_cluster()
@@ -387,7 +344,7 @@ class TestContentionDiagnosis:
         monitor._diagnose(obs)
         assert obs.contention_suspected
         assert obs.noisy_host == "host-0"
-        assert obs.noisy_host_residual > cfg.residual_threshold
+        assert obs.noisy_host_residual > RESIDUAL_THRESHOLD
         # No tracer attached: the classification is tracer-independent and
         # simply leaves the evidence field empty.
         assert obs.span_kind_fractions is None
@@ -397,7 +354,7 @@ class TestContentionDiagnosis:
         # queueing can explain the tail, so renting stays on the table.
         cluster, cfg = self._contended_cluster()
         obs = observation(violated=True,
-                          mean_utilisation=cfg.quiet_utilisation + 0.1)
+                          mean_utilisation=QUIET_UTILISATION + 0.1)
         make_monitor(cluster, cfg)._diagnose(obs)
         assert not obs.contention_suspected
         assert obs.noisy_host == "host-0"  # still named, for the record
@@ -447,7 +404,7 @@ class TestHostDegradationFault:
         with pytest.raises(RuntimeError):
             injector.host_degradation(at=0.0, duration=10.0)
         injector.attach_contention(
-            ContentionProcess(sim, HostMap(), ContentionConfig()))
+            ContentionProcess(sim, HostMap()))
         injector.host_degradation(at=0.0, duration=10.0)  # now fine
 
     def test_episode_reaches_colocated_nodes_and_ends(self):
@@ -579,27 +536,28 @@ class TestScaleDownHysteresis:
         assert action.kind == "scale_down"
         assert controller._cluster.group_count() == 3
 
-    def test_hysteresis_validation(self):
-        from repro.core.provisioning.controller import ProvisioningController
-
-        assert self._controller(groups=1).scale_down_hysteresis == 0.3
-        with pytest.raises(ValueError):
-            # Validation fires before any collaborator is touched.
-            ProvisioningController(
-                simulator=None, cluster=None, pool=None, monitor=None,
-                planner=None, forecaster=None, updater=None, slas={},
-                spec=None, scale_down_hysteresis=-0.1)
-
 
 # --------------------------------------------- invariance and determinism
 
 
 class TestContentionOffInvariance:
+    def test_no_fault_plan_means_no_contention(self):
+        # Contention is scripted only: with no fault plan the layer never
+        # opens a random stream and every node serves at factor exactly 1.0.
+        engine = Scads(seed=7, contention=True, autoscale=False,
+                       initial_groups=2, replication_factor=3, cache=False)
+        engine.start()
+        engine.sim.run_until(900.0)
+        assert engine.host_map.hosts()
+        assert all(node.contention() == 1.0
+                   for node in engine.cluster.nodes.values())
+        assert contention_streams(engine.sim) == []
+
     def test_quiet_contention_run_matches_contention_off(self):
-        # With the layer on but no episodes (spontaneous_rate=0, no faults)
-        # every pushed factor is 1.0 — an IEEE-exact no-op — and the layer
-        # consumes no extra randomness, so the served latencies are
-        # byte-identical to a contention-off run of the same seed.
+        # With the layer on but no episodes every pushed factor is 1.0 — an
+        # IEEE-exact no-op — and the layer consumes no randomness, so the
+        # served latencies are byte-identical to a contention-off run of the
+        # same seed.
         from repro.apps.social_network import SocialNetworkApp
 
         reports = []

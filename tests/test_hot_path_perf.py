@@ -67,6 +67,15 @@ from repro.storage.replication import ReplicaGroup, ReplicationEngine
 pytestmark = [pytest.mark.tier1, pytest.mark.property]
 
 
+def hash_ring(group_ids, virtual_nodes=None):
+    partitioner = ConsistentHashPartitioner()
+    if virtual_nodes is not None:
+        partitioner.virtual_nodes = virtual_nodes
+    for group_id in group_ids:
+        partitioner.add_group(group_id)
+    return partitioner
+
+
 # ------------------------------------------------- pooled sampler identity
 
 
@@ -171,7 +180,7 @@ HASH_TOKENS = [f"u{i:03d}" for i in range(80)]
 
 def _replay_hash(ops):
     """A fresh (memo-cold) hash partitioner after replaying ``ops``."""
-    partitioner = ConsistentHashPartitioner(["g0", "g1"], virtual_nodes=16)
+    partitioner = hash_ring(["g0", "g1"], virtual_nodes=16)
     for op in ops:
         try:
             if op[0] == "add":
@@ -205,7 +214,7 @@ def test_hash_route_memo_invalidates_across_topology_changes(ops):
     with soon-to-be-stale routes); a stale entry surviving an epoch bump
     would diverge from the fresh replay.
     """
-    memoized = ConsistentHashPartitioner(["g0", "g1"], virtual_nodes=16)
+    memoized = hash_ring(["g0", "g1"], virtual_nodes=16)
     applied = []
     for op in ops:
         for token in HASH_TOKENS[::7]:  # prime the memo before each change
@@ -226,7 +235,7 @@ def test_hash_route_memo_invalidates_across_topology_changes(ops):
 
 
 def test_hash_epoch_bumps_on_each_topology_change():
-    partitioner = ConsistentHashPartitioner(["g0", "g1"], virtual_nodes=16)
+    partitioner = hash_ring(["g0", "g1"], virtual_nodes=16)
     epoch = partitioner.topology_epoch
     partitioner.add_group("g2")
     assert partitioner.topology_epoch > epoch
@@ -332,8 +341,8 @@ def _replication_fixture(max_retries=100):
     sim = Simulator(seed=1)
     nodes = {node_id: StorageNode(node_id, sim.random.get(f"node:{node_id}"))
              for node_id in ("n0", "n1", "n2")}
-    engine = ReplicationEngine(sim, NetworkModel(sim.random.get("network")), nodes,
-                               max_retries=max_retries)
+    engine = ReplicationEngine(sim, NetworkModel(sim.random.get("network")), nodes)
+    engine.max_retries = max_retries
     return sim, nodes, engine, ReplicaGroup("g", list(nodes))
 
 

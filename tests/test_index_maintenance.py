@@ -303,10 +303,10 @@ class TestAsyncIndexUpdater:
             maintainer=maintainer,
             node_count_fn=lambda: nodes,
             updates_per_second_per_node=ups,
-            drain_interval=0.5,
             default_staleness_bound=10.0,
             fifo=fifo,
         )
+        updater.drain_interval = 0.5
         return registry, adapter, maintainer, sim, updater
 
     def _enqueue_writes(self, registry, adapter, updater, count, bound=None):

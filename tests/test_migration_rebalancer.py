@@ -32,8 +32,8 @@ def make_range_cluster(groups=2, replication=2, seed=0, rate=100.0,
     sim = Simulator(seed=seed)
     cluster = Cluster(simulator=sim, replication_factor=replication,
                       initial_groups=groups, partitioner_kind="range",
-                      movement_rate_keys_per_sec=rate,
                       node_capacity_ops=node_capacity_ops)
+    cluster.movement_rate_keys_per_sec = rate
     return cluster, Router(cluster)
 
 
@@ -177,7 +177,8 @@ class TestTargetedMigration:
     def test_chained_migrations_dual_route_to_every_source(self):
         sim = Simulator(seed=2)
         cluster = Cluster(simulator=sim, replication_factor=2, initial_groups=3,
-                          partitioner_kind="range", movement_rate_keys_per_sec=1.0)
+                          partitioner_kind="range")
+        cluster.movement_rate_keys_per_sec = 1.0
         router = Router(cluster)
         load_keys(router, 30)
         sim.run_until(sim.now + 5.0)
@@ -358,7 +359,8 @@ class TestSessionGuaranteesDuringMigration:
 
 class TestPartitionLoadTracker:
     def test_counts_decay_with_half_life(self):
-        tracker = PartitionLoadTracker(half_life=10.0)
+        tracker = PartitionLoadTracker()
+        tracker.half_life = 10.0
         for _ in range(100):
             tracker.note("hot", False, now=0.0)
         assert tracker.counts()["hot"] == pytest.approx(100.0)
@@ -366,13 +368,15 @@ class TestPartitionLoadTracker:
         assert tracker.counts()["hot"] == pytest.approx(51.0, rel=0.05)
 
     def test_sketch_size_stays_bounded(self):
-        tracker = PartitionLoadTracker(max_tokens=64, half_life=1e9)
+        tracker = PartitionLoadTracker()
+        tracker.max_tokens, tracker.half_life = 64, 1e9
         for i in range(1000):
             tracker.note(f"t{i:04d}", False, now=0.0)
         assert len(tracker.counts()) <= 64
 
     def test_split_point_halves_tracked_load(self):
-        tracker = PartitionLoadTracker(half_life=1e9)
+        tracker = PartitionLoadTracker()
+        tracker.half_life = 1e9
         for token, count in (("a", 10), ("b", 40), ("c", 40), ("d", 10)):
             for _ in range(count):
                 tracker.note(token, False, now=0.0)
@@ -388,7 +392,8 @@ class TestPartitionLoadTracker:
         assert tracker.split_point("", None) is None
 
     def test_rate_estimate_matches_offered_rate(self):
-        tracker = PartitionLoadTracker(half_life=20.0)
+        tracker = PartitionLoadTracker()
+        tracker.half_life = 20.0
         now = 0.0
         while now < 200.0:  # 50 ops/sec for 200 seconds
             tracker.note(f"t{int(now) % 7}", False, now=now)
@@ -402,9 +407,9 @@ def skewed_cluster():
                                          node_capacity_ops=30.0)
     load_keys(router, 40)
     cluster.sim.run_until(cluster.sim.now + 5.0)
-    rebalancer = Rebalancer(cluster, hot_utilisation=0.5, cold_utilisation=0.3,
-                            receiver_target_utilisation=0.5,
-                            merge_load_fraction=0.1)
+    rebalancer = Rebalancer(cluster, hot_utilisation=0.5, cold_utilisation=0.3)
+    rebalancer.receiver_target_utilisation = 0.5
+    rebalancer.merge_load_fraction = 0.1
     tracker = rebalancer.tracker
     # Synthesise a sustained skewed load profile: u005 very hot, the rest of
     # group-0's range warm, group-1 idle.

@@ -178,7 +178,7 @@ class TestForecaster:
         assert forecast == pytest.approx(100.0 + 10.0 * 29, rel=0.1)
 
     def test_exponential_growth_beats_linear_extrapolation(self):
-        forecaster = WorkloadForecaster(window=40)
+        forecaster = WorkloadForecaster()
         for i in range(30):
             forecaster.observe(i * 600.0, 100.0 * (1.2 ** i))
         last = forecaster.latest_rate()
@@ -234,7 +234,8 @@ class TestLatencyPercentileModel:
         assert strict >= loose
 
     def test_training_switches_to_learned_model(self):
-        model = LatencyPercentileModel(min_training_windows=8, retrain_every=1)
+        model = LatencyPercentileModel()
+        model.retrain_every = 1
         for i in range(12):
             rate = 100.0 * (i + 1)
             features = self._features(rate, nodes=4)
@@ -260,14 +261,16 @@ class TestPropagationLagModel:
         assert model.predict(1000, 100.0) > model.predict(10, 100.0)
 
     def test_training_fits_observed_relationship(self):
-        model = PropagationLagModel(min_training_windows=5)
+        model = PropagationLagModel()
+        model.min_training_windows = 5
         for pending in range(0, 100, 10):
             model.observe(pending, per_node_rate=100.0, observed_lag=0.1 * pending)
         assert model.is_trained
         assert model.predict(50, 100.0) == pytest.approx(5.0, rel=0.3)
 
     def test_danger_flag_near_bound(self):
-        model = PropagationLagModel(min_training_windows=5)
+        model = PropagationLagModel()
+        model.min_training_windows = 5
         for pending in range(0, 100, 10):
             model.observe(pending, per_node_rate=100.0, observed_lag=0.5 * pending)
         assert model.danger(100, 100.0, staleness_bound=10.0)

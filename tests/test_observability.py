@@ -29,22 +29,21 @@ from repro.obs import (
     SlaVerdict,
     Span,
     Telemetry,
-    TelemetryConfig,
     TraceRecord,
     Tracer,
     attribute_windows,
     format_attribution,
 )
-from repro.obs.telemetry import resolve_telemetry_config
 
 pytestmark = pytest.mark.tier1
 
 
-def traced_engine(**kwargs) -> Scads:
-    defaults = dict(seed=3, initial_groups=2, autoscale=False,
-                    telemetry=TelemetryConfig(trace_sample_interval=4))
+def traced_engine(sample_interval=4, **kwargs) -> Scads:
+    defaults = dict(seed=3, initial_groups=2, autoscale=False, telemetry=True)
     defaults.update(kwargs)
     engine = Scads(**defaults)
+    if engine.tracer is not None:
+        engine.tracer.sample_interval = sample_interval
     engine.register_entity(EntitySchema(
         name="profiles",
         key_fields=[Field("user_id")],
@@ -133,24 +132,14 @@ class TestTelemetryRegistry:
         telemetry.set_histogram("lat", source)  # idempotent overwrite
         assert len(telemetry.histogram("lat")) == 2
 
-    def test_config_resolution_and_validation(self):
-        assert resolve_telemetry_config(None) is None
-        assert resolve_telemetry_config(False) is None
-        assert resolve_telemetry_config(True) == TelemetryConfig()
-        config = TelemetryConfig(trace_sample_interval=8)
-        assert resolve_telemetry_config(config) is config
-        with pytest.raises(TypeError):
-            resolve_telemetry_config("yes")
-        with pytest.raises(ValueError):
-            TelemetryConfig(trace_sample_interval=0)
-
 
 # ----------------------------------------------------------------- tracer
 
 
 class TestTracer:
     def test_sampling_lattice_is_counter_modulo(self):
-        tracer = Tracer(sample_interval=4)
+        tracer = Tracer()
+        tracer.sample_interval = 4
         sampled = []
         for i in range(10):
             if tracer.maybe_begin("read", now=float(i)):
@@ -163,7 +152,8 @@ class TestTracer:
         assert [t.op for t in tracer.traces] == ["read"] * 3 + ["write"]
 
     def test_max_traces_caps_appends(self):
-        tracer = Tracer(sample_interval=1, max_traces=2)
+        tracer = Tracer()
+        tracer.sample_interval, tracer.max_traces = 1, 2
         for i in range(5):
             if tracer.maybe_begin("read", now=float(i)):
                 tracer.end(latency=0.01)
@@ -171,7 +161,8 @@ class TestTracer:
         assert [t.start for t in tracer.traces] == [0.0, 1.0]  # prefix kept
 
     def test_demote_and_repromote_for_parallel_composition(self):
-        tracer = Tracer(sample_interval=1)
+        tracer = Tracer()
+        tracer.sample_interval = 1
         assert tracer.maybe_begin("query", now=0.0)
         mark = tracer.mark()
         tracer.add("service", 0.010)  # loser leg
@@ -195,7 +186,8 @@ class TestTracer:
 
     def test_end_feeds_telemetry_span_histograms(self):
         telemetry = Telemetry()
-        tracer = Tracer(sample_interval=1, telemetry=telemetry)
+        tracer = Tracer(telemetry=telemetry)
+        tracer.sample_interval = 1
         tracer.maybe_begin("read", now=0.0)
         tracer.add("network", 0.01)
         tracer.add("service", 0.02, off_path=True)
@@ -222,12 +214,11 @@ class TestEngineTracing:
 
     def test_same_seed_identical_with_telemetry_on_and_off(self):
         on = drive(traced_engine(seed=7))
-        off = drive(traced_engine(seed=7, telemetry=None))
+        off = drive(traced_engine(seed=7, telemetry=False))
         assert on == off  # byte-identical latencies: no RNG perturbation
 
     def test_cache_hit_traces(self):
-        engine = traced_engine(cache=True,
-                               telemetry=TelemetryConfig(trace_sample_interval=1))
+        engine = traced_engine(cache=True, sample_interval=1)
         engine.put("profiles", {"user_id": "a", "name": "A", "birthday": "01-01"})
         engine.settle()
         engine.get("profiles", ("a",))  # miss, fills the cache
@@ -237,7 +228,7 @@ class TestEngineTracing:
         assert hits and all(t.reconciles() for t in hits)
 
     def test_telemetry_off_is_absent_everywhere(self):
-        engine = traced_engine(telemetry=None)
+        engine = traced_engine(telemetry=False)
         drive(engine, users=4)
         assert engine.telemetry is None and engine.tracer is None
         assert engine.timeline is None
@@ -359,7 +350,8 @@ class TestPickling:
         assert timeline.snapshot() == engine.timeline.snapshot()
 
     def test_tracer_drops_in_flight_state(self):
-        tracer = Tracer(sample_interval=1)
+        tracer = Tracer()
+        tracer.sample_interval = 1
         tracer.maybe_begin("read", now=0.0)
         tracer.add("network", 0.01)
         restored = pickle.loads(pickle.dumps(tracer))

@@ -29,6 +29,15 @@ from repro.storage.records import KeyRange, prefix_range
 
 pytestmark = [pytest.mark.tier1, pytest.mark.property]
 
+
+def hash_ring(group_ids, virtual_nodes=None):
+    partitioner = ConsistentHashPartitioner()
+    if virtual_nodes is not None:
+        partitioner.virtual_nodes = virtual_nodes
+    for group_id in group_ids:
+        partitioner.add_group(group_id)
+    return partitioner
+
 TOKENS = [f"u{i:03d}" for i in range(60)]
 GROUPS = [f"g{i}" for i in range(6)]
 
@@ -127,7 +136,7 @@ class TestRangePartitionerProperties:
 class TestConsistentHashPartitionerProperties:
     @given(operations=st.lists(hash_op, min_size=0, max_size=30))
     def test_every_key_routes_to_exactly_one_registered_group(self, operations):
-        partitioner = ConsistentHashPartitioner(["g0"], virtual_nodes=16)
+        partitioner = hash_ring(["g0"], virtual_nodes=16)
         for operation in operations:
             kind = operation[0]
             try:
@@ -144,7 +153,7 @@ class TestConsistentHashPartitionerProperties:
     @given(operations=st.lists(hash_op, min_size=0, max_size=30))
     def test_routing_is_a_pure_function_of_the_operation_history(self, operations):
         def build():
-            partitioner = ConsistentHashPartitioner(["g0"], virtual_nodes=16)
+            partitioner = hash_ring(["g0"], virtual_nodes=16)
             for operation in operations:
                 kind = operation[0]
                 try:
@@ -164,7 +173,7 @@ class TestConsistentHashPartitionerProperties:
 
     @given(weight=st.floats(min_value=0.25, max_value=4.0))
     def test_weight_shift_is_reversible_and_incremental(self, weight):
-        partitioner = ConsistentHashPartitioner(["g0", "g1", "g2"], virtual_nodes=32)
+        partitioner = hash_ring(["g0", "g1", "g2"], virtual_nodes=32)
         before = {token: partitioner.group_for_token(token) for token in TOKENS}
         partitioner.set_weight("g1", weight)
         moved = [token for token in TOKENS

@@ -163,8 +163,10 @@ class TestParser:
 
 
 class TestAnalyzerAdmission:
-    def _analyze(self, sql, registry=None, **kwargs):
-        analyzer = QueryAnalyzer(registry or social_registry(), **kwargs)
+    def _analyze(self, sql, registry=None, **caps):
+        analyzer = QueryAnalyzer(registry or social_registry())
+        for name, value in caps.items():
+            setattr(analyzer, name, value)
         return analyzer.analyze(parse_query(sql))
 
     def test_paper_birthday_query_is_admitted(self):

@@ -53,15 +53,14 @@ class ReferenceReplicationEngine:
     scheduled attempt, one ``retry`` closure per retry wait."""
 
     COMPLETED_LAG_WINDOW = ReplicationEngine.COMPLETED_LAG_WINDOW
+    retry_interval = ReplicationEngine.retry_interval
+    max_retries = ReplicationEngine.max_retries
 
-    def __init__(self, simulator, network, nodes, processing_delay=0.002,
-                 retry_interval=1.0, max_retries=100):
+    def __init__(self, simulator, network, nodes, processing_delay=0.002):
         self._sim = simulator
         self._network = network
         self._nodes = nodes
         self._processing_delay = processing_delay
-        self._retry_interval = retry_interval
-        self._max_retries = max_retries
         self._completed_lags = deque(maxlen=self.COMPLETED_LAG_WINDOW)
         self._max_lag = 0.0
         self._pending = 0
@@ -82,13 +81,13 @@ class ReferenceReplicationEngine:
             record = ReferenceRecord(namespace, key, now, replica_id)
             self._pending += 1
             self._schedule_apply(primary_id, replica_id, namespace, key, value,
-                                 record, delay_override, self._max_retries)
+                                 record, delay_override, self.max_retries)
 
     def replicate_to(self, source_id, replica_id, namespace, key, value):
         record = ReferenceRecord(namespace, key, self._sim.now, replica_id)
         self._pending += 1
         self._schedule_apply(source_id, replica_id, namespace, key, value,
-                             record, None, self._max_retries)
+                             record, None, self.max_retries)
         return record
 
     def _schedule_apply(self, primary_id, replica_id, namespace, key, value,
@@ -132,7 +131,7 @@ class ReferenceReplicationEngine:
             self._schedule_apply(primary_id, replica_id, namespace, key, value,
                                  record, delay_override, retries_left - 1)
 
-        self._sim.schedule(self._retry_interval, retry, name="replicate-retry")
+        self._sim.schedule(self.retry_interval, retry, name="replicate-retry")
 
     def pending_count(self):
         return self._pending
@@ -163,8 +162,8 @@ class Harness:
             for node_id in NODE_IDS
         }
         self.group = ReplicaGroup("g", list(NODE_IDS[:3]))
-        self.engine = engine_cls(self.sim, self.network, self.nodes,
-                                 retry_interval=1.0, max_retries=MAX_RETRIES)
+        self.engine = engine_cls(self.sim, self.network, self.nodes)
+        self.engine.max_retries = MAX_RETRIES
         self.writes = 0
         self.heard = []
         self.engine.add_lag_listener(lambda record: self.heard.append(

@@ -10,8 +10,6 @@ the sweep fabric's byte-identity over the interruption-storm scenario.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,17 +32,23 @@ FAST_TYPE = InstanceType("t.fast", hourly_cost=0.10, boot_delay=5.0,
 
 def make_market(seed=0, instance_type=FAST_TYPE):
     sim = Simulator(seed=seed)
-    market = SpotMarket(sim, instance_types=[instance_type])
+    market = SpotMarket(sim)
+    market.add_instance_type(instance_type)
     return sim, market
 
 
-def make_fleet(seed=0, groups=1, replication=2, **fleet_kwargs):
+def make_pool(sim):
+    pool = InstancePool(sim, instance_type=FAST_TYPE)
+    pool.attach_market(SpotMarket(sim))
+    return pool
+
+
+def make_fleet(seed=0, groups=1, replication=2):
     sim = Simulator(seed=seed)
     cluster = Cluster(simulator=sim, replication_factor=replication,
                       initial_groups=groups)
-    pool = InstancePool(sim, instance_type=FAST_TYPE,
-                        market=SpotMarket(sim))
-    fleet = SpotFleetManager(sim, cluster, pool, **fleet_kwargs)
+    pool = make_pool(sim)
+    fleet = SpotFleetManager(sim, cluster, pool)
     return sim, cluster, pool, fleet
 
 
@@ -132,7 +136,7 @@ class TestPoolPurchaseOptions:
 
     def test_spot_refused_during_storm_falls_to_caller(self):
         sim = Simulator(seed=0)
-        pool = InstancePool(sim, instance_type=FAST_TYPE, market=SpotMarket(sim))
+        pool = make_pool(sim)
         pool.market.interruption_storm(at=0.0, duration=100.0)
         sim.run_until(10.0)
         assert not pool.spot_available()
@@ -143,8 +147,8 @@ class TestPoolPurchaseOptions:
 
     def test_spot_lease_bills_per_started_minute_at_market_rate(self):
         sim = Simulator(seed=0)
-        market = SpotMarket(sim)
-        pool = InstancePool(sim, instance_type=FAST_TYPE, market=market)
+        pool = make_pool(sim)
+        market = pool.market
         instance = pool.launch(purchase_option=SPOT)[0]
         sim.run_until(150.0)  # 3 started minutes
         pool.terminate(instance.instance_id)
@@ -161,7 +165,7 @@ class TestPoolPurchaseOptions:
 
     def test_hibernate_resume_is_two_leases(self):
         sim = Simulator(seed=0)
-        pool = InstancePool(sim, instance_type=FAST_TYPE, market=SpotMarket(sim))
+        pool = make_pool(sim)
         instance = pool.launch(purchase_option=SPOT)[0]
         sim.run_until(70.0)
         pool.hibernate(instance.instance_id)
@@ -197,7 +201,8 @@ class TestSpotFleet:
                    for inst in pool.instances(InstanceState.RUNNING))
 
     def test_per_group_cap_bounds_surge(self):
-        sim, cluster, pool, fleet = make_fleet(groups=2, max_surge_per_group=1)
+        sim, cluster, pool, fleet = make_fleet(groups=2)
+        fleet.max_surge_per_group = 1
         assert fleet.surge_headroom() == 2
         assert fleet.add_surge(5) == 2  # one per group, the rest refused
         assert fleet.surge_headroom() == 0
@@ -265,8 +270,8 @@ class TestSpotFleet:
         interruption resolves -- hibernated, aborted, or terminated --
         strictly before the market's revocation deadline, so the market
         never force-revokes an attached replica."""
-        sim, cluster, pool, fleet = make_fleet(
-            drain_seconds=drain_seconds)
+        sim, cluster, pool, fleet = make_fleet()
+        fleet.drain_seconds = drain_seconds
         fleet.add_surge(1)
         pool.market.interruption_storm(at=notice_offset, duration=30.0)
         sim.run_until(notice_offset + NOTICE_SECONDS + drain_seconds + 10.0)

@@ -23,6 +23,15 @@ from repro.storage.router import Router
 pytestmark = pytest.mark.tier1
 
 
+def hash_ring(group_ids, virtual_nodes=None):
+    partitioner = ConsistentHashPartitioner()
+    if virtual_nodes is not None:
+        partitioner.virtual_nodes = virtual_nodes
+    for group_id in group_ids:
+        partitioner.add_group(group_id)
+    return partitioner
+
+
 def make_cluster(groups=2, replication=3, seed=0, **kwargs):
     sim = Simulator(seed=seed)
     return Cluster(simulator=sim, replication_factor=replication,
@@ -34,19 +43,19 @@ def make_cluster(groups=2, replication=3, seed=0, **kwargs):
 
 class TestConsistentHashPartitioner:
     def test_routes_all_tokens_to_registered_groups(self):
-        partitioner = ConsistentHashPartitioner(["g1", "g2", "g3"])
+        partitioner = hash_ring(["g1", "g2", "g3"])
         for i in range(200):
             assert partitioner.group_for_key("ns", (f"user{i}",)) in {"g1", "g2", "g3"}
 
     def test_distribution_is_roughly_even(self):
-        partitioner = ConsistentHashPartitioner(["g1", "g2", "g3", "g4"], virtual_nodes=128)
+        partitioner = hash_ring(["g1", "g2", "g3", "g4"], virtual_nodes=128)
         counts = {g: 0 for g in partitioner.groups()}
         for i in range(4000):
             counts[partitioner.group_for_key("ns", (f"user{i}",))] += 1
         assert min(counts.values()) > 500
 
     def test_adding_group_moves_only_some_keys(self):
-        partitioner = ConsistentHashPartitioner(["g1", "g2", "g3"])
+        partitioner = hash_ring(["g1", "g2", "g3"])
         before = {f"u{i}": partitioner.group_for_key("ns", (f"u{i}",)) for i in range(1000)}
         partitioner.add_group("g4")
         moved = sum(
@@ -57,27 +66,27 @@ class TestConsistentHashPartitioner:
         assert 0 < moved < 500
 
     def test_duplicate_group_rejected(self):
-        partitioner = ConsistentHashPartitioner(["g1"])
+        partitioner = hash_ring(["g1"])
         with pytest.raises(PartitionerError):
             partitioner.add_group("g1")
 
     def test_cannot_remove_last_group(self):
-        partitioner = ConsistentHashPartitioner(["g1"])
+        partitioner = hash_ring(["g1"])
         with pytest.raises(PartitionerError):
             partitioner.remove_group("g1")
 
     def test_prefix_range_routes_to_single_group(self):
-        partitioner = ConsistentHashPartitioner(["g1", "g2", "g3"])
+        partitioner = hash_ring(["g1", "g2", "g3"])
         key_range = prefix_range("ns", ("user42",))
         assert len(partitioner.groups_for_range(key_range)) == 1
 
     def test_unbounded_range_routes_everywhere(self):
-        partitioner = ConsistentHashPartitioner(["g1", "g2"])
+        partitioner = hash_ring(["g1", "g2"])
         assert set(partitioner.groups_for_range(KeyRange("ns"))) == {"g1", "g2"}
 
     def test_same_key_same_group_deterministic(self):
-        a = ConsistentHashPartitioner(["g1", "g2", "g3"])
-        b = ConsistentHashPartitioner(["g1", "g2", "g3"])
+        a = hash_ring(["g1", "g2", "g3"])
+        b = hash_ring(["g1", "g2", "g3"])
         for i in range(100):
             key = (f"user{i}",)
             assert a.group_for_key("ns", key) == b.group_for_key("ns", key)
@@ -236,8 +245,8 @@ class TestCluster:
     def test_remove_migration_source_mid_flight_does_not_crash_completion(self):
         sim = Simulator(seed=0)
         cluster = Cluster(simulator=sim, replication_factor=2, initial_groups=3,
-                          partitioner_kind="range",
-                          movement_rate_keys_per_sec=10.0)
+                          partitioner_kind="range")
+        cluster.movement_rate_keys_per_sec = 10.0
         router = Router(cluster)
         for i in range(60):
             router.write("ns", (f"u{i:03d}",), {"v": i})
