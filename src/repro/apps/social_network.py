@@ -23,6 +23,8 @@ from repro.workloads.social_graph import SocialGraph
 DEFAULT_FRIEND_CAP = 5000
 # Status updates declared per user (the statuses entity's partition bound).
 STATUS_CAP = 1000
+# Bulk loading settles the maintenance queue after every this many writes.
+LOAD_FLUSH_EVERY = 5000
 
 
 @dataclass
@@ -157,16 +159,6 @@ class SocialNetworkApp:
             self.stats.friendships_created += 1
         return outcomes
 
-    def remove_friendship(self, a: str, b: str) -> List[OperationOutcome]:
-        """Remove both directions of a friendship."""
-        outcomes = [
-            self.engine.delete("friendships", (a, b), session_id=a),
-            self.engine.delete("friendships", (b, a), session_id=b),
-        ]
-        for outcome in outcomes:
-            self._count(outcome)
-        return outcomes
-
     def post_status(self, user_id: str, status_id: int, text: str) -> OperationOutcome:
         """Post a status update."""
         outcome = self.engine.put(
@@ -215,31 +207,26 @@ class SocialNetworkApp:
         self.stats.page_views += 1
         return self.engine.query("friends_of_friends", {"user_id": user_id}, session_id=user_id)
 
-    def statuses_page(self, user_id: str) -> QueryResult:
-        """The user's recent statuses, newest first."""
-        self.stats.page_views += 1
-        return self.engine.query("recent_statuses", {"user_id": user_id}, session_id=user_id)
-
     # --------------------------------------------------------------- bulk loading
 
-    def load_graph(self, graph: SocialGraph, flush_every: int = 5000) -> None:
+    def load_graph(self, graph: SocialGraph) -> None:
         """Bulk-load a synthetic social graph (profiles plus friendships).
 
-        The maintenance queue is drained periodically during loading so the
-        bulk load does not build an unbounded backlog before the experiment
-        proper starts.
+        The maintenance queue is drained every ``LOAD_FLUSH_EVERY`` writes
+        so the bulk load does not build an unbounded backlog before the
+        experiment proper starts.
         """
         writes = 0
         for user_id in graph.users():
             profile = graph.profile(user_id)
             self.create_user(user_id, profile.name, profile.birthday, profile.hometown)
             writes += 1
-            if writes % flush_every == 0:
+            if writes % LOAD_FLUSH_EVERY == 0:
                 self.engine.settle(seconds=1.0)
         for a, b in graph.friendships():
             self.add_friendship(a, b)
             writes += 2
-            if writes % flush_every == 0:
+            if writes % LOAD_FLUSH_EVERY == 0:
                 self.engine.settle(seconds=1.0)
         self.engine.settle(seconds=2.0)
 

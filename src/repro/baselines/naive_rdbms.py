@@ -49,36 +49,10 @@ class NaiveRdbms:
         self.create_table(table)
         self._tables[table][key] = dict(row)
 
-    def row_count(self, table: str) -> int:
-        return len(self._tables.get(table, {}))
-
-    def total_rows(self) -> int:
-        return sum(len(rows) for rows in self._tables.values())
-
     # ----------------------------------------------------------------- queries
 
     def _scan(self, table: str) -> List[Dict[str, Any]]:
         return list(self._tables.get(table, {}).values())
-
-    def select_where(self, table: str, column: str, value: Any,
-                     limit: Optional[int] = None) -> NaiveQueryResult:
-        """``SELECT * FROM table WHERE column = value`` by full scan."""
-        scanned = 0
-        matches = []
-        for row in self._scan(table):
-            scanned += 1
-            if row.get(column) == value:
-                matches.append(dict(row))
-                if limit is not None and len(matches) >= limit:
-                    # A real scan cannot stop early without an index unless it
-                    # is willing to return an arbitrary subset; we allow the
-                    # early exit anyway, which only flatters the baseline.
-                    break
-        return NaiveQueryResult(
-            rows=matches,
-            rows_scanned=scanned,
-            latency=self.base_cost + scanned * self.row_scan_cost,
-        )
 
     def friend_birthdays(self, user_id: str, limit: Optional[int] = None) -> NaiveQueryResult:
         """The paper's example query executed as a scan + nested-loop join.
@@ -109,7 +83,3 @@ class NaiveRdbms:
             rows_scanned=scanned,
             latency=self.base_cost + scanned * self.row_scan_cost,
         )
-
-    def friends_of(self, user_id: str, limit: Optional[int] = None) -> NaiveQueryResult:
-        """``SELECT * FROM friendships WHERE f1 = user_id`` by full scan."""
-        return self.select_where("friendships", "f1", user_id, limit=None if limit is None else limit)

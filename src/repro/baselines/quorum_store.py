@@ -59,22 +59,17 @@ class QuorumStore:
             initial_groups=initial_groups,
         )
         self.router = Router(self.cluster)
-        self._writes = 0
-        self._reads = 0
-        self._stale_reads = 0
 
     # ---------------------------------------------------------------- operations
 
     def put(self, key: Key, value: Dict[str, Any], writer: str = "") -> RequestResult:
         """Write with W synchronous acknowledgements."""
-        self._writes += 1
         return self.router.write(
             self.NAMESPACE, key, value, writer=writer, write_quorum=self.config.w
         )
 
     def get(self, key: Key) -> RequestResult:
         """Read from R replicas, returning the newest version seen."""
-        self._reads += 1
         return self.router.read(self.NAMESPACE, key, read_quorum=self.config.r)
 
     def get_and_check_staleness(self, key: Key) -> Tuple[RequestResult, bool]:
@@ -93,8 +88,6 @@ class QuorumStore:
                 observed_version = result.value.version if result.value is not None else 0
                 latest_version = latest.version if latest is not None else 0
                 stale = observed_version < latest_version
-        if stale:
-            self._stale_reads += 1
         return result, stale
 
     def run_for(self, seconds: float) -> None:
@@ -102,9 +95,3 @@ class QuorumStore:
         self.sim.run_until(self.sim.now + seconds)
 
     # ----------------------------------------------------------------- reporting
-
-    def stale_read_fraction(self) -> float:
-        """Fraction of checked reads that returned stale data."""
-        if self._reads == 0:
-            return 0.0
-        return self._stale_reads / self._reads

@@ -3,12 +3,13 @@
 The policy is where the declarative consistency specification becomes a cache
 contract:
 
-* **Admission** — only reads whose governing
-  :class:`~repro.core.consistency.spec.ReadConsistency` grants a staleness
-  budget larger than the propagation headroom are cacheable at all.  The
+* **Headroom** — the staleness budget of the governing
+  :class:`~repro.core.consistency.spec.ReadConsistency` is cut by a
+  propagation headroom of 10 % of the bound, capped at 2 seconds.  The
   headroom absorbs the asynchronous machinery between a write and its
   visibility (replica propagation, invalidation ordering), so a cached answer
   served at the very end of its TTL still sits inside the declared bound.
+  The bound is always positive, so some budget is always left.
 
 * **TTL derivation** — a spec saying "stale data gone within B seconds" makes
   an entry servable for ``B - headroom`` seconds *minus any staleness the
@@ -41,39 +42,25 @@ class AdmissionPolicy:
 
     Args:
         spec: the declarative consistency specification governing the data.
-        propagation_headroom: seconds subtracted from the staleness bound when
-            deriving TTLs.  Defaults to 10% of the bound, capped at 2 seconds
-            — enough to cover replica propagation in the simulation while
-            leaving most of the declared budget exploitable.
     """
 
-    DEFAULT_HEADROOM_FRACTION = 0.1
-    DEFAULT_HEADROOM_CAP = 2.0
+    # Seconds subtracted from the staleness bound when deriving TTLs: 10 % of
+    # the bound, capped at 2 seconds — enough to cover replica propagation in
+    # the simulation while leaving most of the declared budget exploitable.
+    HEADROOM_FRACTION = 0.1
+    HEADROOM_CAP = 2.0
 
-    def __init__(self, spec: ConsistencySpec,
-                 propagation_headroom: Optional[float] = None) -> None:
-        if propagation_headroom is None:
-            propagation_headroom = min(
-                self.DEFAULT_HEADROOM_FRACTION * spec.read.staleness_bound,
-                self.DEFAULT_HEADROOM_CAP,
-            )
-        if propagation_headroom < 0:
-            raise ValueError(
-                f"propagation_headroom must be non-negative, got {propagation_headroom}"
-            )
+    def __init__(self, spec: ConsistencySpec) -> None:
         self.spec = spec
-        self.propagation_headroom = propagation_headroom
+        bound = spec.read.staleness_bound
+        self.propagation_headroom = min(self.HEADROOM_FRACTION * bound, self.HEADROOM_CAP)
         # The bound and the headroom are fixed from here on, so what they
         # imply is worked out once, not on every lookup.
-        #: Seconds a freshly-read value may be served from cache.
-        self.servable_budget = spec.read.staleness_bound - propagation_headroom
-        self._cacheable = self.servable_budget > 0.0
+        #: Seconds a freshly-read value may be served from cache (> 0, since
+        #: ReadConsistency rejects a bound <= 0).
+        self.servable_budget = bound - self.propagation_headroom
 
     # -------------------------------------------------------------- admission
-
-    def cacheable(self) -> bool:
-        """True when the spec grants any exploitable staleness at all."""
-        return self._cacheable
 
     def entity_ttl(self, known_staleness: Optional[float]) -> float:
         """TTL for an entity read that was ``known_staleness`` seconds behind
@@ -94,7 +81,7 @@ class AdmissionPolicy:
         outlives the maintenance that would change it; the headroom absorbs
         the remaining propagation asynchrony.
         """
-        return max(self.servable_budget, 0.0)
+        return self.servable_budget
 
     # ---------------------------------------------------------------- bypasses
 

@@ -87,8 +87,6 @@ class CacheTier:
         entry stays cached for other sessions, but this read must go to the
         cluster (whose read path enforces the guarantee).
         """
-        if not self.policy.cacheable():
-            return None
         entry = self.store.get(entity_token(namespace, key), self._clock.now)
         if entry is None:
             return None
@@ -121,8 +119,6 @@ class CacheTier:
         through the cluster.
         """
         distinct = dict.fromkeys(keys)
-        if not self.policy.cacheable():
-            return {}, 0.0, list(distinct)
         hits, misses = self.store.get_entities(namespace, distinct, self._clock.now)
         if session is not None and hits:
             if self.policy.session_checks(session):
@@ -154,7 +150,6 @@ class CacheTier:
         """
         if known_staleness is None or known_staleness < 0:
             return None
-        # No budget at all (an uncacheable spec) leaves nothing either.
         ttl = self.policy.servable_budget - known_staleness
         if ttl <= 0:
             return None
@@ -173,21 +168,8 @@ class CacheTier:
         inherits the wider entry's TTL, which is at least as conservative as
         the one a fresh fill would get.
         """
-        if not self.admits_ranges():
-            return None
         return self.store.get_range(namespace, start, end, limit, reverse,
                                     self._clock.now)
-
-    def admits_ranges(self) -> bool:
-        """Would :meth:`admit_range` accept a fill right now?
-
-        The engine consults this *before* issuing the scan: rows destined for
-        the cache must be read from the primary, because apply-time index
-        invalidation has already fired for writes a lagging replica may still
-        be missing — caching a replica's view could keep superseded rows
-        alive for a full TTL with nothing left to evict them.
-        """
-        return self.policy.cacheable()
 
     def admit_range(self, namespace: str, start: Optional[Key],
                     end: Optional[Key], limit: Optional[int], reverse: bool,
@@ -195,15 +177,16 @@ class CacheTier:
                     key_range: Optional[KeyRange] = None) -> Optional[CacheEntry]:
         """Read-through fill of one compiled-query range read.
 
-        The rows must come from a primary read (see :meth:`admits_ranges`);
-        the TTL derivation in :meth:`AdmissionPolicy.range_ttl` relies on it.
+        The rows must come from a primary read: apply-time index invalidation
+        has already fired for writes a lagging replica may still be missing,
+        so caching a replica's view could keep superseded rows alive for a
+        full TTL with nothing left to evict them.  The TTL derivation in
+        :meth:`AdmissionPolicy.range_ttl` relies on it.
         The entry keeps ``rows`` itself, not a copy (lookups hand out copies),
         so the caller must not mutate the list afterwards; a caller that
         already built the scan's ``KeyRange(namespace, start, end)`` passes it
         to be kept as well.
         """
-        if not self.admits_ranges():
-            return None
         return self.store.put_range(
             namespace, start, end, limit, reverse, rows,
             self._clock.now, self.policy.range_ttl(), key_range,

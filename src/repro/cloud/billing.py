@@ -121,10 +121,6 @@ class BillingMeter:
             lease.end = now
         return lease
 
-    def has_open_lease(self, instance_id: str) -> bool:
-        history = self._leases.get(instance_id)
-        return bool(history) and history[-1].end is None
-
     def leases(self) -> List[Lease]:
         """Every lease ever opened, flattened in open order per instance."""
         return [lease for history in self._leases.values() for lease in history]
@@ -143,8 +139,3 @@ class BillingMeter:
         for lease in self.leases():
             out[lease.purchase_option] = out.get(lease.purchase_option, 0.0) + lease.cost(now)
         return out
-
-    def open_lease_count(self) -> int:
-        """Number of instances currently being billed."""
-        return sum(1 for history in self._leases.values()
-                   if history and history[-1].end is None)

@@ -50,7 +50,6 @@ class InterruptionNotice:
     notice_time: float
     deadline: float
     reason: str  # "drought", "price", or "storm"
-    revoked: bool = False  # True if the deadline fired before deregistration
 
 
 class SpotMarket:
@@ -80,7 +79,6 @@ class SpotMarket:
         # instance_id -> (type_name, on_notice(instance_id, deadline, reason))
         self._registered: Dict[str, Tuple[str, Callable[[str, float, str], None]]] = {}
         self._notices: Dict[str, InterruptionNotice] = {}
-        self._notice_log: List[InterruptionNotice] = []
         # Forced (storm) drought windows: list of (start, end).
         self._storms: List[Tuple[float, float]] = []
         self._on_revoke: Optional[Callable[[str], None]] = None
@@ -166,9 +164,9 @@ class SpotMarket:
         """The price trace as a pure callable, for market-rate leases."""
         return lambda t: self.price(type_name, at=t)
 
-    def in_drought(self, type_name: str, at: Optional[float] = None) -> bool:
+    def in_drought(self, type_name: str) -> bool:
         """True during a capacity drought (random or storm-forced)."""
-        t = self._sim.now if at is None else at
+        t = self._sim.now
         for start, end in self._storms:
             if start <= t < end:
                 return True
@@ -200,10 +198,6 @@ class SpotMarket:
         self._registered.pop(instance_id, None)
         self._notices.pop(instance_id, None)
 
-    def notices(self) -> List[InterruptionNotice]:
-        """Every notice ever delivered, in delivery order."""
-        return list(self._notice_log)
-
     # ------------------------------------------------------------ revocation
 
     def _tick(self) -> None:
@@ -229,17 +223,14 @@ class SpotMarket:
             reason=reason,
         )
         self._notices[instance_id] = notice
-        self._notice_log.append(notice)
         self._sim.schedule(NOTICE_SECONDS, lambda: self._enforce_deadline(instance_id),
                            name=f"spot-revoke:{instance_id}")
         on_notice(instance_id, notice.deadline, reason)
 
     def _enforce_deadline(self, instance_id: str) -> None:
         """Forcibly revoke an instance that outlived its notice."""
-        notice = self._notices.get(instance_id)
-        if notice is None or instance_id not in self._registered:
+        if instance_id not in self._notices or instance_id not in self._registered:
             return  # drained/hibernated in time
-        notice.revoked = True
         self._registered.pop(instance_id, None)
         self._notices.pop(instance_id, None)
         if self._on_revoke is not None:

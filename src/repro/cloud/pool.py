@@ -266,10 +266,6 @@ class InstancePool:
         """Instances paid for but not yet usable."""
         return len(self.instances(InstanceState.BOOTING))
 
-    def hibernated_count(self) -> int:
-        """Instances frozen with their state preserved (not billed)."""
-        return len(self.instances(InstanceState.HIBERNATED))
-
     def running_or_booting(self) -> List[Instance]:
         """Instances that are currently being paid for."""
         return [

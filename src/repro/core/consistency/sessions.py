@@ -121,13 +121,3 @@ class SessionManager:
 
     def get(self, session_id: str) -> Optional[Session]:
         return self._sessions.get(session_id)
-
-    def session_count(self) -> int:
-        return len(self._sessions)
-
-    def total_fallbacks(self) -> int:
-        """Primary re-reads forced by session guarantees across all sessions."""
-        return sum(
-            s.stats.ryw_fallbacks + s.stats.monotonic_fallbacks
-            for s in self._sessions.values()
-        )

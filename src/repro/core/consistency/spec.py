@@ -83,11 +83,6 @@ class WriteConsistency:
         if self.policy is WritePolicy.MERGE and self.merge_function is None:
             raise ValueError("MERGE write consistency requires a merge_function")
 
-    @property
-    def requires_quorum(self) -> bool:
-        """Serializable writes must reach a majority of replicas synchronously."""
-        return self.policy is WritePolicy.SERIALIZABLE
-
 
 @dataclass(frozen=True)
 class ReadConsistency:

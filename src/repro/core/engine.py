@@ -83,11 +83,7 @@ from repro.cloud.market import SpotMarket
 from repro.cloud.pool import InstancePool
 from repro.core.consistency.arbitration import Arbitrator
 from repro.core.consistency.sessions import Session, SessionManager
-from repro.core.consistency.spec import (
-    ConsistencySpec,
-    PerformanceSLA,
-    SessionGuarantee,
-)
+from repro.core.consistency.spec import ConsistencySpec, PerformanceSLA
 from repro.core.consistency.writes import ConflictResolver
 from repro.core.index.maintenance import EntityWrite, IndexMaintainer
 from repro.core.index.updater import AsyncIndexUpdater
@@ -247,7 +243,7 @@ class _QueryReader:
             # already fired — leaving stale rows cached for a full TTL with
             # nothing left to evict them.  Primary fills close that race;
             # with the cache off, reads keep their replica load-balancing.
-            will_admit = cache.admits_ranges()
+            will_admit = True
         self.touched_cluster = True
         key_range = KeyRange(namespace, start, end)
         result = engine.router.read_range(
@@ -635,13 +631,6 @@ class Scads:
         for compiled in self._queries.values():
             rules.extend(compiled.maintenance_rules)
         return rules
-
-    # ------------------------------------------------------------------ sessions
-
-    def open_session(self, session_id: str,
-                     guarantee: Optional[SessionGuarantee] = None) -> Session:
-        """Open a client session (needed for the session-guarantee axes)."""
-        return self.sessions.open(session_id, guarantee)
 
     # -------------------------------------------------------------------- writes
 

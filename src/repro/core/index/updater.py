@@ -172,10 +172,10 @@ class AsyncIndexUpdater:
         # still make progress; bound it to one interval's worth.
         self._carryover_capacity = min(budget, self.capacity_per_interval())
 
-    def drain_now(self, max_tasks: Optional[int] = None) -> int:
-        """Synchronously process queued tasks (used by tests and flush paths)."""
+    def drain_now(self) -> int:
+        """Synchronously process every queued task (the engine's flush)."""
         processed = 0
-        while self._heap and (max_tasks is None or processed < max_tasks):
+        while self._heap:
             task = heapq.heappop(self._heap)[2]
             self._maintainer.apply(task.write)
             task.completion_time = self._sim.now

@@ -50,6 +50,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.ml.performance_model import TARGET_HEADROOM
+
 
 def normal_quantile(p: float) -> float:
     """The standard normal quantile (probit) via Acklam's approximation.
@@ -236,10 +238,10 @@ class AnalyticSizingModel:
         self,
         arrival_rate: float,
         target_latency: float,
-        headroom: float = 0.85,
         max_nodes: int = 10_000,
     ) -> SizingBreakdown:
-        """Closed-form node count meeting the SLA, with its full breakdown.
+        """Closed-form node count meeting the SLA (tightened by
+        ``TARGET_HEADROOM``), with its full breakdown.
 
         Monotone by construction: non-decreasing in ``arrival_rate`` and
         non-increasing in ``node_capacity_ops`` (property-tested in
@@ -249,11 +251,9 @@ class AnalyticSizingModel:
             raise ValueError("arrival_rate must be non-negative")
         if target_latency <= 0:
             raise ValueError("target_latency must be positive")
-        if not 0.0 < headroom <= 1.0:
-            raise ValueError("headroom must be in (0, 1]")
         if max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
-        effective_target = target_latency * headroom
+        effective_target = target_latency * TARGET_HEADROOM
         service = self.percentile_service_time()
         amplification = self.amplification()
         effective_rate = arrival_rate * amplification

@@ -363,7 +363,3 @@ class SLAMonitor:
 
     def observations(self) -> List[WindowObservation]:
         return list(self._observations)
-
-    def violation_windows(self) -> int:
-        """Number of closed windows in which at least one SLA was violated."""
-        return sum(1 for obs in self._observations if obs.any_sla_violated())

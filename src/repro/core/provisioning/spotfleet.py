@@ -102,7 +102,6 @@ class SpotFleetManager:
         self._hibernated: Dict[str, str] = {}
         self._records: List[InterruptionRecord] = []
         self._idle_ticks = 0
-        self._fallback_count = 0
         pool.on_spot_interruption = self._on_notice
         self._market.start()
 
@@ -119,13 +118,6 @@ class SpotFleetManager:
             1 for node_id in self._surge_nodes.values()
             if not node_id or node_id not in self._cluster.nodes
         )
-
-    def hibernated_count(self) -> int:
-        return len(self._hibernated)
-
-    def fallback_count(self) -> int:
-        """Surge launches that had to fall back to on-demand."""
-        return self._fallback_count
 
     def records(self) -> List[InterruptionRecord]:
         """Every interruption notice received, in delivery order."""
@@ -204,12 +196,9 @@ class SpotFleetManager:
             launched = self._pool.launch(
                 count=1, on_ready=on_ready, purchase_option=ON_DEMAND)
         if option == ON_DEMAND and self._timeline is not None:
-            self._fallback_count += 1
             self._timeline.record_event(
                 self._sim.now, "spot-fallback", 1, group_id=group_id,
                 detail=f"spot unavailable; on-demand surge ({self._spot_price_detail()})")
-        elif option == ON_DEMAND:
-            self._fallback_count += 1
         self._surge_nodes[launched[0].instance_id] = ""
         self._surge_group[launched[0].instance_id] = group_id
         return True
@@ -233,15 +222,6 @@ class SpotFleetManager:
             return None
         groups.sort()
         return groups[0][1]
-
-    def surge_headroom(self) -> int:
-        """Surge replicas the cluster's groups can still absorb under the
-        per-group cap."""
-        per_group = Counter(self._surge_group.values())
-        return sum(
-            max(self.max_surge_per_group - per_group[group_id], 0)
-            for group_id in self._cluster.groups
-        )
 
     # ---------------------------------------------------------------- shrinking
 

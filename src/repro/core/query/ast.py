@@ -121,12 +121,3 @@ class QueryTemplate:
         for join in self.joins:
             mapping[join.alias] = join.table
         return mapping
-
-    def parameters(self) -> List[str]:
-        """Parameter names in the order they appear in WHERE."""
-        names = []
-        for predicate in self.where:
-            for value in (predicate.value, predicate.value_high):
-                if isinstance(value, Parameter) and value.name not in names:
-                    names.append(value.name)
-        return names

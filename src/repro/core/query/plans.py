@@ -185,15 +185,6 @@ class QueryPlan:
         self.prefix_binding = tuple(
             (component.kind == "parameter", component.value) for component in self.prefix)
 
-    def parameter_names(self) -> List[str]:
-        """Every parameter the plan needs bound at execution time."""
-        names = [c.value for c in self.prefix if c.kind == "parameter"]
-        if self.range_bound is not None:
-            for component in (self.range_bound.low, self.range_bound.high):
-                if component is not None and component.kind == "parameter":
-                    names.append(component.value)
-        return names
-
 
 @dataclass
 class CompiledQuery:

@@ -69,10 +69,6 @@ class Relationship:
     to_entity: str
     max_cardinality: Optional[int] = None
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.max_cardinality is not None
-
 
 @dataclass
 class EntitySchema:
@@ -130,10 +126,6 @@ class EntitySchema:
     def key_field_names(self) -> List[str]:
         return list(self._key_field_names)
 
-    @property
-    def value_field_names(self) -> List[str]:
-        return [f.name for f in self.value_fields]
-
     def has_field(self, name: str) -> bool:
         return name in self._fields_by_name
 
@@ -186,10 +178,6 @@ class EntitySchema:
                 raise SchemaError(f"entity {self.name!r} has no field {name!r}")
             field_.validate(value)
 
-    def value_dict(self, row: Dict[str, Any]) -> Dict[str, Any]:
-        """The non-key portion of a row (missing fields become None)."""
-        return {f.name: row.get(f.name) for f in self.value_fields}
-
 
 class SchemaRegistry:
     """All entity schemas and relationships an application has declared."""
@@ -234,10 +222,3 @@ class SchemaRegistry:
         if name not in self._relationships:
             raise SchemaError(f"unknown relationship {name!r}")
         return self._relationships[name]
-
-    def relationships(self) -> List[Relationship]:
-        return list(self._relationships.values())
-
-    def cardinality_bound(self, entity_name: str) -> Optional[int]:
-        """The per-partition row bound for an entity (None if unbounded)."""
-        return self.entity(entity_name).max_per_partition

@@ -241,7 +241,6 @@ def build_engine_and_app(
     initial_groups: int = 1,
     control_interval: float = 30.0,
     instance_type: InstanceType = SCALED_DOWN_INSTANCE,
-    register_friends_of_friends: bool = False,
     updates_per_second_per_node: float = 100.0,
     fifo_updates: bool = False,
     engine_kwargs: Optional[Dict[str, object]] = None,
@@ -268,7 +267,7 @@ def build_engine_and_app(
         engine,
         friend_cap=friend_cap,
         page_size=10,
-        register_friends_of_friends=register_friends_of_friends,
+        register_friends_of_friends=False,
     )
     graph = SocialGraph(
         n_users,

@@ -53,20 +53,3 @@ class CostReport:
             peak_instances=max(self.peak_instances, other.peak_instances),
             mean_instances=mean,
         )
-
-    def savings_vs(self, other: "CostReport") -> float:
-        """Fractional savings of this run relative to ``other`` (positive = cheaper)."""
-        if other.dollars == 0:
-            return 0.0
-        return 1.0 - self.dollars / other.dollars
-
-    def as_dict(self) -> dict:
-        """Plain-dict form for printing in benchmark harnesses."""
-        return {
-            "machine_hours": round(self.machine_hours, 3),
-            "dollars": round(self.dollars, 4),
-            "requests_served": self.requests_served,
-            "peak_instances": self.peak_instances,
-            "mean_instances": round(self.mean_instances, 2),
-            "cost_per_million_requests": round(self.cost_per_million_requests(), 4),
-        }

@@ -119,18 +119,6 @@ class PercentileEstimator:
             raise ValueError("no samples recorded")
         return self._max
 
-    def fraction_below(self, threshold: float) -> float:
-        """Fraction of samples strictly below ``threshold``.
-
-        This is the quantity an SLA like "99.9 % of requests under 100 ms"
-        asks about.  Answered with one ``searchsorted`` against the sorted
-        cache instead of materialising the full history per call.
-        """
-        if not len(self):
-            raise ValueError("no samples recorded")
-        arr = self._merged()
-        return float(np.searchsorted(arr, threshold, side="left")) / arr.shape[0]
-
     def merge(self, other: "PercentileEstimator") -> "PercentileEstimator":
         """Fold another estimator's samples into this one and return ``self``.
 

@@ -30,10 +30,6 @@ class SLAReport:
     request_count: int
     satisfied: bool
 
-    def violation_margin(self) -> float:
-        """How far the observed percentile latency exceeds the target (<= 0 if met)."""
-        return self.observed_percentile_latency - self.target_latency
-
     def merge(self, other: "SLAReport",
               merged_percentile_latency: Optional[float] = None) -> "SLAReport":
         """Combine two reports over disjoint request populations.

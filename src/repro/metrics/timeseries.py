@@ -71,19 +71,6 @@ class TimeSeries:
             total += self.values[i] * (self.times[i + 1] - self.times[i])
         return total
 
-    def resample(self, interval: float) -> "TimeSeries":
-        """Step-resample onto a regular grid with the given interval."""
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-        if not self.times:
-            return TimeSeries(name=self.name)
-        out = TimeSeries(name=self.name)
-        t = self.times[0]
-        while t <= self.times[-1]:
-            out.append(t, self.value_at(t))
-            t += interval
-        return out
-
 
 class TimeSeriesRecorder:
     """A named collection of time series sharing one clock."""

@@ -9,7 +9,7 @@ recent validation error, and predict with the weighted average.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,13 +32,6 @@ class EnsembleModel:
             raise ValueError("an ensemble needs at least one member model")
         self._members = list(members)
         self._weights: Optional[np.ndarray] = None
-
-    @property
-    def member_weights(self) -> List[float]:
-        """Current per-member weights (after fitting)."""
-        if self._weights is None:
-            raise NotFittedError("ensemble has not been fitted")
-        return [float(w) for w in self._weights]
 
     def fit(self, features: Sequence[Sequence[float]], targets: Sequence[float]) -> "EnsembleModel":
         """Fit every member and weight them by held-out validation error."""

@@ -8,7 +8,6 @@ from these features to observed latency percentiles / replication lag.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List
 
 import numpy as np
 
@@ -38,11 +37,6 @@ class WorkloadFeatures:
     def as_vector(self) -> np.ndarray:
         """The features as a flat numpy vector (field order is stable)."""
         return np.array([getattr(self, f.name) for f in fields(self)], dtype=float)
-
-    @staticmethod
-    def feature_names() -> List[str]:
-        """Names in the same order ``as_vector`` uses."""
-        return [f.name for f in fields(WorkloadFeatures)]
 
 
 class FeatureExtractor:

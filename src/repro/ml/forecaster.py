@@ -82,18 +82,3 @@ class WorkloadForecaster:
         coeffs, *_ = np.linalg.lstsq(design, np.log(rates), rcond=None)
         fitted = np.exp(design @ coeffs)
         return float(np.mean(np.abs(fitted - rates)))
-
-    def growth_rate(self) -> float:
-        """Recent relative growth per second (0 when history is too short).
-
-        Positive values mean the workload is growing; the provisioning
-        controller uses this to decide how aggressively to lead demand.
-        """
-        if len(self._history) < self.min_observations:
-            return 0.0
-        times = np.array([t for t, _ in self._history])
-        rates = np.array([r for _, r in self._history])
-        span = times[-1] - times[0]
-        if span <= 0 or rates[0] <= 0:
-            return 0.0
-        return float((rates[-1] - rates[0]) / rates[0] / span)

@@ -39,6 +39,10 @@ from repro.ml.features import WorkloadFeatures
 from repro.ml.knn import KNNRegressor
 from repro.ml.regression import QuantileRegressionModel, RidgeRegressionModel
 
+# Plans size for this share of the latency target, leaving margin for model
+# error: the provisioning loop's "don't sail exactly at the SLA" margin.
+TARGET_HEADROOM = 0.85
+
 
 @dataclass(frozen=True)
 class NodeRequirement:
@@ -114,13 +118,6 @@ class LatencyPercentileModel:
         ):
             self._fit()
 
-    def training_size(self) -> int:
-        return len(self._targets)
-
-    @property
-    def is_trained(self) -> bool:
-        return self._model is not None
-
     def _fit(self) -> None:
         members = [
             RidgeRegressionModel(alpha=1.0),
@@ -170,13 +167,10 @@ class LatencyPercentileModel:
         write_fraction: float,
         target_latency: float,
         max_nodes: int = 10_000,
-        headroom: float = 0.85,
         pending_updates: int = 0,
     ) -> NodeRequirement:
-        """Smallest node count whose predicted percentile latency meets the SLA.
-
-        ``headroom`` tightens the target so the plan leaves margin for model
-        error — the provisioning loop's "don't sail exactly at the SLA" knob.
+        """Smallest node count whose predicted percentile latency meets the SLA
+        (tightened by ``TARGET_HEADROOM``).
 
         The search is a monotone bisection over the capacity-feasible range
         ``[ceil(rate / capacity), max_nodes]`` — O(log max_nodes) predictions
@@ -192,9 +186,7 @@ class LatencyPercentileModel:
             raise ValueError("predicted_rate must be non-negative")
         if target_latency <= 0:
             raise ValueError("target_latency must be positive")
-        if not 0.0 < headroom <= 1.0:
-            raise ValueError("headroom must be in (0, 1]")
-        effective_target = target_latency * headroom
+        effective_target = target_latency * TARGET_HEADROOM
         if predicted_rate == 0:
             return NodeRequirement(nodes=1, feasible=True)
 
@@ -215,29 +207,6 @@ class LatencyPercentileModel:
             else:
                 low = mid + 1
         return NodeRequirement(nodes=low, feasible=True)
-
-    def required_nodes(
-        self,
-        predicted_rate: float,
-        write_fraction: float,
-        target_latency: float,
-        max_nodes: int = 10_000,
-        headroom: float = 0.85,
-        pending_updates: int = 0,
-    ) -> int:
-        """Node count from :meth:`required_nodes_search` (back-compat shim).
-
-        Prefer the search variant: this collapses the ``feasible`` flag and
-        cannot distinguish "needs max_nodes" from "infeasible at any scale".
-        """
-        return self.required_nodes_search(
-            predicted_rate=predicted_rate,
-            write_fraction=write_fraction,
-            target_latency=target_latency,
-            max_nodes=max_nodes,
-            headroom=headroom,
-            pending_updates=pending_updates,
-        ).nodes
 
 
 class PropagationLagModel:
@@ -274,13 +243,6 @@ class PropagationLagModel:
                 list(self._features), list(self._targets))
             self._observations_since_fit = 0
             self.fit_count += 1
-
-    def training_size(self) -> int:
-        return len(self._targets)
-
-    @property
-    def is_trained(self) -> bool:
-        return self._model is not None
 
     def predict(self, pending_updates: int, per_node_rate: float) -> float:
         """Predicted propagation lag (seconds) for the given pressure.

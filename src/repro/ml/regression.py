@@ -59,13 +59,6 @@ class LinearRegressionModel:
         """Predict for a single feature vector."""
         return float(self.predict([list(feature_row)])[0])
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Fitted weights (last entry is the intercept)."""
-        if self._weights is None:
-            raise NotFittedError("model has not been fitted")
-        return self._weights.copy()
-
 
 class RidgeRegressionModel(LinearRegressionModel):
     """Linear regression with L2 regularisation (intercept not penalised)."""
@@ -150,12 +143,3 @@ class QuantileRegressionModel:
     def predict_one(self, feature_row: Sequence[float]) -> float:
         """Predict the conditional quantile for a single feature vector."""
         return float(self.predict([list(feature_row)])[0])
-
-    def pinball_loss(self, features: Sequence[Sequence[float]], targets: Sequence[float]) -> float:
-        """Mean pinball loss on a dataset (lower is better)."""
-        predictions = self.predict(features)
-        y = np.asarray(targets, dtype=float)
-        residuals = y - predictions
-        tau = self.quantile
-        losses = np.where(residuals >= 0, tau * residuals, (tau - 1.0) * residuals)
-        return float(np.mean(losses))

@@ -18,6 +18,11 @@ from typing import Dict, Iterable, List
 
 from repro.obs.tracing import TraceRecord
 
+# The percentile each window reports, and the share of its slowest traces
+# whose span kinds make up the breakdown.
+PERCENTILE = 99.0
+WORST_FRACTION = 0.1
+
 
 @dataclass(slots=True)
 class WindowAttribution:
@@ -54,20 +59,16 @@ class WindowAttribution:
 def attribute_windows(
     traces: Iterable[TraceRecord],
     window: float = 60.0,
-    percentile: float = 99.0,
-    worst_fraction: float = 0.1,
 ) -> List[WindowAttribution]:
-    """Per-window percentile + worst-decile span-kind attribution.
+    """Per-window p99 + worst-decile span-kind attribution.
 
     Windows are aligned at multiples of ``window`` seconds from t=0.
     Within each window the traces are ranked by latency and the top
-    ``worst_fraction`` (at least one) contribute their on-path span-kind
+    ``WORST_FRACTION`` (at least one) contribute their on-path span-kind
     durations to the breakdown.
     """
     if window <= 0.0:
         raise ValueError("window must be positive")
-    if not 0.0 < worst_fraction <= 1.0:
-        raise ValueError("worst_fraction must be in (0, 1]")
     buckets: Dict[int, List[TraceRecord]] = {}
     for trace in traces:
         buckets.setdefault(int(trace.start // window), []).append(trace)
@@ -75,11 +76,11 @@ def attribute_windows(
     for index in sorted(buckets):
         bucket = sorted(buckets[index], key=lambda t: t.latency)
         latencies = [t.latency for t in bucket]
-        rank = (len(latencies) - 1) * (percentile / 100.0)
+        rank = (len(latencies) - 1) * (PERCENTILE / 100.0)
         lo = int(rank)
         hi = min(lo + 1, len(latencies) - 1)
         p_latency = latencies[lo] + (latencies[hi] - latencies[lo]) * (rank - lo)
-        worst_count = max(1, ceil(len(bucket) * worst_fraction))
+        worst_count = max(1, ceil(len(bucket) * WORST_FRACTION))
         kind_seconds: Dict[str, float] = {}
         for trace in bucket[-worst_count:]:
             for kind, seconds in trace.kind_totals().items():
@@ -89,7 +90,7 @@ def attribute_windows(
                 start=index * window,
                 end=(index + 1) * window,
                 trace_count=len(bucket),
-                percentile=percentile,
+                percentile=PERCENTILE,
                 percentile_latency=p_latency,
                 worst_count=worst_count,
                 kind_seconds=kind_seconds,

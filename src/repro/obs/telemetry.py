@@ -37,8 +37,8 @@ class Telemetry:
 
     # ------------------------------------------------------------- recording
 
-    def count(self, name: str, delta: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + delta
+    def count(self, name: str) -> None:
+        self.counters[name] = self.counters.get(name, 0) + 1
 
     def set_count(self, name: str, value: int) -> None:
         """Overwrite a counter with an externally tracked absolute value."""

@@ -74,16 +74,17 @@ class TraceRecord:
     def on_path_total(self) -> float:
         return sum(span.duration for span in self.spans if not span.off_path)
 
-    def reconciles(self, tol: float = 1e-9) -> bool:
-        """Whether on-path span durations sum to the recorded latency."""
-        return abs(self.on_path_total() - self.latency) <= tol * max(1.0, abs(self.latency))
+    def reconciles(self) -> bool:
+        """Whether on-path span durations sum to the recorded latency (to a
+        relative 1e-9)."""
+        return abs(self.on_path_total() - self.latency) <= 1e-9 * max(1.0, abs(self.latency))
 
-    def kind_totals(self, include_off_path: bool = False) -> Dict[str, float]:
+    def kind_totals(self) -> Dict[str, float]:
+        """Seconds per span kind over the on-path spans."""
         totals: Dict[str, float] = {}
         for span in self.spans:
-            if span.off_path and not include_off_path:
-                continue
-            totals[span.kind] = totals.get(span.kind, 0.0) + span.duration
+            if not span.off_path:
+                totals[span.kind] = totals.get(span.kind, 0.0) + span.duration
         return totals
 
     def describe(self) -> str:

@@ -75,6 +75,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.parallel.results import MergedCellReport, RunSuccess, SweepResult
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
 from repro.parallel.spec import RunSpec, ScenarioSpec, derive_seeds
+from repro.sim.randomness import _stable_hash
 
 # The four configuration cells, as engine-knob overrides.  Explicit on both
 # axes: the engine now defaults both features ON, so ``baseline`` must name
@@ -178,9 +179,7 @@ def grid_scenarios(smoke: bool = False,
 
 
 def build_grid_runs(scenarios: Optional[Sequence[ScenarioSpec]] = None,
-                    replicates: int = 1, base_seed: int = 0,
-                    configs: Optional[Dict[str, Dict[str, object]]] = None,
-                    ) -> List[RunSpec]:
+                    replicates: int = 1, base_seed: int = 0) -> List[RunSpec]:
     """Expand (scenario x config x replicate) into seeded run specs.
 
     Seeding is **paired and prefix-stable**: scenario *i* of the full corpus
@@ -188,11 +187,13 @@ def build_grid_runs(scenarios: Optional[Sequence[ScenarioSpec]] = None,
     never reshuffles existing ones), replicate *r* derives its seed from the
     scenario's child — and that replicate seed is shared by all four config
     cells, which is what makes the dominance comparison a paired experiment
-    rather than a comparison of independent draws.
+    rather than a comparison of independent draws.  A scenario outside the
+    corpus seeds from a stable hash of its name, so the same grid gets the
+    same seeds in every process (``hash()`` of a ``str`` is salted per
+    process).
     """
     if scenarios is None:
         scenarios = grid_scenarios()
-    configs = CONFIG_CELLS if configs is None else configs
     # Seeds are positional against the *full* corpus so a filtered grid
     # reproduces the unfiltered grid's per-scenario streams.
     corpus_index = {spec.name: i for i, spec in enumerate(STANDARD_SUITE)}
@@ -202,9 +203,9 @@ def build_grid_runs(scenarios: Optional[Sequence[ScenarioSpec]] = None,
     for spec in scenarios:
         position = corpus_index.get(spec.name)
         scenario_seed = (scenario_seeds[position] if position is not None
-                         else derive_seeds(base_seed + hash(spec.name) % (2**31), 1)[0])
+                         else derive_seeds(base_seed + _stable_hash(spec.name) % (2**31), 1)[0])
         replicate_seeds = derive_seeds(scenario_seed, replicates)
-        for config, overrides in configs.items():
+        for config, overrides in CONFIG_CELLS.items():
             cell = f"{spec.name}/{config}"
             configured = spec.with_overrides(**overrides)
             for replicate in range(replicates):

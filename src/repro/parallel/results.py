@@ -173,21 +173,6 @@ class MergedCellReport:
             "cost_per_million": round(self.cost.cost_per_million_requests(), 3),
         }
 
-    def read_attainment_at(self, target_latency: float) -> float:
-        """What read-SLA attainment a *different* latency target would have
-        had over this cell's merged samples.
-
-        This is the point of carrying merged estimators: a sweep over e.g.
-        provisioning knobs can be re-scored against candidate SLA targets
-        after the fact, without re-running anything.  Uses the inclusive
-        ``latency <= target`` comparison the live tracker uses; successful
-        reads only (failures are an availability question, not a latency
-        one).
-        """
-        if self.read_latency is None or len(self.read_latency) == 0:
-            raise ValueError(f"cell {self.cell!r} recorded no read latencies")
-        return self.read_latency.fraction_at_or_below(target_latency)
-
 
 def merge_cell(cell: str, params: Dict[str, Any],
                successes: List[RunSuccess], failures: int) -> MergedCellReport:

@@ -15,9 +15,9 @@ benchmarks compress them: every claim is about *relative* behaviour, so the
 suite keeps the phenomena (ramps outpacing boot delays, troughs deep enough
 to scale down into) at wall-clock costs a laptop can afford.
 
-``smoke_grid`` is the tiny-grid variant the sweep tests use: seconds of
-simulated time per run, enough to prove the fan-out machinery end to end
-without measuring anything.
+``smoke_scenario`` is the tiny closed loop of the sweep runner's smoke suite:
+seconds of simulated time per run, enough to prove the fan-out machinery end
+to end without measuring anything.
 ``smoke_variant`` shrinks any corpus scenario the same way for the grid's
 smoke tier (``make grid-smoke``), keeping each family's *shape* — the spike
 still spikes, the zone still fails — inside a seconds-long run.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.parallel.spec import FaultSpec, ScenarioSpec, SweepGrid, TraceSpec
+from repro.parallel.spec import FaultSpec, ScenarioSpec, TraceSpec
 
 # The flat CloudStone closed loop at a constant offered rate.
 STANDARD_CLOSED_LOOP = ScenarioSpec(
@@ -344,24 +344,17 @@ def smoke_variant(spec: ScenarioSpec) -> ScenarioSpec:
     return spec.with_overrides(**{**common, **overrides})
 
 
-def smoke_scenario(duration: float = 20.0, rate: float = 30.0) -> ScenarioSpec:
+def smoke_scenario() -> ScenarioSpec:
     """A seconds-long closed loop for smoke sweeps and determinism tests."""
     return ScenarioSpec(
         name="smoke",
-        trace=TraceSpec("constant", {"rate": rate}),
-        duration=duration,
+        trace=TraceSpec("constant", {"rate": 30.0}),
+        duration=20.0,
         n_users=40,
         friend_cap=10,
         initial_groups=2,
         control_interval=10.0,
     )
-
-
-def smoke_grid(runs: int = 4, base_seed: int = 0,
-               duration: float = 20.0, rate: float = 30.0) -> SweepGrid:
-    """Seeded replicates of :func:`smoke_scenario` as one single-cell grid."""
-    return SweepGrid(scenario=smoke_scenario(duration=duration, rate=rate),
-                     replicates=runs, base_seed=base_seed)
 
 
 def suites() -> Dict[str, List[ScenarioSpec]]:

@@ -4,8 +4,8 @@ Everything in the reproduction that involves time — request latency,
 replication lag, instance boot delay, billing hours — runs against a virtual
 clock managed by :class:`Simulator`.  The kernel is deliberately small: an
 event queue whose heap entries are the events, a clock, reproducible random
-streams, latency distributions, and a network model with injectable partitions
-and congestion.
+streams, latency distributions, and a network model with injectable
+partitions.
 """
 
 from repro.sim.clock import VirtualClock
@@ -14,11 +14,8 @@ from repro.sim.simulator import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.latency import (
     ConstantLatency,
-    EmpiricalLatency,
-    ExponentialLatency,
     LatencyModel,
     LogNormalLatency,
-    ParetoLatency,
     QueueingLatency,
 )
 from repro.sim.network import NetworkModel, Partition
@@ -31,10 +28,7 @@ __all__ = [
     "RandomStreams",
     "LatencyModel",
     "ConstantLatency",
-    "ExponentialLatency",
     "LogNormalLatency",
-    "ParetoLatency",
-    "EmpiricalLatency",
     "QueueingLatency",
     "NetworkModel",
     "Partition",

@@ -17,16 +17,14 @@ class VirtualClock:
     """A monotonically non-decreasing simulated clock, in seconds.
 
     ``now`` is a plain attribute (read on every event and every request, so
-    property overhead matters); it must only be moved through
-    :meth:`advance_to` / :meth:`advance_by`, which enforce monotonicity.
+    property overhead matters); it starts at 0 and must only be moved through
+    :meth:`advance_to`, which enforces monotonicity.
     """
 
     __slots__ = ("now",)
 
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError(f"clock cannot start at a negative time: {start}")
-        self.now = float(start)
+    def __init__(self) -> None:
+        self.now = 0.0
 
     def advance_to(self, timestamp: float) -> float:
         """Move the clock to ``timestamp``.
@@ -39,13 +37,6 @@ class VirtualClock:
                 f"cannot move clock backwards from {self.now:.6f} to {timestamp:.6f}"
             )
         self.now = float(timestamp)
-        return self.now
-
-    def advance_by(self, delta: float) -> float:
-        """Move the clock forward by ``delta`` seconds."""
-        if delta < 0:
-            raise ClockError(f"cannot advance the clock by a negative delta: {delta}")
-        self.now += float(delta)
         return self.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

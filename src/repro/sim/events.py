@@ -11,7 +11,7 @@ The entry :meth:`EventQueue.push` returns is the event's handle.  There is no
 lazy cancellation: :meth:`EventQueue.cancel` takes a still-queued entry out of
 the heap at once, so every entry in the heap is live and the queue's length is
 the heap's.  Cancelling is a linear search, paid only when a periodic activity
-stops; pushing, popping and peeking pay nothing for it.
+stops; pushing and popping pay nothing for it.
 """
 
 from __future__ import annotations
@@ -54,24 +54,12 @@ class EventQueue:
         """
         return heapq.heappop(self._heap)
 
-    def pop_due(self, end_time: float) -> Optional[Entry]:
-        """Pop and return the earliest entry if it is due at or before
-        ``end_time``; otherwise (or when the queue is empty) return None."""
-        heap = self._heap
-        if heap and heap[0][0] <= end_time:
-            return heapq.heappop(heap)
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the next entry, or None if empty."""
-        return self._heap[0][0] if self._heap else None
-
     def cancel(self, entry: Entry) -> None:
         """Remove a still-queued entry.
 
-        An entry the queue no longer holds — it already fired, is firing right
-        now (a periodic action cancelling itself), or was dropped by
-        :meth:`clear` — is not found, so cancelling it is a no-op.
+        An entry the queue no longer holds — it already fired, or is firing
+        right now (a periodic action cancelling itself) — is not found, so
+        cancelling it is a no-op.
         """
         heap = self._heap
         for index, queued in enumerate(heap):
@@ -80,7 +68,3 @@ class EventQueue:
                 heap.pop()
                 heapq.heapify(heap)
                 return
-
-    def clear(self) -> None:
-        """Drop every pending entry."""
-        self._heap.clear()

@@ -158,9 +158,6 @@ class ContentionProcess:
                 factor = intensity
         return factor
 
-    def forced_episodes(self, host_id: str) -> Tuple[Tuple[float, float, float], ...]:
-        return tuple(self._forced.get(host_id, ()))
-
     def install(self, cluster) -> None:
         """Push per-host factors onto colocated nodes every step.
 

@@ -25,7 +25,7 @@ be re-parameterised in place mid-stream (construct a new model instead).
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -115,21 +115,6 @@ class ConstantLatency(LatencyModel):
         return self.value
 
 
-class ExponentialLatency(LatencyModel):
-    """Memoryless service times with the given mean."""
-
-    def __init__(self, mean: float) -> None:
-        if mean <= 0:
-            raise ValueError(f"mean must be positive, got {mean}")
-        self._mean = float(mean)
-
-    def _draw_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.exponential(self._mean, size=size)
-
-    def mean(self) -> float:
-        return self._mean
-
-
 class LogNormalLatency(LatencyModel):
     """Log-normal service times — the default for storage node reads/writes.
 
@@ -153,40 +138,6 @@ class LogNormalLatency(LatencyModel):
 
     def mean(self) -> float:
         return float(self.median * np.exp(self.sigma**2 / 2.0))
-
-
-class ParetoLatency(LatencyModel):
-    """Heavy-tailed service times for modelling stragglers / 'unlucky' requests."""
-
-    def __init__(self, scale: float, shape: float) -> None:
-        if scale <= 0 or shape <= 1.0:
-            raise ValueError("scale must be > 0 and shape must be > 1 for a finite mean")
-        self.scale = float(scale)
-        self.shape = float(shape)
-
-    def _draw_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.scale * (1.0 + rng.pareto(self.shape, size=size))
-
-    def mean(self) -> float:
-        return self.scale * self.shape / (self.shape - 1.0)
-
-
-class EmpiricalLatency(LatencyModel):
-    """Resamples from a recorded set of latencies (trace-driven replay)."""
-
-    def __init__(self, samples: Sequence[float]) -> None:
-        arr = np.asarray(list(samples), dtype=float)
-        if arr.size == 0:
-            raise ValueError("empirical latency model needs at least one sample")
-        if np.any(arr < 0):
-            raise ValueError("latency samples must be non-negative")
-        self._samples = arr
-
-    def _draw_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._samples[rng.integers(0, self._samples.size, size=size)]
-
-    def mean(self) -> float:
-        return float(self._samples.mean())
 
 
 class QueueingLatency(LatencyModel):
@@ -295,18 +246,3 @@ class QueueingLatency(LatencyModel):
 
     def mean(self) -> float:
         return self.base.mean() * self._contention / (1.0 - self._utilisation)
-
-
-def percentile_of(model: LatencyModel, rng: np.random.Generator,
-                  percentile: float, samples: int = 2000) -> float:
-    """Monte-Carlo estimate of a percentile of a latency model.
-
-    Used by the provisioning planner to translate a candidate configuration
-    into an expected SLA percentile before committing to it.  Draws are
-    vectorized through :meth:`LatencyModel.sample_many`, which continues the
-    model's pooled stream in draw order.
-    """
-    if not 0.0 < percentile <= 100.0:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-    draws = model.sample_many(rng, samples)
-    return float(np.percentile(draws, percentile))

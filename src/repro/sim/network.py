@@ -1,14 +1,14 @@
-"""Network model: hop latency, partitions, and congestion between endpoints.
+"""Network model: hop latency and partitions between endpoints.
 
 The SCADS paper's arbitration story (Section 3.3.1) hinges on what the system
-does when "two datacenters become disconnected" or links are congested; this
-module provides the substrate those experiments inject faults into.
+does when "two datacenters become disconnected"; this module provides the
+substrate those experiments inject partitions into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import FrozenSet, Set
 
 import numpy as np
 
@@ -34,11 +34,11 @@ class Partition:
 
 
 class NetworkModel:
-    """Tracks active partitions and per-link congestion.
+    """Tracks active partitions.
 
     Every hop samples one default latency model; this keeps small experiments
-    simple while still letting the failure-injection benches congest or cut
-    specific paths.
+    simple while still letting the failure-injection benches cut specific
+    paths.
     """
 
     def __init__(
@@ -48,16 +48,6 @@ class NetworkModel:
         self._rng = rng
         self._default_latency = LogNormalLatency(0.0005, 0.3)
         self._partitions: Set[Partition] = set()
-        self._congestion: Dict[Tuple[str, str], float] = {}
-
-    def set_congestion(self, src: str, dst: str, factor: float) -> None:
-        """Multiply delays on ``src -> dst`` by ``factor`` (1.0 clears it)."""
-        if factor < 1.0:
-            raise ValueError(f"congestion factor must be >= 1.0, got {factor}")
-        if factor == 1.0:
-            self._congestion.pop((src, dst), None)
-        else:
-            self._congestion[(src, dst)] = float(factor)
 
     def partition(self, group_a: Set[str], group_b: Set[str]) -> Partition:
         """Install a partition separating the two endpoint groups."""
@@ -72,10 +62,6 @@ class NetworkModel:
         """Remove a previously installed partition."""
         self._partitions.discard(partition)
 
-    def heal_all(self) -> None:
-        """Remove every active partition."""
-        self._partitions.clear()
-
     def is_reachable(self, src: str, dst: str) -> bool:
         """True unless an active partition separates the endpoints."""
         if not self._partitions:
@@ -86,14 +72,11 @@ class NetworkModel:
         """One-way message delay from ``src`` to ``dst``.
 
         Raises :class:`NetworkPartitionError` if the endpoints are partitioned.
-        The healthy-network case (no partitions, no congestion) is the
-        per-request hot path and skips every lookup.
+        The healthy-network case (no partitions) is the per-request hot path
+        and skips every lookup.
         """
         if src == dst:
             return 0.0
         if self._partitions and not self.is_reachable(src, dst):
             raise NetworkPartitionError(f"{src} cannot reach {dst}: network partition")
-        base = self._default_latency.sample(self._rng)
-        if self._congestion:
-            return base * self._congestion.get((src, dst), 1.0)
-        return base
+        return self._default_latency.sample(self._rng)

@@ -1,10 +1,9 @@
-"""Reproducible random streams and the heavy-tailed distributions Web 2.0
-workloads need (Zipfian key popularity, Pareto session lengths, log-normal
-service times)."""
+"""Reproducible random streams and the Zipfian key popularity Web 2.0
+workloads need."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -75,82 +74,21 @@ class ZipfGenerator:
         ranks = np.arange(1, n + 1, dtype=float)
         weights = 1.0 / np.power(ranks, theta)
         self._cdf = np.cumsum(weights) / np.sum(weights)
-        # The uniforms are kept for draw_many's stream continuation; their
-        # searchsorted indices are computed vectorized at block-refill time
-        # so draw() itself is a list lookup.
-        self._pool: np.ndarray = _EMPTY
+        # A block's searchsorted indices are computed vectorized at refill
+        # time, so draw() itself is a list lookup.
         self._pool_indices: List[int] = []
         self._pool_index = 0
 
     def _refill(self) -> None:
-        self._pool = self._rng.random(self.POOL_BLOCK)
-        self._pool_indices = np.searchsorted(self._cdf, self._pool).tolist()
+        self._pool_indices = np.searchsorted(
+            self._cdf, self._rng.random(self.POOL_BLOCK)).tolist()
         self._pool_index = 0
 
     def draw(self) -> int:
         """Draw a single item index (0-based, 0 is the most popular)."""
         index = self._pool_index
-        if index >= self._pool.shape[0]:
+        if index >= len(self._pool_indices):
             self._refill()
             index = 0
         self._pool_index = index + 1
         return self._pool_indices[index]
-
-    def draw_many(self, count: int) -> np.ndarray:
-        """Draw ``count`` item indices at once, continuing the pooled stream."""
-        u = np.empty(count)
-        available = self._pool.shape[0] - self._pool_index
-        take = min(available, count) if available > 0 else 0
-        if take:
-            u[:take] = self._pool[self._pool_index:self._pool_index + take]
-            self._pool_index += take
-        if take < count:
-            u[take:] = self._rng.random(count - take)
-        return np.searchsorted(self._cdf, u).astype(int)
-
-
-_EMPTY = np.empty(0)
-
-
-def pareto_sample(rng: np.random.Generator, shape: float, scale: float) -> float:
-    """One draw from a Pareto distribution with the given shape and scale."""
-    if shape <= 0 or scale <= 0:
-        raise ValueError("pareto shape and scale must be positive")
-    return float(scale * (1.0 + rng.pareto(shape)))
-
-
-def lognormal_sample(rng: np.random.Generator, median: float, sigma: float) -> float:
-    """One draw from a log-normal distribution parameterised by its median."""
-    if median <= 0:
-        raise ValueError("median must be positive")
-    return float(rng.lognormal(mean=np.log(median), sigma=sigma))
-
-
-def exponential_sample(rng: np.random.Generator, mean: float) -> float:
-    """One draw from an exponential distribution with the given mean."""
-    if mean <= 0:
-        raise ValueError("mean must be positive")
-    return float(rng.exponential(mean))
-
-
-def weighted_choice(rng: np.random.Generator, weights: Dict[str, float]) -> str:
-    """Pick a key from ``weights`` with probability proportional to its value."""
-    if not weights:
-        raise ValueError("weights must not be empty")
-    keys = list(weights.keys())
-    values = np.array([weights[k] for k in keys], dtype=float)
-    if np.any(values < 0):
-        raise ValueError("weights must be non-negative")
-    total = values.sum()
-    if total <= 0:
-        raise ValueError("at least one weight must be positive")
-    probabilities = values / total
-    index = rng.choice(len(keys), p=probabilities)
-    return keys[int(index)]
-
-
-def shuffled(rng: np.random.Generator, items: Sequence) -> list:
-    """Return a shuffled copy of ``items`` without mutating the original."""
-    copy = list(items)
-    rng.shuffle(copy)
-    return copy

@@ -14,9 +14,9 @@ class Simulator:
     """Owns the virtual clock, the event queue, and the random streams.
 
     Components schedule work with :meth:`schedule` / :meth:`schedule_at` and
-    the experiment harness drives time forward with :meth:`run_until` or
-    :meth:`run`.  Periodic activities (SLA monitoring, provisioning loops,
-    billing ticks) use :meth:`schedule_periodic`.
+    the experiment harness drives time forward with :meth:`run_until`.
+    Periodic activities (SLA monitoring, provisioning loops, billing ticks)
+    use :meth:`schedule_periodic`.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -35,31 +35,19 @@ class Simulator:
         """Number of events that have fired so far."""
         return self._event_count
 
-    def schedule(
-        self,
-        delay: float,
-        action: Callable[[], Any],
-        priority: int = 0,
-        name: str = "",
-    ) -> Entry:
+    def schedule(self, delay: float, action: Callable[[], Any], name: str = "") -> Entry:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.queue.push(self.clock.now + delay, action, priority=priority, name=name)
+        return self.queue.push(self.clock.now + delay, action, name=name)
 
-    def schedule_at(
-        self,
-        time: float,
-        action: Callable[[], Any],
-        priority: int = 0,
-        name: str = "",
-    ) -> Entry:
+    def schedule_at(self, time: float, action: Callable[[], Any], name: str = "") -> Entry:
         """Schedule ``action`` at an absolute simulated time."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule at {time:.6f}, which is before now ({self.now:.6f})"
             )
-        return self.queue.push(time, action, priority=priority, name=name)
+        return self.queue.push(time, action, name=name)
 
     def schedule_periodic(
         self,
@@ -92,28 +80,15 @@ class Simulator:
 
         return cancel
 
-    def step(self) -> bool:
-        """Fire the next event.  Returns False if the queue was empty."""
-        if not self.queue:
-            return False
-        time, _, _, action, _ = self.queue.pop()
-        self.clock.advance_to(time)
-        if action is not None:
-            action()
-        self._event_count += 1
-        return True
-
-    def run_until(self, end_time: float, max_events: Optional[int] = None) -> float:
+    def run_until(self, end_time: float) -> float:
         """Process events until the clock reaches ``end_time``.
 
         Events scheduled exactly at ``end_time`` are processed.  The clock is
         left at ``end_time`` even if the queue drains earlier, so that
         duration-based accounting (billing, SLA windows) sees the full span.
-        The dispatch loop is inlined (rather than calling :meth:`step`) and
-        pops the queue's heap directly — it is the innermost loop of every
-        experiment, and every entry in the heap is live.
+        The dispatch loop pops the queue's heap directly — it is the innermost
+        loop of every experiment, and every entry in the heap is live.
         """
-        processed = 0
         heap = self.queue._heap
         heappop = heapq.heappop
         clock = self.clock
@@ -123,17 +98,6 @@ class Simulator:
             if action is not None:
                 action()
             self._event_count += 1
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                break
         if clock.now < end_time:
             clock.advance_to(end_time)
         return clock.now
-
-    def run(self, max_events: int = 1_000_000) -> float:
-        """Process events until the queue is empty or ``max_events`` fire."""
-        processed = 0
-        while self.queue and processed < max_events:
-            self.step()
-            processed += 1
-        return self.now

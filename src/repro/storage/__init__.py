@@ -8,7 +8,7 @@ lag, quorum operations, live data movement for elastic scaling, a durability
 model, and failure injection.
 """
 
-from repro.storage.records import KeyRange, Record, VersionedValue
+from repro.storage.records import KeyRange, VersionedValue
 from repro.storage.node import NodeStats, StorageNode
 from repro.storage.partitioner import (
     ConsistentHashPartitioner,
@@ -28,7 +28,6 @@ from repro.storage.rebalancer import (
 )
 
 __all__ = [
-    "Record",
     "VersionedValue",
     "KeyRange",
     "StorageNode",

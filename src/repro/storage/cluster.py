@@ -55,6 +55,9 @@ from repro.storage.partitioner import (
 from repro.storage.records import Key, KeyRange, VersionedValue
 from repro.storage.replication import ReplicaGroup, ReplicationEngine
 
+# The least ring weight shift_weight leaves a donor group (hash partitioner).
+MIN_RING_WEIGHT = 0.25
+
 
 @dataclass
 class MigrationRecord:
@@ -145,7 +148,6 @@ class Cluster:
         self._migration_counter = itertools.count()
         self._splits_total = 0
         self._migrations_total = 0
-        self._reconciled_keys_total = 0
         self._load_tracker = None
         # Hibernated surge replicas: node_id -> (home group id, frozen node).
         # The node object keeps its data but leaves ``nodes``/its group, so
@@ -530,9 +532,6 @@ class Cluster:
         """Forget a hibernated node (its instance was terminated)."""
         return self._hibernated.pop(node_id, None) is not None
 
-    def hibernated_node_ids(self) -> List[str]:
-        return list(self._hibernated.keys())
-
     def _owning_group(self, node_id: str) -> Optional[ReplicaGroup]:
         for group in self.groups.values():
             if node_id in group.node_ids:
@@ -730,12 +729,12 @@ class Cluster:
         return moved
 
     def shift_weight(self, from_group_id: str, to_group_id: str,
-                     step: float = 0.25, min_weight: float = 0.25) -> List[MigrationRecord]:
+                     step: float = 0.25) -> List[MigrationRecord]:
         """Shift ring weight between groups (hash only) and move only the
         keys whose owner changed.
 
         Weight is conserved: the receiver gains exactly what the donor sheds,
-        so a donor already clamped at ``min_weight`` makes this a no-op
+        so a donor already clamped at ``MIN_RING_WEIGHT`` makes this a no-op
         (returning []) instead of silently inflating total ring weight and
         taking share from uninvolved groups.
         """
@@ -748,7 +747,7 @@ class Cluster:
             if group_id not in self.groups:
                 raise KeyError(f"unknown replica group {group_id!r}")
         from_weight = self.partitioner.weight_of(from_group_id)
-        new_from_weight = max(from_weight - step, min_weight)
+        new_from_weight = max(from_weight - step, MIN_RING_WEIGHT)
         shed = from_weight - new_from_weight
         if shed <= 0:
             return []
@@ -877,15 +876,13 @@ class Cluster:
         for namespace, key, value, owner in stale:
             self.deliver(self.groups[owner], node_id, namespace, key, value)
             node._store(namespace).delete(key)  # noqa: SLF001 - cluster owns its nodes
-        self._reconciled_keys_total += len(stale)
         return len(stale)
 
     def active_migrations(self) -> List[MigrationRecord]:
         """Migrations whose simulated transfer has not finished yet."""
         return list(self._migrations)
 
-    def migrations_for_key(self, namespace: str, key: Key,
-                           token: Optional[str] = None) -> List[MigrationRecord]:
+    def migrations_for_key(self, namespace: str, key: Key) -> List[MigrationRecord]:
         """All in-flight migrations covering ``key``, oldest first.
 
         More than one record can cover a key when a range is migrated again
@@ -894,8 +891,7 @@ class Cluster:
         """
         if not self._migrations:
             return []
-        if token is None:
-            token = partition_token(key)
+        token = partition_token(key)
         return [record for record in self._migrations if token in record.tokens]
 
     # ---------------------------------------------------------- load tracking
@@ -914,14 +910,10 @@ class Cluster:
 
     # ----------------------------------------------------------------- routing
 
-    def group_for_key(self, namespace: str, key: Key,
-                      token: Optional[str] = None) -> ReplicaGroup:
-        """The owning replica group; pass ``token`` (``partition_token(key)``)
-        when the caller already has it so the key is converted exactly once
-        per request."""
-        if token is None:
-            token = str(key[0])  # partition_token(key), inlined for the hot path
-        return self.groups[self.partitioner.group_for_token(token)]
+    def group_for_key(self, namespace: str, key: Key) -> ReplicaGroup:
+        """The owning replica group."""
+        # str(key[0]) is partition_token(key), inlined for the hot path.
+        return self.groups[self.partitioner.group_for_token(str(key[0]))]
 
     def groups_for_range(self, key_range: KeyRange) -> List[ReplicaGroup]:
         return [self.groups[g] for g in self.partitioner.groups_for_range(key_range)]
@@ -1001,8 +993,3 @@ class Cluster:
     @property
     def migrations_total(self) -> int:
         return self._migrations_total
-
-    @property
-    def reconciled_keys_total(self) -> int:
-        """Stale copies reclaimed by post-recovery reconciliation passes."""
-        return self._reconciled_keys_total

@@ -12,6 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# The largest replication factor required_replication_factor will propose.
+MAX_REPLICATION_FACTOR = 10
+
 
 @dataclass
 class DurabilityModel:
@@ -65,23 +68,22 @@ class DurabilityModel:
         self,
         target_durability: float,
         horizon_hours: float = 8760.0,
-        max_factor: int = 10,
     ) -> int:
         """Smallest replication factor meeting the declared durability SLA.
 
-        Raises ``ValueError`` if no factor up to ``max_factor`` achieves it —
-        a genuinely unmeetable specification, which SCADS surfaces to the
-        developer rather than silently under-delivering.
+        Raises ``ValueError`` if no factor up to ``MAX_REPLICATION_FACTOR``
+        achieves it — a genuinely unmeetable specification, which SCADS
+        surfaces to the developer rather than silently under-delivering.
         """
         if not 0.0 < target_durability < 1.0:
             raise ValueError(
                 f"target durability must be in (0, 1), got {target_durability}"
             )
-        for factor in range(1, max_factor + 1):
+        for factor in range(1, MAX_REPLICATION_FACTOR + 1):
             if self.durability(factor, horizon_hours) >= target_durability:
                 return factor
         raise ValueError(
-            f"no replication factor <= {max_factor} achieves durability "
+            f"no replication factor <= {MAX_REPLICATION_FACTOR} achieves durability "
             f"{target_durability} with MTTF {self.node_mttf_hours}h and "
             f"re-replication {self.re_replication_hours}h"
         )

@@ -1,17 +1,17 @@
-"""Failure injection: node crashes, network partitions, link congestion.
+"""Failure injection: node crashes, zone outages, spot interruption storms and
+noisy-neighbor episodes.
 
-The arbitration experiment (E9), the durability experiment (E10), and the
-availability half of the performance SLA all need controlled faults.  The
-injector schedules fault begin/end events on the shared simulator so faults
-interleave naturally with the workload.
+The durability experiment (E10), the regional-failover and spot scenarios,
+and the availability half of the performance SLA all need controlled faults.
+The injector schedules fault begin/end events on the shared simulator so
+faults interleave naturally with the workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Callable, Iterable, List
 
-from repro.sim.network import Partition
 from repro.storage.cluster import Cluster
 
 
@@ -22,7 +22,7 @@ class FaultRecord:
     kind: str
     target: str
     start: float
-    end: Optional[float]
+    end: float
 
 
 class FailureInjector:
@@ -44,85 +44,77 @@ class FailureInjector:
         self._market = market
         self._contention = contention
 
-    def attach_market(self, market) -> None:
-        """Enable spot-market faults (:meth:`interruption_storm`)."""
-        self._market = market
-
-    def attach_contention(self, contention) -> None:
-        """Enable noisy-neighbor faults (:meth:`host_degradation`)."""
-        self._contention = contention
-
     # ------------------------------------------------------------------ crashes
 
-    def crash_node(self, node_id: str, at: float, duration: Optional[float] = None) -> FaultRecord:
-        """Crash a node at time ``at``; recover it after ``duration`` if given."""
-        if node_id not in self._cluster.nodes:
-            raise KeyError(f"unknown node {node_id!r}")
-        record = FaultRecord(kind="node-crash", target=node_id, start=at,
-                             end=None if duration is None else at + duration)
-        self._faults.append(record)
+    def _outage(self, at: float, duration: float, victims: Callable[[], Iterable[str]],
+                down_name: str, up_name: str) -> None:
+        """Crash the alive nodes ``victims()`` names when the fault fires at
+        ``at``, and bring exactly those back ``duration`` seconds later.
 
-        def go_down() -> None:
-            node = self._cluster.nodes.get(node_id)
-            if node is not None:
-                node.crash()
-
-        def come_back() -> None:
-            node = self._cluster.nodes.get(node_id)
-            if node is not None:
-                node.recover()
-                # Reconciliation pass: a recovered migration source reclaims
-                # its stale copies now instead of waiting for the next
-                # changed-key sweep to happen to scan it.
-                self._cluster.reconcile_node(node_id)
-
-        self._sim.schedule_at(at, go_down, name=f"crash:{node_id}")
-        if duration is not None:
-            self._sim.schedule_at(at + duration, come_back, name=f"recover:{node_id}")
-        return record
-
-    def crash_random_nodes(self, count: int, at: float, duration: float) -> FaultRecord:
-        """Crash ``count`` random alive nodes simultaneously at time ``at``.
-
-        Victims are chosen when the fault *fires*, not when it is scheduled —
-        matching :meth:`zone_outage`, because a real outage hits whatever is
-        running at that moment: nodes rented between scheduling and firing
-        are eligible, nodes decommissioned in between are not.  When fewer
-        than ``count`` nodes are alive at fire time the fault crashes all of
-        them (an outage cannot kill machines that do not exist).
+        Victims are resolved at fire time, not when the fault is scheduled,
+        because a real outage hits whatever is running at that moment.
         """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        record = FaultRecord(kind="crash-random", target=f"count={count}",
-                             start=at, end=at + duration)
-        self._faults.append(record)
         downed: List[str] = []
 
         def go_down() -> None:
-            alive = sorted(
-                node_id for node_id, node in self._cluster.nodes.items() if node.alive
-            )
-            take = min(count, len(alive))
-            if take == 0:
-                return
-            chosen = [str(x) for x in
-                      self._failure_rng.choice(alive, size=take, replace=False)]
-            for node_id in chosen:
+            for node_id in victims():
                 node = self._cluster.nodes.get(node_id)
                 if node is not None and node.alive:
                     node.crash()
                     downed.append(node_id)
-            record.target = ",".join(sorted(downed))
 
         def come_back() -> None:
             for node_id in downed:
                 node = self._cluster.nodes.get(node_id)
                 if node is not None:
                     node.recover()
+                    # Reconciliation pass: a recovered migration source
+                    # reclaims its stale copies now instead of waiting for
+                    # the next changed-key sweep to happen to scan it.
                     self._cluster.reconcile_node(node_id)
 
-        self._sim.schedule_at(at, go_down, name=f"crash-random:{count}")
-        self._sim.schedule_at(at + duration, come_back, name=f"recover-random:{count}")
+        self._sim.schedule_at(at, go_down, name=down_name)
+        self._sim.schedule_at(at + duration, come_back, name=up_name)
+
+    def crash_node(self, node_id: str, at: float, duration: float) -> FaultRecord:
+        """Crash a node at time ``at`` and recover it ``duration`` later."""
+        if node_id not in self._cluster.nodes:
+            raise KeyError(f"unknown node {node_id!r}")
+        record = FaultRecord(kind="node-crash", target=node_id, start=at, end=at + duration)
+        self._faults.append(record)
+        self._outage(at, duration, lambda: [node_id],
+                     f"crash:{node_id}", f"recover:{node_id}")
+        return record
+
+    def crash_random_nodes(self, count: int, at: float, duration: float) -> FaultRecord:
+        """Crash ``count`` random alive nodes simultaneously at time ``at``.
+
+        Victims are chosen when the fault *fires*, not when it is scheduled —
+        nodes rented between scheduling and firing are eligible, nodes
+        decommissioned in between are not.  When fewer than ``count`` nodes
+        are alive at fire time the fault crashes all of them (an outage
+        cannot kill machines that do not exist).
+        """
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        record = FaultRecord(kind="crash-random", target=f"count={count}",
+                             start=at, end=at + duration)
+        self._faults.append(record)
+
+        def victims() -> List[str]:
+            alive = sorted(
+                node_id for node_id, node in self._cluster.nodes.items() if node.alive
+            )
+            take = min(count, len(alive))
+            if take == 0:
+                return []
+            chosen = [str(x) for x in
+                      self._failure_rng.choice(alive, size=take, replace=False)]
+            record.target = ",".join(sorted(chosen))
+            return chosen
+
+        self._outage(at, duration, victims,
+                     f"crash-random:{count}", f"recover-random:{count}")
         return record
 
     def interruption_storm(self, at: float, duration: float) -> FaultRecord:
@@ -182,102 +174,19 @@ class FailureInjector:
         and then lose their member too, which is what a real zone outage
         does.  ``zone_index >= 1`` spares the primaries (index 0): the outage
         drains read capacity and forces replica failover without also
-        severing the write path, which is a different experiment
-        (:meth:`partition_groups`).
+        severing the write path, which is a different experiment.
         """
         if zone_index < 0:
             raise ValueError("zone_index must be non-negative")
         record = FaultRecord(kind="zone-outage", target=f"zone-{zone_index}",
                              start=at, end=at + duration)
         self._faults.append(record)
-        downed: List[str] = []
+        def victims() -> List[str]:
+            return [group.node_ids[zone_index] for group in self._cluster.groups.values()
+                    if zone_index < len(group.node_ids)]
 
-        def go_down() -> None:
-            for group in self._cluster.groups.values():
-                if zone_index >= len(group.node_ids):
-                    continue
-                node = self._cluster.nodes.get(group.node_ids[zone_index])
-                if node is not None and node.alive:
-                    node.crash()
-                    downed.append(node.node_id)
-
-        def come_back() -> None:
-            for node_id in downed:
-                node = self._cluster.nodes.get(node_id)
-                if node is not None:
-                    node.recover()
-                    self._cluster.reconcile_node(node_id)
-
-        self._sim.schedule_at(at, go_down, name=f"zone-outage:{zone_index}")
-        self._sim.schedule_at(at + duration, come_back,
-                              name=f"zone-recover:{zone_index}")
-        return record
-
-    # --------------------------------------------------------------- partitions
-
-    def partition_groups(
-        self,
-        group_ids_a: Set[str],
-        group_ids_b: Set[str],
-        at: float,
-        duration: Optional[float] = None,
-        isolate_clients_from: str = "b",
-    ) -> FaultRecord:
-        """Partition the nodes of two sets of replica groups from each other.
-
-        ``isolate_clients_from`` chooses which side also loses client
-        connectivity ("a", "b", or "none"), modelling the paper's
-        disconnected-datacenter scenario where clients can reach only one side.
-        """
-        nodes_a = {nid for gid in group_ids_a for nid in self._cluster.groups[gid].node_ids}
-        nodes_b = {nid for gid in group_ids_b for nid in self._cluster.groups[gid].node_ids}
-        # The client endpoint joins the side it can still reach, so it is cut
-        # off from the side named by ``isolate_clients_from``.
-        if isolate_clients_from == "a":
-            nodes_b = nodes_b | {"client"}
-        elif isolate_clients_from == "b":
-            nodes_a = nodes_a | {"client"}
-        elif isolate_clients_from != "none":
-            raise ValueError("isolate_clients_from must be 'a', 'b', or 'none'")
-        record = FaultRecord(
-            kind="partition",
-            target=f"{sorted(group_ids_a)}|{sorted(group_ids_b)}",
-            start=at,
-            end=None if duration is None else at + duration,
-        )
-        self._faults.append(record)
-        state: Dict[str, Optional[Partition]] = {"partition": None}
-
-        def install() -> None:
-            state["partition"] = self._cluster.network.partition(nodes_a, nodes_b)
-
-        def heal() -> None:
-            if state["partition"] is not None:
-                self._cluster.network.heal(state["partition"])
-
-        self._sim.schedule_at(at, install, name="partition")
-        if duration is not None:
-            self._sim.schedule_at(at + duration, heal, name="heal-partition")
-        return record
-
-    # --------------------------------------------------------------- congestion
-
-    def congest_link(self, src: str, dst: str, factor: float, at: float,
-                     duration: Optional[float] = None) -> FaultRecord:
-        """Multiply delays on one link by ``factor`` for ``duration`` seconds."""
-        record = FaultRecord(kind="congestion", target=f"{src}->{dst}", start=at,
-                             end=None if duration is None else at + duration)
-        self._faults.append(record)
-
-        def begin() -> None:
-            self._cluster.network.set_congestion(src, dst, factor)
-
-        def clear() -> None:
-            self._cluster.network.set_congestion(src, dst, 1.0)
-
-        self._sim.schedule_at(at, begin, name="congest")
-        if duration is not None:
-            self._sim.schedule_at(at + duration, clear, name="uncongest")
+        self._outage(at, duration, victims,
+                     f"zone-outage:{zone_index}", f"zone-recover:{zone_index}")
         return record
 
     # ---------------------------------------------------------------- reporting

@@ -433,10 +433,8 @@ class StorageNode:
     def namespaces(self) -> List[str]:
         return sorted(self._namespaces.keys())
 
-    def key_count(self, namespace: Optional[str] = None) -> int:
-        """Number of live keys stored, optionally restricted to one namespace."""
-        if namespace is not None:
-            return len(self._namespaces.get(namespace, _NamespaceStore()))
+    def key_count(self) -> int:
+        """Number of live keys stored."""
         return sum(len(store) for store in self._namespaces.values())
 
     @property

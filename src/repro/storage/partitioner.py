@@ -144,15 +144,14 @@ class ConsistentHashPartitioner(Partitioner):
     def groups(self) -> List[str]:
         return list(self._groups)
 
-    def add_group(self, group_id: str, weight: float = 1.0) -> None:
+    def add_group(self, group_id: str) -> None:
+        """Register a group at weight 1.0 (``set_weight`` changes it)."""
         if group_id in self._groups:
             raise PartitionerError(f"group {group_id!r} already registered")
-        if weight <= 0:
-            raise PartitionerError(f"group weight must be positive, got {weight}")
         self._groups.append(group_id)
-        self._weights[group_id] = weight
+        self._weights[group_id] = 1.0
         self._points[group_id] = []
-        self._add_vnodes(group_id, self._target_vnodes(weight))
+        self._add_vnodes(group_id, self._target_vnodes(1.0))
         self._bump_epoch()
 
     def remove_group(self, group_id: str) -> None:

@@ -1,4 +1,4 @@
-"""Record, version, and key-range types shared across the storage substrate.
+"""Key, version, and key-range types shared across the storage substrate.
 
 Keys are tuples of comparable primitives (strings, ints, floats).  Tuple keys
 give us composite index keys for free — e.g. a birthday index entry keyed by
@@ -61,23 +61,6 @@ class VersionedValue:
         return self.writer >= other.writer
 
 
-@dataclass(frozen=True)
-class Record:
-    """A (namespace, key, versioned value) triple — the unit of storage."""
-
-    namespace: str
-    key: Key
-    versioned: VersionedValue
-
-    @property
-    def value(self) -> Any:
-        return self.versioned.value
-
-    @property
-    def timestamp(self) -> float:
-        return self.versioned.timestamp
-
-
 @dataclass(frozen=True, slots=True)
 class KeyRange:
     """A half-open, contiguous range of keys ``[start, end)`` in one namespace.
@@ -99,20 +82,6 @@ class KeyRange:
             return False
         return True
 
-    def overlaps(self, other: "KeyRange") -> bool:
-        """True if the two ranges share any keys (same namespace required)."""
-        if self.namespace != other.namespace:
-            return False
-        if self.end is not None and other.start is not None and self.end <= other.start:
-            return False
-        if other.end is not None and self.start is not None and other.end <= self.start:
-            return False
-        return True
-
-    def is_unbounded(self) -> bool:
-        """True if either end of the range is open."""
-        return self.start is None or self.end is None
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         lo = "-inf" if self.start is None else repr(self.start)
         hi = "+inf" if self.end is None else repr(self.end)
@@ -133,7 +102,7 @@ def prefix_bounds(prefix: Key) -> Tuple[Key, Key]:
     # whose leading components equal `prefix` sorts at or after `prefix` and
     # strictly before the range end formed by replacing the last prefix
     # component with its immediate successor.
-    return prefix, prefix[:-1] + (_successor(prefix[-1]),)
+    return prefix, prefix[:-1] + (key_part_successor(prefix[-1]),)
 
 
 def prefix_range(namespace: str, prefix: Key) -> KeyRange:
@@ -143,17 +112,12 @@ def prefix_range(namespace: str, prefix: Key) -> KeyRange:
 
 
 def key_part_successor(part: KeyPart) -> KeyPart:
-    """Public alias for :func:`_successor`, used by the query executor to turn
-    inclusive upper bounds into exclusive range ends."""
-    return _successor(part)
-
-
-def _successor(part: KeyPart) -> KeyPart:
     """The smallest key part strictly greater than ``part`` itself.
 
     For strings this appends NUL (the immediate next string in lexicographic
     order), so keys whose component merely *starts with* the prefix string
-    (e.g. ``"abcd"`` vs prefix ``"abc"``) are correctly excluded.
+    (e.g. ``"abcd"`` vs prefix ``"abc"``) are correctly excluded.  The query
+    executor uses it to turn inclusive upper bounds into exclusive range ends.
     """
     if isinstance(part, bool):  # pragma: no cover - rejected by validate_key
         raise TypeError("boolean key parts are not supported")

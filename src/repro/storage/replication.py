@@ -2,11 +2,11 @@
 
 Writes are accepted at a replica group's primary and propagated to the other
 replicas asynchronously.  Propagation delay is the sum of a network hop and a
-configurable replication processing delay.  Each completed propagation's lag
-is reported to the registered listeners and kept in a bounded window of the
-most recent completions (plus an all-time maximum), so that the staleness-
-bound experiments (E4) and the read-consistency axis of Figure 4 can measure
-actual replication lag rather than assume it.
+configurable replication processing delay.  Each completed propagation is
+reported to the registered lag listeners, and the engine keeps the all-time
+maximum lag, so that the staleness-bound experiments (E4) and the
+read-consistency axis of Figure 4 can measure actual replication lag rather
+than assume it.
 
 Quorum writes (used to implement the "serializable" end of the write-
 consistency axis and as the Dynamo-style baseline) wait for ``W`` replicas
@@ -15,9 +15,8 @@ synchronously, paying the extra latency up front.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.network import NetworkModel, NetworkPartitionError
 from repro.sim.simulator import Simulator
@@ -44,11 +43,6 @@ class ReplicaGroup:
         return self.node_ids[0]
 
     @property
-    def replicas(self) -> List[str]:
-        """The non-primary members of the group."""
-        return self.node_ids[1:]
-
-    @property
     def replication_factor(self) -> int:
         return len(self.node_ids)
 
@@ -67,8 +61,8 @@ class PropagationRecord:
     """
 
     __slots__ = ("namespace", "key", "write_time", "replica_id", "applied_time",
-                 "_engine", "_value", "_source_id", "_delay_override",
-                 "_retries_left", "_awaiting_retry")
+                 "_engine", "_value", "_source_id", "_retries_left",
+                 "_awaiting_retry")
 
     def __init__(
         self,
@@ -79,7 +73,6 @@ class PropagationRecord:
         write_time: float,
         source_id: str,
         replica_id: str,
-        delay_override: Optional[float],
         retries_left: int,
     ) -> None:
         self.namespace = namespace
@@ -90,7 +83,6 @@ class PropagationRecord:
         self._engine = engine
         self._value = value
         self._source_id = source_id
-        self._delay_override = delay_override
         self._retries_left = retries_left
         self._awaiting_retry = False
 
@@ -128,7 +120,6 @@ class PropagationRecord:
         now = self.applied_time = engine._clock.now
         engine._pending -= 1
         lag = now - self.write_time
-        engine._completed_lags.append(lag)
         if lag > engine._max_lag:
             engine._max_lag = lag
         for listener in engine._lag_listeners:
@@ -144,7 +135,6 @@ class ReplicationEngine:
         nodes: mapping from node id to :class:`StorageNode`.
     """
 
-    COMPLETED_LAG_WINDOW = 10_000
     # How long to wait before retrying a propagation that failed because of
     # a partition or a crashed replica, and how many retries one delivery gets.
     retry_interval = 1.0
@@ -156,11 +146,9 @@ class ReplicationEngine:
         self._clock = simulator.clock
         self._network = network
         self._nodes = nodes
-        # Completed propagations are recorded as bare lag floats in a
-        # bounded recent window (plus an all-time running max): keeping every
-        # PropagationRecord alive forever made long closed-loop runs
+        # Completed propagations keep only an all-time running max: keeping
+        # every PropagationRecord alive forever made long closed-loop runs
         # accumulate millions of gc-tracked objects.
-        self._completed_lags: Deque[float] = deque(maxlen=self.COMPLETED_LAG_WINDOW)
         self._max_lag: float = 0.0
         self._pending: int = 0
         self._lag_listeners: List[Callable[[PropagationRecord], None]] = []
@@ -181,13 +169,8 @@ class ReplicationEngine:
         namespace: str,
         key: Key,
         value: VersionedValue,
-        delay_override: Optional[float] = None,
     ) -> None:
-        """Schedule asynchronous propagation of a primary write to all replicas.
-
-        ``delay_override`` lets the deadline-ordered index updater inject its
-        own scheduling decision (propagate sooner for tight staleness bounds).
-        """
+        """Schedule asynchronous propagation of a primary write to all replicas."""
         node_ids = group.node_ids
         primary_id = node_ids[0]
         now = self._clock.now
@@ -206,7 +189,7 @@ class ReplicationEngine:
             self._pending += 1
             self._schedule_apply(
                 PropagationRecord(self, namespace, key, value, now, primary_id,
-                                  replica_id, delay_override, max_retries),
+                                  replica_id, max_retries),
                 name)
 
     def replicate_to(
@@ -225,7 +208,7 @@ class ReplicationEngine:
         source copies would lose it.
         """
         record = PropagationRecord(self, namespace, key, value, self._clock.now,
-                                   source_id, replica_id, None, self.max_retries)
+                                   source_id, replica_id, self.max_retries)
         self._pending += 1
         self._schedule_apply(record, self._event_name(namespace))
         return record
@@ -243,10 +226,7 @@ class ReplicationEngine:
         except NetworkPartitionError:
             self._schedule_retry(record)
             return
-        delay = record._delay_override
-        if delay is None:
-            delay = hop + PROCESSING_DELAY
-        self._sim.schedule(delay, record, name=name)
+        self._sim.schedule(hop + PROCESSING_DELAY, record, name=name)
 
     def _schedule_retry(self, record: PropagationRecord) -> None:
         """Re-arm ``record`` to re-attempt after the retry interval."""
@@ -311,15 +291,6 @@ class ReplicationEngine:
     def pending_count(self) -> int:
         """Number of propagations scheduled but not yet applied."""
         return self._pending
-
-    def completed_lags(self) -> List[float]:
-        """Lags (seconds) of the most recent completed propagations.
-
-        Bounded to the last ``COMPLETED_LAG_WINDOW`` completions so long runs
-        do not accumulate an unbounded list; ``max_observed_lag`` stays
-        all-time.
-        """
-        return list(self._completed_lags)
 
     def max_observed_lag(self) -> float:
         """The worst completed replication lag so far (0 if none completed)."""

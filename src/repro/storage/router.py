@@ -111,7 +111,6 @@ class Router:
         payload: Any,
         writer: str = "",
         write_quorum: int = 1,
-        propagation_delay_override: Optional[float] = None,
         tombstone: bool = False,
     ) -> RequestResult:
         """Write ``payload`` under ``key``.
@@ -200,8 +199,7 @@ class Router:
                     error=f"only {acks}/{write_quorum} write acks",
                 )
             # Remaining replicas still receive the write lazily.
-        self._replication.propagate(group, namespace, key, versioned,
-                                    propagation_delay_override)
+        self._replication.propagate(group, namespace, key, versioned)
         if migrations:
             self._mirror_to_migration_sources(migrations, group, namespace, key, versioned)
         return RequestResult(success=True, latency=latency, value=versioned,

@@ -9,7 +9,6 @@ from repro.workloads.social_graph import SocialGraph, UserProfile
 from repro.workloads.opmix import CloudStoneMix, Operation, OperationKind
 from repro.workloads.traces import (
     AnimotoViralTrace,
-    CompositeTrace,
     ConstantTrace,
     DiurnalTrace,
     HalloweenSpikeTrace,
@@ -30,6 +29,5 @@ __all__ = [
     "DiurnalTrace",
     "AnimotoViralTrace",
     "HalloweenSpikeTrace",
-    "CompositeTrace",
     "LoadGenerator",
 ]

@@ -125,10 +125,6 @@ class SocialGraph:
     def profile(self, user_id: str) -> UserProfile:
         return self.profiles[user_id]
 
-    def friends_of(self, user_id: str) -> List[str]:
-        """The user's friends, sorted for determinism."""
-        return sorted(self._friends[user_id])
-
     def friend_count(self, user_id: str) -> int:
         return len(self._friends[user_id])
 
@@ -151,21 +147,8 @@ class SocialGraph:
         self._friends[b].add(a)
         return True
 
-    def remove_friendship(self, a: str, b: str) -> bool:
-        """Remove a friendship; returns False if it did not exist."""
-        if b not in self._friends.get(a, set()):
-            return False
-        self._friends[a].discard(b)
-        self._friends[b].discard(a)
-        return True
-
-    def max_degree(self) -> int:
-        """The largest friend count in the graph (always <= max_friends)."""
-        return max((len(f) for f in self._friends.values()), default=0)
-
     def mean_degree(self) -> float:
         """The average friend count."""
         if not self._friends:
             return 0.0
         return float(np.mean([len(f) for f in self._friends.values()]))
-

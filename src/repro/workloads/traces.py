@@ -14,8 +14,8 @@ time t?".  The shapes reproduce the load patterns the paper names:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 
 class LoadTrace:
@@ -24,30 +24,6 @@ class LoadTrace:
     def rate_at(self, time: float) -> float:
         """Aggregate request rate (ops/sec) at simulated time ``time``."""
         raise NotImplementedError
-
-    def peak_rate_over(self, duration: float, resolution: float = 60.0) -> float:
-        """Maximum rate over ``[0, duration]`` sampled every ``resolution`` seconds."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        best = 0.0
-        t = 0.0
-        while t <= duration:
-            best = max(best, self.rate_at(t))
-            t += resolution
-        return best
-
-    def mean_rate_over(self, duration: float, resolution: float = 60.0) -> float:
-        """Mean rate over ``[0, duration]`` sampled every ``resolution`` seconds."""
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        total = 0.0
-        samples = 0
-        t = 0.0
-        while t <= duration:
-            total += self.rate_at(t)
-            samples += 1
-            t += resolution
-        return total / samples if samples else 0.0
 
 
 @dataclass
@@ -227,17 +203,3 @@ class FlashCrowdTrace(LoadTrace):
         # the diurnal curve supplies the ambient rate throughout.
         excess = self._crowd.rate_at(time) - self._crowd.base_rate
         return self._diurnal.rate_at(time) + excess
-
-
-@dataclass
-class CompositeTrace(LoadTrace):
-    """The sum of several traces (e.g. diurnal baseline + event spike)."""
-
-    traces: List[LoadTrace] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.traces:
-            raise ValueError("a composite trace needs at least one component")
-
-    def rate_at(self, time: float) -> float:
-        return sum(trace.rate_at(time) for trace in self.traces)

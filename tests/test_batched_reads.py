@@ -445,7 +445,7 @@ class TestExecutorBatchedDereference:
         engine.start()
         app.post_status("u0", 10_000, "hello-batched-world")
         engine.settle()  # let the async index maintenance apply
-        result = app.statuses_page("u0")
+        result = engine.query("recent_statuses", {"user_id": "u0"}, session_id="u0")
         assert any(r.get("text") == "hello-batched-world" for r in result.rows)
 
 
@@ -474,7 +474,7 @@ class TestEngineDereferenceGlue:
         if warm:
             engine.get("items", ("k1",))  # with a tier: k1 is now cached
         if session is not None:
-            session = engine.open_session("s", session)
+            session = engine.sessions.open("s", session)
         return engine, _QueryReader(engine, session, None)
 
     def _primary_of_the_one_group(self, engine):

@@ -124,7 +124,7 @@ class TestPolicy:
         return ConsistencySpec(read=ReadConsistency(staleness_bound=bound))
 
     def test_ttl_is_bound_minus_headroom_minus_carried_staleness(self):
-        policy = AdmissionPolicy(self.spec(10.0), propagation_headroom=1.0)
+        policy = AdmissionPolicy(self.spec(10.0))  # derived headroom: 1 s
         assert policy.entity_ttl(0.0) == pytest.approx(9.0)
         assert policy.entity_ttl(4.0) == pytest.approx(5.0)
         assert policy.entity_ttl(9.5) == 0.0
@@ -134,12 +134,12 @@ class TestPolicy:
         policy = AdmissionPolicy(self.spec(10.0))
         assert policy.entity_ttl(None) == 0.0
 
-    @pytest.mark.parametrize("headroom", [1.0, 10.0])  # 10.0 leaves no budget
+    # Budgets of 0.9 s and 9 s: the staleness values straddle both.
+    @pytest.mark.parametrize("bound", [1.0, 10.0])
     @pytest.mark.parametrize("known_staleness", [None, -1.0, 0.0, 4.0, 9.0, 9.5, 30.0])
-    def test_the_tier_admits_for_exactly_the_policy_ttl(self, headroom, known_staleness):
+    def test_the_tier_admits_for_exactly_the_policy_ttl(self, bound, known_staleness):
         sim = Simulator(seed=1)
-        tier = CacheTier(CacheConfig(), spec=self.spec(10.0), simulator=sim)
-        tier.policy = AdmissionPolicy(self.spec(10.0), propagation_headroom=headroom)
+        tier = CacheTier(CacheConfig(), spec=self.spec(bound), simulator=sim)
         sim.run_until(3.0)
         ttl = tier.policy.entity_ttl(known_staleness)
         entry = tier.admit_entity("ns", ("k",), "value", known_staleness)
@@ -148,10 +148,6 @@ class TestPolicy:
         else:
             assert (entry.inserted_at, entry.expires_at) == (3.0, 3.0 + ttl)
             assert tier.store.peek(entity_token("ns", ("k",))) is entry
-
-    def test_headroom_swallowing_the_whole_budget_disables_caching(self):
-        policy = AdmissionPolicy(self.spec(1.0), propagation_headroom=1.0)
-        assert not policy.cacheable()
 
     def test_default_headroom_scales_with_the_bound_but_is_capped(self):
         assert AdmissionPolicy(self.spec(10.0)).propagation_headroom == pytest.approx(1.0)
@@ -852,12 +848,3 @@ class TestLookupEntities:
             self.NAMESPACE, [("missing",), ("old",), ("missing",)], None)
         assert (rows, slowest, misses) == ({}, 0.0, [("missing",), ("old",)])
         assert batched_tier.sample_hit_latency() == single_tier.sample_hit_latency()
-
-    def test_uncacheable_spec_misses_everything_without_counting(self):
-        spec = ConsistencySpec(read=ReadConsistency(staleness_bound=1.0))
-        tier = CacheTier(CacheConfig(), spec=spec, simulator=Simulator(seed=1))
-        tier.policy = AdmissionPolicy(spec, propagation_headroom=1.0)
-        rows, slowest, misses = tier.lookup_entities(self.NAMESPACE, self.KEYS, None)
-        assert (rows, slowest) == ({}, 0.0)
-        assert misses == list(dict.fromkeys(self.KEYS))
-        assert tier.store.stats.lookups == 0

@@ -84,7 +84,8 @@ class TestBillingMeter:
         meter = BillingMeter()
         meter.open_lease("i-1", INSTANCE_TYPES["m1.small"], now=0.0)
         assert meter.total_machine_hours(now=1800.0) == pytest.approx(1.0)
-        assert meter.open_lease_count() == 1
+        assert [lease.instance_id for lease in meter.leases()
+                if lease.end is None] == ["i-1"]
 
     def test_duplicate_open_lease_rejected(self):
         meter = BillingMeter()

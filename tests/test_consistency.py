@@ -42,8 +42,10 @@ class TestSpecAxes:
             WriteConsistency(policy=WritePolicy.MERGE)
 
     def test_serializable_requires_quorum(self):
-        assert WriteConsistency(policy=WritePolicy.SERIALIZABLE).requires_quorum
-        assert not WriteConsistency(policy=WritePolicy.LAST_WRITE_WINS).requires_quorum
+        serializable = WriteConsistency(policy=WritePolicy.SERIALIZABLE)
+        last_write_wins = WriteConsistency(policy=WritePolicy.LAST_WRITE_WINS)
+        assert ConflictResolver(serializable).write_quorum() > 1
+        assert ConflictResolver(last_write_wins).write_quorum() == 1
 
     def test_read_consistency_validation(self):
         assert ReadConsistency(600.0).describe().startswith("stale data gone")
@@ -116,8 +118,8 @@ class TestSessions:
         assert manager.open("s1") is session
         session.note_write("ns", ("k",), self._value(2))
         session.acceptable("ns", ("k",), self._value(1))
-        assert manager.total_fallbacks() == 1
-        assert manager.session_count() == 1
+        assert session.stats.ryw_fallbacks + session.stats.monotonic_fallbacks == 1
+        assert len(manager._sessions) == 1  # noqa: SLF001
         assert manager.get("missing") is None
 
 

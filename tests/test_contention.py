@@ -107,7 +107,7 @@ class TestContentionProcess:
         proc = make_process(5)
         proc.force_episode("host-0", start=300.0, duration=120.0,
                            intensity=9.0)
-        assert proc.forced_episodes("host-0") == ((300.0, 420.0, 9.0),)
+        assert proc._forced == {"host-0": [(300.0, 420.0, 9.0)]}  # noqa: SLF001
         for t in range(200):
             at = t * 60.0
             expected = 9.0 if 300.0 <= at < 420.0 else 1.0
@@ -395,7 +395,7 @@ class TestHostDegradationFault:
         assert record.start == 10.0
         assert record.end == 30.0
         assert record in injector.faults()
-        assert engine.contention.forced_episodes("host-0") == ((10.0, 30.0, 5.0),)
+        assert engine.contention._forced == {"host-0": [(10.0, 30.0, 5.0)]}  # noqa: SLF001
 
     def test_requires_an_attached_contention_process(self):
         sim = Simulator(seed=0)
@@ -403,8 +403,7 @@ class TestHostDegradationFault:
         injector = FailureInjector(cluster)
         with pytest.raises(RuntimeError):
             injector.host_degradation(at=0.0, duration=10.0)
-        injector.attach_contention(
-            ContentionProcess(sim, HostMap()))
+        injector = FailureInjector(cluster, contention=ContentionProcess(sim, HostMap()))
         injector.host_degradation(at=0.0, duration=10.0)  # now fine
 
     def test_episode_reaches_colocated_nodes_and_ends(self):

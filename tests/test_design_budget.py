@@ -30,9 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 MAX_ENGINE_KWARGS = 22
-MAX_ENGINE_LINES = 1080
+MAX_ENGINE_LINES = 1069
 MAX_ENGINE_IS_NOT_NONE = 42
-MAX_CLUSTER_LINES = 1008
+MAX_CLUSTER_LINES = 995
 # Data movement is three primitives (see cluster.py's "Data movement"): the
 # scans are _misplaced, _copy_store and the range seeding's token census.
 MAX_CLUSTER_SCANS = 3
@@ -42,21 +42,39 @@ MAX_CONTROLLER_LINES = 596
 MAX_CONTROLLER_KWARGS = 15
 MAX_RUN_CLOSED_LOOP_PARAMETERS = 15
 MAX_MAKE_TARGETS = 15
-MAX_EVENTS_LINES = 86
+MAX_EVENTS_LINES = 70
 # Settable values: the parameters with a default on an explicit ``__init__``
 # of a class under src/repro/, plus the fields with a default on a ``*Config``
-# dataclass.  Each must have a caller outside tests/ (a value only tests set
-# is a constant; a test that needs another value sets the attribute on the
-# object it built) -- except these, each with why it survives:
-MAX_SETTABLE_VALUES = 91
-UNSET_VALUES = {
-    "AdmissionPolicy.propagation_headroom":
-        "derived from the bound by default; only tests pass one, to reach a "
-        "policy with no servable budget, and folding it deletes cacheable() "
-        "and the two tests of that path",
-    "VirtualClock.start":
-        "the simulator's clock starts at 0; only clock tests start one "
-        "mid-run, and folding it deletes two of them",
+# dataclass.
+MAX_SETTABLE_VALUES = 89
+# Nothing in src/ exists only for its tests: every function, method and class
+# is used by code outside tests/, and every defaulted parameter is passed by
+# it (a value only tests set is a constant; a test that needs another value
+# sets the attribute on the object it built) -- except these test seams, each
+# with why it survives.  A seam's parameters are exempt with it.
+MAX_TEST_SEAMS = 8
+TEST_SEAMS = {
+    "ConstantLatency":
+        "the test fake: a service time that consumes no randomness, so kernel, "
+        "queueing and contention tests can assert exact latencies",
+    "Cluster.anti_affinity_violations":
+        "an invariant the tests assert: no replica group stacks members on "
+        "one host, through placement, replacement, evacuation and zone outages",
+    "Partitioner.topology_epoch":
+        "an invariant the tests assert: every topology change invalidates the "
+        "route memo",
+    "AdmissionPolicy.entity_ttl":
+        "the rule a test holds CacheTier.admit_entity to: a fill lives exactly "
+        "the budget left after the staleness it carried",
+    "StalenessBudgetCache.cost_total":
+        "what the cache's LinearScanStore twin is compared on after every step",
+    "FailureInjector.crash_node":
+        "the single-node outage the crash and recovery regressions drive",
+    "NetworkModel.heal":
+        "partitions end by handle in the replication twin and the kernel tests",
+    "Scads.delete":
+        "the engine's delete path with its session: no shipped workload "
+        "deletes, and the read-your-writes regressions for deletes drive it",
 }
 CALLER_DIRECTORIES = ("src", "benchmarks", "scripts", "examples", "perfbench")
 
@@ -185,6 +203,10 @@ def _callee(node):
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _defaults(arguments):
     """``({parameter: dumped default}, positional parameter names)``."""
     positional = arguments.posonlyargs + arguments.args
@@ -195,32 +217,61 @@ def _defaults(arguments):
     return {arg.arg: ast.dump(value) for arg, value in pairs}, [arg.arg for arg in positional]
 
 
+def _owner(function, cls):
+    """Whose parameters a function's are: its class for ``__init__`` (a call
+    names the class), else its own name (a call names the method)."""
+    return cls if function.name == "__init__" and cls else function.name
+
+
+class _Declarations(ast.NodeVisitor):
+    """Every defaulted parameter under src/repro/ (``"owner.name" -> dumped
+    default``) -- of every function and method, plus the defaulted fields of
+    a ``*Config`` dataclass -- and each callee's positional parameter orders.
+
+    A call names its callee by its last name only, so methods that share a
+    name share their parameters' keys (and a call is matched against every
+    order the name has)."""
+
+    def __init__(self):
+        self.defaults, self.order, self.settable = {}, {}, set()
+        self.classes = []
+
+    def visit_ClassDef(self, node):
+        if node.name.endswith("Config") and any(
+                _callee(decorator) == "dataclass" for decorator in node.decorator_list):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+            self.order.setdefault(node.name, []).append([item.target.id for item in fields])
+            for item in fields:
+                if item.value is not None:
+                    key = f"{node.name}.{item.target.id}"
+                    self.defaults[key] = ast.dump(item.value)
+                    self.settable.add(key)
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_FunctionDef(self, node):
+        cls = self.classes[-1] if self.classes else None
+        if node.name == "__init__" or not _dunder(node.name):
+            owner = _owner(node, cls)
+            defaults, positional = _defaults(node.args)
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            self.order.setdefault(owner, []).append(positional)
+            for name, default in defaults.items():
+                self.defaults.setdefault(f"{owner}.{name}", default)
+                if owner == cls:
+                    self.settable.add(f"{owner}.{name}")
+        classes, self.classes = self.classes, []  # a nested def is no method
+        self.generic_visit(node)
+        self.classes = classes
+
+
 def _declarations():
-    """The settable values (``"Class.name" -> default``), the defaults of
-    every module-level function (a default may be relayed through one), and
-    each callee's positional parameter order."""
-    values, relays, order = {}, {}, {}
+    declarations = _Declarations()
     for path in sorted(SRC.rglob("*.py")):
-        tree = _parse(path)
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                defaults, order[node.name] = _defaults(node.args)
-                relays.update((f"{node.name}.{name}", d) for name, d in defaults.items())
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                    defaults, positional = _defaults(item.args)
-                    values.update((f"{node.name}.{name}", d) for name, d in defaults.items())
-                    order[node.name] = positional[1:]
-            if node.name.endswith("Config") and any(
-                    _callee(decorator) == "dataclass" for decorator in node.decorator_list):
-                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
-                order[node.name] = [item.target.id for item in fields]
-                values.update((f"{node.name}.{item.target.id}", ast.dump(item.value))
-                              for item in fields if item.value is not None)
-    return values, relays, order
+        declarations.visit(_parse(path))
+    return declarations
 
 
 class _Setters(ast.NodeVisitor):
@@ -232,9 +283,9 @@ class _Setters(ast.NodeVisitor):
     default on: it sets the callee's value only if the relayed one is set.
     """
 
-    def __init__(self, values, relays, order):
-        self.defaults = {**relays, **values}
-        self.order = order
+    def __init__(self, declarations):
+        self.defaults = declarations.defaults
+        self.order = declarations.order
         self.direct, self.relayed = set(), []
         self.dict_keys, self.starred = set(), set()
         self.scope = []  # (enclosing class, parameter owner, parameter names)
@@ -246,8 +297,7 @@ class _Setters(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node):
         cls = self.scope[-1][0] if self.scope else None
-        owner = cls if node.name == "__init__" and cls else node.name
-        self.scope.append((cls, owner, _defaults(node.args)[0]))
+        self.scope.append((cls, _owner(node, cls), _defaults(node.args)[0]))
         self.generic_visit(node)
         self.scope.pop()
 
@@ -274,10 +324,11 @@ class _Setters(ast.NodeVisitor):
                 self.starred.add(callee)
             else:
                 self._assign(f"{callee}.{keyword.arg}", keyword.value)
-        for parameter, argument in zip(self.order.get(callee, ()), node.args):
-            if isinstance(argument, ast.Starred):
-                break
-            self._assign(f"{callee}.{parameter}", argument)
+        for order in self.order.get(callee, ()):
+            for parameter, argument in zip(order, node.args):
+                if isinstance(argument, ast.Starred):
+                    break
+                self._assign(f"{callee}.{parameter}", argument)
         self.generic_visit(node)
 
     def visit_Dict(self, node):
@@ -286,9 +337,9 @@ class _Setters(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_every_settable_value_has_a_caller():
-    values, relays, order = _declarations()
-    setters = _Setters(values, relays, order)
+def _unset_parameters(declarations):
+    """The declared parameters no code outside tests/ passes."""
+    setters = _Setters(declarations)
     for path in sorted(_sources(*CALLER_DIRECTORIES)):
         setters.visit(_parse(path))
     found = setters.direct | {f"{callee}.{key}" for callee in setters.starred
@@ -300,19 +351,82 @@ def test_every_settable_value_has_a_caller():
             if source in found and target not in found:
                 found.add(target)
                 grew = True
-    unset = sorted(set(values) - found)
-    message = f"settable values no code outside tests/ sets: {unset}"
-    assert len(values) <= MAX_SETTABLE_VALUES, message
-    assert unset == sorted(UNSET_VALUES), message
+    return sorted(set(declarations.defaults) - found)
 
 
-def test_every_definition_is_referenced():
-    # A function, method or class name whose every occurrence is one of its
-    # own definitions is dead code.  Dunder methods are called by Python.
-    defined = Counter(
-        node.name for path in SRC.rglob("*.py") for node in ast.walk(_parse(path))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__")))
-    words = Counter(word for path in _sources("tests", *CALLER_DIRECTORIES)
-                    for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
-    assert sorted(name for name, count in defined.items() if words[name] <= count) == []
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
+
+
+def _references():
+    """Every name code outside tests/ uses: an AST ``Name`` or ``Attribute``,
+    or an identifier-shaped string (``getattr(obj, "name")``) -- not counting
+    an ``__all__`` listing, which exports a name without using it."""
+    words = Counter()
+    for path in _sources(*CALLER_DIRECTORIES):
+        tree = _parse(path)
+        exported = {id(node) for statement in tree.body if isinstance(statement, ast.Assign)
+                    and any(getattr(target, "id", None) == "__all__"
+                            for target in statement.targets)
+                    for node in ast.walk(statement)}
+        for node in ast.walk(tree):
+            if id(node) in exported:
+                continue
+            if isinstance(node, ast.Name):
+                words[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                words[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and _IDENTIFIER.match(node.value):
+                words[node.value] += 1
+    return words
+
+
+def _unreferenced_definitions():
+    """``"Class.name"`` of every function, method and class under src/repro/
+    whose name code outside tests/ never uses (dunders are called by Python)."""
+    words = _references()
+    unreferenced = []
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not _dunder(node.name) and not words[node.name]:
+                    unreferenced.append(prefix + node.name)
+                if isinstance(node, ast.ClassDef):
+                    walk(node.body, f"{prefix}{node.name}.")
+
+    for path in sorted(SRC.rglob("*.py")):
+        walk(_parse(path).body, "")
+    return sorted(unreferenced)
+
+
+def _seam_owners():
+    """The parameter owner (see ``_owner``) of each test seam that is a
+    function or method; a seam's parameters are exempt with it."""
+    return {seam.rsplit(".", 1)[-1] for seam in TEST_SEAMS}
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    unreferenced = _unreferenced_definitions()
+    dead = [name for name in unreferenced if name not in TEST_SEAMS]
+    assert dead == [], f"definitions only tests use: {dead}"
+
+
+def test_every_defaulted_parameter_has_a_caller_outside_tests():
+    declarations = _declarations()
+    unset = _unset_parameters(declarations)
+    owners = _seam_owners()
+    knobs = [key for key in unset if key.split(".", 1)[0] not in owners]
+    assert knobs == [], f"defaulted parameters only tests pass: {knobs}"
+    assert len(declarations.settable) <= MAX_SETTABLE_VALUES
+
+
+def test_every_test_seam_is_one():
+    # A seam that code outside tests/ came to use (or that was deleted) is
+    # no longer an exception; it leaves the list.
+    unreferenced = set(_unreferenced_definitions())
+    unset_owners = {key.split(".", 1)[0] for key in _unset_parameters(_declarations())}
+    assert len(TEST_SEAMS) <= MAX_TEST_SEAMS
+    stale = [seam for seam in TEST_SEAMS
+             if seam not in unreferenced and seam.rsplit(".", 1)[-1] not in unset_owners]
+    assert stale == []

@@ -139,7 +139,7 @@ class TestSessionGuaranteesEndToEnd:
     def test_read_your_writes_served_from_primary_when_replicas_lag(self):
         spec = ConsistencySpec(session=SessionGuarantee(read_your_writes=True))
         engine = simple_engine(consistency=spec, seed=5)
-        engine.open_session("alice")
+        engine.sessions.open("alice")
         engine.put("profiles", {"user_id": "alice", "name": "Alice", "birthday": "03-14"},
                    session_id="alice")
         # No time passes, so replicas have not applied the write yet; the
@@ -248,7 +248,7 @@ class TestFaultTolerance:
         engine.put("profiles", {"user_id": "alice", "name": "Alice", "birthday": "03-14"})
         engine.settle()
         group = list(engine.cluster.groups.values())[0]
-        engine.cluster.nodes[group.replicas[0]].crash()
+        engine.cluster.nodes[group.node_ids[1:][0]].crash()
         successes = sum(engine.get("profiles", ("alice",)).success for _ in range(20))
         assert successes == 20
 

@@ -336,9 +336,10 @@ class TestAsyncIndexUpdater:
         urgent = updater.enqueue(
             EntityWrite("friendships", None, {"f1": "c", "f2": "d"}), staleness_bound=1.0
         )
-        updater.drain_now(max_tasks=1)
+        assert updater._heap[0][2] is urgent  # noqa: SLF001 - the next task drained
+        updater.drain_now()
         assert urgent.completion_time is not None
-        assert relaxed.completion_time is None
+        assert relaxed.completion_time is not None
 
     def test_fifo_mode_processes_in_arrival_order(self):
         registry, adapter, maintainer, sim, updater = self._setup(fifo=True)
@@ -348,9 +349,10 @@ class TestAsyncIndexUpdater:
         second = updater.enqueue(
             EntityWrite("friendships", None, {"f1": "c", "f2": "d"}), staleness_bound=1.0
         )
-        updater.drain_now(max_tasks=1)
+        assert updater._heap[0][2] is first  # noqa: SLF001 - the next task drained
+        updater.drain_now()
         assert first.completion_time is not None
-        assert second.completion_time is None
+        assert second.completion_time is not None
 
     def test_throughput_scales_with_node_count(self):
         slow = self._setup(nodes=1, ups=10.0)

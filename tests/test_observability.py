@@ -92,8 +92,8 @@ def drive(engine: Scads, users: int = 24) -> list:
 class TestTelemetryRegistry:
     def test_counter_gauge_histogram_basics(self):
         telemetry = Telemetry()
-        telemetry.count("a.ops")
-        telemetry.count("a.ops", 4)
+        for _ in range(5):
+            telemetry.count("a.ops")
         telemetry.gauge("peak", 3.0)
         telemetry.gauge("peak", 2.0)  # high-water mark: lower value ignored
         telemetry.observe("lat", 0.1)
@@ -108,8 +108,10 @@ class TestTelemetryRegistry:
 
     def test_merge_semantics(self):
         a, b = Telemetry(), Telemetry()
-        a.count("ops", 2)
-        b.count("ops", 3)
+        for _ in range(2):
+            a.count("ops")
+        for _ in range(3):
+            b.count("ops")
         a.gauge("peak", 1.0)
         b.gauge("peak", 5.0)
         a.observe("lat", 0.1)
@@ -174,7 +176,7 @@ class TestTracer:
         record = tracer.end(latency=0.030)
         assert record.reconciles()
         assert record.kind_totals() == {"service": 0.030}
-        assert record.kind_totals(include_off_path=True) == {"service": 0.040}
+        assert sum(span.duration for span in record.spans) == pytest.approx(0.040)
 
     def test_reconciliation_tolerance(self):
         record = TraceRecord(trace_id=0, op="read", start=0.0, latency=0.1,
@@ -282,8 +284,6 @@ class TestAttribution:
         assert "service 100.0%" in report.describe()
         with pytest.raises(ValueError):
             attribute_windows([], window=0.0)
-        with pytest.raises(ValueError):
-            attribute_windows([], worst_fraction=0.0)
 
     def test_engine_traces_attribute(self):
         engine = traced_engine()

@@ -60,7 +60,7 @@ def poisoned_latency_model(capacity: float = 1000.0) -> LatencyPercentileModel:
     for nodes in (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048):
         # Latency stays far above any plausible SLA no matter the node count.
         model.observe(features_for(5000.0, nodes, capacity), 1.5)
-    assert model.is_trained
+    assert model._model is not None  # noqa: SLF001 - trained
     return model
 
 
@@ -277,19 +277,19 @@ class TestBoundedTraining:
         model.retrain_every = 10 ** 9  # the bound, not the fits, is under test
         for i in range(model.max_training_windows + 88):
             model.observe(features_for(100.0 * (i + 1), 4), 0.02)
-        assert model.training_size() == model.max_training_windows
+        assert len(model._targets) == model.max_training_windows
 
     def test_lag_model_training_window_is_bounded(self):
         model = PropagationLagModel()
         for i in range(model.max_training_windows + 88):
             model.observe(i, per_node_rate=100.0, observed_lag=0.01 * i)
-        assert model.training_size() == model.max_training_windows
+        assert len(model._targets) == model.max_training_windows
 
     def test_lag_model_refits_on_cadence_not_every_observe(self):
         model = PropagationLagModel()
         model.min_training_windows = 4
         for i in range(20):
             model.observe(i, per_node_rate=100.0, observed_lag=0.01 * i)
-        assert model.is_trained
+        assert model._model is not None  # noqa: SLF001 - trained
         # 20 observations at a cadence of 4: at most 5 fits, not 17.
         assert model.fit_count <= 5

@@ -104,7 +104,7 @@ class TestParser:
         assert template.order_by is not None
         assert template.order_by.column.column == "birthday"
         assert template.limit == 20
-        assert template.parameters() == ["user_id"]
+        assert [predicate.value.name for predicate in template.where] == ["user_id"]
 
     def test_select_star_variants(self):
         assert parse_query("SELECT * FROM t WHERE a = <x>").select[0].is_star
@@ -385,7 +385,7 @@ class TestCompiler:
         assert [c.kind for c in plan.prefix] == ["parameter"]
         assert plan.limit == 20
         assert plan.final_entity == "profiles"
-        assert plan.parameter_names() == ["user_id"]
+        assert [c.value for c in plan.prefix if c.kind == "parameter"] == ["user_id"]
 
     def test_descending_plan(self):
         compiled, _ = self._compile(
@@ -399,7 +399,9 @@ class TestCompiler:
         )
         assert compiled.plan.range_bound is not None
         assert compiled.plan.range_bound.op == ">"
-        assert "cursor" in compiled.plan.parameter_names()
+        bound = compiled.plan.range_bound
+        assert "cursor" in {c.value for c in (bound.low, bound.high)
+                            if c is not None and c.kind == "parameter"}
 
     def test_duplicate_query_name_rejected(self):
         compiler = QueryCompiler()

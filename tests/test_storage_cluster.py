@@ -403,7 +403,7 @@ class TestDeliver:
         cluster, value = self._cluster_and_value()
         cluster.sim.run_until(cluster.sim.now + 5.0)
         group = cluster.groups["group-1"]
-        down = cluster.nodes[group.replicas[0]]
+        down = cluster.nodes[group.node_ids[1:][0]]
         down.crash()
         cluster.deliver(group, cluster.groups["group-0"].primary, "moved", ("k",), value)
         assert cluster.replication.pending_count() == 1
@@ -546,7 +546,7 @@ def _apply_movement_op(cluster, router, model, op):
         if cluster._owning_group(node_id).primary != node_id:
             assert cluster.hibernate_node(node_id)
     elif kind == "resume":
-        frozen = sorted(cluster.hibernated_node_ids())
+        frozen = sorted(list(cluster._hibernated))
         if frozen:
             node_id = frozen[op[1] % len(frozen)]
             home = cluster.groups.get(cluster._hibernated[node_id][0])
@@ -574,7 +574,7 @@ def _quiesce(cluster):
     # Primaries catch up before anything is seeded from them again.
     _recover_and_reconcile(
         cluster, [node_id for node_id, node in cluster.nodes.items() if not node.alive])
-    for node_id in cluster.hibernated_node_ids():
+    for node_id in list(cluster._hibernated):
         if cluster.resume_hibernated(node_id) is None:
             cluster.drop_hibernated(node_id)
     cluster.sim.run_until(cluster.sim.now + 150.0)
@@ -666,7 +666,7 @@ class TestRouter:
     def test_quorum_write_fails_when_replicas_unreachable(self):
         cluster, router = self._setup(groups=1, replication=3)
         group = list(cluster.groups.values())[0]
-        for node_id in group.replicas:
+        for node_id in group.node_ids[1:]:
             cluster.nodes[node_id].crash()
         result = router.write("ns", ("k",), {"a": 1}, write_quorum=3)
         assert not result.success
@@ -748,9 +748,10 @@ class TestReplication:
     def test_lag_is_recorded_after_propagation(self):
         cluster = make_cluster(groups=1, replication=3)
         router = Router(cluster)
+        lags = []
+        cluster.replication.add_lag_listener(lambda record: lags.append(record.lag))
         router.write("ns", ("k",), {"a": 1})
         cluster.sim.run_until(5.0)
-        lags = cluster.replication.completed_lags()
         assert len(lags) == 2  # two replicas
         assert all(lag > 0 for lag in lags)
         assert cluster.replication.pending_count() == 0
@@ -765,7 +766,7 @@ class TestReplication:
         cluster = make_cluster(groups=1, replication=2)
         router = Router(cluster)
         group = list(cluster.groups.values())[0]
-        replica = group.replicas[0]
+        replica = group.node_ids[1:][0]
         partition = cluster.network.partition({group.primary}, {replica})
         router.write("ns", ("k",), {"a": 1})
         cluster.sim.run_until(2.0)
@@ -808,7 +809,7 @@ class TestDurabilityModel:
     def test_unreachable_target_raises(self):
         model = DurabilityModel(node_mttf_hours=1.0, re_replication_hours=10.0)
         with pytest.raises(ValueError):
-            model.required_replication_factor(0.9999999999, max_factor=3)
+            model.required_replication_factor(0.9999999999)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -843,7 +844,7 @@ class TestFailureInjector:
     def test_crash_unknown_node_raises(self):
         cluster = make_cluster()
         with pytest.raises(KeyError):
-            FailureInjector(cluster).crash_node("nope", at=1.0)
+            FailureInjector(cluster).crash_node("nope", at=1.0, duration=1.0)
 
     def test_crash_random_nodes_clamped_to_alive_at_fire_time(self):
         # Over-asking is not an error: the fault crashes whatever is alive
@@ -868,30 +869,6 @@ class TestFailureInjector:
             2.0, lambda: late_ids.append(cluster.add_surge_replica(group_id)))
         cluster.sim.run_until(6.0)
         assert late_ids and not cluster.nodes[late_ids[0]].alive
-
-    def test_partition_groups_blocks_replication(self):
-        cluster = make_cluster(groups=2, replication=1)
-        injector = FailureInjector(cluster)
-        groups = list(cluster.groups)
-        injector.partition_groups({groups[0]}, {groups[1]}, at=5.0, duration=10.0,
-                                  isolate_clients_from="b")
-        cluster.sim.run_until(6.0)
-        node_a = cluster.groups[groups[0]].primary
-        node_b = cluster.groups[groups[1]].primary
-        assert not cluster.network.is_reachable(node_a, node_b)
-        assert not cluster.network.is_reachable("client", node_b)
-        cluster.sim.run_until(20.0)
-        assert cluster.network.is_reachable(node_a, node_b)
-
-    def test_congestion_fault_applies_and_clears(self):
-        cluster = make_cluster(groups=1, replication=2)
-        injector = FailureInjector(cluster)
-        injector.congest_link("client", "node-0@group-0", factor=50.0, at=1.0, duration=5.0)
-        cluster.sim.run_until(2.0)
-        congested = np.mean([cluster.network.delay("client", "node-0@group-0") for _ in range(100)])
-        cluster.sim.run_until(10.0)
-        cleared = np.mean([cluster.network.delay("client", "node-0@group-0") for _ in range(100)])
-        assert congested > 5.0 * cleared
 
     def test_fault_records_kept(self):
         cluster = make_cluster(groups=1, replication=2)

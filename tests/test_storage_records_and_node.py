@@ -88,19 +88,7 @@ class TestKeyRange:
     def test_unbounded_contains_everything(self):
         key_range = KeyRange("ns")
         assert key_range.contains(("zzz", 99))
-        assert key_range.is_unbounded()
-
-    def test_overlaps_requires_same_namespace(self):
-        a = KeyRange("ns1", start=("a",), end=("c",))
-        b = KeyRange("ns2", start=("a",), end=("c",))
-        assert not a.overlaps(b)
-
-    def test_overlaps_detects_intersection(self):
-        a = KeyRange("ns", start=("a",), end=("c",))
-        b = KeyRange("ns", start=("b",), end=("d",))
-        c = KeyRange("ns", start=("c",), end=("e",))
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
+        assert key_range.start is None and key_range.end is None
 
     def test_prefix_range_matches_exact_component_only(self):
         key_range = prefix_range("ns", ("user1",))
@@ -153,7 +141,7 @@ class TestSlottedFrozenRecords:
         assert newer != value and dataclasses.replace(newer, version=3) == value
         key_range = KeyRange("ns", ("a",), ("b",))
         wider = dataclasses.replace(key_range, end=None)
-        assert wider == KeyRange("ns", ("a",)) and wider.is_unbounded()
+        assert wider == KeyRange("ns", ("a",)) and wider.end is None
         assert hash(wider) == hash(KeyRange("ns", ("a",)))
         assert len({key_range, KeyRange("ns", ("a",), ("b",)), wider}) == 2
         assert hash(vv(1)) == hash(vv(1))  # hashable payloads hash by value
@@ -199,7 +187,7 @@ class TestStorageNodeBasics:
         node.put("ns", ("a",), vv(1), now=0.0)
         node.put("ns", ("b",), vv(2), now=0.0)
         node.put("ns", ("a",), vv(3), now=0.0)  # overwrite, not a new key
-        assert node.key_count("ns") == 2
+        assert node.key_count() == 2
 
     def test_namespaces_listed(self):
         node = make_node()
@@ -270,7 +258,7 @@ class TestStorageNodeWriteAccounting:
         assert node.put("ns", self.KEY, incoming, now=1.0) > 0.0
         assert self._deltas(node, before) == (new_keys, 1)
         assert node.peek("ns", self.KEY) is incoming
-        assert node.key_count("ns") == 2
+        assert node.key_count() == 2
         assert [key for key, _ in node.scan_namespace("ns")] == [self.KEY, ("other",)]
 
     @pytest.mark.parametrize("present,incoming,applied,new_keys", [
@@ -309,7 +297,7 @@ class TestStorageNodeWriteAccounting:
         assert self._deltas(node, before) == (0, 1)
         assert node.peek("ns", self.KEY) is None
         assert node.peek("ns", self.KEY, include_tombstones=True) is tombstone
-        assert node.key_count("ns") == 2
+        assert node.key_count() == 2
 
     def test_a_down_node_refuses_and_counts_nothing(self):
         node, before = self._node(self.LIVE)

@@ -13,6 +13,11 @@ is moving the session's keys.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cache.tier import CacheConfig, CacheTier
@@ -28,6 +33,8 @@ from repro.parallel.grid import (
     render_verdict_table,
 )
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 pytestmark = pytest.mark.tier1
 
@@ -56,6 +63,21 @@ class TestGridExpansion:
         wanted = [r for r in full if r.params["scenario"] == "regional-failover"]
         assert [(r.run_id, r.seed) for r in only] == \
             [(r.run_id, r.seed) for r in wanted]
+
+    def test_a_scenario_outside_the_corpus_seeds_the_same_in_every_process(self):
+        # Its seed comes from a hash of its name; ``hash()`` of a str is
+        # salted per process, so that hash must be a stable one.
+        code = ("from repro.parallel.grid import build_grid_runs\n"
+                "from repro.parallel.scenarios import smoke_scenario\n"
+                "spec = smoke_scenario().with_overrides(name='renamed-smoke')\n"
+                "print([run.seed for run in build_grid_runs([spec], replicates=2)])\n")
+        seeds = [
+            subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           text=True, env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                                           "PYTHONPATH": str(SRC)}).stdout
+            for hash_seed in ("1", "2")
+        ]
+        assert seeds[0] == seeds[1]
 
     def test_config_cells_pin_both_knobs_explicitly(self):
         runs = build_grid_runs(scenarios=grid_scenarios(names=["cache-tier"]))
@@ -165,7 +187,7 @@ class TestSessionGuaranteesSurviveTheFlip:
     def test_read_your_writes_holds_while_the_written_key_migrates(self):
         spec = ConsistencySpec(session=SessionGuarantee(read_your_writes=True))
         engine = _default_engine(spec, seed=31)
-        engine.open_session("alice")
+        engine.sessions.open("alice")
         engine.put("profiles", {"user_id": "alice", "bio": "v1"},
                    session_id="alice")
         # Live-migrate the partition holding the fresh write to the other
@@ -182,7 +204,7 @@ class TestSessionGuaranteesSurviveTheFlip:
     def test_monotonic_reads_never_regress_during_migration(self):
         spec = ConsistencySpec(session=SessionGuarantee(monotonic_reads=True))
         engine = _default_engine(spec, seed=32)
-        engine.open_session("bob")
+        engine.sessions.open("bob")
         versions = []
         for i in range(4):
             engine.put("profiles", {"user_id": "bob", "bio": f"v{i}"})
