@@ -76,7 +76,7 @@ lint:
 	else \
 		echo "ruff not installed; falling back to compileall"; \
 	fi
-	python -m compileall -q src scripts benchmarks tests perfbench
+	python -m compileall -q src scripts benchmarks tests perfbench examples
 
 # The local mirror of .github/workflows/ci.yml, job by job.
 ci: lint test bench-smoke grid-smoke

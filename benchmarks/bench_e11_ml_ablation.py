@@ -16,9 +16,7 @@ band.
 
 from __future__ import annotations
 
-import math
-
-from repro.core.provisioning.backends import PLANNER_BACKENDS
+from repro.core.provisioning.planner import PLANNER_BACKENDS, hybrid_band
 from repro.experiments.harness import run_closed_loop, smoke_mode, smoke_scaled
 from repro.workloads.traces import AnimotoViralTrace
 
@@ -107,8 +105,7 @@ def test_e11_planner_backend_ablation(benchmark, table_printer):
     for plan in plans:
         assert plan.backend == "hybrid"
         assert plan.analytic_nodes is not None
-        low = max(int(math.floor(plan.analytic_nodes * (1.0 - plan.clamp_band))), 1)
-        high = max(int(math.ceil(plan.analytic_nodes * (1.0 + plan.clamp_band))), 1)
+        low, high = hybrid_band(plan.analytic_nodes)
         assert (min(low, min_nodes)
                 <= plan.latency_required_nodes
                 <= max(high, min_nodes)), plan.describe()

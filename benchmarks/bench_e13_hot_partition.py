@@ -107,8 +107,8 @@ def run_system(repartition: bool, seed: int = 7) -> Scads:
 
 def sla_reattained(engine: Scads) -> bool:
     """Read SLA satisfied in a majority of the final closed windows."""
-    recent = engine.monitor.observations()[-FINAL_WINDOWS:]
-    ok = sum(1 for o in recent if o.sla_reports["read"].satisfied)
+    recent = engine.timeline.decisions[-FINAL_WINDOWS:]
+    ok = sum(1 for d in recent if d.observation.sla_reports["read"].satisfied)
     return ok > len(recent) // 2
 
 

@@ -95,13 +95,13 @@ def test_e16_noisy_neighbor_economics(benchmark, table_printer):
     for label, result in (("placement-aware (diagnose + evacuate)", placement),
                           ("capacity-only ablation", capacity)):
         engine = result.engine
-        monitor = engine.monitor
         rows.append((
             label,
             f"{engine.pool.total_cost():.2f}",
             f"{_recovery_seconds(result, spec):.0f}",
             f"{_violated_fraction(engine, 'read', spec):.2f}",
-            sum(1 for o in monitor.observations() if o.contention_suspected),
+            sum(1 for d in engine.timeline.decisions
+                if d.observation.contention_suspected),
             engine.controller.evacuation_count(),
             engine.controller.scale_up_count(),
             engine.lost_write_count(),
@@ -144,8 +144,8 @@ def test_e16_noisy_neighbor_economics(benchmark, table_printer):
         > placement.engine.controller.scale_up_count()
     assert capacity.engine.controller.evacuation_count() == 0
     # Diagnosis and remediation actually fired on the shipped arm...
-    assert any(o.contention_suspected
-               for o in placement.engine.monitor.observations())
+    assert any(d.observation.contention_suspected
+               for d in placement.engine.timeline.decisions)
     assert placement.engine.controller.evacuation_count() >= 1
     # ... no degraded node ever dropped a write or leaked a stale read ...
     for result in (placement, capacity):

@@ -111,8 +111,7 @@ def main() -> None:
         "trace_count": len(traces),
         "reconciled_traces": sum(1 for t in traces if t.reconciles()),
         "telemetry": summary.telemetry.snapshot() if summary.telemetry else None,
-        "decision_timeline": (summary.decision_timeline.snapshot()
-                              if summary.decision_timeline else None),
+        "decision_timeline": summary.decision_timeline.snapshot(),
         "attribution_windows": attribution_payload(traces, args.window),
         "slowest_traces": [trace_payload(t) for t in slowest],
     }

@@ -316,11 +316,12 @@ class Scads:
             ``"analytical"`` (closed-form M/G/k model), ``"ml"`` (learned
             latency model, the pre-clamp behaviour), or ``"hybrid"``
             (default: analytical backbone, ML admitted as a bounded
-            residual).  See :mod:`repro.core.provisioning.backends`.
+            residual).  See :mod:`repro.core.provisioning.planner`.
         telemetry: attach the observability layer — deterministic span
-            tracing of sampled requests, the counters/gauges/histograms
-            registry, and the provisioning decision timeline
-            (:mod:`repro.obs`).  Every
+            tracing of sampled requests and the counters/gauges/histograms
+            registry (:mod:`repro.obs`).  The provisioning decision
+            timeline (``engine.timeline``) is kept either way: it is the
+            control plane's only record.  Every
             :data:`~repro.obs.tracing.TRACE_SAMPLE_INTERVAL`-th op per stream
             is traced.  Trace sampling is a per-stream modulo, never an RNG
             draw, so a telemetry-on run produces byte-identical operation
@@ -422,13 +423,13 @@ class Scads:
             self.cache = CacheTier(cache_config, spec=self.spec, simulator=self.sim)
         self.telemetry: Optional[Telemetry] = None
         self.tracer: Optional[Tracer] = None
-        self.timeline: Optional[DecisionTimeline] = None
+        # The control plane's decision log (always on; see repro.obs.timeline).
+        self.timeline = DecisionTimeline()
         # Cached registry histogram for the replication hot path.
         self._tel_replication_lag: Optional[PercentileEstimator] = None
         if telemetry:
             self.telemetry = Telemetry()
             self.tracer = Tracer(telemetry=self.telemetry)
-            self.timeline = DecisionTimeline()
             self.router.attach_tracer(self.tracer)
             self._tel_replication_lag = self.telemetry.histogram("replication.lag")
             self.cluster.replication.add_lag_listener(self._on_replication_lag)
@@ -439,8 +440,7 @@ class Scads:
         if spot:
             self.market = SpotMarket(self.sim)
             self.pool.attach_market(self.market)
-            self.spot_fleet = SpotFleetManager(
-                self.sim, self.cluster, self.pool, timeline=self.timeline)
+            self.spot_fleet = SpotFleetManager(self.sim, self.cluster, self.pool, self.timeline)
         # Acknowledged-write audit: (namespace, key) -> the promised version.
         self._write_audit: Optional[Dict[Tuple[str, Any], Any]] = (
             {} if (spot if write_audit is None else write_audit) else None

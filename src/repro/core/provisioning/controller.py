@@ -9,8 +9,8 @@ Every control interval :meth:`ProvisioningController.control_step`
 3. asks the planner for the target node count, and
 4. acts: ``_act`` walks four stages in a fixed order and takes the first
    decision any of them makes.  Every stage is a method
-   ``(plan, observation, groups) -> Optional[ScalingAction]`` that returns
-   ``None`` to pass the window on.
+   ``(plan, observation, groups) -> Optional[ProvisioningDecision]`` that
+   returns ``None`` to pass the window on.
 
 The stages, in order:
 
@@ -57,12 +57,17 @@ When no stage decides, the window is quiet: the rebalancer merges split
 points that went cold and the action is a plain ``hold``.  A stage that
 pre-empts a later one clears that stage's streak, so a streak always counts
 consecutive windows.
+
+Each step is recorded once, as a
+:class:`~repro.obs.timeline.ProvisioningDecision` on the engine's decision
+timeline, holding the step's observation and plan.  ``actions()``,
+``plans()``, ``series()`` and the ``*_count()`` methods are views of that
+log, not records of their own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cloud.pool import InstancePool
@@ -72,26 +77,11 @@ from repro.core.provisioning.planner import CapacityPlan, CapacityPlanner
 from repro.core.consistency.spec import ConsistencySpec, PerformanceSLA
 from repro.metrics.timeseries import TimeSeriesRecorder
 from repro.ml.forecaster import WorkloadForecaster
-from repro.obs.timeline import ProvisioningDecision, SlaVerdict
+from repro.obs.timeline import DecisionTimeline, ProvisioningDecision
 from repro.sim.hosts import QUARANTINE_SECONDS
 from repro.sim.simulator import Simulator
 from repro.storage.cluster import Cluster
 from repro.storage.rebalancer import Rebalancer
-
-
-@dataclass
-class ScalingAction:
-    """One scaling or repartitioning decision, for experiment reporting."""
-
-    time: float
-    # "scale_up", "scale_down", "surge_up", "surge_down", "repartition",
-    # "evacuate", "hold"
-    kind: str
-    groups_before: int
-    groups_after: int
-    target_nodes: int
-    forecast_rate: float
-    reason: str
 
 
 # After this many repartitions in a row the hotspot is not a placement
@@ -123,10 +113,10 @@ class ProvisioningController:
         updater: Optional[AsyncIndexUpdater],
         slas: Dict[str, PerformanceSLA],
         spec: ConsistencySpec,
+        timeline: DecisionTimeline,
         control_interval: float = 60.0,
         predictive: bool = True,
         rebalancer: Optional[Rebalancer] = None,
-        timeline=None,
         spot_fleet=None,
         contention_config=None,
     ) -> None:
@@ -148,12 +138,8 @@ class ProvisioningController:
         self._group_instances: Dict[str, List[str]] = {}
         self._pending_groups = 0
         self._low_demand_windows = 0
-        self._actions: List[ScalingAction] = []
-        self._plans: List[CapacityPlan] = []
-        self._series = TimeSeriesRecorder()
         self._cancel_loop = None
-        # Optional obs.DecisionTimeline: a structured record of every plan
-        # (with its sizing rationale) and every fleet movement.
+        # The decision log: every step's decision and every fleet movement.
         self._timeline = timeline
         # Optional SpotFleetManager: with one attached, a read-dominated
         # capacity deficit is covered by surge read replicas (spot-first,
@@ -174,10 +160,9 @@ class ProvisioningController:
                 count=len(group.node_ids), boot_delay_override=0.0
             )
             self._group_instances[group_id] = [i.instance_id for i in instances]
-            if self._timeline is not None:
-                self._timeline.record_event(
-                    self._sim.now, "attach", len(instances), group_id=group_id,
-                    detail="pre-provisioned group adopted")
+            self._timeline.record_event(
+                self._sim.now, "attach", len(instances), group_id=group_id,
+                detail="pre-provisioned group adopted")
 
     def start(self) -> None:
         """Begin the periodic control loop (idempotent)."""
@@ -193,7 +178,7 @@ class ProvisioningController:
 
     # ------------------------------------------------------------------ the loop
 
-    def control_step(self) -> ScalingAction:
+    def control_step(self) -> ProvisioningDecision:
         """One pass of the feedback loop (observe -> forecast -> plan -> act)."""
         now = self._sim.now
         observation = self._monitor.close_window(now)
@@ -223,15 +208,15 @@ class ProvisioningController:
             # sizes the cluster for the miss traffic only.
             cache_hit_rate=observation.cache_hit_rate,
         )
-        action = self._act(plan, observation)
+        decision = self._act(plan, observation)
         if self._spot_fleet is not None:
             # Housekeeping for the surge fleet: wake hibernated capacity when
             # nodes are still short after acting, retire it when the deficit
             # stays zero long enough that the frozen state has gone stale.
             deficit = plan.target_nodes - self._node_supply()
             self._spot_fleet.tick(max(deficit, 0))
-        self._record(now, observation, plan, action)
-        return action
+        self._timeline.record_decision(decision)
+        return decision
 
     def _node_supply(self) -> int:
         """Nodes serving or already paid for and arriving: attached cluster
@@ -242,35 +227,36 @@ class ProvisioningController:
             supply += self._spot_fleet.pending_surge()
         return supply
 
-    def _act(self, plan: CapacityPlan, observation: WindowObservation) -> ScalingAction:
+    def _act(self, plan: CapacityPlan, observation: WindowObservation) -> ProvisioningDecision:
         groups = self._cluster.group_count()
         for stage in (self._evacuate, self._repartition, self._grow, self._shrink):
-            action = stage(plan, observation, groups)
-            if action is not None:
-                return action
+            decision = stage(plan, observation, groups)
+            if decision is not None:
+                return decision
         if self._rebalancer is not None:
             # Quiet window: free hygiene — merge split points that went cold.
             self._rebalancer.merge_cold_partitions()
-        return self._action("hold", plan, groups)
+        return self._action("hold", plan, observation, groups)
 
-    def _action(self, kind: str, plan: CapacityPlan, groups: int, note: str = "",
-                groups_after: Optional[int] = None,
-                reason: Optional[str] = None) -> ScalingAction:
-        """The one place a decision is written down: ``reason`` defaults to
-        the plan's own, with the stage's ``note`` appended."""
+    def _action(self, kind: str, plan: CapacityPlan, observation: WindowObservation,
+                groups: int, note: str = "", groups_after: Optional[int] = None,
+                reason: Optional[str] = None) -> ProvisioningDecision:
+        """The one place a decision is written down, after acting: ``reason``
+        defaults to the plan's own, with the stage's ``note`` appended."""
         if reason is None:
             reason = f"{plan.reason}; {note}" if note else plan.reason
-        return ScalingAction(
+        return ProvisioningDecision(
             time=self._sim.now, kind=kind, groups_before=groups,
             groups_after=groups if groups_after is None else groups_after,
-            target_nodes=plan.target_nodes, forecast_rate=plan.forecast_rate,
-            reason=reason,
+            reason=reason, node_count=self._cluster.node_count(),
+            group_count=self._cluster.group_count(),
+            observation=observation, plan=plan,
         )
 
     # ------------------------------------------------------- stage 1: evacuate
 
     def _evacuate(self, plan: CapacityPlan, observation: WindowObservation,
-                  groups: int) -> Optional[ScalingAction]:
+                  groups: int) -> Optional[ProvisioningDecision]:
         """Remediate a contention-classified violated window.
 
         Records the diagnosis (with its residual/utilisation evidence, plus
@@ -293,9 +279,7 @@ class ProvisioningController:
                          key=lambda item: item[1], reverse=True)[:3]
             evidence += "; worst-decile spans " + ", ".join(
                 f"{kind} {fraction:.0%}" for kind, fraction in top)
-        if self._timeline is not None:
-            self._timeline.record_event(
-                now, "contention-diagnosis", 0, detail=evidence)
+        self._timeline.record_event(now, "contention-diagnosis", 0, detail=evidence)
         if not self._contention_config.placement_aware:
             return None  # capacity-only ablation: diagnosis only, no action
         if not observation.noisy_host:
@@ -311,15 +295,14 @@ class ProvisioningController:
             observation.noisy_host,
             until=now + QUARANTINE_SECONDS)
         self._consecutive_repartitions = self._low_demand_windows = 0
-        if self._timeline is not None:
-            listed = ", ".join(f"{old}->{new}" for old, new in moves[:4])
-            if len(moves) > 4:
-                listed += f", +{len(moves) - 4} more"
-            self._timeline.record_event(
-                now, "host-evacuate", len(moves),
-                detail=f"{observation.noisy_host}: {listed}")
+        listed = ", ".join(f"{old}->{new}" for old, new in moves[:4])
+        if len(moves) > 4:
+            listed += f", +{len(moves) - 4} more"
+        self._timeline.record_event(
+            now, "host-evacuate", len(moves),
+            detail=f"{observation.noisy_host}: {listed}")
         return self._action(
-            "evacuate", plan, groups,
+            "evacuate", plan, observation, groups,
             reason=f"contention, not capacity — {evidence}; migrated "
                    f"{len(moves)} replicas off {observation.noisy_host} "
                    "instead of renting")
@@ -327,7 +310,7 @@ class ProvisioningController:
     # ---------------------------------------------------- stage 2: repartition
 
     def _repartition(self, plan: CapacityPlan, observation: WindowObservation,
-                     groups: int) -> Optional[ScalingAction]:
+                     groups: int) -> Optional[ProvisioningDecision]:
         """Resolve a hotspot: split/migrate if possible, rent one group if not.
 
         With a rebalancer attached and a group-level imbalance it can act
@@ -350,7 +333,7 @@ class ProvisioningController:
             # A migration's load shift is still settling; acting again now
             # would double-treat the same hotspot.  Hold one window instead
             # (the window breaks neither streak).
-            return self._action("hold", plan, groups,
+            return self._action("hold", plan, observation, groups,
                                 "waiting for migration to settle")
         # Either way the window was violated: it is not a low-demand window.
         self._low_demand_windows = 0
@@ -360,21 +343,21 @@ class ProvisioningController:
         if moved is not None:
             self._consecutive_repartitions += 1
             return self._action(
-                "repartition", plan, groups,
+                "repartition", plan, observation, groups,
                 f"{moved.kind} moved {moved.keys_moved} keys "
                 "instead of renting a group")
         # Placement alone cannot fix this hotspot; rent a single group.
         self._consecutive_repartitions = 0
         if not self._launch_group():
             return None
-        return self._action("scale_up", plan, groups,
+        return self._action("scale_up", plan, observation, groups,
                             "hotspot unresolved by repartitioning",
                             groups_after=groups + self._pending_groups)
 
     # ----------------------------------------------------------- stage 3: grow
 
     def _grow(self, plan: CapacityPlan, observation: WindowObservation,
-              groups: int) -> Optional[ScalingAction]:
+              groups: int) -> Optional[ProvisioningDecision]:
         """Cover a capacity deficit: surge replicas first, then whole groups."""
         replication = self._cluster.replication_factor
         if math.ceil(plan.target_nodes / replication) <= groups + self._pending_groups:
@@ -385,7 +368,7 @@ class ProvisioningController:
             # Groups come in replication-factor multiples, surge nodes do
             # not: per-node supply already covers the target, so renting a
             # whole group would overshoot.
-            return self._action("hold", plan, groups,
+            return self._action("hold", plan, observation, groups,
                                 "surge capacity covers target")
         surge = 0
         if self._spot_fleet is not None \
@@ -394,7 +377,7 @@ class ProvisioningController:
             deficit = plan.target_nodes - self._node_supply()
         bought = f"+{surge} surge read replicas (spot-first)"
         if deficit <= 0:
-            return self._action("surge_up", plan, groups, bought)
+            return self._action("surge_up", plan, observation, groups, bought)
         # Surge is capped per group; whatever deficit the fleet would not
         # absorb needs whole groups, which split the keyspace and add
         # primaries.  Without a fleet every node belongs to a group, so this
@@ -407,18 +390,18 @@ class ProvisioningController:
             launched += 1
         if launched:
             return self._action(
-                "scale_up", plan, groups,
+                "scale_up", plan, observation, groups,
                 f"{bought} alongside group growth" if surge else "",
                 groups_after=groups + self._pending_groups)
         if surge:
-            return self._action("surge_up", plan, groups,
+            return self._action("surge_up", plan, observation, groups,
                                 f"{bought}; pool capped for groups")
-        return self._action("hold", plan, groups, "pool at capacity")
+        return self._action("hold", plan, observation, groups, "pool at capacity")
 
     # --------------------------------------------------------- stage 4: shrink
 
     def _shrink(self, plan: CapacityPlan, observation: WindowObservation,
-                groups: int) -> Optional[ScalingAction]:
+                groups: int) -> Optional[ProvisioningDecision]:
         """Release capacity after sustained low demand: surge, then one group."""
         replication = self._cluster.replication_factor
         surge_surplus = 0
@@ -457,13 +440,13 @@ class ProvisioningController:
             if released:
                 self._low_demand_windows = 0
                 return self._action(
-                    "surge_down", plan, groups,
+                    "surge_down", plan, observation, groups,
                     f"released {released} surge replicas after {windows} "
                     "low windows")
         if shrinkable and self._remove_one_group():
             self._low_demand_windows = 0
             return self._action(
-                "scale_down", plan, groups,
+                "scale_down", plan, observation, groups,
                 f"sustained low demand ({windows} windows)",
                 groups_after=groups - 1)
         return None
@@ -489,15 +472,13 @@ class ProvisioningController:
                 group = self._cluster.add_replica_group()
                 self._group_instances[group.group_id] = list(ready_instances)
                 self._pending_groups -= 1
-                if self._timeline is not None:
-                    self._timeline.record_event(
-                        self._sim.now, "attach", replication,
-                        group_id=group.group_id, detail="group booted and attached")
+                self._timeline.record_event(
+                    self._sim.now, "attach", replication,
+                    group_id=group.group_id, detail="group booted and attached")
 
         self._pool.launch(count=replication, on_ready=on_ready)
-        if self._timeline is not None:
-            self._timeline.record_event(
-                self._sim.now, "rent", replication, detail="replica group requested")
+        self._timeline.record_event(
+            self._sim.now, "rent", replication, detail="replica group requested")
         return True
 
     # --------------------------------------------------------------- scaling down
@@ -512,85 +493,54 @@ class ProvisioningController:
         released = self._group_instances.pop(group_id, [])
         for instance_id in released:
             self._pool.terminate(instance_id)
-        if self._timeline is not None:
-            self._timeline.record_event(
-                self._sim.now, "release", len(released), group_id=group_id,
-                detail="group decommissioned")
+        self._timeline.record_event(
+            self._sim.now, "release", len(released), group_id=group_id,
+            detail="group decommissioned")
         return True
 
     # ---------------------------------------------------------------- reporting
+    # Views of the decision log: nothing below keeps a record of its own.
 
-    def _record(
-        self,
-        now: float,
-        observation: WindowObservation,
-        plan: CapacityPlan,
-        action: ScalingAction,
-    ) -> None:
-        self._actions.append(action)
-        self._plans.append(plan)
-        if self._timeline is not None:
-            self._timeline.record_decision(ProvisioningDecision(
-                time=now,
-                action_kind=action.kind,
-                groups_before=action.groups_before,
-                groups_after=action.groups_after,
-                target_nodes=plan.target_nodes,
-                forecast_rate=plan.forecast_rate,
-                reason=action.reason,
-                backend=plan.backend,
-                sizing_detail=plan.latency_detail,
-                analytic_nodes=plan.analytic_nodes,
-                ml_nodes=plan.ml_nodes,
-                ml_clamped=plan.ml_clamped,
-                clamp_band=plan.clamp_band,
-                latency_infeasible=plan.latency_infeasible,
-                cache_hit_rate=observation.cache_hit_rate,
-                sla_verdicts=[
-                    SlaVerdict(
-                        op=op,
-                        satisfied=report.satisfied,
-                        observed_latency=report.observed_percentile_latency,
-                        target_latency=report.target_latency,
-                        requests=report.request_count,
-                    )
-                    for op, report in sorted(observation.sla_reports.items())
-                ],
-            ))
-        self._series.record("observed_rate", now, observation.request_rate)
-        self._series.record("forecast_rate", now, plan.forecast_rate)
-        self._series.record("target_nodes", now, plan.target_nodes)
-        self._series.record("nodes", now, self._cluster.node_count())
-        self._series.record("groups", now, self._cluster.group_count())
-        self._series.record("pending_maintenance", now, observation.pending_maintenance)
-        self._series.record("cache_hit_rate", now, observation.cache_hit_rate)
-
-    def actions(self) -> List[ScalingAction]:
-        return list(self._actions)
+    def actions(self) -> List[ProvisioningDecision]:
+        return list(self._timeline.decisions)
 
     def plans(self) -> List[CapacityPlan]:
         """Every CapacityPlan emitted, one per control step (for audits:
         E11 asserts each hybrid plan sits inside the clamp band)."""
-        return list(self._plans)
+        return [decision.plan for decision in self._timeline.decisions]
 
     def series(self) -> TimeSeriesRecorder:
         """Time series of everything the controller observed and decided."""
-        return self._series
+        series = TimeSeriesRecorder()
+        for d in self._timeline.decisions:
+            observation, plan = d.observation, d.plan
+            for name, value in (("observed_rate", observation.request_rate),
+                                ("forecast_rate", plan.forecast_rate),
+                                ("target_nodes", plan.target_nodes),
+                                ("nodes", d.node_count),
+                                ("groups", d.group_count),
+                                ("pending_maintenance", observation.pending_maintenance),
+                                ("cache_hit_rate", observation.cache_hit_rate)):
+                series.record(name, d.time, value)
+        return series
+
+    def _count(self, kind: str) -> int:
+        return sum(1 for decision in self._timeline.decisions if decision.kind == kind)
 
     def scale_up_count(self) -> int:
-        return sum(1 for a in self._actions if a.kind == "scale_up")
+        return self._count("scale_up")
 
     def scale_down_count(self) -> int:
-        return sum(1 for a in self._actions if a.kind == "scale_down")
+        return self._count("scale_down")
 
     def surge_up_count(self) -> int:
-        return sum(1 for a in self._actions if a.kind == "surge_up")
+        return self._count("surge_up")
 
     def surge_down_count(self) -> int:
-        return sum(1 for a in self._actions if a.kind == "surge_down")
+        return self._count("surge_down")
 
     def repartition_count(self) -> int:
-        return sum(1 for a in self._actions if a.kind == "repartition")
+        return self._count("repartition")
 
     def evacuation_count(self) -> int:
-        return sum(1 for a in self._actions if a.kind == "evacuate")
+        return self._count("evacuate")

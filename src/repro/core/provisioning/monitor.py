@@ -4,13 +4,15 @@ Every control interval the monitor closes a window: it measures the request
 rate and write fraction, the cluster's load statistics, the pending
 maintenance backlog, and each SLA's attainment over the window, then feeds
 those observations into the ML performance models.  The resulting
-:class:`WindowObservation` is what the planner and controller act on.
+:class:`WindowObservation` is what the planner and controller act on; the
+controller's decision for the window holds it on the decision timeline,
+the only record of past windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.consistency.spec import PerformanceSLA
 from repro.metrics.sla import OpRecorder, SLAReport
@@ -131,7 +133,6 @@ class SLAMonitor:
         # Largest replication lag applied since the previous window close.
         self._window_lag_max = 0.0
         cluster.replication.add_lag_listener(self._on_replication_lag)
-        self._observations: List[WindowObservation] = []
 
     # ------------------------------------------------------------------ windows
 
@@ -199,7 +200,6 @@ class SLAMonitor:
         if self._contention_config is not None:
             self._diagnose(observation)
         self._train(observation)
-        self._observations.append(observation)
         telemetry = self._telemetry
         if telemetry is not None:
             telemetry.count("monitor.windows")
@@ -358,8 +358,3 @@ class SLAMonitor:
             per_node_rate=observation.features.per_node_rate,
             observed_lag=observation.max_propagation_lag,
         )
-
-    # ---------------------------------------------------------------- reporting
-
-    def observations(self) -> List[WindowObservation]:
-        return list(self._observations)

@@ -6,24 +6,39 @@ the declared SLAs, and it returns how many storage nodes the cluster should
 have.  The controller is the piece that turns that number into rent/release
 actions.
 
-The latency requirement is answered by a pluggable backend (see
-:mod:`repro.core.provisioning.backends`): ``analytical`` (closed-form
-M/G/k-style sizing), ``ml`` (the learned latency model inverted by
-bisection), or the default ``hybrid`` in which the ML answer is a bounded
-residual clamped to :data:`~repro.core.provisioning.backends.CLAMP_BAND`
-around the analytical answer.  The utilisation ceiling and staleness headroom
-apply identically under every backend.
+The latency requirement — "how many nodes keep the predicted SLA-percentile
+latency under the target?" — is answered three ways (``backend``), and E11's
+ablation compares them head to head:
+
+* ``analytical`` — the closed-form M/G/k-style model
+  (:class:`~repro.core.provisioning.analytic.AnalyticSizingModel`) alone.
+  Explainable and structurally runaway-proof, but blind to workload
+  pathologies the queueing abstraction cannot see.
+* ``ml`` — the trained :class:`~repro.ml.performance_model
+  .LatencyPercentileModel` inverted by monotone bisection.  Learns the real
+  latency surface (fan-out, mix shifts, maintenance pressure) but can be
+  mistaught — SLA-violation windows once drove it to demand ``max_nodes``.
+* ``hybrid`` (the default) — the analytical answer as the backbone, with
+  the ML answer admitted only as a *bounded residual*: :func:`hybrid_band`
+  keeps it within :data:`CLAMP_BAND` (a fraction, 0.3 = +-30%) of the
+  analytical answer.  Whatever the training windows contained, the plan
+  stays within the band — runaway is structurally impossible.
+
+The :class:`CapacityPlan` is the only record of the answer: it carries both
+raw answers, whether clamping fired, whether the target is infeasible at any
+scale (surfaced in its ``reason`` instead of a silent ``max_nodes`` cap) and
+the binding answer's explanation.  The utilisation ceiling and staleness
+headroom apply identically under every backend.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.consistency.spec import ConsistencySpec, PerformanceSLA
 from repro.core.provisioning.analytic import AnalyticSizingModel
-from repro.core.provisioning.backends import CLAMP_BAND, make_backend
 from repro.ml.performance_model import LatencyPercentileModel, PropagationLagModel
 
 
@@ -58,9 +73,8 @@ class CapacityPlan:
     ml_clamped: bool = False
     clamp_band: float = 0.0
     # The binding latency requirement's explanation — for the analytical and
-    # hybrid backends this is the SizingBreakdown.describe() string, which
-    # used to be computed and then dropped on the floor here.  The decision
-    # timeline (repro.obs.timeline) records it with every plan.
+    # hybrid backends this is the SizingBreakdown.describe() string.  Every
+    # decision on the timeline (repro.obs.timeline) holds its plan.
     latency_detail: str = ""
 
     def describe(self) -> str:
@@ -75,6 +89,21 @@ class CapacityPlan:
 # Extra capacity multiplier applied when the update queue is predicted to
 # endanger the staleness bound.
 STALENESS_SCALE_FACTOR = 1.25
+
+PLANNER_BACKENDS = ("analytical", "ml", "hybrid")
+
+# The hybrid backend's admissible fractional deviation from the analytical
+# answer.
+CLAMP_BAND = 0.3
+
+
+def hybrid_band(analytic_nodes: int) -> Tuple[int, int]:
+    """The inclusive [low, high] node band the hybrid backend clamps the ML
+    answer into: ``[floor(a * (1 - CLAMP_BAND)), ceil(a * (1 + CLAMP_BAND))]``
+    around the analytical answer ``a``, never below 1."""
+    low = max(int(math.floor(analytic_nodes * (1.0 - CLAMP_BAND))), 1)
+    high = max(int(math.ceil(analytic_nodes * (1.0 + CLAMP_BAND))), 1)
+    return low, high
 
 
 class CapacityPlanner:
@@ -131,8 +160,10 @@ class CapacityPlanner:
                 percentile=latency_model.percentile,
             )
         self.sizing_model = sizing_model
-        self.backend_name = backend
-        self._backend = make_backend(backend, sizing_model, latency_model)
+        if backend not in PLANNER_BACKENDS:
+            raise ValueError(f"unknown planner backend {backend!r}; "
+                             f"expected one of {PLANNER_BACKENDS}")
+        self.backend = backend
 
     def plan(
         self,
@@ -170,26 +201,29 @@ class CapacityPlanner:
         if cache_hit_rate > 0.0:
             cluster_write_fraction = min(
                 write_fraction / max(1.0 - cache_hit_rate, 1e-9), 1.0)
-        # Latency requirement: the strictest SLA wins; keep the winning
-        # backend answer so the plan can report the raw analytic/ml split.
-        latency_nodes = self.min_nodes
-        binding = None
-        for sla in slas.values():
-            requirement = self._backend.latency_requirement(
-                cluster_rate=cluster_rate,
-                write_fraction=cluster_write_fraction,
-                target_latency=sla.latency,
-                pending_updates=pending_maintenance,
-                max_nodes=self.max_nodes,
-            )
-            if binding is None or requirement.nodes > binding.nodes:
-                binding = requirement
-            latency_nodes = max(latency_nodes, requirement.nodes)
         # Utilisation requirement: never plan to run nodes hotter than the ceiling.
         utilisation_nodes = max(
             int(math.ceil(cluster_rate / (self.node_capacity_ops * self.target_utilisation))),
             self.min_nodes,
         )
+        plan = CapacityPlan(
+            target_nodes=0,
+            forecast_rate=forecast_rate,
+            latency_required_nodes=0,
+            utilisation_required_nodes=utilisation_nodes,
+            staleness_pressure=False,
+            reason="",
+            cache_absorbed_fraction=cache_hit_rate,
+            backend=self.backend,
+            clamp_band=CLAMP_BAND,
+        )
+        # Latency requirement: the strictest SLA wins and its answer fills
+        # the plan's sizing fields.
+        for sla in slas.values():
+            self._size_latency(plan, cluster_rate, cluster_write_fraction,
+                               sla.latency, pending_maintenance)
+        latency_nodes = plan.latency_required_nodes = max(
+            plan.latency_required_nodes, self.min_nodes)
         target = max(latency_nodes, utilisation_nodes)
         # Staleness pressure: the update queue is (predicted to be) in danger of
         # missing the declared bound, so add headroom for maintenance throughput.
@@ -201,18 +235,19 @@ class CapacityPlanner:
         )
         if staleness_pressure:
             target = int(math.ceil(target * STALENESS_SCALE_FACTOR))
-        target = min(max(target, self.min_nodes), self.max_nodes)
+        plan.target_nodes = min(max(target, self.min_nodes), self.max_nodes)
+        plan.staleness_pressure = staleness_pressure
         if latency_nodes >= utilisation_nodes:
-            reason = f"latency model ({self.backend_name})"
+            reason = f"latency model ({self.backend})"
         else:
             reason = "utilisation ceiling"
-        if binding is not None and binding.infeasible:
+        if plan.latency_infeasible:
             reason += (" [latency target infeasible at any scale — "
                        "holding capacity floor]")
-        if binding is not None and binding.clamped:
-            reason += (f" [ml answer {binding.ml_nodes} clamped to "
+        if plan.ml_clamped:
+            reason += (f" [ml answer {plan.ml_nodes} clamped to "
                        f"±{CLAMP_BAND:.0%} of analytical "
-                       f"{binding.analytic_nodes}]")
+                       f"{plan.analytic_nodes}]")
         if staleness_pressure:
             reason += " + staleness headroom"
         if cache_hit_rate >= 0.01:
@@ -220,26 +255,59 @@ class CapacityPlanner:
         # Hotspot, not overload: the worst node is past the hot threshold while
         # the cluster mean still has headroom, so moving load is likely cheaper
         # than adding capacity.
-        repartition_candidate = (
+        plan.repartition_candidate = (
             max_utilisation >= self.repartition_hot_utilisation
             and mean_utilisation <= self.target_utilisation
         )
-        if repartition_candidate:
+        if plan.repartition_candidate:
             reason += " (hotspot: repartition candidate)"
-        return CapacityPlan(
-            target_nodes=target,
-            forecast_rate=forecast_rate,
-            latency_required_nodes=latency_nodes,
-            utilisation_required_nodes=utilisation_nodes,
-            staleness_pressure=staleness_pressure,
-            reason=reason,
-            repartition_candidate=repartition_candidate,
-            cache_absorbed_fraction=cache_hit_rate,
-            backend=self.backend_name,
-            analytic_nodes=None if binding is None else binding.analytic_nodes,
-            ml_nodes=None if binding is None else binding.ml_nodes,
-            latency_infeasible=False if binding is None else binding.infeasible,
-            ml_clamped=False if binding is None else binding.clamped,
-            clamp_band=CLAMP_BAND,
-            latency_detail="" if binding is None else binding.detail,
-        )
+        plan.reason = reason
+        return plan
+
+    def _size_latency(self, plan: CapacityPlan, cluster_rate: float,
+                      write_fraction: float, target_latency: float,
+                      pending_updates: int) -> None:
+        """Size the fleet for one SLA's latency target with the configured
+        backend; when no earlier SLA needs as many nodes, the answer binds
+        and fills ``plan``'s latency fields."""
+        breakdown = search = None
+        if self.backend != "ml":
+            breakdown = self.sizing_model.required_nodes(
+                arrival_rate=cluster_rate,
+                target_latency=target_latency,
+                max_nodes=self.max_nodes,
+            )
+        if self.backend != "analytical":
+            search = self.latency_model.required_nodes_search(
+                predicted_rate=cluster_rate,
+                write_fraction=write_fraction,
+                target_latency=target_latency,
+                max_nodes=self.max_nodes,
+                pending_updates=pending_updates,
+            )
+        if search is None:
+            nodes, detail = breakdown.nodes, breakdown.describe()
+        elif breakdown is None:
+            nodes = search.nodes
+            detail = (f"ml model: {nodes} nodes" if search.feasible
+                      else f"ml model: no node count meets the target "
+                           f"(holding max_nodes={nodes})")
+        else:
+            low, high = hybrid_band(breakdown.nodes)
+            nodes = min(max(search.nodes, low), min(high, self.max_nodes))
+            detail = breakdown.describe()
+            if nodes != search.nodes:
+                detail += (f"; ml residual {search.nodes} clamped to "
+                           f"[{low}, {high}] (+-{CLAMP_BAND:.0%})")
+            else:
+                detail += f"; ml residual kept {nodes} within [{low}, {high}]"
+        if nodes <= plan.latency_required_nodes:
+            return  # an earlier SLA needs at least as many nodes
+        plan.latency_required_nodes = nodes
+        plan.analytic_nodes = None if breakdown is None else breakdown.nodes
+        plan.ml_nodes = None if search is None else search.nodes
+        plan.latency_infeasible = (not search.feasible if breakdown is None
+                                   else breakdown.infeasible)
+        plan.ml_clamped = (breakdown is not None and search is not None
+                           and nodes != search.nodes)
+        plan.latency_detail = detail

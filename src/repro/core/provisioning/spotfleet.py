@@ -39,6 +39,7 @@ from typing import Dict, List, Optional
 
 from repro.cloud.instances import ON_DEMAND, SPOT, Instance
 from repro.cloud.pool import InstancePool, SpotUnavailableError
+from repro.obs.timeline import DecisionTimeline
 from repro.sim.simulator import Simulator
 from repro.storage.cluster import Cluster
 
@@ -84,7 +85,7 @@ class SpotFleetManager:
         simulator: Simulator,
         cluster: Cluster,
         pool: InstancePool,
-        timeline=None,
+        timeline: DecisionTimeline,
     ) -> None:
         if pool.market is None:
             raise ValueError("SpotFleetManager needs a pool with an attached market")
@@ -161,10 +162,9 @@ class SpotFleetManager:
         if group_id is None:
             return False
         option = SPOT if self._pool.spot_available() else ON_DEMAND
-        if self._timeline is not None:
-            self._timeline.record_event(
-                self._sim.now, "spot-bid", 1, group_id=group_id,
-                detail=self._spot_price_detail())
+        self._timeline.record_event(
+            self._sim.now, "spot-bid", 1, group_id=group_id,
+            detail=self._spot_price_detail())
 
         def on_ready(instance: Instance) -> None:
             if instance.instance_id not in self._surge_nodes:
@@ -183,10 +183,9 @@ class SpotFleetManager:
                 self._surge_group[instance.instance_id] = target
             node_id = self._cluster.add_surge_replica(target)
             self._surge_nodes[instance.instance_id] = node_id
-            if self._timeline is not None:
-                self._timeline.record_event(
-                    self._sim.now, "attach", 1, group_id=target,
-                    detail=f"surge replica {node_id} ({instance.purchase_option})")
+            self._timeline.record_event(
+                self._sim.now, "attach", 1, group_id=target,
+                detail=f"surge replica {node_id} ({instance.purchase_option})")
 
         try:
             launched = self._pool.launch(
@@ -195,7 +194,7 @@ class SpotFleetManager:
             option = ON_DEMAND
             launched = self._pool.launch(
                 count=1, on_ready=on_ready, purchase_option=ON_DEMAND)
-        if option == ON_DEMAND and self._timeline is not None:
+        if option == ON_DEMAND:
             self._timeline.record_event(
                 self._sim.now, "spot-fallback", 1, group_id=group_id,
                 detail=f"spot unavailable; on-demand surge ({self._spot_price_detail()})")
@@ -251,9 +250,8 @@ class SpotFleetManager:
         return released
 
     def _record_release(self, node_id: str, detail: str) -> None:
-        if self._timeline is not None:
-            self._timeline.record_event(
-                self._sim.now, "spot-release", 1, detail=f"{detail}: {node_id}")
+        self._timeline.record_event(
+            self._sim.now, "spot-release", 1, detail=f"{detail}: {node_id}")
 
     # ------------------------------------------------------------- interruption
 
@@ -265,11 +263,10 @@ class SpotFleetManager:
             instance_id=instance_id, node_id=node_id,
             notice_time=self._sim.now, deadline=deadline, reason=reason)
         self._records.append(record)
-        if self._timeline is not None:
-            self._timeline.record_event(
-                self._sim.now, "spot-notice", 1,
-                detail=f"{reason}: {instance_id} ({node_id or 'booting'}), "
-                       f"{deadline - self._sim.now:.0f}s to drain")
+        self._timeline.record_event(
+            self._sim.now, "spot-notice", 1,
+            detail=f"{reason}: {instance_id} ({node_id or 'booting'}), "
+                   f"{deadline - self._sim.now:.0f}s to drain")
         if instance_id not in self._surge_nodes:
             record.outcome = "terminated"
             record.completed_time = self._sim.now
@@ -281,16 +278,14 @@ class SpotFleetManager:
             self._pool.terminate(instance_id)
             record.outcome = "aborted"
             record.completed_time = self._sim.now
-            if self._timeline is not None:
-                self._timeline.record_event(
-                    self._sim.now, "spot-drain", 1,
-                    detail=f"aborted: {instance_id} interrupted while booting")
-            return
-        self._cluster.begin_drain(node_id)
-        if self._timeline is not None:
             self._timeline.record_event(
                 self._sim.now, "spot-drain", 1,
-                detail=f"draining {node_id} (reads rerouted, writes stopped)")
+                detail=f"aborted: {instance_id} interrupted while booting")
+            return
+        self._cluster.begin_drain(node_id)
+        self._timeline.record_event(
+            self._sim.now, "spot-drain", 1,
+            detail=f"draining {node_id} (reads rerouted, writes stopped)")
         # Complete strictly before the deadline, even if the drain window
         # must be squeezed: a drain that cannot finish in time aborts early
         # rather than letting the market force-revoke an attached node.
@@ -328,11 +323,10 @@ class SpotFleetManager:
         self._hibernated[instance_id] = node_id
         record.outcome = "hibernated"
         record.completed_time = self._sim.now
-        if self._timeline is not None:
-            self._timeline.record_event(
-                self._sim.now, "spot-hibernate", 1,
-                detail=f"{node_id} drained and hibernated "
-                       f"({record.deadline - self._sim.now:.0f}s before deadline)")
+        self._timeline.record_event(
+            self._sim.now, "spot-hibernate", 1,
+            detail=f"{node_id} drained and hibernated "
+                   f"({record.deadline - self._sim.now:.0f}s before deadline)")
 
     # -------------------------------------------------------------------- resume
 
@@ -350,10 +344,9 @@ class SpotFleetManager:
             return False
         del self._hibernated[instance_id]
         self._surge_nodes[instance_id] = node_id
-        if self._timeline is not None:
-            self._timeline.record_event(
-                self._sim.now, "spot-resume", 1,
-                detail=f"resuming {node_id} (15s wake, no re-copy)")
+        self._timeline.record_event(
+            self._sim.now, "spot-resume", 1,
+            detail=f"resuming {node_id} (15s wake, no re-copy)")
         return True
 
     def _finish_resume(self, instance_id: str) -> None:
@@ -371,11 +364,10 @@ class SpotFleetManager:
             self._pool.terminate(instance_id)
             self._record_release(node_id, "home group gone at resume")
             return
-        if self._timeline is not None:
-            self._timeline.record_event(
-                self._sim.now, "attach", 1,
-                detail=f"surge replica {node_id} rejoined "
-                       f"({refreshed} keys refreshed, no cold re-copy)")
+        self._timeline.record_event(
+            self._sim.now, "attach", 1,
+            detail=f"surge replica {node_id} rejoined "
+                   f"({refreshed} keys refreshed, no cold re-copy)")
 
     # ---------------------------------------------------------------------- tick
 

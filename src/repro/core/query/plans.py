@@ -121,15 +121,6 @@ class IndexSpec:
     def has_sort(self) -> bool:
         return self.sort_column is not None
 
-    def key_length(self) -> int:
-        """Number of components in a full index key."""
-        return (
-            1
-            + len(self.extra_anchor_columns)
-            + (1 if self.has_sort else 0)
-            + len(self.final_key_fields)
-        )
-
     def entities(self) -> List[str]:
         """Distinct entity names along the path, anchor first."""
         seen: List[str] = []

@@ -217,8 +217,3 @@ class SchemaRegistry:
             raise SchemaError(f"relationship {relationship.name!r} is already registered")
         self._relationships[relationship.name] = relationship
         return relationship
-
-    def relationship(self, name: str) -> Relationship:
-        if name not in self._relationships:
-            raise SchemaError(f"unknown relationship {name!r}")
-        return self._relationships[name]

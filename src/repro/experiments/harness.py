@@ -30,6 +30,7 @@ from repro.core.engine import Scads
 from repro.metrics.cost import CostReport
 from repro.metrics.percentiles import PercentileEstimator
 from repro.metrics.sla import SLAReport
+from repro.obs.timeline import DecisionTimeline
 from repro.storage.failure import FailureInjector
 from repro.workloads.generator import LoadGenerator
 from repro.workloads.opmix import (
@@ -119,6 +120,8 @@ class ClosedLoopSummary:
     operation_counts: Dict[str, int]
     read_latency: Optional[PercentileEstimator]
     write_latency: Optional[PercentileEstimator]
+    # The run's provisioning decision log (always kept; see repro.obs).
+    decision_timeline: DecisionTimeline
     cache_hit_rate: float = 0.0
     # Reads served stale under arbitration (staleness bound unverifiable).
     # The validation grid's staleness check gates on this staying 0 in
@@ -133,7 +136,6 @@ class ClosedLoopSummary:
     # ``telemetry=`` on; all picklable and exactly mergeable, see repro.obs).
     telemetry: Optional[object] = None  # obs.Telemetry
     traces: Optional[list] = None  # List[obs.TraceRecord]
-    decision_timeline: Optional[object] = None  # obs.DecisionTimeline
     # Acknowledged writes no alive owner still held at run end (None when the
     # engine's write audit was off — see Scads ``write_audit``).  The
     # interruption-storm grid scenario gates on this staying 0.

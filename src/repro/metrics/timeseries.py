@@ -7,7 +7,7 @@ percentiles — and print or summarise them the way the paper's figures do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -31,12 +31,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def last(self) -> Tuple[float, float]:
-        """The most recent (time, value) pair."""
-        if not self.times:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return self.times[-1], self.values[-1]
 
     def max(self) -> float:
         if not self.values:
@@ -87,9 +81,6 @@ class TimeSeriesRecorder:
     def get(self, name: str) -> TimeSeries:
         """Return the named series; raises KeyError if it was never recorded."""
         return self._series[name]
-
-    def names(self) -> List[str]:
-        return sorted(self._series.keys())
 
     def __contains__(self, name: str) -> bool:
         return name in self._series

@@ -20,7 +20,7 @@ on a ``retrain_every`` cadence rather than per observation (refitting per
 window is O(n^2) work over a run).
 
 The planner no longer trusts this model unconditionally: in the default
-``hybrid`` backend (see :mod:`repro.core.provisioning.backends`) its answer
+``hybrid`` backend (see :mod:`repro.core.provisioning.planner`) its answer
 is a *bounded residual* clamped to a band around the closed-form analytical
 answer, so mistaught training windows cannot demand capacity without bound.
 """

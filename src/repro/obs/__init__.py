@@ -9,7 +9,7 @@ results are byte-identical at any worker count.
 
 from repro.obs.attribution import WindowAttribution, attribute_windows, format_attribution
 from repro.obs.telemetry import Telemetry
-from repro.obs.timeline import DecisionTimeline, FleetEvent, ProvisioningDecision, SlaVerdict
+from repro.obs.timeline import DecisionTimeline, FleetEvent, ProvisioningDecision
 from repro.obs.tracing import SPAN_KINDS, Span, TraceRecord, Tracer
 
 __all__ = [
@@ -24,5 +24,4 @@ __all__ = [
     "DecisionTimeline",
     "FleetEvent",
     "ProvisioningDecision",
-    "SlaVerdict",
 ]

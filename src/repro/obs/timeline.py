@@ -1,34 +1,29 @@
-"""Structured provisioning decision timeline.
+"""The provisioning decision log.
 
-Every control step the controller emits a :class:`ProvisioningDecision`
-binding together what was observed (SLA window verdicts, cache
-absorption), what the planner concluded (the full sizing rationale,
-including the analytical :class:`SizingBreakdown` description and the
-hybrid clamp-band outcome), and what was done about it (the action kind
-and group delta).  Rent/release/attach fleet movements are logged as
+Every control step the controller writes down exactly one
+:class:`ProvisioningDecision`: it holds the step's
+:class:`~repro.core.provisioning.monitor.WindowObservation` (SLA window
+verdicts, cache absorption) and
+:class:`~repro.core.provisioning.planner.CapacityPlan` (the sizing answer
+and its rationale) by reference, and adds only what the step did about them
+(the action, the group delta, the reason, the fleet size after acting).
+The controller's ``actions()``, ``plans()``, ``series()`` and counts are
+views of this log.  Rent/release/attach fleet movements are logged as
 :class:`FleetEvent` rows as they happen.
 
-This replaces reading ``describe()`` strings out of ad-hoc prints or
-digging through ``controller.plans()`` after the fact: the timeline is a
-first-class, picklable record that merges across sweep workers and dumps
-to JSON via ``scripts/analyze_trace.py``.
+The engine always keeps the log, whatever ``telemetry`` says; it is
+picklable, merges across sweep workers and dumps to JSON via
+``scripts/analyze_trace.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-
-@dataclass(slots=True)
-class SlaVerdict:
-    """One SLA's attainment over one control window."""
-
-    op: str
-    satisfied: bool
-    observed_latency: float
-    target_latency: float
-    requests: int
+if TYPE_CHECKING:
+    from repro.core.provisioning.monitor import WindowObservation
+    from repro.core.provisioning.planner import CapacityPlan
 
 
 @dataclass(slots=True)
@@ -36,42 +31,41 @@ class ProvisioningDecision:
     """One control step: observation -> plan -> action, fully explained."""
 
     time: float
-    action_kind: str  # "scale_up", "scale_down", "repartition", "hold"
+    # "scale_up", "scale_down", "surge_up", "surge_down", "repartition",
+    # "evacuate", "hold"
+    kind: str
     groups_before: int
     groups_after: int
-    target_nodes: int
-    forecast_rate: float
     reason: str
-    backend: str = ""
-    sizing_detail: str = ""  # the analytical SizingBreakdown.describe()
-    analytic_nodes: Optional[int] = None
-    ml_nodes: Optional[int] = None
-    ml_clamped: bool = False
-    clamp_band: float = 0.0
-    latency_infeasible: bool = False
-    cache_hit_rate: float = 0.0
-    sla_verdicts: List[SlaVerdict] = field(default_factory=list)
+    # Storage nodes and replica groups attached to the cluster after acting
+    # (booting groups are in ``groups_after``, not here).
+    node_count: int
+    group_count: int
+    observation: WindowObservation
+    plan: CapacityPlan
 
     def describe(self) -> str:
+        plan = self.plan
         verdicts = " ".join(
-            f"{v.op}:{'ok' if v.satisfied else 'VIOLATED'}"
-            f"({v.observed_latency * 1000:.1f}/{v.target_latency * 1000:.0f}ms)"
-            for v in self.sla_verdicts
+            f"{op}:{'ok' if report.satisfied else 'VIOLATED'}"
+            f"({report.observed_percentile_latency * 1000:.1f}"
+            f"/{report.target_latency * 1000:.0f}ms)"
+            for op, report in sorted(self.observation.sla_reports.items())
         )
         lines = [
-            f"t={self.time:8.1f}s {self.action_kind:<11} "
+            f"t={self.time:8.1f}s {self.kind:<11} "
             f"groups {self.groups_before}->{self.groups_after} "
-            f"target={self.target_nodes} nodes "
-            f"forecast={self.forecast_rate:.0f} ops/s — {self.reason}"
+            f"target={plan.target_nodes} nodes "
+            f"forecast={plan.forecast_rate:.0f} ops/s — {self.reason}"
         ]
         if verdicts:
             lines.append(f"    sla: {verdicts}")
-        if self.sizing_detail:
-            lines.append(f"    sizing: {self.sizing_detail}")
-        if self.ml_clamped:
+        if plan.latency_detail:
+            lines.append(f"    sizing: {plan.latency_detail}")
+        if plan.ml_clamped:
             lines.append(
-                f"    hybrid: ml={self.ml_nodes} clamped to "
-                f"±{self.clamp_band:.0%} of analytic={self.analytic_nodes}"
+                f"    hybrid: ml={plan.ml_nodes} clamped to "
+                f"±{plan.clamp_band:.0%} of analytic={plan.analytic_nodes}"
             )
         return "\n".join(lines)
 
@@ -124,29 +118,29 @@ class DecisionTimeline:
             "decisions": [
                 {
                     "time": d.time,
-                    "action": d.action_kind,
+                    "action": d.kind,
                     "groups_before": d.groups_before,
                     "groups_after": d.groups_after,
-                    "target_nodes": d.target_nodes,
-                    "forecast_rate": d.forecast_rate,
+                    "target_nodes": d.plan.target_nodes,
+                    "forecast_rate": d.plan.forecast_rate,
                     "reason": d.reason,
-                    "backend": d.backend,
-                    "sizing_detail": d.sizing_detail,
-                    "analytic_nodes": d.analytic_nodes,
-                    "ml_nodes": d.ml_nodes,
-                    "ml_clamped": d.ml_clamped,
-                    "clamp_band": d.clamp_band,
-                    "latency_infeasible": d.latency_infeasible,
-                    "cache_hit_rate": d.cache_hit_rate,
+                    "backend": d.plan.backend,
+                    "sizing_detail": d.plan.latency_detail,
+                    "analytic_nodes": d.plan.analytic_nodes,
+                    "ml_nodes": d.plan.ml_nodes,
+                    "ml_clamped": d.plan.ml_clamped,
+                    "clamp_band": d.plan.clamp_band,
+                    "latency_infeasible": d.plan.latency_infeasible,
+                    "cache_hit_rate": d.observation.cache_hit_rate,
                     "sla": [
                         {
-                            "op": v.op,
-                            "satisfied": v.satisfied,
-                            "observed_latency": v.observed_latency,
-                            "target_latency": v.target_latency,
-                            "requests": v.requests,
+                            "op": op,
+                            "satisfied": report.satisfied,
+                            "observed_latency": report.observed_percentile_latency,
+                            "target_latency": report.target_latency,
+                            "requests": report.request_count,
                         }
-                        for v in d.sla_verdicts
+                        for op, report in sorted(d.observation.sla_reports.items())
                     ],
                 }
                 for d in self.decisions

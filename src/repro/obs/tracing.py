@@ -215,10 +215,6 @@ class Tracer:
                     telemetry.observe(f"span.{span.kind}", span.duration)
         return record
 
-    def discard(self) -> None:
-        """Drop the open trace without recording it."""
-        self._current_spans = None
-
     # -------------------------------------------------------------- reporting
 
     def slowest(self, n: int = 3) -> List[TraceRecord]:

@@ -125,15 +125,10 @@ def merge_traces(trace_lists: List[Optional[list]]) -> Optional[list]:
     return merged
 
 
-def merge_timelines(
-    timelines: List[Optional[DecisionTimeline]],
-) -> Optional[DecisionTimeline]:
+def merge_timelines(timelines: List[DecisionTimeline]) -> DecisionTimeline:
     """Concatenate per-run decision timelines in run-index order."""
-    present = [t for t in timelines if t is not None]
-    if not present:
-        return None
     merged = DecisionTimeline()
-    for timeline in present:
+    for timeline in timelines:
         merged.merge(timeline)
     return merged
 
@@ -153,10 +148,11 @@ class MergedCellReport:
     cost: CostReport
     read_latency: Optional[PercentileEstimator]
     write_latency: Optional[PercentileEstimator]
+    # Every replicate's decision log, concatenated in run order.
+    decision_timeline: DecisionTimeline
     # Observability aggregates (None unless the cell's runs carried them).
     telemetry: Optional[Telemetry] = None
     traces: Optional[list] = None
-    decision_timeline: Optional[DecisionTimeline] = None
 
     def summary(self) -> Dict[str, object]:
         """Flat dictionary for the sweep runner's printed table."""
@@ -213,10 +209,6 @@ class SweepResult:
     records: List[RunRecord] = field(default_factory=list)
     wall_seconds: float = 0.0
     workers: int = 1
-
-    @property
-    def successes(self) -> List[RunSuccess]:
-        return [r for r in self.records if r.ok]
 
     @property
     def failures(self) -> List[RunFailure]:

@@ -38,7 +38,7 @@ MAX_CLUSTER_LINES = 995
 MAX_CLUSTER_SCANS = 3
 MAX_STORAGE_KWARGS = {Cluster: 6, StorageNode: 3, ReplicationEngine: 3}
 MAX_ACT_LINES = 10
-MAX_CONTROLLER_LINES = 596
+MAX_CONTROLLER_LINES = 546
 MAX_CONTROLLER_KWARGS = 15
 MAX_RUN_CLOSED_LOOP_PARAMETERS = 15
 MAX_MAKE_TARGETS = 15
@@ -46,7 +46,7 @@ MAX_EVENTS_LINES = 70
 # Settable values: the parameters with a default on an explicit ``__init__``
 # of a class under src/repro/, plus the fields with a default on a ``*Config``
 # dataclass.
-MAX_SETTABLE_VALUES = 89
+MAX_SETTABLE_VALUES = 87
 # Nothing in src/ exists only for its tests: every function, method and class
 # is used by code outside tests/, and every defaulted parameter is passed by
 # it (a value only tests set is a constant; a test that needs another value
@@ -150,9 +150,16 @@ def test_controller_constructor_takes_no_new_knob():
 
 
 def test_scaling_actions_are_constructed_in_one_place():
-    constructions = sum(path.read_text(encoding="utf-8").count("ScalingAction(")
-                        for path in SRC.rglob("*.py"))
-    assert constructions == 1
+    # One decision log: a control step is written down once, by the
+    # controller's _action, and the sizing answer lives only in the plan.
+    sources = {path: path.read_text(encoding="utf-8") for path in SRC.rglob("*.py")}
+    assert sum(text.count("ProvisioningDecision(") for text in sources.values()) == 1
+    for retired in ("ScalingAction", "LatencyRequirement", "make_backend", "SlaVerdict"):
+        assert not any(retired in text for text in sources.values()), retired
+    # ... and it is always kept: the control plane has no off path.
+    for path, text in sources.items():
+        if SRC / "core" in path.parents:
+            assert not re.search(r"timeline is (not )?None", text), path
 
 
 def _sources(*directories):
@@ -358,10 +365,11 @@ _IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
 
 
 def _references():
-    """Every name code outside tests/ uses: an AST ``Name`` or ``Attribute``,
-    or an identifier-shaped string (``getattr(obj, "name")``) -- not counting
-    an ``__all__`` listing, which exports a name without using it."""
-    words = Counter()
+    """Every name code outside tests/ uses, as ``(names, attributes)``: each
+    AST ``Name``, and each ``Attribute`` or identifier-shaped string
+    (``getattr(obj, "name")``) -- not counting an ``__all__`` listing, which
+    exports a name without using it."""
+    names, attributes = Counter(), Counter()
     for path in _sources(*CALLER_DIRECTORIES):
         tree = _parse(path)
         exported = {id(node) for statement in tree.body if isinstance(statement, ast.Assign)
@@ -372,25 +380,29 @@ def _references():
             if id(node) in exported:
                 continue
             if isinstance(node, ast.Name):
-                words[node.id] += 1
+                names[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                words[node.attr] += 1
+                attributes[node.attr] += 1
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                     and _IDENTIFIER.match(node.value):
-                words[node.value] += 1
-    return words
+                attributes[node.value] += 1
+    return names, attributes
 
 
 def _unreferenced_definitions():
     """``"Class.name"`` of every function, method and class under src/repro/
-    whose name code outside tests/ never uses (dunders are called by Python)."""
-    words = _references()
+    whose name code outside tests/ never uses (dunders are called by Python).
+    A method (a ``def`` directly in a class) is used only through an
+    attribute or a string: a local variable of the same name is no call."""
+    names, attributes = _references()
     unreferenced = []
 
     def walk(body, prefix):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not _dunder(node.name) and not words[node.name]:
+                method = prefix and not isinstance(node, ast.ClassDef)
+                used = attributes[node.name] or (not method and names[node.name])
+                if not _dunder(node.name) and not used:
                     unreferenced.append(prefix + node.name)
                 if isinstance(node, ast.ClassDef):
                     walk(node.body, f"{prefix}{node.name}.")

@@ -275,7 +275,7 @@ class TestTimeSeries:
         series = TimeSeries(name="x")
         series.append(0.0, 1.0)
         series.append(1.0, 2.0)
-        assert series.last() == (1.0, 2.0)
+        assert (series.times[-1], series.values[-1]) == (1.0, 2.0)
         assert len(series) == 2
 
     def test_rejects_decreasing_timestamps(self):
@@ -316,7 +316,7 @@ class TestTimeSeries:
 
     def test_empty_series_raises(self):
         with pytest.raises(ValueError):
-            TimeSeries(name="x").last()
+            TimeSeries(name="x").max()
 
 
 class TestTimeSeriesRecorder:
@@ -324,9 +324,8 @@ class TestTimeSeriesRecorder:
         recorder = TimeSeriesRecorder()
         recorder.record("nodes", 0.0, 5.0)
         recorder.record("nodes", 1.0, 6.0)
-        assert recorder.get("nodes").last() == (1.0, 6.0)
-        assert "nodes" in recorder
-        assert recorder.names() == ["nodes"]
+        assert recorder.get("nodes").values == [5.0, 6.0]
+        assert "nodes" in recorder and "groups" not in recorder
 
     def test_get_unknown_raises(self):
         with pytest.raises(KeyError):

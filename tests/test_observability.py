@@ -26,7 +26,6 @@ from repro.obs import (
     SPAN_KINDS,
     DecisionTimeline,
     ProvisioningDecision,
-    SlaVerdict,
     Span,
     Telemetry,
     TraceRecord,
@@ -34,6 +33,8 @@ from repro.obs import (
     attribute_windows,
     format_attribution,
 )
+from repro.parallel.executor import run_scenario
+from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
 
 pytestmark = pytest.mark.tier1
 
@@ -233,7 +234,8 @@ class TestEngineTracing:
         engine = traced_engine(telemetry=False)
         drive(engine, users=4)
         assert engine.telemetry is None and engine.tracer is None
-        assert engine.timeline is None
+        # The decision log is the control plane's record, not telemetry.
+        assert engine.timeline is not None
         assert engine.traces() == []
         assert engine.collect_telemetry() is None
 
@@ -305,11 +307,13 @@ class TestDecisionTimeline:
         timeline = engine.timeline
         assert timeline.decisions
         decision = timeline.decisions[0]
-        assert decision.action_kind in {"scale_up", "scale_down",
-                                        "repartition", "hold"}
-        assert decision.backend
-        assert decision.sizing_detail  # the SizingBreakdown explanation
-        assert any(v.op == "read" for v in decision.sla_verdicts)
+        assert decision.kind in {"scale_up", "scale_down", "repartition", "hold"}
+        assert decision.plan.backend
+        assert decision.plan.latency_detail  # the SizingBreakdown explanation
+        assert "read" in decision.observation.sla_reports
+        # The decision holds the step's records; the controller's views read them.
+        assert engine.controller.plans()[0] is decision.plan
+        assert engine.controller.actions() == timeline.decisions
         assert timeline.events  # adopted groups at minimum
         assert {e.kind for e in timeline.events} <= {"rent", "release", "attach"}
         json.dumps(timeline.snapshot())
@@ -319,14 +323,33 @@ class TestDecisionTimeline:
         a, b = DecisionTimeline(), DecisionTimeline()
         a.record_event(1.0, "rent", 3)
         b.record_event(2.0, "release", 3, group_id="g0")
+        engine = traced_engine(autoscale=True, control_interval=10.0)
+        drive(engine)
+        decision = engine.timeline.decisions[0]
         b.record_decision(ProvisioningDecision(
-            time=2.0, action_kind="hold", groups_before=1, groups_after=1,
-            target_nodes=2, forecast_rate=10.0, reason="test",
-            sla_verdicts=[SlaVerdict("read", True, 0.01, 0.15, 5)],
+            time=2.0, kind="hold", groups_before=1, groups_after=1,
+            reason="test", node_count=3, group_count=1,
+            observation=decision.observation, plan=decision.plan,
         ))
         a.merge(b)
         assert [e.kind for e in a.events] == ["rent", "release"]
         assert len(a.decisions) == 1
+        assert a.snapshot()["decisions"][0]["sla"]
+
+
+@pytest.mark.parametrize("name", ["noisy-neighbor-episode", "spot-interruption-storm"])
+def test_telemetry_never_changes_a_decision(name):
+    # The tracer feeds contention evidence to the monitor and the spot fleet
+    # logs its moves on the same timeline; with telemetry on or off, the
+    # decision log of a seeded run is the same, byte for byte.
+    spec = smoke_variant(next(s for s in STANDARD_SUITE if s.name == name))
+    logs = [
+        json.dumps(run_scenario(spec.with_overrides(**{"engine_knobs.telemetry": telemetry}),
+                                seed=11).engine.timeline.snapshot(), sort_keys=True)
+        for telemetry in (True, False)
+    ]
+    assert '"decisions": [{' in logs[0]
+    assert logs[0] == logs[1]
 
 
 # ------------------------------------------------------------------ pickling

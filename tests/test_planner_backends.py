@@ -1,4 +1,5 @@
-"""Tests for the pluggable planner backends and the runaway regression.
+"""Tests for the planner's three latency-sizing backends and the runaway
+regression.
 
 The headline regression: adversarial training windows ("more nodes, same
 bad latency") used to teach the ML latency model that capacity never helps,
@@ -22,12 +23,11 @@ from repro.core.provisioning.analytic import (
     SizingBreakdown,
     normal_quantile,
 )
-from repro.core.provisioning.backends import (
+from repro.core.provisioning.planner import (
     PLANNER_BACKENDS,
-    HybridBackend,
-    make_backend,
+    CapacityPlanner,
+    hybrid_band,
 )
-from repro.core.provisioning.planner import CapacityPlanner
 from repro.ml.features import WorkloadFeatures
 from repro.ml.performance_model import (
     LatencyPercentileModel,
@@ -87,6 +87,7 @@ class TestRunawayRegression:
             arrival_rate=5000.0, target_latency=SLAS["read"].latency).nodes
         low = max(int(math.floor(analytic * 0.7)), 1)
         high = max(int(math.ceil(analytic * 1.3)), 1)
+        assert hybrid_band(analytic) == (low, high)
         assert plan.analytic_nodes == analytic
         assert low <= plan.latency_required_nodes <= max(high, planner.min_nodes)
         assert plan.ml_clamped
@@ -115,42 +116,39 @@ class TestRunawayRegression:
         assert plan.target_nodes < 100
 
 
+def planner_for(kind: str, max_nodes: int = 500) -> CapacityPlanner:
+    return CapacityPlanner(
+        LatencyPercentileModel(node_capacity_ops=1000.0, percentile=99.0),
+        PropagationLagModel(), node_capacity_ops=1000.0, min_nodes=1,
+        max_nodes=max_nodes, backend=kind,
+        sizing_model=AnalyticSizingModel(node_capacity_ops=1000.0, percentile=99.0))
+
+
 class TestPlannerBackends:
     def test_three_backends_constructible(self):
-        sizing = AnalyticSizingModel(node_capacity_ops=1000.0)
-        latency = LatencyPercentileModel(node_capacity_ops=1000.0)
         for kind in PLANNER_BACKENDS:
-            backend = make_backend(kind, sizing, latency)
-            assert backend.name == kind
+            plan = planner_for(kind).plan(5000.0, 0.1, SLAS, SPEC)
+            assert plan.backend == kind
+            # A backend consults exactly the models its name says.
+            assert (plan.analytic_nodes is None) == (kind == "ml")
+            assert (plan.ml_nodes is None) == (kind == "analytical")
+            assert plan.latency_detail
 
     def test_unknown_backend_rejected(self):
-        sizing = AnalyticSizingModel(node_capacity_ops=1000.0)
-        latency = LatencyPercentileModel(node_capacity_ops=1000.0)
         with pytest.raises(ValueError):
-            make_backend("oracle", sizing, latency)
-        with pytest.raises(ValueError):
-            CapacityPlanner(latency, PropagationLagModel(),
-                            node_capacity_ops=1000.0, backend="oracle")
+            planner_for("oracle")
 
     def test_untrained_backends_roughly_agree(self):
         """Before training, the ML prior and the analytical model describe
         the same simulator, so their answers should be close."""
-        sizing = AnalyticSizingModel(node_capacity_ops=1000.0, percentile=99.0)
-        latency = LatencyPercentileModel(node_capacity_ops=1000.0, percentile=99.0)
-        answers = {}
-        for kind in PLANNER_BACKENDS:
-            backend = make_backend(kind, sizing, latency)
-            answers[kind] = backend.latency_requirement(
-                cluster_rate=5000.0, write_fraction=0.1,
-                target_latency=0.1, pending_updates=0, max_nodes=500).nodes
+        answers = {kind: planner_for(kind).plan(5000.0, 0.1, SLAS, SPEC)
+                   .latency_required_nodes for kind in PLANNER_BACKENDS}
         assert abs(answers["analytical"] - answers["ml"]) <= 3
-        low, high = HybridBackend(sizing, latency).band(answers["analytical"])
+        low, high = hybrid_band(answers["analytical"])
         assert low <= answers["hybrid"] <= high
 
     def test_hybrid_band_never_below_one_node(self):
-        sizing = AnalyticSizingModel(node_capacity_ops=1000.0)
-        latency = LatencyPercentileModel(node_capacity_ops=1000.0)
-        low, high = HybridBackend(sizing, latency).band(1)
+        low, high = hybrid_band(1)
         assert low >= 1 and high >= 1
 
 

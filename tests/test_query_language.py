@@ -328,7 +328,9 @@ class TestCompiler:
         assert spec.final_entity == "profiles"
         assert spec.sort_column == "birthday"
         assert spec.sort_owner == "final"
-        assert spec.key_length() == 3  # (user_id, birthday, friend_user_id)
+        # Key (user_id, birthday, friend_user_id): anchor, sort, final key.
+        assert spec.extra_anchor_columns == [] and spec.has_sort
+        assert len(spec.final_key_fields) == 1
         assert spec.namespace == "index:idx_friend_birthdays"
 
     def test_birthday_maintenance_rules_match_figure_3(self):

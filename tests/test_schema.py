@@ -137,14 +137,17 @@ class TestSchemaRegistry:
     def test_relationship_round_trip(self):
         registry = SchemaRegistry()
         registry.register_entity(profiles_schema())
-        registry.register_relationship(Relationship("knows", "profiles", "profiles", 50))
-        assert registry.relationship("knows").max_cardinality == 50
+        knows = registry.register_relationship(Relationship("knows", "profiles", "profiles", 50))
+        assert knows.max_cardinality == 50
+        with pytest.raises(SchemaError):  # registered once
+            registry.register_relationship(knows)
 
     def test_unbounded_relationship_flagged(self):
         registry = SchemaRegistry()
         registry.register_entity(profiles_schema())
-        registry.register_relationship(Relationship("follows", "profiles", "profiles", None))
-        assert registry.relationship("follows").max_cardinality is None
+        follows = registry.register_relationship(
+            Relationship("follows", "profiles", "profiles", None))
+        assert follows.max_cardinality is None
 
     def test_cardinality_bound_passthrough(self):
         registry = SchemaRegistry()

@@ -18,6 +18,7 @@ from repro.cloud.instances import ON_DEMAND, SPOT, InstanceState, InstanceType
 from repro.cloud.market import NOTICE_SECONDS, SPOT_BILLING_INCREMENT, SpotMarket
 from repro.cloud.pool import InstancePool, SpotUnavailableError
 from repro.core.provisioning.spotfleet import SpotFleetManager
+from repro.obs.timeline import DecisionTimeline
 from repro.parallel.executor import run_sweep
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
 from repro.parallel.spec import SweepGrid
@@ -53,7 +54,7 @@ def make_fleet(seed=0, groups=1, replication=2):
     cluster = Cluster(simulator=sim, replication_factor=replication,
                       initial_groups=groups)
     pool = make_pool(sim)
-    fleet = SpotFleetManager(sim, cluster, pool)
+    fleet = SpotFleetManager(sim, cluster, pool, DecisionTimeline())
     return sim, cluster, pool, fleet
 
 

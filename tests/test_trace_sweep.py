@@ -49,7 +49,7 @@ class TestSweepObservability:
     def test_summaries_carry_observability_payloads(self):
         result = run_sweep(traced_grid(replicates=1), workers=1)
         assert not result.failures
-        summary = result.successes[0].summary
+        summary = result.records[0].summary
         assert summary.telemetry is not None
         assert summary.traces and all(t.reconciles() for t in summary.traces)
         assert summary.decision_timeline is not None
@@ -74,7 +74,8 @@ class TestSweepObservability:
 
     def test_merged_telemetry_equals_per_run_sums(self):
         result = run_sweep(traced_grid(), workers=1)
-        summaries = [record.summary for record in result.successes]
+        assert not result.failures
+        summaries = [record.summary for record in result.records]
         merged = merge_telemetry([s.telemetry for s in summaries])
         for name in ("engine.read.ops", "engine.write.ops", "router.read"):
             assert merged.counters[name] == sum(
@@ -92,7 +93,7 @@ class TestSweepObservability:
     def test_merge_helpers_absent_payloads(self):
         assert merge_telemetry([None, None]) is None
         assert merge_traces([None]) is None
-        assert merge_timelines([]) is None
+        assert merge_timelines([]).snapshot() == {"decisions": [], "events": []}
 
     def test_untraced_sweep_merges_to_none(self):
         grid = traced_grid(replicates=1)
@@ -102,4 +103,5 @@ class TestSweepObservability:
         report = result.cell_reports()[0]
         assert report.telemetry is None
         assert report.traces is None
-        assert report.decision_timeline is None
+        # The decision log is kept without telemetry: it is not a payload.
+        assert report.decision_timeline.decisions
