@@ -8,12 +8,13 @@
 #   make bench-smoke - every benchmark (or BENCH=<name>) in fast smoke mode
 #                      (BENCH_SMOKE=1: shortened workloads, relative-economics
 #                      assertions skipped) — a cheap crash/regression sweep
-#   make sweep       - the standard scenario suite across all cores via the
-#                      parallel experiment fabric (see PERFORMANCE.md)
 #   make grid        - the default-on validation grid: scenario corpus x
 #                      {baseline, repartition, cache, both} cells with paired
 #                      seeds, gated by the pass/fail verdict table (exits
-#                      non-zero on any gate; see PERFORMANCE.md)
+#                      non-zero on any gate; see PERFORMANCE.md); its `both`
+#                      column is the scenario corpus as shipped, across all
+#                      cores (`python scripts/run_grid.py --only NAME...`
+#                      runs a subset with the same seeds)
 #   make grid-smoke  - the grid's seconds-long smoke tier (what CI gates on;
 #                      economics/dominance gate skipped, SLA + consistency
 #                      gates kept)
@@ -38,7 +39,7 @@
 
 PYTEST := python -m pytest
 
-.PHONY: test test-all property bench bench-smoke sweep grid grid-smoke lint ci \
+.PHONY: test test-all property bench bench-smoke grid grid-smoke lint ci \
 	trace-demo perfbench perfbench-traced perfbench-compare perfbench-pairs
 
 test:
@@ -58,9 +59,6 @@ bench:
 
 bench-smoke:
 	BENCH_SMOKE=1 $(PYTEST) benchmarks/bench_$(BENCH).py -q -s
-
-sweep:
-	python scripts/run_sweep.py --suite standard --workers auto
 
 grid:
 	python scripts/run_grid.py --workers auto

@@ -18,21 +18,23 @@ from __future__ import annotations
 
 from repro.core.provisioning.planner import PLANNER_BACKENDS, hybrid_band
 from repro.experiments.harness import run_closed_loop, smoke_mode, smoke_scaled
-from repro.workloads.traces import AnimotoViralTrace
+from repro.parallel.spec import ScenarioSpec, TraceSpec
 
 _SCALE = smoke_scaled(1.0, 0.1)  # BENCH_SMOKE compresses the whole timeline
-TRACE = AnimotoViralTrace(start_rate=15.0, peak_multiplier=14.0,
-                          ramp_start=240.0 * _SCALE, ramp_duration=1500.0 * _SCALE)
-DURATION = 2100.0 * _SCALE
+SCENARIO = ScenarioSpec(
+    name="e11-ml-ablation",
+    trace=TraceSpec("viral", {"start_rate": 15.0, "peak_multiplier": 14.0,
+                              "ramp_start": 240.0 * _SCALE,
+                              "ramp_duration": 1500.0 * _SCALE}),
+    duration=2100.0 * _SCALE,
+    n_users=150,
+)
 
 
 def run_experiment():
-    predictive = run_closed_loop(TRACE, DURATION, seed=29, n_users=150,
-                                 autoscale=True, predictive_scaling=True, initial_groups=1)
-    reactive = run_closed_loop(TRACE, DURATION, seed=29, n_users=150,
-                               autoscale=True, predictive_scaling=False, initial_groups=1)
-    static = run_closed_loop(TRACE, DURATION, seed=29, n_users=150,
-                             autoscale=False, initial_groups=1)
+    predictive, _, _ = run_closed_loop(SCENARIO, 29)
+    reactive, _, _ = run_closed_loop(SCENARIO.with_overrides(predictive_scaling=False), 29)
+    static, _, _ = run_closed_loop(SCENARIO.with_overrides(autoscale=False), 29)
     return predictive, reactive, static
 
 
@@ -69,19 +71,17 @@ def test_e11_predictive_vs_reactive_vs_static(benchmark, table_printer):
 def run_backend_ablation():
     return {
         backend: run_closed_loop(
-            TRACE, DURATION, seed=29, n_users=150,
-            autoscale=True, predictive_scaling=True, initial_groups=1,
-            engine_kwargs={"planner_backend": backend},
-        )
+            SCENARIO.with_overrides(engine_knobs={"planner_backend": backend}), 29)
         for backend in PLANNER_BACKENDS
     }
 
 
 def test_e11_planner_backend_ablation(benchmark, table_printer):
     results = benchmark.pedantic(run_backend_ablation, rounds=1, iterations=1)
+    summaries = {backend: summary for backend, (summary, _, _) in results.items()}
     rows = []
     for backend in PLANNER_BACKENDS:
-        result = results[backend]
+        result = summaries[backend]
         rows.append((
             backend, result.peak_nodes,
             f"{result.read_report.observed_percentile_latency * 1000:.1f}",
@@ -98,10 +98,10 @@ def test_e11_planner_backend_ablation(benchmark, table_printer):
     # Structural invariant, checked even in smoke mode: every plan the hybrid
     # controller emitted kept the latency requirement inside the clamp band
     # of the analytical answer (the planner's min_nodes floor aside).
-    hybrid = results["hybrid"]
-    plans = hybrid.engine.controller.plans()
+    _, hybrid, _ = results["hybrid"]
+    plans = hybrid.controller.plans()
     assert plans, "hybrid run emitted no capacity plans"
-    min_nodes = hybrid.engine.planner.min_nodes
+    min_nodes = hybrid.planner.min_nodes
     for plan in plans:
         assert plan.backend == "hybrid"
         assert plan.analytic_nodes is not None
@@ -114,6 +114,6 @@ def test_e11_planner_backend_ablation(benchmark, table_printer):
     # The hybrid backbone must not cost materially more than pure analytical,
     # and the bounded residual keeps it orders of magnitude from the
     # pre-clamp runaway regime (renting toward the pool cap).
-    assert results["hybrid"].peak_nodes <= 3 * results["analytical"].peak_nodes
+    assert summaries["hybrid"].peak_nodes <= 3 * summaries["analytical"].peak_nodes
     for backend in PLANNER_BACKENDS:
-        assert results[backend].read_report.request_count > 0
+        assert summaries[backend].read_report.request_count > 0

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.experiments.harness import smoke_mode
-from repro.parallel.executor import run_scenario
+from repro.experiments.harness import run_closed_loop, smoke_mode
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
 
 SEED = 42
@@ -40,11 +39,12 @@ def _scenario():
 
 
 def _run(spec, spot: bool):
-    return run_scenario(spec.with_overrides(**{
+    _, engine, _ = run_closed_loop(spec.with_overrides(**{
         "engine_knobs.spot": spot,
         "engine_knobs.telemetry": True,
         "faults": spec.faults if spot else (),
     }), SEED)
+    return engine
 
 
 def _violated_fraction(engine, op: str, spec) -> float:
@@ -67,9 +67,8 @@ def test_e15_mixed_fleet_economics(benchmark, table_printer):
     spec, mixed, on_demand = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1)
     rows = []
-    for label, result in (("mixed fleet (spot surge + storm)", mixed),
+    for label, engine in (("mixed fleet (spot surge + storm)", mixed),
                           ("all on-demand", on_demand)):
-        engine = result.engine
         split = engine.pool.cost_by_purchase_option()
         fleet = engine.spot_fleet
         rows.append((
@@ -89,29 +88,29 @@ def test_e15_mixed_fleet_economics(benchmark, table_printer):
          "surge", "interruption outcomes", "lost writes", "stale reads"],
         rows,
     )
-    mixed_cost = mixed.engine.pool.total_cost()
-    od_cost = on_demand.engine.pool.total_cost()
+    mixed_cost = mixed.pool.total_cost()
+    od_cost = on_demand.pool.total_cost()
     print(f"\nmixed fleet billed ${mixed_cost:.2f} vs ${od_cost:.2f} "
           f"all on-demand ({(1 - mixed_cost / od_cost) * 100:.0f}% saved) "
           f"through a {spec.faults[0].duration:.0f}s capacity drought")
     if smoke_mode():
         return  # the smoke ramp is too short for drains to complete
     # Equal SLA compliance: both arms meet the scenario's windowed policy.
-    for result in (mixed, on_demand):
-        assert _violated_fraction(result.engine, "read", spec) \
+    for engine in (mixed, on_demand):
+        assert _violated_fraction(engine, "read", spec) \
             <= spec.sla_violation_budget
-        assert _violated_fraction(result.engine, "write", spec) \
+        assert _violated_fraction(engine, "write", spec) \
             <= (spec.sla_write_violation_budget or spec.sla_violation_budget)
     # ... and the mixed fleet is strictly cheaper.
     assert mixed_cost < od_cost
     # Robustness: revocation cost the fleet no acknowledged writes and no
     # staleness-bound violations, and the drains completed as hibernations.
-    assert mixed.engine.lost_write_count() == 0
-    assert mixed.engine.stale_read_count() == 0
-    outcomes = Counter(r.outcome for r in mixed.engine.spot_fleet.records())
+    assert mixed.lost_write_count() == 0
+    assert mixed.stale_read_count() == 0
+    outcomes = Counter(r.outcome for r in mixed.spot_fleet.records())
     assert outcomes.get("hibernated", 0) >= 1
     # The whole story is on the decision timeline.
     kinds = Counter(
-        e["kind"] for e in mixed.engine.timeline.snapshot()["events"])
+        e["kind"] for e in mixed.timeline.snapshot()["events"])
     for kind in ("spot-bid", "spot-notice", "spot-drain", "spot-hibernate"):
         assert kinds[kind] >= 1, f"timeline missing {kind}"

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.experiments.harness import smoke_mode
+from repro.experiments.harness import run_closed_loop, smoke_mode
 from repro.metrics.sla import COMPLIANCE_WINDOW_SECONDS
-from repro.parallel.executor import run_scenario
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
 
 SEED = 42
@@ -45,11 +44,12 @@ def _scenario():
 
 
 def _run(spec, placement_aware: bool):
-    return run_scenario(spec.with_overrides(**{
+    _, engine, _ = run_closed_loop(spec.with_overrides(**{
         "engine_knobs.contention": {**spec.engine_knobs["contention"],
                                     "placement_aware": placement_aware},
         "engine_knobs.telemetry": True,
     }), SEED)
+    return engine
 
 
 def _violated_fraction(engine, op: str, spec) -> float:
@@ -61,7 +61,7 @@ def _violated_fraction(engine, op: str, spec) -> float:
     return violated / len(windows)
 
 
-def _recovery_seconds(result, spec) -> float:
+def _recovery_seconds(engine, spec) -> float:
     """Seconds from episode onset until the SLA is re-attained for good.
 
     The episode starts ``fault.at`` seconds after the closed loop starts
@@ -70,7 +70,6 @@ def _recovery_seconds(result, spec) -> float:
     read window.  An arm that never recovers scores the full remaining
     run — strictly worse than any arm that does.
     """
-    engine = result.engine
     onset = (engine.now - spec.duration) + spec.faults[0].at
     violated = [w for w in engine.sla_compliance_windows("read")
                 if w.total >= spec.sla_min_window_ops
@@ -92,13 +91,12 @@ def test_e16_noisy_neighbor_economics(benchmark, table_printer):
     spec, placement, capacity = benchmark.pedantic(
         run_experiment, rounds=1, iterations=1)
     rows = []
-    for label, result in (("placement-aware (diagnose + evacuate)", placement),
+    for label, engine in (("placement-aware (diagnose + evacuate)", placement),
                           ("capacity-only ablation", capacity)):
-        engine = result.engine
         rows.append((
             label,
             f"{engine.pool.total_cost():.2f}",
-            f"{_recovery_seconds(result, spec):.0f}",
+            f"{_recovery_seconds(engine, spec):.0f}",
             f"{_violated_fraction(engine, 'read', spec):.2f}",
             sum(1 for d in engine.timeline.decisions
                 if d.observation.contention_suspected),
@@ -114,20 +112,20 @@ def test_e16_noisy_neighbor_economics(benchmark, table_printer):
          "lost writes", "stale reads"],
         rows,
     )
-    p_cost = placement.engine.pool.total_cost()
-    c_cost = capacity.engine.pool.total_cost()
+    p_cost = placement.pool.total_cost()
+    c_cost = capacity.pool.total_cost()
     p_rec = _recovery_seconds(placement, spec)
     c_rec = _recovery_seconds(capacity, spec)
     print(f"\nplacement-aware re-attained the SLA in {p_rec:.0f}s for "
           f"${p_cost:.2f}; capacity-only took {c_rec:.0f}s and "
-          f"${c_cost:.2f} ({capacity.engine.controller.scale_up_count()} "
+          f"${c_cost:.2f} ({capacity.controller.scale_up_count()} "
           "scale-ups that never touched the sick host)")
     if smoke_mode():
         return  # too short for a diagnose-evacuate-recover cycle
     # The shipped arm meets the scenario's windowed SLA policy...
-    assert _violated_fraction(placement.engine, "read", spec) \
+    assert _violated_fraction(placement, "read", spec) \
         <= spec.sla_violation_budget
-    assert _violated_fraction(placement.engine, "write", spec) \
+    assert _violated_fraction(placement, "write", spec) \
         <= (spec.sla_write_violation_budget or spec.sla_violation_budget)
     # ... re-attains strictly faster AND strictly cheaper than the ablation.
     assert p_rec < c_rec, (
@@ -140,19 +138,19 @@ def test_e16_noisy_neighbor_economics(benchmark, table_printer):
     # more capacity than the placement arm ever did, and still spent longer
     # in violation (the episode is service-side, so the extra fleet cannot
     # absorb it).
-    assert capacity.engine.controller.scale_up_count() \
-        > placement.engine.controller.scale_up_count()
-    assert capacity.engine.controller.evacuation_count() == 0
+    assert capacity.controller.scale_up_count() \
+        > placement.controller.scale_up_count()
+    assert capacity.controller.evacuation_count() == 0
     # Diagnosis and remediation actually fired on the shipped arm...
     assert any(d.observation.contention_suspected
-               for d in placement.engine.timeline.decisions)
-    assert placement.engine.controller.evacuation_count() >= 1
+               for d in placement.timeline.decisions)
+    assert placement.controller.evacuation_count() >= 1
     # ... no degraded node ever dropped a write or leaked a stale read ...
-    for result in (placement, capacity):
-        assert result.engine.lost_write_count() == 0
-        assert result.engine.stale_read_count() == 0
+    for engine in (placement, capacity):
+        assert engine.lost_write_count() == 0
+        assert engine.stale_read_count() == 0
     # ... and the whole story is on the decision timeline, with evidence.
-    events = placement.engine.timeline.snapshot()["events"]
+    events = placement.timeline.snapshot()["events"]
     kinds = Counter(e["kind"] for e in events)
     for kind in ("contention-diagnosis", "host-evacuate"):
         assert kinds[kind] >= 1, f"timeline missing {kind}"

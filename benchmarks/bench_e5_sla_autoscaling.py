@@ -11,24 +11,25 @@ sized for the baseline.
 from __future__ import annotations
 
 from repro.experiments.harness import run_closed_loop, smoke_mode, smoke_scaled
-from repro.workloads.traces import HalloweenSpikeTrace
+from repro.parallel.spec import ScenarioSpec, TraceSpec
 
 _SCALE = smoke_scaled(1.0, 0.1)  # BENCH_SMOKE compresses the whole timeline
-TRACE = HalloweenSpikeTrace(
-    base_rate=15.0, spike_multiplier=5.0,
-    spike_start=600.0 * _SCALE, rise_duration=180.0 * _SCALE,
-    hold_duration=900.0 * _SCALE, decay_duration=600.0 * _SCALE,
+SCENARIO = ScenarioSpec(
+    name="e5-write-heavy-spike",
+    trace=TraceSpec("spike", {"base_rate": 15.0, "spike_multiplier": 5.0,
+                              "spike_start": 600.0 * _SCALE,
+                              "rise_duration": 180.0 * _SCALE,
+                              "hold_duration": 900.0 * _SCALE,
+                              "decay_duration": 600.0 * _SCALE}),
+    duration=3000.0 * _SCALE,
+    n_users=150,
+    mix="write_heavy",
 )
-DURATION = 3000.0 * _SCALE
 
 
 def run_experiment():
-    autoscaled = run_closed_loop(TRACE, DURATION, seed=13, n_users=150,
-                                 autoscale=True, mix_kind="write_heavy",
-                                 initial_groups=1)
-    static = run_closed_loop(TRACE, DURATION, seed=13, n_users=150,
-                             autoscale=False, mix_kind="write_heavy",
-                             initial_groups=1)
+    autoscaled, _, _ = run_closed_loop(SCENARIO, 13)
+    static, _, _ = run_closed_loop(SCENARIO.with_overrides(autoscale=False), 13)
     return autoscaled, static
 
 

@@ -34,29 +34,32 @@ from repro.experiments.harness import (
     smoke_mode,
     smoke_scaled,
 )
-from repro.workloads.traces import DiurnalTrace
+from repro.parallel.spec import ScenarioSpec, TraceSpec
 
 _SCALE = smoke_scaled(1.0, 0.05)  # BENCH_SMOKE compresses the whole timeline
-TRACE = DiurnalTrace(base_rate=6.0, peak_rate=240.0, peak_hour=0.35 * _SCALE,
-                     period_hours=0.7 * _SCALE)
-DURATION = 2 * 0.7 * _SCALE * 3600.0  # two compressed "days"
 
 PER_MINUTE_INSTANCE = replace(
     SCALED_DOWN_INSTANCE, name=f"{SCALED_DOWN_INSTANCE.name}.minutely",
     billing_increment=60.0)
 
+SCENARIO = ScenarioSpec(
+    name="e6-scale-down-cost",
+    trace=TraceSpec("diurnal", {"base_rate": 6.0, "peak_rate": 240.0,
+                                "peak_hour": 0.35 * _SCALE,
+                                "period_hours": 0.7 * _SCALE}),
+    duration=2 * 0.7 * _SCALE * 3600.0,  # two compressed "days"
+    n_users=120,
+    engine_knobs={"instance_type": PER_MINUTE_INSTANCE},
+)
+
 
 def run_experiment():
-    autoscaled = run_closed_loop(TRACE, DURATION, seed=19, n_users=120,
-                                 autoscale=True, initial_groups=1,
-                                 control_interval=30.0,
-                                 instance_type=PER_MINUTE_INSTANCE)
+    autoscaled, _, _ = run_closed_loop(SCENARIO, 19)
     # Static baseline provisioned for the peak: hold the fleet the planner
     # itself reached at the top of the cycle (see module docstring).
     peak_groups = max(math.ceil(autoscaled.peak_nodes / 3), 1)
-    static_peak = run_closed_loop(TRACE, DURATION, seed=19, n_users=120,
-                                  autoscale=False, initial_groups=peak_groups,
-                                  instance_type=PER_MINUTE_INSTANCE)
+    static_peak, _, _ = run_closed_loop(
+        SCENARIO.with_overrides(autoscale=False, initial_groups=peak_groups), 19)
     return autoscaled, static_peak
 
 

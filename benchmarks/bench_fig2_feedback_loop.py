@@ -10,19 +10,22 @@ SLA attainment through the daily peak and lower cost through the trough.
 from __future__ import annotations
 
 from repro.experiments.harness import run_closed_loop, smoke_mode, smoke_scaled
-from repro.workloads.traces import DiurnalTrace
+from repro.parallel.spec import ScenarioSpec, TraceSpec
 
 _SCALE = smoke_scaled(1.0, 0.1)  # BENCH_SMOKE compresses the whole timeline
-TRACE = DiurnalTrace(base_rate=8.0, peak_rate=90.0, peak_hour=0.4 * _SCALE,
-                     period_hours=1.0 * _SCALE)
-DURATION = 3600.0 * _SCALE  # one compressed "day" (one-hour period)
+SCENARIO = ScenarioSpec(
+    name="fig2-feedback-loop",
+    trace=TraceSpec("diurnal", {"base_rate": 8.0, "peak_rate": 90.0,
+                                "peak_hour": 0.4 * _SCALE,
+                                "period_hours": 1.0 * _SCALE}),
+    duration=3600.0 * _SCALE,  # one compressed "day" (one-hour period)
+    n_users=150,
+)
 
 
 def run_experiment():
-    closed = run_closed_loop(TRACE, DURATION, seed=5, n_users=150,
-                             autoscale=True, initial_groups=1)
-    open_loop = run_closed_loop(TRACE, DURATION, seed=5, n_users=150,
-                                autoscale=False, initial_groups=1)
+    closed, _, _ = run_closed_loop(SCENARIO, 5)
+    open_loop, _, _ = run_closed_loop(SCENARIO.with_overrides(autoscale=False), 5)
     return closed, open_loop
 
 

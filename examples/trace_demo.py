@@ -25,23 +25,21 @@ except ImportError:  # running from a source checkout without installation
     from repro.experiments.harness import run_closed_loop
 
 from repro.obs import attribute_windows, format_attribution
-from repro.workloads.traces import ConstantTrace
+from repro.parallel.spec import ScenarioSpec, TraceSpec
 
 
 def main() -> None:
     # The standard closed-loop shape (flat CloudStone mix, autoscaling on),
-    # shortened so the demo finishes in seconds.  A denser sampling lattice
-    # than the default keeps the report interesting at this duration.
-    result = run_closed_loop(
-        trace=ConstantTrace(rate=120.0),
+    # shortened so the demo finishes in seconds.
+    result, engine, _ = run_closed_loop(ScenarioSpec(
+        name="trace-demo",
+        trace=TraceSpec("constant", {"rate": 120.0}),
         duration=300.0,
-        seed=7,
         n_users=150,
         initial_groups=2,
         predictive_scaling=False,
-        engine_kwargs={"telemetry": True},
-    )
-    engine = result.engine
+        engine_knobs={"telemetry": True},
+    ), 7)
     traces = engine.traces()
 
     print(f"sampled {len(traces)} traces over {result.duration:.0f}s "

@@ -24,8 +24,8 @@ _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.experiments.harness import run_closed_loop  # noqa: E402
 from repro.obs import attribute_windows  # noqa: E402
-from repro.parallel.executor import run_scenario  # noqa: E402
 from repro.parallel.scenarios import STANDARD_SUITE  # noqa: E402
 
 
@@ -100,7 +100,7 @@ def main() -> None:
         overrides["duration"] = args.duration
     scenario = scenario.with_overrides(**overrides)
 
-    summary = run_scenario(scenario, seed=args.seed).portable()
+    summary, _, _ = run_closed_loop(scenario, args.seed)
     traces = summary.traces or []
     slowest = sorted(traces, key=lambda t: t.latency, reverse=True)[:args.slowest]
     document = {

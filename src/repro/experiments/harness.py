@@ -6,15 +6,16 @@ scaled-down instance type (low per-node capacity) and request rates in the
 tens-to-hundreds of operations per second.  Because every claim the paper
 makes is about *relative* behaviour — latency percentiles vs. load, cost of
 autoscaled vs. static provisioning, who wins and by how much — the scale-down
-preserves the phenomena while keeping wall-clock time reasonable.  The knobs
-are all exposed so a larger run only needs different arguments.
+preserves the phenomena while keeping wall-clock time reasonable.  A run is
+declared as a :class:`~repro.parallel.spec.ScenarioSpec`, so a larger one
+only needs a different spec.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,17 +30,15 @@ from repro.core.consistency.spec import (
 from repro.core.engine import Scads
 from repro.metrics.cost import CostReport
 from repro.metrics.percentiles import PercentileEstimator
-from repro.metrics.sla import SLAReport
+from repro.metrics.sla import ComplianceWindow, SLAReport
+from repro.obs.telemetry import Telemetry
 from repro.obs.timeline import DecisionTimeline
+from repro.obs.tracing import TraceRecord
+from repro.parallel.spec import FAULT_KINDS, MIX_KINDS, FaultSpec, ScenarioSpec
 from repro.storage.failure import FailureInjector
 from repro.workloads.generator import LoadGenerator
-from repro.workloads.opmix import (
-    UNIFORM_READ_MIX,
-    WRITE_HEAVY_MIX,
-    CloudStoneMix,
-    )
+from repro.workloads.opmix import CloudStoneMix
 from repro.workloads.social_graph import SocialGraph
-from repro.workloads.traces import LoadTrace
 
 # A deliberately small machine class: 60 storage ops/sec per node and a
 # one-minute boot delay.  Low capacity means interesting scaling dynamics
@@ -69,33 +68,9 @@ def smoke_scaled(full: float, smoke: float) -> float:
     return smoke if smoke_mode() else full
 
 
-def _result_summary(result) -> Dict[str, object]:
-    """Flat dictionary used by the benchmark harnesses' printed tables.
-
-    Shared by :class:`ClosedLoopResult` (in-process, carries the live engine)
-    and :class:`ClosedLoopSummary` (the picklable subset a sweep worker ships
-    back), so both render identically.
-    """
-    return {
-        "duration_s": round(result.duration, 1),
-        "operations": result.operations,
-        "read_p_latency_ms": round(result.read_report.observed_percentile_latency * 1000, 2),
-        "read_sla_met": result.read_report.satisfied,
-        "write_p_latency_ms": round(result.write_report.observed_percentile_latency * 1000, 2),
-        "peak_nodes": result.peak_nodes,
-        "final_nodes": result.final_nodes,
-        "scale_ups": result.scale_ups,
-        "scale_downs": result.scale_downs,
-        "dollars": round(result.cost.dollars, 3),
-        "machine_hours": round(result.cost.machine_hours, 1),
-        "max_replication_lag_s": round(result.max_replication_lag, 3),
-        "deadline_miss_rate": round(result.deadline_miss_rate, 4),
-    }
-
-
 @dataclass(slots=True)
 class ClosedLoopSummary:
-    """The cross-process-portable summary of one closed-loop run.
+    """Everything a benchmark, sweep or grid reports about one closed-loop run.
 
     Everything here is plain data (dataclasses, numpy arrays, dicts of
     primitives) so a sweep worker can pickle it back to the parent process —
@@ -122,90 +97,46 @@ class ClosedLoopSummary:
     write_latency: Optional[PercentileEstimator]
     # The run's provisioning decision log (always kept; see repro.obs).
     decision_timeline: DecisionTimeline
-    cache_hit_rate: float = 0.0
     # Reads served stale under arbitration (staleness bound unverifiable).
     # The validation grid's staleness check gates on this staying 0 in
     # fault-free cells.
-    stale_reads: int = 0
+    stale_reads: int
     # Fixed-clock windowed SLA compliance series (see
     # metrics.sla.WindowedComplianceTracker) — the substrate the grid's
     # declared SLA policy (violation budget + re-attainment) gates on.
-    read_windows: list = field(default_factory=list)
-    write_windows: list = field(default_factory=list)
-    # Observability payloads (populated only when the run's engine had
+    read_windows: List[ComplianceWindow]
+    write_windows: List[ComplianceWindow]
+    # Observability payloads (None unless the run's engine had
     # ``telemetry=`` on; all picklable and exactly mergeable, see repro.obs).
-    telemetry: Optional[object] = None  # obs.Telemetry
-    traces: Optional[list] = None  # List[obs.TraceRecord]
+    telemetry: Optional[Telemetry]
+    traces: Optional[List[TraceRecord]]
     # Acknowledged writes no alive owner still held at run end (None when the
     # engine's write audit was off — see Scads ``write_audit``).  The
     # interruption-storm grid scenario gates on this staying 0.
-    lost_acked_writes: Optional[int] = None
+    lost_acked_writes: Optional[int]
     # Dollars split by purchase option ({"on_demand": ..., "spot": ...}).
-    cost_by_purchase_option: Dict[str, float] = field(default_factory=dict)
+    cost_by_purchase_option: Dict[str, float]
     # Interruption drain outcomes ({"hibernated": 3, "aborted": 1, ...});
     # empty without a spot fleet.
-    interruption_outcomes: Dict[str, int] = field(default_factory=dict)
-
-    def summary(self) -> Dict[str, object]:
-        return _result_summary(self)
-
-
-@dataclass(slots=True)
-class ClosedLoopResult:
-    """Everything a benchmark needs to report about one closed-loop run."""
-
-    engine: Scads
-    app: SocialNetworkApp
-    duration: float
-    operations: int
-    read_report: SLAReport
-    write_report: SLAReport
-    cost: CostReport
-    peak_nodes: int
-    final_nodes: int
-    scale_ups: int
-    scale_downs: int
-    max_replication_lag: float
-    deadline_miss_rate: float
+    interruption_outcomes: Dict[str, int]
 
     def summary(self) -> Dict[str, object]:
         """Flat dictionary used by the benchmark harnesses' printed tables."""
-        return _result_summary(self)
-
-    def portable(self) -> ClosedLoopSummary:
-        """Extract the picklable summary (drops the engine/app references)."""
-
-        def estimator(op_type: str) -> Optional[PercentileEstimator]:
-            recorder = self.engine.latencies
-            return (recorder.all_time(op_type)
-                    if op_type in recorder.op_types() else None)
-
-        return ClosedLoopSummary(
-            duration=self.duration,
-            operations=self.operations,
-            read_report=self.read_report,
-            write_report=self.write_report,
-            cost=self.cost,
-            peak_nodes=self.peak_nodes,
-            final_nodes=self.final_nodes,
-            scale_ups=self.scale_ups,
-            scale_downs=self.scale_downs,
-            max_replication_lag=self.max_replication_lag,
-            deadline_miss_rate=self.deadline_miss_rate,
-            operation_counts=dict(self.engine.cumulative_operation_counts()),
-            read_latency=estimator("read"),
-            write_latency=estimator("write"),
-            cache_hit_rate=self.engine.cache_hit_rate(),
-            stale_reads=self.engine.stale_read_count(),
-            read_windows=self.engine.sla_compliance_windows("read"),
-            write_windows=self.engine.sla_compliance_windows("write"),
-            telemetry=self.engine.collect_telemetry(),
-            traces=self.engine.traces() if self.engine.tracer is not None else None,
-            decision_timeline=self.engine.timeline,
-            lost_acked_writes=self.engine.lost_write_count(),
-            cost_by_purchase_option=self.engine.pool.cost_by_purchase_option(),
-            interruption_outcomes=_interruption_outcomes(self.engine),
-        )
+        return {
+            "duration_s": round(self.duration, 1),
+            "operations": self.operations,
+            "read_p_latency_ms": round(self.read_report.observed_percentile_latency * 1000, 2),
+            "read_sla_met": self.read_report.satisfied,
+            "write_p_latency_ms": round(self.write_report.observed_percentile_latency * 1000, 2),
+            "peak_nodes": self.peak_nodes,
+            "final_nodes": self.final_nodes,
+            "scale_ups": self.scale_ups,
+            "scale_downs": self.scale_downs,
+            "dollars": round(self.cost.dollars, 3),
+            "machine_hours": round(self.cost.machine_hours, 1),
+            "max_replication_lag_s": round(self.max_replication_lag, 3),
+            "deadline_miss_rate": round(self.deadline_miss_rate, 4),
+        }
 
 
 def _interruption_outcomes(engine: Scads) -> Dict[str, int]:
@@ -242,7 +173,6 @@ def build_engine_and_app(
     predictive_scaling: bool = True,
     initial_groups: int = 1,
     control_interval: float = 30.0,
-    instance_type: InstanceType = SCALED_DOWN_INSTANCE,
     updates_per_second_per_node: float = 100.0,
     fifo_updates: bool = False,
     engine_kwargs: Optional[Dict[str, object]] = None,
@@ -250,20 +180,20 @@ def build_engine_and_app(
     """Build an engine + social app and bulk-load a synthetic graph.
 
     ``engine_kwargs`` are forwarded verbatim to :class:`Scads` — this is how
-    declarative sweep specs reach knobs the harness does not name explicitly
-    (``cache=...``, ``repartition=...``, ``partitioner_kind=...``).
+    declarative scenario specs reach knobs the harness does not name
+    explicitly (``cache=...``, ``repartition=...``, ``partitioner_kind=...``,
+    or an ``instance_type`` other than :data:`SCALED_DOWN_INSTANCE`).
     """
     engine = Scads(
         seed=seed,
         consistency=spec or default_spec(),
-        instance_type=instance_type,
         initial_groups=initial_groups,
         autoscale=autoscale,
         predictive_scaling=predictive_scaling,
         control_interval=control_interval,
         updates_per_second_per_node=updates_per_second_per_node,
         fifo_updates=fifo_updates,
-        **(engine_kwargs or {}),
+        **{"instance_type": SCALED_DOWN_INSTANCE, **(engine_kwargs or {})},
     )
     app = SocialNetworkApp(
         engine,
@@ -283,34 +213,23 @@ def build_engine_and_app(
 
 def build_mix(kind: str, graph: SocialGraph,
               rng: np.random.Generator) -> CloudStoneMix:
-    """The registered operation mixes, by name.
+    """The operation mix registered as ``kind`` in ``MIX_KINDS``.
 
-    ``cloudstone`` is the default interactive mix, ``write_heavy`` the
-    Halloween-style upload mix, and ``uniform_read`` the cache-hostile
-    read-only mix with *uniform* user popularity (no skew for a front tier
-    to exploit).  RNG consumption is identical across kinds up to the first
-    draw, so swapping the mix never perturbs other streams.
+    RNG consumption is identical across kinds up to the first draw, so
+    swapping the mix never perturbs other streams.
     """
-    if kind == "uniform_read":
-        return CloudStoneMix(graph, rng, mix=UNIFORM_READ_MIX, zipf_theta=0.0)
-    mix = CloudStoneMix(graph, rng)
-    if kind == "write_heavy":
-        mix.set_mix(WRITE_HEAVY_MIX)
-    elif kind != "cloudstone":
-        raise ValueError(
-            f"unknown mix kind {kind!r} "
-            "(registered: cloudstone, write_heavy, uniform_read)")
-    return mix
+    if kind not in MIX_KINDS:
+        raise ValueError(f"unknown mix kind {kind!r}; registered: {sorted(MIX_KINDS)}")
+    return CloudStoneMix(graph, rng, **MIX_KINDS[kind])
 
 
-def install_fault_plan(engine: Scads, plan: Sequence,
-                       start_time: Optional[float] = None) -> FailureInjector:
+def install_fault_plan(engine: Scads, plan: Sequence[FaultSpec]) -> FailureInjector:
     """Schedule a declarative fault plan against a running engine.
 
-    ``plan`` items carry ``kind`` / ``at`` / ``duration`` / ``params`` (see
-    :class:`repro.parallel.spec.FaultSpec`); ``at`` is relative to
-    ``start_time`` (default: the engine's current simulated time, i.e. the
-    moment the closed loop starts).  Four kinds are registered:
+    Each fault's ``at`` is relative to the engine's current simulated time
+    (the moment the closed loop starts), and its ``kind`` names the
+    :class:`~repro.storage.failure.FailureInjector` entry point in
+    ``FAULT_KINDS`` that ``params`` are passed to:
 
     * ``zone_outage`` — the ``zone_index``-th member of every replica group
       crashes simultaneously and recovers after ``duration`` (regional
@@ -320,82 +239,61 @@ def install_fault_plan(engine: Scads, plan: Sequence,
       spot instance gets its two-minute notice at ``at`` and new spot
       launches are refused for ``duration`` (needs an engine built with
       ``spot=True``);
-    * ``host_degradation`` — a noisy-neighbor episode: co-tenant load on one
-      physical host inflates every colocated node's *service* times by
+    * ``host_degradation`` — a noisy-neighbor episode: co-tenant load on host
+      ``host_id`` inflates every colocated node's *service* times by
       ``intensity`` for ``duration`` (needs an engine built with
       ``contention=...``).
     """
     injector = FailureInjector(engine.cluster, market=engine.market,
                                contention=engine.contention)
-    offset = engine.now if start_time is None else start_time
     for fault in plan:
-        params = dict(getattr(fault, "params", {}) or {})
-        if fault.kind == "zone_outage":
-            injector.zone_outage(at=offset + fault.at, duration=fault.duration,
-                                 **params)
-        elif fault.kind == "crash_random":
-            injector.crash_random_nodes(count=int(params.pop("count", 1)),
-                                        at=offset + fault.at,
-                                        duration=fault.duration)
-        elif fault.kind == "interruption_storm":
-            injector.interruption_storm(at=offset + fault.at,
-                                        duration=fault.duration)
-        elif fault.kind == "host_degradation":
-            injector.host_degradation(at=offset + fault.at,
-                                      duration=fault.duration, **params)
-        else:
+        if fault.kind not in FAULT_KINDS:
             raise ValueError(
-                f"unknown fault kind {fault.kind!r} "
-                "(registered: zone_outage, crash_random, interruption_storm, "
-                "host_degradation)")
+                f"unknown fault kind {fault.kind!r}; registered: {sorted(FAULT_KINDS)}")
+        FAULT_KINDS[fault.kind](injector, at=engine.now + fault.at,
+                                duration=fault.duration, **fault.params)
     return injector
 
 
-def run_closed_loop(
-    trace: LoadTrace,
-    duration: float,
-    seed: int = 0,
-    n_users: int = 200,
-    friend_cap: int = 20,
-    spec: Optional[ConsistencySpec] = None,
-    autoscale: bool = True,
-    predictive_scaling: bool = True,
-    initial_groups: int = 1,
-    control_interval: float = 30.0,
-    sampling_fraction: float = 1.0,
-    instance_type: InstanceType = SCALED_DOWN_INSTANCE,
-    engine_kwargs: Optional[Dict[str, object]] = None,
-    mix_kind: str = "cloudstone",
-    faults: Sequence = (),
-) -> ClosedLoopResult:
-    """Run one complete closed-loop experiment and collect its results.
+def run_closed_loop(scenario: ScenarioSpec, seed: int
+                    ) -> Tuple[ClosedLoopSummary, Scads, SocialNetworkApp]:
+    """Run one scenario with one seed and summarise it.
 
-    ``mix_kind`` names a registered operation mix (see :func:`build_mix`);
-    ``faults`` is a declarative fault plan installed via
-    :func:`install_fault_plan` before the load starts.
+    The only place a :class:`~repro.parallel.spec.ScenarioSpec` is unpacked:
+    sweep workers, benchmarks, examples and scripts all come through here,
+    so a run is configured by the spec it names and by nothing else.
+    Everything is built fresh from the spec — this must stay a pure function
+    of ``(scenario, seed)`` or parallel sweeps lose their serial-equivalence
+    guarantee.  The live engine and app are returned *beside* the picklable
+    summary, never inside it, so a sweep that keeps only summaries keeps no
+    engine alive.
     """
+    trace = scenario.trace.build()
     engine, app, graph = build_engine_and_app(
         seed=seed,
-        n_users=n_users,
-        friend_cap=friend_cap,
-        spec=spec,
-        autoscale=autoscale,
-        predictive_scaling=predictive_scaling,
-        initial_groups=initial_groups,
-        control_interval=control_interval,
-        instance_type=instance_type,
-        engine_kwargs=engine_kwargs,
+        n_users=scenario.n_users,
+        friend_cap=scenario.friend_cap,
+        spec=default_spec(
+            latency=scenario.sla_latency,
+            percentile=scenario.sla_percentile,
+            staleness_bound=scenario.staleness_bound,
+            read_your_writes=scenario.read_your_writes,
+        ),
+        autoscale=scenario.autoscale,
+        predictive_scaling=scenario.predictive_scaling,
+        initial_groups=scenario.initial_groups,
+        control_interval=scenario.control_interval,
+        engine_kwargs=scenario.engine_knobs,
     )
     engine.start()
-    mix = build_mix(mix_kind, graph, engine.sim.random.get("workload-mix"))
-    generator = LoadGenerator(
-        engine.sim, trace, mix, app.execute, sampling_fraction=sampling_fraction
-    )
+    mix = build_mix(scenario.mix, graph, engine.sim.random.get("workload-mix"))
+    generator = LoadGenerator(engine.sim, trace, mix, app.execute,
+                              sampling_fraction=scenario.sampling_fraction)
     start_time = engine.now
-    if faults:
-        install_fault_plan(engine, faults, start_time=start_time)
+    if scenario.faults:
+        install_fault_plan(engine, scenario.faults)
     generator.start()
-    engine.run_for(duration)
+    engine.run_for(scenario.duration)
     generator.stop()
 
     node_series = engine.controller.series()
@@ -413,11 +311,13 @@ def run_closed_loop(
         peak_instances=int(instance_series.max()) if len(instance_series) else 0,
         mean_instances=mean_instances,
     )
-    updater_stats = engine.updater.stats()
-    return ClosedLoopResult(
-        engine=engine,
-        app=app,
-        duration=duration,
+    recorder = engine.latencies
+
+    def estimator(op_type: str) -> Optional[PercentileEstimator]:
+        return recorder.all_time(op_type) if op_type in recorder.op_types() else None
+
+    summary = ClosedLoopSummary(
+        duration=scenario.duration,
         operations=generator.stats.operations_issued,
         read_report=engine.sla_report("read"),
         write_report=engine.sla_report("write"),
@@ -427,5 +327,18 @@ def run_closed_loop(
         scale_ups=engine.controller.scale_up_count(),
         scale_downs=engine.controller.scale_down_count(),
         max_replication_lag=engine.cluster.replication.max_observed_lag(),
-        deadline_miss_rate=updater_stats.miss_rate,
+        deadline_miss_rate=engine.updater.stats().miss_rate,
+        operation_counts=dict(engine.cumulative_operation_counts()),
+        read_latency=estimator("read"),
+        write_latency=estimator("write"),
+        decision_timeline=engine.timeline,
+        stale_reads=engine.stale_read_count(),
+        read_windows=engine.sla_compliance_windows("read"),
+        write_windows=engine.sla_compliance_windows("write"),
+        telemetry=engine.collect_telemetry(),
+        traces=engine.traces() if engine.tracer is not None else None,
+        lost_acked_writes=engine.lost_write_count(),
+        cost_by_purchase_option=engine.pool.cost_by_purchase_option(),
+        interruption_outcomes=_interruption_outcomes(engine),
     )
+    return summary, engine, app

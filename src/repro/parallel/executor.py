@@ -1,8 +1,9 @@
 """Deterministic multi-process sweep execution.
 
-The executor is deliberately boring: every run in an expanded sweep is a pure
-function of its :class:`~repro.parallel.spec.RunSpec` (the scenario data plus
-a seed assigned at expansion time), so executing the list inline, across a
+The executor is deliberately boring: every run in an expanded sweep is
+:func:`~repro.experiments.harness.run_closed_loop` of its
+:class:`~repro.parallel.spec.RunSpec` (the scenario data plus a seed
+assigned at expansion time), so executing the list inline, across a
 process pool, or across a pool of any size produces byte-identical per-run
 results — parallelism only changes wall-clock time.  What the executor *does*
 own is failure isolation (a run that raises becomes a structured
@@ -23,49 +24,11 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.experiments.harness import ClosedLoopResult, default_spec, run_closed_loop
+from repro.experiments.harness import run_closed_loop
 from repro.parallel.results import RunFailure, RunRecord, RunSuccess, SweepResult
-from repro.parallel.spec import MIX_KINDS, RunSpec, ScenarioSpec, SweepGrid
+from repro.parallel.spec import RunSpec, SweepGrid
 
 ProgressCallback = Callable[[int, int, RunRecord], None]
-
-
-def run_scenario(scenario: ScenarioSpec, seed: int) -> ClosedLoopResult:
-    """Execute one scenario spec with one seed.
-
-    The only place a :class:`ScenarioSpec` is unpacked into harness
-    arguments: sweep workers (:func:`execute_run`), benchmarks and scripts
-    all come through here, so a run is configured by the spec it names and
-    by nothing else.  Everything is built fresh from the spec — this must
-    stay a pure function of ``(scenario, seed)`` or parallel sweeps lose
-    their serial-equivalence guarantee.  The result carries the live engine;
-    ``.portable()`` is the picklable summary a worker ships back.
-    """
-    if scenario.mix not in MIX_KINDS:
-        raise ValueError(
-            f"unknown mix {scenario.mix!r}; registered: {sorted(MIX_KINDS)}"
-        )
-    return run_closed_loop(
-        trace=scenario.trace.build(),
-        duration=scenario.duration,
-        seed=seed,
-        n_users=scenario.n_users,
-        friend_cap=scenario.friend_cap,
-        spec=default_spec(
-            latency=scenario.sla_latency,
-            percentile=scenario.sla_percentile,
-            staleness_bound=scenario.staleness_bound,
-            read_your_writes=scenario.read_your_writes,
-        ),
-        autoscale=scenario.autoscale,
-        predictive_scaling=scenario.predictive_scaling,
-        initial_groups=scenario.initial_groups,
-        control_interval=scenario.control_interval,
-        sampling_fraction=scenario.sampling_fraction,
-        mix_kind=scenario.mix,
-        engine_kwargs=dict(scenario.engine_knobs),
-        faults=scenario.faults,
-    )
 
 
 def execute_run(run: RunSpec) -> RunRecord:
@@ -78,22 +41,18 @@ def execute_run(run: RunSpec) -> RunRecord:
     """
     start = time.perf_counter()
     try:
-        summary = run_scenario(run.scenario, run.seed).portable()
+        summary, _, _ = run_closed_loop(run.scenario, run.seed)
         return RunSuccess(
-            index=run.index,
             run_id=run.run_id,
             cell=run.cell,
-            params=dict(run.params),
             seed=run.seed,
             summary=summary,
             wall_seconds=time.perf_counter() - start,
         )
     except Exception as exc:  # noqa: BLE001 — isolation is the contract
         return RunFailure(
-            index=run.index,
             run_id=run.run_id,
             cell=run.cell,
-            params=dict(run.params),
             seed=run.seed,
             error_type=type(exc).__name__,
             message=str(exc),
@@ -106,10 +65,8 @@ def _failure_from_exception(run: RunSpec, exc: BaseException) -> RunFailure:
     """A record for failures *outside* the worker's own try (e.g. a worker
     process dying so hard the pool breaks, or a result that cannot unpickle)."""
     return RunFailure(
-        index=run.index,
         run_id=run.run_id,
         cell=run.cell,
-        params=dict(run.params),
         seed=run.seed,
         error_type=type(exc).__name__,
         message=str(exc),

@@ -72,9 +72,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.experiments.reporting import format_table
 from repro.parallel.results import MergedCellReport, RunSuccess, SweepResult
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
-from repro.parallel.spec import RunSpec, ScenarioSpec, derive_seeds
+from repro.parallel.spec import RunSpec, ScenarioSpec, SweepGrid, derive_seeds
 from repro.sim.randomness import _stable_hash
 
 # The four configuration cells, as engine-knob overrides.  Explicit on both
@@ -163,8 +164,7 @@ def grid_scenarios(smoke: bool = False,
     """The corpus the grid runs: full specs or their smoke variants.
 
     ``names`` filters the corpus *after* the full list is materialised, so a
-    filtered grid's per-scenario seeds match the unfiltered grid's (the same
-    property ``scripts/run_sweep.py`` maintains).
+    filtered grid's per-scenario seeds match the unfiltered grid's.
     """
     corpus = [smoke_variant(spec) if smoke else spec for spec in STANDARD_SUITE]
     if names is not None:
@@ -187,7 +187,9 @@ def build_grid_runs(scenarios: Optional[Sequence[ScenarioSpec]] = None,
     never reshuffles existing ones), replicate *r* derives its seed from the
     scenario's child — and that replicate seed is shared by all four config
     cells, which is what makes the dominance comparison a paired experiment
-    rather than a comparison of independent draws.  A scenario outside the
+    rather than a comparison of independent draws.  Each cell is one
+    :class:`SweepGrid` of the configured scenario, renamed to the cell
+    label, with the scenario's child seed as its base.  A scenario outside the
     corpus seeds from a stable hash of its name, so the same grid gets the
     same seeds in every process (``hash()`` of a ``str`` is salted per
     process).
@@ -199,26 +201,14 @@ def build_grid_runs(scenarios: Optional[Sequence[ScenarioSpec]] = None,
     corpus_index = {spec.name: i for i, spec in enumerate(STANDARD_SUITE)}
     scenario_seeds = derive_seeds(base_seed, len(STANDARD_SUITE))
     runs: List[RunSpec] = []
-    index = 0
     for spec in scenarios:
         position = corpus_index.get(spec.name)
         scenario_seed = (scenario_seeds[position] if position is not None
                          else derive_seeds(base_seed + _stable_hash(spec.name) % (2**31), 1)[0])
-        replicate_seeds = derive_seeds(scenario_seed, replicates)
         for config, overrides in CONFIG_CELLS.items():
-            cell = f"{spec.name}/{config}"
-            configured = spec.with_overrides(**overrides)
-            for replicate in range(replicates):
-                runs.append(RunSpec(
-                    index=index,
-                    run_id=f"{cell}#r{replicate}",
-                    cell=cell,
-                    params={"scenario": spec.name, "config": config},
-                    replicate=replicate,
-                    seed=replicate_seeds[replicate],
-                    scenario=configured,
-                ))
-                index += 1
+            configured = spec.with_overrides(name=f"{spec.name}/{config}", **overrides)
+            runs.extend(SweepGrid(scenario=configured, replicates=replicates,
+                                  base_seed=scenario_seed).expand())
     return runs
 
 
@@ -232,7 +222,7 @@ def _cell_staleness(successes: List[RunSuccess]) -> tuple:
 def _cell_lost_writes(successes: List[RunSuccess]) -> Optional[int]:
     """Summed acknowledged-write losses, or None when no run audited them."""
     audited = [record.summary.lost_acked_writes for record in successes
-               if getattr(record.summary, "lost_acked_writes", None) is not None]
+               if record.summary.lost_acked_writes is not None]
     if not audited:
         return None
     return sum(audited)
@@ -442,12 +432,7 @@ def render_verdict_table(verdict: GridVerdict) -> str:
             f"{report.cost.dollars:.2f}" if report else "-",
             "pass" if cell.passed else "FAIL",
         ])
-    widths = [max(len(headers[i]), *(len(row[i]) for row in rows)) if rows
-              else len(headers[i]) for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-             "  ".join("-" * widths[i] for i in range(len(headers)))]
-    lines.extend("  ".join(row[i].ljust(widths[i]) for i in range(len(headers)))
-                 for row in rows)
+    lines = format_table(headers, rows)
     for check in verdict.cross_checks:
         status = "pass" if check.passed else "FAIL"
         lines.append(f"{check.name}: {status} ({check.detail})")

@@ -17,7 +17,7 @@ samples), and :meth:`~repro.metrics.cost.CostReport.merge` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.experiments.harness import ClosedLoopSummary
 from repro.metrics.cost import CostReport
@@ -31,10 +31,8 @@ from repro.obs.timeline import DecisionTimeline
 class RunSuccess:
     """One completed run: sweep bookkeeping plus the portable summary."""
 
-    index: int
     run_id: str
     cell: str
-    params: Dict[str, Any]
     seed: int
     summary: ClosedLoopSummary
     wall_seconds: float
@@ -48,10 +46,8 @@ class RunSuccess:
 class RunFailure:
     """One failed run, isolated into a structured error record."""
 
-    index: int
     run_id: str
     cell: str
-    params: Dict[str, Any]
     seed: int
     error_type: str
     message: str
@@ -138,11 +134,7 @@ class MergedCellReport:
     """One grid cell's replicates, aggregated."""
 
     cell: str
-    params: Dict[str, Any]
     runs: int
-    failures: int
-    operations: int
-    duration: float
     read_report: SLAReport
     write_report: SLAReport
     cost: CostReport
@@ -154,24 +146,8 @@ class MergedCellReport:
     telemetry: Optional[Telemetry] = None
     traces: Optional[list] = None
 
-    def summary(self) -> Dict[str, object]:
-        """Flat dictionary for the sweep runner's printed table."""
-        return {
-            "cell": self.cell,
-            "runs": self.runs,
-            "failures": self.failures,
-            "operations": self.operations,
-            "read_p_latency_ms": round(
-                self.read_report.observed_percentile_latency * 1000, 2),
-            "read_sla_met": self.read_report.satisfied,
-            "dollars": round(self.cost.dollars, 3),
-            "machine_hours": round(self.cost.machine_hours, 2),
-            "cost_per_million": round(self.cost.cost_per_million_requests(), 3),
-        }
 
-
-def merge_cell(cell: str, params: Dict[str, Any],
-               successes: List[RunSuccess], failures: int) -> MergedCellReport:
+def merge_cell(cell: str, successes: List[RunSuccess]) -> MergedCellReport:
     """Aggregate one cell's successful replicates into a merged report."""
     if not successes:
         raise ValueError(f"cell {cell!r} has no successful runs to merge")
@@ -183,11 +159,7 @@ def merge_cell(cell: str, params: Dict[str, Any],
         cost = cost.merge(summary.cost)
     return MergedCellReport(
         cell=cell,
-        params=dict(params),
         runs=len(successes),
-        failures=failures,
-        operations=sum(s.operations for s in summaries),
-        duration=sum(s.duration for s in summaries),
         read_report=merge_sla_reports([s.read_report for s in summaries],
                                       read_latency),
         write_report=merge_sla_reports([s.write_report for s in summaries],
@@ -226,10 +198,7 @@ class SweepResult:
         """Per-cell merged reports (cells whose every run failed are skipped)."""
         reports: List[MergedCellReport] = []
         for cell in self.cells():
-            members = [r for r in self.records if r.cell == cell]
-            successes = [r for r in members if r.ok]
-            if not successes:
-                continue
-            reports.append(merge_cell(cell, members[0].params, successes,
-                                      failures=len(members) - len(successes)))
+            successes = [r for r in self.records if r.cell == cell and r.ok]
+            if successes:
+                reports.append(merge_cell(cell, successes))
         return reports

@@ -7,20 +7,17 @@ Halloween spike, the Animoto viral ramp, and the cache-tier variant —
 plus the validation-grid corpus: a diurnal cycle with
 a flash crowd erupting on top, a regional failover driven by the failure
 injector, a write storm whose index-maintenance backlog must drain
-("compaction"), and a cache-hostile uniform-read scan.  ``make sweep`` runs
-the whole family across cores from one registry, and ``make grid`` expands
-it against the {baseline, repartition, cache, both} configuration axes (see
-:mod:`repro.parallel.grid`).  Durations are compressed the same way the
+("compaction"), and a cache-hostile uniform-read scan.  ``make grid``
+expands the whole family against the {baseline, repartition, cache, both}
+configuration cells (see :mod:`repro.parallel.grid`); its ``both`` column
+is the corpus as shipped.  Durations are compressed the same way the
 benchmarks compress them: every claim is about *relative* behaviour, so the
 suite keeps the phenomena (ramps outpacing boot delays, troughs deep enough
 to scale down into) at wall-clock costs a laptop can afford.
 
-``smoke_scenario`` is the tiny closed loop of the sweep runner's smoke suite:
-seconds of simulated time per run, enough to prove the fan-out machinery end
-to end without measuring anything.
-``smoke_variant`` shrinks any corpus scenario the same way for the grid's
-smoke tier (``make grid-smoke``), keeping each family's *shape* — the spike
-still spikes, the zone still fails — inside a seconds-long run.
+``smoke_variant`` shrinks any corpus scenario for the grid's smoke tier
+(``make grid-smoke``), keeping each family's *shape* — the spike still
+spikes, the zone still fails — inside a seconds-long run.
 """
 
 from __future__ import annotations
@@ -342,24 +339,3 @@ def smoke_variant(spec: ScenarioSpec) -> ScenarioSpec:
     common = {"n_users": 40, "friend_cap": 10, "initial_groups": 2,
               "control_interval": 10.0}
     return spec.with_overrides(**{**common, **overrides})
-
-
-def smoke_scenario() -> ScenarioSpec:
-    """A seconds-long closed loop for smoke sweeps and determinism tests."""
-    return ScenarioSpec(
-        name="smoke",
-        trace=TraceSpec("constant", {"rate": 30.0}),
-        duration=20.0,
-        n_users=40,
-        friend_cap=10,
-        initial_groups=2,
-        control_interval=10.0,
-    )
-
-
-def suites() -> Dict[str, List[ScenarioSpec]]:
-    """Named suites the sweep runner can be pointed at."""
-    return {
-        "standard": list(STANDARD_SUITE),
-        "smoke": [smoke_scenario()],
-    }

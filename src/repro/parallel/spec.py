@@ -3,27 +3,31 @@
 A :class:`ScenarioSpec` names one closed-loop harness scenario *as data*:
 the app population, operation mix, load trace, engine knobs, duration, and
 seed policy are all plain picklable fields, so a scenario can be shipped to a
-worker process, stored in a registry, or expanded over a parameter grid
-without capturing any live object (engine, simulator, RNG).
+worker process or stored in a registry without capturing any live object
+(engine, simulator, RNG).
 
-A :class:`SweepGrid` is the FleetOpt-style sweep layer on top: a base
-scenario, named parameter axes (cartesian product), and a replicate count.
-:meth:`SweepGrid.expand` flattens the grid into an ordered list of
+A :class:`SweepGrid` is the sweep layer on top: a scenario and a replicate
+count.  :meth:`SweepGrid.expand` turns it into an ordered list of
 :class:`RunSpec` and assigns every run its seed from
 ``numpy.random.SeedSequence(base_seed).spawn(n)`` **at expansion time** —
-run *i* gets child seed *i* regardless of how many workers later execute the
-list or in what order they finish, which is what makes a parallel sweep
-bitwise-reproducible against a serial one.
+replicate *i* gets child seed *i* regardless of how many workers later
+execute the list or in what order they finish, which is what makes a
+parallel sweep bitwise-reproducible against a serial one.
+
+The three kind registries — traces, operation mixes, faults — map the names
+a spec uses to what the harness builds from them; an unknown kind's error
+lists its registry's keys.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.storage.failure import FailureInjector
+from repro.workloads.opmix import UNIFORM_READ_MIX, WRITE_HEAVY_MIX
 from repro.workloads.traces import (
     AnimotoViralTrace,
     ConstantTrace,
@@ -46,12 +50,24 @@ TRACE_KINDS = {
     "flash_crowd": FlashCrowdTrace,
 }
 
-MIX_KINDS = ("cloudstone", "write_heavy", "uniform_read")
+# Operation mixes, as :class:`~repro.workloads.opmix.CloudStoneMix` keyword
+# arguments (see :func:`repro.experiments.harness.build_mix`): the default
+# interactive mix, the Halloween-style upload mix, and the cache-hostile
+# read-only mix with *uniform* user popularity.
+MIX_KINDS: Dict[str, Dict[str, Any]] = {
+    "cloudstone": {},
+    "write_heavy": {"mix": WRITE_HEAVY_MIX},
+    "uniform_read": {"mix": UNIFORM_READ_MIX, "zipf_theta": 0.0},
+}
 
-# Fault kinds the harness's fault-plan installer understands (see
-# :func:`repro.experiments.harness.install_fault_plan`).
-FAULT_KINDS = ("zone_outage", "crash_random", "interruption_storm",
-               "host_degradation")
+# Fault kinds, as the :class:`~repro.storage.failure.FailureInjector` entry
+# point each schedules (see :func:`repro.experiments.harness.install_fault_plan`).
+FAULT_KINDS = {
+    "zone_outage": FailureInjector.zone_outage,
+    "crash_random": FailureInjector.crash_random_nodes,
+    "interruption_storm": FailureInjector.interruption_storm,
+    "host_degradation": FailureInjector.host_degradation,
+}
 
 
 @dataclass(slots=True)
@@ -85,10 +101,11 @@ class FaultSpec:
     ``at`` is relative to the moment the closed-loop load starts (graph bulk
     load shifts absolute simulated time, so absolute fault times would land
     somewhere different in every scenario).  ``kind`` must be registered in
-    ``FAULT_KINDS``; ``params`` feeds the corresponding
-    :class:`~repro.storage.failure.FailureInjector` entry point (e.g.
-    ``{"zone_index": 1}`` for a zone outage, ``{"count": 2}`` for random
-    crashes).  Like trace specs, validation happens where the fault is
+    ``FAULT_KINDS``; ``params`` are the keyword arguments of the
+    corresponding :class:`~repro.storage.failure.FailureInjector` entry point
+    (e.g. ``{"zone_index": 1}`` for a zone outage, ``{"count": 2}`` for
+    random crashes; each entry point's parameters without a default are
+    required).  Like trace specs, validation happens where the fault is
     installed — in the worker — so a malformed fault surfaces as that run's
     structured error record.
     """
@@ -109,11 +126,10 @@ class FaultSpec:
 class ScenarioSpec:
     """One closed-loop harness scenario, named entirely as data.
 
-    :func:`repro.parallel.executor.run_scenario` is the one place the fields
-    are unpacked into :func:`repro.experiments.harness.run_closed_loop`
-    arguments — a benchmark arm that differs from a corpus scenario says so
-    with :meth:`with_overrides` and runs through it, never through its own
-    copy of the mapping.  ``engine_knobs`` reaches any
+    :func:`repro.experiments.harness.run_closed_loop` is the one place the
+    fields are unpacked — a benchmark arm that differs from a corpus scenario
+    says so with :meth:`with_overrides`, never with its own copy of the
+    mapping.  ``engine_knobs`` reaches any
     :class:`~repro.core.engine.Scads` keyword the harness does not name
     explicitly (``cache=False``, ``partitioner_kind="range"``, ...).  The spec
     deliberately has **no seed field**: seeds are assigned per run by
@@ -166,10 +182,10 @@ class ScenarioSpec:
     def with_overrides(self, **overrides: Any) -> "ScenarioSpec":
         """A copy with the given fields replaced.
 
-        Grid axes address spec fields by name; ``"trace.<param>"`` dotted
-        names address the trace's parameters (e.g. ``"trace.rate"``), and
-        ``"engine_knobs.<name>"`` the engine knob dict, so one flat axis
-        mapping can sweep every layer.
+        Plain names address spec fields; ``"trace.<param>"`` dotted names
+        address the trace's parameters (e.g. ``"trace.rate"``), and
+        ``"engine_knobs.<name>"`` the engine knob dict, so one flat mapping
+        can override every layer.
         """
         trace_params: Dict[str, Any] = {}
         knob_params: Dict[str, Any] = {}
@@ -200,10 +216,8 @@ class ScenarioSpec:
 class RunSpec:
     """One fully-resolved run of a sweep: a scenario, its cell, and its seed."""
 
-    index: int
     run_id: str
     cell: str
-    params: Dict[str, Any]
     replicate: int
     seed: int
     scenario: ScenarioSpec
@@ -225,65 +239,28 @@ def derive_seeds(base_seed: int, count: int) -> List[int]:
 
 @dataclass(slots=True)
 class SweepGrid:
-    """A declarative sweep: base scenario x parameter grid x replicates.
+    """A declarative sweep: one scenario x seeded replicates.
 
     Args:
-        scenario: the base :class:`ScenarioSpec` every cell starts from.
-        axes: ordered mapping of parameter name -> values; cells are the
-            cartesian product in the mapping's iteration order (last axis
-            varies fastest).  Names follow :meth:`ScenarioSpec.with_overrides`
-            (``"trace.rate"`` and ``"engine_knobs.cache"`` address nested
-            parameters).
-        replicates: seeded repetitions of every cell.
+        scenario: the :class:`ScenarioSpec` every run executes; its name is
+            the sweep's one cell.
+        replicates: seeded repetitions of the scenario.
         base_seed: root of the :class:`numpy.random.SeedSequence` tree the
             per-run seeds are spawned from.
     """
 
     scenario: ScenarioSpec
-    axes: Dict[str, Sequence[Any]] = field(default_factory=dict)
     replicates: int = 1
     base_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
-        # Materialise axis values: a single-pass iterable (generator) would
-        # survive validation here and then silently expand to zero runs.
-        self.axes = {name: list(values) for name, values in self.axes.items()}
-        for name, values in self.axes.items():
-            if not values:
-                raise ValueError(f"axis {name!r} has no values")
-
-    def cell_count(self) -> int:
-        count = 1
-        for values in self.axes.values():
-            count *= len(list(values))
-        return count
-
-    def run_count(self) -> int:
-        return self.cell_count() * self.replicates
 
     def expand(self) -> List[RunSpec]:
-        """Flatten the grid into ordered, fully-seeded run specifications."""
-        names = list(self.axes.keys())
-        value_lists = [list(self.axes[name]) for name in names]
-        runs: List[RunSpec] = []
-        seeds = derive_seeds(self.base_seed, self.run_count())
-        index = 0
-        for combo in itertools.product(*value_lists) if names else [()]:
-            params = dict(zip(names, combo))
-            cell = (",".join(f"{name}={value}" for name, value in params.items())
-                    or self.scenario.name)
-            spec = self.scenario.with_overrides(**params) if params else self.scenario
-            for replicate in range(self.replicates):
-                runs.append(RunSpec(
-                    index=index,
-                    run_id=f"{cell}#r{replicate}",
-                    cell=cell,
-                    params=params,
-                    replicate=replicate,
-                    seed=seeds[index],
-                    scenario=spec,
-                ))
-                index += 1
-        return runs
+        """The replicates as ordered, fully-seeded run specifications."""
+        cell = self.scenario.name
+        return [RunSpec(run_id=f"{cell}#r{replicate}", cell=cell, replicate=replicate,
+                        seed=seed, scenario=self.scenario)
+                for replicate, seed in enumerate(derive_seeds(self.base_seed,
+                                                              self.replicates))]

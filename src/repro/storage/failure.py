@@ -134,9 +134,8 @@ class FailureInjector:
         self._market.interruption_storm(at, duration)
         return record
 
-    def host_degradation(self, at: float, duration: float,
-                         intensity: float = 4.0,
-                         host_id: str = "host-0") -> FaultRecord:
+    def host_degradation(self, at: float, duration: float, intensity: float,
+                         host_id: str) -> FaultRecord:
         """A noisy-neighbor episode: co-tenants degrade one physical host.
 
         Every node colocated on ``host_id`` serves ``intensity``-times-slower
@@ -162,8 +161,7 @@ class FailureInjector:
         self._contention.force_episode(host_id, at, duration, intensity)
         return record
 
-    def zone_outage(self, at: float, duration: float,
-                    zone_index: int = 1) -> FaultRecord:
+    def zone_outage(self, at: float, duration: float, zone_index: int) -> FaultRecord:
         """Take down one "availability zone": the ``zone_index``-th member of
         every replica group, simultaneously, for ``duration`` seconds.
 

@@ -402,9 +402,11 @@ class TestHostDegradationFault:
         cluster = Cluster(simulator=sim, replication_factor=2, initial_groups=1)
         injector = FailureInjector(cluster)
         with pytest.raises(RuntimeError):
-            injector.host_degradation(at=0.0, duration=10.0)
+            injector.host_degradation(at=0.0, duration=10.0, intensity=4.0,
+                                      host_id="host-0")
         injector = FailureInjector(cluster, contention=ContentionProcess(sim, HostMap()))
-        injector.host_degradation(at=0.0, duration=10.0)  # now fine
+        injector.host_degradation(at=0.0, duration=10.0, intensity=4.0,
+                                  host_id="host-0")  # now fine
 
     def test_episode_reaches_colocated_nodes_and_ends(self):
         engine = Scads(seed=11, contention={"tenancy": 4}, autoscale=False,

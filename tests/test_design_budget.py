@@ -40,8 +40,8 @@ MAX_STORAGE_KWARGS = {Cluster: 6, StorageNode: 3, ReplicationEngine: 3}
 MAX_ACT_LINES = 10
 MAX_CONTROLLER_LINES = 546
 MAX_CONTROLLER_KWARGS = 15
-MAX_RUN_CLOSED_LOOP_PARAMETERS = 15
-MAX_MAKE_TARGETS = 15
+MAX_RUN_CLOSED_LOOP_PARAMETERS = 2
+MAX_MAKE_TARGETS = 14
 MAX_EVENTS_LINES = 70
 # Settable values: the parameters with a default on an explicit ``__init__``
 # of a class under src/repro/, plus the fields with a default on a ``*Config``
@@ -168,13 +168,16 @@ def _sources(*directories):
 
 
 def test_a_scenario_spec_is_unpacked_in_one_place():
-    # executor.run_scenario builds the spec's trace; a second hit is a second
-    # hand-written ScenarioSpec -> run_closed_loop mapping that can drift.
-    builds = {path.relative_to(ROOT).as_posix():
-              path.read_text(encoding="utf-8").count(".trace.build()")
-              for path in _sources("src", "benchmarks", "scripts")}
+    # harness.run_closed_loop builds the spec's trace; a second hit is a
+    # second hand-written ScenarioSpec -> engine mapping that can drift.
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in _sources("src", "benchmarks", "scripts", "examples")}
+    builds = {path: text.count(".trace.build()") for path, text in sources.items()}
     assert {path: count for path, count in builds.items() if count} \
-        == {"src/repro/parallel/executor.py": 1}
+        == {"src/repro/experiments/harness.py": 1}
+    # ... and it is the only way to run one: no relay and no second sweep.
+    for retired in ("run_scenario", "run_sweep.py"):
+        assert not any(retired in text for text in sources.values()), retired
 
 
 def test_run_closed_loop_takes_no_new_parameter():

@@ -16,12 +16,17 @@ Covers the layer's three contracts:
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import Scads
 from repro.core.schema import EntitySchema, Field
+from repro.experiments.harness import run_closed_loop
 from repro.obs import (
     SPAN_KINDS,
     DecisionTimeline,
@@ -33,7 +38,6 @@ from repro.obs import (
     attribute_windows,
     format_attribution,
 )
-from repro.parallel.executor import run_scenario
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
 
 pytestmark = pytest.mark.tier1
@@ -343,13 +347,30 @@ def test_telemetry_never_changes_a_decision(name):
     # logs its moves on the same timeline; with telemetry on or off, the
     # decision log of a seeded run is the same, byte for byte.
     spec = smoke_variant(next(s for s in STANDARD_SUITE if s.name == name))
-    logs = [
-        json.dumps(run_scenario(spec.with_overrides(**{"engine_knobs.telemetry": telemetry}),
-                                seed=11).engine.timeline.snapshot(), sort_keys=True)
+    summaries = [
+        run_closed_loop(spec.with_overrides(**{"engine_knobs.telemetry": telemetry}), 11)[0]
         for telemetry in (True, False)
     ]
+    logs = [json.dumps(summary.decision_timeline.snapshot(), sort_keys=True)
+            for summary in summaries]
     assert '"decisions": [{' in logs[0]
     assert logs[0] == logs[1]
+
+
+def test_analyze_trace_script_dumps_a_reconciled_run():
+    # The offline-analysis entry point, end to end: a telemetry-on run of the
+    # standard scenario, dumped as one JSON document.
+    root = Path(__file__).resolve().parent.parent
+    completed = subprocess.run(
+        [sys.executable, str(root / "scripts" / "analyze_trace.py"), "--duration", "20"],
+        check=True, capture_output=True, text=True, timeout=240,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    document = json.loads(completed.stdout)
+    assert document["trace_count"] > 0
+    assert document["reconciled_traces"] == document["trace_count"]
+    # 20 s is shorter than one 30 s control interval: the timeline holds the
+    # fleet's attach events and no control step yet.
+    assert document["decision_timeline"]["events"]
 
 
 # ------------------------------------------------------------------ pickling

@@ -22,9 +22,10 @@ from dataclasses import fields
 
 import pytest
 
-from repro.parallel.executor import execute_run, run_scenario, run_sweep
+from repro.experiments.harness import run_closed_loop
+from repro.parallel.executor import execute_run, run_sweep
 from repro.parallel.results import RunFailure, RunSuccess
-from repro.parallel.scenarios import STANDARD_SUITE, smoke_scenario, suites
+from repro.parallel.scenarios import STANDARD_SUITE
 from repro.parallel.spec import (
     FaultSpec,
     RunSpec,
@@ -52,8 +53,10 @@ def tiny_scenario(**overrides) -> ScenarioSpec:
 
 
 def smoke_grid(runs: int, duration: float, rate: float, base_seed: int = 0) -> SweepGrid:
-    """Seeded replicates of a shortened smoke scenario as one single-cell grid."""
-    scenario = smoke_scenario().with_overrides(duration=duration, **{"trace.rate": rate})
+    """Seeded replicates of a seconds-long closed loop as one single-cell grid."""
+    scenario = ScenarioSpec(name="smoke", trace=TraceSpec("constant", {"rate": rate}),
+                            duration=duration, n_users=40, friend_cap=10,
+                            initial_groups=2, control_interval=10.0)
     return SweepGrid(scenario=scenario, replicates=runs, base_seed=base_seed)
 
 
@@ -61,32 +64,30 @@ def smoke_grid(runs: int, duration: float, rate: float, base_seed: int = 0) -> S
 
 
 class TestSweepExpansion:
-    def test_grid_is_cartesian_product_times_replicates(self):
-        grid = SweepGrid(
-            scenario=tiny_scenario(),
-            axes={"trace.rate": [10.0, 20.0], "n_users": [30, 60, 90]},
-            replicates=2,
-        )
-        runs = grid.expand()
-        assert len(runs) == grid.run_count() == 2 * 3 * 2
-        assert runs[0].cell == "trace.rate=10.0,n_users=30"
-        assert runs[0].run_id.endswith("#r0") and runs[1].run_id.endswith("#r1")
-        # Last axis varies fastest; overrides land in the right layer.
-        assert runs[2].scenario.n_users == 60
-        assert runs[2].scenario.trace.params["rate"] == 10.0
-        assert runs[6].scenario.trace.params["rate"] == 20.0
+    def test_grid_is_one_cell_times_replicates(self):
+        scenario = tiny_scenario()
+        runs = SweepGrid(scenario=scenario, replicates=3, base_seed=5).expand()
+        assert [run.run_id for run in runs] == ["tiny#r0", "tiny#r1", "tiny#r2"]
+        assert {run.cell for run in runs} == {"tiny"}
+        assert [run.replicate for run in runs] == [0, 1, 2]
+        assert [run.seed for run in runs] == derive_seeds(5, 3)
+        assert all(run.scenario is scenario for run in runs)
+        with pytest.raises(ValueError, match="replicates"):
+            SweepGrid(scenario=scenario, replicates=0)
 
-    def test_engine_knob_axis_reaches_the_knob_dict(self):
-        grid = SweepGrid(scenario=tiny_scenario(),
-                         axes={"engine_knobs.cache": [False, True]})
-        runs = grid.expand()
-        assert runs[0].scenario.engine_knobs == {"cache": False}
-        assert runs[1].scenario.engine_knobs == {"cache": True}
+    def test_engine_knob_override_reaches_the_knob_dict(self):
+        # Overrides land in the right layer: a field, a trace parameter, a knob.
+        spec = tiny_scenario(**{"n_users": 60, "trace.rate": 10.0,
+                                "engine_knobs.cache": False})
+        assert spec.n_users == 60
+        assert spec.trace.params["rate"] == 10.0
+        assert spec.engine_knobs == {"cache": False}
+        assert spec.with_overrides(**{"engine_knobs.cache": True}).engine_knobs \
+            == {"cache": True}
 
     def test_unknown_parameter_rejected_at_expansion(self):
-        grid = SweepGrid(scenario=tiny_scenario(), axes={"no_such_knob": [1]})
         with pytest.raises(ValueError, match="no_such_knob"):
-            grid.expand()
+            tiny_scenario(no_such_knob=1)
 
     def test_seeds_depend_only_on_base_seed_and_index(self):
         seeds_a = derive_seeds(7, 6)
@@ -114,7 +115,6 @@ class TestSweepExpansion:
             runs = SweepGrid(scenario=scenario, replicates=2).expand()
             assert len(runs) == 2
             assert runs[0].scenario.trace.build().rate_at(0.0) >= 0.0
-        assert set(suites()) == {"standard", "smoke"}
 
 
 # -------------------------------------------------------- executor determinism
@@ -162,8 +162,7 @@ class TestSweepDeterminism:
             float(np.percentile(all_samples, 99.0)))
         assert report.read_report.observed_percentile_latency == pytest.approx(
             merged.percentile(report.read_report.target_percentile))
-        assert report.operations == sum(r.summary.operations
-                                        for r in result.records)
+        assert report.runs == 3
         assert report.cost.requests_served == sum(
             r.summary.cost.requests_served for r in result.records)
 
@@ -175,8 +174,7 @@ class TestFailureIsolation:
     def poisoned_runs(self):
         good = smoke_grid(runs=3, base_seed=1, duration=6.0, rate=15.0).expand()
         poison = RunSpec(
-            index=1, run_id="poison#r0", cell="poison", params={}, replicate=0,
-            seed=good[1].seed,
+            run_id="poison#r0", cell="poison", replicate=0, seed=good[1].seed,
             scenario=tiny_scenario().with_overrides(
                 trace=TraceSpec("no-such-trace", {})),
         )
@@ -200,8 +198,7 @@ class TestFailureIsolation:
         assert records[1].error_type == "ValueError"
 
     def test_execute_run_never_raises(self):
-        bad = RunSpec(index=0, run_id="bad#r0", cell="bad", params={},
-                      replicate=0, seed=0,
+        bad = RunSpec(run_id="bad#r0", cell="bad", replicate=0, seed=0,
                       scenario=tiny_scenario(mix="no-such-mix"))
         record = execute_run(bad)
         assert isinstance(record, RunFailure)
@@ -230,36 +227,47 @@ class TestPortableSummaries:
     # harness never sees them.
     POLICY_FIELDS = {"name", "sla_violation_budget", "sla_write_violation_budget",
                      "sla_ops", "sla_reattain_windows", "sla_min_window_ops"}
-    # Every other field, with a non-default value and where a run shows it.
+    # Every other field, with a non-default value and where a run shows it
+    # (each probe reads the run's summary, engine and app).
     HARNESS_FIELDS = {
-        "trace": (TraceSpec("constant", {"rate": 40.0}), lambda r: r.operations > 300),
-        "duration": (6.0, lambda r: r.duration),
-        "n_users": (50, lambda r: r.engine.get("profiles", ("u00000049",)).row is not None),
-        "friend_cap": (5, lambda r: r.app.friend_cap),
-        "mix": ("uniform_read", lambda r: r.engine.cumulative_operation_counts()["write"]),
-        "sla_latency": (0.3, lambda r: r.engine.spec.performance.latency),
-        "sla_percentile": (95.0, lambda r: r.engine.spec.performance.percentile),
-        "staleness_bound": (30.0, lambda r: r.engine.spec.read.staleness_bound),
-        "read_your_writes": (True, lambda r: r.engine.spec.session.read_your_writes),
-        "autoscale": (False, lambda r: r.engine.autoscale),
-        "predictive_scaling": (False, lambda r: r.engine.controller.predictive),
-        "initial_groups": (3, lambda r: len(r.engine.cluster.groups)),
-        "control_interval": (4.0, lambda r: r.engine.controller.control_interval),
-        "sampling_fraction": (0.25, lambda r: r.operations > 100),
-        "engine_knobs": ({"cache": False}, lambda r: r.engine.cache is not None),
-        "faults": ((FaultSpec("zone_outage", at=2.0, duration=100.0),),
-                   lambda r: all(n.alive for n in r.engine.cluster.nodes.values())),
+        "trace": (TraceSpec("constant", {"rate": 40.0}), lambda s, e, a: s.operations > 300),
+        "duration": (6.0, lambda s, e, a: s.duration),
+        "n_users": (50, lambda s, e, a: e.get("profiles", ("u00000049",)).row is not None),
+        "friend_cap": (5, lambda s, e, a: a.friend_cap),
+        "mix": ("uniform_read", lambda s, e, a: s.operation_counts["write"]),
+        "sla_latency": (0.3, lambda s, e, a: e.spec.performance.latency),
+        "sla_percentile": (95.0, lambda s, e, a: e.spec.performance.percentile),
+        "staleness_bound": (30.0, lambda s, e, a: e.spec.read.staleness_bound),
+        "read_your_writes": (True, lambda s, e, a: e.spec.session.read_your_writes),
+        "autoscale": (False, lambda s, e, a: e.autoscale),
+        "predictive_scaling": (False, lambda s, e, a: e.controller.predictive),
+        "initial_groups": (3, lambda s, e, a: len(e.cluster.groups)),
+        "control_interval": (4.0, lambda s, e, a: e.controller.control_interval),
+        "sampling_fraction": (0.25, lambda s, e, a: s.operations > 100),
+        "engine_knobs": ({"cache": False}, lambda s, e, a: e.cache is not None),
+        "faults": ((FaultSpec("zone_outage", at=2.0, duration=100.0,
+                              params={"zone_index": 1}),),
+                   lambda s, e, a: all(n.alive for n in e.cluster.nodes.values())),
     }
 
-    def test_run_scenario_honours_engine_knobs(self):
+    def test_run_closed_loop_honours_every_spec_field(self):
         """No spec field is dropped on the way to the harness: each one, set
         to a non-default value, yields a run that differs where it should."""
         assert set(self.HARNESS_FIELDS) | self.POLICY_FIELDS == \
             {f.name for f in fields(ScenarioSpec)}
-        plain = run_scenario(tiny_scenario(), seed=2)
+        plain = run_closed_loop(tiny_scenario(), 2)
         for name, (value, probe) in self.HARNESS_FIELDS.items():
-            configured = run_scenario(tiny_scenario(**{name: value}), seed=2)
-            assert probe(configured) != probe(plain), name
+            configured = run_closed_loop(tiny_scenario(**{name: value}), 2)
+            assert probe(*configured) != probe(*plain), name
+
+    def test_unknown_kinds_name_their_registry(self):
+        for override, registered in (({"mix": "no-such-mix"}, "uniform_read"),
+                                     ({"trace": TraceSpec("no-such-trace")}, "flash_crowd"),
+                                     ({"faults": (FaultSpec("no-such-fault", at=1.0,
+                                                            duration=1.0),)},
+                                      "host_degradation")):
+            with pytest.raises(ValueError, match=registered):
+                run_closed_loop(tiny_scenario(**override), 2)
 
     def test_cell_rescoring_against_alternative_sla_targets(self):
         grid = smoke_grid(runs=2, base_seed=4, duration=8.0, rate=20.0)

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from repro.core.consistency.spec import ConsistencySpec, PerformanceSLA
 from repro.core.engine import Scads
 from repro.core.provisioning.planner import CapacityPlanner
+from repro.experiments.harness import run_closed_loop
 from repro.ml.performance_model import LatencyPercentileModel, PropagationLagModel
+from repro.parallel.spec import ScenarioSpec, TraceSpec
 from repro.storage.failure import FailureInjector
-from repro.workloads.traces import AnimotoViralTrace, ConstantTrace
 
 pytestmark = pytest.mark.tier1
 
@@ -89,40 +90,33 @@ class TestClosedLoopAutoscaling:
     per-node capacity, tens of ops/sec) so the whole class stays fast.
     """
 
-    def _run(self, trace, duration, **kwargs):
-        from repro.experiments.harness import run_closed_loop
-
-        defaults = dict(seed=11, n_users=60, friend_cap=10, control_interval=30.0,
-                        initial_groups=1)
-        defaults.update(kwargs)
-        return run_closed_loop(trace, duration, **defaults)
+    def _run(self, trace, duration):
+        return run_closed_loop(ScenarioSpec(name="autoscaling", trace=trace,
+                                            duration=duration, n_users=60,
+                                            friend_cap=10), 11)
 
     def test_scale_up_under_growing_load(self):
-        growing = AnimotoViralTrace(start_rate=20.0, peak_multiplier=8.0,
-                                    ramp_start=60.0, ramp_duration=500.0)
-        result = self._run(growing, duration=700.0)
+        growing = TraceSpec("viral", {"start_rate": 20.0, "peak_multiplier": 8.0,
+                                      "ramp_start": 60.0, "ramp_duration": 500.0})
+        result, _, _ = self._run(growing, duration=700.0)
         assert result.scale_ups >= 1
         assert result.peak_nodes > 3
 
     def test_scale_down_after_load_drops(self):
-        from repro.workloads.traces import StepTrace
-
-        trace = StepTrace([(0.0, 150.0), (400.0, 10.0)])
-        result = self._run(trace, duration=1800.0,
-                           control_interval=30.0)
+        trace = TraceSpec("step", {"steps": [(0.0, 150.0), (400.0, 10.0)]})
+        result, _, _ = self._run(trace, duration=1800.0)
         assert result.scale_downs >= 1
         assert result.final_nodes < result.peak_nodes
 
     def test_controller_records_time_series(self):
-        result = self._run(ConstantTrace(30.0), duration=300.0)
-        series = result.engine.controller.series()
+        _, engine, _ = self._run(TraceSpec("constant", {"rate": 30.0}), duration=300.0)
+        series = engine.controller.series()
         assert "observed_rate" in series
         assert "nodes" in series
-        assert len(result.engine.controller.actions()) >= 5
+        assert len(engine.controller.actions()) >= 5
 
     def test_billing_tracks_rented_instances(self):
-        result = self._run(ConstantTrace(30.0), duration=300.0)
-        engine = result.engine
+        _, engine, _ = self._run(TraceSpec("constant", {"rate": 30.0}), duration=300.0)
         assert engine.cost_so_far() > 0.0
         assert engine.pool.active_count() == engine.cluster.node_count()
 

@@ -47,7 +47,7 @@ class TestGridExpansion:
         runs = build_grid_runs(replicates=2)
         seeds = {}
         for run in runs:
-            key = (run.params["scenario"], run.replicate)
+            key = (run.cell.split("/")[0], run.replicate)
             seeds.setdefault(key, set()).add(run.seed)
         # Paired experiment: one seed per (scenario, replicate), shared by
         # baseline/repartition/cache/both.
@@ -60,7 +60,7 @@ class TestGridExpansion:
         full = build_grid_runs(replicates=2)
         only = build_grid_runs(
             scenarios=grid_scenarios(names=["regional-failover"]), replicates=2)
-        wanted = [r for r in full if r.params["scenario"] == "regional-failover"]
+        wanted = [r for r in full if r.cell.startswith("regional-failover/")]
         assert [(r.run_id, r.seed) for r in only] == \
             [(r.run_id, r.seed) for r in wanted]
 
@@ -68,8 +68,8 @@ class TestGridExpansion:
         # Its seed comes from a hash of its name; ``hash()`` of a str is
         # salted per process, so that hash must be a stable one.
         code = ("from repro.parallel.grid import build_grid_runs\n"
-                "from repro.parallel.scenarios import smoke_scenario\n"
-                "spec = smoke_scenario().with_overrides(name='renamed-smoke')\n"
+                "from repro.parallel.scenarios import STANDARD_SUITE\n"
+                "spec = STANDARD_SUITE[0].with_overrides(name='renamed-smoke')\n"
                 "print([run.seed for run in build_grid_runs([spec], replicates=2)])\n")
         seeds = [
             subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
@@ -81,13 +81,28 @@ class TestGridExpansion:
 
     def test_config_cells_pin_both_knobs_explicitly(self):
         runs = build_grid_runs(scenarios=grid_scenarios(names=["cache-tier"]))
-        knobs = {run.params["config"]: run.scenario.engine_knobs for run in runs}
+        knobs = {run.cell.split("/")[1]: run.scenario.engine_knobs for run in runs}
         assert knobs["baseline"]["cache"] is False
         assert knobs["baseline"]["repartition"] is False
         assert knobs["both"]["cache"] is True
         assert knobs["both"]["repartition"] is True
         # The scenario's own knobs survive the override merge.
         assert all(set(k) >= {"cache", "repartition"} for k in knobs.values())
+
+    def test_grid_seeds_are_pinned(self):
+        # The grid seeds are part of every grid fingerprint: these are the
+        # values the runs had before the cells went through SweepGrid.expand.
+        pinned = {
+            "standard-closed-loop": [1247148256451459311, 1833474909210205599],
+            "write-heavy": [15514177504443620650, 11837761629387765858],
+            "diurnal-scale-down": [17637719132235393954, 6275066562878893250],
+        }
+        runs = build_grid_runs(replicates=2, base_seed=7)
+        for name, seeds in pinned.items():
+            for config in CONFIG_CELLS:
+                cell = f"{name}/{config}"
+                assert [(run.run_id, run.seed) for run in runs if run.cell == cell] \
+                    == [(f"{cell}#r{replicate}", seed) for replicate, seed in enumerate(seeds)]
 
     def test_every_corpus_scenario_has_a_smoke_recipe(self):
         for spec in STANDARD_SUITE:
