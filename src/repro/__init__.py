@@ -12,7 +12,7 @@ from repro.core.engine import Scads
 # repro.core.consistency, so letting the engine import complete first keeps
 # the (benign) cycle one-directional at import time.
 from repro.cache.tier import CacheConfig
-from repro.core.schema import EntitySchema, Field, FieldType, Relationship
+from repro.core.schema import EntitySchema, Field, FieldType
 from repro.core.consistency import (
     ConsistencySpec,
     DurabilitySLA,
@@ -30,7 +30,6 @@ __all__ = [
     "EntitySchema",
     "Field",
     "FieldType",
-    "Relationship",
     "ConsistencySpec",
     "PerformanceSLA",
     "WriteConsistency",

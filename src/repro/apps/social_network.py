@@ -15,7 +15,7 @@ from typing import Any, List
 
 from repro.core.engine import OperationOutcome, Scads
 from repro.core.query.executor import QueryResult
-from repro.core.schema import EntitySchema, Field, FieldType, Relationship
+from repro.core.schema import EntitySchema, Field, FieldType
 from repro.workloads.opmix import Operation, OperationKind
 from repro.workloads.social_graph import SocialGraph
 
@@ -31,10 +31,7 @@ LOAD_FLUSH_EVERY = 5000
 class AppStats:
     """Counters of application-level operations executed."""
 
-    users_created: int = 0
-    friendships_created: int = 0
     statuses_posted: int = 0
-    profile_updates: int = 0
     page_views: int = 0
     failed_operations: int = 0
 
@@ -92,14 +89,6 @@ class SocialNetworkApp:
                 max_per_partition=STATUS_CAP,
             )
         )
-        self.engine.register_relationship(
-            Relationship(
-                name="friends",
-                from_entity="profiles",
-                to_entity="profiles",
-                max_cardinality=self.friend_cap,
-            )
-        )
 
     def _register_queries(self, register_friends_of_friends: bool) -> None:
         # Figure 3 row 1: the friend index.
@@ -141,8 +130,6 @@ class SocialNetworkApp:
             session_id=user_id,
         )
         self._count(outcome)
-        if outcome.success:
-            self.stats.users_created += 1
         return outcome
 
     def add_friendship(self, a: str, b: str) -> List[OperationOutcome]:
@@ -155,8 +142,6 @@ class SocialNetworkApp:
         ]
         for outcome in outcomes:
             self._count(outcome)
-        if all(o.success for o in outcomes):
-            self.stats.friendships_created += 1
         return outcomes
 
     def post_status(self, user_id: str, status_id: int, text: str) -> OperationOutcome:
@@ -179,8 +164,6 @@ class SocialNetworkApp:
         row["user_id"] = user_id
         outcome = self.engine.put("profiles", row, session_id=user_id)
         self._count(outcome)
-        if outcome.success:
-            self.stats.profile_updates += 1
         return outcome
 
     # -------------------------------------------------------------------- reads

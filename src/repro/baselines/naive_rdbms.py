@@ -23,7 +23,6 @@ class NaiveQueryResult:
     """Rows plus the modelled execution cost of a naive scan-based query."""
 
     rows: List[Dict[str, Any]]
-    rows_scanned: int
     latency: float
 
 
@@ -80,6 +79,5 @@ class NaiveRdbms:
             joined = joined[:limit]
         return NaiveQueryResult(
             rows=joined,
-            rows_scanned=scanned,
             latency=self.base_cost + scanned * self.row_scan_cost,
         )

@@ -101,4 +101,4 @@ class AdmissionPolicy:
         """
         if not self.session_checks(session):
             return True
-        return session.acceptable(namespace, key, cached_value, count=False)
+        return session.acceptable(namespace, key, cached_value)

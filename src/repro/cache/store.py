@@ -38,17 +38,11 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    insertions: int = 0
-    ttl_expirations: int = 0
     lru_evictions: int = 0
     invalidations: int = 0
     # Range lookups served by *containment* — a narrower scan answered from a
     # wider cached entry (a subset of ``hits``).
     containment_hits: int = 0
-    # Range entries inspected by containment lookups and invalidations: the
-    # attempts behind ``containment_hits`` and the range share of
-    # ``invalidations`` (useful outcomes / attempts = the wasted-work ratio).
-    range_candidates_examined: int = 0
 
     @property
     def lookups(self) -> int:
@@ -66,7 +60,6 @@ class CacheEntry:
     token: EntryToken
     namespace: str
     value: Any
-    inserted_at: float
     expires_at: float
     key: Optional[Key] = None
     key_range: Optional[KeyRange] = None
@@ -176,7 +169,6 @@ class StalenessBudgetCache:
             return None
         if entry.expired(now):
             self._remove(token)
-            self.stats.ttl_expirations += 1
             self.stats.misses += 1
             return None
         self._entries.move_to_end(token)
@@ -193,7 +185,6 @@ class StalenessBudgetCache:
         entries = self._entries
         hits: Dict[Key, Any] = {}
         misses: List[Key] = []
-        expired = 0
         for key in keys:
             token = ("entity", namespace, key)  # entity_token(), inlined
             entry = entries.get(token)
@@ -203,12 +194,10 @@ class StalenessBudgetCache:
                     hits[key] = entry.value
                     continue
                 self._remove(token)
-                expired += 1
             misses.append(key)
         stats = self.stats
         stats.hits += len(hits)
         stats.misses += len(misses)
-        stats.ttl_expirations += expired
         return hits, misses
 
     def peek(self, token: EntryToken) -> Optional[CacheEntry]:
@@ -256,7 +245,6 @@ class StalenessBudgetCache:
         if entry is not None:
             if entry.expired(now):
                 self._remove(entry.token)
-                self.stats.ttl_expirations += 1
             else:
                 self._entries.move_to_end(entry.token)
                 self.stats.hits += 1
@@ -282,10 +270,8 @@ class StalenessBudgetCache:
         leads = (start[0], None) if start and end else (None,)
         winner: Optional[CacheEntry] = None
         winner_admission = 0
-        examined = 0
         for lead in leads:
             for token in ranges.buckets.get(lead, ()):
-                examined += 1
                 entry = entries[token]
                 if entry.expired(now):
                     continue
@@ -303,7 +289,6 @@ class StalenessBudgetCache:
                 if winner is None or admission < winner_admission:
                     winner, winner_admission = entry, admission
                 break
-        self.stats.range_candidates_examined += examined
         if winner is None:
             return None
         rows = [(key, value) for key, value in winner.value
@@ -324,7 +309,6 @@ class StalenessBudgetCache:
             doomed.append(token)
         for token in doomed:
             self._remove(token)
-        self.stats.ttl_expirations += len(doomed)
 
     # --------------------------------------------------------------- admission
 
@@ -335,14 +319,13 @@ class StalenessBudgetCache:
         if ttl <= 0:
             return None
         token = ("entity", namespace, key)  # entity_token(), inlined
-        entry = CacheEntry(token, namespace, value, now, now + ttl, key)
+        entry = CacheEntry(token, namespace, value, now + ttl, key)
         entries = self._entries
         # An entity entry costs 1 and is in no range index, so replacing one
         # is a pop; the new entry goes to the young end of the LRU order.
         if entries.pop(token, None) is None:
             self._cost_total += 1
         entries[token] = entry
-        self.stats.insertions += 1
         if self._cost_total > self.capacity:
             self._evict_to_capacity(token)
         return entry
@@ -364,7 +347,6 @@ class StalenessBudgetCache:
             token=token,
             namespace=namespace,
             value=rows,
-            inserted_at=now,
             expires_at=now + ttl,
             key_range=key_range or KeyRange(namespace=namespace, start=start, end=end),
             cost=cost,
@@ -379,7 +361,6 @@ class StalenessBudgetCache:
         self._range_admissions += 1
         ranges.admitted[token] = self._range_admissions
         ranges.buckets.setdefault(_shared_lead(start, end), {})[token] = None
-        self.stats.insertions += 1
         self._evict_to_capacity(token)
         return entry
 
@@ -413,15 +394,12 @@ class StalenessBudgetCache:
             dropped += 1
         ranges = self._ranges.get(namespace)
         if ranges is not None:
-            examined = 0
             for lead in (key[0], None):
                 # Copied: dropping an entry edits the bucket under iteration.
                 for rtoken in list(ranges.buckets.get(lead, ())):
-                    examined += 1
                     if self._entries[rtoken].key_range.contains(key):
                         self._remove(rtoken)
                         dropped += 1
-            self.stats.range_candidates_examined += examined
         self.stats.invalidations += dropped
         return dropped
 

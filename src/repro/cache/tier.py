@@ -71,7 +71,6 @@ class CacheTier:
         self._hit_latency = LogNormalLatency(
             median=HIT_LATENCY_MEDIAN, sigma=HIT_LATENCY_SIGMA)
         self._rng = simulator.random.get("cache:hit-latency")
-        self.session_bypasses = 0
 
     # ------------------------------------------------------------------ serving
 
@@ -91,17 +90,16 @@ class CacheTier:
         if entry is None:
             return None
         if not self.policy.session_allows(session, namespace, key, entry.value):
-            self._note_session_bypass()
+            self._reclassify_as_misses(1)
             return None
         return entry
 
-    def _note_session_bypass(self) -> None:
-        self.session_bypasses += 1
-        # The lookup was counted as a hit, but this read goes to the
-        # cluster; reclassify so the hit-rate feature the provisioning
-        # loop sees reflects cluster-absorbed reads only.
-        self.store.stats.hits -= 1
-        self.store.stats.misses += 1
+    def _reclassify_as_misses(self, bypasses: int) -> None:
+        # Each bypassed lookup was counted as a hit, but its read goes to the
+        # cluster; reclassify so the hit-rate feature the provisioning loop
+        # sees reflects cluster-absorbed reads only.
+        self.store.stats.hits -= bypasses
+        self.store.stats.misses += bypasses
 
     def lookup_entities(
         self, namespace: str, keys: Iterable[Key], session: Optional[Session],
@@ -123,11 +121,11 @@ class CacheTier:
         if session is not None and hits:
             if self.policy.session_checks(session):
                 rejected = [key for key, value in hits.items()
-                            if not session.acceptable(namespace, key, value, count=False)]
+                            if not session.acceptable(namespace, key, value)]
                 if rejected:
                     for key in rejected:
                         del hits[key]
-                        self._note_session_bypass()
+                    self._reclassify_as_misses(len(rejected))
                     misses = [key for key in distinct if key not in hits]
             session.note_reads(namespace, hits, hits.values())
         if not hits:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
 class InstanceState(enum.Enum):
@@ -87,27 +87,21 @@ class Instance:
 
     instance_id: str
     instance_type: InstanceType
-    launch_time: float
     purchase_option: str = ON_DEMAND
     state: InstanceState = InstanceState.BOOTING
-    ready_time: Optional[float] = None
-    termination_time: Optional[float] = None
-    hibernate_time: Optional[float] = None
 
-    def mark_running(self, now: float) -> None:
+    def mark_running(self) -> None:
         """Transition from BOOTING to RUNNING (idempotent once terminated-checked)."""
         if self.state is InstanceState.TERMINATED:
             raise ValueError(f"instance {self.instance_id} already terminated")
         self.state = InstanceState.RUNNING
-        self.ready_time = now
 
-    def hibernate(self, now: float) -> None:
+    def hibernate(self) -> None:
         """Freeze a running instance: state preserved, billing stopped."""
         if self.state is not InstanceState.RUNNING:
             raise ValueError(
                 f"instance {self.instance_id} cannot hibernate from {self.state.value}")
         self.state = InstanceState.HIBERNATED
-        self.hibernate_time = now
 
     def begin_resume(self) -> None:
         """Start waking a hibernated instance (a short boot follows)."""
@@ -116,12 +110,11 @@ class Instance:
                 f"instance {self.instance_id} cannot resume from {self.state.value}")
         self.state = InstanceState.BOOTING
 
-    def terminate(self, now: float) -> None:
+    def terminate(self) -> None:
         """Stop the instance; billing stops at the end of the started increment."""
         if self.state is InstanceState.TERMINATED:
             return
         self.state = InstanceState.TERMINATED
-        self.termination_time = now
 
     def is_usable(self) -> bool:
         """True when the instance can serve traffic."""

@@ -46,8 +46,6 @@ class InterruptionNotice:
     """One delivered interruption notice."""
 
     instance_id: str
-    type_name: str
-    notice_time: float
     deadline: float
     reason: str  # "drought", "price", or "storm"
 
@@ -213,12 +211,10 @@ class SpotMarket:
         entry = self._registered.get(instance_id)
         if entry is None or instance_id in self._notices:
             return
-        type_name, on_notice = entry
+        on_notice = entry[1]
         now = self._sim.now
         notice = InterruptionNotice(
             instance_id=instance_id,
-            type_name=type_name,
-            notice_time=now,
             deadline=now + NOTICE_SECONDS,
             reason=reason,
         )

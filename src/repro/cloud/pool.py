@@ -122,7 +122,6 @@ class InstancePool:
             instance = Instance(
                 instance_id=f"i-{next(self._counter):06d}",
                 instance_type=self.instance_type,
-                launch_time=self._sim.now,
                 purchase_option=purchase_option,
             )
             self._instances[instance.instance_id] = instance
@@ -135,7 +134,7 @@ class InstancePool:
                 def ready() -> None:
                     if inst.state is not InstanceState.BOOTING:
                         return  # terminated or hibernated while booting
-                    inst.mark_running(self._sim.now)
+                    inst.mark_running()
                     self._record_count()
                     if on_ready is not None:
                         on_ready(inst)
@@ -192,7 +191,7 @@ class InstancePool:
         if instance.state is InstanceState.TERMINATED:
             return
         was_hibernated = instance.state is InstanceState.HIBERNATED
-        instance.terminate(self._sim.now)
+        instance.terminate()
         if not was_hibernated:  # a hibernated instance's lease is already closed
             self.billing.close_lease(instance_id, self._sim.now)
         if self._market is not None:
@@ -206,7 +205,7 @@ class InstancePool:
         instance = self._instances.get(instance_id)
         if instance is None:
             raise KeyError(f"unknown instance {instance_id!r}")
-        instance.hibernate(self._sim.now)
+        instance.hibernate()
         self.billing.close_lease(instance_id, self._sim.now)
         if self._market is not None:
             self._market.unregister(instance_id)
@@ -238,7 +237,7 @@ class InstancePool:
         def ready() -> None:
             if instance.state is not InstanceState.BOOTING:
                 return
-            instance.mark_running(self._sim.now)
+            instance.mark_running()
             self._record_count()
             if on_ready is not None:
                 on_ready(instance)

@@ -18,7 +18,7 @@ from repro.core.consistency.spec import (
 )
 from repro.core.consistency.sessions import Session, SessionManager
 from repro.core.consistency.writes import ConflictResolver
-from repro.core.consistency.arbitration import Arbitrator, ArbitrationDecision
+from repro.core.consistency.arbitration import Arbitrator
 
 __all__ = [
     "Axis",
@@ -33,5 +33,4 @@ __all__ = [
     "SessionManager",
     "ConflictResolver",
     "Arbitrator",
-    "ArbitrationDecision",
 ]

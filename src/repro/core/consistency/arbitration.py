@@ -8,29 +8,14 @@ important."
 
 The :class:`Arbitrator` encodes exactly that: when the read path cannot both
 answer (availability) and honour the staleness bound / session guarantee
-(consistency), it consults the spec's priority ordering, records the decision,
-and the engine either serves the stale value or fails the request.  The
-recorded decisions feed back into provisioning, as the paper suggests.
+(consistency), it consults the spec's priority ordering, and the engine
+either serves the stale value or fails the request.  It counts the
+resolutions of each kind for the reports of experiment E9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from repro.core.consistency.spec import Axis, ConsistencySpec
-
-
-@dataclass(frozen=True)
-class ArbitrationDecision:
-    """One recorded conflict and its resolution."""
-
-    time: float
-    conflict: str  # e.g. "staleness_check_unavailable"
-    winner: Axis
-    loser: Axis
-    served_stale: bool
-    failed_request: bool
 
 
 class Arbitrator:
@@ -38,73 +23,37 @@ class Arbitrator:
 
     def __init__(self, spec: ConsistencySpec) -> None:
         self.spec = spec
-        self._decisions: List[ArbitrationDecision] = []
+        self._stale_serves = 0
+        self._failed_requests = 0
 
     # ---------------------------------------------------------------- decisions
 
-    def resolve_read_conflict(self, now: float, conflict: str) -> ArbitrationDecision:
-        """Decide what to do when a read cannot verify its consistency bound.
+    def resolve_read_conflict(self) -> bool:
+        """Decide what to do when a read cannot verify its consistency bound;
+        returns whether the request fails.
 
         If availability outranks read consistency, the (possibly stale) value
-        is served; otherwise the request fails.  Either way the decision is
-        recorded for the provisioning feedback loop and for experiment E9.
+        is served; otherwise the request fails.
         """
-        availability_first = self.spec.prefers(Axis.AVAILABILITY, Axis.READ_CONSISTENCY)
-        if availability_first:
-            decision = ArbitrationDecision(
-                time=now,
-                conflict=conflict,
-                winner=Axis.AVAILABILITY,
-                loser=Axis.READ_CONSISTENCY,
-                served_stale=True,
-                failed_request=False,
-            )
-        else:
-            decision = ArbitrationDecision(
-                time=now,
-                conflict=conflict,
-                winner=Axis.READ_CONSISTENCY,
-                loser=Axis.AVAILABILITY,
-                served_stale=False,
-                failed_request=True,
-            )
-        self._decisions.append(decision)
-        return decision
+        return self._resolve(Axis.READ_CONSISTENCY)
 
-    def resolve_session_conflict(self, now: float, conflict: str) -> ArbitrationDecision:
+    def resolve_session_conflict(self) -> bool:
         """Same trade-off for session guarantees vs. availability."""
-        availability_first = self.spec.prefers(Axis.AVAILABILITY, Axis.SESSION)
-        if availability_first:
-            decision = ArbitrationDecision(
-                time=now,
-                conflict=conflict,
-                winner=Axis.AVAILABILITY,
-                loser=Axis.SESSION,
-                served_stale=True,
-                failed_request=False,
-            )
-        else:
-            decision = ArbitrationDecision(
-                time=now,
-                conflict=conflict,
-                winner=Axis.SESSION,
-                loser=Axis.AVAILABILITY,
-                served_stale=False,
-                failed_request=True,
-            )
-        self._decisions.append(decision)
-        return decision
+        return self._resolve(Axis.SESSION)
+
+    def _resolve(self, axis: Axis) -> bool:
+        if self.spec.prefers(Axis.AVAILABILITY, axis):
+            self._stale_serves += 1
+            return False
+        self._failed_requests += 1
+        return True
 
     # ---------------------------------------------------------------- reporting
 
-    def decisions(self) -> List[ArbitrationDecision]:
-        """Every conflict resolved so far, in time order."""
-        return list(self._decisions)
-
     def stale_serves(self) -> int:
         """How many conflicts were resolved by serving stale data."""
-        return sum(1 for d in self._decisions if d.served_stale)
+        return self._stale_serves
 
     def failed_requests(self) -> int:
         """How many conflicts were resolved by failing the request."""
-        return sum(1 for d in self._decisions if d.failed_request)
+        return self._failed_requests

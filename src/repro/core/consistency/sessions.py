@@ -10,78 +10,54 @@ A session keeps a per-key history only for the guarantees it has: the
 guarantee is a frozen value fixed when the session opens, and
 :meth:`Session.acceptable` consults the written versions only under
 read-your-writes and the seen versions only under monotonic reads, so a
-history kept for a guarantee that is off could never be read.  The
-``stats`` counters count every call either way.
+history kept for a guarantee that is off could never be read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, Optional, Tuple
 
 from repro.core.consistency.spec import SessionGuarantee
 from repro.storage.records import Key, VersionedValue
 
 
-@dataclass
-class SessionStats:
-    """How often each guarantee forced a primary re-read (anomaly prevented)."""
-
-    reads: int = 0
-    writes: int = 0
-    ryw_fallbacks: int = 0
-    monotonic_fallbacks: int = 0
-
-
 class Session:
     """One client session's write/read history."""
 
-    def __init__(self, session_id: str, guarantee: SessionGuarantee) -> None:
-        self.session_id = session_id
+    def __init__(self, guarantee: SessionGuarantee) -> None:
         self.guarantee = guarantee
         self._last_written_version: Dict[Tuple[str, Key], int] = {}
         self._last_seen_version: Dict[Tuple[str, Key], int] = {}
-        self.stats = SessionStats()
 
     # ------------------------------------------------------------------- writes
 
     def note_write(self, namespace: str, key: Key, value: VersionedValue) -> None:
         """Record that this session wrote ``value`` (its version matters)."""
-        self.stats.writes += 1
         if self.guarantee.read_your_writes:
             self._last_written_version[(namespace, key)] = value.version
 
     # -------------------------------------------------------------------- reads
 
-    def acceptable(self, namespace: str, key: Key, value: Optional[VersionedValue],
-                   count: bool = True) -> bool:
+    def acceptable(self, namespace: str, key: Key, value: Optional[VersionedValue]) -> bool:
         """Is a replica-read result consistent with this session's history?
 
         A missing value (None) is unacceptable if the session wrote the key or
         has previously seen it — the replica simply has not caught up.
-        ``count=False`` asks without recording a fallback, for callers (the
-        cache tier's bypass policy) that probe acceptability before the
-        cluster read path runs the real, counted check.
         """
         identity = (namespace, key)
         observed_version = value.version if value is not None else 0
         if self.guarantee.read_your_writes:
             written = self._last_written_version.get(identity, 0)
             if observed_version < written:
-                if count:
-                    self.stats.ryw_fallbacks += 1
                 return False
         if self.guarantee.monotonic_reads:
             seen = self._last_seen_version.get(identity, 0)
             if observed_version < seen:
-                if count:
-                    self.stats.monotonic_fallbacks += 1
                 return False
         return True
 
     def note_read(self, namespace: str, key: Key, value: Optional[VersionedValue]) -> None:
         """Record what the session ended up observing (for monotonic reads)."""
-        self.stats.reads += 1
         if value is None or not self.guarantee.monotonic_reads:
             return
         identity = (namespace, key)
@@ -93,7 +69,6 @@ class Session:
                    values: Iterable[Optional[VersionedValue]]) -> None:
         """:meth:`note_read` for each ``(key, value)`` pair, as one call —
         a query's dereference list is observed together."""
-        self.stats.reads += len(keys)
         if not self.guarantee.monotonic_reads:
             return
         seen = self._last_seen_version
@@ -114,9 +89,7 @@ class SessionManager:
     def open(self, session_id: str, guarantee: Optional[SessionGuarantee] = None) -> Session:
         """Open (or return the existing) session with the given id."""
         if session_id not in self._sessions:
-            self._sessions[session_id] = Session(
-                session_id, guarantee or self._default_guarantee
-            )
+            self._sessions[session_id] = Session(guarantee or self._default_guarantee)
         return self._sessions[session_id]
 
     def get(self, session_id: str) -> Optional[Session]:

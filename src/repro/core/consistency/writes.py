@@ -27,7 +27,6 @@ class ResolverStats:
 
     last_write_wins: int = 0
     merged: int = 0
-    serialized: int = 0
 
 
 class ConflictResolver:
@@ -80,7 +79,6 @@ class ConflictResolver:
         # SERIALIZABLE: the quorum (plus single-primary ordering) provides the
         # guarantee; the stored value is simply the incoming row applied on
         # top of the current one so partial-row writes behave like updates.
-        self.stats.serialized += 1
         base = dict(current_row) if current_row else {}
         base.update(incoming_row)
         return base

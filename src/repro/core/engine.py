@@ -1,9 +1,9 @@
 """The public SCADS engine.
 
 :class:`Scads` is what an application developer sees: declare entities and
-relationships, register query templates (which are admitted or rejected at
-declaration time), read and write entities, run queries, and let the system
-worry about indexes, consistency, and capacity.
+their cardinality bounds, register query templates (which are admitted or
+rejected at declaration time), read and write entities, run queries, and let
+the system worry about indexes, consistency, and capacity.
 
 Internally the engine wires together every substrate in the repository:
 
@@ -102,7 +102,7 @@ from repro.core.query.plans import (
     entity_namespace,
     reverse_index_namespace,
 )
-from repro.core.schema import EntitySchema, Relationship, SchemaRegistry
+from repro.core.schema import EntitySchema, SchemaRegistry
 from repro.metrics.percentiles import PercentileEstimator
 from repro.metrics.sla import ComplianceWindow, OpRecorder, SLAReport
 from repro.ml.forecaster import WorkloadForecaster
@@ -598,10 +598,6 @@ class Scads:
         """Declare an entity set."""
         return self.registry.register_entity(schema)
 
-    def register_relationship(self, relationship: Relationship) -> Relationship:
-        """Declare a bounded relationship between entity sets."""
-        return self.registry.register_relationship(relationship)
-
     # ------------------------------------------------------------------- queries
 
     def register_query(self, name: str, sql: str) -> CompiledQuery:
@@ -884,12 +880,10 @@ class Scads:
                 elif not primary_reachable:
                     # Cannot verify the bound at all: availability vs. read consistency.
                     stale = True
-                    if self.arbitrator.resolve_read_conflict(
-                            now, "staleness_check_unreachable").failed_request:
+                    if self.arbitrator.resolve_read_conflict():
                         failure = "read consistency prioritised over availability"
             # Session guarantees: the replica value must be at least as new as
-            # what this session wrote / has already seen (asked first: the
-            # session counts its fallbacks).
+            # what this session wrote / has already seen.
             if failure is None and ((session_checks and not session.acceptable(
                     namespace, key, value)) or needs_primary):
                 if primary_reachable:
@@ -901,14 +895,12 @@ class Scads:
                     else:
                         stale = True
                         known_staleness = None
-                        if self.arbitrator.resolve_read_conflict(
-                                now, "primary_read_failed").failed_request:
+                        if self.arbitrator.resolve_read_conflict():
                             failure = primary_result.error
                 else:
                     stale = True
                     known_staleness = None
-                    if self.arbitrator.resolve_session_conflict(
-                            now, "primary_unreachable_for_session_guarantee").failed_request:
+                    if self.arbitrator.resolve_session_conflict():
                         failure = "session guarantee unsatisfiable"
             if latency > slowest:
                 slowest = latency

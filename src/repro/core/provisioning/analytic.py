@@ -181,7 +181,6 @@ class AnalyticSizingModel:
         self.prior_service_time = self.base_service_time * math.exp(SERVICE_SIGMA * z)
         self._calibrated_service: float | None = None
         self._calibrated_amplification: float | None = None
-        self.windows_observed = 0
 
     # ------------------------------------------------------------- calibration
 
@@ -218,7 +217,6 @@ class AnalyticSizingModel:
             else:
                 self._calibrated_amplification += alpha * (
                     implied_amp - self._calibrated_amplification)
-        self.windows_observed += 1
 
     def percentile_service_time(self) -> float:
         """Current percentile-service estimate (calibrated, else the prior)."""

@@ -52,9 +52,6 @@ class CapacityPlan:
     utilisation_required_nodes: int
     staleness_pressure: bool
     reason: str
-    # Fraction of forecast demand the cache tier is expected to absorb; the
-    # node requirements above were computed against the discounted rate.
-    cache_absorbed_fraction: float = 0.0
     # True when the observed load pattern suggests the SLA pressure comes from
     # *placement* (one hot group, cluster-wide headroom), so a split/migrate
     # should be tried before renting another replica group.
@@ -213,7 +210,6 @@ class CapacityPlanner:
             utilisation_required_nodes=utilisation_nodes,
             staleness_pressure=False,
             reason="",
-            cache_absorbed_fraction=cache_hit_rate,
             backend=self.backend,
             clamp_band=CLAMP_BAND,
         )

@@ -67,11 +67,9 @@ class InterruptionRecord:
 
     instance_id: str
     node_id: str
-    notice_time: float
     deadline: float
     reason: str
     outcome: str = "draining"  # -> "hibernated" | "aborted" | "terminated"
-    completed_time: Optional[float] = None
 
 
 class SpotFleetManager:
@@ -260,8 +258,7 @@ class SpotFleetManager:
         instance_id = instance.instance_id
         node_id = self._surge_nodes.get(instance_id, "")
         record = InterruptionRecord(
-            instance_id=instance_id, node_id=node_id,
-            notice_time=self._sim.now, deadline=deadline, reason=reason)
+            instance_id=instance_id, node_id=node_id, deadline=deadline, reason=reason)
         self._records.append(record)
         self._timeline.record_event(
             self._sim.now, "spot-notice", 1,
@@ -269,7 +266,6 @@ class SpotFleetManager:
                    f"{deadline - self._sim.now:.0f}s to drain")
         if instance_id not in self._surge_nodes:
             record.outcome = "terminated"
-            record.completed_time = self._sim.now
             return  # not ours (already released)
         if not node_id:
             # Still booting: nothing to drain, nothing worth hibernating.
@@ -277,7 +273,6 @@ class SpotFleetManager:
             self._surge_group.pop(instance_id, None)
             self._pool.terminate(instance_id)
             record.outcome = "aborted"
-            record.completed_time = self._sim.now
             self._timeline.record_event(
                 self._sim.now, "spot-drain", 1,
                 detail=f"aborted: {instance_id} interrupted while booting")
@@ -300,7 +295,6 @@ class SpotFleetManager:
         node_id = self._surge_nodes.pop(instance_id, None)
         if node_id is None:
             record.outcome = "terminated"
-            record.completed_time = self._sim.now
             return  # released while draining
         instance = self._pool.get(instance_id)
         if instance is None or not instance.is_usable():
@@ -311,18 +305,15 @@ class SpotFleetManager:
             self._surge_group.pop(instance_id, None)
             self._pool.terminate(instance_id)
             record.outcome = "terminated"
-            record.completed_time = self._sim.now
             return
         if not self._cluster.hibernate_node(node_id):
             self._surge_group.pop(instance_id, None)
             self._pool.terminate(instance_id)
             record.outcome = "terminated"
-            record.completed_time = self._sim.now
             return
         self._pool.hibernate(instance_id)
         self._hibernated[instance_id] = node_id
         record.outcome = "hibernated"
-        record.completed_time = self._sim.now
         self._timeline.record_event(
             self._sim.now, "spot-hibernate", 1,
             detail=f"{node_id} drained and hibernated "

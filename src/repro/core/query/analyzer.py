@@ -54,6 +54,7 @@ class RejectionReason(enum.Enum):
     READ_WORK_UNBOUNDED = "read_work_unbounded"
     READ_WORK_EXCEEDED = "read_work_exceeded"
     UPDATE_WORK_EXCEEDED = "update_work_exceeded"
+    RESIDUAL_FILTER = "residual_filter"
 
 
 class QueryRejected(ValueError):
@@ -98,7 +99,6 @@ class AnalyzedQuery:
     sort_column: Optional[Tuple[str, str]]  # (alias, column)
     sort_descending: bool
     range_predicate: Optional[Predicate]
-    residual_filters: List[Predicate]
     limit: Optional[int]
     result_bound: int
     read_work_bound: int
@@ -145,7 +145,7 @@ class QueryAnalyzer:
         )
         chain = self._build_chain(template, alias_to_entity, anchor_alias, anchor_column)
         sort_column, sort_descending = self._resolve_sort(template, alias_to_entity, chain)
-        range_predicate, residual_filters, sort_column = self._classify_predicates(
+        range_predicate, sort_column = self._classify_predicates(
             template, alias_to_entity, anchor_alias, anchor_column,
             extra_equalities, sort_column, chain,
         )
@@ -167,7 +167,6 @@ class QueryAnalyzer:
             sort_column=sort_column,
             sort_descending=sort_descending,
             range_predicate=range_predicate,
-            residual_filters=residual_filters,
             limit=template.limit,
             result_bound=result_bound,
             read_work_bound=read_work,
@@ -455,11 +454,11 @@ class QueryAnalyzer:
         extra_equalities: List[Tuple[str, Union[Parameter, Literal]]],
         sort_column: Optional[Tuple[str, str]],
         chain: List[ChainStep],
-    ) -> Tuple[Optional[Predicate], List[Predicate], Optional[Tuple[str, str]]]:
-        """Split WHERE into the anchor prefix, one optional range, and residual filters."""
+    ) -> Tuple[Optional[Predicate], Optional[Tuple[str, str]]]:
+        """Split WHERE into the anchor prefix and one optional range; any other
+        predicate is one the index key cannot answer."""
         extra_columns = {column for column, _ in extra_equalities}
         range_predicate: Optional[Predicate] = None
-        residual: List[Predicate] = []
         for predicate in template.where:
             alias, _, column = self._resolve_column(
                 predicate.column, alias_to_entity, f"WHERE {predicate}"
@@ -498,9 +497,15 @@ class QueryAnalyzer:
                     )
                 range_predicate = predicate
                 continue
-            # Literal equality filters elsewhere become residual (post-)filters.
-            residual.append(predicate)
-        return range_predicate, residual, sort_column
+            # A filter off the index key would have to run after the range
+            # read, and after a LIMIT that returns short pages.
+            raise QueryRejected(
+                RejectionReason.RESIDUAL_FILTER,
+                f"filter {predicate} is neither the parameterised key prefix nor the "
+                f"sort range, so the index key cannot answer it; filtering after the "
+                f"bounded range read would return short pages",
+            )
+        return range_predicate, sort_column
 
     # ------------------------------------------------------------------ bounds
 

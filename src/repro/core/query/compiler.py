@@ -51,7 +51,7 @@ class QueryCompiler:
         index_spec = self._build_index_spec(name, analyzed)
         reverse_indexes = self._build_reverse_indexes(analyzed, index_spec)
         self._attach_reverse_indexes(index_spec, analyzed, reverse_indexes)
-        plan = self._build_plan(name, analyzed, index_spec)
+        plan = self._build_plan(analyzed, index_spec)
         rules = self._build_maintenance_rules(analyzed, index_spec, reverse_indexes)
         compiled = CompiledQuery(
             name=name,
@@ -86,7 +86,6 @@ class QueryCompiler:
         ]
         return IndexSpec(
             name=f"idx_{name}",
-            query_name=name,
             anchor_entity=anchor.entity.name,
             anchor_column=analyzed.anchor_column,
             extra_anchor_columns=[column for column, _ in analyzed.extra_anchor_equalities],
@@ -151,7 +150,7 @@ class QueryCompiler:
 
     # -------------------------------------------------------------------- plan
 
-    def _build_plan(self, name: str, analyzed: AnalyzedQuery, index_spec: IndexSpec) -> QueryPlan:
+    def _build_plan(self, analyzed: AnalyzedQuery, index_spec: IndexSpec) -> QueryPlan:
         prefix = [PrefixComponent(kind="parameter", value=analyzed.anchor_parameter)]
         for _, value in analyzed.extra_anchor_equalities:
             if isinstance(value, Parameter):
@@ -161,7 +160,6 @@ class QueryCompiler:
         range_bound = self._build_range_bound(analyzed.range_predicate)
         selected = self._selected_columns(analyzed)
         return QueryPlan(
-            query_name=name,
             index_name=index_spec.name,
             prefix=prefix,
             range_bound=range_bound,

@@ -101,7 +101,6 @@ class IndexSpec:
     """
 
     name: str
-    query_name: str
     anchor_entity: str
     anchor_column: str
     extra_anchor_columns: List[str]
@@ -158,7 +157,6 @@ class QueryPlan:
     the literal).
     """
 
-    query_name: str
     index_name: str
     prefix: List[PrefixComponent]
     range_bound: Optional[RangeBound]

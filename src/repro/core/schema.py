@@ -2,8 +2,12 @@
 
 SCADS requires developers to declare, up front, how many rows any single
 partition-key value may own (Facebook's 5 000-friend limit is the paper's
-example).  Those bounds are what the query analyzer multiplies together to
-prove a query template's cost is independent of the total number of users.
+example).  :class:`EntitySchema` is the one place such bounds are declared:
+``max_per_partition`` bounds the rows per partition-key value and
+``column_bounds`` the rows per value of another column, and the query
+analyzer multiplies exactly these to prove a template's cost is independent
+of the total number of users (a join through an entity without a bound is
+rejected).
 """
 
 from __future__ import annotations
@@ -53,21 +57,6 @@ class Field:
                 f"field {self.name!r} expects {self.field_type.value}, "
                 f"got {type(value).__name__}: {value!r}"
             )
-
-
-@dataclass(frozen=True)
-class Relationship:
-    """A named, bounded association used by the query analyzer.
-
-    ``max_cardinality`` bounds how many target rows one source row may relate
-    to.  A relationship without a finite bound (``None``) models Twitter-style
-    unbounded followers — queries traversing it are rejected.
-    """
-
-    name: str
-    from_entity: str
-    to_entity: str
-    max_cardinality: Optional[int] = None
 
 
 @dataclass
@@ -180,11 +169,10 @@ class EntitySchema:
 
 
 class SchemaRegistry:
-    """All entity schemas and relationships an application has declared."""
+    """All entity schemas an application has declared."""
 
     def __init__(self) -> None:
         self._entities: Dict[str, EntitySchema] = {}
-        self._relationships: Dict[str, Relationship] = {}
 
     # ------------------------------------------------------------------ entities
 
@@ -204,16 +192,3 @@ class SchemaRegistry:
 
     def entities(self) -> List[EntitySchema]:
         return list(self._entities.values())
-
-    # ------------------------------------------------------------- relationships
-
-    def register_relationship(self, relationship: Relationship) -> Relationship:
-        for entity_name in (relationship.from_entity, relationship.to_entity):
-            if entity_name not in self._entities:
-                raise SchemaError(
-                    f"relationship {relationship.name!r} references unknown entity {entity_name!r}"
-                )
-        if relationship.name in self._relationships:
-            raise SchemaError(f"relationship {relationship.name!r} is already registered")
-        self._relationships[relationship.name] = relationship
-        return relationship

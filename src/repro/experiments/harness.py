@@ -107,7 +107,8 @@ class ClosedLoopSummary:
     read_windows: List[ComplianceWindow]
     write_windows: List[ComplianceWindow]
     # Observability payloads (None unless the run's engine had
-    # ``telemetry=`` on; all picklable and exactly mergeable, see repro.obs).
+    # ``telemetry=`` on; picklable, and a sweep returns each run's own, see
+    # repro.obs).
     telemetry: Optional[Telemetry]
     traces: Optional[List[TraceRecord]]
     # Acknowledged writes no alive owner still held at run end (None when the
@@ -116,9 +117,6 @@ class ClosedLoopSummary:
     lost_acked_writes: Optional[int]
     # Dollars split by purchase option ({"on_demand": ..., "spot": ...}).
     cost_by_purchase_option: Dict[str, float]
-    # Interruption drain outcomes ({"hibernated": 3, "aborted": 1, ...});
-    # empty without a spot fleet.
-    interruption_outcomes: Dict[str, int]
 
     def summary(self) -> Dict[str, object]:
         """Flat dictionary used by the benchmark harnesses' printed tables."""
@@ -137,16 +135,6 @@ class ClosedLoopSummary:
             "max_replication_lag_s": round(self.max_replication_lag, 3),
             "deadline_miss_rate": round(self.deadline_miss_rate, 4),
         }
-
-
-def _interruption_outcomes(engine: Scads) -> Dict[str, int]:
-    """Histogram of drain outcomes across the run's interruption notices."""
-    if engine.spot_fleet is None:
-        return {}
-    outcomes: Dict[str, int] = {}
-    for record in engine.spot_fleet.records():
-        outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
-    return outcomes
 
 
 def default_spec(
@@ -339,6 +327,5 @@ def run_closed_loop(scenario: ScenarioSpec, seed: int
         traces=engine.traces() if engine.tracer is not None else None,
         lost_acked_writes=engine.lost_write_count(),
         cost_by_purchase_option=engine.pool.cost_by_purchase_option(),
-        interruption_outcomes=_interruption_outcomes(engine),
     )
     return summary, engine, app

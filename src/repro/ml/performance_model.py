@@ -97,7 +97,6 @@ class LatencyPercentileModel:
         self._targets: Deque[float] = deque(maxlen=self.max_training_windows)
         self._model: Optional[EnsembleModel] = None
         self._observations_since_fit = 0
-        self.fit_count = 0
 
     # -------------------------------------------------------------- observation
 
@@ -129,7 +128,6 @@ class LatencyPercentileModel:
         model.fit(list(self._features), list(self._targets))
         self._model = model
         self._observations_since_fit = 0
-        self.fit_count += 1
 
     # --------------------------------------------------------------- prediction
 
@@ -226,7 +224,6 @@ class PropagationLagModel:
         self._targets: Deque[float] = deque(maxlen=self.max_training_windows)
         self._model: Optional[RidgeRegressionModel] = None
         self._observations_since_fit = 0
-        self.fit_count = 0
 
     def observe(self, pending_updates: int, per_node_rate: float, observed_lag: float) -> None:
         """Record one window's queue depth, per-node load, and measured lag."""
@@ -242,7 +239,6 @@ class PropagationLagModel:
             self._model = RidgeRegressionModel(alpha=1.0).fit(
                 list(self._features), list(self._targets))
             self._observations_since_fit = 0
-            self.fit_count += 1
 
     def predict(self, pending_updates: int, per_node_rate: float) -> float:
         """Predicted propagation lag (seconds) for the given pressure.

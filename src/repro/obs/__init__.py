@@ -1,9 +1,8 @@
 """Observability layer: span tracing, telemetry registry, attribution.
 
 Everything in this package is deliberately decoupled from the simulator:
-records hold plain floats/strings, are picklable across process-pool
-workers, and merge exactly (counters sum, histograms use
-``PercentileEstimator.merge``, traces concatenate in run order) so sweep
+records hold plain floats/strings and are picklable across process-pool
+workers, and each run's payloads travel back on its own summary, so sweep
 results are byte-identical at any worker count.
 """
 

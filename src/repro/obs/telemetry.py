@@ -3,16 +3,8 @@
 One ``Telemetry`` instance is shared by every subsystem of an engine;
 metric names are namespaced by convention (``"router.reads"``,
 ``"cache.hits"``, ``"replication.lag"``).  Histograms are backed by the
-existing :class:`~repro.metrics.percentiles.PercentileEstimator`, which
-gives exact cross-process merging for free.
-
-Merge semantics (used by the sweep fabric):
-
-* counters — summed,
-* gauges — max (gauges here record high-water marks, e.g. peak fleet
-  size; a last-write-wins gauge would not be order-independent across
-  workers),
-* histograms — ``PercentileEstimator.merge`` (exact).
+existing :class:`~repro.metrics.percentiles.PercentileEstimator`.  Gauges
+record high-water marks (e.g. peak fleet size).
 
 The registry is plain data: no simulator references, picklable by
 default, and cheap — a counter bump is one dict ``get`` + add.
@@ -45,7 +37,7 @@ class Telemetry:
         self.counters[name] = int(value)
 
     def gauge(self, name: str, value: float) -> None:
-        """Record a high-water mark (merge takes the max)."""
+        """Record a high-water mark (the gauge keeps the max)."""
         current = self.gauges.get(name)
         if current is None or value > current:
             self.gauges[name] = value
@@ -78,20 +70,6 @@ class Telemetry:
 
     def histograms(self) -> Dict[str, PercentileEstimator]:
         return dict(self._histograms)
-
-    # --------------------------------------------------------------- merging
-
-    def merge(self, other: "Telemetry") -> "Telemetry":
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, value in other.gauges.items():
-            self.gauge(name, value)
-        for name, histogram in other._histograms.items():
-            mine = self._histograms.get(name)
-            if mine is None:
-                mine = self._histograms[name] = PercentileEstimator()
-            mine.merge(histogram)
-        return self
 
     # -------------------------------------------------------------- snapshot
 

@@ -12,8 +12,8 @@ views of this log.  Rent/release/attach fleet movements are logged as
 :class:`FleetEvent` rows as they happen.
 
 The engine always keeps the log, whatever ``telemetry`` says; it is
-picklable, merges across sweep workers and dumps to JSON via
-``scripts/analyze_trace.py``.
+picklable, so it travels back from sweep workers on each run's summary, and
+dumps to JSON via ``scripts/analyze_trace.py``.
 """
 
 from __future__ import annotations
@@ -105,12 +105,6 @@ class DecisionTimeline:
             FleetEvent(time=time, kind=kind, instances=instances,
                        group_id=group_id, detail=detail)
         )
-
-    def merge(self, other: "DecisionTimeline") -> "DecisionTimeline":
-        """Concatenate another run's timeline (sweep merge, run order)."""
-        self.decisions.extend(other.decisions)
-        self.events.extend(other.events)
-        return self
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-able dump of the whole timeline."""

@@ -220,18 +220,6 @@ class Tracer:
     def slowest(self, n: int = 3) -> List[TraceRecord]:
         return sorted(self.traces, key=lambda t: t.latency, reverse=True)[:n]
 
-    def merge(self, other: "Tracer") -> "Tracer":
-        """Concatenate another tracer's traces (sweep-fabric merge).
-
-        Callers merge in run-index order, which makes the merged trace
-        list identical at any worker count.  Trace ids are left as their
-        per-run values; (op, start, run order) identifies a trace.
-        """
-        self.traces.extend(other.traces)
-        for op, count in other._op_counts.items():
-            self._op_counts[op] = self._op_counts.get(op, 0) + count
-        return self
-
     # --------------------------------------------------------------- pickling
 
     def __getstate__(self) -> Dict[str, object]:

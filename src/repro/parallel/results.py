@@ -23,8 +23,6 @@ from repro.experiments.harness import ClosedLoopSummary
 from repro.metrics.cost import CostReport
 from repro.metrics.percentiles import PercentileEstimator
 from repro.metrics.sla import SLAReport
-from repro.obs.telemetry import Telemetry
-from repro.obs.timeline import DecisionTimeline
 
 
 @dataclass(slots=True)
@@ -94,41 +92,6 @@ def merge_estimators(
     return PercentileEstimator.merged(present)
 
 
-def merge_telemetry(registries: List[Optional[Telemetry]]) -> Optional[Telemetry]:
-    """Fold per-run telemetry registries into one (None when none present).
-
-    Counters sum, gauges take the max, histograms merge exactly — and the
-    fold runs in run-index order, so the result is identical at any worker
-    count (asserted by the trace-sweep determinism tests).
-    """
-    present = [t for t in registries if t is not None]
-    if not present:
-        return None
-    merged = Telemetry()
-    for registry in present:
-        merged.merge(registry)
-    return merged
-
-
-def merge_traces(trace_lists: List[Optional[list]]) -> Optional[list]:
-    """Concatenate per-run trace lists in run-index order (None when absent)."""
-    present = [traces for traces in trace_lists if traces is not None]
-    if not present:
-        return None
-    merged: list = []
-    for traces in present:
-        merged.extend(traces)
-    return merged
-
-
-def merge_timelines(timelines: List[DecisionTimeline]) -> DecisionTimeline:
-    """Concatenate per-run decision timelines in run-index order."""
-    merged = DecisionTimeline()
-    for timeline in timelines:
-        merged.merge(timeline)
-    return merged
-
-
 @dataclass(slots=True)
 class MergedCellReport:
     """One grid cell's replicates, aggregated."""
@@ -138,13 +101,6 @@ class MergedCellReport:
     read_report: SLAReport
     write_report: SLAReport
     cost: CostReport
-    read_latency: Optional[PercentileEstimator]
-    write_latency: Optional[PercentileEstimator]
-    # Every replicate's decision log, concatenated in run order.
-    decision_timeline: DecisionTimeline
-    # Observability aggregates (None unless the cell's runs carried them).
-    telemetry: Optional[Telemetry] = None
-    traces: Optional[list] = None
 
 
 def merge_cell(cell: str, successes: List[RunSuccess]) -> MergedCellReport:
@@ -165,12 +121,6 @@ def merge_cell(cell: str, successes: List[RunSuccess]) -> MergedCellReport:
         write_report=merge_sla_reports([s.write_report for s in summaries],
                                        write_latency),
         cost=cost,
-        read_latency=read_latency,
-        write_latency=write_latency,
-        telemetry=merge_telemetry([s.telemetry for s in summaries]),
-        traces=merge_traces([s.traces for s in summaries]),
-        decision_timeline=merge_timelines(
-            [s.decision_timeline for s in summaries]),
     )
 
 

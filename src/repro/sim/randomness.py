@@ -69,7 +69,6 @@ class ZipfGenerator:
         if not 0.0 <= theta < 1.0:
             raise ValueError(f"theta must be in [0, 1), got {theta}")
         self.n = n
-        self.theta = theta
         self._rng = rng
         ranks = np.arange(1, n + 1, dtype=float)
         weights = 1.0 / np.power(ranks, theta)

@@ -9,7 +9,7 @@ model, and failure injection.
 """
 
 from repro.storage.records import KeyRange, VersionedValue
-from repro.storage.node import NodeStats, StorageNode
+from repro.storage.node import StorageNode
 from repro.storage.partitioner import (
     ConsistentHashPartitioner,
     PartitionInfo,
@@ -31,7 +31,6 @@ __all__ = [
     "VersionedValue",
     "KeyRange",
     "StorageNode",
-    "NodeStats",
     "Partitioner",
     "PartitionInfo",
     "RangePartitioner",

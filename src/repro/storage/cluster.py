@@ -91,7 +91,6 @@ class ClusterStats:
     node_count: int
     group_count: int
     total_keys: int
-    total_arrival_rate: float
     mean_utilisation: float
     max_utilisation: float
     total_capacity_ops: float
@@ -975,7 +974,6 @@ class Cluster:
             node_count=len(self.nodes),
             group_count=len(self.groups),
             total_keys=self.total_keys(),
-            total_arrival_rate=float(sum(n.arrival_rate() for n in alive)),
             mean_utilisation=float(np.mean(utilisations)),
             max_utilisation=float(np.max(utilisations)),
             total_capacity_ops=float(sum(n.capacity_ops_per_sec for n in alive)),

@@ -20,7 +20,6 @@ class FaultRecord:
     """One injected fault, for experiment reporting."""
 
     kind: str
-    target: str
     start: float
     end: float
 
@@ -80,7 +79,7 @@ class FailureInjector:
         """Crash a node at time ``at`` and recover it ``duration`` later."""
         if node_id not in self._cluster.nodes:
             raise KeyError(f"unknown node {node_id!r}")
-        record = FaultRecord(kind="node-crash", target=node_id, start=at, end=at + duration)
+        record = FaultRecord(kind="node-crash", start=at, end=at + duration)
         self._faults.append(record)
         self._outage(at, duration, lambda: [node_id],
                      f"crash:{node_id}", f"recover:{node_id}")
@@ -97,8 +96,7 @@ class FailureInjector:
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        record = FaultRecord(kind="crash-random", target=f"count={count}",
-                             start=at, end=at + duration)
+        record = FaultRecord(kind="crash-random", start=at, end=at + duration)
         self._faults.append(record)
 
         def victims() -> List[str]:
@@ -108,10 +106,8 @@ class FailureInjector:
             take = min(count, len(alive))
             if take == 0:
                 return []
-            chosen = [str(x) for x in
-                      self._failure_rng.choice(alive, size=take, replace=False)]
-            record.target = ",".join(sorted(chosen))
-            return chosen
+            return [str(x) for x in
+                    self._failure_rng.choice(alive, size=take, replace=False)]
 
         self._outage(at, duration, victims,
                      f"crash-random:{count}", f"recover-random:{count}")
@@ -128,8 +124,7 @@ class FailureInjector:
         """
         if self._market is None:
             raise RuntimeError("interruption_storm needs an attached spot market")
-        record = FaultRecord(kind="interruption-storm", target="spot-fleet",
-                             start=at, end=at + duration)
+        record = FaultRecord(kind="interruption-storm", start=at, end=at + duration)
         self._faults.append(record)
         self._market.interruption_storm(at, duration)
         return record
@@ -144,8 +139,8 @@ class FailureInjector:
         queueing, which is what the monitor's contention-vs-capacity
         diagnosis keys on.  The episode is forced onto the contention
         process's schedule (consuming no randomness, like
-        :meth:`interruption_storm`'s forced storms) and bookkept with the
-        host id and intensity in the fault history.  Requires an attached
+        :meth:`interruption_storm`'s forced storms), which holds its host id
+        and intensity, and bookkept in the fault history.  Requires an attached
         :class:`~repro.sim.hosts.ContentionProcess`
         (``Scads(contention=...)``).
         """
@@ -153,10 +148,7 @@ class FailureInjector:
             raise RuntimeError(
                 "host_degradation needs an attached contention process "
                 "(construct the engine with contention=... )")
-        record = FaultRecord(
-            kind="host-degradation",
-            target=f"{host_id} x{intensity:g}",
-            start=at, end=at + duration)
+        record = FaultRecord(kind="host-degradation", start=at, end=at + duration)
         self._faults.append(record)
         self._contention.force_episode(host_id, at, duration, intensity)
         return record
@@ -176,8 +168,7 @@ class FailureInjector:
         """
         if zone_index < 0:
             raise ValueError("zone_index must be non-negative")
-        record = FaultRecord(kind="zone-outage", target=f"zone-{zone_index}",
-                             start=at, end=at + duration)
+        record = FaultRecord(kind="zone-outage", start=at, end=at + duration)
         self._faults.append(record)
         def victims() -> List[str]:
             return [group.node_ids[zone_index] for group in self._cluster.groups.values()

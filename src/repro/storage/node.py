@@ -12,7 +12,6 @@ detect and correct.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -33,18 +32,6 @@ class NodeDownError(RuntimeError):
     """Raised when an operation is attempted on a crashed node."""
 
 
-@dataclass(slots=True)
-class NodeStats:
-    """Counters a node exposes to the cluster manager and the ML features."""
-
-    reads: int = 0
-    writes: int = 0
-    range_reads: int = 0
-    keys_stored: int = 0
-    arrival_rate: float = 0.0
-    utilisation: float = 0.0
-
-
 class _NamespaceStore:
     """An ordered map for one namespace on one node.
 
@@ -63,15 +50,12 @@ class _NamespaceStore:
     def get(self, key: Key) -> Optional[VersionedValue]:
         return self._data.get(key)
 
-    def put(self, key: Key, value: VersionedValue) -> bool:
-        """Store ``value`` under ``key``; True when the key was not present."""
+    def put(self, key: Key, value: VersionedValue) -> None:
+        """Store ``value`` under ``key``."""
         data = self._data
-        if key in data:
-            data[key] = value
-            return False
-        bisect.insort(self._sorted_keys, key)
+        if key not in data:
+            bisect.insort(self._sorted_keys, key)
         data[key] = value
-        return True
 
     def delete(self, key: Key) -> bool:
         if key not in self._data:
@@ -134,7 +118,6 @@ class StorageNode:
         self._rng = rng
         self._latency = QueueingLatency(LogNormalLatency(BASE_SERVICE_TIME, LATENCY_SIGMA))
         self._namespaces: Dict[str, _NamespaceStore] = {}
-        self._stats = NodeStats()
         self._last_arrival: Optional[float] = None
         self._ewma_interarrival: Optional[float] = None
         # Operations seen at the current arrival instant (a query's fan-out
@@ -174,7 +157,6 @@ class StorageNode:
     def wipe(self) -> None:
         """Drop all data (decommissioning / fresh instance)."""
         self._namespaces.clear()
-        self._stats.keys_stored = 0
 
     def _check_alive(self) -> None:
         if not self._alive:
@@ -214,11 +196,7 @@ class StorageNode:
                 self._burst_count = 1
                 self._last_arrival = now
         rate = 1.0 / ewma if ewma is not None and ewma > 0 else 0.0
-        latency = self._latency
-        latency.set_utilisation(rate / self.capacity_ops_per_sec)
-        stats = self._stats
-        stats.arrival_rate = rate
-        stats.utilisation = latency._utilisation
+        self._latency.set_utilisation(rate / self.capacity_ops_per_sec)
 
     def arrival_rate(self) -> float:
         """Current smoothed arrival rate estimate in ops/sec."""
@@ -247,9 +225,7 @@ class StorageNode:
             )
             self._last_arrival = now
             self._burst_count = 1
-            self._stats.arrival_rate = self.arrival_rate()
             self._latency.set_utilisation(self.arrival_rate() / self.capacity_ops_per_sec)
-            self._stats.utilisation = self._latency.utilisation
 
     def set_contention(self, factor: float) -> None:
         """Apply a co-tenant service inflation factor (see ``repro.sim.hosts``)."""
@@ -318,7 +294,6 @@ class StorageNode:
             raise NodeDownError(f"node {self.node_id} is down")
         validate_key(key)
         self._record_arrival(now)
-        self._stats.reads += 1
         store = self._namespaces.get(namespace)
         value = store._data.get(key) if store is not None else None
         if value is not None and value.tombstone:
@@ -347,7 +322,6 @@ class StorageNode:
             if value is not None and value.tombstone:
                 value = None
             out[key] = value
-        self._stats.reads += len(keys)
         per_key_cost = 0.00002  # 20 microseconds per additional key
         latency = self._latency.sample(self._rng) + per_key_cost * max(len(keys) - 1, 0)
         return out, latency
@@ -358,13 +332,10 @@ class StorageNode:
             raise NodeDownError(f"node {self.node_id} is down")
         validate_key(key)
         self._record_arrival(now)
-        stats = self._stats
-        stats.writes += 1
         store = self._namespaces.get(namespace)
         if store is None:
             store = self._namespaces[namespace] = _NamespaceStore()
-        if store.put(key, value):
-            stats.keys_stored += 1
+        store.put(key, value)
         return self._latency.sample(self._rng)
 
     def apply_replica_write(self, namespace: str, key: Key, value: VersionedValue) -> bool:
@@ -386,7 +357,6 @@ class StorageNode:
         current = data.get(key)
         if current is None:
             bisect.insort(store._sorted_keys, key)
-            self._stats.keys_stored += 1
         elif not value.wins_over(current):
             return False
         data[key] = value
@@ -397,7 +367,6 @@ class StorageNode:
         self._check_alive()
         validate_key(key)
         self._record_arrival(now)
-        self._stats.writes += 1
         self._store(namespace).put(key, tombstone)
         return self.service_time()
 
@@ -416,7 +385,6 @@ class StorageNode:
         """
         self._check_alive()
         self._record_arrival(now)
-        self._stats.range_reads += 1
         rows = self._store(key_range.namespace).range(
             key_range.start, key_range.end, limit, reverse)
         per_row_cost = 0.00002  # 20 microseconds per adjacent row
@@ -436,7 +404,3 @@ class StorageNode:
     def key_count(self) -> int:
         """Number of live keys stored."""
         return sum(len(store) for store in self._namespaces.values())
-
-    @property
-    def stats(self) -> NodeStats:
-        return self._stats

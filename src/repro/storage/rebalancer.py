@@ -67,14 +67,12 @@ class PartitionLoadTracker:
     def __init__(self) -> None:
         self._counts: Dict[str, float] = {}
         self._last_decay = 0.0
-        self.total_accesses = 0
         self.prunes_total = 0
 
     def note(self, token: str, is_write: bool, now: float) -> None:
         """Record one access to ``token`` at simulated time ``now``."""
         self._maybe_decay(now)
         self._counts[token] = self._counts.get(token, 0.0) + 1.0
-        self.total_accesses += 1
         if len(self._counts) > self.max_tokens:
             self._prune()
 
@@ -90,7 +88,6 @@ class PartitionLoadTracker:
             if len(counts) > self.max_tokens:
                 self._prune()
                 counts = self._counts
-        self.total_accesses += len(tokens)
 
     def _maybe_decay(self, now: float) -> None:
         elapsed = now - self._last_decay

@@ -29,7 +29,6 @@ class GeneratorStats:
     """Counters describing what the generator issued."""
 
     operations_issued: int = 0
-    reads_issued: int = 0
     writes_issued: int = 0
 
 
@@ -121,7 +120,5 @@ class LoadGenerator:
         self.stats.operations_issued += 1
         if operation.is_write:
             self.stats.writes_issued += 1
-        else:
-            self.stats.reads_issued += 1
         self._execute(operation)
         self._schedule_next()

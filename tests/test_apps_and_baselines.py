@@ -86,7 +86,9 @@ class TestSocialNetworkApp:
             app.execute(operation)
         assert app.stats.page_views >= 4
         assert app.stats.statuses_posted == 1
-        assert app.stats.friendships_created == 1
+        app.engine.settle()
+        friends = app.engine.query("friends", {"user_id": "u1"}).rows
+        assert {"f1": "u1", "f2": "u2"} in friends
 
     def test_self_friendship_rejected(self):
         app = make_app()
@@ -122,8 +124,9 @@ class TestNaiveRdbms:
     def test_scan_cost_grows_with_population(self):
         small = self._load(100).friend_birthdays("u0")
         large = self._load(1000).friend_birthdays("u0")
-        assert large.rows_scanned > 5 * small.rows_scanned
-        assert large.latency > small.latency
+        # the latency past the fixed overhead is the rows scanned, costed
+        base = NaiveRdbms.base_cost
+        assert large.latency - base > 5 * (small.latency - base)
 
 
 class TestQuorumStore:

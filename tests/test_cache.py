@@ -20,7 +20,6 @@ Correctness contract under test:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,7 +88,7 @@ class TestStore:
         store.put_entity("ns", ("k",), 1, now=0.0, ttl=2.0)
         assert store.get(entity_token("ns", ("k",)), now=1.9) is not None
         assert store.get(entity_token("ns", ("k",)), now=2.0) is None
-        assert store.stats.ttl_expirations == 1
+        assert (store.stats.hits, store.stats.misses) == (1, 1)
         assert len(store) == 0
 
     def test_range_entries_cost_their_row_count(self):
@@ -146,7 +145,7 @@ class TestPolicy:
         if ttl <= 0:
             assert entry is None and len(tier.store) == 0
         else:
-            assert (entry.inserted_at, entry.expires_at) == (3.0, 3.0 + ttl)
+            assert entry.expires_at == 3.0 + ttl  # admitted now, for the ttl
             assert tier.store.peek(entity_token("ns", ("k",))) is entry
 
     def test_default_headroom_scales_with_the_bound_but_is_capped(self):
@@ -215,7 +214,7 @@ class TestEngineIntegration:
         entry = engine.cache.store.peek(token)
         assert entry is not None
         budget = engine.cache.policy.servable_budget
-        assert entry.expires_at - entry.inserted_at <= budget + 1e-9
+        assert entry.expires_at - engine.now <= budget + 1e-9  # admitted now
         engine.run_for(budget + 0.1)
         assert engine.cache.store.get(token, engine.now) is None
 
@@ -237,9 +236,11 @@ class TestEngineIntegration:
         # bypass below is per-session, not an invalidation.
         other = engine.get("profiles", ("u1",), session_id="other")
         assert other.row["bio"] == "old"
+        hits, misses = engine.cache_hit_counts()
         outcome = engine.get("profiles", ("u1",), session_id="w")
         assert outcome.row["bio"] == "new"
-        assert engine.cache.session_bypasses == 1
+        # The bypass counts as the miss it is, not as a hit.
+        assert engine.cache_hit_counts() == (hits, misses + 1)
         # The bypassed read read through the cluster, refreshing the entry.
         refreshed = engine.cache.store.peek(entity_token(namespace, ("u1",)))
         assert refreshed is not None and refreshed.value.value["bio"] == "new"
@@ -259,7 +260,6 @@ class TestEngineIntegration:
                                        slas=slas, spec=engine.spec,
                                        cache_hit_rate=0.9)
         assert absorbed.target_nodes < busy.target_nodes
-        assert absorbed.cache_absorbed_fraction == pytest.approx(0.9)
         assert "cache absorbing" in absorbed.reason
 
 
@@ -470,7 +470,6 @@ class TestRangeContainment:
         assert store.get_range("ns", None, None, None, False, 1.0) is None
         # After expiry nothing serves (and the entry is reclaimed).
         assert store.get_range("ns", ("u02",), ("u04",), None, False, 11.0) is None
-        assert store.stats.ttl_expirations == 1
         assert len(store) == 0
 
     def test_engine_paginated_query_hits_by_containment(self):
@@ -579,7 +578,6 @@ class LinearScanStore:
             return None
         if now >= entry["expires_at"]:
             self._remove(token)
-            self.stats.ttl_expirations += 1
             self.stats.misses += 1
             return None
         self.entries.move_to_end(token)
@@ -592,7 +590,6 @@ class LinearScanStore:
         if entry is not None:
             if now >= entry["expires_at"]:
                 self._remove(token)
-                self.stats.ttl_expirations += 1
             else:
                 self.entries.move_to_end(token)
                 self.stats.hits += 1
@@ -633,7 +630,6 @@ class LinearScanStore:
             break
         for token in doomed:
             self._remove(token)
-            self.stats.ttl_expirations += 1
         return served
 
     def put_entity(self, namespace, key, value, now, ttl):
@@ -651,7 +647,6 @@ class LinearScanStore:
         self.cost_total += cost
         if token[0] == "range":
             self.range_tokens.setdefault(token[1], {})[token] = None
-        self.stats.insertions += 1
         while self.cost_total > self.capacity and len(self.entries) > 1:
             self._remove(next(iter(self.entries)))
             self.stats.lru_evictions += 1
@@ -749,11 +744,7 @@ def test_indexed_ranges_match_a_linear_scan_of_every_cached_range(ops):
         else:
             assert (store.invalidate_key("ns", args[0])
                     == model.invalidate_key("ns", args[0])), step
-        counted = asdict(store.stats)
-        counted.pop("range_candidates_examined")  # the model examines everything
-        expected = asdict(model.stats)
-        expected.pop("range_candidates_examined")
-        assert counted == expected, step
+        assert store.stats == model.stats, step
         assert store.cost_total == model.cost_total, step
         assert list(store._entries) == list(model.entries), step
         # the index holds exactly the range entries, each in one bucket
@@ -780,7 +771,7 @@ class TestLookupEntities:
             session=SessionGuarantee(read_your_writes=True, monotonic_reads=True))
         sim = Simulator(seed=21)
         tier = CacheTier(CacheConfig(capacity=64), spec=spec, simulator=sim)
-        session = Session("s", spec.session)
+        session = Session(spec.session)
         def value(version):
             return VersionedValue(value={"bio": f"v{version}"}, timestamp=0.0,
                                   version=version)
@@ -828,13 +819,13 @@ class TestLookupEntities:
         assert (("written",) in misses) == with_session  # read-your-writes bypass
         assert rows[("gone",)] is None
         assert batched_tier.store.stats == single_tier.store.stats
-        assert batched_tier.store.stats.ttl_expirations == 1
-        assert batched_tier.session_bypasses == single_tier.session_bypasses
-        assert batched_tier.session_bypasses == (1 if with_session else 0)
+        # a bypass is counted as the miss it is; the expired entry is reclaimed
+        stats = batched_tier.store.stats
+        assert (stats.hits, stats.misses) == (len(rows), len(misses))
+        assert batched_tier.store.peek(entity_token(self.NAMESPACE, ("old",))) is None
         # a bypassed entry is refreshed like a served one
         assert list(batched_tier.store._entries) == list(single_tier.store._entries)
         if with_session:
-            assert batched_session.stats == single_session.stats
             assert (batched_session._last_seen_version
                     == single_session._last_seen_version)
             assert batched_session._last_seen_version  # monotonic reads: kept

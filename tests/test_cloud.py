@@ -30,12 +30,12 @@ class TestInstanceType:
 
 class TestInstanceLifecycle:
     def test_boot_then_terminate(self):
-        instance = Instance("i-1", INSTANCE_TYPES["m1.small"], launch_time=0.0)
+        instance = Instance("i-1", INSTANCE_TYPES["m1.small"])
         assert instance.state is InstanceState.BOOTING
         assert not instance.is_usable()
-        instance.mark_running(120.0)
+        instance.mark_running()
         assert instance.is_usable()
-        instance.terminate(300.0)
+        instance.terminate()
         assert instance.state is InstanceState.TERMINATED
 
     def test_lease_hours_round_up_to_billing_increment(self):
@@ -60,16 +60,16 @@ class TestInstanceLifecycle:
         assert lease.cost(now=10_000.0) == pytest.approx(0.10 * 120.0 / 3600.0)
 
     def test_terminated_instance_cannot_restart(self):
-        instance = Instance("i-1", INSTANCE_TYPES["m1.small"], launch_time=0.0)
-        instance.terminate(10.0)
+        instance = Instance("i-1", INSTANCE_TYPES["m1.small"])
+        instance.terminate()
         with pytest.raises(ValueError):
-            instance.mark_running(20.0)
+            instance.mark_running()
 
     def test_double_terminate_is_idempotent(self):
-        instance = Instance("i-1", INSTANCE_TYPES["m1.small"], launch_time=0.0)
-        instance.terminate(10.0)
-        instance.terminate(50.0)
-        assert instance.termination_time == 10.0
+        instance = Instance("i-1", INSTANCE_TYPES["m1.small"])
+        instance.terminate()
+        instance.terminate()
+        assert instance.state is InstanceState.TERMINATED
 
 
 class TestBillingMeter:

@@ -391,7 +391,6 @@ class TestHostDegradationFault:
         record = injector.host_degradation(at=10.0, duration=20.0,
                                            intensity=5.0, host_id="host-0")
         assert record.kind == "host-degradation"
-        assert record.target == "host-0 x5"
         assert record.start == 10.0
         assert record.end == 30.0
         assert record in injector.faults()

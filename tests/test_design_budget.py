@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import inspect
 import re
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -30,9 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 MAX_ENGINE_KWARGS = 22
-MAX_ENGINE_LINES = 1069
+MAX_ENGINE_LINES = 1061
 MAX_ENGINE_IS_NOT_NONE = 42
-MAX_CLUSTER_LINES = 995
+MAX_CLUSTER_LINES = 993
 # Data movement is three primitives (see cluster.py's "Data movement"): the
 # scans are _misplaced, _copy_store and the range seeding's token census.
 MAX_CLUSTER_SCANS = 3
@@ -367,20 +368,26 @@ def _unset_parameters(declarations):
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
 
 
+def _listings(tree):
+    """The nodes of every ``__all__`` and ``__slots__`` listing in a module:
+    they name what a module exports or a class holds without using it."""
+    return {id(node) for statement in ast.walk(tree) if isinstance(statement, ast.Assign)
+            and any(getattr(target, "id", None) in ("__all__", "__slots__")
+                    for target in statement.targets)
+            for node in ast.walk(statement)}
+
+
 def _references():
     """Every name code outside tests/ uses, as ``(names, attributes)``: each
     AST ``Name``, and each ``Attribute`` or identifier-shaped string
-    (``getattr(obj, "name")``) -- not counting an ``__all__`` listing, which
-    exports a name without using it."""
+    (``getattr(obj, "name")``) -- not counting an ``__all__`` or
+    ``__slots__`` listing (see ``_listings``)."""
     names, attributes = Counter(), Counter()
     for path in _sources(*CALLER_DIRECTORIES):
         tree = _parse(path)
-        exported = {id(node) for statement in tree.body if isinstance(statement, ast.Assign)
-                    and any(getattr(target, "id", None) == "__all__"
-                            for target in statement.targets)
-                    for node in ast.walk(statement)}
+        listed = _listings(tree)
         for node in ast.walk(tree):
-            if id(node) in exported:
+            if id(node) in listed:
                 continue
             if isinstance(node, ast.Name):
                 names[node.id] += 1
@@ -445,3 +452,136 @@ def test_every_test_seam_is_one():
     stale = [seam for seam in TEST_SEAMS
              if seam not in unreferenced and seam.rsplit(".", 1)[-1] not in unset_owners]
     assert stale == []
+
+
+# ------------------------------------------------------------- stored values
+
+# Nothing is stored for nobody: every field of a dataclass or NamedTuple and
+# every ``self.<name> = ...`` under src/repro/ is read by code outside tests/
+# -- except these, each with why it stays.  A counter only incremented, or a
+# value only a constructor keyword sets, is work that runs for no reader.
+MAX_UNREAD_VALUES = 1
+UNREAD_VALUES = {
+    "UserProfile.signup_day":
+        "drawn from the seeded graph stream between a profile's hometown and "
+        "the next profile's birthday; without the draw every fingerprint moves",
+}
+
+
+def _is_record(cls):
+    """Is a class a ``@dataclass`` or a ``NamedTuple`` (its fields are stores)?"""
+    return any(_callee(decorator) == "dataclass" for decorator in cls.decorator_list) \
+        or any(_callee(base) == "NamedTuple" for base in cls.bases)
+
+
+class _Stores(ast.NodeVisitor):
+    """Every stored value of a module, as ``"Class.name"``: each field of a
+    record class (see ``_is_record``) and each ``self.<name> = ...`` in a
+    class.  A class that reads itself whole -- ``fields(self)`` or
+    ``asdict(self)`` -- reads every field, so it is collected in ``whole``."""
+
+    def __init__(self):
+        self.stores, self.whole, self.classes = set(), set(), []
+
+    def visit_ClassDef(self, node):
+        if _is_record(node):
+            self.stores.update(
+                f"{node.name}.{item.target.id}" for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.dump(item.annotation))
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Store) and getattr(node.value, "id", None) == "self" \
+                and self.classes:
+            self.stores.add(f"{self.classes[-1]}.{node.attr}")
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if _callee(node) in ("fields", "asdict") and node.args \
+                and getattr(node.args[0], "id", None) == "self" and self.classes:
+            self.whole.add(self.classes[-1])
+        self.generic_visit(node)
+
+
+def _reads(tree):
+    """The attribute names a module reads: each ``Attribute`` that is not a
+    store target (``x.a += 1`` only stores) and each identifier-shaped string
+    (``getattr(obj, "a")``), but no ``__all__`` or ``__slots__`` listing.  A
+    constructor keyword is no read: it is a ``keyword``, not an ``Attribute``."""
+    listed = _listings(tree)
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and _IDENTIFIER.match(node.value) and id(node) not in listed:
+            reads.add(node.value)
+    return reads
+
+
+def _unread_values(stored, reading):
+    """``"Class.name"`` of every value the ``stored`` modules store that no
+    ``reading`` module reads.  Names are matched by their last part, as in
+    ``_references``: a read of ``x.count`` reads every stored ``count``."""
+    stores = _Stores()
+    for tree in stored:
+        stores.visit(tree)
+    reads = set().union(*map(_reads, reading))
+    return sorted(key for key in stores.stores
+                  if key.split(".")[0] not in stores.whole
+                  and key.rsplit(".", 1)[1] not in reads)
+
+
+def test_every_stored_value_is_read_outside_tests():
+    unread = _unread_values([_parse(path) for path in sorted(SRC.rglob("*.py"))],
+                            [_parse(path) for path in _sources(*CALLER_DIRECTORIES)])
+    unexcused = [key for key in unread if key not in UNREAD_VALUES]
+    assert unexcused == [], f"values only tests (or nothing) read: {unexcused}"
+    # An exception that code outside tests/ came to read is no longer one.
+    assert sorted(UNREAD_VALUES) == sorted(set(unread) & set(UNREAD_VALUES))
+    assert len(UNREAD_VALUES) <= MAX_UNREAD_VALUES
+
+
+def test_the_stored_value_audit_flags_what_nothing_reads():
+    source = ast.parse(textwrap.dedent("""
+        from dataclasses import dataclass, fields
+
+        class Counter:
+            def __init__(self):
+                self.bumps = 0
+                self.label = "c"
+
+            def bump(self):
+                self.bumps += 1
+                return self.label
+
+        class Slotted:
+            __slots__ = ("kept", "dropped")
+
+            def __init__(self):
+                self.kept = self.dropped = 0
+
+            def total(self):
+                return self.kept
+
+        @dataclass
+        class Plan:
+            nodes: int
+            note: str
+
+        @dataclass
+        class Features:
+            rate: float
+            load: float
+
+            def as_vector(self):
+                return [getattr(self, f.name) for f in fields(self)]
+
+        plan = Plan(nodes=Counter().bump(), note="sized")
+        print(plan.nodes, Slotted().total(), Features(rate=1.0, load=2.0).as_vector())
+    """))
+    assert _unread_values([source], [source]) == [
+        "Counter.bumps", "Plan.note", "Slotted.dropped"]

@@ -16,8 +16,8 @@ from repro.core.consistency.spec import (
     WriteConsistency,
     WritePolicy,
 )
-from repro.core.query.analyzer import QueryRejected
-from repro.core.schema import EntitySchema, Field
+from repro.core.query.analyzer import QueryRejected, RejectionReason
+from repro.core.schema import EntitySchema, Field, FieldType
 from repro.storage.failure import FailureInjector
 
 pytestmark = pytest.mark.tier1
@@ -104,6 +104,22 @@ class TestEngineQueries:
         result = engine.query("friend_birthdays", {"user_id": "alice"})
         assert [row["name"] for row in result.rows] == ["Carol", "Bob"]
         assert result.latency > 0
+
+    def test_a_filter_the_index_cannot_answer_is_rejected(self):
+        # Admitting this template dropped its literal filter: every status of
+        # the user came back, whatever its text.
+        engine = simple_engine()
+        engine.register_entity(EntitySchema(
+            name="statuses", key_fields=[Field("user_id"), Field("status_id", FieldType.INT)],
+            value_fields=[Field("text")], max_per_partition=100,
+        ))
+        with pytest.raises(QueryRejected) as excinfo:
+            engine.register_query(
+                "statuses_saying_x",
+                "SELECT * FROM statuses WHERE user_id = <u> AND text = 'x' LIMIT 10")
+        assert excinfo.value.reason is RejectionReason.RESIDUAL_FILTER
+        assert "text = 'x'" in str(excinfo.value)
+        assert "statuses_saying_x" not in engine.query_names()
 
     def test_query_unknown_name_raises(self):
         engine = simple_engine()

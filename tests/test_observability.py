@@ -29,8 +29,6 @@ from repro.core.schema import EntitySchema, Field
 from repro.experiments.harness import run_closed_loop
 from repro.obs import (
     SPAN_KINDS,
-    DecisionTimeline,
-    ProvisioningDecision,
     Span,
     Telemetry,
     TraceRecord,
@@ -111,22 +109,6 @@ class TestTelemetryRegistry:
         assert snapshot["histograms"]["lat"]["count"] == 2.0
         json.dumps(snapshot)  # JSON-able throughout
 
-    def test_merge_semantics(self):
-        a, b = Telemetry(), Telemetry()
-        for _ in range(2):
-            a.count("ops")
-        for _ in range(3):
-            b.count("ops")
-        a.gauge("peak", 1.0)
-        b.gauge("peak", 5.0)
-        a.observe("lat", 0.1)
-        b.observe("lat", 0.2)
-        b.observe("only_b", 9.0)
-        a.merge(b)
-        assert a.counters["ops"] == 5  # counters sum
-        assert a.gauges["peak"] == 5.0  # gauges max
-        assert len(a.histogram("lat")) == 2  # histograms union
-        assert a.histogram("only_b").max() == 9.0
 
     def test_set_histogram_copies(self):
         from repro.metrics.percentiles import PercentileEstimator
@@ -323,22 +305,6 @@ class TestDecisionTimeline:
         json.dumps(timeline.snapshot())
         assert "t=" in timeline.describe(last=2)
 
-    def test_merge_concatenates(self):
-        a, b = DecisionTimeline(), DecisionTimeline()
-        a.record_event(1.0, "rent", 3)
-        b.record_event(2.0, "release", 3, group_id="g0")
-        engine = traced_engine(autoscale=True, control_interval=10.0)
-        drive(engine)
-        decision = engine.timeline.decisions[0]
-        b.record_decision(ProvisioningDecision(
-            time=2.0, kind="hold", groups_before=1, groups_after=1,
-            reason="test", node_count=3, group_count=1,
-            observation=decision.observation, plan=decision.plan,
-        ))
-        a.merge(b)
-        assert [e.kind for e in a.events] == ["rent", "release"]
-        assert len(a.decisions) == 1
-        assert a.snapshot()["decisions"][0]["sla"]
 
 
 @pytest.mark.parametrize("name", ["noisy-neighbor-episode", "spot-interruption-storm"])

@@ -153,15 +153,12 @@ class TestSweepDeterminism:
         grid = smoke_grid(runs=3, base_seed=5, duration=10.0, rate=25.0)
         result = run_sweep(grid, workers=1)
         report = result.cell_reports()[0]
-        merged = report.read_latency
-        # Ground truth: one estimator fed the concatenation of all runs' read
-        # latencies (reconstructed from the per-run estimators' raw samples).
+        # Ground truth: the concatenation of all runs' read latencies
+        # (reconstructed from the per-run estimators' raw samples).
         all_samples = np.concatenate(
             [r.summary.read_latency._merged() for r in result.records])
-        assert merged.percentile(99.0) == pytest.approx(
-            float(np.percentile(all_samples, 99.0)))
         assert report.read_report.observed_percentile_latency == pytest.approx(
-            merged.percentile(report.read_report.target_percentile))
+            float(np.percentile(all_samples, report.read_report.target_percentile)))
         assert report.runs == 3
         assert report.cost.requests_served == sum(
             r.summary.cost.requests_served for r in result.records)
@@ -268,13 +265,3 @@ class TestPortableSummaries:
                                       "host_degradation")):
             with pytest.raises(ValueError, match=registered):
                 run_closed_loop(tiny_scenario(**override), 2)
-
-    def test_cell_rescoring_against_alternative_sla_targets(self):
-        grid = smoke_grid(runs=2, base_seed=4, duration=8.0, rate=20.0)
-        report = run_sweep(grid, workers=1).cell_reports()[0]
-        # The merged samples re-score the cell against any latency target:
-        # attainment is monotone in the target and hits 1.0 at the max.
-        loose = report.read_latency.fraction_at_or_below(report.read_latency.max())
-        tight = report.read_latency.fraction_at_or_below(report.read_latency.percentile(50))
-        assert loose == 1.0
-        assert 0.0 < tight <= loose

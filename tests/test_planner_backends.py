@@ -286,8 +286,11 @@ class TestBoundedTraining:
     def test_lag_model_refits_on_cadence_not_every_observe(self):
         model = PropagationLagModel()
         model.min_training_windows = 4
+        fits = []  # each fit installs a new model object
         for i in range(20):
             model.observe(i, per_node_rate=100.0, observed_lag=0.01 * i)
-        assert model._model is not None  # noqa: SLF001 - trained
+            fitted = model._model  # noqa: SLF001
+            if fitted is not None and (not fits or fitted is not fits[-1]):
+                fits.append(fitted)
         # 20 observations at a cadence of 4: at most 5 fits, not 17.
-        assert model.fit_count <= 5
+        assert 1 <= len(fits) <= 5

@@ -227,6 +227,18 @@ class TestAnalyzerAdmission:
         )
         assert analyzed.result_bound == 2000
 
+    def test_join_into_an_unbounded_entity_rejected(self):
+        # The entity bounds are the declared cardinality of a join: without
+        # one the fan-out grows with the population; with one it is the bound.
+        sql = ("SELECT g.* FROM friendships f JOIN follows g ON f.f2 = g.follower "
+               "WHERE f.f1 = <u> LIMIT 10")
+        with pytest.raises(QueryRejected) as excinfo:
+            self._analyze(sql)
+        assert excinfo.value.reason is RejectionReason.UNBOUNDED_JOIN
+        analyzed = self._analyze(sql, registry=social_registry(follower_bound=50))
+        assert analyzed.chain[1].forward_fanout == 50
+        assert analyzed.result_bound == FRIEND_CAP * 50
+
     def test_missing_limit_on_large_result_rejected(self):
         sql = (
             "SELECT p.* FROM friendships f JOIN friendships g ON f.f2 = g.f1 "
@@ -301,13 +313,18 @@ class TestAnalyzerAdmission:
             self._analyze(sql)
         assert excinfo.value.reason is RejectionReason.MULTIPLE_RANGE_PREDICATES
 
-    def test_residual_literal_filters_allowed(self):
+    def test_residual_literal_filters_rejected(self):
+        # The index key cannot answer a filter off it, and filtering after the
+        # LIMIT would return short pages: the template is refused, not admitted
+        # with the filter dropped.
         sql = (
             "SELECT p.* FROM friendships f JOIN profiles p ON f.f2 = p.user_id "
             "WHERE f.f1 = <u> AND p.hometown = 'berkeley' ORDER BY p.birthday LIMIT 5"
         )
-        analyzed = self._analyze(sql)
-        assert len(analyzed.residual_filters) == 1
+        with pytest.raises(QueryRejected) as excinfo:
+            self._analyze(sql)
+        assert excinfo.value.reason is RejectionReason.RESIDUAL_FILTER
+        assert "p.hometown = 'berkeley'" in str(excinfo.value)
 
 
 # ------------------------------------------------------------------- compiler

@@ -214,7 +214,8 @@ class Harness:
                       for namespace, store in sorted(node._namespaces.items())}
             for node_id, node in self.nodes.items()
         }
-        counts = {node_id: (node.stats.keys_stored, node.stats.writes)
+        # the load model each node's write requests drove
+        counts = {node_id: (node.arrival_rate(), node._burst_count, node._last_arrival)
                   for node_id, node in self.nodes.items()}
         queued = sorted((time, priority, seq, name)
                         for time, priority, seq, _, name in self.sim.queue._heap)

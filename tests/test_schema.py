@@ -8,7 +8,6 @@ from repro.core.schema import (
     EntitySchema,
     Field,
     FieldType,
-    Relationship,
     SchemaError,
     SchemaRegistry,
 )
@@ -125,29 +124,6 @@ class TestSchemaRegistry:
     def test_unknown_entity_raises(self):
         with pytest.raises(SchemaError):
             SchemaRegistry().entity("missing")
-
-    def test_relationship_requires_registered_entities(self):
-        registry = SchemaRegistry()
-        registry.register_entity(profiles_schema())
-        with pytest.raises(SchemaError):
-            registry.register_relationship(
-                Relationship("friends", "profiles", "missing", 100)
-            )
-
-    def test_relationship_round_trip(self):
-        registry = SchemaRegistry()
-        registry.register_entity(profiles_schema())
-        knows = registry.register_relationship(Relationship("knows", "profiles", "profiles", 50))
-        assert knows.max_cardinality == 50
-        with pytest.raises(SchemaError):  # registered once
-            registry.register_relationship(knows)
-
-    def test_unbounded_relationship_flagged(self):
-        registry = SchemaRegistry()
-        registry.register_entity(profiles_schema())
-        follows = registry.register_relationship(
-            Relationship("follows", "profiles", "profiles", None))
-        assert follows.max_cardinality is None
 
     def test_cardinality_bound_passthrough(self):
         registry = SchemaRegistry()

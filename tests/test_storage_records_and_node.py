@@ -178,9 +178,9 @@ class TestStorageNodeBasics:
     def test_peek_does_not_touch_load_model(self):
         node = make_node()
         node.put("ns", ("k",), vv({"a": 1}), now=0.0)
-        before = node.stats.reads
+        before = (node.arrival_rate(), node._burst_count, node._last_arrival)
         assert node.peek("ns", ("k",)).value == {"a": 1}
-        assert node.stats.reads == before
+        assert (node.arrival_rate(), node._burst_count, node._last_arrival) == before
 
     def test_key_count_tracks_new_keys(self):
         node = make_node()
@@ -232,8 +232,9 @@ class TestStorageNodeBasics:
 
 
 class TestStorageNodeWriteAccounting:
-    """What ``put`` / ``apply_replica_write`` / ``delete`` return and count,
-    for each state the key can be in when the write arrives."""
+    """What ``put`` / ``apply_replica_write`` / ``delete`` return, store and
+    charge to the load model, for each state the key can be in when the write
+    arrives."""
 
     KEY = ("k",)
     LIVE = vv("live", timestamp=5.0, version=5)
@@ -244,10 +245,13 @@ class TestStorageNodeWriteAccounting:
         node.put("ns", ("other",), vv("x"), now=0.0)
         if present is not None:
             node.put("ns", self.KEY, present, now=0.0)
-        return node, (node.stats.keys_stored, node.stats.writes)
+        return node, node.key_count()
 
     def _deltas(self, node, before):
-        return (node.stats.keys_stored - before[0], node.stats.writes - before[1])
+        """(new slots in the ordered map, whether the write reached the load
+        model): every write so far came at t=0, so only a later request gives
+        the node an arrival rate."""
+        return node.key_count() - before, node.arrival_rate() > 0.0
 
     @pytest.mark.parametrize("present,new_keys", [
         (None, 1), (LIVE, 0), (TOMBSTONE, 0),
@@ -256,7 +260,7 @@ class TestStorageNodeWriteAccounting:
         node, before = self._node(present)
         incoming = vv("incoming", timestamp=1.0, version=1)  # older: put is unconditional
         assert node.put("ns", self.KEY, incoming, now=1.0) > 0.0
-        assert self._deltas(node, before) == (new_keys, 1)
+        assert self._deltas(node, before) == (new_keys, True)
         assert node.peek("ns", self.KEY) is incoming
         assert node.key_count() == 2
         assert [key for key, _ in node.scan_namespace("ns")] == [self.KEY, ("other",)]
@@ -275,7 +279,7 @@ class TestStorageNodeWriteAccounting:
         node, before = self._node(present)
         assert node.apply_replica_write("ns", self.KEY, incoming) is applied
         # Replica application is background work: it never counts as a write.
-        assert self._deltas(node, before) == (new_keys, 0)
+        assert self._deltas(node, before) == (new_keys, False)
         stored = node.peek("ns", self.KEY, include_tombstones=True)
         assert stored is (incoming if applied else present)
         assert [key for key, _ in node.scan_namespace("ns")] == [self.KEY, ("other",)]
@@ -283,7 +287,7 @@ class TestStorageNodeWriteAccounting:
     def test_apply_replica_write_opens_a_new_namespace(self):
         node, before = self._node(None)
         assert node.apply_replica_write("fresh", self.KEY, self.LIVE) is True
-        assert self._deltas(node, before) == (1, 0)
+        assert self._deltas(node, before) == (1, False)
         assert node.namespaces() == ["fresh", "ns"]
 
     @pytest.mark.parametrize("present", [None, LIVE, TOMBSTONE],
@@ -292,9 +296,8 @@ class TestStorageNodeWriteAccounting:
         node, before = self._node(present)
         tombstone = vv(None, timestamp=9.0, version=9, tombstone=True)
         assert node.delete("ns", self.KEY, tombstone, now=9.0) > 0.0
-        # A tombstone for an unseen key takes a slot in the ordered map but
-        # was never counted in ``keys_stored``.
-        assert self._deltas(node, before) == (0, 1)
+        # A tombstone for an unseen key takes a slot in the ordered map.
+        assert self._deltas(node, before) == (int(present is None), True)
         assert node.peek("ns", self.KEY) is None
         assert node.peek("ns", self.KEY, include_tombstones=True) is tombstone
         assert node.key_count() == 2

@@ -1,11 +1,10 @@
-"""Sweep-fabric observability: traces and telemetry merge across workers.
+"""Sweep-fabric observability: each run's payloads cross worker processes.
 
 The observability payloads (telemetry registry, trace list, decision
 timeline) ride back from sweep workers inside the picklable
-``ClosedLoopSummary`` and are merged per grid cell in run-index order —
-so the merged result must be identical no matter how many processes
-executed the runs.  These runs are seconds long: the point is the merge
-machinery, not the scenario.
+``ClosedLoopSummary``, one per run, in run-index order -- so every run's
+payloads must be identical no matter how many processes executed the runs.
+These runs are seconds long: the point is the transport, not the scenario.
 """
 
 from __future__ import annotations
@@ -15,11 +14,6 @@ import pickle
 import pytest
 
 from repro.parallel.executor import run_sweep
-from repro.parallel.results import (
-    merge_telemetry,
-    merge_timelines,
-    merge_traces,
-)
 from repro.parallel.spec import ScenarioSpec, SweepGrid, TraceSpec
 
 pytestmark = pytest.mark.tier1
@@ -63,45 +57,25 @@ class TestSweepObservability:
         serial = run_sweep(traced_grid(), workers=1)
         pooled = run_sweep(traced_grid(), workers=4)
         assert not serial.failures and not pooled.failures
-        a = serial.cell_reports()[0]
-        b = pooled.cell_reports()[0]
-        assert a.telemetry.snapshot() == b.telemetry.snapshot()
-        assert trace_keys(a.traces) == trace_keys(b.traces)
-        assert a.decision_timeline.snapshot() == b.decision_timeline.snapshot()
-        # The merged report itself remains picklable (for result archives).
-        restored = pickle.loads(pickle.dumps(a))
-        assert restored.telemetry.snapshot() == a.telemetry.snapshot()
+        (a,), (b,) = serial.cell_reports(), pooled.cell_reports()
+        assert (a.runs, a.read_report, a.write_report, a.cost) \
+            == (b.runs, b.read_report, b.write_report, b.cost)
+        # ... and so is every run's observability payload.
+        assert len(serial.records) == len(pooled.records) == 2
+        for a, b in zip(serial.records, pooled.records):
+            assert a.run_id == b.run_id
+            a, b = a.summary, b.summary
+            assert a.telemetry.snapshot() == b.telemetry.snapshot()
+            assert trace_keys(a.traces) == trace_keys(b.traces)
+            assert a.decision_timeline.snapshot() == b.decision_timeline.snapshot()
 
-    def test_merged_telemetry_equals_per_run_sums(self):
-        result = run_sweep(traced_grid(), workers=1)
-        assert not result.failures
-        summaries = [record.summary for record in result.records]
-        merged = merge_telemetry([s.telemetry for s in summaries])
-        for name in ("engine.read.ops", "engine.write.ops", "router.read"):
-            assert merged.counters[name] == sum(
-                s.telemetry.counters[name] for s in summaries)
-        # Histograms union exactly: merged count is the sum of run counts.
-        assert len(merged.histogram("engine.read.latency")) == sum(
-            len(s.telemetry.histogram("engine.read.latency"))
-            for s in summaries)
-        traces = merge_traces([s.traces for s in summaries])
-        assert len(traces) == sum(len(s.traces) for s in summaries)
-        timeline = merge_timelines([s.decision_timeline for s in summaries])
-        assert len(timeline.decisions) == sum(
-            len(s.decision_timeline.decisions) for s in summaries)
-
-    def test_merge_helpers_absent_payloads(self):
-        assert merge_telemetry([None, None]) is None
-        assert merge_traces([None]) is None
-        assert merge_timelines([]).snapshot() == {"decisions": [], "events": []}
-
-    def test_untraced_sweep_merges_to_none(self):
+    def test_untraced_sweep_carries_no_payloads(self):
         grid = traced_grid(replicates=1)
         grid.scenario.engine_knobs = {}
         result = run_sweep(grid, workers=1)
         assert not result.failures
-        report = result.cell_reports()[0]
-        assert report.telemetry is None
-        assert report.traces is None
+        summary = result.records[0].summary
+        assert summary.telemetry is None
+        assert summary.traces is None
         # The decision log is kept without telemetry: it is not a payload.
-        assert report.decision_timeline.decisions
+        assert summary.decision_timeline.decisions
