@@ -28,7 +28,7 @@ the TTL derived in :mod:`repro.cache.policy` caps the exposure independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.cache.policy import AdmissionPolicy
 from repro.cache.store import CacheEntry, StalenessBudgetCache, entity_token
@@ -103,7 +103,7 @@ class CacheTier:
 
     def lookup_entities(
         self, namespace: str, keys: Iterable[Key], session: Optional[Session],
-    ) -> Tuple[Dict[Key, Optional[dict]], float, List[Key]]:
+    ) -> Tuple[Dict[Key, Optional[Mapping[str, Any]]], float, List[Key]]:
         """Serve a query's dereference list from the cache in one pass.
 
         Each distinct key is looked up once, in first-occurrence order, with
@@ -111,7 +111,8 @@ class CacheTier:
         session's ``note_read`` and :meth:`sample_hit_latency`; the hit
         latencies are drawn together afterwards, which continues the pooled
         stream in the same order.  Returns ``(rows, slowest, misses)``: the
-        row copy under every served key (None for a cached negative result),
+        stored row itself under every served key — the read-only mapping the
+        write resolved, never a copy — or None for a cached negative result,
         the slowest of the hit latencies (the hits are served in parallel;
         0.0 when nothing was served), and the keys the caller must read
         through the cluster.
@@ -131,8 +132,7 @@ class CacheTier:
         if not hits:
             return hits, 0.0, misses
         slowest = max(self._hit_latency.sample_many(self._rng, len(hits)).tolist())
-        rows = {key: (dict(value.value)
-                      if value is not None and isinstance(value.value, dict) else None)
+        rows = {key: value.value if value is not None else None
                 for key, value in hits.items()}
         return rows, slowest, misses
 

@@ -16,7 +16,8 @@ which decides (a) what value actually gets stored given the current value and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, Optional
 
 from repro.core.consistency.spec import WriteConsistency, WritePolicy
 
@@ -51,23 +52,23 @@ class ConflictResolver:
 
     def resolve(
         self,
-        current_row: Optional[Dict[str, Any]],
-        incoming_row: Dict[str, Any],
-    ) -> Dict[str, Any]:
-        """The row that should actually be stored.
-
-        ``current_row`` is the primary's current value (None when the key is
-        new).  For merges the developer's function receives copies, so it
-        cannot accidentally alias stored state.
+        current_row: Optional[Mapping[str, Any]],
+        incoming_row: Mapping[str, Any],
+    ) -> Mapping[str, Any]:
+        """The row to store: a fresh dict — the one copy a row ever gets —
+        returned read-only (``MappingProxyType``).  Replicas, cache, index
+        updater and the caller of ``Scads.put`` share it, so it changes only
+        through a versioned write.  ``current_row`` is the primary's current
+        value (None when the key is new); a merge function receives copies.
         """
         policy = self.write_consistency.policy
         if policy is WritePolicy.LAST_WRITE_WINS:
             self.stats.last_write_wins += 1
-            return dict(incoming_row)
+            return MappingProxyType(dict(incoming_row))
         if policy is WritePolicy.MERGE:
             self.stats.merged += 1
             if current_row is None:
-                return dict(incoming_row)
+                return MappingProxyType(dict(incoming_row))
             merge = self.write_consistency.merge_function
             assert merge is not None  # guaranteed by WriteConsistency.__post_init__
             merged = merge(dict(current_row), dict(incoming_row))
@@ -75,10 +76,10 @@ class ConflictResolver:
                 raise TypeError(
                     f"merge function must return a dict row, got {type(merged).__name__}"
                 )
-            return merged
+            return MappingProxyType(merged)
         # SERIALIZABLE: the quorum (plus single-primary ordering) provides the
         # guarantee; the stored value is simply the incoming row applied on
         # top of the current one so partial-row writes behave like updates.
         base = dict(current_row) if current_row else {}
         base.update(incoming_row)
-        return base
+        return MappingProxyType(base)

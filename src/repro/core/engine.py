@@ -75,7 +75,7 @@ monitor holds the recorder and closes its window every control step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cache.tier import CacheConfig, CacheTier
 from repro.cloud.instances import INSTANCE_TYPES, InstanceType
@@ -130,8 +130,8 @@ class OperationOutcome:
 
     success: bool
     latency: float
-    row: Optional[Dict[str, Any]] = None
-    rows: Sequence[Dict[str, Any]] = ()
+    row: Optional[Mapping[str, Any]] = None
+    rows: Sequence[Mapping[str, Any]] = ()
     stale: bool = False
     error: Optional[str] = None
 
@@ -147,21 +147,20 @@ class _RouterStorageAdapter:
     def __init__(self, engine: "Scads") -> None:
         self._engine = engine
 
-    def entity_rows_by_prefix(self, entity: str, prefix: Key) -> List[Dict[str, Any]]:
+    def entity_rows_by_prefix(self, entity: str, prefix: Key) -> List[Mapping[str, Any]]:
         namespace = entity_namespace(entity)
         result = self._engine.router.read_range(prefix_range(namespace, prefix),
                                                 from_primary=True)
         if not result.success:
             return []
-        return [dict(value.value) for _, value in result.rows if isinstance(value.value, dict)]
+        return [value.value for _, value in result.rows]
 
-    def entity_row(self, entity: str, key: Key) -> Optional[Dict[str, Any]]:
+    def entity_row(self, entity: str, key: Key) -> Optional[Mapping[str, Any]]:
         namespace = entity_namespace(entity)
         result = self._engine.router.read(namespace, key, from_primary=True)
         if not result.success or result.value is None:
             return None
-        value = result.value.value
-        return dict(value) if isinstance(value, dict) else None
+        return result.value.value
 
     def reverse_keys(self, reverse_index: str, value: Any) -> List[Key]:
         namespace = reverse_index_namespace(reverse_index)
@@ -261,7 +260,7 @@ class _QueryReader:
 
     def entity_get_many(
         self, entity_name: str, keys: List[Key],
-    ) -> Tuple[Dict[Key, Optional[Dict[str, Any]]], float]:
+    ) -> Tuple[Dict[Key, Optional[Mapping[str, Any]]], float]:
         if self._tracer is not None:
             self.deref_mark = self._tracer.mark()
         engine = self._engine
@@ -630,7 +629,7 @@ class Scads:
 
     # -------------------------------------------------------------------- writes
 
-    def put(self, entity: str, row: Dict[str, Any],
+    def put(self, entity: str, row: Mapping[str, Any],
             session_id: Optional[str] = None) -> OperationOutcome:
         """Insert or update one entity row, honouring the write-consistency axis."""
         schema = self.registry.entity(entity)
@@ -773,8 +772,7 @@ class Scads:
         value = entry.value
         if session is not None:
             session.note_read(namespace, key, value)
-        row = (dict(value.value)
-               if value is not None and isinstance(value.value, dict) else None)
+        row = value.value if value is not None else None
         return row, self.cache.sample_hit_latency()
 
     # ------------------------------------------------------- consistency-aware read
@@ -800,13 +798,14 @@ class Scads:
         too stale to serve), the session's verdict, the re-read from the
         primary (its latency is added to that key's) or the arbitrator's
         availability-vs-consistency decision when the primary cannot answer,
-        ``session.note_read``, the cache admission and the row copy.
+        ``session.note_read`` and the cache admission.
         Admissions must happen in ``keys`` order — the query path's
         first-occurrence order of its misses — and not outcome by outcome:
         the LRU eviction sequence follows it.
 
-        Returns ``(rows, slowest, error, stale)``: the row copy under every
-        key (None when there is no row, or the read failed), the largest
+        Returns ``(rows, slowest, error, stale)``: under every key the stored
+        row itself — the read-only mapping the write resolved, never a copy —
+        or None when there is no row or the read failed; the largest
         per-key latency (the fetches ran in parallel), the error of the last
         failed key (None when every read succeeded) and whether any key was
         served without its bound verified.  How far behind the primary a
@@ -821,7 +820,7 @@ class Scads:
         session_checks = session is not None and session.guarantee.any_enabled
         resolved: Dict[ReadOutcome, tuple] = {}
         outcome = None
-        rows: Dict[Key, Optional[Dict[str, Any]]] = {}
+        rows: Dict[Key, Optional[Mapping[str, Any]]] = {}
         slowest = 0.0
         error = None
         any_stale = False
@@ -915,8 +914,7 @@ class Scads:
                 any_stale = True
             elif cache is not None:
                 cache.admit_entity(namespace, key, value, known_staleness)
-            rows[key] = (dict(value.value)
-                         if value is not None and isinstance(value.value, dict) else None)
+            rows[key] = value.value if value is not None else None
         return rows, slowest, error, any_stale
 
     # ---------------------------------------------------------------- accounting

@@ -15,7 +15,7 @@ the same friend-of-friend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Protocol, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Protocol, Set, Tuple
 
 from repro.core.query.plans import (
     CompiledQuery,
@@ -34,11 +34,11 @@ class StorageAdapter(Protocol):
     plain dictionaries.
     """
 
-    def entity_rows_by_prefix(self, entity: str, prefix: Key) -> List[Dict[str, Any]]:
-        """All rows of ``entity`` whose key starts with ``prefix``."""
+    def entity_rows_by_prefix(self, entity: str, prefix: Key) -> List[Mapping[str, Any]]:
+        """All rows of ``entity`` whose key starts with ``prefix``, as stored."""
 
-    def entity_row(self, entity: str, key: Key) -> Optional[Dict[str, Any]]:
-        """One row of ``entity`` by full key, or None."""
+    def entity_row(self, entity: str, key: Key) -> Optional[Mapping[str, Any]]:
+        """One row of ``entity`` by full key, as stored, or None."""
 
     def reverse_keys(self, reverse_index: str, value: Any) -> List[Key]:
         """Entity keys recorded in a reverse index under ``value``."""
@@ -61,8 +61,8 @@ class EntityWrite:
     """
 
     entity: str
-    old_row: Optional[Dict[str, Any]]
-    new_row: Optional[Dict[str, Any]]
+    old_row: Optional[Mapping[str, Any]]
+    new_row: Optional[Mapping[str, Any]]
 
     def __post_init__(self) -> None:
         if self.old_row is None and self.new_row is None:
@@ -168,7 +168,7 @@ class IndexMaintainer:
 
     @staticmethod
     def _reverse_key(
-        spec: ReverseIndexSpec, schema: EntitySchema, row: Optional[Dict[str, Any]]
+        spec: ReverseIndexSpec, schema: EntitySchema, row: Optional[Mapping[str, Any]]
     ) -> Optional[Key]:
         if row is None:
             return None
@@ -202,7 +202,7 @@ class IndexMaintainer:
         self,
         spec: IndexSpec,
         position: int,
-        row: Dict[str, Any],
+        row: Mapping[str, Any],
         result: MaintenanceResult,
     ) -> Set[Key]:
         """Index entries whose join path passes through ``row`` at ``position``."""
@@ -230,7 +230,7 @@ class IndexMaintainer:
                 entries.add(prefix + sort_part + final_key)
         return entries
 
-    def _anchor_prefix(self, spec: IndexSpec, anchor_row: Dict[str, Any]) -> Optional[Key]:
+    def _anchor_prefix(self, spec: IndexSpec, anchor_row: Mapping[str, Any]) -> Optional[Key]:
         values = []
         for column in [spec.anchor_column] + list(spec.extra_anchor_columns):
             value = anchor_row.get(column)
@@ -243,16 +243,16 @@ class IndexMaintainer:
         self,
         spec: IndexSpec,
         position: int,
-        row: Dict[str, Any],
+        row: Mapping[str, Any],
         result: MaintenanceResult,
-    ) -> List[Dict[str, Any]]:
+    ) -> List[Mapping[str, Any]]:
         """Rows of the anchor entity reachable backwards from ``row``."""
         current = [row]
         for level in range(position, 0, -1):
             step = spec.steps[level]
             previous_step = spec.steps[level - 1]
             previous_schema = self._registry.entity(previous_step.entity)
-            next_rows: List[Dict[str, Any]] = []
+            next_rows: List[Mapping[str, Any]] = []
             for r in current:
                 join_value = r.get(step.join_to_column)
                 if join_value is None:
@@ -275,7 +275,7 @@ class IndexMaintainer:
         value: Any,
         reverse_index: Optional[str],
         result: MaintenanceResult,
-    ) -> List[Dict[str, Any]]:
+    ) -> List[Mapping[str, Any]]:
         assert column is not None
         if schema.is_key_field(column) and schema.key_position(column) == 0:
             result.lookup_ops += 1
@@ -299,16 +299,16 @@ class IndexMaintainer:
         self,
         spec: IndexSpec,
         position: int,
-        row: Dict[str, Any],
+        row: Mapping[str, Any],
         result: MaintenanceResult,
-    ) -> List[Dict[str, Any]]:
+    ) -> List[Mapping[str, Any]]:
         """Rows of the final entity reachable forwards from ``row``."""
         current = [row]
         for level in range(position + 1, len(spec.steps)):
             step = spec.steps[level]
             schema = self._registry.entity(step.entity)
             previous_step = spec.steps[level - 1]
-            next_rows: List[Dict[str, Any]] = []
+            next_rows: List[Mapping[str, Any]] = []
             for r in current:
                 join_value = r.get(step.join_from_column)
                 if join_value is None:

@@ -34,7 +34,6 @@ class UpdateTask:
     ``seq`` is unique, so tasks themselves are never compared.
     """
 
-    seq: int
     write: EntityWrite
     enqueue_time: float = 0.0
     deadline: float = 0.0
@@ -146,7 +145,7 @@ class AsyncIndexUpdater:
         deadline = now + bound
         sort_key = now if self.fifo else deadline
         seq = next(self._seq)
-        task = UpdateTask(seq, write, now, deadline)
+        task = UpdateTask(write, now, deadline)
         heapq.heappush(self._heap, (sort_key, seq, task))
         return task
 

@@ -165,7 +165,6 @@ class QueryCompiler:
             range_bound=range_bound,
             limit=analyzed.limit,
             descending=analyzed.sort_descending,
-            dereference=True,
             final_entity=index_spec.final_entity,
             final_key_length=len(index_spec.final_key_fields),
             selected_columns=selected,

@@ -10,7 +10,7 @@ engine's consistency-aware read path or a plain dict in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple
 
 from repro.core.query.plans import PrefixComponent, QueryPlan, RangeBound
 from repro.storage.records import Key, key_part_successor, prefix_bounds
@@ -28,7 +28,7 @@ class QueryReader(Protocol):
 
     def entity_get_many(
         self, entity: str, keys: List[Key],
-    ) -> Tuple[Dict[Key, Optional[Dict[str, Any]]], float]:
+    ) -> Tuple[Dict[Key, Optional[Mapping[str, Any]]], float]:
         """``(rows_by_key, slowest_latency)`` for a query's dereference list:
         the row (None when there is none) under every distinct key of
         ``keys``, and the latency of the slowest fetch — the fetches run in
@@ -47,7 +47,7 @@ def _missing_parameter(name: str) -> ExecutionError:
 class QueryResult:
     """The rows a query returned plus what it cost to produce them."""
 
-    rows: List[Dict[str, Any]]
+    rows: List[Mapping[str, Any]]
     latency: float
     index_entries_read: int
     dereferences: int
@@ -75,11 +75,9 @@ class QueryExecutor:
             plan.namespace, start, end, limit, plan.descending)
         if limit is not None and len(entries) > limit:
             entries = entries[:limit]
+        rows: List[Mapping[str, Any]] = []
         dereferences = 0
-        if not plan.dereference:
-            rows = [dict(value) if isinstance(value, dict) else {}
-                    for _, value in entries]
-        elif entries:
+        if entries:
             # The whole bounded list goes down in one call, letting the
             # storage layer collapse it into per-group multigets; the fetches
             # hit independent replica groups in parallel, so the list costs
@@ -92,8 +90,6 @@ class QueryExecutor:
                     if (row := rows_by_key[key]) is not None]
             latency += slowest
             dereferences = len(final_keys)
-        else:
-            rows = []
         if plan.selected_columns:
             columns = plan.selected_columns
             rows = [{column: row.get(column) for column in columns} for row in rows]

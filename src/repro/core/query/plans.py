@@ -162,7 +162,6 @@ class QueryPlan:
     range_bound: Optional[RangeBound]
     limit: Optional[int]
     descending: bool
-    dereference: bool
     final_entity: str
     final_key_length: int
     selected_columns: List[str] = field(default_factory=list)  # empty = all fields

@@ -34,8 +34,8 @@ class VersionedValue:
     """A value plus the metadata needed for conflict resolution and staleness.
 
     Attributes:
-        value: the stored payload (a field dict for entities, a pointer for
-            index entries).
+        value: the stored payload (for entities the read-only row mapping
+            every replica and reader shares; a small dict for index entries).
         timestamp: simulated wall-clock time of the originating write; this is
             what last-write-wins compares and what staleness is measured from.
         writer: identifier of the client session that performed the write,

@@ -364,7 +364,7 @@ class TestExecutorBatchedDereference:
             index_name="by_tag",
             prefix=[PrefixComponent(kind="parameter", value="tag")],
             range_bound=None, limit=limit, descending=False,
-            dereference=True, final_entity="items", final_key_length=1,
+            final_entity="items", final_key_length=1,
             selected_columns=list(selected_columns),
         )
 

@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 MAX_ENGINE_KWARGS = 22
-MAX_ENGINE_LINES = 1061
+MAX_ENGINE_LINES = 1059
 MAX_ENGINE_IS_NOT_NONE = 42
 MAX_CLUSTER_LINES = 993
 # Data movement is three primitives (see cluster.py's "Data movement"): the

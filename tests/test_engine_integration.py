@@ -17,7 +17,9 @@ from repro.core.consistency.spec import (
     WritePolicy,
 )
 from repro.core.query.analyzer import QueryRejected, RejectionReason
+from repro.core.query.plans import entity_namespace
 from repro.core.schema import EntitySchema, Field, FieldType
+from repro.experiments.harness import build_engine_and_app
 from repro.storage.failure import FailureInjector
 
 pytestmark = pytest.mark.tier1
@@ -86,6 +88,53 @@ class TestEngineCrud:
         engine = simple_engine()
         with pytest.raises(QueryRejected):
             engine.register_query("bad", "SELECT * FROM profiles WHERE name = <n>")
+
+
+class TestStoredRowsAreReadOnly:
+    """A stored row changes only through a versioned write: the row ``put``
+    returns, every ``get`` row and every query row is the stored value itself,
+    and editing it raises instead of rewriting the replicas behind the
+    version, the replication, the cache and the indexes."""
+
+    ROW = {"user_id": "zed", "name": "Zed", "birthday": "02-02", "hometown": "Oslo"}
+
+    def _assert_stored_as_written(self, engine):
+        namespace = entity_namespace("profiles")
+        group = engine.cluster.group_for_key(namespace, ("zed",))
+        replicas = [engine.cluster.nodes[node_id].peek(namespace, ("zed",))
+                    for node_id in group.node_ids]
+        assert len(replicas) == 3
+        assert all(value.version == 1 and value.value == self.ROW for value in replicas)
+
+    def test_editing_a_returned_row_raises_and_changes_nothing_stored(self):
+        engine, app, _ = build_engine_and_app(seed=7, n_users=20, autoscale=False)
+        written = dict(self.ROW)
+        put = engine.put("profiles", written)
+        app.create_user("amy", "Amy", "05-05")
+        app.add_friendship("amy", "zed")
+        engine.settle()
+        self._assert_stored_as_written(engine)
+
+        with pytest.raises(TypeError):
+            put.row["name"] = "Mallory"
+        written["name"] = "Mallory"  # the caller's own input dict
+        self._assert_stored_as_written(engine)
+
+        hits, misses = engine.cache.hit_counts()
+        cluster_read = engine.get("profiles", ("zed",))
+        assert engine.cache.hit_counts() == (hits, misses + 1)
+        cache_hit = engine.get("profiles", ("zed",))
+        assert engine.cache.hit_counts() == (hits + 1, misses + 1)
+        page = engine.query("friend_birthdays", {"user_id": "amy"})
+        assert page.rows == [self.ROW]
+        for row in (cluster_read.row, cache_hit.row, page.rows[0]):
+            with pytest.raises(TypeError):
+                row["birthday"] = "12-31"
+
+        engine.settle()
+        self._assert_stored_as_written(engine)
+        assert engine.get("profiles", ("zed",)).row == self.ROW
+        assert engine.query("friend_birthdays", {"user_id": "amy"}).rows == [self.ROW]
 
 
 class TestEngineQueries:

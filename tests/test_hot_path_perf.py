@@ -27,6 +27,10 @@ A fifth, from the dereference fast lane: **a query's dereference list is served
 in one pass** — the interpreter-level calls of a cached query are counted (not
 timed) against the length of its list, sessions hold no history their
 guarantee cannot read, and the records on the path carry no ``__dict__``.
+
+A sixth: **a stored row is copied once** — where its write is resolved, into a
+read-only mapping — and every read path hands out that object, checked by
+identity (``is``), not by timing.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import gc
 import sys
 from collections import OrderedDict
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -44,6 +49,7 @@ from repro.apps.social_network import SocialNetworkApp
 from repro.cache.store import CacheEntry, StalenessBudgetCache
 from repro.core.engine import Scads
 from repro.core.query.executor import QueryResult
+from repro.core.query.plans import entity_namespace
 from repro.sim.latency import ConstantLatency, LogNormalLatency, QueueingLatency
 from repro.sim.network import NetworkModel
 from repro.sim.randomness import ZipfGenerator
@@ -428,8 +434,8 @@ def _profiled_calls(work):
 def test_a_cached_query_makes_the_same_calls_whatever_its_length():
     """All hits: the interpreter-level calls of ``query("friends")`` do not
     depend on the number of dereferences, and the C-level ones grow by at most
-    4 each (one store probe, one LRU refresh, the payload check; the per-key
-    path made 2 more Python-level and 7 C-level calls per dereference)."""
+    3 each (one store probe, one LRU refresh; the per-key path made 2 more
+    Python-level and 7 C-level calls per dereference)."""
     engine = _social_engine({"few": 3, "many": 15})
     for user in ("few", "many", "few", "many"):  # fills the cache, then the
         engine.query("friends", {"user_id": user}, session_id=user)  # latency pool
@@ -449,7 +455,7 @@ def test_a_cached_query_makes_the_same_calls_whatever_its_length():
     many_python, many_c, many_dereferences = counted["many"]
     assert (few_dereferences, many_dereferences) == (3, 15)
     assert many_python == few_python
-    assert many_c - few_c <= 4 * (many_dereferences - few_dereferences)
+    assert many_c - few_c <= 3 * (many_dereferences - few_dereferences)
 
 
 def test_a_session_without_guarantees_keeps_no_history():
@@ -465,6 +471,43 @@ def test_a_session_without_guarantees_keeps_no_history():
                                        "text": "hi"}, session_id="reader").success
     assert len(session._last_seen_version) == 0
     assert len(session._last_written_version) == 0
+
+
+# ------------------------------------------------- one copy per stored row
+
+
+def _primary_row(engine, entity, key):
+    """The row the owning group's primary holds for ``key``."""
+    namespace = entity_namespace(entity)
+    group = engine.cluster.group_for_key(namespace, key)
+    return engine.cluster.nodes[group.primary].peek(namespace, key).value
+
+
+def test_every_read_path_hands_out_the_stored_row_itself():
+    """A stored row is copied once, where its write is resolved: a
+    cluster-served get, a cache hit, a query's dereferences (from the cluster
+    and from the cache) and index maintenance's pre-reads each return the very
+    mapping the primary's ``VersionedValue`` holds — objects, not timings."""
+    engine = _social_engine({"reader": 2})
+    keys = [("reader", "reader-friend00"), ("reader", "reader-friend01")]
+    stored = {key: _primary_row(engine, "friendships", key) for key in keys}
+    assert all(isinstance(row, MappingProxyType) for row in stored.values())
+
+    hits, misses = engine.cache.hit_counts()
+    assert engine.get("friendships", keys[0]).row is stored[keys[0]]
+    assert engine.cache.hit_counts() == (hits, misses + 1)  # cluster-served
+    assert engine.get("friendships", keys[0]).row is stored[keys[0]]
+    assert engine.cache.hit_counts() == (hits + 1, misses + 1)  # cache hit
+
+    for _ in range(2):  # friend01 from the cluster, then every row from the cache
+        result = engine.query("friends", {"user_id": "reader"})
+        assert result.dereferences == 2
+        assert all(row is stored[(row["f1"], row["f2"])] for row in result.rows)
+
+    adapter = engine._adapter
+    assert adapter.entity_row("friendships", keys[1]) is stored[keys[1]]
+    assert all(row is stored[(row["f1"], row["f2"])]
+               for row in adapter.entity_rows_by_prefix("friendships", ("reader",)))
 
 
 def test_hot_path_records_are_slotted():

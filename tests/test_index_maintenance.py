@@ -310,11 +310,14 @@ class TestAsyncIndexUpdater:
         return registry, adapter, maintainer, sim, updater
 
     def _enqueue_writes(self, registry, adapter, updater, count, bound=None):
+        tasks = []
         for i in range(count):
             row = {"f1": "alice", "f2": f"friend{i}"}
             key = ("alice", f"friend{i}")
             adapter.put_entity("friendships", key, row)
-            updater.enqueue(EntityWrite("friendships", None, row), staleness_bound=bound)
+            tasks.append(updater.enqueue(EntityWrite("friendships", None, row),
+                                         staleness_bound=bound))
+        return tasks
 
     def test_tasks_apply_after_time_advances(self):
         registry, adapter, maintainer, sim, updater = self._setup()
@@ -375,10 +378,11 @@ class TestAsyncIndexUpdater:
     def test_completed_tasks_keeps_a_recent_window_and_stats_stay_all_time(self, monkeypatch):
         monkeypatch.setattr(AsyncIndexUpdater, "COMPLETED_TASK_WINDOW", 8)
         registry, adapter, maintainer, sim, updater = self._setup()
-        self._enqueue_writes(registry, adapter, updater, 20)
+        tasks = self._enqueue_writes(registry, adapter, updater, 20)
         assert updater.drain_now() == 20
         kept = updater.completed_tasks()
-        assert [task.seq for task in kept] == list(range(12, 20))
+        assert len(kept) == 8
+        assert all(kept_task is task for kept_task, task in zip(kept, tasks[12:]))
         assert updater.stats().completed == 20
 
     def test_behind_schedule_signal(self):
