@@ -10,7 +10,7 @@ standard closed-loop scenario, and prints what the layer produces:
   worst-decile operations in each window,
 * the provisioning decision timeline — every control step with its full
   sizing rationale and SLA window verdicts,
-* a counter/histogram snapshot of the unified telemetry registry.
+* the counters and histograms of the engine's telemetry snapshot.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def main() -> None:
     for event in engine.timeline.events:
         print(f"  {event.describe()}")
 
-    snapshot = engine.collect_telemetry().snapshot()
+    snapshot = engine.collect_telemetry()
     print("\n=== telemetry counters ===")
     for name, value in snapshot["counters"].items():
         print(f"  {name:<32} {value}")

@@ -2,7 +2,7 @@
 """Run a scenario with observability on and dump the results as JSON.
 
 The dump bundles everything the observability layer produces for one run —
-the telemetry registry snapshot (counters / gauges / histogram stats), the
+the telemetry snapshot (counters / gauges / histogram stats), the
 provisioning decision timeline, per-window p99 latency attribution, and the
 slowest sampled traces span by span — into one JSON document for offline
 analysis or diffing across runs:
@@ -110,7 +110,7 @@ def main() -> None:
         "operations": summary.operations,
         "trace_count": len(traces),
         "reconciled_traces": sum(1 for t in traces if t.reconciles()),
-        "telemetry": summary.telemetry.snapshot() if summary.telemetry else None,
+        "telemetry": summary.telemetry,
         "decision_timeline": summary.decision_timeline.snapshot(),
         "attribution_windows": attribution_payload(traces, args.window),
         "slowest_traces": [trace_payload(t) for t in slowest],

@@ -74,6 +74,7 @@ monitor holds the recorder and closes its window every control step.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -106,7 +107,6 @@ from repro.core.schema import EntitySchema, SchemaRegistry
 from repro.metrics.percentiles import PercentileEstimator
 from repro.metrics.sla import ComplianceWindow, OpRecorder, SLAReport
 from repro.ml.forecaster import WorkloadForecaster
-from repro.obs.telemetry import Telemetry
 from repro.obs.timeline import DecisionTimeline
 from repro.obs.tracing import Tracer
 from repro.ml.performance_model import LatencyPercentileModel, PropagationLagModel
@@ -316,17 +316,17 @@ class Scads:
             latency model, the pre-clamp behaviour), or ``"hybrid"``
             (default: analytical backbone, ML admitted as a bounded
             residual).  See :mod:`repro.core.provisioning.planner`.
-        telemetry: attach the observability layer — deterministic span
-            tracing of sampled requests and the counters/gauges/histograms
-            registry (:mod:`repro.obs`).  The provisioning decision
-            timeline (``engine.timeline``) is kept either way: it is the
-            control plane's only record.  Every
+        telemetry: attach the observability layer (:mod:`repro.obs`) —
+            deterministic span tracing of sampled requests and the
+            replication-lag samples :meth:`collect_telemetry` reads beside
+            the engine's own records.  The provisioning decision timeline
+            (``engine.timeline``) is kept either way.  Every
             :data:`~repro.obs.tracing.TRACE_SAMPLE_INTERVAL`-th op per stream
             is traced.  Trace sampling is a per-stream modulo, never an RNG
             draw, so a telemetry-on run produces byte-identical operation
             results to a telemetry-off run with the same seed.  Defaults to
-            off, where the remaining cost is one attribute check per
-            operation.
+            off, where the remaining cost is one tracer check at each
+            traced call site.
         spot: attach a :class:`~repro.cloud.market.SpotMarket` and a
             :class:`~repro.core.provisioning.spotfleet.SpotFleetManager`:
             the controller covers read-dominated capacity deficits with
@@ -420,17 +420,14 @@ class Scads:
         if cache:
             cache_config = cache if isinstance(cache, CacheConfig) else CacheConfig()
             self.cache = CacheTier(cache_config, spec=self.spec, simulator=self.sim)
-        self.telemetry: Optional[Telemetry] = None
         self.tracer: Optional[Tracer] = None
         # The control plane's decision log (always on; see repro.obs.timeline).
         self.timeline = DecisionTimeline()
-        # Cached registry histogram for the replication hot path.
-        self._tel_replication_lag: Optional[PercentileEstimator] = None
+        # Applied-propagation lags (telemetry on): no other record keeps them.
+        self._replication_lag = PercentileEstimator()
         if telemetry:
-            self.telemetry = Telemetry()
-            self.tracer = Tracer(telemetry=self.telemetry)
+            self.tracer = Tracer()
             self.router.attach_tracer(self.tracer)
-            self._tel_replication_lag = self.telemetry.histogram("replication.lag")
             self.cluster.replication.add_lag_listener(self._on_replication_lag)
         self.pool = InstancePool(self.sim, instance_type=instance_type,
                                  max_instances=max_instances)
@@ -514,7 +511,6 @@ class Scads:
             # for the mean-utilisation feature when it is being fed.
             rate_tracker=self.rebalancer.tracker if self.rebalancer is not None else None,
             sizing_model=self.sizing_model,
-            telemetry=self.telemetry,
             contention_config=self.contention_config,
             tracer=self.tracer,
         )
@@ -937,13 +933,9 @@ class Scads:
             self.cache.note_index_write(namespace, key)
 
     def _on_replication_lag(self, record) -> None:
-        # Registered with telemetry on only.  Cached estimator reference: one
-        # list append per propagation, no registry lookup (propagations
-        # outnumber client ops by the replication factor, so this path's
-        # cost is what bounds the telemetry-on overhead — see
-        # test_telemetry_overhead).  Listeners fire only for applied
-        # propagations, so applied_time is set.
-        self._tel_replication_lag.add(record.applied_time - record.write_time)
+        # Registered with telemetry on only; fires per applied propagation
+        # (so applied_time is set), replication-factor times per write.
+        self._replication_lag.add(record.applied_time - record.write_time)
 
     def _record_op(self, op_type: str, latency: float, success: bool,
                    cluster_served: bool = True) -> None:
@@ -951,16 +943,6 @@ class Scads:
         # window's report already IS the cluster label.
         self.recorder.record(op_type, self.sim.now, latency, success,
                              miss_path=cluster_served and self.cache is not None)
-        # Per-op telemetry counters/histograms (`engine.*.ops`, latency
-        # distributions) duplicate state the recorder already holds, so they
-        # are folded in at collection time (collect_telemetry), not here;
-        # only the outcomes with no existing home are counted on the path.
-        telemetry = self.telemetry
-        if telemetry is not None:
-            if not success:
-                telemetry.count(f"engine.{op_type}.failures")
-            elif not cluster_served:
-                telemetry.count("engine.read.cache_served")
 
     # ----------------------------------------------------------------- reporting
 
@@ -1017,8 +999,10 @@ class Scads:
                 lost += 1
         return lost
 
-    def node_count(self) -> int:
-        return self.cluster.node_count()
+    def peak_node_count(self) -> int:
+        """Most nodes attached after any control step; before the first, the current count."""
+        return max((d.node_count for d in self.timeline.decisions),
+                   default=self.cluster.node_count())
 
     # ------------------------------------------------------------- observability
 
@@ -1026,34 +1010,49 @@ class Scads:
         """Completed traces (empty without ``telemetry=``)."""
         return [] if self.tracer is None else list(self.tracer.traces)
 
-    def collect_telemetry(self) -> Optional[Telemetry]:
-        """The telemetry registry, with hot-path-owned metrics folded in.
-
-        Subsystems that already track their own state per request — the
-        router's plain-dict op counters, the engine's op recorder, the
-        cache's hit counts — are copied into the registry here
-        (collection time) rather than double-counted per request, which is
-        what keeps the telemetry-on overhead within its benchmarked bound.
-        Idempotent: repeated collection overwrites rather than accumulates.
-        """
-        telemetry = self.telemetry
-        if telemetry is None:
+    def collect_telemetry(self) -> Optional[Dict[str, Dict[str, Any]]]:
+        """The run's telemetry snapshot (None without ``telemetry=``): a
+        JSON-able view, names sorted, built at each call from the records
+        that own the numbers — router op counts, the op recorder, the cache's
+        hit counts, the decision log's observations, the tracer's traces and
+        the replication-lag estimator.  Nothing is copied during the run."""
+        tracer = self.tracer
+        if tracer is None:
             return None
-        for name, value in self.router.op_counts().items():
-            telemetry.set_count(f"router.{name}", value)
-        for op_type, count in self.recorder.counts().items():
-            telemetry.set_count(f"engine.{op_type}.ops", count)
-        # Successful-op latency distributions, from the recorder that
-        # already observes them (failed ops carry no latency sample).
-        for op_type in self.recorder.op_types():
-            telemetry.set_histogram(f"engine.{op_type}.latency",
-                                    self.recorder.all_time(op_type))
-        if self._tel_replication_lag is not None:
-            telemetry.set_count("replication.propagations",
-                                len(self._tel_replication_lag))
+        recorder = self.recorder
+        observations = [d.observation for d in self.timeline.decisions]
+        counters = {f"router.{name}": n for name, n in self.router.op_counts().items()}
+        counters.update((f"engine.{op}.ops", n) for op, n in recorder.counts().items())
+        counters["replication.propagations"] = len(self._replication_lag)
+        # Tallies of events are listed once they have happened.
+        tallies = {f"engine.{op}.failures": n for op, n in recorder.failure_counts().items()}
         if self.cache is not None:
-            hits, misses = self.cache.hit_counts()
-            telemetry.set_count("cache.hits", hits)
-            telemetry.set_count("cache.misses", misses)
-        telemetry.gauge("cluster.peak_nodes", float(self.cluster.node_count()))
-        return telemetry
+            counters["cache.hits"], counters["cache.misses"] = self.cache.hit_counts()
+            tallies["engine.read.cache_served"] = recorder.off_miss_path_count("read")
+        tallies["monitor.windows"] = len(observations)
+        tallies["monitor.violation_windows"] = sum(o.any_sla_violated() for o in observations)
+        tallies["monitor.contention_windows"] = sum(o.contention_suspected for o in observations)
+        counters.update((name, n) for name, n in tallies.items() if n)
+        gauges = {"cluster.peak_nodes": float(self.peak_node_count())}
+        if observations:
+            gauges["monitor.peak_request_rate"] = max(o.request_rate for o in observations)
+            gauges["monitor.peak_utilisation"] = max(
+                o.features.max_utilisation for o in observations)
+        histograms: Dict[str, PercentileEstimator] = defaultdict(PercentileEstimator)
+        for o in observations:
+            if o.duration > 0:
+                histograms["monitor.window_rate"].add(o.request_rate)
+                histograms["monitor.window_cache_hit_rate"].add(o.cache_hit_rate)
+        for trace in tracer.traces:
+            histograms[f"trace.{trace.op}.latency"].add(trace.latency)
+            for span in trace.spans:
+                if not span.off_path:  # off-path spans are context, not attribution
+                    histograms[f"span.{span.kind}"].add(span.duration)
+        histograms["replication.lag"] = self._replication_lag
+        histograms.update((f"engine.{op}.latency", recorder.all_time(op))
+                          for op in recorder.op_types())
+        return {
+            "counters": dict(sorted(counters.items())),
+            "gauges": dict(sorted(gauges.items())),
+            "histograms": {name: h.snapshot() for name, h in sorted(histograms.items())},
+        }

@@ -83,7 +83,6 @@ class SLAMonitor:
         exclude_hotspot_training: bool = False,
         rate_tracker=None,
         sizing_model=None,
-        telemetry=None,
         contention_config=None,
         tracer=None,
     ) -> None:
@@ -119,8 +118,6 @@ class SLAMonitor:
         self._exclude_hotspot_training = exclude_hotspot_training
         self._rate_tracker = rate_tracker
         self._sizing_model = sizing_model
-        # Optional obs.Telemetry: per-window counters/gauges/histograms.
-        self._telemetry = telemetry
         # Optional repro.sim.hosts.ContentionConfig: arms the per-host health
         # estimator and contention-vs-capacity window classification.
         self._contention_config = contention_config
@@ -200,18 +197,6 @@ class SLAMonitor:
         if self._contention_config is not None:
             self._diagnose(observation)
         self._train(observation)
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.count("monitor.windows")
-            if observation.any_sla_violated():
-                telemetry.count("monitor.violation_windows")
-            if observation.contention_suspected:
-                telemetry.count("monitor.contention_windows")
-            telemetry.gauge("monitor.peak_request_rate", request_rate)
-            telemetry.gauge("monitor.peak_utilisation", stats.max_utilisation)
-            if duration > 0:
-                telemetry.observe("monitor.window_rate", request_rate)
-                telemetry.observe("monitor.window_cache_hit_rate", cache_hit_rate)
         return observation
 
     def host_residuals(self) -> Dict[str, float]:

@@ -31,7 +31,6 @@ from repro.core.engine import Scads
 from repro.metrics.cost import CostReport
 from repro.metrics.percentiles import PercentileEstimator
 from repro.metrics.sla import ComplianceWindow, SLAReport
-from repro.obs.telemetry import Telemetry
 from repro.obs.timeline import DecisionTimeline
 from repro.obs.tracing import TraceRecord
 from repro.parallel.spec import FAULT_KINDS, MIX_KINDS, FaultSpec, ScenarioSpec
@@ -108,8 +107,8 @@ class ClosedLoopSummary:
     write_windows: List[ComplianceWindow]
     # Observability payloads (None unless the run's engine had
     # ``telemetry=`` on; picklable, and a sweep returns each run's own, see
-    # repro.obs).
-    telemetry: Optional[Telemetry]
+    # repro.obs).  ``telemetry`` is Scads.collect_telemetry()'s snapshot.
+    telemetry: Optional[Dict[str, Dict[str, object]]]
     traces: Optional[List[TraceRecord]]
     # Acknowledged writes no alive owner still held at run end (None when the
     # engine's write audit was off — see Scads ``write_audit``).  The
@@ -284,9 +283,6 @@ def run_closed_loop(scenario: ScenarioSpec, seed: int
     engine.run_for(scenario.duration)
     generator.stop()
 
-    node_series = engine.controller.series()
-    peak_nodes = int(node_series.get("nodes").max()) if "nodes" in node_series \
-        else engine.cluster.node_count()
     instance_series = engine.pool.count_series()
     mean_instances = (
         instance_series.integrate() / max(engine.now - start_time, 1.0)
@@ -310,7 +306,7 @@ def run_closed_loop(scenario: ScenarioSpec, seed: int
         read_report=engine.sla_report("read"),
         write_report=engine.sla_report("write"),
         cost=cost,
-        peak_nodes=peak_nodes,
+        peak_nodes=engine.peak_node_count(),
         final_nodes=engine.cluster.node_count(),
         scale_ups=engine.controller.scale_up_count(),
         scale_downs=engine.controller.scale_down_count(),

@@ -150,7 +150,7 @@ class _OpLog:
     """Everything recorded for one operation type."""
 
     __slots__ = ("op_type", "sla", "failures", "window_failures", "all_time",
-                 "window", "compliance")
+                 "window", "closed_off_miss_path", "compliance")
 
     def __init__(self, op_type: str, sla) -> None:
         self.op_type = op_type
@@ -161,6 +161,8 @@ class _OpLog:
         # Successful latencies since the last close_window(), indexed by the
         # miss_path flag: each sample lands in exactly one of the two lists.
         self.window: Tuple[List[float], List[float]] = ([], [])
+        # Successes off the miss path in the windows closed so far.
+        self.closed_off_miss_path = 0
         self.compliance = WindowedComplianceTracker(
             COMPLIANCE_WINDOW_SECONDS, sla.latency)
 
@@ -195,8 +197,9 @@ class OpRecorder:
     :class:`~repro.core.consistency.spec.PerformanceSLA`).  Per type the
     recorder keeps the failure count, the all-time
     :class:`~repro.metrics.percentiles.PercentileEstimator`, the successful
-    samples since the last :meth:`close_window` and the fixed-clock
-    compliance buckets; attempt counts, reports and percentiles are derived.
+    samples since the last :meth:`close_window` (and how many closed windows
+    held off the miss path) and the fixed-clock compliance buckets; attempt
+    counts, reports and percentiles are derived.
     """
 
     def __init__(self, slas: Mapping[str, object]) -> None:
@@ -245,6 +248,7 @@ class OpRecorder:
                 cluster_read_percentile = miss_path.percentile(log.sla.percentile)
             reports[op_type] = log.report(
                 np.asarray(others + missed, dtype=float), log.window_failures)
+            log.closed_off_miss_path += len(others)
             log.window = ([], [])
             log.window_failures = 0
         return reports, cluster_read_percentile
@@ -262,6 +266,16 @@ class OpRecorder:
         """Cumulative attempts (successes and failures) per operation type."""
         return {op_type: len(log.all_time) + log.failures
                 for op_type, log in self._logs.items()}
+
+    def failure_counts(self) -> Dict[str, int]:
+        """Cumulative failed attempts per operation type."""
+        return {op_type: log.failures for op_type, log in self._logs.items()}
+
+    def off_miss_path_count(self, op_type: str) -> int:
+        """Successes of one operation type recorded without ``miss_path``
+        since construction (behind a cache tier: the cache-served ones)."""
+        log = self._logs[op_type]
+        return log.closed_off_miss_path + len(log.window[False])
 
     def op_types(self) -> List[str]:
         """Operation types with at least one successful sample."""

@@ -116,7 +116,6 @@ class Tracer:
         "sample_interval",
         "max_traces",
         "traces",
-        "telemetry",
         "_op_counts",
         "_current_spans",
         "_current_op",
@@ -124,11 +123,10 @@ class Tracer:
         "_next_id",
     )
 
-    def __init__(self, telemetry: Optional[object] = None) -> None:
+    def __init__(self) -> None:
         self.sample_interval = TRACE_SAMPLE_INTERVAL
         self.max_traces = MAX_TRACES
         self.traces: List[TraceRecord] = []
-        self.telemetry = telemetry
         self._op_counts: Dict[str, int] = {}
         self._current_spans: Optional[List[Span]] = None
         self._current_op = ""
@@ -192,7 +190,7 @@ class Tracer:
             span.off_path = False
 
     def end(self, latency: float, success: bool = True) -> Optional[TraceRecord]:
-        """Close the open trace, feeding the telemetry span histograms."""
+        """Close the open trace and keep it."""
         spans = self._current_spans
         if spans is None:
             return None
@@ -207,12 +205,6 @@ class Tracer:
         self._next_id += 1
         self._current_spans = None
         self.traces.append(record)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.observe(f"trace.{record.op}.latency", latency)
-            for span in spans:
-                if not span.off_path:
-                    telemetry.observe(f"span.{span.kind}", span.duration)
         return record
 
     # -------------------------------------------------------------- reporting
@@ -237,7 +229,6 @@ class Tracer:
         self.sample_interval = state["sample_interval"]  # type: ignore[assignment]
         self.max_traces = state["max_traces"]  # type: ignore[assignment]
         self.traces = state["traces"]  # type: ignore[assignment]
-        self.telemetry = None
         self._op_counts = state["op_counts"]  # type: ignore[assignment]
         self._current_spans = None
         self._current_op = ""

@@ -1,4 +1,4 @@
-"""Observability layer: tracing, telemetry registry, attribution, timeline.
+"""Observability layer: tracing, the telemetry snapshot, attribution, timeline.
 
 Covers the layer's three contracts:
 
@@ -8,9 +8,12 @@ Covers the layer's three contracts:
 * **reconciliation** — a sampled trace's on-path span durations sum to the
   operation's recorded end-to-end latency (float tolerance), across reads,
   writes, cache hits, range fan-outs, and query dereference composition;
-* **mergeability** — registries, traces, and timelines pickle and merge
+* **mergeability** — snapshots, traces, and timelines pickle and merge
   exactly (the sweep-fabric tests in test_trace_sweep.py assert the
-  worker-count independence end to end).
+  worker-count independence end to end);
+* **one owner per number** — the telemetry snapshot is a view of the
+  records the engine keeps anyway (router, op recorder, cache, decision
+  log, traces), never a copy taken during the run.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ from repro.experiments.harness import run_closed_loop
 from repro.obs import (
     SPAN_KINDS,
     Span,
-    Telemetry,
     TraceRecord,
     Tracer,
     attribute_windows,
     format_attribution,
 )
 from repro.parallel.scenarios import STANDARD_SUITE, smoke_variant
+from repro.parallel.spec import ScenarioSpec, TraceSpec
 
 pytestmark = pytest.mark.tier1
 
@@ -87,39 +90,6 @@ def drive(engine: Scads, users: int = 24) -> list:
         latencies.append(result.latency)
     engine.run_for(30.0)
     return latencies
-
-
-# --------------------------------------------------------------- registry
-
-
-class TestTelemetryRegistry:
-    def test_counter_gauge_histogram_basics(self):
-        telemetry = Telemetry()
-        for _ in range(5):
-            telemetry.count("a.ops")
-        telemetry.gauge("peak", 3.0)
-        telemetry.gauge("peak", 2.0)  # high-water mark: lower value ignored
-        telemetry.observe("lat", 0.1)
-        telemetry.observe("lat", 0.3)
-        assert telemetry.counters["a.ops"] == 5
-        assert telemetry.gauges["peak"] == 3.0
-        assert len(telemetry.histogram("lat")) == 2
-        snapshot = telemetry.snapshot()
-        assert snapshot["counters"]["a.ops"] == 5
-        assert snapshot["histograms"]["lat"]["count"] == 2.0
-        json.dumps(snapshot)  # JSON-able throughout
-
-
-    def test_set_histogram_copies(self):
-        from repro.metrics.percentiles import PercentileEstimator
-        source = PercentileEstimator()
-        source.add(0.5)
-        telemetry = Telemetry()
-        telemetry.set_histogram("lat", source)
-        source.add(2.0)  # later samples must not leak into the registry
-        assert len(telemetry.histogram("lat")) == 1
-        telemetry.set_histogram("lat", source)  # idempotent overwrite
-        assert len(telemetry.histogram("lat")) == 2
 
 
 # ----------------------------------------------------------------- tracer
@@ -173,20 +143,6 @@ class TestTracer:
         record.spans.append(Span("queue", 0.01))
         assert not record.reconciles()
 
-    def test_end_feeds_telemetry_span_histograms(self):
-        telemetry = Telemetry()
-        tracer = Tracer(telemetry=telemetry)
-        tracer.sample_interval = 1
-        tracer.maybe_begin("read", now=0.0)
-        tracer.add("network", 0.01)
-        tracer.add("service", 0.02, off_path=True)
-        tracer.end(latency=0.01)
-        assert len(telemetry.histogram("trace.read.latency")) == 1
-        assert len(telemetry.histogram("span.network")) == 1
-        # Off-path spans stay out of the attribution histograms.
-        assert len(telemetry.histogram("span.service")) == 0
-
-
 # ------------------------------------------------------------ driven engine
 
 
@@ -219,7 +175,7 @@ class TestEngineTracing:
     def test_telemetry_off_is_absent_everywhere(self):
         engine = traced_engine(telemetry=False)
         drive(engine, users=4)
-        assert engine.telemetry is None and engine.tracer is None
+        assert engine.tracer is None
         # The decision log is the control plane's record, not telemetry.
         assert engine.timeline is not None
         assert engine.traces() == []
@@ -230,12 +186,74 @@ class TestEngineTracing:
         drive(engine, users=8)
         telemetry = engine.collect_telemetry()
         counts = engine.cumulative_operation_counts()
-        assert telemetry.counters["engine.read.ops"] == counts["read"]
-        assert telemetry.counters["engine.write.ops"] == counts["write"]
-        assert telemetry.counters["router.read"] > 0
-        assert len(telemetry.histogram("engine.read.latency")) > 0
-        first = telemetry.snapshot()
-        assert engine.collect_telemetry().snapshot() == first  # idempotent
+        assert telemetry["counters"]["engine.read.ops"] == counts["read"]
+        assert telemetry["counters"]["engine.write.ops"] == counts["write"]
+        assert telemetry["counters"]["router.read"] > 0
+        assert telemetry["histograms"]["engine.read.latency"]["count"] > 0
+        json.dumps(telemetry)  # JSON-able throughout
+        assert engine.collect_telemetry() == telemetry  # idempotent
+
+    def test_off_path_spans_stay_out_of_the_snapshot_span_histograms(self):
+        engine = traced_engine()
+        tracer = engine.tracer
+        tracer.sample_interval = 1
+        tracer.maybe_begin("read", now=0.0)
+        tracer.add("network", 0.01)
+        tracer.add("service", 0.02, off_path=True)
+        tracer.end(latency=0.01)
+        histograms = engine.collect_telemetry()["histograms"]
+        assert histograms["trace.read.latency"]["count"] == 1
+        assert histograms["span.network"]["count"] == 1
+        # Off-path spans stay out of the attribution histograms.
+        assert "span.service" not in histograms
+
+    def test_every_snapshot_entry_reads_its_owner(self):
+        engine = traced_engine(autoscale=True, control_interval=10.0, sample_interval=1)
+        drive(engine)
+        for i in range(6):
+            engine.get("profiles", (f"u{i}",))  # cache hits
+        snapshot = engine.collect_telemetry()
+        counters, gauges, histograms = (
+            snapshot["counters"], snapshot["gauges"], snapshot["histograms"])
+        decisions = engine.timeline.decisions
+        assert decisions
+        assert counters["monitor.windows"] == len(decisions)
+        assert counters.get("monitor.violation_windows", 0) == sum(
+            d.observation.any_sla_violated() for d in decisions)
+        assert gauges["monitor.peak_request_rate"] == max(
+            d.observation.request_rate for d in decisions)
+        assert gauges["cluster.peak_nodes"] == max(d.node_count for d in decisions)
+        for name, count in engine.router.op_counts().items():
+            assert counters[f"router.{name}"] == count
+        recorder = engine.recorder
+        for op_type, attempts in recorder.counts().items():
+            assert counters[f"engine.{op_type}.ops"] == attempts
+            assert histograms[f"engine.{op_type}.latency"] == \
+                recorder.all_time(op_type).snapshot()
+        assert not any(name.endswith(".failures") for name in counters)  # none failed
+        hits, misses = engine.cache.hit_counts()
+        assert (counters["cache.hits"], counters["cache.misses"]) == (hits, misses)
+        # Every op is traced here: a read the cache served has no cluster span.
+        cache_served = sum(1 for t in engine.tracer.traces if t.op in ("read", "query")
+                           and {s.kind for s in t.spans} <= {"cache_hit", "index_deref"})
+        assert counters["engine.read.cache_served"] == cache_served > 0
+        assert counters["replication.propagations"] == histograms["replication.lag"]["count"]
+        assert histograms["replication.lag"]["max"] == \
+            engine.cluster.replication.max_observed_lag()
+        # Latency and span histograms, recomputed from the tracer's traces.
+        recomputed = {}
+        for trace in engine.tracer.traces:
+            recomputed.setdefault(f"trace.{trace.op}.latency", []).append(trace.latency)
+            for span in trace.spans:
+                if not span.off_path:
+                    recomputed.setdefault(f"span.{span.kind}", []).append(span.duration)
+        traced = {name: stats for name, stats in histograms.items()
+                  if name.startswith(("trace.", "span."))}
+        assert set(traced) == set(recomputed)
+        for name, values in recomputed.items():
+            assert traced[name]["count"] == len(values)
+            assert traced[name]["max"] == max(values)
+            assert traced[name]["mean"] == pytest.approx(sum(values) / len(values))
 
 
 # ------------------------------------------------------------- attribution
@@ -323,6 +341,18 @@ def test_telemetry_never_changes_a_decision(name):
     assert logs[0] == logs[1]
 
 
+def test_peak_nodes_gauge_is_the_runs_peak_after_a_scale_down():
+    # The gauge and the summary quote one peak: the largest fleet any
+    # control step left, not the fleet still attached at collection time.
+    summary, engine, _ = run_closed_loop(ScenarioSpec(
+        name="shrink", trace=TraceSpec("constant", {"rate": 10.0}), duration=120.0,
+        n_users=40, friend_cap=10, initial_groups=4, control_interval=10.0,
+        engine_knobs={"telemetry": True}), 11)
+    assert summary.scale_downs > 0 and summary.final_nodes < summary.peak_nodes
+    assert summary.peak_nodes == max(d.node_count for d in engine.timeline.decisions)
+    assert summary.telemetry["gauges"]["cluster.peak_nodes"] == summary.peak_nodes
+
+
 def test_analyze_trace_script_dumps_a_reconciled_run():
     # The offline-analysis entry point, end to end: a telemetry-on run of the
     # standard scenario, dumped as one JSON document.
@@ -347,8 +377,7 @@ class TestPickling:
         engine = traced_engine(autoscale=True, control_interval=10.0)
         drive(engine)
         telemetry = engine.collect_telemetry()
-        restored = pickle.loads(pickle.dumps(telemetry))
-        assert restored.snapshot() == telemetry.snapshot()
+        assert pickle.loads(pickle.dumps(telemetry)) == telemetry
 
         traces = engine.traces()
         restored_traces = pickle.loads(pickle.dumps(traces))
@@ -366,6 +395,5 @@ class TestPickling:
         tracer.add("network", 0.01)
         restored = pickle.loads(pickle.dumps(tracer))
         assert not restored.active  # open span list never crosses processes
-        assert restored.telemetry is None
         # The op-count lattice survives, so sampling continues correctly.
         assert restored.maybe_begin("read", now=1.0)

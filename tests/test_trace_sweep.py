@@ -1,6 +1,6 @@
 """Sweep-fabric observability: each run's payloads cross worker processes.
 
-The observability payloads (telemetry registry, trace list, decision
+The observability payloads (telemetry snapshot, trace list, decision
 timeline) ride back from sweep workers inside the picklable
 ``ClosedLoopSummary``, one per run, in run-index order -- so every run's
 payloads must be identical no matter how many processes executed the runs.
@@ -50,7 +50,7 @@ class TestSweepObservability:
         # The whole summary (payloads included) survives a pickle cycle, as
         # it must to cross the worker process boundary.
         restored = pickle.loads(pickle.dumps(summary))
-        assert restored.telemetry.snapshot() == summary.telemetry.snapshot()
+        assert restored.telemetry == summary.telemetry
         assert trace_keys(restored.traces) == trace_keys(summary.traces)
 
     def test_merged_cell_identical_across_worker_counts(self):
@@ -65,7 +65,7 @@ class TestSweepObservability:
         for a, b in zip(serial.records, pooled.records):
             assert a.run_id == b.run_id
             a, b = a.summary, b.summary
-            assert a.telemetry.snapshot() == b.telemetry.snapshot()
+            assert a.telemetry == b.telemetry
             assert trace_keys(a.traces) == trace_keys(b.traces)
             assert a.decision_timeline.snapshot() == b.decision_timeline.snapshot()
 
