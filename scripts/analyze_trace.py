@@ -8,7 +8,7 @@ slowest sampled traces span by span — into one JSON document for offline
 analysis or diffing across runs:
 
     python scripts/analyze_trace.py                         # standard scenario
-    python scripts/analyze_trace.py --scenario cache-tier --duration 300
+    python scripts/analyze_trace.py --scenario standard-closed-loop --duration 300
     python scripts/analyze_trace.py --seed 3 --out run3.json
     python scripts/analyze_trace.py --list
 """

@@ -52,6 +52,11 @@ class SocialNetworkApp:
         self.stats = AppStats()
         self._declare_schema()
         self._register_queries(register_friends_of_friends)
+        # Without the friends-of-friends template its page falls back to the
+        # friend list.
+        self._read_friends_of_friends = (
+            self.friends_of_friends_page if register_friends_of_friends
+            else self.friends_page)
 
     # -------------------------------------------------------------------- schema
 
@@ -225,12 +230,8 @@ class SocialNetworkApp:
         elif kind is OperationKind.READ_FRIEND_BIRTHDAYS:
             self.birthdays_page(operation.user_id)
         elif kind is OperationKind.READ_FRIENDS_OF_FRIENDS:
-            if "friends_of_friends" in self.engine.query_names():
-                self.friends_of_friends_page(operation.user_id)
-            else:
-                self.friends_page(operation.user_id)
+            self._read_friends_of_friends(operation.user_id)
         elif kind is OperationKind.POST_STATUS:
-            self.stats.statuses_posted += 0  # counted in post_status
             status_id = self.stats.statuses_posted + self.stats.page_views + 1
             text = (operation.payload or {}).get("text", "")
             self.post_status(operation.user_id, status_id, text)

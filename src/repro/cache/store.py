@@ -9,10 +9,12 @@ The store holds two kinds of entries in one LRU order:
   :class:`~repro.storage.records.KeyRange` they cover so a point write can
   invalidate exactly the cached scans whose range contains the written key.
 
-Range entries are also indexed per namespace by the leading key component
-every key of their range shares, so finding the cached scans that could cover a
-requested range (containment) or that contain a written key (invalidation)
-inspects one small bucket instead of every cached scan of the namespace.
+A range entry is served only under its exact parameter token: every query
+template binds its parameters into one bounded scan, so a repeated query
+repeats the token.  Range entries are also indexed per namespace by the
+leading key component every key of their range shares, so finding the cached
+scans that contain a written key (invalidation) inspects one small bucket
+instead of every cached scan of the namespace.
 
 Every entry carries an absolute expiry time derived by the admission policy
 from the governing staleness bound (see :mod:`repro.cache.policy`); expired
@@ -40,8 +42,9 @@ class CacheStats:
     misses: int = 0
     lru_evictions: int = 0
     invalidations: int = 0
-    # Range lookups served by *containment* — a narrower scan answered from a
-    # wider cached entry (a subset of ``hits``).
+    # Always 0: a range lookup is served by its exact token only.  Kept only
+    # because perfbench/workloads.py reads it; it goes with the next change
+    # to the benchmark.
     containment_hits: int = 0
 
     @property
@@ -104,21 +107,20 @@ def _shared_lead(start: Optional[Key], end: Optional[Key]) -> Optional[KeyPart]:
 class _NamespaceRanges:
     """One namespace's range entries, findable without walking all of them.
 
-    Both levels are insertion-ordered dicts, NOT sets: containment picks the
-    oldest-admitted covering entry, and set iteration order varies with the
-    interpreter's hash seed — which would let two invocations of the same
-    seeded run serve (and LRU-refresh) different entries, breaking the sweep
-    fabric's serial/parallel reproducibility.
+    Both levels are insertion-ordered dicts, NOT sets: reclamation walks the
+    admission order, and set iteration order varies with the interpreter's
+    hash seed — which would let two invocations of the same seeded run
+    reclaim (and so evict) different entries, breaking the sweep fabric's
+    serial/parallel reproducibility.
     """
 
     __slots__ = ("admitted", "buckets")
 
     def __init__(self) -> None:
-        # Every range token of the namespace in admission order -> its
-        # admission sequence number (compares entries across buckets).
-        self.admitted: Dict[EntryToken, int] = {}
+        # Every range token of the namespace, in admission order.
+        self.admitted: Dict[EntryToken, None] = {}
         # :func:`_shared_lead` of the entry's range -> its tokens in admission
-        # order; key None is the "wide" bucket every lookup also inspects.
+        # order; key None is the "wide" bucket every invalidation also inspects.
         self.buckets: Dict[Optional[KeyPart], Dict[EntryToken, None]] = {}
 
 
@@ -133,8 +135,6 @@ class StalenessBudgetCache:
 
     # A range lookup that misses its exact token reclaims at most this many
     # expired range entries from the head of the namespace's admission order.
-    # It bounds one miss's reclamation work only; which entries may *serve* by
-    # containment is not capped (the index keeps that search small).
     RECLAIM_CAP = 128
 
     def __init__(self, capacity: int = 4096) -> None:
@@ -143,7 +143,6 @@ class StalenessBudgetCache:
         self.capacity = capacity
         self._entries: "OrderedDict[EntryToken, CacheEntry]" = OrderedDict()
         self._ranges: Dict[str, _NamespaceRanges] = {}
-        self._range_admissions = 0
         self._cost_total = 0
         self.stats = CacheStats()
 
@@ -207,35 +206,10 @@ class StalenessBudgetCache:
 
     def get_range(self, namespace: str, start: Optional[Key], end: Optional[Key],
                   limit: Optional[int], reverse: bool, now: float) -> Optional[list]:
-        """Rows for one bounded range read, exact-token or by containment.
+        """Rows for one bounded range read, served under its exact parameter
+        token, or None.
 
-        The exact parameter token is tried first (the common repeated-query
-        case).  On an exact miss, a *wider* cached entry whose range contains
-        the requested one can serve it — the paginated-query pattern, where a
-        ``limit 20`` scan should hit on the rows a ``limit 50`` scan of the
-        same prefix already fetched — provided the wider entry is **complete**
-        (it was not truncated by its own limit, so its rows are the full
-        contents of its range; a truncated entry's coverage ends at an unknown
-        key and serving from it could fabricate a gap).  The derived answer
-        filters the wider entry's rows to the requested bounds, reorients if
-        the scan directions differ, and applies the requested limit.
-
-        Covering entries are found through the namespace's index, not by
-        walking its cached scans: an entry whose range lies under one leading
-        key component (every prefix scan and its bounded variants) can only
-        cover requests under that component, so a lookup inspects the bucket
-        of ``start[0]`` plus the "wide" bucket of entries that span several
-        components or have an open end.  Its cost follows the number of
-        scans cached *for that component*, not for the namespace, and any
-        covering entry is eligible however many scans are cached.  When
-        several could serve, the oldest-admitted one wins (admission order —
-        deterministic across interpreter invocations, unlike set order).  A
-        request with ``start >= end`` holds no key and is looked up the same
-        way, so only entries in those two buckets can answer it.
-
-        One hit or one miss is counted per call; a containment serve also
-        refreshes the serving entry's LRU position and counts in
-        ``stats.containment_hits``.  An exact-token miss also reclaims the
+        One hit or one miss is counted per call.  A miss also reclaims the
         expired entries at the head of the namespace's admission order, at
         most ``RECLAIM_CAP`` per call — with the one range TTL the admission
         policy derives, admission order is expiry order, so that is every
@@ -249,57 +223,12 @@ class StalenessBudgetCache:
                 self._entries.move_to_end(entry.token)
                 self.stats.hits += 1
                 return list(entry.value)
-        served = self._containment_lookup(namespace, start, end, limit, reverse, now)
-        if served is not None:
-            self.stats.hits += 1
-            self.stats.containment_hits += 1
-            return served
+        # Looked up after the removal above, which may have emptied the namespace.
+        ranges = self._ranges.get(namespace)
+        if ranges is not None and self._entries[next(iter(ranges.admitted))].expired(now):
+            self._reclaim_expired_head(ranges, now)
         self.stats.misses += 1
         return None
-
-    def _containment_lookup(self, namespace: str, start: Optional[Key],
-                            end: Optional[Key], limit: Optional[int],
-                            reverse: bool, now: float) -> Optional[list]:
-        ranges = self._ranges.get(namespace)
-        if ranges is None:
-            return None
-        entries = self._entries
-        if entries[next(iter(ranges.admitted))].expired(now):
-            self._reclaim_expired_head(ranges, now)
-        # Only a wide entry can cover a request with an open end.
-        leads = (start[0], None) if start and end else (None,)
-        winner: Optional[CacheEntry] = None
-        winner_admission = 0
-        for lead in leads:
-            for token in ranges.buckets.get(lead, ()):
-                entry = entries[token]
-                if entry.expired(now):
-                    continue
-                entry_limit = token[4]
-                if entry_limit is not None and len(entry.value) >= entry_limit:
-                    continue  # truncated by its own limit: coverage unknown
-                covering = entry.key_range
-                if covering.start is not None and (
-                        start is None or covering.start > start):
-                    continue
-                if covering.end is not None and (end is None or end > covering.end):
-                    continue
-                # First hit is the bucket's oldest; keep the older of the two.
-                admission = ranges.admitted[token]
-                if winner is None or admission < winner_admission:
-                    winner, winner_admission = entry, admission
-                break
-        if winner is None:
-            return None
-        rows = [(key, value) for key, value in winner.value
-                if (start is None or key >= start)
-                and (end is None or key < end)]
-        if bool(winner.token[5]) != reverse:
-            rows.reverse()
-        if limit is not None:
-            rows = rows[:limit]
-        entries.move_to_end(winner.token)
-        return rows
 
     def _reclaim_expired_head(self, ranges: _NamespaceRanges, now: float) -> None:
         doomed = []
@@ -358,8 +287,7 @@ class StalenessBudgetCache:
         ranges = self._ranges.get(namespace)
         if ranges is None:
             ranges = self._ranges[namespace] = _NamespaceRanges()
-        self._range_admissions += 1
-        ranges.admitted[token] = self._range_admissions
+        ranges.admitted[token] = None
         ranges.buckets.setdefault(_shared_lead(start, end), {})[token] = None
         self._evict_to_capacity(token)
         return entry

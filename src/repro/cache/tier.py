@@ -156,16 +156,9 @@ class CacheTier:
     def lookup_range(self, namespace: str, start: Optional[Key],
                      end: Optional[Key], limit: Optional[int],
                      reverse: bool) -> Optional[List[Tuple[Key, Any]]]:
-        """Cached rows for one bounded range read, or None on miss.
-
-        Served under the exact scan parameters when possible, otherwise by
-        *containment* from a wider complete cached scan, found through the
-        store's per-namespace index of cached scans (see
-        :meth:`~repro.cache.store.StalenessBudgetCache.get_range`; a miss
-        costs the same however many scans are cached) — the narrower answer
-        inherits the wider entry's TTL, which is at least as conservative as
-        the one a fresh fill would get.
-        """
+        """Cached rows for one bounded range read under its exact scan
+        parameters, or None on miss (see
+        :meth:`~repro.cache.store.StalenessBudgetCache.get_range`)."""
         return self.store.get_range(namespace, start, end, limit, reverse,
                                     self._clock.now)
 

@@ -608,9 +608,6 @@ class Scads:
         self._queries[name] = compiled
         return compiled
 
-    def query_names(self) -> List[str]:
-        return sorted(self._queries.keys())
-
     def compiled_query(self, name: str) -> CompiledQuery:
         if name not in self._queries:
             raise KeyError(f"no query template registered under {name!r}")

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.index.maintenance import EntityWrite, IndexMaintainer
 from repro.sim.simulator import Simulator
@@ -87,7 +86,6 @@ class AsyncIndexUpdater:
             (ablation of the priority queue).
     """
 
-    COMPLETED_TASK_WINDOW = 10_000
     # How often the drain process wakes up (seconds).
     drain_interval = 0.25
 
@@ -113,9 +111,6 @@ class AsyncIndexUpdater:
         self._heap: List[Tuple[float, int, UpdateTask]] = []
         self._seq = itertools.count()
         self._stats = UpdaterStats()
-        # Only the most recent completions are kept (each task pins its
-        # EntityWrite and both row dicts); ``UpdaterStats`` is all-time.
-        self._completed_tasks: Deque[UpdateTask] = deque(maxlen=self.COMPLETED_TASK_WINDOW)
         self._cancel_drain: Optional[Callable[[], None]] = None
         self._carryover_capacity = 0.0
 
@@ -182,7 +177,6 @@ class AsyncIndexUpdater:
         return processed
 
     def _record_completion(self, task: UpdateTask) -> None:
-        self._completed_tasks.append(task)
         self._stats.completed += 1
         lag = task.lag or 0.0
         self._stats.total_lag += lag
@@ -198,10 +192,6 @@ class AsyncIndexUpdater:
 
     def stats(self) -> UpdaterStats:
         return self._stats
-
-    def completed_tasks(self) -> List[UpdateTask]:
-        """The most recent ``COMPLETED_TASK_WINDOW`` completed tasks, oldest first."""
-        return list(self._completed_tasks)
 
     def earliest_deadline(self) -> Optional[float]:
         """The most urgent pending deadline (None when the queue is empty)."""

@@ -92,7 +92,12 @@ CONFIG_CELLS: Dict[str, Dict[str, object]] = {
 # read-dominated, steady enough that the cache's absorbed load translates
 # into both latency and rented-machine savings.  Bursty and fault scenarios
 # are deliberately absent — there the grid asserts "no harm", not victory.
-DOMINANCE_SCENARIOS = ("standard-closed-loop", "cache-tier")
+DOMINANCE_SCENARIOS = ("standard-closed-loop",)
+
+# Corpus positions of deleted scenarios.  Grid seeds are positional, so a
+# deleted scenario's position stays taken and every later scenario keeps its
+# seed (5: cache-tier, a duplicate of standard-closed-loop under every cell).
+RETIRED_CORPUS_POSITIONS = (5,)
 
 # The no-harm cross-check's tolerance: the shipped default's whole-run read
 # and write p99 may not exceed baseline's by more than this factor on any
@@ -184,7 +189,8 @@ def build_grid_runs(scenarios: Optional[Sequence[ScenarioSpec]] = None,
 
     Seeding is **paired and prefix-stable**: scenario *i* of the full corpus
     derives its own child seed from ``base_seed`` (so appending scenarios
-    never reshuffles existing ones), replicate *r* derives its seed from the
+    never reshuffles existing ones, and a deleted scenario's position is
+    retired, not reused), replicate *r* derives its seed from the
     scenario's child — and that replicate seed is shared by all four config
     cells, which is what makes the dominance comparison a paired experiment
     rather than a comparison of independent draws.  Each cell is one
@@ -198,8 +204,10 @@ def build_grid_runs(scenarios: Optional[Sequence[ScenarioSpec]] = None,
         scenarios = grid_scenarios()
     # Seeds are positional against the *full* corpus so a filtered grid
     # reproduces the unfiltered grid's per-scenario streams.
-    corpus_index = {spec.name: i for i, spec in enumerate(STANDARD_SUITE)}
-    scenario_seeds = derive_seeds(base_seed, len(STANDARD_SUITE))
+    slots = len(STANDARD_SUITE) + len(RETIRED_CORPUS_POSITIONS)
+    positions = [i for i in range(slots) if i not in RETIRED_CORPUS_POSITIONS]
+    corpus_index = {spec.name: i for spec, i in zip(STANDARD_SUITE, positions)}
+    scenario_seeds = derive_seeds(base_seed, slots)
     runs: List[RunSpec] = []
     for spec in scenarios:
         position = corpus_index.get(spec.name)

@@ -3,17 +3,17 @@
 These mirror the closed-loop workloads the paper benchmarks drive through
 :func:`repro.experiments.harness.run_closed_loop` — the flat CloudStone
 closed loop, the write-heavy mix, the scale-down diurnal cycle, the
-Halloween spike, the Animoto viral ramp, and the cache-tier variant —
-plus the validation-grid corpus: a diurnal cycle with
-a flash crowd erupting on top, a regional failover driven by the failure
-injector, a write storm whose index-maintenance backlog must drain
-("compaction"), and a cache-hostile uniform-read scan.  ``make grid``
-expands the whole family against the {baseline, repartition, cache, both}
-configuration cells (see :mod:`repro.parallel.grid`); its ``both`` column
-is the corpus as shipped.  Durations are compressed the same way the
-benchmarks compress them: every claim is about *relative* behaviour, so the
-suite keeps the phenomena (ramps outpacing boot delays, troughs deep enough
-to scale down into) at wall-clock costs a laptop can afford.
+Halloween spike and the Animoto viral ramp — plus the validation-grid
+corpus: a diurnal cycle with a flash crowd erupting on top, a regional
+failover driven by the failure injector, a write storm whose
+index-maintenance backlog must drain ("compaction"), and a cache-hostile
+uniform-read scan.  ``make grid`` expands the whole family against the
+{baseline, repartition, cache, both} configuration cells (see
+:mod:`repro.parallel.grid`); its ``both`` column is the corpus as
+shipped.  Durations are compressed the same way the benchmarks compress
+them: every claim is about *relative* behaviour, so the suite keeps the
+phenomena (ramps outpacing boot delays, troughs deep enough to scale down
+into) at wall-clock costs a laptop can afford.
 
 ``smoke_variant`` shrinks any corpus scenario for the grid's smoke tier
 (``make grid-smoke``), keeping each family's *shape* — the spike still
@@ -101,18 +101,6 @@ STANDARD_SUITE: List[ScenarioSpec] = [
         initial_groups=2,
         sla_violation_budget=0.15,
         sla_write_violation_budget=0.25,
-    ),
-    ScenarioSpec(
-        name="cache-tier",
-        trace=TraceSpec("constant", {"rate": 300.0}),
-        duration=1200.0,
-        n_users=300,
-        predictive_scaling=False,
-        initial_groups=10,
-        sla_write_violation_budget=0.30,
-        # The cache tier is the shipped default now; the knob stays explicit
-        # so this scenario keeps meaning "cache on" even if defaults move.
-        engine_knobs={"cache": True},
     ),
     # ------------------------------------------------- validation-grid corpus
     ScenarioSpec(
@@ -261,7 +249,6 @@ _SMOKE_OVERRIDES: Dict[str, Dict[str, Any]] = {
     "viral-ramp": {"duration": 30.0, "trace.start_rate": 10.0,
                    "trace.peak_multiplier": 4.0, "trace.ramp_start": 5.0,
                    "trace.ramp_duration": 20.0},
-    "cache-tier": {"duration": 24.0, "trace.rate": 40.0},
     "diurnal-flash-crowd": {"duration": 36.0,
                             "trace.base_rate": 8.0, "trace.peak_rate": 20.0,
                             "trace.period_hours": 0.01,

@@ -404,7 +404,8 @@ def test_no_cached_read_ever_exceeds_the_declared_bound(ops):
 
 
 class TestRangeContainment:
-    """A narrower range scan served from a wider complete cached entry."""
+    """Range lookups are served by exact token only: a narrower scan is never
+    derived from a wider cached entry."""
 
     def make_store(self):
         store = StalenessBudgetCache(capacity=256)
@@ -419,37 +420,6 @@ class TestRangeContainment:
         assert served == rows
         assert store.stats.hits == 1
         assert store.stats.containment_hits == 0
-
-    def test_narrower_scan_served_from_wider_entry(self):
-        store, rows = self.make_store()
-        served = store.get_range("ns", ("u02",), ("u05",), None, False, now=1.0)
-        assert served == rows[2:5]
-        assert store.stats.hits == 1
-        assert store.stats.containment_hits == 1
-        assert store.stats.misses == 0
-
-    def test_requested_limit_applied_to_derived_answer(self):
-        store, rows = self.make_store()
-        served = store.get_range("ns", ("u01",), ("u06",), 2, False, now=1.0)
-        assert served == rows[1:3]
-
-    def test_reverse_orientation_is_reconciled(self):
-        store, rows = self.make_store()
-        served = store.get_range("ns", ("u01",), ("u04",), 2, True, now=1.0)
-        assert served == [rows[3], rows[2]]
-
-    def test_first_admitted_covering_entry_serves_deterministically(self):
-        """With several covering entries, the oldest-admitted one serves —
-        insertion order, not hash order, so two invocations of the same
-        seeded run cannot diverge on which entry gets the LRU refresh."""
-        store, rows = self.make_store()
-        store.put_range("ns", ("u00",), ("u05",), None, False, rows[:5],
-                        now=0.0, ttl=10.0)
-        served = store.get_range("ns", ("u01",), ("u04",), None, False, now=1.0)
-        assert served == rows[1:4]
-        # The wider, first-admitted entry served and took the LRU refresh.
-        assert next(reversed(store._entries)) == (
-            "range", "ns", ("u00",), ("u06",), None, False)
 
     def test_truncated_wide_entry_never_serves_by_containment(self):
         """An entry capped by its own limit has unknown coverage past the cut;
@@ -472,10 +442,30 @@ class TestRangeContainment:
         assert store.get_range("ns", ("u02",), ("u04",), None, False, 11.0) is None
         assert len(store) == 0
 
-    def test_engine_paginated_query_hits_by_containment(self):
-        """One template, narrower page second: the narrow parameter binding
-        must hit the wider binding's cached scan instead of missing on its
-        exact-parameter key."""
+    def test_exact_miss_reclaims_the_expired_head_only(self):
+        store = StalenessBudgetCache(capacity=256)
+        store.RECLAIM_CAP = 2
+        for index in range(3):  # expire at 5.0, in admission order
+            store.put_range("ns", (f"a{index}",), (f"a{index}\x00",), None, False,
+                            [], now=0.0, ttl=5.0)
+        store.put_range("ns", ("b",), ("b\x00",), None, False, [], now=3.0, ttl=5.0)
+        # A hit reclaims nothing, even with the head expired.
+        assert store.get_range("ns", ("b",), ("b\x00",), None, False, 6.0) == []
+        assert len(store) == 4
+        # Each miss reclaims at most RECLAIM_CAP expired entries from the head
+        # and stops at the first live one; none of it counts as an eviction.
+        assert store.get_range("ns", ("c",), ("c\x00",), None, False, 6.0) is None
+        assert len(store) == 2
+        assert store.get_range("ns", ("c",), ("c\x00",), None, False, 6.0) is None
+        assert list(store._ranges["ns"].admitted) == [
+            ("range", "ns", ("b",), ("b\x00",), None, False)]
+        assert store.stats.misses == 2
+        assert store.stats.lru_evictions == 0
+
+    def test_engine_narrower_binding_misses_then_hits_by_exact_token(self):
+        """One paginated template, narrower binding second: it misses the
+        wider binding's cached scan, is read from the primary and admitted,
+        and the same binding then hits under its own token."""
         engine = make_engine()
         engine.register_entity(EntitySchema(
             "people", key_fields=[Field("city"), Field("pid")],
@@ -489,10 +479,19 @@ class TestRangeContainment:
         engine.settle(1.0)
         wide = engine.query("page", {"c": "sf", "lo": "n0", "hi": "n5"})
         assert len(wide.rows) == 6
-        before = engine.cache.store.stats.containment_hits
+        stats = engine.cache.store.stats
+        range_reads = engine.router.op_counts()["range"]
+        misses = stats.misses
         narrow = engine.query("page", {"c": "sf", "lo": "n1", "hi": "n3"})
         assert sorted(r["name"] for r in narrow.rows) == ["n1", "n2", "n3"]
-        assert engine.cache.store.stats.containment_hits == before + 1
+        assert stats.misses == misses + 1
+        assert engine.router.op_counts()["range"] == range_reads + 1
+        hits = stats.hits
+        again = engine.query("page", {"c": "sf", "lo": "n1", "hi": "n3"})
+        assert [r["name"] for r in again.rows] == [r["name"] for r in narrow.rows]
+        assert stats.hits > hits
+        assert engine.router.op_counts()["range"] == range_reads + 1
+        assert stats.containment_hits == 0
 
 
 class TestMissPathLatencyLabel:
@@ -560,9 +559,9 @@ class TestMissPathLatencyLabel:
 
 class LinearScanStore:
     """Brute-force reference for :class:`StalenessBudgetCache`: the store as
-    it was before its range entries were indexed, with every containment
-    lookup and invalidation walking all cached ranges of the namespace in
-    admission order (and no cap on how many it walks)."""
+    it was before its range entries were indexed, with every range miss's
+    reclamation and every invalidation walking all cached ranges of the
+    namespace in admission order (and no cap on how many it walks)."""
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
@@ -594,43 +593,12 @@ class LinearScanStore:
                 self.entries.move_to_end(token)
                 self.stats.hits += 1
                 return list(entry["value"])
-        served = self._containment(namespace, start, end, limit, reverse, now)
-        if served is not None:
-            self.stats.hits += 1
-            self.stats.containment_hits += 1
-            return served
-        self.stats.misses += 1
-        return None
-
-    def _containment(self, namespace, start, end, limit, reverse, now):
-        doomed, served = [], None
-        for token in self.range_tokens.get(namespace, ()):
-            entry = self.entries[token]
-            if now >= entry["expires_at"]:
-                doomed.append(token)
-                continue
-            _, _, entry_start, entry_end, entry_limit, entry_reverse = token
-            if entry_limit is not None and len(entry["value"]) >= entry_limit:
-                continue
-            covers_low = entry_start is None or (
-                start is not None and entry_start <= start)
-            covers_high = entry_end is None or (
-                end is not None and end <= entry_end)
-            if not (covers_low and covers_high):
-                continue
-            rows = [(key, value) for key, value in entry["value"]
-                    if (start is None or key >= start)
-                    and (end is None or key < end)]
-            if bool(entry_reverse) != reverse:
-                rows.reverse()
-            if limit is not None:
-                rows = rows[:limit]
-            self.entries.move_to_end(token)
-            served = rows
-            break
+        doomed = [token for token in self.range_tokens.get(namespace, ())
+                  if now >= self.entries[token]["expires_at"]]
         for token in doomed:
             self._remove(token)
-        return served
+        self.stats.misses += 1
+        return None
 
     def put_entity(self, namespace, key, value, now, ttl):
         self._insert(("entity", namespace, key), value, now + ttl, 1)

@@ -168,7 +168,8 @@ class TestEngineQueries:
                 "SELECT * FROM statuses WHERE user_id = <u> AND text = 'x' LIMIT 10")
         assert excinfo.value.reason is RejectionReason.RESIDUAL_FILTER
         assert "text = 'x'" in str(excinfo.value)
-        assert "statuses_saying_x" not in engine.query_names()
+        with pytest.raises(KeyError):
+            engine.compiled_query("statuses_saying_x")
 
     def test_query_unknown_name_raises(self):
         engine = simple_engine()

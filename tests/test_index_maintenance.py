@@ -375,15 +375,22 @@ class TestAsyncIndexUpdater:
         assert stats.deadline_misses > 0
         assert stats.max_lag > 5.0
 
-    def test_completed_tasks_keeps_a_recent_window_and_stats_stay_all_time(self, monkeypatch):
-        monkeypatch.setattr(AsyncIndexUpdater, "COMPLETED_TASK_WINDOW", 8)
-        registry, adapter, maintainer, sim, updater = self._setup()
-        tasks = self._enqueue_writes(registry, adapter, updater, 20)
-        assert updater.drain_now() == 20
-        kept = updater.completed_tasks()
-        assert len(kept) == 8
-        assert all(kept_task is task for kept_task, task in zip(kept, tasks[12:]))
-        assert updater.stats().completed == 20
+    def test_all_time_stats_match_the_task_handles(self):
+        # One task per half-second tick against a 3 s bound: the tail misses.
+        registry, adapter, maintainer, sim, updater = self._setup(ups=2.0)
+        updater.start()
+        tasks = self._enqueue_writes(registry, adapter, updater, 20, bound=3.0)
+        sim.run_until(15.0)
+        tasks += self._enqueue_writes(registry, adapter, updater, 5, bound=3.0)
+        assert updater.drain_now() == 5
+        assert all(task.completion_time is not None for task in tasks)
+        stats = updater.stats()
+        assert stats.completed == len(tasks) == 25
+        misses = sum(1 for task in tasks if not task.met_deadline)
+        assert 0 < misses < len(tasks)
+        assert stats.deadline_misses == misses
+        assert stats.max_lag == max(task.lag for task in tasks)
+        assert stats.total_lag == pytest.approx(sum(task.lag for task in tasks))
 
     def test_behind_schedule_signal(self):
         registry, adapter, maintainer, sim, updater = self._setup(nodes=1, ups=1.0)

@@ -80,14 +80,22 @@ class TestGridExpansion:
         assert seeds[0] == seeds[1]
 
     def test_config_cells_pin_both_knobs_explicitly(self):
-        runs = build_grid_runs(scenarios=grid_scenarios(names=["cache-tier"]))
+        runs = build_grid_runs(scenarios=grid_scenarios(names=["standard-closed-loop"]))
         knobs = {run.cell.split("/")[1]: run.scenario.engine_knobs for run in runs}
         assert knobs["baseline"]["cache"] is False
         assert knobs["baseline"]["repartition"] is False
         assert knobs["both"]["cache"] is True
         assert knobs["both"]["repartition"] is True
-        # The scenario's own knobs survive the override merge.
         assert all(set(k) >= {"cache", "repartition"} for k in knobs.values())
+
+    def test_no_two_corpus_scenarios_are_equal_under_every_cell(self):
+        for i, first in enumerate(STANDARD_SUITE):
+            for second in STANDARD_SUITE[i + 1:]:
+                assert any(
+                    first.with_overrides(name="x", **overrides)
+                    != second.with_overrides(name="x", **overrides)
+                    for overrides in CONFIG_CELLS.values()
+                ), (first.name, second.name)
 
     def test_grid_seeds_are_pinned(self):
         # The grid seeds are part of every grid fingerprint: these are the
@@ -103,6 +111,16 @@ class TestGridExpansion:
                 cell = f"{name}/{config}"
                 assert [(run.run_id, run.seed) for run in runs if run.cell == cell] \
                     == [(f"{cell}#r{replicate}", seed) for replicate, seed in enumerate(seeds)]
+
+    def test_a_deleted_scenario_does_not_move_the_later_seeds(self):
+        # Values from before the cache-tier scenario (corpus position 5) went.
+        pinned = {
+            "diurnal-flash-crowd": [16873908462715126031, 11164801412611598087],
+            "noisy-neighbor-episode": [11069158524112443495, 5759932313109111284],
+        }
+        runs = build_grid_runs(replicates=2, base_seed=7)
+        for name, seeds in pinned.items():
+            assert [run.seed for run in runs if run.cell == f"{name}/baseline"] == seeds
 
     def test_every_corpus_scenario_has_a_smoke_recipe(self):
         for spec in STANDARD_SUITE:
