@@ -52,14 +52,14 @@ ranges.  By default (``repartition=False`` opts out) the engine attaches a
 hot-partition :class:`~repro.storage.rebalancer.Rebalancer`: the router feeds a decayed
 per-partition load sketch, and when a control window shows one hot replica
 group while the cluster mean has headroom (a Zipf hotspot, not an overload),
-the provisioning loop prefers a sub-group action over renting a group —
-splitting the hot range at its load median, migrating only the hot keys to a
-cold group (range partitioner), or shifting ring weight between groups (hash
-partitioner).  Migrations are *live*: affected keys are dual-routed while the
-transfer's simulated duration elapses, writes are mirrored to the source, and
-source copies are reclaimed only at completion, so no request is dropped
-mid-move.  Splits are free (they only create a migratable unit) and cold
-adjacent ranges are re-merged in quiet windows.
+the provisioning loop prefers a sub-group action over renting a group:
+splitting the hot range at its load median and migrating only the hot keys
+to a cold group (range partitioner only; under hash a hotspot rents a group).
+Migrations are *live*: affected keys are dual-routed while the transfer's
+simulated duration elapses, writes are mirrored to the source, and source
+copies are reclaimed only at completion, so no request is dropped mid-move.
+Splits are free (they only create a migratable unit) and cold adjacent
+ranges are re-merged in quiet windows.
 
 Operation accounting
 --------------------

@@ -7,8 +7,8 @@ invariant under scaling.  Adding or removing a group triggers live data
 movement driven by the partitioner's new ownership map.
 
 Besides whole-group scaling, the cluster supports *sub-group* repartitioning
-actions — :meth:`Cluster.split_partition`, :meth:`Cluster.merge_partitions`,
-:meth:`Cluster.migrate_partition`, and :meth:`Cluster.shift_weight` — that
+actions under the range partitioner — :meth:`Cluster.split_partition`,
+:meth:`Cluster.merge_partitions` and :meth:`Cluster.migrate_partition` — that
 move only the keys whose owner actually changed.  Each such move is a *live
 migration*: the keys are copied to the new owner immediately, the move is
 charged a simulated duration (``keys_moved / movement_rate``, plus one
@@ -54,9 +54,6 @@ from repro.storage.partitioner import (
 )
 from repro.storage.records import Key, KeyRange, VersionedValue
 from repro.storage.replication import ReplicaGroup, ReplicationEngine
-
-# The least ring weight shift_weight leaves a donor group (hash partitioner).
-MIN_RING_WEIGHT = 0.25
 
 
 @dataclass
@@ -161,9 +158,7 @@ class Cluster:
         if partitioner_kind == "hash":
             self.partitioner: Partitioner = ConsistentHashPartitioner()
         elif partitioner_kind == "range":
-            # The range partitioner requires a group at construction time, so
-            # it is seeded with the id the first add_replica_group() will use.
-            self.partitioner = RangePartitioner(group_ids=[self._peek_group_id()])
+            self.partitioner = RangePartitioner()
         else:
             raise ValueError(f"unknown partitioner kind: {partitioner_kind!r}")
 
@@ -177,9 +172,6 @@ class Cluster:
             self.add_replica_group()
 
     # ------------------------------------------------------------------ naming
-
-    def _peek_group_id(self) -> str:
-        return f"group-{0}"
 
     def _new_group_id(self) -> str:
         return f"group-{next(self._group_counter)}"
@@ -406,11 +398,7 @@ class Cluster:
             self._place_node(node_id, node_ids)
         group = ReplicaGroup(group_id=group_id, node_ids=node_ids)
         self.groups[group_id] = group
-        if isinstance(self.partitioner, RangePartitioner) and group_id == "group-0":
-            # The range partitioner was constructed with this group id already.
-            pass
-        else:
-            self.partitioner.add_group(group_id)
+        self.partitioner.add_group(group_id)
         if len(self.groups) > 1:
             if isinstance(self.partitioner, RangePartitioner):
                 # Ranges do not redistribute by themselves: hand the new group
@@ -726,35 +714,6 @@ class Cluster:
             moved = sum(r.keys_moved for r in self._migrate_changed_keys())
         partitioner.merge_at(info.index)
         return moved
-
-    def shift_weight(self, from_group_id: str, to_group_id: str,
-                     step: float = 0.25) -> List[MigrationRecord]:
-        """Shift ring weight between groups (hash only) and move only the
-        keys whose owner changed.
-
-        Weight is conserved: the receiver gains exactly what the donor sheds,
-        so a donor already clamped at ``MIN_RING_WEIGHT`` makes this a no-op
-        (returning []) instead of silently inflating total ring weight and
-        taking share from uninvolved groups.
-        """
-        if not isinstance(self.partitioner, ConsistentHashPartitioner):
-            raise TypeError("shift_weight requires the consistent-hash partitioner; "
-                            f"got {type(self.partitioner).__name__}")
-        if step <= 0:
-            raise ValueError(f"step must be positive, got {step}")
-        for group_id in (from_group_id, to_group_id):
-            if group_id not in self.groups:
-                raise KeyError(f"unknown replica group {group_id!r}")
-        from_weight = self.partitioner.weight_of(from_group_id)
-        new_from_weight = max(from_weight - step, MIN_RING_WEIGHT)
-        shed = from_weight - new_from_weight
-        if shed <= 0:
-            return []
-        self.partitioner.set_weight(from_group_id, new_from_weight)
-        self.partitioner.set_weight(
-            to_group_id, self.partitioner.weight_of(to_group_id) + shed
-        )
-        return self._migrate_changed_keys()
 
     def _migrate_changed_keys(self) -> List[MigrationRecord]:
         """Copy keys whose partitioner owner changed to their new groups.

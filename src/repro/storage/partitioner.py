@@ -5,11 +5,8 @@ user id), so both partitioners guarantee that such a range lands on exactly
 one replica group — the paper's "at most one read from a small constant
 number of computers" property.  Two strategies are provided:
 
-* :class:`ConsistentHashPartitioner` — a hash ring with *weighted* virtual
-  nodes; adding or removing a replica group moves roughly ``1/n`` of the data,
-  and shifting weight between groups moves only the hash ranges covered by the
-  added/removed virtual nodes, which is what makes fine-grained elastic
-  scaling cheap.
+* :class:`ConsistentHashPartitioner` — a hash ring with virtual nodes;
+  adding or removing a replica group moves roughly ``1/n`` of the data.
 * :class:`RangePartitioner` — explicit split points over the partition key,
   closer to how BigTable/HBase shard; useful when key locality matters and as
   a comparison point in the data-movement ablation.  Supports incremental
@@ -120,12 +117,10 @@ class Partitioner:
 
 
 class ConsistentHashPartitioner(Partitioner):
-    """Consistent hashing over partition tokens with weighted virtual nodes.
+    """Consistent hashing over partition tokens with virtual nodes.
 
-    Each group places ``round(virtual_nodes * weight)`` points on the ring.
-    Changing a group's weight adds or removes only that group's points, so the
-    set of tokens whose owner changes is proportional to the weight delta —
-    the incremental topology change the hot-partition rebalancer relies on.
+    Each group places ``virtual_nodes`` points on the ring, so adding or
+    removing a group changes the owner of only the tokens its points cover.
     Groups join through :meth:`add_group`.
     """
 
@@ -136,72 +131,19 @@ class ConsistentHashPartitioner(Partitioner):
         self._ring: List[int] = []
         self._ring_owners: Dict[int, str] = {}
         self._groups: List[str] = []
-        self._weights: Dict[str, float] = {}
-        # Ring points each group actually owns, in vnode-index order, so
-        # weight reductions can retire the most recently placed points first.
+        # Ring points each group owns, so remove_group can retire them.
         self._points: Dict[str, List[int]] = {}
 
     def groups(self) -> List[str]:
         return list(self._groups)
 
     def add_group(self, group_id: str) -> None:
-        """Register a group at weight 1.0 (``set_weight`` changes it)."""
         if group_id in self._groups:
             raise PartitionerError(f"group {group_id!r} already registered")
         self._groups.append(group_id)
-        self._weights[group_id] = 1.0
-        self._points[group_id] = []
-        self._add_vnodes(group_id, self._target_vnodes(1.0))
-        self._bump_epoch()
-
-    def remove_group(self, group_id: str) -> None:
-        if group_id not in self._groups:
-            raise PartitionerError(f"group {group_id!r} is not registered")
-        if len(self._groups) == 1:
-            raise PartitionerError("cannot remove the last replica group")
-        self._groups.remove(group_id)
-        del self._weights[group_id]
-        for point in self._points.pop(group_id):
-            del self._ring_owners[point]
-            index = bisect.bisect_left(self._ring, point)
-            self._ring.pop(index)
-        self._bump_epoch()
-
-    # ------------------------------------------------------------ weighted vnodes
-
-    def weight_of(self, group_id: str) -> float:
-        if group_id not in self._groups:
-            raise PartitionerError(f"group {group_id!r} is not registered")
-        return self._weights[group_id]
-
-    def set_weight(self, group_id: str, weight: float) -> int:
-        """Change a group's ring weight; returns the vnode count delta.
-
-        Only the ring points added or removed change token ownership, so the
-        data movement a weight change implies is incremental, not a reshuffle.
-        """
-        if group_id not in self._groups:
-            raise PartitionerError(f"group {group_id!r} is not registered")
-        if weight <= 0:
-            raise PartitionerError(f"group weight must be positive, got {weight}")
-        target = self._target_vnodes(weight)
-        current = len(self._points[group_id])
-        self._weights[group_id] = weight
-        if target > current:
-            self._add_vnodes(group_id, target)
-        elif target < current:
-            self._remove_vnodes(group_id, target)
-        if target != current:
-            self._bump_epoch()
-        return target - current
-
-    def _target_vnodes(self, weight: float) -> int:
-        return max(1, int(round(self.virtual_nodes * weight)))
-
-    def _add_vnodes(self, group_id: str, target: int) -> None:
-        points = self._points[group_id]
-        index = len(points)
-        while len(points) < target:
+        points = self._points[group_id] = []
+        index = 0
+        while len(points) < self.virtual_nodes:
             point = _hash64(f"{group_id}#{index}")
             index += 1
             # Hash collisions between distinct vnode labels are effectively
@@ -212,14 +154,19 @@ class ConsistentHashPartitioner(Partitioner):
             bisect.insort(self._ring, point)
             self._ring_owners[point] = group_id
             points.append(point)
+        self._bump_epoch()
 
-    def _remove_vnodes(self, group_id: str, target: int) -> None:
-        points = self._points[group_id]
-        while len(points) > target:
-            point = points.pop()
+    def remove_group(self, group_id: str) -> None:
+        if group_id not in self._groups:
+            raise PartitionerError(f"group {group_id!r} is not registered")
+        if len(self._groups) == 1:
+            raise PartitionerError("cannot remove the last replica group")
+        self._groups.remove(group_id)
+        for point in self._points.pop(group_id):
             del self._ring_owners[point]
             index = bisect.bisect_left(self._ring, point)
             self._ring.pop(index)
+        self._bump_epoch()
 
     def _route_token(self, token: str) -> str:
         if not self._ring:
@@ -256,18 +203,19 @@ def _single_partition_range(key_range: KeyRange) -> bool:
 
 
 class RangePartitioner(Partitioner):
-    """Explicit split points over the partition token (string ordering)."""
+    """Explicit split points over the partition token (string ordering).
 
-    def __init__(self, group_ids: Sequence[str]) -> None:
+    The first group to join owns the whole keyspace; later groups own
+    nothing until a split, reassignment or :meth:`set_splits` hands them a
+    range.
+    """
+
+    def __init__(self) -> None:
         super().__init__()
-        if not group_ids:
-            raise PartitionerError("range partitioner needs at least one group")
-        self._groups: List[str] = list(group_ids)
-        # Splits are the lower bounds of each partition, first one implicit "".
-        self._splits: List[str] = [""]
-        self._owners: List[str] = [self._groups[0]]
-        if len(self._groups) > 1:
-            self.rebalance_evenly([])
+        self._groups: List[str] = []
+        # Splits are the lower bounds of each partition, first one "".
+        self._splits: List[str] = []
+        self._owners: List[str] = []
 
     def groups(self) -> List[str]:
         return list(self._groups)
@@ -276,6 +224,9 @@ class RangePartitioner(Partitioner):
         if group_id in self._groups:
             raise PartitionerError(f"group {group_id!r} already registered")
         self._groups.append(group_id)
+        if not self._splits:
+            self._splits = [""]
+            self._owners = [group_id]
         self._bump_epoch()
 
     def remove_group(self, group_id: str) -> None:
@@ -303,33 +254,10 @@ class RangePartitioner(Partitioner):
         self._owners = list(owners)
         self._bump_epoch()
 
-    def rebalance_evenly(self, sample_tokens: Sequence[str]) -> None:
-        """Choose split points that spread sampled tokens evenly over groups."""
-        groups = self._groups
-        self._bump_epoch()
-        if len(groups) == 1 or not sample_tokens:
-            self._splits = [""]
-            self._owners = [groups[0]]
-            if len(groups) > 1:
-                # Without samples, fall back to even unicode-prefix splits.
-                self._splits = [""] + [chr(ord("0") + i) for i in range(1, len(groups))]
-                self._owners = list(groups)
-            return
-        ordered = sorted(set(sample_tokens))
-        per_group = max(len(ordered) // len(groups), 1)
-        splits = [""]
-        for i in range(1, len(groups)):
-            index = min(i * per_group, len(ordered) - 1)
-            splits.append(ordered[index])
-        # De-duplicate while preserving order (few distinct samples case).
-        seen = set()
-        unique_splits = []
-        for split in splits:
-            if split not in seen:
-                unique_splits.append(split)
-                seen.add(split)
-        self._splits = unique_splits
-        self._owners = list(groups[: len(unique_splits)])
+    def _index_for_token(self, token: str) -> int:
+        if not self._splits:
+            raise PartitionerError("no replica groups registered")
+        return bisect.bisect_right(self._splits, token) - 1
 
     # ----------------------------------------------------- incremental topology
 
@@ -344,7 +272,7 @@ class RangePartitioner(Partitioner):
 
     def partition_for_token(self, token: str) -> PartitionInfo:
         """The partition whose range contains ``token``."""
-        index = bisect.bisect_right(self._splits, token) - 1
+        index = self._index_for_token(token)
         upper = self._splits[index + 1] if index + 1 < len(self._splits) else None
         return PartitionInfo(index=index, lower=self._splits[index], upper=upper,
                              owner=self._owners[index])
@@ -359,7 +287,7 @@ class RangePartitioner(Partitioner):
             raise PartitionerError('cannot split at ""; it is already the first bound')
         if token in self._splits:
             raise PartitionerError(f"{token!r} is already a split point")
-        index = bisect.bisect_right(self._splits, token) - 1
+        index = self._index_for_token(token)
         owner = self._owners[index]
         self._splits.insert(index + 1, token)
         self._owners.insert(index + 1, owner)
@@ -398,16 +326,15 @@ class RangePartitioner(Partitioner):
     # ------------------------------------------------------------------- routing
 
     def _route_token(self, token: str) -> str:
-        index = bisect.bisect_right(self._splits, token) - 1
-        return self._owners[index]
+        return self._owners[self._index_for_token(token)]
 
     def groups_for_range(self, key_range: KeyRange) -> List[str]:
         if key_range.start is None or key_range.end is None:
             return sorted(set(self._owners))
         start_token = partition_token(key_range.start)
         end_token = partition_token(key_range.end)
-        start_index = bisect.bisect_right(self._splits, start_token) - 1
-        end_index = bisect.bisect_right(self._splits, end_token) - 1
+        start_index = self._index_for_token(start_token)
+        end_index = self._index_for_token(end_token)
         owners = []
         for index in range(start_index, end_index + 1):
             owner = self._owners[index]

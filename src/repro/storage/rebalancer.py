@@ -10,13 +10,11 @@ slice of *all* keys, not the hot ones — and it costs real dollars.
 The :class:`Rebalancer` offers the controller a cheaper action.  It watches
 per-partition load (a decayed token-frequency sketch fed by the router),
 detects a hot replica group coexisting with a cold one, and repairs the skew
-with sub-group operations on the cluster:
-
-* range partitioner — migrate the hottest partition the hot group owns to the
-  cold group; if the hot group owns a single partition, first *split* it at
-  the tracked load median, then migrate the cheaper half;
-* consistent-hash partitioner — shift ring weight from the hot group to the
-  cold one, moving only the tokens covered by the retired virtual nodes.
+with sub-group operations on the cluster: migrate the hottest partition the
+hot group owns to the cold group, first *splitting* it at the tracked load
+median when it is too hot for the receiver.  Only the range partitioner has
+partitions to move; under the consistent-hash partitioner the rebalancer
+never acts, and the controller rents a group instead.
 
 Cold hygiene runs in quiet windows: adjacent same-owner partitions whose
 combined tracked load is negligible are merged so the split-point table does
@@ -31,14 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.storage.cluster import Cluster
-from repro.storage.partitioner import (
-    ConsistentHashPartitioner,
-    RangePartitioner,
-    partition_token,
-)
-
-# Ring-weight shift per action (hash partitioner).
-WEIGHT_STEP = 0.25
+from repro.storage.partitioner import RangePartitioner, partition_token
 
 
 @dataclass
@@ -46,7 +37,7 @@ class RebalanceAction:
     """One executed repartitioning action, for experiment reporting."""
 
     time: float
-    kind: str  # "migrate", "split_migrate", "weight_shift", "merge"
+    kind: str  # "migrate", "split_migrate", "merge"
     detail: str
     keys_moved: int = 0
 
@@ -257,23 +248,20 @@ class Rebalancer:
     # ---------------------------------------------------------------- actions
 
     def rebalance_once(self) -> Optional[RebalanceAction]:
-        """Repair one detected imbalance; returns the action taken, if any."""
-        now = self._cluster.sim.now
-        if self.in_cooldown():
+        """Repair one detected imbalance; returns the action taken, if any.
+
+        Acts only under the range partitioner.
+        """
+        if not isinstance(self._cluster.partitioner, RangePartitioner) \
+                or self.in_cooldown():
             return None
         imbalance = self.find_imbalance()
         if imbalance is None:
             return None
-        hot, cold = imbalance
-        if isinstance(self._cluster.partitioner, RangePartitioner):
-            action = self._range_action(hot, cold)
-        elif isinstance(self._cluster.partitioner, ConsistentHashPartitioner):
-            action = self._weight_action(hot, cold)
-        else:  # pragma: no cover - no other partitioners exist
-            return None
+        action = self._range_action(*imbalance)
         if action is not None:
             self._actions.append(action)
-            self._last_action_time = now
+            self._last_action_time = self._cluster.sim.now
         return action
 
     def _tracked_group_load(self, group_id: str) -> float:
@@ -425,20 +413,6 @@ class Rebalancer:
         return migrate(
             migrated, kind,
             f"{prefix}[{migrated.lower!r}, {migrated.upper!r}) {hot} -> {cold}",
-        )
-
-    def _weight_action(self, hot: str, cold: str) -> Optional[RebalanceAction]:
-        weight_before = self._cluster.partitioner.weight_of(hot)
-        records = self._cluster.shift_weight(hot, cold, step=WEIGHT_STEP)
-        if self._cluster.partitioner.weight_of(hot) == weight_before:
-            # Donor already at the floor: shedding is impossible, so report
-            # no action and let the controller fall back to renting capacity.
-            return None
-        moved = sum(record.keys_moved for record in records)
-        return RebalanceAction(
-            time=self._cluster.sim.now, kind="weight_shift", keys_moved=moved,
-            detail=f"weight {WEIGHT_STEP:.2f} {hot} -> {cold} "
-                   f"({len(records)} transfer(s))",
         )
 
     def merge_cold_partitions(self) -> Optional[RebalanceAction]:

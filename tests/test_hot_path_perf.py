@@ -10,10 +10,10 @@ invariants:
    holds by construction; these property tests pin it against numpy upgrades
    and future model edits.
 2. **The route memo never serves stale topology** — every ownership-changing
-   operation (hash: add/remove group, set_weight; range: split/merge/
-   reassign/set_splits/rebalance) must bump the topology epoch and invalidate
-   the token→group memo, so a memoized partitioner always answers exactly
-   like a freshly built (memo-cold) replica of itself.
+   operation (hash: add/remove group; range: add/remove group, split/merge/
+   reassign/set_splits) must bump the topology epoch and invalidate the
+   token→group memo, so a memoized partitioner always answers exactly like a
+   freshly built (memo-cold) replica of itself.
 
 A third, from the cache's range index: **range misses and invalidations do
 not walk the namespace** — their work is counted (not timed) against a
@@ -70,6 +70,13 @@ def hash_ring(group_ids, virtual_nodes=None):
     partitioner = ConsistentHashPartitioner()
     if virtual_nodes is not None:
         partitioner.virtual_nodes = virtual_nodes
+    for group_id in group_ids:
+        partitioner.add_group(group_id)
+    return partitioner
+
+
+def range_partitioner(group_ids):
+    partitioner = RangePartitioner()
     for group_id in group_ids:
         partitioner.add_group(group_id)
     return partitioner
@@ -169,10 +176,8 @@ def _replay_hash(ops):
         try:
             if op[0] == "add":
                 partitioner.add_group(op[1])
-            elif op[0] == "remove":
-                partitioner.remove_group(op[1])
             else:
-                partitioner.set_weight(op[1], op[2])
+                partitioner.remove_group(op[1])
         except PartitionerError:
             pass
     return partitioner
@@ -182,8 +187,6 @@ hash_ops = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.sampled_from([f"g{i}" for i in range(5)])),
         st.tuples(st.just("remove"), st.sampled_from([f"g{i}" for i in range(5)])),
-        st.tuples(st.just("weight"), st.sampled_from([f"g{i}" for i in range(5)]),
-                  st.sampled_from([0.25, 0.5, 1.0, 1.75, 3.0])),
     ),
     max_size=12,
 )
@@ -206,10 +209,8 @@ def test_hash_route_memo_invalidates_across_topology_changes(ops):
         try:
             if op[0] == "add":
                 memoized.add_group(op[1])
-            elif op[0] == "remove":
-                memoized.remove_group(op[1])
             else:
-                memoized.set_weight(op[1], op[2])
+                memoized.remove_group(op[1])
             applied.append(op)
         except PartitionerError:
             pass
@@ -224,9 +225,6 @@ def test_hash_epoch_bumps_on_each_topology_change():
     partitioner.add_group("g2")
     assert partitioner.topology_epoch > epoch
     epoch = partitioner.topology_epoch
-    partitioner.set_weight("g2", 2.0)
-    assert partitioner.topology_epoch > epoch
-    epoch = partitioner.topology_epoch
     partitioner.remove_group("g2")
     assert partitioner.topology_epoch > epoch
 
@@ -234,11 +232,11 @@ def test_hash_epoch_bumps_on_each_topology_change():
 def test_range_route_memo_invalidates_across_split_merge_reassign():
     """Route after each topology change matches an unmemoized partitioner."""
     tokens = [f"u{i:03d}" for i in range(40)]
-    memoized = RangePartitioner(["g0", "g1", "g2"])
+    memoized = range_partitioner(["g0", "g1", "g2"])
     mirror_ops = []
 
     def check():
-        fresh = RangePartitioner(["g0", "g1", "g2"])
+        fresh = range_partitioner(["g0", "g1", "g2"])
         for name, args in mirror_ops:
             getattr(fresh, name)(*args)
         for token in tokens:
@@ -258,19 +256,20 @@ def test_range_route_memo_invalidates_across_split_merge_reassign():
     apply("add_group", "g3")
     apply("reassign", 0, "g3")       # -> [g3, g1, g0]
     apply("remove_group", "g2")      # unreferenced group leaves cleanly
-    apply("rebalance_evenly", tokens)
+    apply("remove_group", "g3")      # its range falls back to g0
 
 
 def test_range_epoch_bumps_on_each_topology_change():
-    partitioner = RangePartitioner(["g0", "g1"])
+    partitioner = RangePartitioner()
     operations = [
+        ("add_group", ("g0",)),
+        ("add_group", ("g1",)),
         ("set_splits", (["", "u5"], ["g0", "g1"])),
         ("split_at", ("u7",)),
         ("reassign", (1, "g1")),
         ("merge_at", (1,)),
         ("add_group", ("g2",)),
         ("remove_group", ("g2",)),
-        ("rebalance_evenly", (["a", "b", "c"],)),
     ]
     for name, args in operations:
         epoch = partitioner.topology_epoch

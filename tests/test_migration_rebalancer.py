@@ -240,21 +240,6 @@ class TestTargetedMigration:
         assert read.success and read.value is not None, \
             "the surviving replica must keep serving the un-migrated range"
 
-    def test_shift_weight_conserves_total_ring_weight(self):
-        sim = Simulator(seed=4)
-        cluster = Cluster(simulator=sim, replication_factor=2, initial_groups=3,
-                          partitioner_kind="hash")
-        for _ in range(5):
-            cluster.shift_weight("group-0", "group-1", step=0.25)
-        partitioner = cluster.partitioner
-        total = sum(partitioner.weight_of(g) for g in partitioner.groups())
-        assert total == pytest.approx(3.0), "weight must be conserved"
-        assert partitioner.weight_of("group-0") == pytest.approx(0.25)
-        assert partitioner.weight_of("group-2") == pytest.approx(1.0), \
-            "an uninvolved group must not lose ring share"
-        # A donor at the floor makes further shifts a no-op.
-        assert cluster.shift_weight("group-0", "group-1", step=0.25) == []
-
     def test_merge_requires_migration_only_across_owners(self):
         cluster, router = make_range_cluster()
         load_keys(router, 60)
@@ -269,24 +254,6 @@ class TestTargetedMigration:
         assert moved == 20, "cross-owner merge must move the right-hand keys"
         cluster.sim.run_until(cluster.sim.now + 30.0)
         assert len(cluster.partitioner.partitions()) == 1
-
-    def test_shift_weight_moves_bounded_incremental_subset(self):
-        sim = Simulator(seed=1)
-        cluster = Cluster(simulator=sim, replication_factor=2, initial_groups=3,
-                          partitioner_kind="hash")
-        router = Router(cluster)
-        load_keys(router, 200)
-        sim.run_until(sim.now + 5.0)
-        total = cluster.total_keys()
-        moved_before = cluster.keys_moved_total
-        records = cluster.shift_weight("group-0", "group-1", step=0.5)
-        moved = cluster.keys_moved_total - moved_before
-        assert 0 < moved < total / 2, "weight shift must move a bounded subset"
-        for record in records:
-            cluster.sim.run_until(record.end_time + 1.0)
-        for i in range(200):
-            read = router.read("ns", (f"u{i:03d}",), from_primary=True)
-            assert read.success and read.value is not None
 
 
 # -------------------------------------------- session guarantees under chaos
@@ -518,6 +485,27 @@ class TestControllerRepartitionBranch:
         assert "unresolved" in action.reason
         after = engine.pool.active_count() + engine.pool.booting_count()
         assert after - before == engine.cluster.replication_factor
+
+    def test_hash_hotspot_rents_one_group_without_moving_a_key(self):
+        # Under hash the rebalancer has no partitions to move, so a real
+        # hot/cold imbalance in a violated window rents exactly one group.
+        engine = Scads(seed=5, autoscale=False, initial_groups=2,
+                       partitioner_kind="hash", repartition=True,
+                       replication_factor=2)
+        cluster = engine.cluster
+        for node_id in cluster.groups["group-0"].node_ids:
+            cluster.nodes[node_id]._latency.set_utilisation(1.0)
+        assert engine.rebalancer.find_imbalance() == ("group-0", "group-1")
+        moved_before = cluster.keys_moved_total
+        before = engine.pool.active_count() + engine.pool.booting_count()
+        action = engine.controller._act(plan(candidate=True), observation(True))
+        assert action.kind == "scale_up"
+        assert action.reason.endswith("hotspot unresolved by repartitioning")
+        after = engine.pool.active_count() + engine.pool.booting_count()
+        assert after - before == cluster.replication_factor
+        assert engine.rebalancer.actions() == []
+        assert cluster.keys_moved_total == moved_before
+        assert not cluster.active_migrations()
 
     def test_satisfied_sla_never_triggers_repartition(self):
         engine = self.make_engine()

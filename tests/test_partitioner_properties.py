@@ -2,8 +2,8 @@
 
 The paper's bounded-lookup guarantee ("at most one read from a small constant
 number of computers") rests on two routing invariants that must survive any
-sequence of topology changes — add/remove group, split/merge/reassign (range)
-and weight shifts (hash):
+sequence of topology changes — add/remove group (both) and
+split/merge/reassign (range):
 
 1. every key routes to exactly one currently-registered replica group, and
 2. every single-partition prefix range lands on exactly the group that owns
@@ -38,6 +38,14 @@ def hash_ring(group_ids, virtual_nodes=None):
         partitioner.add_group(group_id)
     return partitioner
 
+
+def range_partitioner(group_ids):
+    partitioner = RangePartitioner()
+    for group_id in group_ids:
+        partitioner.add_group(group_id)
+    return partitioner
+
+
 TOKENS = [f"u{i:03d}" for i in range(60)]
 GROUPS = [f"g{i}" for i in range(6)]
 
@@ -52,9 +60,17 @@ range_op = st.one_of(
 hash_op = st.one_of(
     st.tuples(st.just("add"), st.sampled_from(GROUPS)),
     st.tuples(st.just("remove"), st.sampled_from(GROUPS)),
-    st.tuples(st.just("weight"), st.sampled_from(GROUPS),
-              st.floats(min_value=0.25, max_value=3.0)),
 )
+
+
+def apply_hash_op(partitioner: ConsistentHashPartitioner, operation) -> None:
+    try:
+        if operation[0] == "add":
+            partitioner.add_group(operation[1])
+        else:
+            partitioner.remove_group(operation[1])
+    except PartitionerError:
+        pass
 
 
 def apply_range_op(partitioner: RangePartitioner, operation) -> None:
@@ -93,14 +109,14 @@ def check_routing_invariants(partitioner) -> None:
 class TestRangePartitionerProperties:
     @given(operations=st.lists(range_op, min_size=0, max_size=40))
     def test_every_key_routes_to_exactly_one_registered_group(self, operations):
-        partitioner = RangePartitioner(["g0"])
+        partitioner = range_partitioner(["g0"])
         for operation in operations:
             apply_range_op(partitioner, operation)
         check_routing_invariants(partitioner)
 
     @given(operations=st.lists(range_op, min_size=0, max_size=40))
     def test_partition_table_stays_well_formed(self, operations):
-        partitioner = RangePartitioner(["g0"])
+        partitioner = range_partitioner(["g0"])
         for operation in operations:
             apply_range_op(partitioner, operation)
         partitions = partitioner.partitions()
@@ -123,7 +139,7 @@ class TestRangePartitionerProperties:
             self, operations, start, end):
         if start > end:
             start, end = end, start
-        partitioner = RangePartitioner(["g0"])
+        partitioner = range_partitioner(["g0"])
         for operation in operations:
             apply_range_op(partitioner, operation)
         key_range = KeyRange(namespace="ns", start=(start,), end=(end, "\x00"))
@@ -138,16 +154,7 @@ class TestConsistentHashPartitionerProperties:
     def test_every_key_routes_to_exactly_one_registered_group(self, operations):
         partitioner = hash_ring(["g0"], virtual_nodes=16)
         for operation in operations:
-            kind = operation[0]
-            try:
-                if kind == "add":
-                    partitioner.add_group(operation[1])
-                elif kind == "remove":
-                    partitioner.remove_group(operation[1])
-                else:
-                    partitioner.set_weight(operation[1], operation[2])
-            except PartitionerError:
-                pass
+            apply_hash_op(partitioner, operation)
         check_routing_invariants(partitioner)
 
     @given(operations=st.lists(hash_op, min_size=0, max_size=30))
@@ -155,35 +162,9 @@ class TestConsistentHashPartitionerProperties:
         def build():
             partitioner = hash_ring(["g0"], virtual_nodes=16)
             for operation in operations:
-                kind = operation[0]
-                try:
-                    if kind == "add":
-                        partitioner.add_group(operation[1])
-                    elif kind == "remove":
-                        partitioner.remove_group(operation[1])
-                    else:
-                        partitioner.set_weight(operation[1], operation[2])
-                except PartitionerError:
-                    pass
+                apply_hash_op(partitioner, operation)
             return partitioner
 
         first, second = build(), build()
         for token in TOKENS:
             assert first.group_for_token(token) == second.group_for_token(token)
-
-    @given(weight=st.floats(min_value=0.25, max_value=4.0))
-    def test_weight_shift_is_reversible_and_incremental(self, weight):
-        partitioner = hash_ring(["g0", "g1", "g2"], virtual_nodes=32)
-        before = {token: partitioner.group_for_token(token) for token in TOKENS}
-        partitioner.set_weight("g1", weight)
-        moved = [token for token in TOKENS
-                 if partitioner.group_for_token(token) != before[token]]
-        if weight < 1.0:
-            # Shrinking g1 only moves keys off g1.
-            assert all(before[token] == "g1" for token in moved)
-        elif weight > 1.0:
-            # Growing g1 only moves keys onto g1.
-            assert all(partitioner.group_for_token(token) == "g1" for token in moved)
-        partitioner.set_weight("g1", 1.0)
-        after = {token: partitioner.group_for_token(token) for token in TOKENS}
-        assert after == before

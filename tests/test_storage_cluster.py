@@ -32,6 +32,13 @@ def hash_ring(group_ids, virtual_nodes=None):
     return partitioner
 
 
+def range_partitioner(group_ids):
+    partitioner = RangePartitioner()
+    for group_id in group_ids:
+        partitioner.add_group(group_id)
+    return partitioner
+
+
 def make_cluster(groups=2, replication=3, seed=0, **kwargs):
     sim = Simulator(seed=seed)
     return Cluster(simulator=sim, replication_factor=replication,
@@ -94,30 +101,42 @@ class TestConsistentHashPartitioner:
 
 class TestRangePartitioner:
     def test_single_group_owns_everything(self):
-        partitioner = RangePartitioner(["g1"])
+        partitioner = range_partitioner(["g1"])
         assert partitioner.group_for_key("ns", ("anything",)) == "g1"
 
+    def test_routing_before_any_group_raises(self):
+        partitioner = RangePartitioner()
+        with pytest.raises(PartitionerError):
+            partitioner.group_for_key("ns", ("anything",))
+        with pytest.raises(PartitionerError):
+            partitioner.partition_for_token("anything")
+        with pytest.raises(PartitionerError):
+            partitioner.groups_for_range(prefix_range("ns", ("anything",)))
+
     def test_explicit_splits(self):
-        partitioner = RangePartitioner(["g1", "g2"])
+        partitioner = range_partitioner(["g1", "g2"])
         partitioner.set_splits(["", "m"], ["g1", "g2"])
         assert partitioner.group_for_key("ns", ("alice",)) == "g1"
         assert partitioner.group_for_key("ns", ("zoe",)) == "g2"
 
     def test_splits_must_be_sorted_and_start_empty(self):
-        partitioner = RangePartitioner(["g1", "g2"])
+        partitioner = range_partitioner(["g1", "g2"])
         with pytest.raises(PartitionerError):
             partitioner.set_splits(["m", ""], ["g1", "g2"])
         with pytest.raises(PartitionerError):
             partitioner.set_splits(["a", "m"], ["g1", "g2"])
 
-    def test_rebalance_evenly_with_samples(self):
-        partitioner = RangePartitioner(["g1", "g2"])
-        partitioner.rebalance_evenly([f"u{i:03d}" for i in range(100)])
-        owners = {partitioner.group_for_key("ns", (f"u{i:03d}",)) for i in range(100)}
+    def test_later_group_owns_nothing_until_set_splits(self):
+        partitioner = range_partitioner(["g1", "g2"])
+        tokens = [f"u{i:03d}" for i in range(100)]
+        assert {partitioner.group_for_token(t) for t in tokens} == {"g1"}
+        assert [p.owner for p in partitioner.partitions()] == ["g1"]
+        partitioner.set_splits(["", "u050"], ["g1", "g2"])
+        owners = {partitioner.group_for_token(t) for t in tokens}
         assert owners == {"g1", "g2"}
 
     def test_range_spanning_splits_contacts_both_groups(self):
-        partitioner = RangePartitioner(["g1", "g2"])
+        partitioner = range_partitioner(["g1", "g2"])
         partitioner.set_splits(["", "m"], ["g1", "g2"])
         key_range = KeyRange("ns", start=("a",), end=("z",))
         assert set(partitioner.groups_for_range(key_range)) == {"g1", "g2"}
@@ -488,7 +507,7 @@ _movement_ops = st.lists(st.one_of(
     st.tuples(st.just("surge"), _pick),
     st.tuples(st.just("hibernate"), _pick),
     st.tuples(st.just("resume"), _pick),
-    st.tuples(st.just("repartition"), _key, _pick, _pick),
+    st.tuples(st.just("repartition"), _key, _pick),
 ), min_size=1, max_size=40)
 
 
@@ -555,16 +574,13 @@ def _apply_movement_op(cluster, router, model, op):
                 cluster.drop_hibernated(node_id)
             elif primary_alive(home):  # catch-up reads the primary
                 assert cluster.resume_hibernated(node_id) is not None
-    elif kind == "repartition":
+    elif kind == "repartition" and isinstance(cluster.partitioner, RangePartitioner):
         token, target = _KEYS[op[1]][0], groups[op[2] % len(groups)]
-        if isinstance(cluster.partitioner, RangePartitioner):
-            try:
-                cluster.split_partition(token)
-            except PartitionerError:
-                pass  # already a split point
-            cluster.migrate_partition(token, target)
-        elif target != groups[op[3] % len(groups)]:
-            cluster.shift_weight(groups[op[3] % len(groups)], target)
+        try:
+            cluster.split_partition(token)
+        except PartitionerError:
+            pass  # already a split point
+        cluster.migrate_partition(token, target)
     sim.run_until(sim.now + 0.05)
 
 
