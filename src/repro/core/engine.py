@@ -116,7 +116,7 @@ from repro.storage.cluster import Cluster
 from repro.storage.durability import DurabilityModel
 from repro.storage.node import BASE_SERVICE_TIME
 from repro.storage.rebalancer import Rebalancer
-from repro.storage.records import Key, KeyRange, prefix_range
+from repro.storage.records import Key, KeyRange, VersionedValue, prefix_range
 from repro.storage.router import ReadOutcome, Router
 
 
@@ -172,19 +172,17 @@ class _RouterStorageAdapter:
 
     def adjust_index_support(self, namespace: str, key: Key, delta: int) -> None:
         current = self._engine.router.read(namespace, key, from_primary=True)
-        support = 0
-        if current.success and current.value is not None and isinstance(current.value.value, dict):
-            support = int(current.value.value.get("support", 0))
+        support = current.value.value if current.success and current.value is not None else 0
         new_support = support + delta
         if new_support <= 0:
             self._engine.router.delete(namespace, key, writer="index-maintenance")
         else:
-            self._engine.router.write(namespace, key, {"support": new_support},
+            self._engine.router.write(namespace, key, new_support,
                                       writer="index-maintenance")
         self._engine._note_index_write(namespace, key)
 
     def put_reverse_entry(self, namespace: str, key: Key) -> None:
-        self._engine.router.write(namespace, key, {}, writer="index-maintenance")
+        self._engine.router.write(namespace, key, 1, writer="index-maintenance")
         self._engine._note_index_write(namespace, key)
 
     def delete_reverse_entry(self, namespace: str, key: Key) -> None:
@@ -221,7 +219,7 @@ class _QueryReader:
 
     def range_read(self, namespace: str, start: Optional[Key], end: Optional[Key],
                    limit: Optional[int], reverse: bool,
-                   ) -> Tuple[List[Tuple[Key, Dict[str, Any]]], float]:
+                   ) -> Tuple[List[Tuple[Key, VersionedValue]], float]:
         engine = self._engine
         cache = engine.cache
         tracer = self._tracer
@@ -250,13 +248,12 @@ class _QueryReader:
         self.range_latency_total += result.latency
         if not result.success:
             return [], result.latency
-        # The one copy between the serving node and the executor; the cache
+        # The list the serving node (or the router's merge) built for this
+        # call, not a copy: the executor reads only its keys, and the cache
         # keeps this same list (and the same KeyRange), so nobody mutates it.
-        rows = [(key, payload if isinstance(payload := value.value, dict) else {})
-                for key, value in result.rows]
         if will_admit:
-            cache.admit_range(namespace, start, end, limit, reverse, rows, key_range)
-        return rows, result.latency
+            cache.admit_range(namespace, start, end, limit, reverse, result.rows, key_range)
+        return result.rows, result.latency
 
     def entity_get_many(
         self, entity_name: str, keys: List[Key],
@@ -626,8 +623,7 @@ class Scads:
             session_id: Optional[str] = None) -> OperationOutcome:
         """Insert or update one entity row, honouring the write-consistency axis."""
         schema = self.registry.entity(entity)
-        schema.validate_row(row)
-        key = schema.storage_key(row)
+        key = schema.validate_row(row)
         namespace = entity_namespace(entity)
         old_row = self._adapter.entity_row(entity, key)
         resolved = self.resolver.resolve(old_row, row)

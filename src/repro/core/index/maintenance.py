@@ -47,7 +47,7 @@ class StorageAdapter(Protocol):
         """Add ``delta`` to an index entry's support count (delete at <= 0)."""
 
     def put_reverse_entry(self, namespace: str, key: Key) -> None:
-        """Insert an entry into an auxiliary reverse index."""
+        """Insert an entry into an auxiliary reverse index (support 1)."""
 
     def delete_reverse_entry(self, namespace: str, key: Key) -> None:
         """Remove an entry from an auxiliary reverse index."""

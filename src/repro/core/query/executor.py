@@ -22,9 +22,10 @@ class QueryReader(Protocol):
     def range_read(
         self, namespace: str, start: Optional[Key], end: Optional[Key],
         limit: Optional[int], reverse: bool,
-    ) -> Tuple[List[Tuple[Key, Dict[str, Any]]], float]:
-        """``(entries, latency)`` of one bounded scan: ``(key, value dict)``
-        pairs in scan order, at most ``limit`` of them."""
+    ) -> Tuple[List[Tuple[Key, Any]], float]:
+        """``(entries, latency)`` of one bounded scan: ``(key, stored value)``
+        pairs in scan order, at most ``limit`` of them.  The executor reads
+        only the keys."""
 
     def entity_get_many(
         self, entity: str, keys: List[Key],

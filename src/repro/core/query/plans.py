@@ -95,9 +95,9 @@ class IndexSpec:
 
         (anchor_value, extra_anchor_values..., [sort_value], final_key...)
 
-    and the stored value is ``{"support": n}`` — the number of distinct join
-    paths producing the entry, which keeps incremental maintenance correct
-    when multiple paths reach the same (anchor, final) pair.
+    and the stored value is the plain ``int`` *n* — the number of distinct
+    join paths producing the entry, which keeps incremental maintenance
+    correct when multiple paths reach the same (anchor, final) pair.
     """
 
     name: str

@@ -157,15 +157,17 @@ class EntitySchema:
             key_parts.append(row[f.name])
         return tuple(key_parts)
 
-    def validate_row(self, row: Dict[str, Any]) -> None:
-        """Validate a full row: key present and typed, no unknown fields."""
-        self.storage_key(row)
+    def validate_row(self, row: Dict[str, Any]) -> Tuple:
+        """Validate a full row (key present and typed, no unknown fields) and
+        return its storage key."""
+        key = self.storage_key(row)
         fields_by_name = self._fields_by_name
         for name, value in row.items():
             field_ = fields_by_name.get(name)
             if field_ is None:
                 raise SchemaError(f"entity {self.name!r} has no field {name!r}")
             field_.validate(value)
+        return key
 
 
 class SchemaRegistry:

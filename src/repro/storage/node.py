@@ -12,7 +12,7 @@ detect and correct.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class _NamespaceStore:
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def get(self, key: Key) -> Optional[VersionedValue]:
-        return self._data.get(key)
 
     def put(self, key: Key, value: VersionedValue) -> None:
         """Store ``value`` under ``key``."""
@@ -90,9 +87,6 @@ class _NamespaceStore:
         scanned = reversed(keys[lo:hi]) if reverse else keys[lo:hi]
         return [(key, value) for key in scanned
                 if not (value := data[key]).tombstone]
-
-    def keys(self) -> Iterator[Key]:
-        return iter(self._sorted_keys)
 
 
 class StorageNode:

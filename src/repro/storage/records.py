@@ -35,7 +35,8 @@ class VersionedValue:
 
     Attributes:
         value: the stored payload (for entities the read-only row mapping
-            every replica and reader shares; a small dict for index entries).
+            every replica and reader shares; for index entries the ``int``
+            support count, 1 for a reverse-index entry).
         timestamp: simulated wall-clock time of the originating write; this is
             what last-write-wins compares and what staleness is measured from.
         writer: identifier of the client session that performed the write,

@@ -97,6 +97,61 @@ class TestSocialNetworkApp:
             app.add_friendship("a", "a")
 
 
+def index_entries(engine, key=None):
+    """``(namespace, VersionedValue)`` of every stored index and reverse-index
+    entry on every node, tombstones included (optionally one key only)."""
+    return [(namespace, value)
+            for node in engine.cluster.nodes.values()
+            for namespace in node.namespaces()
+            if namespace.startswith(("index:", "revidx:"))
+            for entry_key, value in node.scan_namespace(namespace)
+            if key is None or entry_key == key]
+
+
+class TestIndexEntriesAreCounts:
+    """An index entry stores its key, its version and an ``int`` support
+    count; a reverse-index entry is an index entry with support 1."""
+
+    def test_every_live_index_value_is_a_positive_int(self):
+        app = make_app(friend_cap=20)
+        app.load_graph(SocialGraph(30, np.random.default_rng(0), max_friends=5,
+                                   mean_friends=2.0))
+        app.engine.settle()
+        entries = index_entries(app.engine)
+        namespaces = {namespace for namespace, _ in entries}
+        assert "index:idx_friends_of_friends" in namespaces
+        assert "revidx:friendships_by_f2" in namespaces
+        live = [value.value for _, value in entries if not value.tombstone]
+        assert live
+        assert all(type(support) is int and support >= 1 for support in live)
+
+    def test_friend_of_friend_support_counts_paths(self):
+        app = make_app()
+        engine = app.engine
+        for user in ("a", "b", "c", "d"):
+            app.create_user(user, user.upper(), "01-01")
+        # Two mutual friends, b and c, each join a to d.  Settling after each
+        # write keeps maintenance in write order.
+        for x, y in (("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")):
+            app.add_friendship(x, y)
+            engine.settle()
+
+        def stored():
+            replicas = index_entries(engine, key=("a", "d"))
+            assert replicas
+            assert {namespace for namespace, _ in replicas} == {
+                "index:idx_friends_of_friends"}
+            return {(value.value, value.tombstone) for _, value in replicas}
+
+        assert stored() == {(2, False)}
+        for path, expected in ((("b", "d"), {(1, False)}), (("c", "d"), {(None, True)})):
+            engine.delete("friendships", path, session_id=path[0])
+            engine.delete("friendships", path[::-1], session_id=path[1])
+            engine.settle()
+            assert stored() == expected
+        assert "d" not in [row["user_id"] for row in app.friends_of_friends_page("a").rows]
+
+
 class TestNaiveRdbms:
     def _load(self, n_users, friends_per_user=10):
         db = NaiveRdbms()

@@ -47,6 +47,7 @@ from hypothesis import strategies as st
 
 from repro.apps.social_network import SocialNetworkApp
 from repro.cache.store import CacheEntry, StalenessBudgetCache
+from repro.core import engine as engine_module
 from repro.core.engine import Scads
 from repro.core.query.executor import QueryResult
 from repro.core.query.plans import entity_namespace
@@ -507,6 +508,41 @@ def test_every_read_path_hands_out_the_stored_row_itself():
     assert adapter.entity_row("friendships", keys[1]) is stored[keys[1]]
     assert all(row is stored[(row["f1"], row["f2"])]
                for row in adapter.entity_rows_by_prefix("friendships", ("reader",)))
+
+
+def test_a_cluster_served_scan_hands_its_rows_through_uncopied(monkeypatch):
+    """The list ``Router.read_range`` returns for a query's index scan is the
+    list the executor receives and the list the cache admits: no per-row
+    re-projection between the serving node and the executor."""
+    engine = _social_engine({"reader": 3})
+    returned, received, admitted = [], [], []
+    read_range = engine.router.read_range
+    admit_range = engine.cache.admit_range
+    range_read = engine_module._QueryReader.range_read
+
+    def recording_read_range(*args, **kwargs):
+        result = read_range(*args, **kwargs)
+        returned.append(result.rows)
+        return result
+
+    def recording_admit_range(*args, **kwargs):
+        entry = admit_range(*args, **kwargs)
+        admitted.append(entry.value)
+        return entry
+
+    def recording_range_read(reader, *args):
+        rows, latency = range_read(reader, *args)
+        received.append(rows)
+        return rows, latency
+
+    monkeypatch.setattr(engine.router, "read_range", recording_read_range)
+    monkeypatch.setattr(engine.cache, "admit_range", recording_admit_range)
+    monkeypatch.setattr(engine_module._QueryReader, "range_read", recording_range_read)
+    assert engine.query("friends", {"user_id": "reader"}).index_entries_read == 3
+    assert len(returned) == len(received) == len(admitted) == 1
+    assert received[0] is returned[0]
+    assert admitted[0] is returned[0]
+    assert all(type(versioned.value) is int for _, versioned in returned[0])
 
 
 def test_hot_path_records_are_slotted():

@@ -281,7 +281,7 @@ class TestQueryOverMaintainedIndex:
                 keys = keys[::-1]
             if limit is not None:
                 keys = keys[:limit]
-            return [(k, {"support": adapter.support(namespace, k)}) for k in keys], 0.001
+            return [(k, adapter.support(namespace, k)) for k in keys], 0.001
 
         def entity_get_many(entity, keys):
             return {key: adapter.entity_row(entity, key) for key in keys}, 0.001
