@@ -53,11 +53,13 @@ class StorageAdapter(Protocol):
         """Remove an entry from an auxiliary reverse index."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityWrite:
     """One base-table write: the row before and after.
 
-    ``old_row is None`` for inserts, ``new_row is None`` for deletes.
+    ``old_row is None`` for inserts, ``new_row is None`` for deletes.  One is
+    queued per maintenance task (set-up holds up to ``LOAD_FLUSH_EVERY``
+    before each flush), so it is slotted: no per-instance ``__dict__``.
     """
 
     entity: str
@@ -84,9 +86,12 @@ class EntityWrite:
         return self.new_row is None
 
 
-@dataclass
+@dataclass(slots=True)
 class MaintenanceResult:
-    """What one maintenance invocation did (for bounded-work accounting)."""
+    """What one maintenance invocation did (for bounded-work accounting).
+
+    One is allocated per maintenance task, so it is slotted like
+    :class:`EntityWrite`."""
 
     index_ops: int = 0
     lookup_ops: int = 0

@@ -6,17 +6,19 @@ simulated request volumes make this affordable, and it removes sketch error
 as a confound when we report SLA attainment.
 
 Storage is an *append buffer plus an incrementally merged sorted array*: new
-samples land in a plain list (O(1) per request — the hot path), and the
-first percentile query after a batch of appends merge-sorts only the new
-samples into the cached sorted array (``searchsorted`` + one ``insert``
-pass, O(history + new·log new)).  The all-time estimators in long
+samples land in an ``array('d')`` of packed doubles (O(1) per request — the
+hot path — at 8 bytes a sample, where a list held a 32-byte float object
+per sample until the next query), and the first percentile query after a
+batch of appends merge-sorts only the new samples into the cached sorted
+array (``searchsorted`` + one ``insert`` pass, O(history + new·log new)).  The all-time estimators in long
 closed-loop runs are queried every control window; a full re-sort of the
 entire history there is what used to make long runs quadratic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from array import array
+from typing import Dict
 
 import numpy as np
 
@@ -29,7 +31,7 @@ class PercentileEstimator:
     __slots__ = ("_pending", "_sorted", "_sum", "_max")
 
     def __init__(self) -> None:
-        self._pending: List[float] = []
+        self._pending = array("d")
         self._sorted: np.ndarray = _EMPTY
         self._sum = 0.0
         self._max = 0.0
@@ -49,13 +51,13 @@ class PercentileEstimator:
 
     def extend(self, values) -> None:
         """Record many samples at once (vectorized validation and append)."""
-        arr = np.asarray(values if isinstance(values, np.ndarray) else list(values),
+        arr = np.asarray(values if isinstance(values, (np.ndarray, array)) else list(values),
                          dtype=float)
         if arr.size == 0:
             return
         if np.any(arr < 0):
             raise ValueError("samples must be non-negative")
-        self._pending.extend(arr.tolist())
+        self._pending.frombytes(arr.tobytes())
         self._sum += float(arr.sum())
         self._max = max(self._max, float(arr.max()))
 
@@ -67,13 +69,13 @@ class PercentileEstimator:
         rather than ``O(n log n)`` over it.
         """
         if self._pending:
-            fresh = np.sort(np.asarray(self._pending))
+            fresh = np.sort(np.frombuffer(self._pending))
             base = self._sorted
             if base.shape[0] == 0:
                 self._sorted = fresh
             else:
                 self._sorted = np.insert(base, np.searchsorted(base, fresh), fresh)
-            self._pending.clear()
+            self._pending = array("d")
         if self._sorted.shape[0] == 0:
             raise ValueError("no samples recorded")
         return self._sorted
@@ -167,7 +169,7 @@ class PercentileEstimator:
 
     def reset(self) -> None:
         """Drop all recorded samples."""
-        self._pending.clear()
+        self._pending = array("d")
         self._sorted = _EMPTY
         self._sum = 0.0
         self._max = 0.0

@@ -10,6 +10,7 @@ validation grid gates on) and for the whole experiment (what
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -159,8 +160,8 @@ class _OpLog:
         self.window_failures = 0
         self.all_time = PercentileEstimator()
         # Successful latencies since the last close_window(), indexed by the
-        # miss_path flag: each sample lands in exactly one of the two lists.
-        self.window: Tuple[List[float], List[float]] = ([], [])
+        # miss_path flag: each sample lands in exactly one of the two arrays.
+        self.window: Tuple[array, array] = (array("d"), array("d"))
         # Successes off the miss path in the windows closed so far.
         self.closed_off_miss_path = 0
         self.compliance = WindowedComplianceTracker(
@@ -199,7 +200,9 @@ class OpRecorder:
     :class:`~repro.metrics.percentiles.PercentileEstimator`, the successful
     samples since the last :meth:`close_window` (and how many closed windows
     held off the miss path) and the fixed-clock compliance buckets; attempt
-    counts, reports and percentiles are derived.
+    counts, reports and percentiles are derived.  Every latency sample, in
+    the estimator and in the window buffers, is a packed double in an
+    ``array('d')``: 8 bytes each instead of a float object per operation.
     """
 
     def __init__(self, slas: Mapping[str, object]) -> None:
@@ -249,7 +252,7 @@ class OpRecorder:
             reports[op_type] = log.report(
                 np.asarray(others + missed, dtype=float), log.window_failures)
             log.closed_off_miss_path += len(others)
-            log.window = ([], [])
+            log.window = (array("d"), array("d"))
             log.window_failures = 0
         return reports, cluster_read_percentile
 

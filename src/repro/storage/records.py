@@ -36,7 +36,11 @@ class VersionedValue:
     Attributes:
         value: the stored payload (for entities the read-only row mapping
             every replica and reader shares; for index entries the ``int``
-            support count, 1 for a reverse-index entry).
+            support count, 1 for a reverse-index entry).  A version whose
+            payload is an ``int`` or ``None`` may be one object shared by
+            every key written with the same fields at the same instant (see
+            ``Router.write``), so versions are compared by value, never by
+            identity.
         timestamp: simulated wall-clock time of the originating write; this is
             what last-write-wins compares and what staleness is measured from.
         writer: identifier of the client session that performed the write,

@@ -93,6 +93,10 @@ class Router:
         self._rotation_cache: Dict[str, Tuple[List[str], Tuple[Tuple[str, ...], ...]]] = {}
         # group size -> [pre-drawn index block, cursor] for replica choice.
         self._choice_pools: Dict[int, list] = {}
+        # (payload, writer, version, tombstone) -> the one VersionedValue an
+        # int or None payload written at ``_shared_at`` shares; see write().
+        self._shared: Dict[tuple, VersionedValue] = {}
+        self._shared_at: Optional[float] = None
         # Observability: None (the default) keeps tracing fully off the hot
         # path — the per-op cost of disabled tracing is one attribute load.
         self._tracer = None
@@ -118,6 +122,14 @@ class Router:
         ``write_quorum=1`` is the default lazy path: the primary acknowledges
         and replication is asynchronous.  A larger quorum waits for that many
         replicas synchronously (serializable / Dynamo-style writes).
+
+        This is where a routed write builds its :class:`VersionedValue`.  An
+        ``int`` or ``None`` payload (index support counts, reverse-entry 1s,
+        tombstones) gets the one frozen version every write of the same
+        ``(payload, writer, version, tombstone)`` at this simulated instant
+        shares; versions are compared by value, never by identity, so
+        sharing them changes nothing but the memory they take.  Entity rows
+        are read-only mappings and keep a version of their own.
         """
         now = self._clock.now
         token = str(key[0])  # partition_token(key), inlined for the hot path
@@ -147,13 +159,18 @@ class Router:
             if store is not None:
                 current = store._data.get(key)  # noqa: SLF001
         version = (current.version + 1) if current is not None else 1
-        versioned = VersionedValue(
-            value=payload,
-            timestamp=now,
-            writer=writer,
-            version=version,
-            tombstone=tombstone,
-        )
+        if payload is None or type(payload) is int:  # not bool: True == 1
+            shared = self._shared
+            if now != self._shared_at:
+                shared.clear()
+                self._shared_at = now
+            fields = (payload, writer, version, tombstone)
+            versioned = shared.get(fields)
+            if versioned is None:
+                versioned = shared[fields] = VersionedValue(
+                    payload, now, writer, version, tombstone)
+        else:
+            versioned = VersionedValue(payload, now, writer, version, tombstone)
         tracer = self._tracer
         traced = tracer is not None and tracer.active
         try:

@@ -18,12 +18,20 @@ from pathlib import Path
 import pytest
 
 from repro import Scads
+from repro.cache.store import CacheEntry
+from repro.core.engine import OperationOutcome
+from repro.core.index.maintenance import EntityWrite, MaintenanceResult
+from repro.core.index.updater import UpdateTask
 from repro.core.provisioning.controller import ProvisioningController
+from repro.core.query.executor import QueryResult
 from repro.experiments.harness import run_closed_loop
+from repro.metrics.sla import ComplianceWindow
 from repro.storage.cluster import Cluster
 from repro.storage.node import StorageNode
-from repro.storage.replication import ReplicationEngine
-from repro.storage.router import Router
+from repro.storage.records import KeyRange, VersionedValue
+from repro.storage.replication import PropagationRecord, ReplicationEngine
+from repro.storage.router import ReadOutcome, RequestResult, Router
+from repro.workloads.opmix import Operation
 
 pytestmark = pytest.mark.tier1
 
@@ -111,6 +119,21 @@ def test_the_cluster_read_path_pays_per_batch_not_per_key():
     engine = (SRC / "core" / "engine.py").read_text(encoding="utf-8")
     assert engine.count("def _verify_replica_read(") == 1
     assert "_consistent_read" not in engine  # no per-key twin of the rule
+
+
+# Allocated once (or more) per client operation, routed write, replica apply
+# or maintenance task: a per-instance ``__dict__`` on any of them is memory
+# paid per operation.
+PER_OPERATION_RECORDS = (
+    VersionedValue, KeyRange, Operation, RequestResult, ReadOutcome,
+    QueryResult, OperationOutcome, CacheEntry, UpdateTask, EntityWrite,
+    MaintenanceResult, ComplianceWindow, PropagationRecord,
+)
+
+
+@pytest.mark.parametrize("cls", PER_OPERATION_RECORDS, ids=lambda cls: cls.__name__)
+def test_per_operation_records_have_no_instance_dict(cls):
+    assert not hasattr(cls.__new__(cls), "__dict__")
 
 
 def test_cluster_module_does_not_grow():

@@ -31,6 +31,12 @@ guarantee cannot read, and the records on the path carry no ``__dict__``.
 A sixth: **a stored row is copied once** — where its write is resolved, into a
 read-only mapping — and every read path hands out that object, checked by
 identity (``is``), not by timing.
+
+A seventh: **a version is a value** — every index and reverse-index version
+written with the same fields at one simulated instant is one object, checked
+by counting distinct objects against distinct field tuples, while entity
+versions stay per key and last-write-wins orders what a shared version
+stores exactly as before.
 """
 
 from __future__ import annotations
@@ -50,11 +56,17 @@ from repro.cache.store import CacheEntry, StalenessBudgetCache
 from repro.core import engine as engine_module
 from repro.core.engine import Scads
 from repro.core.query.executor import QueryResult
-from repro.core.query.plans import entity_namespace
+from repro.core.query.plans import (
+    ENTITY_NAMESPACE_PREFIX,
+    INDEX_NAMESPACE_PREFIX,
+    REVERSE_NAMESPACE_PREFIX,
+    entity_namespace,
+)
 from repro.sim.latency import ConstantLatency, LogNormalLatency, QueueingLatency
 from repro.sim.network import NetworkModel
 from repro.sim.randomness import ZipfGenerator
 from repro.sim.simulator import Simulator
+from repro.workloads.social_graph import SocialGraph
 from repro.storage.node import StorageNode
 from repro.storage.partitioner import (
     ConsistentHashPartitioner,
@@ -555,3 +567,73 @@ def test_hot_path_records_are_slotted():
     ]
     for record in records:
         assert not hasattr(record, "__dict__"), type(record).__name__
+
+
+# ------------------------------------------------- a version is a value
+
+
+def _stored_versions(engine, prefixes):
+    """``(namespace, key, version)`` for every version the nodes hold in a
+    namespace starting with one of ``prefixes``."""
+    return [(namespace, key, versioned)
+            for node in engine.cluster.nodes.values()
+            for namespace, store in node._namespaces.items()
+            if namespace.startswith(prefixes)
+            for key, versioned in store._data.items()]
+
+
+def _loaded_app():
+    engine = Scads(seed=5, autoscale=False, initial_groups=2)
+    app = SocialNetworkApp(engine)
+    engine.start()
+    app.load_graph(SocialGraph(40, np.random.default_rng(3), max_friends=6,
+                               mean_friends=3.0))
+    engine.settle()
+    return engine
+
+
+def test_identical_index_versions_written_at_one_instant_are_one_object():
+    """After a bulk load, the index and reverse-index versions on every node
+    are as many objects as there are distinct field tuples (one object per
+    routed write held them before); entity versions are never shared by two
+    keys."""
+    engine = _loaded_app()
+    index_versions = [versioned for *_, versioned in _stored_versions(
+        engine, (INDEX_NAMESPACE_PREFIX, REVERSE_NAMESPACE_PREFIX))]
+    fields = {(v.value, v.timestamp, v.writer, v.version, v.tombstone)
+              for v in index_versions}
+    assert len(index_versions) > 10 * len(fields)  # sharing has something to do
+    assert len({id(v) for v in index_versions}) == len(fields)
+
+    keys_of = {}
+    for namespace, key, versioned in _stored_versions(
+            engine, (ENTITY_NAMESPACE_PREFIX,)):
+        keys_of.setdefault(id(versioned), set()).add((namespace, key))
+    assert keys_of and all(len(keys) == 1 for keys in keys_of.values())
+
+
+def test_a_delete_and_re_create_at_one_instant_keeps_last_write_wins():
+    """Two index keys each deleted and re-created at one instant share their
+    tombstone and their value version, and every replica still ends at the
+    re-create (version 2 beats the version-1 tombstone of the same
+    timestamp)."""
+    engine = _loaded_app()
+    router = engine.router
+    namespace = INDEX_NAMESPACE_PREFIX + "friends"
+    keys = [("zz-new", "a"), ("zz-new", "b")]
+    written = []
+    for key in keys:
+        deleted = router.delete(namespace, key, writer="index-maintenance")
+        created = router.write(namespace, key, 1, writer="index-maintenance")
+        written.append((deleted.value, created.value))
+    (tombstone, value), (other_tombstone, other_value) = written
+    assert tombstone is other_tombstone and value is other_value
+    assert (tombstone.version, tombstone.tombstone) == (1, True)
+    assert (value.version, value.value, value.tombstone) == (2, 1, False)
+    engine.settle()
+    for key in keys:
+        group = engine.cluster.group_for_key(namespace, key)
+        assert len(group.node_ids) == 3
+        for node_id in group.node_ids:
+            assert engine.cluster.nodes[node_id].peek(namespace, key) is value
+

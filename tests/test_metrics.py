@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +80,80 @@ class TestPercentileEstimator:
         estimator = PercentileEstimator()
         estimator.extend(samples)
         assert min(samples) <= estimator.percentile(50) <= max(samples)
+
+
+class TestEstimatorStorage:
+    """Pending samples are packed doubles, and every answer equals one
+    computed from the same samples held as a Python list (the window
+    reports are held to one by ``TestOpRecorderViews``)."""
+
+    SAMPLES = [((index * 7919) % 10007) / 1000.0 for index in range(10_000)]
+
+    def test_a_pending_sample_costs_at_most_16_bytes(self):
+        # A list held an 8-byte pointer plus a 24-byte float per sample.
+        samples = 10_000
+        estimator = PercentileEstimator()
+        estimator.add(0.5)  # the buffer exists before the measurement
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(samples):
+                estimator.add(index * 0.001)  # a fresh float object each time
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(estimator) == samples + 1
+        assert allocated <= 16 * samples
+
+    def _fed(self, samples, flush_at=None):
+        estimator = PercentileEstimator()
+        for index, value in enumerate(samples):
+            if index == flush_at:
+                estimator.percentile(50)  # part sorted, the rest pending
+            estimator.add(value)
+        return estimator
+
+    def _reference_snapshot(self, samples):
+        running_sum = 0.0  # in arrival order, one add per sample (not sum())
+        for value in samples:
+            running_sum += value
+        return {
+            "count": float(len(samples)),
+            "mean": running_sum / len(samples),
+            "p50": _lerp_percentile(samples, 50),
+            "p95": _lerp_percentile(samples, 95),
+            "p99": _lerp_percentile(samples, 99),
+            "p999": _lerp_percentile(samples, 99.9),
+            "max": max(samples),
+        }
+
+    @pytest.mark.parametrize("flush_at", [None, 1, 3_333])
+    def test_queries_equal_a_reference_over_a_list(self, flush_at):
+        samples = self.SAMPLES
+        estimator = self._fed(samples, flush_at)
+        assert estimator.snapshot() == self._reference_snapshot(samples)
+        for p in (0.1, 25.0, 50.0, 99.9, 100.0):
+            assert estimator.percentile(p) == _lerp_percentile(samples, p)
+        for threshold in (0.0, 1.234, 5.0, 10.006, 11.0):
+            assert estimator.fraction_at_or_below(threshold) == (
+                sum(value <= threshold for value in samples) / len(samples))
+
+    def test_merge_reset_and_pickle_equal_a_reference_over_a_list(self):
+        left, right = self.SAMPLES[:4_000], self.SAMPLES[4_000:]
+        merged = self._fed(left, flush_at=1_000).merge(self._fed(right))
+        assert list(merged.sorted_samples()) == sorted(left + right)
+        assert merged.snapshot()["count"] == float(len(self.SAMPLES))
+        assert merged.snapshot()["p99"] == _lerp_percentile(self.SAMPLES, 99)
+
+        pending = self._fed(left, flush_at=2_000)
+        restored = pickle.loads(pickle.dumps(pending))
+        assert restored.snapshot() == pending.snapshot() == self._reference_snapshot(left)
+
+        pending.reset()
+        assert len(pending) == 0 and pending.snapshot() == {"count": 0}
+        for value in right:
+            pending.add(value)
+        assert pending.snapshot() == self._reference_snapshot(right)
 
 
 def make_recorder(percentile=99.0, latency=0.1):
