@@ -11,10 +11,10 @@ The store holds two kinds of entries in one LRU order:
 
 A range entry is served only under its exact parameter token: every query
 template binds its parameters into one bounded scan, so a repeated query
-repeats the token.  Range entries are also indexed per namespace by the
-leading key component every key of their range shares, so finding the cached
-scans that contain a written key (invalidation) inspects one small bucket
-instead of every cached scan of the namespace.
+repeats the token.  Range entries are also indexed per namespace by their
+range's partition key (:func:`~repro.storage.records.range_lead`), so finding
+the cached scans that contain a written key (invalidation) inspects one small
+bucket instead of every cached scan of the namespace.
 
 Every entry carries an absolute expiry time derived by the admission policy
 from the governing staleness bound (see :mod:`repro.cache.policy`); expired
@@ -29,7 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
-from repro.storage.records import Key, KeyPart, KeyRange, key_part_successor
+from repro.storage.records import Key, KeyPart, KeyRange, range_lead
 
 EntryToken = Tuple[Hashable, ...]
 
@@ -77,31 +77,10 @@ def entity_token(namespace: str, key: Key) -> EntryToken:
     return ("entity", namespace, key)
 
 
-def range_token(namespace: str, start: Optional[Key], end: Optional[Key],
+def range_token(namespace: str, start: Key, end: Key,
                 limit: Optional[int], reverse: bool) -> EntryToken:
     """Stable store token for one bounded range read's parameters."""
     return ("range", namespace, start, end, limit, reverse)
-
-
-def _shared_lead(start: Optional[Key], end: Optional[Key]) -> Optional[KeyPart]:
-    """The leading key component every key of ``[start, end)`` must share, or
-    None when the range spans several leading components or has an open end.
-
-    Two shapes qualify: ``end`` starts with the same component as ``start``,
-    or ``end`` is the one-component key holding that component's immediate
-    successor — what :func:`~repro.storage.records.prefix_range` builds for a
-    one-component prefix.  The second shape is only trusted for strings, whose
-    successor leaves no value in between (``n + 1`` leaves every float in
-    ``(n, n + 1)``).
-    """
-    if not start or not end:
-        return None
-    lead = start[0]
-    if end[0] == lead:
-        return lead
-    if isinstance(lead, str) and end == (key_part_successor(lead),):
-        return lead
-    return None
 
 
 class _NamespaceRanges:
@@ -119,9 +98,9 @@ class _NamespaceRanges:
     def __init__(self) -> None:
         # Every range token of the namespace, in admission order.
         self.admitted: Dict[EntryToken, None] = {}
-        # :func:`_shared_lead` of the entry's range -> its tokens in admission
-        # order; key None is the "wide" bucket every invalidation also inspects.
-        self.buckets: Dict[Optional[KeyPart], Dict[EntryToken, None]] = {}
+        # :func:`range_lead` of the entry's range -> its tokens in admission
+        # order.
+        self.buckets: Dict[KeyPart, Dict[EntryToken, None]] = {}
 
 
 class StalenessBudgetCache:
@@ -204,7 +183,7 @@ class StalenessBudgetCache:
         a lookup or touching LRU order (tests and introspection)."""
         return self._entries.get(token)
 
-    def get_range(self, namespace: str, start: Optional[Key], end: Optional[Key],
+    def get_range(self, namespace: str, start: Key, end: Key,
                   limit: Optional[int], reverse: bool, now: float) -> Optional[list]:
         """Rows for one bounded range read, served under its exact parameter
         token, or None.
@@ -259,7 +238,7 @@ class StalenessBudgetCache:
             self._evict_to_capacity(token)
         return entry
 
-    def put_range(self, namespace: str, start: Optional[Key], end: Optional[Key],
+    def put_range(self, namespace: str, start: Key, end: Key,
                   limit: Optional[int], reverse: bool, rows: Any,
                   now: float, ttl: float,
                   key_range: Optional[KeyRange] = None) -> Optional[CacheEntry]:
@@ -271,6 +250,7 @@ class StalenessBudgetCache:
         cost = max(1, len(rows))
         if cost > self.capacity:
             return None  # a scan wider than the whole cache is not admissible
+        lead = range_lead(start, end)  # raises before anything is admitted
         token = range_token(namespace, start, end, limit, reverse)
         entry = CacheEntry(
             token=token,
@@ -288,7 +268,7 @@ class StalenessBudgetCache:
         if ranges is None:
             ranges = self._ranges[namespace] = _NamespaceRanges()
         ranges.admitted[token] = None
-        ranges.buckets.setdefault(_shared_lead(start, end), {})[token] = None
+        ranges.buckets.setdefault(lead, {})[token] = None
         self._evict_to_capacity(token)
         return entry
 
@@ -312,8 +292,8 @@ class StalenessBudgetCache:
         writes, and for the written *index* key when the asynchronous updater
         applies index maintenance (so cached query scans covering the changed
         index region are dropped too).  Only the cached scans under the key's
-        leading component, plus the wide ones, are inspected.  Returns the
-        number of entries dropped.
+        leading component are inspected.  Returns the number of entries
+        dropped.
         """
         dropped = 0
         token = entity_token(namespace, key)
@@ -322,12 +302,11 @@ class StalenessBudgetCache:
             dropped += 1
         ranges = self._ranges.get(namespace)
         if ranges is not None:
-            for lead in (key[0], None):
-                # Copied: dropping an entry edits the bucket under iteration.
-                for rtoken in list(ranges.buckets.get(lead, ())):
-                    if self._entries[rtoken].key_range.contains(key):
-                        self._remove(rtoken)
-                        dropped += 1
+            # Copied: dropping an entry edits the bucket under iteration.
+            for rtoken in list(ranges.buckets.get(key[0], ())):
+                if self._entries[rtoken].key_range.contains(key):
+                    self._remove(rtoken)
+                    dropped += 1
         self.stats.invalidations += dropped
         return dropped
 
@@ -342,7 +321,7 @@ class StalenessBudgetCache:
         if covering is not None:
             ranges = self._ranges[entry.namespace]
             del ranges.admitted[token]
-            lead = _shared_lead(covering.start, covering.end)
+            lead = range_lead(covering.start, covering.end)
             bucket = ranges.buckets[lead]
             del bucket[token]
             if not bucket:

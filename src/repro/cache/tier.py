@@ -153,8 +153,8 @@ class CacheTier:
             return None
         return self.store.put_entity(namespace, key, value, self._clock.now, ttl)
 
-    def lookup_range(self, namespace: str, start: Optional[Key],
-                     end: Optional[Key], limit: Optional[int],
+    def lookup_range(self, namespace: str, start: Key, end: Key,
+                     limit: Optional[int],
                      reverse: bool) -> Optional[List[Tuple[Key, Any]]]:
         """Cached rows for one bounded range read under its exact scan
         parameters, or None on miss (see
@@ -162,8 +162,8 @@ class CacheTier:
         return self.store.get_range(namespace, start, end, limit, reverse,
                                     self._clock.now)
 
-    def admit_range(self, namespace: str, start: Optional[Key],
-                    end: Optional[Key], limit: Optional[int], reverse: bool,
+    def admit_range(self, namespace: str, start: Key, end: Key,
+                    limit: Optional[int], reverse: bool,
                     rows: List[Tuple[Key, Any]],
                     key_range: Optional[KeyRange] = None) -> Optional[CacheEntry]:
         """Read-through fill of one compiled-query range read.

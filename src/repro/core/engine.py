@@ -217,7 +217,7 @@ class _QueryReader:
         self.deref_mark = -1
         self.range_latency_total = 0.0
 
-    def range_read(self, namespace: str, start: Optional[Key], end: Optional[Key],
+    def range_read(self, namespace: str, start: Key, end: Key,
                    limit: Optional[int], reverse: bool,
                    ) -> Tuple[List[Tuple[Key, VersionedValue]], float]:
         engine = self._engine
@@ -248,9 +248,9 @@ class _QueryReader:
         self.range_latency_total += result.latency
         if not result.success:
             return [], result.latency
-        # The list the serving node (or the router's merge) built for this
-        # call, not a copy: the executor reads only its keys, and the cache
-        # keeps this same list (and the same KeyRange), so nobody mutates it.
+        # The list the serving node built for this call, not a copy: the
+        # executor reads only its keys, and the cache keeps this same list
+        # (and the same KeyRange), so nobody mutates it.
         if will_admit:
             cache.admit_range(namespace, start, end, limit, reverse, result.rows, key_range)
         return result.rows, result.latency

@@ -20,7 +20,7 @@ class QueryReader(Protocol):
     """The storage one query reads through."""
 
     def range_read(
-        self, namespace: str, start: Optional[Key], end: Optional[Key],
+        self, namespace: str, start: Key, end: Key,
         limit: Optional[int], reverse: bool,
     ) -> Tuple[List[Tuple[Key, Any]], float]:
         """``(entries, latency)`` of one bounded scan: ``(key, stored value)``
@@ -71,11 +71,8 @@ class QueryExecutor:
         start, end = prefix_bounds(prefix)
         if plan.range_bound is not None:
             start, end = self._bounded(plan.range_bound, prefix, start, end, params)
-        limit = plan.limit
         entries, latency = reader.range_read(
-            plan.namespace, start, end, limit, plan.descending)
-        if limit is not None and len(entries) > limit:
-            entries = entries[:limit]
+            plan.namespace, start, end, plan.limit, plan.descending)
         rows: List[Mapping[str, Any]] = []
         dereferences = 0
         if entries:

@@ -11,9 +11,8 @@ durations.  Spans come in two flavours:
 * **on-path** spans, whose durations sum to the operation's recorded
   end-to-end latency (the reconciliation invariant the tests assert), and
 * **off-path** spans (``off_path=True``), kept for context but excluded
-  from the sum — e.g. the losing replica groups of a parallel range
-  fan-out, or the individual dereferences folded into one aggregate
-  ``index_deref`` span.
+  from the sum — e.g. the losing legs of a quorum read, or the individual
+  dereferences folded into one aggregate ``index_deref`` span.
 
 Span ``kind`` taxonomy: ``queue`` (time waiting for a node executor),
 ``service`` (node service time proper), ``network`` (client/node hops),
@@ -180,14 +179,6 @@ class Tracer:
             return
         for span in spans[mark:]:
             span.off_path = True
-
-    def keep_on_path(self, start: int, end: int) -> None:
-        """Within [start, end), re-promote spans to on-path."""
-        spans = self._current_spans
-        if spans is None:
-            return
-        for span in spans[start:end]:
-            span.off_path = False
 
     def end(self, latency: float, success: bool = True) -> Optional[TraceRecord]:
         """Close the open trace and keep it."""

@@ -52,7 +52,7 @@ from repro.storage.partitioner import (
     RangePartitioner,
     partition_token,
 )
-from repro.storage.records import Key, KeyRange, VersionedValue
+from repro.storage.records import Key, VersionedValue
 from repro.storage.replication import ReplicaGroup, ReplicationEngine
 
 
@@ -872,9 +872,6 @@ class Cluster:
         """The owning replica group."""
         # str(key[0]) is partition_token(key), inlined for the hot path.
         return self.groups[self.partitioner.group_for_token(str(key[0]))]
-
-    def groups_for_range(self, key_range: KeyRange) -> List[ReplicaGroup]:
-        return [self.groups[g] for g in self.partitioner.groups_for_range(key_range)]
 
     # ------------------------------------------------------------------- stats
 

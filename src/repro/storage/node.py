@@ -63,7 +63,7 @@ class _NamespaceStore:
             self._sorted_keys.pop(index)
         return True
 
-    def range(self, start: Optional[Key], end: Optional[Key],
+    def range(self, start: Key, end: Key,
               limit: Optional[int] = None,
               reverse: bool = False) -> List[Tuple[Key, VersionedValue]]:
         """The live (key, value) pairs with start <= key < end, in key order.
@@ -76,8 +76,8 @@ class _NamespaceStore:
         and is the caller's to keep.
         """
         keys = self._sorted_keys
-        lo = 0 if start is None else bisect.bisect_left(keys, start)
-        hi = len(keys) if end is None else bisect.bisect_left(keys, end)
+        lo = bisect.bisect_left(keys, start)
+        hi = bisect.bisect_left(keys, end)
         if limit is not None and hi - lo > limit:
             if reverse:
                 lo = hi - limit

@@ -1,9 +1,10 @@
-"""Partitioners: map keys (and bounded key ranges) to replica groups.
+"""Partitioners: map partition keys to replica groups.
 
 SCADS queries are prefix-range lookups keyed by a partition key (typically a
-user id), so both partitioners guarantee that such a range lands on exactly
-one replica group — the paper's "at most one read from a small constant
-number of computers" property.  Two strategies are provided:
+user id).  :func:`~repro.storage.records.range_lead` names the one partition
+key such a range lies under, so it routes like a single key and lands on
+exactly one replica group — the paper's "at most one read from a small
+constant number of computers" property.  Two strategies are provided:
 
 * :class:`ConsistentHashPartitioner` — a hash ring with virtual nodes;
   adding or removing a replica group moves roughly ``1/n`` of the data.
@@ -22,7 +23,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.storage.records import Key, KeyRange, key_part_successor
+from repro.storage.records import Key
 
 
 class PartitionerError(RuntimeError):
@@ -103,10 +104,6 @@ class Partitioner:
         """The replica group responsible for ``key``."""
         return self.group_for_token(str(key[0]))
 
-    def groups_for_range(self, key_range: KeyRange) -> List[str]:
-        """The replica groups a bounded range read must contact."""
-        raise NotImplementedError
-
     def add_group(self, group_id: str) -> None:
         """Register a new replica group so future routing can use it."""
         raise NotImplementedError
@@ -176,30 +173,6 @@ class ConsistentHashPartitioner(Partitioner):
         if index == len(self._ring):
             index = 0
         return self._ring_owners[self._ring[index]]
-
-    def groups_for_range(self, key_range: KeyRange) -> List[str]:
-        if key_range.start is None or key_range.end is None:
-            # Unbounded scans touch everything; only admin tooling does this.
-            return self.groups()
-        if _single_partition_range(key_range):
-            return [self.group_for_token(partition_token(key_range.start))]
-        # A range spanning partition tokens hashes unpredictably; contact all.
-        return self.groups()
-
-
-def _single_partition_range(key_range: KeyRange) -> bool:
-    """True when every key in the range shares the first key component.
-
-    This holds both for multi-component prefix ranges (start and end keep the
-    same first component) and for single-component prefix ranges, whose end is
-    the immediate successor of the start component (so no other first
-    component can fall strictly inside the range).
-    """
-    assert key_range.start is not None and key_range.end is not None
-    start, end = key_range.start, key_range.end
-    if start[0] == end[0]:
-        return True
-    return len(end) == 1 and end[0] == key_part_successor(start[0])
 
 
 class RangePartitioner(Partitioner):
@@ -327,17 +300,3 @@ class RangePartitioner(Partitioner):
 
     def _route_token(self, token: str) -> str:
         return self._owners[self._index_for_token(token)]
-
-    def groups_for_range(self, key_range: KeyRange) -> List[str]:
-        if key_range.start is None or key_range.end is None:
-            return sorted(set(self._owners))
-        start_token = partition_token(key_range.start)
-        end_token = partition_token(key_range.end)
-        start_index = self._index_for_token(start_token)
-        end_index = self._index_for_token(end_token)
-        owners = []
-        for index in range(start_index, end_index + 1):
-            owner = self._owners[index]
-            if owner not in owners:
-                owners.append(owner)
-        return owners

@@ -70,27 +70,39 @@ class VersionedValue:
 class KeyRange:
     """A half-open, contiguous range of keys ``[start, end)`` in one namespace.
 
-    ``start=None`` means unbounded below; ``end=None`` unbounded above.  Key
-    ranges are the unit of partitioning, data movement, and — per the paper's
-    query restriction — the only thing a query is allowed to read.
+    Key ranges are the unit of partitioning, data movement, and — per the
+    paper's query restriction — the only thing a query is allowed to read.
+    Both ends are always bounded; a range a query reads lies under one
+    partition key (see :func:`range_lead`).
     """
 
     namespace: str
-    start: Optional[Key] = None
-    end: Optional[Key] = None
+    start: Key
+    end: Key
 
     def contains(self, key: Key) -> bool:
         """True if ``key`` lies within the range."""
-        if self.start is not None and key < self.start:
-            return False
-        if self.end is not None and key >= self.end:
-            return False
-        return True
+        return self.start <= key < self.end
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        lo = "-inf" if self.start is None else repr(self.start)
-        hi = "+inf" if self.end is None else repr(self.end)
-        return f"{self.namespace}[{lo}, {hi})"
+
+def range_lead(start: Key, end: Key) -> KeyPart:
+    """The leading key component every key of ``[start, end)`` shares — the
+    range's partition key, so the range is one replica group's read.
+
+    Two shapes qualify, the ones :func:`prefix_bounds` and the query
+    executor's sort-column bounds build: ``end`` starts with ``start``'s
+    leading component, or ``end`` is the one-component key holding that
+    component's immediate successor.  For an ``int`` lead ``n`` the second
+    shape also covers float leads in ``(n, n + 1)``; the range is still read
+    from ``n``'s replica group alone.
+
+    Raises:
+        ValueError: for a range spanning several leading components.
+    """
+    lead = start[0]
+    if end[0] == lead or end == (key_part_successor(lead),):
+        return lead
+    raise ValueError(f"range [{start!r}, {end!r}) spans several partition keys")
 
 
 def prefix_bounds(prefix: Key) -> Tuple[Key, Key]:

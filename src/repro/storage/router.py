@@ -3,9 +3,11 @@
 The router translates logical operations (get, put, bounded range read) into
 node interactions: it consults the partitioner, picks a replica, adds network
 hops and node service time, performs asynchronous or quorum replication, and
-reports per-request latency and success.  Session guarantees and consistency
-policy live one layer up (``repro.core.consistency``); the router only offers
-the mechanisms they need (read-from-primary, quorum writes, version metadata).
+reports per-request latency and success.  A range read lies under one
+partition key (:func:`~repro.storage.records.range_lead`), so like a get it
+reads one replica group.  Session guarantees and consistency policy live one
+layer up (``repro.core.consistency``); the router only offers the mechanisms
+they need (read-from-primary, quorum writes, version metadata).
 
 When a targeted migration is in flight for a key (see
 ``repro.storage.cluster.MigrationRecord``), requests against it are
@@ -23,7 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.sim.network import NetworkPartitionError
 from repro.storage.cluster import Cluster
 from repro.storage.node import NodeDownError
-from repro.storage.records import Key, KeyRange, VersionedValue
+from repro.storage.records import Key, KeyRange, VersionedValue, range_lead
 from repro.storage.replication import ReplicaGroup
 
 CLIENT_ENDPOINT = "client"
@@ -383,96 +385,55 @@ class Router:
     ) -> RequestResult:
         """Bounded contiguous range read — the only scan the query layer issues.
 
-        A range one group answered (every prefix scan a compiled query issues
-        on the hash ring) is handed through as the serving node built it:
-        already in scan order, already bounded by ``limit``, the list itself
-        and not a copy.  Only a range that fanned out to several groups is
-        merged, sorted and cut to ``limit`` here.
+        The range lies under one partition key (:func:`range_lead`, which
+        raises ``ValueError`` for a range spanning several), so one replica
+        group answers it.  Its rows are handed through as the serving node
+        built them: in scan order, bounded by ``limit``, the list itself and
+        not a copy.
         """
         now = self._sim.now
-        groups = self._cluster.groups_for_range(key_range)
+        token = str(range_lead(key_range.start, key_range.end))
+        group = self._groups[self._partitioner.group_for_token(token)]
         self._ops["range"] += 1
-        answers: List[List[Tuple[Key, VersionedValue]]] = []  # one per group
-        total_latency = 0.0
         tracer = self._tracer
         traced = tracer is not None and tracer.active
-        # Groups fan out in parallel and the client waits for the slowest, so
-        # only the winning group's spans stay on-path: everything recorded
-        # after this mark is demoted and the winner's slice re-promoted.
-        fanout_mark = tracer.mark() if traced else 0
-        winner_spans = (0, 0)
-        for group in groups:
-            candidates = (group.primary,) if from_primary else self._read_candidates(group)
-            served = False
-            for node_id in candidates:
-                node = self._nodes.get(node_id)
-                if node is None or not node.alive or node.draining:
-                    continue
-                try:
-                    hop = self._network.delay(CLIENT_ENDPOINT, node_id)
-                    rows, service = node.get_range(key_range, now, limit, reverse)
-                except (NetworkPartitionError, NodeDownError):
-                    continue
-                group_mark = tracer.mark() if traced else 0
-                if traced:
-                    queue_wait, base_service = node.split_service(service)
-                    tracer.add("network", 2.0 * hop,
-                               detail=f"group={group.group_id} via {node_id}")
-                    tracer.add("queue", queue_wait)
-                    tracer.add("service", base_service)
-                answers.append(rows)
-                # Multi-group ranges fan out in parallel; the client waits for
-                # the slowest group, not the sum.
-                contribution = 2.0 * hop + service
-                if contribution > total_latency:
-                    total_latency = contribution
-                    if traced:
-                        winner_spans = (group_mark, tracer.mark())
-                served = True
-                break
-            if not served:
-                rows, hop_latency = self._range_migration_fallback(group, key_range,
-                                                                   now, limit, reverse)
-                if rows is not None:
-                    group_mark = tracer.mark() if traced else 0
-                    if traced:
-                        tracer.add("dual_route", hop_latency,
-                                   detail=f"range for group={group.group_id} "
-                                          "served by migration source")
-                    answers.append(rows)
-                    if hop_latency > total_latency:
-                        total_latency = hop_latency
-                        if traced:
-                            winner_spans = (group_mark, tracer.mark())
-                    continue
-                self._ops["failed"] += 1
-                if traced:
-                    tracer.demote_since(fanout_mark)
-                return RequestResult(success=False, latency=total_latency,
-                                     error=f"range unavailable in group {group.group_id}")
-        if len(answers) == 1:
-            all_rows = answers[0]
+        candidates = (group.primary,) if from_primary else self._read_candidates(group)
+        for node_id in candidates:
+            node = self._nodes.get(node_id)
+            if node is None or not node.alive or node.draining:
+                continue
+            try:
+                hop = self._network.delay(CLIENT_ENDPOINT, node_id)
+                rows, service = node.get_range(key_range, now, limit, reverse)
+            except (NetworkPartitionError, NodeDownError):
+                continue
+            if traced:
+                queue_wait, base_service = node.split_service(service)
+                tracer.add("network", 2.0 * hop,
+                           detail=f"group={group.group_id} via {node_id}")
+                tracer.add("queue", queue_wait)
+                tracer.add("service", base_service)
+            latency = 2.0 * hop + service
+            break
         else:
-            all_rows = [row for rows in answers for row in rows]
-            all_rows.sort(key=lambda kv: kv[0], reverse=reverse)
-            if limit is not None:
-                all_rows = all_rows[:limit]
+            rows, latency = self._range_migration_fallback(group, token, key_range,
+                                                           now, limit, reverse)
+            if rows is None:
+                self._ops["failed"] += 1
+                return RequestResult(success=False, latency=0.0,
+                                     error=f"range unavailable in group {group.group_id}")
+            if traced:
+                tracer.add("dual_route", latency,
+                           detail=f"range for group={group.group_id} "
+                                  "served by migration source")
         cluster = self._cluster
         if cluster._load_tracker is not None:  # noqa: SLF001 - router feeds it
-            # Range scans are real partition load too: charge each partition
-            # the scan returned rows from, so query-heavy workloads are
-            # visible to the repartitioner.  An empty scan still touched the
-            # partition holding the range start.
-            tokens = {str(key[0]) for key, _ in all_rows}
-            if not tokens and key_range.start is not None:
-                tokens = {str(key_range.start[0])}
-            for token in tokens:
-                cluster.note_access(key_range.namespace, (token,),
-                                    is_write=False, token=token)
-        if traced:
-            tracer.demote_since(fanout_mark)
-            tracer.keep_on_path(*winner_spans)
-        return RequestResult(success=True, latency=total_latency, rows=all_rows)
+            # Range scans are real partition load too: charge the range's
+            # partition, so query-heavy workloads are visible to the
+            # repartitioner.
+            cluster.note_access(key_range.namespace, (token,),
+                                is_write=False, token=token)
+        return RequestResult(success=True, latency=latency, rows=rows)
 
     # ------------------------------------------------- migration dual-routing
 
@@ -545,18 +506,15 @@ class Router:
                                  value=versioned, node_id=source.primary)
         return None
 
-    def _range_migration_fallback(self, group: ReplicaGroup, key_range: KeyRange,
-                                  now: float, limit: Optional[int],
-                                  reverse: bool):
+    def _range_migration_fallback(self, group: ReplicaGroup, token: str,
+                                  key_range: KeyRange, now: float,
+                                  limit: Optional[int], reverse: bool):
         """Serve a range from a migration source when the owning group cannot.
 
-        Only single-partition ranges (the SCADS query pattern) are eligible:
-        the source holds every key of an in-flight partition token, so its
-        answer for that token's prefix range is complete.
+        Every range lies under one partition ``token``; the source holds
+        every key of an in-flight token, so its answer for the range is
+        complete.
         """
-        if key_range.start is None:
-            return None, 0.0
-        token = str(key_range.start[0])
         for record in self._cluster.active_migrations():
             if record.target_group != group.group_id or token not in record.tokens:
                 continue

@@ -425,13 +425,6 @@ class TestExecutorBatchedDereference:
         if selected_columns:
             assert result.rows[0] == {"v": 1, "nope": None}
 
-    def test_an_overlong_scan_is_cut_to_the_limit(self):
-        plan = self._plan(limit=3)
-        reader = self._reader([])
-        reader.range_read = lambda *scan: (list(self.INDEX_ROWS), 0.001)
-        result = QueryExecutor().execute(plan, {"tag": "t"}, reader)
-        assert result.index_entries_read == result.dereferences == 3
-
     def test_an_empty_scan_dereferences_nothing(self):
         calls = []
         reader = self._reader(calls)

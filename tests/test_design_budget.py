@@ -41,7 +41,7 @@ SRC = ROOT / "src" / "repro"
 MAX_ENGINE_KWARGS = 22
 MAX_ENGINE_LINES = 1051
 MAX_ENGINE_IS_NOT_NONE = 40
-MAX_CLUSTER_LINES = 952
+MAX_CLUSTER_LINES = 949
 # Data movement is three primitives (see cluster.py's "Data movement"): the
 # scans are _misplaced, _copy_store and the range seeding's token census.
 MAX_CLUSTER_SCANS = 3
@@ -52,8 +52,9 @@ MAX_CONTROLLER_KWARGS = 15
 MAX_RUN_CLOSED_LOOP_PARAMETERS = 2
 MAX_MAKE_TARGETS = 14
 MAX_EVENTS_LINES = 70
-MAX_CACHE_STORE_LINES = 351
-MAX_PARTITIONER_LINES = 343
+MAX_CACHE_STORE_LINES = 330
+MAX_PARTITIONER_LINES = 302
+MAX_ROUTER_LINES = 633
 # Settable values: the parameters with a default on an explicit ``__init__``
 # of a class under src/repro/, plus the fields with a default on a ``*Config``
 # dataclass.
@@ -171,6 +172,11 @@ def test_cache_store_module_does_not_grow():
 def test_partitioner_module_does_not_grow():
     source = (SRC / "storage" / "partitioner.py").read_text(encoding="utf-8")
     assert len(source.splitlines()) <= MAX_PARTITIONER_LINES
+
+
+def test_router_module_does_not_grow():
+    source = (SRC / "storage" / "router.py").read_text(encoding="utf-8")
+    assert len(source.splitlines()) <= MAX_ROUTER_LINES
 
 
 @pytest.mark.parametrize("cls", list(MAX_STORAGE_KWARGS), ids=lambda cls: cls.__name__)

@@ -125,15 +125,13 @@ class TestTracer:
         assert tracer.maybe_begin("query", now=0.0)
         mark = tracer.mark()
         tracer.add("service", 0.010)  # loser leg
-        winner_start = tracer.mark()
         tracer.add("service", 0.030)  # winner leg
-        winner_end = tracer.mark()
         tracer.demote_since(mark)
-        tracer.keep_on_path(winner_start, winner_end)
+        tracer.add("index_deref", 0.030)  # the on-path aggregate: the winner
         record = tracer.end(latency=0.030)
         assert record.reconciles()
-        assert record.kind_totals() == {"service": 0.030}
-        assert sum(span.duration for span in record.spans) == pytest.approx(0.040)
+        assert record.kind_totals() == {"index_deref": 0.030}
+        assert sum(span.duration for span in record.spans) == pytest.approx(0.070)
 
     def test_reconciliation_tolerance(self):
         record = TraceRecord(trace_id=0, op="read", start=0.0, latency=0.1,

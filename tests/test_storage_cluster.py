@@ -17,7 +17,7 @@ from repro.storage.partitioner import (
     PartitionerError,
     RangePartitioner,
 )
-from repro.storage.records import KeyRange, prefix_range
+from repro.storage.records import KeyRange, prefix_range, range_lead
 from repro.storage.router import Router
 
 pytestmark = pytest.mark.tier1
@@ -85,11 +85,9 @@ class TestConsistentHashPartitioner:
     def test_prefix_range_routes_to_single_group(self):
         partitioner = hash_ring(["g1", "g2", "g3"])
         key_range = prefix_range("ns", ("user42",))
-        assert len(partitioner.groups_for_range(key_range)) == 1
-
-    def test_unbounded_range_routes_everywhere(self):
-        partitioner = hash_ring(["g1", "g2"])
-        assert set(partitioner.groups_for_range(KeyRange("ns"))) == {"g1", "g2"}
+        token = str(range_lead(key_range.start, key_range.end))
+        assert partitioner.group_for_token(token) == partitioner.group_for_key(
+            "ns", ("user42", "x"))
 
     def test_same_key_same_group_deterministic(self):
         a = hash_ring(["g1", "g2", "g3"])
@@ -110,8 +108,9 @@ class TestRangePartitioner:
             partitioner.group_for_key("ns", ("anything",))
         with pytest.raises(PartitionerError):
             partitioner.partition_for_token("anything")
+        key_range = prefix_range("ns", ("anything",))
         with pytest.raises(PartitionerError):
-            partitioner.groups_for_range(prefix_range("ns", ("anything",)))
+            partitioner.group_for_token(str(range_lead(key_range.start, key_range.end)))
 
     def test_explicit_splits(self):
         partitioner = range_partitioner(["g1", "g2"])
@@ -134,12 +133,6 @@ class TestRangePartitioner:
         partitioner.set_splits(["", "u050"], ["g1", "g2"])
         owners = {partitioner.group_for_token(t) for t in tokens}
         assert owners == {"g1", "g2"}
-
-    def test_range_spanning_splits_contacts_both_groups(self):
-        partitioner = range_partitioner(["g1", "g2"])
-        partitioner.set_splits(["", "m"], ["g1", "g2"])
-        key_range = KeyRange("ns", start=("a",), end=("z",))
-        assert set(partitioner.groups_for_range(key_range)) == {"g1", "g2"}
 
 
 # -------------------------------------------------------------------- cluster
@@ -721,32 +714,42 @@ class TestRouter:
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
     @pytest.mark.parametrize("limit", [None, 1, 3, 50])
-    @pytest.mark.parametrize("span", ["one-group", "three-groups"])
-    def test_range_read_equals_sort_and_slice(self, span, limit, reverse):
-        """A range one group answers is the serving node's list, uncopied; it
-        must be what merging, sorting and cutting every group's answer gives,
-        which is still how a range that fans out is put together."""
-        cluster, router = self._setup(groups=3, replication=2)
+    @pytest.mark.parametrize("cluster_size", ["one-group", "three-groups"])
+    def test_range_read_equals_sort_and_slice(self, cluster_size, limit, reverse):
+        """A range read is its owning group's primary scan, uncopied: in scan
+        order, cut to ``limit``, tombstones skipped, and no other user's rows
+        -- whether every user shares the one group or the users are spread
+        over three."""
+        groups = 1 if cluster_size == "one-group" else 3
+        cluster, router = self._setup(groups=groups, replication=2)
         for user in range(8):
             for day in range(5):
                 router.write("idx", (f"u{user}", day), {"d": day})
         router.delete("idx", ("u3", 1))
         cluster.sim.run_until(cluster.sim.now + 5.0)
-        key_range = (prefix_range("idx", ("u3",)) if span == "one-group"
-                     else KeyRange("idx", ("u0",), ("u9",)))
-        groups = cluster.groups_for_range(key_range)
-        assert len(groups) == (1 if span == "one-group" else 3)
-        expected = []
-        for group in groups:
-            store = cluster.nodes[group.primary]._namespaces["idx"]  # noqa: SLF001
-            expected.extend(store.range(key_range.start, key_range.end, limit, reverse))
-        in_order = sorted(expected, key=lambda row: row[0], reverse=reverse)
-        assert (expected == in_order) == (span == "one-group")
-        expected = in_order if limit is None else in_order[:limit]
+        owners = {cluster.group_for_key("idx", (f"u{user}",)).group_id
+                  for user in range(8)}
+        assert len(owners) == groups
+        key_range = prefix_range("idx", ("u3",))
+        owner = cluster.group_for_key("idx", ("u3",))
+        store = cluster.nodes[owner.primary]._namespaces["idx"]  # noqa: SLF001
+        expected = store.range(key_range.start, key_range.end, limit, reverse)
+        # ``limit`` bounds the entries read: the tombstone at day 1 uses one.
+        days = [0, 1, 2, 3, 4][::-1 if reverse else 1][:limit]
+        assert [key for key, _ in expected] == [("u3", day) for day in days if day != 1]
         result = router.read_range(key_range, limit=limit, reverse=reverse,
                                    from_primary=True)
         assert result.success and result.rows == expected
         assert all(not value.tombstone for _, value in result.rows)
+
+    def test_a_range_spanning_tokens_is_rejected(self):
+        cluster, router = self._setup(groups=3, replication=2)
+        for user in range(8):
+            router.write("idx", (f"u{user}", 0), {"d": 0})
+        cluster.sim.run_until(cluster.sim.now + 5.0)
+        with pytest.raises(ValueError):
+            router.read_range(KeyRange("idx", ("u0",), ("u9",)))
+        assert router.op_counts()["range"] == 0
 
     def test_op_counts_track_operations(self):
         _, router = self._setup()

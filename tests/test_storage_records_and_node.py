@@ -15,7 +15,9 @@ from repro.storage.records import (
     KeyRange,
     VersionedValue,
     key_part_successor,
+    prefix_bounds,
     prefix_range,
+    range_lead,
     validate_key,
 )
 
@@ -85,10 +87,11 @@ class TestKeyRange:
         assert key_range.contains(("b",))
         assert not key_range.contains(("c",))
 
-    def test_unbounded_contains_everything(self):
-        key_range = KeyRange("ns")
-        assert key_range.contains(("zzz", 99))
-        assert key_range.start is None and key_range.end is None
+    def test_both_bounds_are_required(self):
+        with pytest.raises(TypeError):
+            KeyRange("ns")
+        with pytest.raises(TypeError):
+            KeyRange("ns", ("a",))
 
     def test_prefix_range_matches_exact_component_only(self):
         key_range = prefix_range("ns", ("user1",))
@@ -113,6 +116,31 @@ class TestKeyRange:
         assert inside == (other == prefix)
 
 
+class TestRangeLead:
+    """``range_lead`` names the one partition key a range read lies under,
+    for the router and the cache alike."""
+
+    @pytest.mark.parametrize("start, end", [
+        prefix_bounds(("u1", 5)),      # multi-component prefix
+        prefix_bounds(("u1",)),        # one-component prefix, str lead
+        prefix_bounds((7,)),           # one-component prefix, int lead
+        # the executor's BETWEEN shape: prefix + (low,) .. prefix + (high's successor,)
+        (("u1", "03-01"), ("u1", key_part_successor("03-31"))),
+    ], ids=["multi-component", "str-successor", "int-successor", "between"])
+    def test_accepts_the_shapes_queries_build(self, start, end):
+        assert range_lead(start, end) == start[0]
+
+    @pytest.mark.parametrize("start, end", [
+        (("u1",), ("u2",)),
+        (("a", 1), ("b", 0)),
+        (("u1",), ("u1\x00", "x")),
+        ((7,), (9,)),
+    ])
+    def test_rejects_a_range_spanning_two_leads(self, start, end):
+        with pytest.raises(ValueError):
+            range_lead(start, end)
+
+
 # ----------------------------------------------------------------------- node
 
 
@@ -124,7 +152,7 @@ class TestSlottedFrozenRecords:
         vv({"name": "Ada"}, timestamp=3.5, version=4, writer="s1"),
         vv(None, timestamp=1.0, version=2, tombstone=True),
         KeyRange("ns", ("a", 1), ("a", 2)),
-        KeyRange("ns"),
+        KeyRange("ns", ("b",), ("b\x00",)),
     ]
 
     @pytest.mark.parametrize("record", RECORDS, ids=repr)
@@ -140,9 +168,9 @@ class TestSlottedFrozenRecords:
         assert (newer.version, newer.value, newer.timestamp) == (4, {"a": 1}, 2.0)
         assert newer != value and dataclasses.replace(newer, version=3) == value
         key_range = KeyRange("ns", ("a",), ("b",))
-        wider = dataclasses.replace(key_range, end=None)
-        assert wider == KeyRange("ns", ("a",)) and wider.end is None
-        assert hash(wider) == hash(KeyRange("ns", ("a",)))
+        wider = dataclasses.replace(key_range, end=("c",))
+        assert wider == KeyRange("ns", ("a",), ("c",)) and wider.end == ("c",)
+        assert hash(wider) == hash(KeyRange("ns", ("a",), ("c",)))
         assert len({key_range, KeyRange("ns", ("a",), ("b",)), wider}) == 2
         assert hash(vv(1)) == hash(vv(1))  # hashable payloads hash by value
 
@@ -150,9 +178,9 @@ class TestSlottedFrozenRecords:
         with pytest.raises(dataclasses.FrozenInstanceError):
             vv(1).version = 2
         with pytest.raises(dataclasses.FrozenInstanceError):
-            KeyRange("ns").start = ("a",)
+            KeyRange("ns", ("a",), ("b",)).start = ("b",)
         with pytest.raises((AttributeError, TypeError)):
-            object.__setattr__(KeyRange("ns"), "extra", 1)  # no __dict__ to grow
+            object.__setattr__(KeyRange("ns", ("a",), ("b",)), "extra", 1)  # no __dict__ to grow
 
 
 class TestStorageNodeBasics:
