@@ -9,7 +9,11 @@ utilisation factor on top of any base distribution.
 Sampling is *pooled*: scalar draws from a ``numpy.random.Generator`` cost
 over a microsecond each in call overhead, which dominates simulator
 throughput at closed-loop request volumes.  Each model therefore pre-draws a
-vectorized block per generator and hands values out one at a time.  Because
+vectorized block per generator and hands values out one at a time, read
+through a ``memoryview`` of the drawn array: indexing it returns a built-in
+``float`` without building a numpy scalar, and the pool holds no more than
+the block's own doubles (a ``list`` of the same floats would hold about four
+times as much).  Because
 numpy fills distribution arrays element-by-element from the same bit stream,
 the pooled sequence is *identical* to the scalar-draw sequence for a given
 stream (property-tested in ``tests/test_hot_path_perf.py``) — only the
@@ -34,8 +38,9 @@ class LatencyModel:
     """Base class: a latency model returns a per-request service time.
 
     Subclasses implement :meth:`_draw_block` (a vectorized draw of ``size``
-    samples); the base class manages one sample pool per generator so that
-    :meth:`sample` is an array lookup in the common case.
+    float64 samples); the base class manages one sample pool per generator,
+    ``[memoryview of the block, next index]``, so that :meth:`sample` is one
+    buffer lookup in the common case.
     """
 
     POOL_BLOCK = 1024
@@ -65,11 +70,11 @@ class LatencyModel:
         if pool is None:
             pool = pools[rng] = [_EMPTY_BLOCK, 0]
         block, index = pool
-        if index >= block.shape[0]:
-            block = pool[0] = self._draw_block(rng, self.POOL_BLOCK)
+        if index >= len(block):
+            block = pool[0] = memoryview(self._draw_block(rng, self.POOL_BLOCK))
             index = 0
         pool[1] = index + 1
-        return float(block[index])
+        return block[index]
 
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """``count`` service times in draw order, continuing the pooled stream."""
@@ -77,10 +82,10 @@ class LatencyModel:
             return np.empty(0)
         pool = self._pool_for(rng)
         block, index = pool
-        available = block.shape[0] - index
+        available = len(block) - index
         if available >= count:
             pool[1] = index + count
-            return block[index:index + count].copy()
+            return np.array(block[index:index + count])
         out = np.empty(count)
         if available > 0:
             out[:available] = block[index:]
@@ -94,7 +99,7 @@ class LatencyModel:
         raise NotImplementedError
 
 
-_EMPTY_BLOCK = np.empty(0)
+_EMPTY_BLOCK = memoryview(np.empty(0))
 
 
 class ConstantLatency(LatencyModel):
@@ -224,11 +229,11 @@ class QueueingLatency(LatencyModel):
                 service = base.sample(rng) * self._contention
             else:
                 block, index = pool
-                if index >= block.shape[0]:
-                    block = pool[0] = base._draw_block(rng, base.POOL_BLOCK)
+                if index >= len(block):
+                    block = pool[0] = memoryview(base._draw_block(rng, base.POOL_BLOCK))
                     index = 0
                 pool[1] = index + 1
-                service = float(block[index]) * self._contention
+                service = block[index] * self._contention
         if self._tracking:
             self._residual += self.RESIDUAL_ALPHA * (
                 service / self._base_mean - self._residual)

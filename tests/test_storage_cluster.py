@@ -3,7 +3,6 @@ cluster manager, durability, and failure injection."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
 import pickle
 
 import numpy as np
@@ -53,6 +54,15 @@ class TestKeys:
             validate_key((True,))
         with pytest.raises(TypeError):
             validate_key((None,))
+
+    def test_validate_key_accepts_subclasses_of_the_three_but_bool(self):
+        class Name(str):
+            pass
+
+        key = (Name("a"), enum.IntEnum("Day", "MON")(1), np.float64(2.5))
+        assert validate_key(key) is key
+        with pytest.raises(TypeError, match="got bool: False"):
+            validate_key(("a", False))
 
     def test_key_part_successor_string_excludes_longer_strings(self):
         assert "abc" < key_part_successor("abc") < "abcd"
@@ -396,6 +406,82 @@ class TestStorageNodeRanges:
         large, large_latency = node2.get_range(prefix_range("idx", ("u",)), now=1.0)
         assert len(large) == 500
         assert large_latency > small_latency
+
+
+_MODEL_LEADS = ("a", "b", "c", "d")
+_model_keys = st.one_of(
+    st.tuples(st.sampled_from(_MODEL_LEADS)),
+    st.tuples(st.sampled_from(_MODEL_LEADS), st.integers(0, 11)),
+)
+_store_ops = st.one_of(
+    st.tuples(st.just("put"), _model_keys),
+    # A replicated version from up to three steps ago: it may lose LWW.
+    st.tuples(st.just("replica"), _model_keys, st.integers(0, 3)),
+    st.tuples(st.just("tombstone"), _model_keys),
+    st.tuples(st.just("drop"), _model_keys),
+    st.tuples(st.just("range"), st.sampled_from(_MODEL_LEADS),
+              st.one_of(st.none(), st.integers(0, 12)),
+              st.one_of(st.none(), st.integers(0, 12)),
+              st.one_of(st.none(), st.integers(0, 15)), st.booleans()),
+    st.tuples(st.just("scan")),
+)
+
+
+@pytest.mark.property
+class TestNamespaceStoreModel:
+    """A node namespace against a dict + ``sorted()`` reference, whatever
+    mix of writes, replica applies, tombstones, store deletes and ordered
+    reads reaches it (the keys are ordered only when read)."""
+
+    @staticmethod
+    def _expected_range(reference, start, end, limit, reverse):
+        keys = sorted(key for key in reference if start <= key < end)
+        if limit is not None and len(keys) > limit:
+            keys = keys[len(keys) - limit:] if reverse else keys[:limit]
+        if reverse:
+            keys.reverse()
+        return [(key, reference[key]) for key in keys
+                if not reference[key].tombstone]
+
+    @given(ops=st.lists(_store_ops, max_size=150))
+    @settings(deadline=None)
+    def test_matches_a_sorted_dict(self, ops):
+        node = make_node()
+        reference = {}
+        for step, (kind, *args) in enumerate(ops, start=1):
+            now = float(step)
+            if kind == "put":
+                (key,) = args
+                value = reference[key] = vv(step, timestamp=now, version=step)
+                node.put("ns", key, value, now=now)
+            elif kind == "replica":
+                key, age = args
+                value = vv(step, timestamp=now - age, version=step, writer="r")
+                applied = value.wins_over(reference.get(key))
+                assert node.apply_replica_write("ns", key, value) is applied
+                if applied:
+                    reference[key] = value
+            elif kind == "tombstone":
+                (key,) = args
+                tombstone = reference[key] = vv(
+                    None, timestamp=now, version=step, tombstone=True)
+                node.delete("ns", key, tombstone, now=now)
+            elif kind == "drop":
+                (key,) = args
+                assert node._store("ns").delete(key) is (key in reference)
+                reference.pop(key, None)
+            elif kind == "range":
+                lead, low, high, limit, reverse = args
+                start = (lead,) if low is None else (lead, low)
+                end = (lead + "\x00",) if high is None else (lead, high)
+                rows, _ = node.get_range(KeyRange("ns", start, end), now=now,
+                                         limit=limit, reverse=reverse)
+                assert rows == self._expected_range(
+                    reference, start, end, limit, reverse)
+            else:
+                assert node.scan_namespace("ns") == sorted(reference.items())
+        assert node.scan_namespace("ns") == sorted(reference.items())
+        assert node.key_count() == len(reference)
 
 
 class TestStorageNodeLoadModel:
