@@ -191,11 +191,11 @@ class Cluster:
 
     @staticmethod
     def _copy_store(source: StorageNode, dest: StorageNode) -> int:
-        """Copy everything ``source`` holds onto ``dest`` under last-write-wins,
-        in stored order; returns how many values ``dest`` took."""
+        """Copy everything ``source`` holds onto ``dest`` under last-write-wins;
+        returns how many values ``dest`` took."""
         taken = 0
         for namespace in source.namespaces():
-            for key, value in source.unordered_scan(namespace):
+            for key, value in source.scan_namespace(namespace):
                 if dest.apply_replica_write(namespace, key, value):
                     taken += 1
         return taken

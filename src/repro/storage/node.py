@@ -38,10 +38,13 @@ class _NamespaceStore:
     A dict holds the versions; a key list orders them, but only once a read
     needs the order.  ``put`` (and a replica apply) adds a new key to an
     unsorted tail, so storing a copy costs a dict slot and a list append, and
-    a replica that is never range-read never sorts a key.  ``range``,
-    ``items`` and ``delete`` first fold the tail into the sorted list: by
-    ``bisect`` insertion while the tail is shorter than the square root of
-    the sorted list's length, else by one ``list.sort()``.  An insertion
+    a replica that is never range-read and loses no key to data movement
+    never sorts a key.  ``range``, ``items`` and ``delete`` first fold the
+    tail into the sorted list: by ``bisect`` insertion while the tail is
+    shorter than the square root of the sorted list's length, else by one
+    ``list.sort()``.  (A data-movement sweep deletes up to half a store key
+    by key; taking each key out of an unsorted tail would search the tail
+    once per key.)  An insertion
     moves the list's tail once per key; the sort keeps the sorted run and
     compares each of its keys about once.  Measured on CPython 3.11, the
     two cost the same at one to three square roots, from sixteen sorted
@@ -421,15 +424,6 @@ class StorageNode:
         """Full scan of one namespace, used only for data movement and tests."""
         self._check_alive()
         return self._store(namespace).items()
-
-    def unordered_scan(self, namespace: str) -> List[Tuple[Key, VersionedValue]]:
-        """:meth:`scan_namespace` in the order the keys were stored.
-
-        For a whole-store copy: its receiver orders the keys when a read
-        needs them, so the copy does not make this node sort its own.
-        """
-        self._check_alive()
-        return list(self._store(namespace)._data.items())
 
     def namespaces(self) -> List[str]:
         return sorted(self._namespaces.keys())

@@ -15,10 +15,6 @@ KeyPart = Union[str, int, float]
 Key = Tuple[KeyPart, ...]
 
 
-# The exact types almost every key part has: one type test accepts them.
-_PLAIN_KEY_PART_TYPES = frozenset((str, int, float))
-
-
 def validate_key(key: Key) -> Key:
     """Check that a key is a non-empty tuple of comparable primitives."""
     if not isinstance(key, tuple):
@@ -26,9 +22,6 @@ def validate_key(key: Key) -> Key:
     if not key:
         raise ValueError("keys must not be empty")
     for part in key:
-        if type(part) in _PLAIN_KEY_PART_TYPES:
-            continue
-        # Subclasses: any of the three is a key part, except ``bool``.
         if not isinstance(part, (str, int, float)) or isinstance(part, bool):
             raise TypeError(
                 f"key parts must be str, int, or float, got {type(part).__name__}: {part!r}"

@@ -151,8 +151,7 @@ def test_moved_data_reaches_a_group_in_one_place():
     # Cluster._new_node builds every node; a sweep or a whole-store copy is
     # not written out again beside the primitives.
     assert cluster.count("StorageNode(") == 1
-    assert (cluster.count("scan_namespace(") + cluster.count("unordered_scan(")
-            <= MAX_CLUSTER_SCANS)
+    assert cluster.count("scan_namespace(") <= MAX_CLUSTER_SCANS
 
 
 def test_an_event_is_one_heap_entry():

@@ -80,7 +80,6 @@ from repro.sim.randomness import ZipfGenerator
 from repro.sim.simulator import Simulator
 from repro.workloads.social_graph import SocialGraph
 from repro.storage import node as node_module
-from repro.storage.cluster import Cluster
 from repro.storage.node import StorageNode
 from repro.storage.partitioner import (
     ConsistentHashPartitioner,
@@ -674,8 +673,7 @@ class _CountingBisect:
 def test_stored_copies_sort_no_key_until_an_ordered_read(monkeypatch):
     """Primary puts and replica applies only append; the first range read,
     scan and store delete each order their store, by one sort when the tail
-    is long and by insertion when it is short against the sorted keys; a
-    whole-store copy orders nothing on its source."""
+    is long and by insertion when it is short against the sorted keys."""
     counting = _CountingBisect()
     monkeypatch.setattr(node_module, "bisect", counting)
     node = StorageNode("n", np.random.default_rng(0))
@@ -691,10 +689,17 @@ def test_stored_copies_sort_no_key_until_an_ordered_read(monkeypatch):
     rows, _ = node.get_range(KeyRange("ranged", ("u3",), ("u3\x00",)), now=2.0)
     assert [key for key, _ in rows] == [("u3", 0), ("u3", 1), ("u3", 2)]
     assert [key for key, _ in node.scan_namespace("scanned")] == sorted(keys)
-    assert node._store("dropped").delete(("u5", 1))
-    assert [key for key, _ in node.scan_namespace("dropped")] == [
-        key for key in sorted(keys) if key != ("u5", 1)]
     assert counting.calls["insort"] == 0  # each long tail took one sort
+
+    # A delete from a long tail orders the store by one sort, not key by
+    # key; a later delete pops from the sorted keys.
+    dropped = node._store("dropped")
+    assert dropped.delete(("u5", 1))
+    assert dropped._tail == []
+    assert dropped.delete(("u3", 2))
+    assert [key for key, _ in node.scan_namespace("dropped")] == [
+        key for key in sorted(keys) if key not in (("u5", 1), ("u3", 2))]
+    assert counting.calls["insort"] == 0
 
     node.put("ranged", ("u4", 0), version, now=3.0)
     node.apply_replica_write("replica", ("u0", 0), version)
@@ -702,14 +707,8 @@ def test_stored_copies_sort_no_key_until_an_ordered_read(monkeypatch):
     rows, _ = node.get_range(KeyRange("ranged", ("u4",), ("u4\x00",)), now=4.0)
     assert [key for key, _ in rows] == [("u4", 0)]
     assert counting.calls["insort"] == 1  # one key into twelve sorted ones
-
-    # A whole-store copy reads in stored order: the source sorts nothing.
-    fresh = StorageNode("fresh", np.random.default_rng(1))
-    assert Cluster._copy_store(node, fresh) == node.key_count()
+    # Nothing has range-read the replica's store: it has sorted no key.
     assert node._store("replica")._sorted_keys == []
-    assert fresh.scan_namespace("replica") == node.scan_namespace("replica")
-    assert [key for key, _ in node.scan_namespace("replica")] == sorted(
-        keys + [("u0", 0)])
 
 
 @pytest.mark.parametrize("build", MODEL_BUILDERS + [

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import enum
 import pickle
 
 import numpy as np
@@ -54,15 +53,6 @@ class TestKeys:
             validate_key((True,))
         with pytest.raises(TypeError):
             validate_key((None,))
-
-    def test_validate_key_accepts_subclasses_of_the_three_but_bool(self):
-        class Name(str):
-            pass
-
-        key = (Name("a"), enum.IntEnum("Day", "MON")(1), np.float64(2.5))
-        assert validate_key(key) is key
-        with pytest.raises(TypeError, match="got bool: False"):
-            validate_key(("a", False))
 
     def test_key_part_successor_string_excludes_longer_strings(self):
         assert "abc" < key_part_successor("abc") < "abcd"
