@@ -131,7 +131,7 @@ class CacheTier:
             session.note_reads(namespace, hits, hits.values())
         if not hits:
             return hits, 0.0, misses
-        slowest = max(self._hit_latency.sample_many(self._rng, len(hits)).tolist())
+        slowest = self._hit_latency.slowest(self._rng, len(hits))
         rows = {key: value.value if value is not None else None
                 for key, value in hits.items()}
         return rows, slowest, misses

@@ -14,6 +14,7 @@ A compiled query template yields
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, List, Optional, Tuple
 
 INDEX_NAMESPACE_PREFIX = "index:"
@@ -21,16 +22,21 @@ REVERSE_NAMESPACE_PREFIX = "revidx:"
 ENTITY_NAMESPACE_PREFIX = "entity:"
 
 
+# Each namespace string is built once per name: every routed write, in-flight
+# replica update, event name and store lookup then shares one object.
+@cache
 def entity_namespace(entity_name: str) -> str:
     """Storage namespace for an entity set."""
     return ENTITY_NAMESPACE_PREFIX + entity_name
 
 
+@cache
 def index_namespace(index_name: str) -> str:
     """Storage namespace for a query index."""
     return INDEX_NAMESPACE_PREFIX + index_name
 
 
+@cache
 def reverse_index_namespace(name: str) -> str:
     """Storage namespace for an auxiliary reverse index."""
     return REVERSE_NAMESPACE_PREFIX + name

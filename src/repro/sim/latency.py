@@ -40,7 +40,8 @@ class LatencyModel:
     Subclasses implement :meth:`_draw_block` (a vectorized draw of ``size``
     float64 samples); the base class manages one sample pool per generator,
     ``[memoryview of the block, next index]``, so that :meth:`sample` is one
-    buffer lookup in the common case.
+    buffer lookup in the common case and :meth:`slowest` the largest of one
+    slice of it.
     """
 
     POOL_BLOCK = 1024
@@ -51,15 +52,6 @@ class LatencyModel:
     def _draw_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` samples in one vectorized call."""
         raise NotImplementedError
-
-    def _pool_for(self, rng: np.random.Generator) -> list:
-        pools = self._pools
-        if pools is None:
-            pools = self._pools = {}
-        pool = pools.get(rng)
-        if pool is None:
-            pool = pools[rng] = [_EMPTY_BLOCK, 0]
-        return pool
 
     def sample(self, rng: np.random.Generator) -> float:
         """One service time, served from the per-generator pool."""
@@ -76,23 +68,25 @@ class LatencyModel:
         pool[1] = index + 1
         return block[index]
 
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` service times in draw order, continuing the pooled stream."""
-        if count <= 0:
-            return np.empty(0)
-        pool = self._pool_for(rng)
+    def slowest(self, rng: np.random.Generator, count: int) -> float:
+        """The largest of the next ``count`` (at least one) pooled service
+        times.  When the block holds fewer, the rest are drawn as one block
+        of exactly the shortfall and the next read starts a fresh block."""
+        pools = self._pools
+        if pools is None:
+            pools = self._pools = {}
+        pool = pools.get(rng)
+        if pool is None:
+            pool = pools[rng] = [_EMPTY_BLOCK, 0]
         block, index = pool
-        available = len(block) - index
-        if available >= count:
-            pool[1] = index + count
-            return np.array(block[index:index + count])
-        out = np.empty(count)
-        if available > 0:
-            out[:available] = block[index:]
+        end = index + count
+        if end <= len(block):
+            pool[1] = end
+            return max(block[index:end])
         pool[0] = _EMPTY_BLOCK
         pool[1] = 0
-        out[available:] = self._draw_block(rng, count - available)
-        return out
+        return max(block[index:].tolist()
+                   + self._draw_block(rng, end - len(block)).tolist())
 
     def mean(self) -> float:
         """Analytic (or estimated) mean service time, used by the ML features."""
@@ -103,18 +97,16 @@ _EMPTY_BLOCK = memoryview(np.empty(0))
 
 
 class ConstantLatency(LatencyModel):
-    """Always the same service time; useful in tests.  Consumes no randomness."""
+    """Always the same service time; useful in tests.  Consumes no randomness:
+    its block is the one value repeated."""
 
     def __init__(self, value: float) -> None:
         if value < 0:
             raise ValueError(f"latency must be non-negative, got {value}")
         self.value = float(value)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.value
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.full(count, self.value)
+    def _draw_block(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.full(size, self.value)
 
     def mean(self) -> float:
         return self.value
@@ -238,16 +230,6 @@ class QueueingLatency(LatencyModel):
             self._residual += self.RESIDUAL_ALPHA * (
                 service / self._base_mean - self._residual)
         return service / (1.0 - self._utilisation)
-
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        services = self.base.sample_many(rng, count) * self._contention
-        if self._tracking and count > 0:
-            # One EWMA step per sample, compounded: the block mean observed
-            # with weight 1 - (1 - alpha)^count.
-            weight = 1.0 - (1.0 - self.RESIDUAL_ALPHA) ** count
-            self._residual += weight * (
-                float(services.mean()) / self._base_mean - self._residual)
-        return services / (1.0 - self._utilisation)
 
     def mean(self) -> float:
         return self.base.mean() * self._contention / (1.0 - self._utilisation)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -215,13 +216,12 @@ class Cluster:
     def _misplaced(self, node: StorageNode, group_id: str,
                    skip_tokens=()) -> List[Tuple[str, Key, VersionedValue, str]]:
         """Every ``(namespace, key, value, owner_id)`` on ``node`` that
-        ``group_id`` no longer owns, in namespace then key order.
-
-        Ownership is resolved once per *partition token* (a memo over the
-        scan), not once per key — topology churn over a large keyspace was the
-        dominant superlinear cost of long autoscaled runs.  ``skip_tokens``
-        are left alone: the source side of an in-flight migration, whose
-        reclamation is already scheduled.
+        ``group_id`` no longer owns, in namespace then key order (the stores
+        are read unsorted; only the moved keys, whose delivery order is all
+        the simulation sees, are sorted).  Ownership is resolved once per
+        *partition token*, not per key: topology churn over a large keyspace
+        was the dominant superlinear cost of long autoscaled runs.
+        ``skip_tokens`` (an in-flight migration's source side) are left alone.
         """
         group_for_token = self.partitioner.group_for_token
         owner_by_token: Dict[str, str] = {}
@@ -234,6 +234,7 @@ class Cluster:
                     owner = owner_by_token[token] = group_for_token(token)
                 if owner != group_id and token not in skip_tokens:
                     misplaced.append((namespace, key, value, owner))
+        misplaced.sort(key=itemgetter(0, 1))
         return misplaced
 
     def deliver(self, group: ReplicaGroup, source_id: str, namespace: str,
@@ -626,27 +627,25 @@ class Cluster:
         del self.groups[group_id]
 
     def _rebalance(self) -> None:
-        """Move keys whose owner changed to their new replica group, at once.
-
-        A group with no live member is skipped: each of its nodes hands back
-        what it no longer owns when it recovers (:meth:`reconcile_node`).
+        """Move keys whose owner changed to their new replica group, at once,
+        then drop them from the group's live members by one sort-free batch
+        delete per (node, namespace): data movement, not a client delete, so
+        no tombstone.  A group with no live member is skipped: each of its
+        nodes hands back what it no longer owns on recovery (:meth:`reconcile_node`).
         """
-        moved = 0
         for group in list(self.groups.values()):
             live = self.live_members(group.group_id)
             if not live:
                 continue
             source = live[0]
+            moved: Dict[str, List[Key]] = {}
             for namespace, key, value, owner in self._misplaced(source, group.group_id):
                 self.deliver(self.groups[owner], source.node_id, namespace, key, value)
-                for node_id in group.node_ids:
-                    node = self.nodes[node_id]
-                    if node.alive:
-                        # Remove the migrated copy directly; this is data
-                        # movement, not a client delete, so no tombstone.
-                        node._store(namespace).delete(key)  # noqa: SLF001 - cluster owns its nodes
-                moved += 1
-        self._keys_moved_total += moved
+                moved.setdefault(namespace, []).append(key)
+            for node in live:
+                for namespace, keys in moved.items():
+                    node._store(namespace).delete_many(keys)  # noqa: SLF001 - cluster owns its nodes
+            self._keys_moved_total += sum(map(len, moved.values()))
 
     # ---------------------------------------------------------- repartitioning
 

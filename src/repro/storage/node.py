@@ -1,6 +1,6 @@
 """A simulated storage node.
 
-Each node holds per-namespace key/value maps, ordered when read, and models
+Each node holds per-namespace key/value maps, ordered when range-read, and models
 its own request latency.  Latency is load-dependent: the node keeps an
 exponentially weighted estimate of its arrival rate, derives a utilisation
 against its configured capacity, and inflates a base log-normal service time
@@ -12,7 +12,8 @@ detect and correct.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,30 +36,25 @@ class NodeDownError(RuntimeError):
 class _NamespaceStore:
     """An ordered map for one namespace on one node.
 
-    A dict holds the versions; a key list orders them, but only once a read
-    needs the order.  ``put`` (and a replica apply) adds a new key to an
-    unsorted tail, so storing a copy costs a dict slot and a list append, and
-    a replica that is never range-read and loses no key to data movement
-    never sorts a key.  ``range``, ``items`` and ``delete`` first fold the
-    tail into the sorted list: by ``bisect`` insertion while the tail is
-    shorter than the square root of the sorted list's length, else by one
-    ``list.sort()``.  (A data-movement sweep deletes up to half a store key
-    by key; taking each key out of an unsorted tail would search the tail
-    once per key.)  An insertion
-    moves the list's tail once per key; the sort keeps the sorted run and
-    compares each of its keys about once.  Measured on CPython 3.11, the
-    two cost the same at one to three square roots, from sixteen sorted
-    keys to a million.  Point lookups are O(1) and a range scan is
-    O(log n + k) once ordered — the access profile the SCADS query model
-    restricts itself to.
+    A dict holds the versions; a key list orders them, but only once a range
+    read needs the order.  A new key only ever lands at the dict's end, and a
+    delete takes a key out of both structures, so ``_sorted_keys`` is always
+    the dict's first ``len(_sorted_keys)`` keys in key order and the keys
+    added since the last ordered read are the dict's own suffix: storing a
+    copy costs one dict slot, and a store nothing range-reads never sorts a
+    key.  ``range`` folds the suffix in first: by ``bisect`` insertion while
+    it is shorter than the square root of the sorted list's length, else by
+    one ``list.sort()``.  An insertion moves the list's tail once per key;
+    the sort keeps the sorted run and compares each of its keys about once.
+    Measured on CPython 3.11, the two cost the same at one to three square
+    roots, from sixteen sorted keys to a million.  Deletes and scans sort
+    nothing.  Point lookups are O(1) and a range scan is O(log n + k) once
+    ordered — the access profile the SCADS query model restricts itself to.
     """
 
     def __init__(self) -> None:
         self._data: Dict[Key, VersionedValue] = {}
         self._sorted_keys: List[Key] = []
-        # Keys added since the last ordered read, in arrival order; never a
-        # key of ``_sorted_keys`` and never a key twice.
-        self._tail: List[Key] = []
 
     def __len__(self) -> int:
         return len(self._data)
@@ -66,37 +62,42 @@ class _NamespaceStore:
     def _ordered_keys(self) -> List[Key]:
         """Every stored key (tombstones included) in key order."""
         keys = self._sorted_keys
-        tail = self._tail
-        if tail:
-            if len(tail) * len(tail) < len(keys):
+        new = len(self._data) - len(keys)
+        if new:
+            added = islice(reversed(self._data), new)
+            if new * new < len(keys):
                 insort = bisect.insort
-                for key in tail:
+                for key in added:
                     insort(keys, key)
             else:
-                keys += tail
+                keys += added
                 keys.sort()
-            tail.clear()
         return keys
 
     def put(self, key: Key, value: VersionedValue) -> None:
         """Store ``value`` under ``key``."""
-        data = self._data
-        if key not in data:
-            self._tail.append(key)
-        data[key] = value
+        self._data[key] = value
 
     def delete(self, key: Key) -> bool:
-        if key not in self._data:
+        """Drop ``key`` (data movement: no tombstone); False if not stored."""
+        data = self._data
+        if key not in data:
             return False
-        del self._data[key]
-        keys = self._ordered_keys()
-        keys.pop(bisect.bisect_left(keys, key))
+        del data[key]
+        keys = self._sorted_keys
+        index = bisect.bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            del keys[index]
         return True
 
-    def items(self) -> List[Tuple[Key, VersionedValue]]:
-        """Every stored (key, version) pair, tombstones included, in key order."""
+    def delete_many(self, keys: Iterable[Key]) -> None:
+        """Drop each of ``keys`` that is stored, then filter the sorted keys
+        once (a data-movement sweep takes up to half a store at a time)."""
         data = self._data
-        return [(key, data[key]) for key in self._ordered_keys()]
+        for key in keys:
+            data.pop(key, None)
+        if self._sorted_keys:
+            self._sorted_keys = [key for key in self._sorted_keys if key in data]
 
     def range(self, start: Key, end: Key,
               limit: Optional[int] = None,
@@ -110,7 +111,10 @@ class _NamespaceStore:
         result is built in one pass over the bounded slice of the sorted keys
         and is the caller's to keep.
         """
-        keys = self._ordered_keys() if self._tail else self._sorted_keys
+        data = self._data
+        keys = self._sorted_keys
+        if len(keys) != len(data):
+            keys = self._ordered_keys()
         lo = bisect.bisect_left(keys, start)
         hi = bisect.bisect_left(keys, end)
         if limit is not None and hi - lo > limit:
@@ -118,7 +122,6 @@ class _NamespaceStore:
                 lo = hi - limit
             else:
                 hi = lo + limit
-        data = self._data
         scanned = reversed(keys[lo:hi]) if reverse else keys[lo:hi]
         return [(key, value) for key in scanned
                 if not (value := data[key]).tombstone]
@@ -364,7 +367,7 @@ class StorageNode:
         store = self._namespaces.get(namespace)
         if store is None:
             store = self._namespaces[namespace] = _NamespaceStore()
-        store.put(key, value)
+        store._data[key] = value
         return self._latency.sample(self._rng)
 
     def apply_replica_write(self, namespace: str, key: Key, value: VersionedValue) -> bool:
@@ -380,13 +383,11 @@ class StorageNode:
         store = self._namespaces.get(namespace)
         if store is None:
             store = self._namespaces[namespace] = _NamespaceStore()
-        # The one probe that fetches the current version for last-write-wins
-        # also says whether the key is new, so the store is written in place.
+        # One probe fetches the current version for last-write-wins; the
+        # store is then written in place.
         data = store._data
         current = data.get(key)
-        if current is None:
-            store._tail.append(key)
-        elif not value.wins_over(current):
+        if current is not None and not value.wins_over(current):
             return False
         data[key] = value
         return True
@@ -421,9 +422,11 @@ class StorageNode:
         return rows, latency
 
     def scan_namespace(self, namespace: str) -> List[Tuple[Key, VersionedValue]]:
-        """Full scan of one namespace, used only for data movement and tests."""
+        """Every stored (key, version) pair of one namespace, tombstones
+        included, in storage order (not key order: it sorts nothing).  Used
+        only for data movement and tests."""
         self._check_alive()
-        return self._store(namespace).items()
+        return list(self._store(namespace)._data.items())
 
     def namespaces(self) -> List[str]:
         return sorted(self._namespaces.keys())

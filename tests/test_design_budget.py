@@ -27,7 +27,7 @@ from repro.core.query.executor import QueryResult
 from repro.experiments.harness import run_closed_loop
 from repro.metrics.sla import ComplianceWindow
 from repro.storage.cluster import Cluster
-from repro.storage.node import StorageNode
+from repro.storage.node import StorageNode, _NamespaceStore
 from repro.storage.records import KeyRange, VersionedValue
 from repro.storage.replication import PropagationRecord, ReplicationEngine
 from repro.storage.router import ReadOutcome, RequestResult, Router
@@ -152,6 +152,25 @@ def test_moved_data_reaches_a_group_in_one_place():
     # not written out again beside the primitives.
     assert cluster.count("StorageNode(") == 1
     assert cluster.count("scan_namespace(") <= MAX_CLUSTER_SCANS
+
+
+def test_a_node_store_is_its_dict():
+    # A store is its dict plus the sorted prefix of its keys: the keys no
+    # range read has ordered yet are the dict's own suffix, so no second key
+    # list is kept beside them.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(_NamespaceStore)))
+    assigned = {}
+    for method in ast.walk(tree):
+        if isinstance(method, ast.FunctionDef):
+            assigned[method.name] = {
+                target.attr for node in ast.walk(method)
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                if isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name) and target.value.id == "self"}
+    assert assigned["__init__"] == {"_data", "_sorted_keys"}
+    assert set().union(*assigned.values()) == {"_data", "_sorted_keys"}
 
 
 def test_an_event_is_one_heap_entry():

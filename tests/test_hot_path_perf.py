@@ -39,9 +39,9 @@ versions stay per key and last-write-wins orders what a shared version
 stores exactly as before.
 
 An eighth: **a stored copy costs a dict slot** — a node store orders its keys
-only when a range read, a scan or a store delete needs the order (counted
-through the node module's ``bisect``), every pooled sample is a built-in
-``float``, and a pool holds about one block of doubles (``tracemalloc``).
+only when a range read needs the order (counted through the node module's
+``bisect``), every pooled sample is a built-in ``float``, and a pool holds
+about one block of doubles (``tracemalloc``).
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ from repro.storage.partitioner import (
     RangePartitioner,
 )
 from repro.storage.records import KeyRange, VersionedValue
-from repro.storage.replication import ReplicaGroup, ReplicationEngine
+from repro.storage.replication import PropagationRecord, ReplicaGroup, ReplicationEngine
 
 pytestmark = [pytest.mark.tier1, pytest.mark.property]
 
@@ -156,13 +156,21 @@ def test_pooled_sampler_matches_scalar_draws(build, seed, count):
        bulk=st.integers(min_value=1, max_value=1500))
 @settings(deadline=None)
 def test_sample_many_continues_the_pooled_stream(build, seed, split, bulk):
-    """Interleaving scalar draws with ``sample_many`` preserves draw order."""
+    """``slowest``, the one read of many samples at once, returns the largest
+    of the next ``bulk`` values as a built-in ``float`` and leaves the pooled
+    stream where ``bulk`` scalar draws would, whether or not it crosses a
+    block."""
     model = build()
     rng_pooled = np.random.default_rng(seed)
     head = [model.sample(rng_pooled) for _ in range(split)]
-    tail = model.sample_many(rng_pooled, bulk).tolist()
-    reference = _scalar_reference(build(), np.random.default_rng(seed), split + bulk)
-    assert head + tail == pytest.approx(reference)
+    slowest = model.slowest(rng_pooled, bulk)
+    after = [model.sample(rng_pooled) for _ in range(3)]
+    reference = _scalar_reference(build(), np.random.default_rng(seed),
+                                  split + bulk + 3)
+    assert type(slowest) is float
+    assert head == reference[:split]
+    assert slowest == max(reference[split:split + bulk])
+    assert after == reference[split + bulk:]
 
 
 def test_queueing_latency_pools_through_base():
@@ -652,6 +660,36 @@ def test_a_delete_and_re_create_at_one_instant_keeps_last_write_wins():
 
 
 
+def test_a_namespace_string_is_built_once():
+    """Every queued replica update holds its namespace's one string: after a
+    settled load, new writes queue index maintenance, and once the queue is
+    drained the in-flight propagations carry no more distinct namespace
+    objects than namespaces, each the object its spec names."""
+    assert entity_namespace("profiles") is entity_namespace("profiles")
+    engine = Scads(seed=5, autoscale=False, initial_groups=2)
+    app = SocialNetworkApp(engine)
+    engine.start()
+    app.load_graph(SocialGraph(40, np.random.default_rng(3), max_friends=6,
+                               mean_friends=3.0))
+    engine.settle()
+    app.add_friendship("u0", "u7")
+    app.update_profile("u3", birthday="01-02")
+    assert engine.flush_indexes() > 0
+    records = [entry[3] for entry in engine.sim.queue._heap
+               if isinstance(entry[3], PropagationRecord)]
+    namespaces = {record.namespace for record in records}
+    assert any(name.startswith(INDEX_NAMESPACE_PREFIX) for name in namespaces)
+    assert len({id(record.namespace) for record in records}) == len(namespaces)
+    specs = {entity_namespace(name) for name in ("profiles", "friendships")}
+    for name in ("friends", "friend_birthdays"):
+        compiled = engine.compiled_query(name)
+        specs.add(compiled.index_spec.namespace)
+        specs.update(spec.namespace for spec in compiled.reverse_indexes)
+    by_value = {name: name for name in specs}
+    for record in records:
+        assert record.namespace is by_value.get(record.namespace), record.namespace
+
+
 # ------------------------------------------------- a stored copy costs a dict slot
 
 
@@ -671,9 +709,10 @@ class _CountingBisect:
 
 
 def test_stored_copies_sort_no_key_until_an_ordered_read(monkeypatch):
-    """Primary puts and replica applies only append; the first range read,
-    scan and store delete each order their store, by one sort when the tail
-    is long and by insertion when it is short against the sorted keys."""
+    """Primary puts and replica applies are one dict store each; scans, store
+    deletes and batch deletes order no key; only a range read orders its
+    store, by one sort when the keys added since its last ordered read are
+    many and by insertion when they are few against the sorted keys."""
     counting = _CountingBisect()
     monkeypatch.setattr(node_module, "bisect", counting)
     node = StorageNode("n", np.random.default_rng(0))
@@ -688,17 +727,27 @@ def test_stored_copies_sort_no_key_until_an_ordered_read(monkeypatch):
 
     rows, _ = node.get_range(KeyRange("ranged", ("u3",), ("u3\x00",)), now=2.0)
     assert [key for key, _ in rows] == [("u3", 0), ("u3", 1), ("u3", 2)]
-    assert [key for key, _ in node.scan_namespace("scanned")] == sorted(keys)
-    assert counting.calls["insort"] == 0  # each long tail took one sort
+    assert counting.calls["insort"] == 0  # twelve new keys took one sort
+    ranged = node._store("ranged")
+    assert ranged._sorted_keys == sorted(keys)
 
-    # A delete from a long tail orders the store by one sort, not key by
-    # key; a later delete pops from the sorted keys.
+    # A scan reads storage order; a delete or a batch delete of keys no
+    # range read has ordered only drops them from the dict.
+    assert [key for key, _ in node.scan_namespace("scanned")] == keys
     dropped = node._store("dropped")
     assert dropped.delete(("u5", 1))
-    assert dropped._tail == []
-    assert dropped.delete(("u3", 2))
+    dropped.delete_many([("u3", 2), ("u1", 0), ("absent", 0)])
     assert [key for key, _ in node.scan_namespace("dropped")] == [
-        key for key in sorted(keys) if key not in (("u5", 1), ("u3", 2))]
+        key for key in keys if key not in (("u5", 1), ("u3", 2), ("u1", 0))]
+    assert node._store("scanned")._sorted_keys == dropped._sorted_keys == []
+    # Deleting ordered keys takes them out of the sorted list as it stands;
+    # deleting a key stored since leaves the sorted list alone.
+    assert ranged.delete(("u9", 0))
+    ranged.delete_many([("u1", 1), ("u5", 2)])
+    node.put("ranged", ("u2", 0), version, now=2.5)
+    assert ranged.delete(("u2", 0))
+    assert ranged._sorted_keys == sorted(
+        set(keys) - {("u9", 0), ("u1", 1), ("u5", 2)})
     assert counting.calls["insort"] == 0
 
     node.put("ranged", ("u4", 0), version, now=3.0)
@@ -706,7 +755,7 @@ def test_stored_copies_sort_no_key_until_an_ordered_read(monkeypatch):
     assert counting.calls["insort"] == 0
     rows, _ = node.get_range(KeyRange("ranged", ("u4",), ("u4\x00",)), now=4.0)
     assert [key for key, _ in rows] == [("u4", 0)]
-    assert counting.calls["insort"] == 1  # one key into twelve sorted ones
+    assert counting.calls["insort"] == 1  # one key into nine sorted ones
     # Nothing has range-read the replica's store: it has sorted no key.
     assert node._store("replica")._sorted_keys == []
 

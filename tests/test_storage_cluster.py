@@ -481,6 +481,24 @@ class TestCopyStore:
         assert fresh.scan_namespace("ns") == source.scan_namespace("ns")
 
 
+def test_misplaced_keys_come_in_namespace_then_key_order():
+    """A sweep reads each store unsorted; the keys it moves are handed on
+    in namespace then key order, whatever order they were stored in."""
+    cluster = make_cluster(groups=1, replication=2, partitioner_kind="hash")
+    router = Router(cluster)
+    keys = [(f"user{(i * 37) % 60:03d}",) for i in range(60)]
+    for namespace in ("ns-b", "ns-a"):
+        for key in keys:
+            assert router.write(namespace, key, 1).success
+    source = cluster.nodes[cluster.groups["group-0"].primary]
+    assert [key for key, _ in source.scan_namespace("ns-a")] == keys
+    cluster.partitioner.add_group("elsewhere")  # ownership moves, data not
+    moved = [(namespace, key) for namespace, key, *_
+             in cluster._misplaced(source, "group-0")]
+    assert 0 < len(moved) < 120
+    assert moved == sorted(moved)
+
+
 # One property over every way the cluster moves data, checked against a dict.
 
 _NS = "ns"

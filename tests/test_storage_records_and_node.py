@@ -7,7 +7,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.storage.node import NodeDownError, StorageNode
@@ -291,7 +291,7 @@ class TestStorageNodeWriteAccounting:
         assert self._deltas(node, before) == (new_keys, True)
         assert node.peek("ns", self.KEY) is incoming
         assert node.key_count() == 2
-        assert [key for key, _ in node.scan_namespace("ns")] == [self.KEY, ("other",)]
+        assert sorted(key for key, _ in node.scan_namespace("ns")) == [self.KEY, ("other",)]
 
     @pytest.mark.parametrize("present,incoming,applied,new_keys", [
         (None, vv("incoming", timestamp=1.0), True, 1),
@@ -310,7 +310,7 @@ class TestStorageNodeWriteAccounting:
         assert self._deltas(node, before) == (new_keys, False)
         stored = node.peek("ns", self.KEY, include_tombstones=True)
         assert stored is (incoming if applied else present)
-        assert [key for key, _ in node.scan_namespace("ns")] == [self.KEY, ("other",)]
+        assert sorted(key for key, _ in node.scan_namespace("ns")) == [self.KEY, ("other",)]
 
     def test_apply_replica_write_opens_a_new_namespace(self):
         node, before = self._node(None)
@@ -403,25 +403,35 @@ _model_keys = st.one_of(
     st.tuples(st.sampled_from(_MODEL_LEADS)),
     st.tuples(st.sampled_from(_MODEL_LEADS), st.integers(0, 11)),
 )
-_store_ops = st.one_of(
+_store_writes = st.one_of(
     st.tuples(st.just("put"), _model_keys),
     # A replicated version from up to three steps ago: it may lose LWW.
     st.tuples(st.just("replica"), _model_keys, st.integers(0, 3)),
     st.tuples(st.just("tombstone"), _model_keys),
     st.tuples(st.just("drop"), _model_keys),
+    # One of the last keys stored: most likely one no range read has ordered.
+    st.tuples(st.just("drop_new"), st.integers(0, 3)),
+    st.tuples(st.just("drop_many"), st.lists(_model_keys, max_size=8)),
+    st.tuples(st.just("scan")),
+)
+_store_ops = st.one_of(
+    _store_writes,
     st.tuples(st.just("range"), st.sampled_from(_MODEL_LEADS),
               st.one_of(st.none(), st.integers(0, 12)),
               st.one_of(st.none(), st.integers(0, 12)),
               st.one_of(st.none(), st.integers(0, 15)), st.booleans()),
-    st.tuples(st.just("scan")),
 )
 
 
 @pytest.mark.property
 class TestNamespaceStoreModel:
-    """A node namespace against a dict + ``sorted()`` reference, whatever
-    mix of writes, replica applies, tombstones, store deletes and ordered
-    reads reaches it (the keys are ordered only when read)."""
+    """A node namespace against a dict, whatever mix of writes, replica
+    applies, tombstones, store deletes, batch deletes, scans and range reads
+    reaches it.  The dict model keeps the same insertion order as the store,
+    so a scan (storage order) equals its items, and after every step the
+    store's sorted keys are exactly the model's first ``len(_sorted_keys)``
+    keys in key order: the keys no range read has ordered yet are always the
+    dict's own suffix."""
 
     @staticmethod
     def _expected_range(reference, start, end, limit, reverse):
@@ -433,9 +443,9 @@ class TestNamespaceStoreModel:
         return [(key, reference[key]) for key in keys
                 if not reference[key].tombstone]
 
-    @given(ops=st.lists(_store_ops, max_size=150))
-    @settings(deadline=None)
-    def test_matches_a_sorted_dict(self, ops):
+    def _replay(self, ops):
+        """Apply ``ops`` to a node and to the dict model, checking the store
+        after every step; yields after each step so callers can add checks."""
         node = make_node()
         reference = {}
         for step, (kind, *args) in enumerate(ops, start=1):
@@ -456,10 +466,18 @@ class TestNamespaceStoreModel:
                 tombstone = reference[key] = vv(
                     None, timestamp=now, version=step, tombstone=True)
                 node.delete("ns", key, tombstone, now=now)
-            elif kind == "drop":
+            elif kind in ("drop", "drop_new"):
                 (key,) = args
+                if kind == "drop_new":
+                    stored = list(reference)
+                    key = stored[-1 - key] if key < len(stored) else ("none",)
                 assert node._store("ns").delete(key) is (key in reference)
                 reference.pop(key, None)
+            elif kind == "drop_many":
+                (keys,) = args
+                node._store("ns").delete_many(keys)
+                for key in keys:
+                    reference.pop(key, None)
             elif kind == "range":
                 lead, low, high, limit, reverse = args
                 start = (lead,) if low is None else (lead, low)
@@ -469,9 +487,29 @@ class TestNamespaceStoreModel:
                 assert rows == self._expected_range(
                     reference, start, end, limit, reverse)
             else:
-                assert node.scan_namespace("ns") == sorted(reference.items())
-        assert node.scan_namespace("ns") == sorted(reference.items())
+                assert node.scan_namespace("ns") == list(reference.items())
+            store = node._store("ns")
+            ordered = store._sorted_keys
+            assert ordered == sorted(list(reference)[:len(ordered)])
+            yield node, store
+        assert node.scan_namespace("ns") == list(reference.items())
         assert node.key_count() == len(reference)
+
+    @given(ops=st.lists(_store_ops, max_size=150))
+    # A key stored after a range read, below an ordered key, then deleted.
+    @example(ops=[("put", ("b",)), ("put", ("c",)),
+                  ("range", "b", None, None, None, False),
+                  ("put", ("a",)), ("drop_new", 0)])
+    @settings(deadline=None)
+    def test_matches_a_sorted_dict(self, ops):
+        for _ in self._replay(ops):
+            pass
+
+    @given(ops=st.lists(_store_writes, max_size=150))
+    @settings(deadline=None)
+    def test_a_store_nothing_range_reads_sorts_no_key(self, ops):
+        for _, store in self._replay(ops):
+            assert store._sorted_keys == []
 
 
 class TestStorageNodeLoadModel:
