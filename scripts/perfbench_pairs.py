@@ -212,6 +212,9 @@ def main() -> int:
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    # The report hands each side's files to --compare as one comma-joined list.
+    if args.out is not None and "," in str(args.out):
+        parser.error(f"--out must not contain a comma: {args.out}")
 
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
         spec = json.load(handle)

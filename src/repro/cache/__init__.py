@@ -12,21 +12,17 @@ is ever served beyond its declared budget.
 Pieces:
 
 * :mod:`repro.cache.store` — capacity-bounded LRU + TTL store;
-* :mod:`repro.cache.policy` — admission/bypass policy derived from the
-  :class:`~repro.core.consistency.spec.ConsistencySpec` and the caller's
-  session guarantees;
 * :mod:`repro.cache.tier` — the :class:`~repro.cache.tier.CacheTier` facade
-  the engine embeds (``Scads(cache=...)``), with write-through invalidation
-  wired into the engine's entity write path and the asynchronous index
-  updater.
+  the engine embeds (``Scads(cache=...)``): the TTLs and session bypasses it
+  derives from the :class:`~repro.core.consistency.spec.ConsistencySpec` and
+  the caller's session guarantees, with write-through invalidation wired into
+  the engine's entity write path and the asynchronous index updater.
 """
 
-from repro.cache.policy import AdmissionPolicy
 from repro.cache.store import CacheEntry, CacheStats, StalenessBudgetCache
 from repro.cache.tier import CacheConfig, CacheTier
 
 __all__ = [
-    "AdmissionPolicy",
     "CacheConfig",
     "CacheEntry",
     "CacheStats",

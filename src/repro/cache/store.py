@@ -16,8 +16,8 @@ range's partition key (:func:`~repro.storage.records.range_lead`), so finding
 the cached scans that contain a written key (invalidation) inspects one small
 bucket instead of every cached scan of the namespace.
 
-Every entry carries an absolute expiry time derived by the admission policy
-from the governing staleness bound (see :mod:`repro.cache.policy`); expired
+Every entry carries an absolute expiry time the cache tier derives from the
+governing staleness bound (see :mod:`repro.cache.tier`); expired
 entries are treated as misses and reclaimed lazily.  Capacity is measured in
 *rows* (a range entry costs as many units as it holds rows) so a handful of
 wide scans cannot silently dwarf thousands of entity entries.
@@ -190,8 +190,8 @@ class StalenessBudgetCache:
 
         One hit or one miss is counted per call.  A miss also reclaims the
         expired entries at the head of the namespace's admission order, at
-        most ``RECLAIM_CAP`` per call — with the one range TTL the admission
-        policy derives, admission order is expiry order, so that is every
+        most ``RECLAIM_CAP`` per call — with the one range TTL the cache tier
+        derives, admission order is expiry order, so that is every
         expired scan of the namespace.
         """
         entry = self._entries.get(range_token(namespace, start, end, limit, reverse))

@@ -1,6 +1,7 @@
 """The cache tier facade the engine embeds (``Scads(cache=...)``).
 
-:class:`CacheTier` bundles the store and the admission policy, wires the
+:class:`CacheTier` is where the declarative consistency specification becomes
+a cache contract.  It bundles the store with that contract, wires the
 engine's write paths into invalidations, and owns the *latency model* of a
 cache hit: a hit is served from the front tier's memory without touching the
 cluster, so it samples a sub-millisecond log-normal service time from
@@ -22,7 +23,31 @@ The split matters for the staleness contract: a cached query scan keeps
 serving the *pre-write* rows between the base write and the moment its index
 maintenance is applied — which is precisely the asynchrony the declared
 staleness bound already permits (the updater's deadline is that bound), and
-the TTL derived in :mod:`repro.cache.policy` caps the exposure independently.
+the TTL the tier derives from that bound caps the exposure independently.
+
+The contract:
+
+* **Headroom** — the staleness bound of the governing
+  :class:`~repro.core.consistency.spec.ReadConsistency` is cut by a
+  propagation headroom of 10 % of the bound, capped at 2 seconds.  The
+  headroom absorbs the asynchronous machinery between a write and its
+  visibility (replica propagation, invalidation ordering), so a cached answer
+  served at the very end of its TTL still sits inside the declared bound.
+  The bound is always positive, so some budget is always left.
+* **TTLs** — "stale data gone within B seconds" makes an entry servable for
+  ``B - headroom`` seconds *minus any staleness the value already carried
+  when it was read*.  The engine's consistency-aware read path knows that
+  carried staleness exactly (it peeks the primary to enforce the bound) and
+  passes it to :meth:`CacheTier.admit_entity`; reads whose staleness could
+  not be verified (primary unreachable) are never admitted.
+* **Session bypass** — Terry-style session guarantees outrank the staleness
+  budget.  A read-your-writes session that has written a key must not be
+  handed a cached value older than its own write, and a monotonic-reads
+  session must never go backwards; a value the session's
+  :meth:`~repro.core.consistency.sessions.Session.acceptable` rejects is a
+  bypass, read through the cluster.  The engine passes a session only when it
+  guarantees something (:meth:`~repro.core.consistency.sessions.SessionManager.get`),
+  so a lookup without one accepts every live entry.
 """
 
 from __future__ import annotations
@@ -30,18 +55,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.cache.policy import AdmissionPolicy
 from repro.cache.store import CacheEntry, StalenessBudgetCache, entity_token
 from repro.core.consistency.sessions import Session
 from repro.core.consistency.spec import ConsistencySpec
 from repro.sim.latency import LogNormalLatency
 from repro.sim.simulator import Simulator
-from repro.storage.records import Key, KeyRange
+from repro.storage.records import Key, KeyRange, VersionedValue
 
 # Log-normal service time of a cache hit — a front-tier memory lookup, orders
 # of magnitude below a routed cluster read.
 HIT_LATENCY_MEDIAN = 0.0005
 HIT_LATENCY_SIGMA = 0.3
+
+# Seconds cut from the staleness bound before it is spent on TTLs: 10 % of the
+# bound, capped at 2 seconds — enough to cover replica propagation in the
+# simulation while leaving most of the declared budget exploitable.
+HEADROOM_FRACTION = 0.1
+HEADROOM_CAP = 2.0
 
 
 @dataclass(frozen=True)
@@ -66,7 +96,11 @@ class CacheTier:
                  simulator: Simulator) -> None:
         self.config = config
         self.store = StalenessBudgetCache(capacity=config.capacity)
-        self.policy = AdmissionPolicy(spec)
+        bound = spec.read.staleness_bound
+        #: Seconds a freshly-read value may be served from cache: the bound
+        #: less its propagation headroom (> 0, since ReadConsistency rejects
+        #: a bound <= 0).
+        self.servable_budget = bound - min(HEADROOM_FRACTION * bound, HEADROOM_CAP)
         self._clock = simulator.clock
         self._hit_latency = LogNormalLatency(
             median=HIT_LATENCY_MEDIAN, sigma=HIT_LATENCY_SIGMA)
@@ -78,9 +112,13 @@ class CacheTier:
         """Service time of one cache hit (no cluster involvement)."""
         return self._hit_latency.sample(self._rng)
 
-    def lookup_entity(self, namespace: str, key: Key,
-                      session: Optional[Session]) -> Optional[CacheEntry]:
-        """The live cached entry for an entity get, or None on miss/bypass.
+    def lookup_entity(
+        self, namespace: str, key: Key, session: Optional[Session],
+    ) -> Optional[Tuple[Optional[VersionedValue], float]]:
+        """Serve one entity get from the cache: ``(value, latency)`` on a hit
+        — the cached version (None is a cached negative result) and the hit's
+        service time, with the session's ``note_read`` run first, exactly as
+        a cluster read would — or None on a miss or a bypass.
 
         A value the caller's session guarantees reject is a *bypass*: the
         entry stays cached for other sessions, but this read must go to the
@@ -89,10 +127,13 @@ class CacheTier:
         entry = self.store.get(entity_token(namespace, key), self._clock.now)
         if entry is None:
             return None
-        if not self.policy.session_allows(session, namespace, key, entry.value):
-            self._reclassify_as_misses(1)
-            return None
-        return entry
+        value = entry.value
+        if session is not None:
+            if not session.acceptable(namespace, key, value):
+                self._reclassify_as_misses(1)
+                return None
+            session.note_read(namespace, key, value)
+        return value, self.sample_hit_latency()
 
     def _reclassify_as_misses(self, bypasses: int) -> None:
         # Each bypassed lookup was counted as a hit, but its read goes to the
@@ -107,8 +148,7 @@ class CacheTier:
         """Serve a query's dereference list from the cache in one pass.
 
         Each distinct key is looked up once, in first-occurrence order, with
-        the effects of :meth:`lookup_entity` followed — on a hit — by the
-        session's ``note_read`` and :meth:`sample_hit_latency`; the hit
+        the effects of one :meth:`lookup_entity` call per key; the hit
         latencies are drawn together afterwards, which continues the pooled
         stream in the same order.  Returns ``(rows, slowest, misses)``: the
         stored row itself under every served key — the read-only mapping the
@@ -120,14 +160,13 @@ class CacheTier:
         distinct = dict.fromkeys(keys)
         hits, misses = self.store.get_entities(namespace, distinct, self._clock.now)
         if session is not None and hits:
-            if self.policy.session_checks(session):
-                rejected = [key for key, value in hits.items()
-                            if not session.acceptable(namespace, key, value)]
-                if rejected:
-                    for key in rejected:
-                        del hits[key]
-                    self._reclassify_as_misses(len(rejected))
-                    misses = [key for key in distinct if key not in hits]
+            rejected = [key for key, value in hits.items()
+                        if not session.acceptable(namespace, key, value)]
+            if rejected:
+                for key in rejected:
+                    del hits[key]
+                self._reclassify_as_misses(len(rejected))
+                misses = [key for key in distinct if key not in hits]
             session.note_reads(namespace, hits, hits.values())
         if not hits:
             return hits, 0.0, misses
@@ -142,13 +181,12 @@ class CacheTier:
         seconds behind the primary when it was served (None = unverified,
         never admitted).
 
-        The entry is servable for what is left of the policy's budget — its
-        :meth:`~repro.cache.policy.AdmissionPolicy.entity_ttl`, worked out
-        here because one fill is admitted per cluster-served dereference.
+        The entry is servable for what is left of :attr:`servable_budget`
+        after the staleness it carried.
         """
         if known_staleness is None or known_staleness < 0:
             return None
-        ttl = self.policy.servable_budget - known_staleness
+        ttl = self.servable_budget - known_staleness
         if ttl <= 0:
             return None
         return self.store.put_entity(namespace, key, value, self._clock.now, ttl)
@@ -168,11 +206,15 @@ class CacheTier:
                     key_range: Optional[KeyRange] = None) -> Optional[CacheEntry]:
         """Read-through fill of one compiled-query range read.
 
-        The rows must come from a primary read: apply-time index invalidation
+        The entry lives the whole :attr:`servable_budget`.  That is sound
+        because the rows come from a primary read, so they can only be missing
+        index writes still pending in the updater's deadline queue —
+        staleness the declared bound already grants — and the moment any such
+        write is applied, :meth:`note_index_write` drops the covering cached
+        scans.  A replica's view would not do: apply-time index invalidation
         has already fired for writes a lagging replica may still be missing,
-        so caching a replica's view could keep superseded rows alive for a
-        full TTL with nothing left to evict them.  The TTL derivation in
-        :meth:`AdmissionPolicy.range_ttl` relies on it.
+        so caching it could keep superseded rows alive for a full TTL with
+        nothing left to evict them.
         The entry keeps ``rows`` itself, not a copy (lookups hand out copies),
         so the caller must not mutate the list afterwards; a caller that
         already built the scan's ``KeyRange(namespace, start, end)`` passes it
@@ -180,7 +222,7 @@ class CacheTier:
         """
         return self.store.put_range(
             namespace, start, end, limit, reverse, rows,
-            self._clock.now, self.policy.range_ttl(), key_range,
+            self._clock.now, self.servable_budget, key_range,
         )
 
     # ------------------------------------------------------------- invalidation

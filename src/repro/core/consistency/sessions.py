@@ -10,7 +10,10 @@ A session keeps a per-key history only for the guarantees it has: the
 guarantee is a frozen value fixed when the session opens, and
 :meth:`Session.acceptable` consults the written versions only under
 read-your-writes and the seen versions only under monotonic reads, so a
-history kept for a guarantee that is off could never be read.
+history kept for a guarantee that is off could never be read.  A session that
+guarantees nothing can therefore reject no value and needs no history:
+:class:`SessionManager` never hands one to an operation, and a write does not
+open one.
 """
 
 from __future__ import annotations
@@ -92,5 +95,19 @@ class SessionManager:
             self._sessions[session_id] = Session(guarantee or self._default_guarantee)
         return self._sessions[session_id]
 
-    def get(self, session_id: str) -> Optional[Session]:
-        return self._sessions.get(session_id)
+    def get(self, session_id: Optional[str]) -> Optional[Session]:
+        """The session an operation under ``session_id`` answers to, or None:
+        without an id, before the session is opened, and for a session that
+        guarantees nothing — the one test of that on the read path."""
+        session = self._sessions.get(session_id)
+        if session is None or not session.guarantee.any_enabled:
+            return None
+        return session
+
+    def for_write(self, session_id: Optional[str]) -> Optional[Session]:
+        """:meth:`get` for a write, which opens the session under a new id
+        first — unless the default guarantee enables nothing."""
+        if (session_id is not None and session_id not in self._sessions
+                and self._default_guarantee.any_enabled):
+            self.open(session_id)
+        return self.get(session_id)

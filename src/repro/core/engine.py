@@ -683,8 +683,9 @@ class Scads:
             return
         if self._write_audit is not None:
             self._write_audit[(namespace, key)] = version
-        if session_id is not None:
-            self.sessions.open(session_id).note_write(namespace, key, version)
+        session = self.sessions.for_write(session_id)
+        if session is not None:
+            session.note_write(namespace, key, version)
 
     # --------------------------------------------------------------------- reads
 
@@ -693,23 +694,24 @@ class Scads:
         """Read one entity row under the declared read-consistency and session axes.
 
         With the cache tier attached, a hit serves the cached version without
-        touching the cluster; the TTL derivation and the session bypass in
-        :mod:`repro.cache.policy` keep that shortcut inside the declared
-        staleness bound and session guarantees.
+        touching the cluster; the TTLs and the session bypass of
+        :class:`~repro.cache.tier.CacheTier` keep that shortcut inside the
+        declared staleness bound and session guarantees.
         """
         namespace = entity_namespace(entity)
-        session = self.sessions.get(session_id) if session_id is not None else None
+        session = self.sessions.get(session_id)
         tracer = self.tracer
         traced = tracer is not None and tracer.maybe_begin("read", self.sim.now)
         if self.cache is not None:
-            served = self._cached_entity_read(namespace, key, session)
-            if served is not None:
-                row, latency = served
+            hit = self.cache.lookup_entity(namespace, key, session)
+            if hit is not None:
+                value, latency = hit
                 if traced:
                     tracer.add("cache_hit", latency)
                     tracer.end(latency, True)
                 self._record_op("read", latency, True, cluster_served=False)
-                return OperationOutcome(success=True, latency=latency, row=row)
+                return OperationOutcome(success=True, latency=latency,
+                                        row=value.value if value is not None else None)
             if traced:
                 tracer.add("cache_miss", 0.0)
         rows, latency, error, stale = self._verify_replica_read(
@@ -726,7 +728,7 @@ class Scads:
               session_id: Optional[str] = None) -> QueryResult:
         """Execute a registered query template with bound parameters."""
         compiled = self.compiled_query(name)
-        session = self.sessions.get(session_id) if session_id is not None else None
+        session = self.sessions.get(session_id)
         tracer = self.tracer
         traced = tracer is not None and tracer.maybe_begin("query", self.sim.now)
         reader = _QueryReader(self, session, tracer if traced else None)
@@ -744,25 +746,6 @@ class Scads:
         self._record_op("read", result.latency, True,
                         cluster_served=reader.touched_cluster)
         return result
-
-    # ------------------------------------------------------------- cache tier glue
-
-    def _cached_entity_read(self, namespace: str, key: Key,
-                            session: Optional[Session]):
-        """Serve one entity read from the cache tier, if it can.
-
-        Returns ``(row, latency)`` on a hit — with the session's monotonic
-        history updated, exactly as a cluster read would — or None on
-        miss/bypass (the caller then reads through the cluster).
-        """
-        entry = self.cache.lookup_entity(namespace, key, session)
-        if entry is None:
-            return None
-        value = entry.value
-        if session is not None:
-            session.note_read(namespace, key, value)
-        row = value.value if value is not None else None
-        return row, self.cache.sample_hit_latency()
 
     # ------------------------------------------------------- consistency-aware read
 
@@ -806,7 +789,6 @@ class Scads:
         cache = self.cache
         now = self.sim.now
         staleness_bound = self.spec.read.staleness_bound
-        session_checks = session is not None and session.guarantee.any_enabled
         resolved: Dict[ReadOutcome, tuple] = {}
         outcome = None
         rows: Dict[Key, Optional[Mapping[str, Any]]] = {}
@@ -872,7 +854,7 @@ class Scads:
                         failure = "read consistency prioritised over availability"
             # Session guarantees: the replica value must be at least as new as
             # what this session wrote / has already seen.
-            if failure is None and ((session_checks and not session.acceptable(
+            if failure is None and ((session is not None and not session.acceptable(
                     namespace, key, value)) or needs_primary):
                 if primary_reachable:
                     primary_result = self.router.read(namespace, key, from_primary=True)

@@ -274,8 +274,7 @@ def run_closed_loop(scenario: ScenarioSpec, seed: int
     )
     engine.start()
     mix = build_mix(scenario.mix, graph, engine.sim.random.get("workload-mix"))
-    generator = LoadGenerator(engine.sim, trace, mix, app.execute,
-                              sampling_fraction=scenario.sampling_fraction)
+    generator = LoadGenerator(engine.sim, trace, mix, app.execute)
     start_time = engine.now
     if scenario.faults:
         install_fault_plan(engine, scenario.faults)

@@ -175,7 +175,6 @@ class ScenarioSpec:
     predictive_scaling: bool = True
     initial_groups: int = 1
     control_interval: float = 30.0
-    sampling_fraction: float = 1.0
     engine_knobs: Dict[str, Any] = field(default_factory=dict)
     faults: Tuple[FaultSpec, ...] = ()
 

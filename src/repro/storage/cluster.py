@@ -30,7 +30,8 @@ Every path that moves keys is built from three primitives:
   seeding: build a member, fill it from another under last-write-wins.
 
 Callers sweep, deliver, and only then delete at the source: *source copies
-are reclaimed only after delivery*.  Sweep order (group, namespace, key) is
+are reclaimed only after delivery*, by :meth:`Cluster._hand_back`'s one batch
+delete per namespace.  Sweep order (group, namespace, key) is
 part of a run's fingerprint: delivery to a down member draws a network delay.
 """
 
@@ -635,17 +636,10 @@ class Cluster:
         """
         for group in list(self.groups.values()):
             live = self.live_members(group.group_id)
-            if not live:
-                continue
-            source = live[0]
-            moved: Dict[str, List[Key]] = {}
-            for namespace, key, value, owner in self._misplaced(source, group.group_id):
-                self.deliver(self.groups[owner], source.node_id, namespace, key, value)
-                moved.setdefault(namespace, []).append(key)
-            for node in live:
-                for namespace, keys in moved.items():
-                    node._store(namespace).delete_many(keys)  # noqa: SLF001 - cluster owns its nodes
-            self._keys_moved_total += sum(map(len, moved.values()))
+            if live:
+                moved = self._misplaced(live[0], group.group_id)
+                self._hand_back(moved, live)
+                self._keys_moved_total += len(moved)
 
     # ---------------------------------------------------------- repartitioning
 
@@ -799,16 +793,8 @@ class Cluster:
                 continue
             # Ownership may have moved *back* since this migration started
             # (ping-pong): the sweep never reclaims what the source owns now.
-            for namespace, key, value, owner in self._misplaced(node, record.source_group):
-                if partition_token(key) not in record.tokens:
-                    continue
-                # Final refresh before reclaiming: catch-up deliveries that
-                # expired during the window must not lose the freshest
-                # source-side copy (last-write-wins applies).  It goes to the
-                # key's owner *now* — the target, unless the range was moved
-                # on (or the target removed) while this transfer was in flight.
-                self.deliver(self.groups[owner], node_id, namespace, key, value)
-                node._store(namespace).delete(key)  # noqa: SLF001 - cluster owns its nodes
+            self._hand_back([moved for moved in self._misplaced(node, record.source_group)
+                             if partition_token(moved[1]) in record.tokens], [node])
 
     def reconcile_node(self, node_id: str) -> int:
         """Reclaim stale copies on a (typically just-recovered) node.
@@ -830,10 +816,24 @@ class Cluster:
             return 0
         stale = self._misplaced(node, group.group_id,
                                 self._in_flight_tokens().get(group.group_id, ()))
-        for namespace, key, value, owner in stale:
-            self.deliver(self.groups[owner], node_id, namespace, key, value)
-            node._store(namespace).delete(key)  # noqa: SLF001 - cluster owns its nodes
+        self._hand_back(stale, [node])
         return len(stale)
+
+    def _hand_back(self, misplaced: List[Tuple[str, Key, VersionedValue, str]],
+                   holders: List[StorageNode]) -> None:
+        """Deliver each of ``misplaced`` (:meth:`_misplaced` of ``holders[0]``)
+        to its owner now, then drop the keys from every holder by one batch
+        delete per namespace that moved keys: data movement, not a client
+        delete, so no tombstone.  The delivery is also the final refresh
+        before a migration reclaims its source: a catch-up delivery that
+        expired mid-transfer must not lose the freshest copy."""
+        moved: Dict[str, List[Key]] = {}
+        for namespace, key, value, owner in misplaced:
+            self.deliver(self.groups[owner], holders[0].node_id, namespace, key, value)
+            moved.setdefault(namespace, []).append(key)
+        for node in holders:
+            for namespace, keys in moved.items():
+                node._store(namespace).delete_many(keys)  # noqa: SLF001 - cluster owns its nodes
 
     def active_migrations(self) -> List[MigrationRecord]:
         """Migrations whose simulated transfer has not finished yet."""

@@ -78,21 +78,10 @@ class _NamespaceStore:
         """Store ``value`` under ``key``."""
         self._data[key] = value
 
-    def delete(self, key: Key) -> bool:
-        """Drop ``key`` (data movement: no tombstone); False if not stored."""
-        data = self._data
-        if key not in data:
-            return False
-        del data[key]
-        keys = self._sorted_keys
-        index = bisect.bisect_left(keys, key)
-        if index < len(keys) and keys[index] == key:
-            del keys[index]
-        return True
-
     def delete_many(self, keys: Iterable[Key]) -> None:
-        """Drop each of ``keys`` that is stored, then filter the sorted keys
-        once (a data-movement sweep takes up to half a store at a time)."""
+        """Drop each of ``keys`` that is stored (data movement: no tombstone),
+        then filter the sorted keys once (a data-movement sweep takes up to
+        half a store at a time)."""
         data = self._data
         for key in keys:
             data.pop(key, None)

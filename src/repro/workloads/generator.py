@@ -1,12 +1,8 @@
 """Open-loop load generator.
 
 Drives an operation-executor callback at the aggregate rate a
-:class:`~repro.workloads.traces.LoadTrace` prescribes.  To keep simulated
-experiments tractable at paper-scale request rates, the generator supports a
-*sampling fraction*: it issues ``sampling_fraction`` of the nominal requests
-and the storage nodes are told the true offered rate through their utilisation
-model (the router still records genuine per-request latencies).  With the
-default fraction of 1.0 every request is simulated.
+:class:`~repro.workloads.traces.LoadTrace` prescribes; every request the
+trace offers is simulated.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ class LoadGenerator:
         mix: operation generator.
         execute: callback invoked with each :class:`Operation`; the SCADS
             engine (or a baseline) supplies this.
-        sampling_fraction: fraction of nominal operations actually simulated.
     """
 
     def __init__(
@@ -50,15 +45,11 @@ class LoadGenerator:
         trace: LoadTrace,
         mix: CloudStoneMix,
         execute: Callable[[Operation], None],
-        sampling_fraction: float = 1.0,
     ) -> None:
-        if not 0.0 < sampling_fraction <= 1.0:
-            raise ValueError(f"sampling_fraction must be in (0, 1], got {sampling_fraction}")
         self._sim = simulator
         self._trace = trace
         self._mix = mix
         self._execute = execute
-        self._sampling_fraction = sampling_fraction
         self._rng = simulator.random.get("load-generator")
         self._running = False
         self.stats = GeneratorStats()
@@ -73,14 +64,6 @@ class LoadGenerator:
     @property
     def trace(self) -> LoadTrace:
         return self._trace
-
-    def nominal_rate(self) -> float:
-        """The trace's request rate at the current simulated time."""
-        return self._trace.rate_at(self._sim.now)
-
-    def effective_rate(self) -> float:
-        """The rate at which the generator actually issues simulated operations."""
-        return self.nominal_rate() * self._sampling_fraction
 
     def start(self) -> None:
         """Begin issuing operations (idempotent)."""
@@ -98,7 +81,7 @@ class LoadGenerator:
     def _schedule_next(self) -> None:
         if not self._running:
             return
-        rate = self._trace.rate_at(self._sim.clock.now) * self._sampling_fraction
+        rate = self._trace.rate_at(self._sim.clock.now)
         if rate <= 0:
             delay = MAX_INTERARRIVAL
         else:

@@ -24,7 +24,6 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.policy import AdmissionPolicy
 from repro.cache.store import CacheStats, StalenessBudgetCache, entity_token
 from repro.cache.tier import CacheConfig, CacheTier
 from repro.core.consistency.spec import (
@@ -136,42 +135,55 @@ class TestStore:
         assert len(store) == 0 and store.cost_total == 0
 
 
-# ----------------------------------------------------------------- the policy
+# ------------------------------------------------------ the admission policy
 
 
 class TestPolicy:
-    def spec(self, bound: float = 10.0) -> ConsistencySpec:
-        return ConsistencySpec(read=ReadConsistency(staleness_bound=bound))
+    """The TTLs the tier derives from the staleness bound, asserted through
+    what it admits: an entry expires at ``now + servable_budget - carried
+    staleness``, the budget being the bound less its propagation headroom."""
+
+    def tier(self, bound: float = 10.0):
+        sim = Simulator(seed=1)
+        tier = CacheTier(CacheConfig(), spec=ConsistencySpec(
+            read=ReadConsistency(staleness_bound=bound)), simulator=sim)
+        sim.run_until(3.0)
+        return tier
 
     def test_ttl_is_bound_minus_headroom_minus_carried_staleness(self):
-        policy = AdmissionPolicy(self.spec(10.0))  # derived headroom: 1 s
-        assert policy.entity_ttl(0.0) == pytest.approx(9.0)
-        assert policy.entity_ttl(4.0) == pytest.approx(5.0)
-        assert policy.entity_ttl(9.5) == 0.0
-        assert policy.range_ttl() == pytest.approx(9.0)
+        tier = self.tier(10.0)  # derived headroom: 1 s
+        assert tier.admit_entity("ns", ("a",), "v", 0.0).expires_at == pytest.approx(3.0 + 9.0)
+        assert tier.admit_entity("ns", ("b",), "v", 4.0).expires_at == pytest.approx(3.0 + 5.0)
+        assert tier.admit_entity("ns", ("c",), "v", 9.5) is None
+        scan = tier.admit_range("ns", ("a",), ("a", "~"), None, False, [])
+        assert scan.expires_at == pytest.approx(3.0 + 9.0)
 
     def test_unverified_reads_are_never_admitted(self):
-        policy = AdmissionPolicy(self.spec(10.0))
-        assert policy.entity_ttl(None) == 0.0
+        tier = self.tier(10.0)
+        assert tier.admit_entity("ns", ("k",), "v", None) is None
+        assert len(tier.store) == 0
 
     # Budgets of 0.9 s and 9 s: the staleness values straddle both.
     @pytest.mark.parametrize("bound", [1.0, 10.0])
     @pytest.mark.parametrize("known_staleness", [None, -1.0, 0.0, 4.0, 9.0, 9.5, 30.0])
     def test_the_tier_admits_for_exactly_the_policy_ttl(self, bound, known_staleness):
-        sim = Simulator(seed=1)
-        tier = CacheTier(CacheConfig(), spec=self.spec(bound), simulator=sim)
-        sim.run_until(3.0)
-        ttl = tier.policy.entity_ttl(known_staleness)
+        tier = self.tier(bound)
         entry = tier.admit_entity("ns", ("k",), "value", known_staleness)
-        if ttl <= 0:
+        if known_staleness is None or known_staleness < 0 \
+                or known_staleness >= tier.servable_budget:
             assert entry is None and len(tier.store) == 0
         else:
-            assert entry.expires_at == 3.0 + ttl  # admitted now, for the ttl
+            # admitted now, for what is left of the budget
+            assert entry.expires_at == 3.0 + (tier.servable_budget - known_staleness)
             assert tier.store.peek(entity_token("ns", ("k",))) is entry
 
     def test_default_headroom_scales_with_the_bound_but_is_capped(self):
-        assert AdmissionPolicy(self.spec(10.0)).propagation_headroom == pytest.approx(1.0)
-        assert AdmissionPolicy(self.spec(600.0)).propagation_headroom == pytest.approx(2.0)
+        # headroom: 10 % of the bound, at most 2 s
+        for bound, budget in ((10.0, 9.0), (600.0, 598.0)):
+            tier = self.tier(bound)
+            assert tier.servable_budget == pytest.approx(budget)
+            entry = tier.admit_entity("ns", ("k",), "value", 0.5)
+            assert entry.expires_at == 3.0 + tier.servable_budget - 0.5
 
 
 # ------------------------------------------------------------ engine behaviour
@@ -234,7 +246,7 @@ class TestEngineIntegration:
         token = entity_token(entity_namespace("profiles"), ("u1",))
         entry = engine.cache.store.peek(token)
         assert entry is not None
-        budget = engine.cache.policy.servable_budget
+        budget = engine.cache.servable_budget
         assert entry.expires_at - engine.now <= budget + 1e-9  # admitted now
         engine.run_for(budget + 0.1)
         assert engine.cache.store.get(token, engine.now) is None
@@ -771,17 +783,17 @@ class TestLookupEntities:
             ("written",), ("c",), ("b",)]
 
     def sequential(self, tier, session):
-        """The per-key reference: rows, per-key hit latencies and misses."""
+        """The per-key reference, one ``lookup_entity`` call per distinct key:
+        rows, per-key hit latencies and misses."""
         rows, latencies, misses = {}, [], []
         for key in dict.fromkeys(self.KEYS):
-            entry = tier.lookup_entity(self.NAMESPACE, key, session)
-            if entry is None:
+            hit = tier.lookup_entity(self.NAMESPACE, key, session)
+            if hit is None:
                 misses.append(key)
                 continue
-            if session is not None:
-                session.note_read(self.NAMESPACE, key, entry.value)
-            rows[key] = dict(entry.value.value) if entry.value is not None else None
-            latencies.append(tier.sample_hit_latency())
+            value, latency = hit
+            rows[key] = dict(value.value) if value is not None else None
+            latencies.append(latency)
         return rows, latencies, misses
 
     @pytest.mark.parametrize("with_session", [True, False])

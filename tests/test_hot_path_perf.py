@@ -61,6 +61,7 @@ from hypothesis import strategies as st
 from repro.apps.social_network import SocialNetworkApp
 from repro.cache.store import CacheEntry, StalenessBudgetCache
 from repro.core import engine as engine_module
+from repro.core.consistency.sessions import Session
 from repro.core.engine import Scads
 from repro.core.query.executor import QueryResult
 from repro.core.query.plans import (
@@ -78,7 +79,11 @@ from repro.sim.latency import (
 from repro.sim.network import NetworkModel
 from repro.sim.randomness import ZipfGenerator
 from repro.sim.simulator import Simulator
+from repro.experiments.harness import build_engine_and_app
+from repro.workloads.generator import LoadGenerator
+from repro.workloads.opmix import CloudStoneMix
 from repro.workloads.social_graph import SocialGraph
+from repro.workloads.traces import ConstantTrace
 from repro.storage import node as node_module
 from repro.storage.node import StorageNode
 from repro.storage.partitioner import (
@@ -491,19 +496,55 @@ def test_a_cached_query_makes_the_same_calls_whatever_its_length():
     assert many_c - few_c <= 3 * (many_dereferences - few_dereferences)
 
 
-def test_a_session_without_guarantees_keeps_no_history():
-    """500 dereferences and 50 writes later both version maps are empty."""
-    engine = _social_engine({"reader": 20})
-    session = engine.sessions.get("reader")
-    assert not session.guarantee.any_enabled
-    for _ in range(25):
-        assert engine.query("friends", {"user_id": "reader"},
-                            session_id="reader").dereferences == 20
-    for index in range(50):
-        assert engine.put("statuses", {"user_id": "reader", "status_id": index,
-                                       "text": "hi"}, session_id="reader").success
-    assert len(session._last_seen_version) == 0
-    assert len(session._last_written_version) == 0
+def test_a_session_without_guarantees_keeps_no_history(monkeypatch):
+    """A session that guarantees nothing can reject no value: with the default
+    spec and a session id on every op, a social-network run (bulk load, then
+    twenty seconds of the CloudStone mix) opens no ``Session`` and consults
+    none on any read or write path."""
+    calls = Counter()
+    for name in ("__init__", "note_read", "note_reads", "acceptable", "note_write"):
+        def counted(*args, _name=name, _function=getattr(Session, name), **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+        monkeypatch.setattr(Session, name, counted)
+    engine, app, graph = build_engine_and_app(seed=11, n_users=60, autoscale=False)
+    assert not engine.spec.session.any_enabled
+    engine.start()
+    generator = LoadGenerator(engine.sim, ConstantTrace(100.0),
+                              CloudStoneMix(graph, engine.sim.random.get("mix")),
+                              app.execute)
+    generator.start()
+    engine.run_for(20.0)
+    generator.stop()
+    counts = engine.cumulative_operation_counts()
+    assert counts["read"] > 1000 and counts["write"] > 100
+    hits, misses = engine.cache.hit_counts()
+    assert hits > 0 and misses > 0
+    assert calls == Counter()
+
+
+def test_a_cached_get_is_the_tiers_hit():
+    """A get served by the cache returns the row and latency of the
+    ``lookup_entity`` hit it made, and draws no other hit latency."""
+    engines = [_social_engine({"reader": 1}) for _ in range(2)]
+    key = ("reader", "reader-friend00")
+    for engine in engines:
+        assert engine.get("friendships", key).success  # fills the cache
+    served, twin = engines
+    hits = []
+    lookup = served.cache.lookup_entity
+
+    def recorded(*args):
+        hits.append(lookup(*args))
+        return hits[-1]
+
+    served.cache.lookup_entity = recorded
+    outcome = served.get("friendships", key, session_id="reader")
+    value, latency = hits[0]
+    assert outcome.row is value.value
+    assert outcome.latency == latency
+    assert twin.cache.lookup_entity(entity_namespace("friendships"), key, None) == hits[0]
+    assert served.cache.sample_hit_latency() == twin.cache.sample_hit_latency()
 
 
 # ------------------------------------------------- one copy per stored row
@@ -709,8 +750,8 @@ class _CountingBisect:
 
 
 def test_stored_copies_sort_no_key_until_an_ordered_read(monkeypatch):
-    """Primary puts and replica applies are one dict store each; scans, store
-    deletes and batch deletes order no key; only a range read orders its
+    """Primary puts and replica applies are one dict store each; scans and
+    batch deletes order no key; only a range read orders its
     store, by one sort when the keys added since its last ordered read are
     many and by insertion when they are few against the sorted keys."""
     counting = _CountingBisect()
@@ -731,21 +772,22 @@ def test_stored_copies_sort_no_key_until_an_ordered_read(monkeypatch):
     ranged = node._store("ranged")
     assert ranged._sorted_keys == sorted(keys)
 
-    # A scan reads storage order; a delete or a batch delete of keys no
-    # range read has ordered only drops them from the dict.
+    # A scan reads storage order; a batch delete of keys no range read has
+    # ordered only drops them from the dict.
     assert [key for key, _ in node.scan_namespace("scanned")] == keys
     dropped = node._store("dropped")
-    assert dropped.delete(("u5", 1))
+    dropped.delete_many([("u5", 1)])
     dropped.delete_many([("u3", 2), ("u1", 0), ("absent", 0)])
     assert [key for key, _ in node.scan_namespace("dropped")] == [
         key for key in keys if key not in (("u5", 1), ("u3", 2), ("u1", 0))]
     assert node._store("scanned")._sorted_keys == dropped._sorted_keys == []
     # Deleting ordered keys takes them out of the sorted list as it stands;
-    # deleting a key stored since leaves the sorted list alone.
-    assert ranged.delete(("u9", 0))
+    # deleting a key stored since (the dict's unordered tail) leaves the
+    # sorted list alone.
+    ranged.delete_many([("u9", 0)])
     ranged.delete_many([("u1", 1), ("u5", 2)])
     node.put("ranged", ("u2", 0), version, now=2.5)
-    assert ranged.delete(("u2", 0))
+    ranged.delete_many([("u2", 0)])
     assert ranged._sorted_keys == sorted(
         set(keys) - {("u9", 0), ("u1", 1), ("u5", 2)})
     assert counting.calls["insort"] == 0

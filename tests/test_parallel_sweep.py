@@ -240,7 +240,6 @@ class TestPortableSummaries:
         "predictive_scaling": (False, lambda s, e, a: e.controller.predictive),
         "initial_groups": (3, lambda s, e, a: len(e.cluster.groups)),
         "control_interval": (4.0, lambda s, e, a: e.controller.control_interval),
-        "sampling_fraction": (0.25, lambda s, e, a: s.operations > 100),
         "engine_knobs": ({"cache": False}, lambda s, e, a: e.cache is not None),
         "faults": ((FaultSpec("zone_outage", at=2.0, duration=100.0,
                               params={"zone_index": 1}),),

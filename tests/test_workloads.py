@@ -201,13 +201,12 @@ class TestTraces:
 
 
 class TestLoadGenerator:
-    def _run(self, trace, duration, sampling=1.0):
+    def _run(self, trace, duration):
         sim = Simulator(seed=3)
         graph = make_graph(n=50)
         mix = CloudStoneMix(graph, sim.random.get("mix"))
         executed = []
-        generator = LoadGenerator(sim, trace, mix, executed.append,
-                                  sampling_fraction=sampling)
+        generator = LoadGenerator(sim, trace, mix, executed.append)
         generator.start()
         sim.run_until(duration)
         generator.stop()
@@ -216,11 +215,6 @@ class TestLoadGenerator:
     def test_issues_roughly_trace_rate(self):
         executed, _ = self._run(ConstantTrace(50.0), duration=20.0)
         assert len(executed) == pytest.approx(1000, rel=0.25)
-
-    def test_sampling_fraction_scales_down_issued_operations(self):
-        full, _ = self._run(ConstantTrace(50.0), duration=20.0, sampling=1.0)
-        sampled, _ = self._run(ConstantTrace(50.0), duration=20.0, sampling=0.1)
-        assert len(sampled) < len(full) / 4
 
     def test_stats_split_reads_and_writes(self):
         executed, generator = self._run(ConstantTrace(50.0), duration=10.0)
@@ -232,10 +226,3 @@ class TestLoadGenerator:
     def test_zero_rate_trace_issues_nothing_much(self):
         executed, _ = self._run(ConstantTrace(0.0), duration=10.0)
         assert len(executed) == 0
-
-    def test_invalid_sampling_fraction(self):
-        sim = Simulator()
-        graph = make_graph(n=10)
-        mix = CloudStoneMix(graph, sim.random.get("mix"))
-        with pytest.raises(ValueError):
-            LoadGenerator(sim, ConstantTrace(1.0), mix, lambda op: None, sampling_fraction=0.0)
