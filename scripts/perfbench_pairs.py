@@ -31,29 +31,61 @@ gain leaves ``perfbench/`` byte-identical, so the benchmark code is the same.
 Stops with exit status 1 as soon as a run fails its correctness checks; exit
 status is also 1 if the fingerprints (or, traced, the exact counts) of the two
 sides differ.
+
+A run killed from outside cannot clean up after itself.  On Linux each child
+it starts is sent SIGTERM when the script dies, however it dies; and the
+script writes its PID into its scratch directory, so that the next run starts
+by removing every ``perfbench-pairs-*`` worktree whose script is gone.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 MIN_PAIRS = 10  # below this the protocol makes no claim either way
+SCRATCH_PREFIX = "perfbench-pairs-"
+PID_FILE = "pid"  # in the scratch directory: the PID of the script using it
+PR_SET_PDEATHSIG = 1
 
 
 # Per-layer metrics that measure host time; every other one is a count or a
 # simulated quantity, exact for a seed.
 TIMED_SUFFIX = ".self_us_per_op"
 TIMED_OTHERS = ("trace.", "micro.", "core.provisioning.step_ms_p50")
+
+
+def _terminate_with_parent() -> Optional[Callable[[], None]]:
+    """The ``preexec_fn`` that has Linux send a child SIGTERM when this script
+    dies (``prctl(PR_SET_PDEATHSIG)``), or None on other systems."""
+    if not sys.platform.startswith("linux"):
+        return None
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    libc.prctl.restype = ctypes.c_int
+    parent = os.getpid()
+
+    def preexec() -> None:
+        libc.prctl(PR_SET_PDEATHSIG, signal.SIGTERM)
+        if os.getppid() != parent:  # the script died before prctl took hold
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    return preexec
+
+
+CHILD_SETUP = _terminate_with_parent()
 
 
 def _run_perfbench(checkout: Path, workload: str, seed: int, out: Path,
@@ -63,8 +95,48 @@ def _run_perfbench(checkout: Path, workload: str, seed: int, out: Path,
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--json", str(out), "--trace", str(int(traced))],
-        cwd=checkout, stdout=subprocess.DEVNULL, check=False)
+        cwd=checkout, stdout=subprocess.DEVNULL, check=False,
+        preexec_fn=CHILD_SETUP)
     return done.returncode == 0
+
+
+def _script_alive(scratch: Path) -> bool:
+    """True if the script whose PID ``scratch`` holds is still running."""
+    try:
+        pid = int((scratch / PID_FILE).read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return False  # the PID is written before the worktree is added
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # someone else's process holds the PID
+    return True
+
+
+def sweep_stale_worktrees() -> List[Path]:
+    """Remove every ``perfbench-pairs-*`` worktree whose script is gone (a run
+    killed before its ``finally``), with its scratch directory; the removed
+    worktree paths."""
+    listing = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=ROOT,
+                             capture_output=True, text=True, check=True).stdout
+    removed = []
+    for line in listing.splitlines():
+        if not line.startswith("worktree "):
+            continue
+        worktree = Path(line[len("worktree "):])
+        scratch = worktree.parent
+        if not scratch.name.startswith(SCRATCH_PREFIX) or _script_alive(scratch):
+            continue
+        subprocess.run(["git", "worktree", "remove", "--force", str(worktree)],
+                       cwd=ROOT, check=False, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL)
+        shutil.rmtree(scratch, ignore_errors=True)
+        removed.append(worktree)
+    if removed:
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False)
+    return removed
 
 
 def _quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -190,7 +262,7 @@ def run_pairs(checkouts: Dict[str, Path], spec: dict, workloads: Sequence[str],
                 [sys.executable, "perfbench/run.py", "--compare",
                  ",".join(map(str, files["parent"])),
                  ",".join(map(str, files["change"]))],
-                cwd=ROOT, check=False)
+                cwd=ROOT, check=False, preexec_fn=CHILD_SETUP)
     return status
 
 
@@ -218,7 +290,10 @@ def main() -> int:
 
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
         spec = json.load(handle)
-    scratch = Path(tempfile.mkdtemp(prefix="perfbench-pairs-"))
+    for stale in sweep_stale_worktrees():
+        print(f"removed the worktree of a killed run: {stale}", file=sys.stderr)
+    scratch = Path(tempfile.mkdtemp(prefix=SCRATCH_PREFIX))
+    (scratch / PID_FILE).write_text(str(os.getpid()), encoding="utf-8")
     out = args.out if args.out is not None else scratch / "json"
     out.mkdir(parents=True, exist_ok=True)
     checkouts = {"parent": scratch / "parent", "change": ROOT}

@@ -144,6 +144,31 @@ class WindowedComplianceTracker:
         ]
 
 
+def _linear_percentile(samples: np.ndarray, p: float) -> float:
+    """``float(np.percentile(samples, p))``, bit for bit, for a non-empty 1-d
+    array, which is left as it is.
+
+    ``np.percentile`` imports ``numpy.ma`` on its first call, a module no
+    other code here needs; this is numpy's own 'linear' method without it:
+    the virtual index ``(n - 1) * (p / 100)``, its two neighbours taken by one
+    partition, and numpy's ``_lerp``, which interpolates down from the upper
+    neighbour once the weight reaches one half.  An index at the last
+    position is the largest sample.
+    """
+    last = samples.shape[0] - 1
+    index = last * (p / 100.0)
+    if index >= last:
+        return float(samples.max())
+    below = int(index)
+    neighbours = np.partition(samples, (below, below + 1))
+    low = float(neighbours[below])
+    high = float(neighbours[below + 1])
+    weight = index - below
+    if weight >= 0.5:
+        return high - (high - low) * (1 - weight)
+    return low + (high - low) * weight
+
+
 # ------------------------------------------------------------ the one op log
 
 
@@ -173,7 +198,7 @@ class _OpLog:
         total = latencies.shape[0] + failures
         if latencies.shape[0]:
             within = float(np.sum(latencies <= sla.latency)) / total
-            observed = float(np.percentile(latencies, sla.percentile))
+            observed = _linear_percentile(latencies, sla.percentile)
         else:
             # Nothing succeeded: met vacuously with no traffic at all,
             # missed outright when every request failed.
@@ -238,8 +263,10 @@ class OpRecorder:
         the window's attempt count) and the read SLA's percentile over only
         the reads recorded ``miss_path`` — None when there were none.  Both
         are control inputs (the latency and sizing models train on them), so
-        neither formula may change: ``np.percentile`` over the window's
-        samples for the report, the estimator's percentile for the miss path.
+        neither formula may change: numpy's 'linear' percentile over the
+        window's samples for the report (:func:`_linear_percentile`, equal to
+        ``np.percentile`` bit for bit), the estimator's percentile for the
+        miss path.
         """
         reports: Dict[str, SLAReport] = {}
         cluster_read_percentile: Optional[float] = None

@@ -2,11 +2,13 @@
 
 Writes are accepted at a replica group's primary and propagated to the other
 replicas asynchronously.  Propagation delay is the sum of a network hop and a
-configurable replication processing delay.  Each completed propagation is
-reported to the registered lag listeners, and the engine keeps the all-time
-maximum lag, so that the staleness-bound experiments (E4) and the
-read-consistency axis of Figure 4 can measure actual replication lag rather
-than assume it.
+configurable replication processing delay.  A write in flight is one
+:class:`PropagationRecord` holding its deliveries in due order, with one
+queued event: the record fires at each delivery's due time in turn.  Each
+completed delivery is reported to the registered lag listeners, and the
+engine keeps the all-time maximum lag, so that the staleness-bound
+experiments (E4) and the read-consistency axis of Figure 4 can measure actual
+replication lag rather than assume it.
 
 Quorum writes (used to implement the "serializable" end of the write-
 consistency axis and as the Dynamo-style baseline) wait for ``W`` replicas
@@ -16,6 +18,7 @@ synchronously, paying the extra latency up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.network import NetworkModel, NetworkPartitionError
@@ -48,21 +51,31 @@ class ReplicaGroup:
 
 
 class PropagationRecord:
-    """One write's propagation to one replica — and the action that performs it.
+    """One write's deliveries to its replicas, in due order — and the action
+    that performs them.
 
-    The record is the callable the simulator fires: the engine schedules the
-    same object for the first attempt, for every ``replicate-retry`` wait and
-    for every re-attempt, so a propagation costs one object however often it
-    is retried.  At most one event per record is outstanding at a time.
+    The record is the callable the simulator fires, and one event of it is
+    queued at a time: at its current delivery's due time.  Firing applies
+    that delivery and queues the record again at the next one's due time, so
+    a write in flight costs one object and one heap entry however many
+    replicas it reaches.  The next delivery sits in ``_next_id`` and
+    ``_next_due`` (a replication factor of three has at most two
+    deliveries); a larger group's further ones wait in ``_later``, a list of
+    ``(due, replica_id)`` with the next at its end.  A delivery that finds
+    its replica down splits off on a record of its own, which retries it,
+    while the rest stay on time here.  A record with one delivery left is the
+    one that retries it: the engine schedules the same object for every
+    ``replicate-retry`` wait and every re-attempt.
 
     ``namespace``, ``key``, ``write_time``, ``replica_id`` and
-    ``applied_time`` (None until applied) are what lag listeners read; the
-    underscored slots are the engine's delivery state.
+    ``applied_time`` (None until applied) are what lag listeners read, of the
+    delivery just applied: once the listeners return, the record moves on to
+    its next delivery.  The underscored slots are the engine's delivery state.
     """
 
     __slots__ = ("namespace", "key", "write_time", "replica_id", "applied_time",
                  "_engine", "_value", "_source_id", "_retries_left",
-                 "_awaiting_retry")
+                 "_awaiting_retry", "_next_id", "_next_due", "_later")
 
     def __init__(
         self,
@@ -85,6 +98,9 @@ class PropagationRecord:
         self._source_id = source_id
         self._retries_left = retries_left
         self._awaiting_retry = False
+        self._next_id: Optional[str] = None
+        self._next_due: Optional[float] = None
+        self._later: Optional[List[Tuple[float, str]]] = None
 
     @property
     def lag(self) -> Optional[float]:
@@ -96,15 +112,16 @@ class PropagationRecord:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PropagationRecord(namespace={self.namespace!r}, key={self.key!r}, "
                 f"write_time={self.write_time!r}, replica_id={self.replica_id!r}, "
-                f"applied_time={self.applied_time!r})")
+                f"applied_time={self.applied_time!r}, next_id={self._next_id!r})")
 
     def __call__(self) -> None:
-        """Fire: end a retry wait by re-attempting, else apply at the replica."""
+        """Fire: end a retry wait by re-attempting, else deliver to the current
+        replica and queue the next delivery, if any."""
         engine = self._engine
         namespace = self.namespace
         if self._awaiting_retry:
             self._awaiting_retry = False
-            engine._schedule_apply(self, engine._event_name(namespace))
+            engine._schedule_apply(self, engine._event_names[namespace])
             return
         node = engine._nodes.get(self.replica_id)
         if node is None:
@@ -112,18 +129,34 @@ class PropagationRecord:
             # drain/hibernate detach); ownership moved with it, so the
             # copy is moot — drop instead of retrying into the void.
             engine._pending -= 1
+        elif not node._alive:  # noqa: SLF001 - same subsystem
+            if self._next_id is None:
+                engine._schedule_retry(self)
+                return
+            engine._schedule_retry(PropagationRecord(
+                engine, namespace, self.key, self._value, self.write_time,
+                self._source_id, self.replica_id, self._retries_left))
+        else:
+            node.apply_replica_write(namespace, self.key, self._value)
+            now = self.applied_time = engine._clock.now
+            engine._pending -= 1
+            lag = now - self.write_time
+            if lag > engine._max_lag:
+                engine._max_lag = lag
+            for listener in engine._lag_listeners:
+                listener(self)
+        next_id = self._next_id
+        if next_id is None:
             return
-        if not node._alive:  # noqa: SLF001 - same subsystem
-            engine._schedule_retry(self)
-            return
-        node.apply_replica_write(namespace, self.key, self._value)
-        now = self.applied_time = engine._clock.now
-        engine._pending -= 1
-        lag = now - self.write_time
-        if lag > engine._max_lag:
-            engine._max_lag = lag
-        for listener in engine._lag_listeners:
-            listener(self)
+        due = self._next_due
+        self.replica_id = next_id
+        self.applied_time = None
+        later = self._later
+        if later:
+            self._next_due, self._next_id = later.pop()
+        else:
+            self._next_id = None
+        engine._sim.schedule_at(due, self, engine._event_names[namespace])
 
 
 class ReplicationEngine:
@@ -170,13 +203,22 @@ class ReplicationEngine:
         key: Key,
         value: VersionedValue,
     ) -> None:
-        """Schedule asynchronous propagation of a primary write to all replicas."""
+        """Schedule asynchronous propagation of a primary write to all replicas.
+
+        Every replica's hop is drawn now, in node order, and each delivery is
+        due ``now + (hop + PROCESSING_DELAY)``; the deliveries share one
+        record, queued at the earliest due time (ties in node order).  A
+        partitioned replica retries on a record of its own at once.
+        """
         node_ids = group.node_ids
         primary_id = node_ids[0]
         now = self._clock.now
         name = self._event_name(namespace)
         nodes = self._nodes
+        delay = self._network.delay
         max_retries = self.max_retries
+        first_id = second_id = later = None
+        first_due = second_due = 0.0
         for i in range(1, len(node_ids)):
             replica_id = node_ids[i]
             replica = nodes.get(replica_id)
@@ -187,10 +229,41 @@ class ReplicationEngine:
                 # only races the drain deadline.
                 continue
             self._pending += 1
-            self._schedule_apply(
-                PropagationRecord(self, namespace, key, value, now, primary_id,
-                                  replica_id, max_retries),
-                name)
+            try:
+                due = now + (delay(primary_id, replica_id) + PROCESSING_DELAY)
+            except NetworkPartitionError:
+                self._schedule_retry(PropagationRecord(
+                    self, namespace, key, value, now, primary_id, replica_id,
+                    max_retries))
+                continue
+            if first_id is None:
+                first_id, first_due = replica_id, due
+            elif second_id is None:
+                second_id, second_due = replica_id, due
+            elif later is None:
+                later = [(first_due, first_id), (second_due, second_id),
+                         (due, replica_id)]
+            else:
+                later.append((due, replica_id))
+        if first_id is None:
+            return
+        record = PropagationRecord(self, namespace, key, value, now, primary_id,
+                                   first_id, max_retries)
+        if later is not None:
+            later.sort(key=itemgetter(0))  # stable: equal due times stay in node order
+            first_due, record.replica_id = later[0]
+            record._next_due, record._next_id = later[1]
+            del later[:2]
+            later.reverse()
+            record._later = later
+        elif second_id is not None:
+            if second_due < first_due:
+                record.replica_id = second_id
+                record._next_id, record._next_due = first_id, first_due
+                first_due = second_due
+            else:
+                record._next_id, record._next_due = second_id, second_due
+        self._sim.schedule_at(first_due, record, name)
 
     def replicate_to(
         self,
@@ -229,7 +302,8 @@ class ReplicationEngine:
         self._sim.schedule(hop + PROCESSING_DELAY, record, name=name)
 
     def _schedule_retry(self, record: PropagationRecord) -> None:
-        """Re-arm ``record`` to re-attempt after the retry interval."""
+        """Re-arm ``record``, down to its one delivery, to re-attempt after the
+        retry interval."""
         if record._retries_left <= 0:
             # Give up; the record stays un-applied and shows up as unbounded lag.
             self._pending -= 1
@@ -289,7 +363,7 @@ class ReplicationEngine:
     # --------------------------------------------------------------- reporting
 
     def pending_count(self) -> int:
-        """Number of propagations scheduled but not yet applied."""
+        """Number of deliveries scheduled but not yet applied or given up."""
         return self._pending
 
     def max_observed_lag(self) -> float:

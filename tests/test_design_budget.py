@@ -266,6 +266,41 @@ def test_telemetry_keeps_no_registry():
         assert "Telemetry" not in classes, path
 
 
+# numpy's quantile functions import numpy.ma on their first call (1.2 MB of
+# RSS in every run); metrics.sla._linear_percentile is their formula without it.
+NUMPY_QUANTILES = {"percentile", "quantile", "median",
+                   "nanpercentile", "nanquantile", "nanmedian"}
+
+
+def _numpy_quantile_calls(tree):
+    """Names of the numpy quantile functions ``tree`` calls or imports."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in NUMPY_QUANTILES
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")):
+            found.append(node.func.attr)
+        elif (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "numpy"):
+            found.extend(alias.name for alias in node.names
+                         if alias.name in NUMPY_QUANTILES)
+    return found
+
+
+def test_nothing_in_src_calls_a_numpy_quantile():
+    offenders = {str(path.relative_to(ROOT)): calls for path in SRC.rglob("*.py")
+                 if (calls := _numpy_quantile_calls(_parse(path)))}
+    assert not offenders
+
+
+def test_the_numpy_quantile_audit_flags_each_form():
+    tree = ast.parse("import numpy as np\nfrom numpy import median\n"
+                     "np.percentile(a, 99)\nnumpy.quantile(a, 0.5)\n"
+                     "estimator.percentile(99)\n")
+    assert sorted(_numpy_quantile_calls(tree)) == ["median", "percentile", "quantile"]
+
+
 def test_the_pre_flip_perf_harness_stays_gone():
     # perfbench/ + BENCHMARK.json are the only performance harness;
     # BENCH_PERF.json is frozen history that nothing reads or appends to.

@@ -19,9 +19,10 @@ A third, from the cache's range index: **range misses and invalidations do
 not walk the namespace** — their work is counted (not timed) against a
 namespace holding thousands of other users' scans.
 
-A fourth, from the write-path fast lane: **a propagation is one object** — the
-gc-tracked allocations of a replicated write and of a retry cycle are counted
-(not timed), so a closure per attempt cannot creep back in.
+A fourth, from the write-path fast lane: **a write in flight is one object** —
+the gc-tracked allocations of a replicated write and of a retry cycle are
+counted (not timed), so neither a closure per attempt nor a record per replica
+can creep back in.
 
 A fifth, from the dereference fast lane: **a query's dereference list is served
 in one pass** — the interpreter-level calls of a cached query are counted (not
@@ -395,9 +396,9 @@ def _tracked_allocations(work) -> int:
 
 
 def test_a_replicated_write_allocates_one_object_per_replica_apply():
-    """rf 3: each of the two scheduled applies is the record and its heap
-    entry, which is the event (the closure-based engine allocated 13 tracked
-    objects per apply)."""
+    """rf 3: the write's two deliveries are one record and its one heap entry,
+    which is the event (a record per apply allocated two tracked objects per
+    apply, the closure-based engine 13)."""
     sim, _, engine, group = _replication_fixture()
     writes = [(("user", index), VersionedValue(index, timestamp=0.0, version=1))
               for index in range(200)]
@@ -408,7 +409,8 @@ def test_a_replicated_write_allocates_one_object_per_replica_apply():
             engine.propagate(group, "entity:profiles", key, value)
 
     scheduled = 2 * len(writes)
-    assert _tracked_allocations(work) <= 3 * scheduled
+    assert _tracked_allocations(work) <= 3 * len(writes)
+    assert len(sim.queue) == len(writes) + 1
     assert engine.pending_count() == scheduled + 2
 
 

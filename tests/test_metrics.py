@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +19,12 @@ from hypothesis import strategies as st
 from repro.metrics.cost import CostReport
 from repro.core.consistency.spec import PerformanceSLA
 from repro.metrics.percentiles import PercentileEstimator
-from repro.metrics.sla import OpRecorder, SLAReport, WindowedComplianceTracker
+from repro.metrics.sla import (
+    OpRecorder,
+    SLAReport,
+    WindowedComplianceTracker,
+    _linear_percentile,
+)
 from repro.metrics.timeseries import TimeSeries, TimeSeriesRecorder
 
 pytestmark = pytest.mark.tier1
@@ -571,3 +582,85 @@ class TestWindowedComplianceTracker:
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             WindowedComplianceTracker(0.0, target_latency=0.1)
+
+
+class TestWindowPercentile:
+    """A window's percentile is numpy's 'linear' formula, computed without
+    ``np.percentile`` (whose first call imports ``numpy.ma``)."""
+
+    @staticmethod
+    def _bits(value: float) -> bytes:
+        return struct.pack("<d", value)
+
+    @given(
+        samples=st.one_of(
+            st.lists(st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+                     min_size=1, max_size=80),
+            # few distinct values: duplicates and ties around every index
+            st.lists(st.sampled_from([0.0, 0.001, 0.002, 0.05, 1.0]),
+                     min_size=1, max_size=80),
+        ),
+        p=st.one_of(
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+            st.sampled_from([0.0, 1e-12, 5e-324, 0.1, 50.0, 99.0, 99.9, 99.99,
+                             100.0 - 1e-12, 100.0]),
+        ),
+    )
+    def test_equals_np_percentile_bit_for_bit(self, samples, p):
+        array = np.asarray(samples, dtype=float)
+        before = array.copy()
+        got = _linear_percentile(array, p)
+        assert type(got) is float
+        assert self._bits(got) == self._bits(float(np.percentile(array, p)))
+        assert np.array_equal(array, before)  # the caller's array is left as it is
+
+    @pytest.mark.parametrize("samples, p", [
+        ([0.25], 99.9),                     # n = 1
+        ([0.25], 0.0),
+        ([0.1, 0.3], 100.0),
+        ([0.3, 0.1, 0.2], 50.0),           # an integral index
+        ([0.1, 0.2], 75.0),                 # weight exactly one half or above
+        ([0.1, 0.2], 25.0),
+        ([0.2, 0.2, 0.2, 0.1], 99.9),       # ties at the top
+    ])
+    def test_the_edges_equal_np_percentile(self, samples, p):
+        array = np.asarray(samples, dtype=float)
+        assert self._bits(_linear_percentile(array, p)) == \
+            self._bits(float(np.percentile(array, p)))
+
+    def test_a_closed_loop_run_never_imports_numpy_ma(self):
+        """An engine built by the harness, driven by the CloudStone mix across
+        two control windows, leaves ``numpy.ma`` unimported: its 1.2 MB of
+        RSS is paid by nothing in the window percentile."""
+        script = textwrap.dedent("""
+            import sys
+            from repro.experiments.harness import build_engine_and_app
+            from repro.metrics.sla import OpRecorder
+            from repro.workloads.generator import LoadGenerator
+            from repro.workloads.opmix import CloudStoneMix
+            from repro.workloads.traces import ConstantTrace
+
+            closed = []
+            close_window = OpRecorder.close_window
+
+            def counted(self):
+                closed.append(self)
+                return close_window(self)
+
+            OpRecorder.close_window = counted
+            engine, app, graph = build_engine_and_app(seed=11, n_users=60,
+                                                      control_interval=5.0)
+            engine.start()
+            generator = LoadGenerator(
+                engine.sim, ConstantTrace(100.0),
+                CloudStoneMix(graph, engine.sim.random.get("mix")), app.execute)
+            generator.start()
+            engine.run_for(12.0)
+            generator.stop()
+            print(len(closed), "numpy.ma" in sys.modules)
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.split() == ["2", "False"]
