@@ -15,19 +15,10 @@ which decides (a) what value actually gets stored given the current value and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Mapping, Optional
 
 from repro.core.consistency.spec import WriteConsistency, WritePolicy
-
-
-@dataclass
-class ResolverStats:
-    """Counts of how writes were resolved (reported by experiment E8)."""
-
-    last_write_wins: int = 0
-    merged: int = 0
 
 
 class ConflictResolver:
@@ -38,7 +29,6 @@ class ConflictResolver:
             raise ValueError("replication factor must be >= 1")
         self.write_consistency = write_consistency
         self.replication_factor = replication_factor
-        self.stats = ResolverStats()
 
     # ------------------------------------------------------------------ quorums
 
@@ -63,10 +53,8 @@ class ConflictResolver:
         """
         policy = self.write_consistency.policy
         if policy is WritePolicy.LAST_WRITE_WINS:
-            self.stats.last_write_wins += 1
             return MappingProxyType(dict(incoming_row))
         if policy is WritePolicy.MERGE:
-            self.stats.merged += 1
             if current_row is None:
                 return MappingProxyType(dict(incoming_row))
             merge = self.write_consistency.merge_function

@@ -132,7 +132,6 @@ class OperationOutcome:
     latency: float
     row: Optional[Mapping[str, Any]] = None
     rows: Sequence[Mapping[str, Any]] = ()
-    stale: bool = False
     error: Optional[str] = None
 
 
@@ -270,7 +269,7 @@ class _QueryReader:
             rows, slowest, misses = {}, 0.0, list(dict.fromkeys(keys))
         if misses:
             self.touched_cluster = True
-            fetched, slowest_miss, _, _ = engine._verify_replica_read(
+            fetched, slowest_miss, _ = engine._verify_replica_read(
                 namespace, misses, engine.router.read_many(namespace, misses), session)
             rows.update(fetched)
             slowest = max(slowest, slowest_miss)
@@ -401,7 +400,6 @@ class Scads:
         )
         # Both big subsystems default ON (the validation grid's green verdict
         # is the receipt — see PERFORMANCE.md "Validation grid").
-        self.repartition = repartition
         self.rebalancer: Optional[Rebalancer] = None
         if repartition:
             self.rebalancer = Rebalancer(
@@ -714,7 +712,7 @@ class Scads:
                                         row=value.value if value is not None else None)
             if traced:
                 tracer.add("cache_miss", 0.0)
-        rows, latency, error, stale = self._verify_replica_read(
+        rows, latency, error = self._verify_replica_read(
             namespace, (key,), {key: self.router.read_one(namespace, key)}, session)
         success = error is None
         if traced:
@@ -722,7 +720,7 @@ class Scads:
         self._record_op("read", latency, success)
         if not success:
             return OperationOutcome(success=False, latency=latency, error=error)
-        return OperationOutcome(success=True, latency=latency, row=rows[key], stale=stale)
+        return OperationOutcome(success=True, latency=latency, row=rows[key])
 
     def query(self, name: str, params: Dict[str, Any],
               session_id: Optional[str] = None) -> QueryResult:
@@ -775,16 +773,16 @@ class Scads:
         first-occurrence order of its misses — and not outcome by outcome:
         the LRU eviction sequence follows it.
 
-        Returns ``(rows, slowest, error, stale)``: under every key the stored
+        Returns ``(rows, slowest, error)``: under every key the stored
         row itself — the read-only mapping the write resolved, never a copy —
         or None when there is no row or the read failed; the largest
-        per-key latency (the fetches ran in parallel), the error of the last
-        failed key (None when every read succeeded) and whether any key was
-        served without its bound verified.  How far behind the primary a
-        served value was known to be (0.0 verified current, an age when the
-        primary holds a newer in-bound version, None unverifiable) goes to
-        :meth:`CacheTier.admit_entity`, which subtracts it from the TTL and
-        never admits an unverified read.
+        per-key latency (the fetches ran in parallel) and the error of the
+        last failed key (None when every read succeeded).  A key served
+        without its bound verified counts in :meth:`stale_read_count`.  How
+        far behind the primary a served value was known to be (0.0 verified
+        current, an age when the primary holds a newer in-bound version, None
+        unverifiable) goes to :meth:`CacheTier.admit_entity`, which subtracts
+        it from the TTL and never admits an unverified read.
         """
         cache = self.cache
         now = self.sim.now
@@ -794,7 +792,6 @@ class Scads:
         rows: Dict[Key, Optional[Mapping[str, Any]]] = {}
         slowest = 0.0
         error = None
-        any_stale = False
         for key in keys:
             if routed[key] is not outcome:
                 outcome = routed[key]
@@ -882,11 +879,10 @@ class Scads:
                 session.note_read(namespace, key, value)
             if stale:
                 self._stale_served += 1
-                any_stale = True
             elif cache is not None:
                 cache.admit_entity(namespace, key, value, known_staleness)
             rows[key] = value.value if value is not None else None
-        return rows, slowest, error, any_stale
+        return rows, slowest, error
 
     # ---------------------------------------------------------------- accounting
 

@@ -112,10 +112,6 @@ class AnalyzedQuery:
     def final(self) -> ChainStep:
         return self.chain[-1]
 
-    def entities(self) -> List[str]:
-        """Entity names along the chain, anchor first."""
-        return [step.entity.name for step in self.chain]
-
 
 class QueryAnalyzer:
     """Checks templates against the schema and the scale-independence rules.

@@ -191,6 +191,3 @@ class SchemaRegistry:
 
     def has_entity(self, name: str) -> bool:
         return name in self._entities
-
-    def entities(self) -> List[EntitySchema]:
-        return list(self._entities.values())

@@ -114,8 +114,6 @@ class ClosedLoopSummary:
     # engine's write audit was off — see Scads ``write_audit``).  The
     # interruption-storm grid scenario gates on this staying 0.
     lost_acked_writes: Optional[int]
-    # Dollars split by purchase option ({"on_demand": ..., "spot": ...}).
-    cost_by_purchase_option: Dict[str, float]
 
     def summary(self) -> Dict[str, object]:
         """Flat dictionary used by the benchmark harnesses' printed tables."""
@@ -221,7 +219,6 @@ def install_fault_plan(engine: Scads, plan: Sequence[FaultSpec]) -> FailureInjec
     * ``zone_outage`` — the ``zone_index``-th member of every replica group
       crashes simultaneously and recovers after ``duration`` (regional
       failover: read capacity drains, replicas fail over, primaries live);
-    * ``crash_random`` — ``count`` random alive nodes crash for ``duration``;
     * ``interruption_storm`` — correlated spot revocations: every registered
       spot instance gets its two-minute notice at ``at`` and new spot
       launches are refused for ``duration`` (needs an engine built with
@@ -321,6 +318,5 @@ def run_closed_loop(scenario: ScenarioSpec, seed: int
         telemetry=engine.collect_telemetry(),
         traces=engine.traces() if engine.tracer is not None else None,
         lost_acked_writes=engine.lost_write_count(),
-        cost_by_purchase_option=engine.pool.cost_by_purchase_option(),
     )
     return summary, engine, app

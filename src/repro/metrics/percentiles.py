@@ -91,8 +91,14 @@ class PercentileEstimator:
     def _percentile_of_sorted(arr: np.ndarray, p: float) -> float:
         """Linear-interpolated percentile of an already-sorted array.
 
-        Matches ``np.percentile(arr, p)`` (default 'linear' method) without
-        re-partitioning the array per call.
+        numpy's 'linear' virtual index ``(n - 1) * (p / 100)`` with the plain
+        upward lerp ``lo + (hi - lo) * w`` at every weight ``w``.
+        ``np.percentile`` switches to ``hi - (hi - lo) * (1 - w)`` when
+        ``w >= 0.5``, so the two can differ in the last bits.  Do not change
+        the formula to match numpy: this value is a control input (the
+        monitor's latency model trains on the window's miss-path percentile,
+        see :meth:`~repro.metrics.sla.OpRecorder.close_window`), and every
+        run's fingerprint moves with it.
         """
         rank = (arr.shape[0] - 1) * (p / 100.0)
         lo = int(rank)
@@ -107,19 +113,6 @@ class PercentileEstimator:
         if not 0.0 < p <= 100.0:
             raise ValueError(f"percentile must be in (0, 100], got {p}")
         return self._percentile_of_sorted(self._merged(), p)
-
-    def mean(self) -> float:
-        """Mean of recorded samples."""
-        count = len(self)
-        if not count:
-            raise ValueError("no samples recorded")
-        return self._sum / count
-
-    def max(self) -> float:
-        """Maximum recorded sample."""
-        if not len(self):
-            raise ValueError("no samples recorded")
-        return self._max
 
     def merge(self, other: "PercentileEstimator") -> "PercentileEstimator":
         """Fold another estimator's samples into this one and return ``self``.
@@ -166,13 +159,6 @@ class PercentileEstimator:
             raise ValueError("no samples recorded")
         arr = self._merged()
         return float(np.searchsorted(arr, threshold, side="right")) / arr.shape[0]
-
-    def reset(self) -> None:
-        """Drop all recorded samples."""
-        self._pending = array("d")
-        self._sorted = _EMPTY
-        self._sum = 0.0
-        self._max = 0.0
 
     def snapshot(self) -> Dict[str, float]:
         """Common summary statistics in one dictionary.

@@ -37,16 +37,6 @@ class TimeSeries:
             raise ValueError(f"time series {self.name!r} is empty")
         return float(np.max(self.values))
 
-    def min(self) -> float:
-        if not self.values:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return float(np.min(self.values))
-
-    def mean(self) -> float:
-        if not self.values:
-            raise ValueError(f"time series {self.name!r} is empty")
-        return float(np.mean(self.values))
-
     def value_at(self, time: float) -> float:
         """Step-function lookup: the last value recorded at or before ``time``."""
         if not self.times:

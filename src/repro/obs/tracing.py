@@ -202,26 +202,3 @@ class Tracer:
 
     def slowest(self, n: int = 3) -> List[TraceRecord]:
         return sorted(self.traces, key=lambda t: t.latency, reverse=True)[:n]
-
-    # --------------------------------------------------------------- pickling
-
-    def __getstate__(self) -> Dict[str, object]:
-        # An in-flight span list never crosses a process boundary: runs
-        # finish before their results are shipped back.
-        return {
-            "sample_interval": self.sample_interval,
-            "max_traces": self.max_traces,
-            "traces": self.traces,
-            "op_counts": self._op_counts,
-            "next_id": self._next_id,
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.sample_interval = state["sample_interval"]  # type: ignore[assignment]
-        self.max_traces = state["max_traces"]  # type: ignore[assignment]
-        self.traces = state["traces"]  # type: ignore[assignment]
-        self._op_counts = state["op_counts"]  # type: ignore[assignment]
-        self._current_spans = None
-        self._current_op = ""
-        self._current_start = 0.0
-        self._next_id = state["next_id"]  # type: ignore[assignment]

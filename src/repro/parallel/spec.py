@@ -35,7 +35,6 @@ from repro.workloads.traces import (
     FlashCrowdTrace,
     HalloweenSpikeTrace,
     LoadTrace,
-    StepTrace,
 )
 
 # Trace construction is deferred to the worker (LoadTrace subclasses are
@@ -43,7 +42,6 @@ from repro.workloads.traces import (
 # means a registry dump is human-readable JSON-shaped data).
 TRACE_KINDS = {
     "constant": ConstantTrace,
-    "step": StepTrace,
     "diurnal": DiurnalTrace,
     "viral": AnimotoViralTrace,
     "spike": HalloweenSpikeTrace,
@@ -64,7 +62,6 @@ MIX_KINDS: Dict[str, Dict[str, Any]] = {
 # point each schedules (see :func:`repro.experiments.harness.install_fault_plan`).
 FAULT_KINDS = {
     "zone_outage": FailureInjector.zone_outage,
-    "crash_random": FailureInjector.crash_random_nodes,
     "interruption_storm": FailureInjector.interruption_storm,
     "host_degradation": FailureInjector.host_degradation,
 }
@@ -217,7 +214,6 @@ class RunSpec:
 
     run_id: str
     cell: str
-    replicate: int
     seed: int
     scenario: ScenarioSpec
 
@@ -259,7 +255,7 @@ class SweepGrid:
     def expand(self) -> List[RunSpec]:
         """The replicates as ordered, fully-seeded run specifications."""
         cell = self.scenario.name
-        return [RunSpec(run_id=f"{cell}#r{replicate}", cell=cell, replicate=replicate,
-                        seed=seed, scenario=self.scenario)
+        return [RunSpec(run_id=f"{cell}#r{replicate}", cell=cell, seed=seed,
+                        scenario=self.scenario)
                 for replicate, seed in enumerate(derive_seeds(self.base_seed,
                                                               self.replicates))]

@@ -85,11 +85,10 @@ class MigrationRecord:
 
 @dataclass
 class ClusterStats:
-    """Aggregate load/size statistics the autoscaler's features are built from."""
+    """The fleet's size and load, read by the provisioning monitor once per
+    control window to build the autoscaler's features."""
 
     node_count: int
-    group_count: int
-    total_keys: int
     mean_utilisation: float
     max_utilisation: float
     total_capacity_ops: float
@@ -881,19 +880,15 @@ class Cluster:
         return len(self.groups)
 
     def total_keys(self) -> int:
-        """Live keys counted at owner primaries.
+        """Live keys counted at owner primaries: the data-movement tests'
+        oracle that no key is lost or stranded.
 
         Replica copies within a group are never counted, and neither are the
         *source-side* copies of in-flight migrations: while a targeted
         migration is dual-routing, the moved keys exist at both the source and
-        the target primary, and anything that reads this count (cache sizing,
-        storage billing) must see each logical key exactly once.
-
+        the target primary, and each logical key is counted exactly once.
         While migrations are in flight this sweeps each source primary once
-        per call.  At simulation scale that is cheap; if keyspaces grow to
-        where the per-control-window ``stats()`` call hurts, replace the sweep
-        with an incremental duplicate count maintained by the
-        dual-write/reclaim paths.
+        per call.
         """
         total = sum(self.nodes[g.primary].key_count() for g in self.groups.values())
         for source_id, tokens in self._in_flight_tokens().items():
@@ -927,8 +922,6 @@ class Cluster:
         utilisations = [n.utilisation() for n in alive] or [0.0]
         return ClusterStats(
             node_count=len(self.nodes),
-            group_count=len(self.groups),
-            total_keys=self.total_keys(),
             mean_utilisation=float(np.mean(utilisations)),
             max_utilisation=float(np.max(utilisations)),
             total_capacity_ops=float(sum(n.capacity_ops_per_sec for n in alive)),

@@ -39,7 +39,6 @@ class FailureInjector:
         self._cluster = cluster
         self._sim = cluster.sim
         self._faults: List[FaultRecord] = []
-        self._failure_rng = cluster.sim.random.get("failure-injector")
         self._market = market
         self._contention = contention
 
@@ -83,34 +82,6 @@ class FailureInjector:
         self._faults.append(record)
         self._outage(at, duration, lambda: [node_id],
                      f"crash:{node_id}", f"recover:{node_id}")
-        return record
-
-    def crash_random_nodes(self, count: int, at: float, duration: float) -> FaultRecord:
-        """Crash ``count`` random alive nodes simultaneously at time ``at``.
-
-        Victims are chosen when the fault *fires*, not when it is scheduled —
-        nodes rented between scheduling and firing are eligible, nodes
-        decommissioned in between are not.  When fewer than ``count`` nodes
-        are alive at fire time the fault crashes all of them (an outage
-        cannot kill machines that do not exist).
-        """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        record = FaultRecord(kind="crash-random", start=at, end=at + duration)
-        self._faults.append(record)
-
-        def victims() -> List[str]:
-            alive = sorted(
-                node_id for node_id, node in self._cluster.nodes.items() if node.alive
-            )
-            take = min(count, len(alive))
-            if take == 0:
-                return []
-            return [str(x) for x in
-                    self._failure_rng.choice(alive, size=take, replace=False)]
-
-        self._outage(at, duration, victims,
-                     f"crash-random:{count}", f"recover-random:{count}")
         return record
 
     def interruption_storm(self, at: float, duration: float) -> FaultRecord:

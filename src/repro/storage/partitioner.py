@@ -58,28 +58,17 @@ class PartitionInfo:
 class Partitioner:
     """Interface shared by the partitioning strategies.
 
-    Both strategies memoize token → group routing behind a *topology epoch*:
-    every operation that can change ownership bumps the epoch and drops the
-    memo, so steady-state routing is a dict hit (no md5, no bisect) while
-    topology changes are never served stale.  The memo is capped (cleared
-    wholesale when it exceeds ``ROUTE_CACHE_MAX`` tokens) so unbounded
-    keyspaces cannot grow it without limit.
+    Both strategies memoize token → group routing: every operation that can
+    change ownership clears the memo, so steady-state routing is a dict hit
+    (no md5, no bisect) while topology changes are never served stale.  The
+    memo is capped (cleared wholesale when it exceeds ``ROUTE_CACHE_MAX``
+    tokens) so unbounded keyspaces cannot grow it without limit.
     """
 
     ROUTE_CACHE_MAX = 1 << 20
 
     def __init__(self) -> None:
-        self._epoch = 0
         self._route_cache: Dict[str, str] = {}
-
-    @property
-    def topology_epoch(self) -> int:
-        """Bumped on every ownership-changing operation (memo invalidation)."""
-        return self._epoch
-
-    def _bump_epoch(self) -> None:
-        self._epoch += 1
-        self._route_cache.clear()
 
     def _route_token(self, token: str) -> str:
         """Uncached token → group resolution (strategy-specific)."""
@@ -151,7 +140,7 @@ class ConsistentHashPartitioner(Partitioner):
             bisect.insort(self._ring, point)
             self._ring_owners[point] = group_id
             points.append(point)
-        self._bump_epoch()
+        self._route_cache.clear()
 
     def remove_group(self, group_id: str) -> None:
         if group_id not in self._groups:
@@ -163,7 +152,7 @@ class ConsistentHashPartitioner(Partitioner):
             del self._ring_owners[point]
             index = bisect.bisect_left(self._ring, point)
             self._ring.pop(index)
-        self._bump_epoch()
+        self._route_cache.clear()
 
     def _route_token(self, token: str) -> str:
         if not self._ring:
@@ -200,7 +189,7 @@ class RangePartitioner(Partitioner):
         if not self._splits:
             self._splits = [""]
             self._owners = [group_id]
-        self._bump_epoch()
+        self._route_cache.clear()
 
     def remove_group(self, group_id: str) -> None:
         if group_id not in self._groups:
@@ -210,7 +199,7 @@ class RangePartitioner(Partitioner):
         self._groups.remove(group_id)
         fallback = self._groups[0]
         self._owners = [fallback if owner == group_id else owner for owner in self._owners]
-        self._bump_epoch()
+        self._route_cache.clear()
 
     def set_splits(self, splits: Sequence[str], owners: Sequence[str]) -> None:
         """Install explicit split points; ``splits[i]`` is the lower bound of partition i."""
@@ -225,7 +214,7 @@ class RangePartitioner(Partitioner):
             raise PartitionerError(f"owners reference unregistered groups: {sorted(unknown)}")
         self._splits = list(splits)
         self._owners = list(owners)
-        self._bump_epoch()
+        self._route_cache.clear()
 
     def _index_for_token(self, token: str) -> int:
         if not self._splits:
@@ -264,7 +253,7 @@ class RangePartitioner(Partitioner):
         owner = self._owners[index]
         self._splits.insert(index + 1, token)
         self._owners.insert(index + 1, owner)
-        self._bump_epoch()
+        self._route_cache.clear()
         return self.partition_for_token(token)
 
     def merge_at(self, index: int) -> PartitionInfo:
@@ -283,7 +272,7 @@ class RangePartitioner(Partitioner):
             )
         self._splits.pop(index + 1)
         self._owners.pop(index + 1)
-        self._bump_epoch()
+        self._route_cache.clear()
         return self.partitions()[index]
 
     def reassign(self, index: int, new_owner: str) -> PartitionInfo:
@@ -293,7 +282,7 @@ class RangePartitioner(Partitioner):
         if new_owner not in self._groups:
             raise PartitionerError(f"group {new_owner!r} is not registered")
         self._owners[index] = new_owner
-        self._bump_epoch()
+        self._route_cache.clear()
         return self.partitions()[index]
 
     # ------------------------------------------------------------------- routing

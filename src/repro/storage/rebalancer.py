@@ -99,9 +99,6 @@ class PartitionLoadTracker:
 
     # ------------------------------------------------------------------ queries
 
-    def counts(self) -> Dict[str, float]:
-        return dict(self._counts)
-
     def total_load(self) -> float:
         return sum(self._counts.values())
 
@@ -446,9 +443,6 @@ class Rebalancer:
         return None
 
     # --------------------------------------------------------------- reporting
-
-    def actions(self) -> List[RebalanceAction]:
-        return list(self._actions)
 
     def keys_moved(self) -> int:
         return sum(action.keys_moved for action in self._actions)

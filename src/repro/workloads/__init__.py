@@ -13,7 +13,6 @@ from repro.workloads.traces import (
     DiurnalTrace,
     HalloweenSpikeTrace,
     LoadTrace,
-    StepTrace,
 )
 from repro.workloads.generator import LoadGenerator
 
@@ -25,7 +24,6 @@ __all__ = [
     "OperationKind",
     "LoadTrace",
     "ConstantTrace",
-    "StepTrace",
     "DiurnalTrace",
     "AnimotoViralTrace",
     "HalloweenSpikeTrace",

@@ -118,10 +118,6 @@ class CloudStoneMix:
         self._users = graph.users()
         self._status_counter = 0
 
-    def write_fraction(self) -> float:
-        """The fraction of operations that are writes under the current mix."""
-        return sum(weight for kind, weight in self._mix.items() if kind in WRITE_KINDS)
-
     def set_mix(self, mix: Dict[OperationKind, float]) -> None:
         """Swap the operation mix (e.g. to the write-heavy spike mix) mid-run."""
         total = sum(mix.values())

@@ -135,18 +135,6 @@ class SocialGraph:
                 if user_id < other:
                     yield user_id, other
 
-    def add_friendship(self, a: str, b: str) -> bool:
-        """Add a friendship respecting the degree cap.  Returns False if rejected."""
-        if a == b:
-            raise ValueError("a user cannot befriend themselves")
-        if a not in self._friends or b not in self._friends:
-            raise KeyError("both users must exist in the graph")
-        if len(self._friends[a]) >= self.max_friends or len(self._friends[b]) >= self.max_friends:
-            return False
-        self._friends[a].add(b)
-        self._friends[b].add(a)
-        return True
-
     def mean_degree(self) -> float:
         """The average friend count."""
         if not self._friends:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 
 class LoadTrace:
@@ -38,31 +37,6 @@ class ConstantTrace(LoadTrace):
 
     def rate_at(self, time: float) -> float:
         return self.rate
-
-
-@dataclass
-class StepTrace(LoadTrace):
-    """Piecewise-constant rate: a list of (start_time, rate) steps."""
-
-    steps: Sequence[Tuple[float, float]]
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("at least one step is required")
-        times = [t for t, _ in self.steps]
-        if times != sorted(times):
-            raise ValueError("steps must be sorted by start time")
-        if any(rate < 0 for _, rate in self.steps):
-            raise ValueError("rates must be non-negative")
-
-    def rate_at(self, time: float) -> float:
-        rate = self.steps[0][1]
-        for start, step_rate in self.steps:
-            if time >= start:
-                rate = step_rate
-            else:
-                break
-        return rate
 
 
 @dataclass

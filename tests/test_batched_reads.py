@@ -329,7 +329,7 @@ class TestRouterReadManyOnePass:
         # the books: requests, failures, partition load, key touches per node
         assert router.op_counts() == twin_router.op_counts()
         assert router.op_counts()["failed"] == 2  # u021 and u033
-        assert tracker.counts() == twin_tracker.counts()
+        assert tracker._counts == twin_tracker._counts  # noqa: SLF001
         assert touches and touches == twin_touches
         # the replica-choice and network streams were consumed alike
         group, twin_group = cluster.groups["group-0"], twin_cluster.groups["group-0"]
@@ -575,9 +575,10 @@ class TestEngineDereferenceGlue:
         self._advance_primary_only(engine, [("k2",)])  # newer, but inside the bound
         routed, outcome = self._replica_served(engine, keys)
         re_reads = self._spy_on_primary_reads(engine)
-        rows, slowest, error, stale = engine._verify_replica_read(  # noqa: SLF001
+        stale_before = engine.stale_read_count()
+        rows, slowest, error = engine._verify_replica_read(  # noqa: SLF001
             self.NAMESPACE, keys, routed, None)
-        assert error is None and not stale
+        assert error is None and engine.stale_read_count() == stale_before
         assert [key for key, _ in re_reads] == too_stale
         assert all(result.success for _, result in re_reads)
         # the re-read keys carry the primary's value and their added latency;
@@ -605,10 +606,14 @@ class TestEngineDereferenceGlue:
             engines.append(engine)
         batched, single = engines
         routed, _ = self._replica_served(batched, keys)
-        rows, _, error, stale = batched._verify_replica_read(  # noqa: SLF001
+        rows, _, error = batched._verify_replica_read(  # noqa: SLF001
             self.NAMESPACE, keys, routed, None)
-        gets = [single.get("items", key) for key in keys]
-        assert stale == any(outcome.stale for outcome in gets) == availability_first
+        gets, served_stale = [], []
+        for key in keys:
+            stale_before = single.stale_read_count()
+            gets.append(single.get("items", key))
+            served_stale.append(single.stale_read_count() > stale_before)
+        assert served_stale == [availability_first] * len(keys)
         assert batched.stale_read_count() == single.stale_read_count() == (
             len(keys) if availability_first else 0)
         conflicts = [(engine.arbitrator.stale_serves(), engine.arbitrator.failed_requests())
@@ -628,10 +633,11 @@ class TestEngineDereferenceGlue:
         for engine in (batched, single):
             self._primary_of_the_one_group(engine)[1].crash()
         routed, _ = self._replica_served(batched, keys)
-        rows, _, error, stale = batched._verify_replica_read(  # noqa: SLF001
+        rows, _, error = batched._verify_replica_read(  # noqa: SLF001
             self.NAMESPACE, keys, routed, None)
         gets = [single.get("items", key) for key in keys]
-        assert error is None and not stale and not any(outcome.stale for outcome in gets)
+        assert error is None
+        assert batched.stale_read_count() == single.stale_read_count() == 0
         assert [rows[key] for key in keys] == [outcome.row for outcome in gets]
         for engine in (batched, single):
             assert engine.arbitrator.stale_serves() == engine.arbitrator.failed_requests() == 0
@@ -652,9 +658,10 @@ class TestEngineDereferenceGlue:
             session.note_read(self.NAMESPACE, key, primary.peek(self.NAMESPACE, key))
         routed, _ = self._replica_served(engine, keys)
         re_reads = self._spy_on_primary_reads(engine)
-        rows, _, error, stale = engine._verify_replica_read(  # noqa: SLF001
+        stale_before = engine.stale_read_count()
+        rows, _, error = engine._verify_replica_read(  # noqa: SLF001
             self.NAMESPACE, keys, routed, session)
-        assert error is None and not stale
+        assert error is None and engine.stale_read_count() == stale_before
         # version 1 after seeing 2: k2 on the session's word alone, k3 once,
         # though the staleness bound asks for it too — and the session is
         # asked either way

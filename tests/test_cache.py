@@ -309,9 +309,11 @@ def cluster_reads(engine, namespace, key, attempts=64):
 
     engine.cache.admit_entity = spy
     for _ in range(attempts):
-        rows, _, error, stale = engine._verify_replica_read(
+        stale_before = engine.stale_read_count()
+        rows, _, error = engine._verify_replica_read(
             namespace, (key,), {key: engine.router.read_one(namespace, key)}, None)
-        assert error is None and not stale and len(offered) == 1
+        assert error is None and engine.stale_read_count() == stale_before
+        assert len(offered) == 1
         assert rows[key] == offered[0][0].value
         yield offered.pop()
 

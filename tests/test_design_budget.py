@@ -39,9 +39,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 
 MAX_ENGINE_KWARGS = 22
-MAX_ENGINE_LINES = 1033
+MAX_ENGINE_LINES = 1029
 MAX_ENGINE_IS_NOT_NONE = 37
-MAX_CLUSTER_LINES = 948
+MAX_CLUSTER_LINES = 941
 # Data movement is three primitives (see cluster.py's "Data movement"): the
 # scans are _misplaced, _copy_store and the range seeding's token census.
 MAX_CLUSTER_SCANS = 3
@@ -53,7 +53,7 @@ MAX_RUN_CLOSED_LOOP_PARAMETERS = 2
 MAX_MAKE_TARGETS = 14
 MAX_EVENTS_LINES = 70
 MAX_CACHE_STORE_LINES = 330
-MAX_PARTITIONER_LINES = 302
+MAX_PARTITIONER_LINES = 291
 MAX_ROUTER_LINES = 633
 # Settable values: the parameters with a default on an explicit ``__init__``
 # of a class under src/repro/, plus the fields with a default on a ``*Config``
@@ -74,9 +74,10 @@ TEST_SEAMS = {
     "Cluster.anti_affinity_violations":
         "an invariant the tests assert: no replica group stacks members on "
         "one host, through placement, replacement, evacuation and zone outages",
-    "Partitioner.topology_epoch":
-        "an invariant the tests assert: every topology change invalidates the "
-        "route memo",
+    "Cluster.total_keys":
+        "an invariant the tests assert: each logical key counted once at its "
+        "owner's primary, through adds, removals, in-flight migrations and "
+        "outages",
     "StalenessBudgetCache.cost_total":
         "what the cache's LinearScanStore twin is compared on after every step",
     "FailureInjector.crash_node":
@@ -617,30 +618,55 @@ class _Stores(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _reads(tree):
+# The calls an identifier-shaped string names an attribute in: the uses a
+# string read of a stored value is counted for.  Any other string -- a dict
+# key, an enum value, a label -- is data, even when it shares a field's name.
+ATTRIBUTE_BY_NAME = {"getattr", "hasattr", "setattr", "delattr",
+                     "attrgetter", "methodcaller"}
+
+
+def _defined_names(trees):
+    """The name of every ``def`` in ``trees``."""
+    return {node.name for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def _reads(tree, methods):
     """The attribute names a module reads: each ``Attribute`` that is not a
     store target (``x.a += 1`` only stores) and each identifier-shaped string
-    (``getattr(obj, "a")``), but no ``__all__`` or ``__slots__`` listing.  A
+    passed to a call in ``ATTRIBUTE_BY_NAME`` (``getattr(obj, "a")``).
+
+    A call ``x.a(...)`` reads a stored ``a`` only when no ``def a`` is among
+    ``methods`` (every ``def`` of the scanned code): otherwise it calls that
+    method, and a stored callable read by calling it
+    (``self._pending_maintenance()``) is the case with no such ``def``.  A
     constructor keyword is no read: it is a ``keyword``, not an ``Attribute``."""
-    listed = _listings(tree)
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in methods}
     reads = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store) \
+                and id(node) not in called:
             reads.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and _IDENTIFIER.match(node.value) and id(node) not in listed:
-            reads.add(node.value)
+        elif isinstance(node, ast.Call) and _callee(node) in ATTRIBUTE_BY_NAME:
+            reads.update(argument.value for argument in node.args
+                         if isinstance(argument, ast.Constant)
+                         and isinstance(argument.value, str)
+                         and _IDENTIFIER.match(argument.value))
     return reads
 
 
 def _unread_values(stored, reading):
     """``"Class.name"`` of every value the ``stored`` modules store that no
-    ``reading`` module reads.  Names are matched by their last part, as in
-    ``_references``: a read of ``x.count`` reads every stored ``count``."""
+    ``reading`` module reads (see ``_reads``).  Names are matched by their
+    last part, as in ``_references``: a read of ``x.count`` reads every stored
+    ``count``."""
     stores = _Stores()
     for tree in stored:
         stores.visit(tree)
-    reads = set().union(*map(_reads, reading))
+    methods = _defined_names(reading)
+    reads = set().union(*(_reads(tree, methods) for tree in reading))
     return sorted(key for key in stores.stores
                   if key.split(".")[0] not in stores.whole
                   and key.rsplit(".", 1)[1] not in reads)
@@ -696,3 +722,81 @@ def test_the_stored_value_audit_flags_what_nothing_reads():
     """))
     assert _unread_values([source], [source]) == [
         "Counter.bumps", "Plan.note", "Slotted.dropped"]
+
+
+def test_the_stored_value_audit_judges_a_name_by_its_reader():
+    source = ast.parse(textwrap.dedent("""
+        import enum
+        from dataclasses import dataclass
+
+        class Policy(enum.Enum):
+            LAST = "last_wins"
+
+        @dataclass
+        class Stats:
+            total: int
+            last_wins: int
+            merged: int
+            label: str
+            hook: object
+
+        class Cluster:
+            def total(self):
+                return 0
+
+        stats = Stats(total=1, last_wins=0, merged=0, label="s", hook=print)
+        print(Cluster().total(), {"merged": 1}, getattr(stats, "label"), stats.hook())
+    """))
+    # total: only a same-named method is called; last_wins: only an enum
+    # value; merged: only a dict key.  getattr's string and the stored
+    # callable that is called (no ``def hook``) are reads.
+    assert _unread_values([source], [source]) == [
+        "Stats.last_wins", "Stats.merged", "Stats.total"]
+
+
+# ----------------------------------------------------------------- registries
+
+# The kind registries of parallel/spec.py map the names a spec uses to what
+# the harness builds from them; a kind that no scenario, benchmark, example,
+# script or perfbench workload names is kept for nobody.
+REGISTRIES = ("TRACE_KINDS", "MIX_KINDS", "FAULT_KINDS")
+
+
+def _unnamed_registry_keys(trees, registries):
+    """``{registry: [key, ...]}`` for each dict literal assigned to a name in
+    ``registries``: the string keys no string constant of ``trees`` names
+    outside that literal."""
+    literals, strings = {}, []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                    and isinstance(node.value, ast.Dict):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                literals.update((target.id, node.value) for target in targets
+                                if getattr(target, "id", None) in registries)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.append(node)
+    unnamed = {}
+    for registry, literal in literals.items():
+        inside = {id(node) for node in ast.walk(literal)}
+        named = {node.value for node in strings if id(node) not in inside}
+        unnamed[registry] = [key.value for key in literal.keys
+                             if isinstance(key, ast.Constant) and key.value not in named]
+    return unnamed
+
+
+def test_every_registered_kind_is_named_outside_tests():
+    unnamed = _unnamed_registry_keys(
+        [_parse(path) for path in sorted(_sources(*CALLER_DIRECTORIES))], REGISTRIES)
+    assert unnamed == {registry: [] for registry in REGISTRIES}
+
+
+def test_the_registry_audit_flags_a_kind_named_nowhere_else():
+    source = ast.parse(textwrap.dedent('''
+        KINDS = {"used": Used, "unused": Unused}
+        MIXES: dict = {"plain": {}}
+        OTHER = {"unlisted": 1}
+        spec = Spec("used", note="the ``unused`` kind, spelled in prose")
+    '''))
+    assert _unnamed_registry_keys([source], ("KINDS", "MIXES")) == {
+        "KINDS": ["unused"], "MIXES": ["plain"]}

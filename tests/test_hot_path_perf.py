@@ -11,8 +11,7 @@ invariants:
    and future model edits.
 2. **The route memo never serves stale topology** — every ownership-changing
    operation (hash: add/remove group; range: add/remove group, split/merge/
-   reassign/set_splits) must bump the topology epoch and invalidate the
-   token→group memo, so a memoized partitioner always answers exactly like a
+   reassign/set_splits) must clear the token→group memo, so a memoized partitioner always answers exactly like a
    freshly built (memo-cold) replica of itself.
 
 A third, from the cache's range index: **range misses and invalidations do
@@ -238,7 +237,7 @@ def test_hash_route_memo_invalidates_across_topology_changes(ops):
     """After any op sequence, memoized routes equal a memo-cold replica's.
 
     The memoized partitioner answers queries *between* ops (priming the memo
-    with soon-to-be-stale routes); a stale entry surviving an epoch bump
+    with soon-to-be-stale routes); a stale entry surviving a topology change
     would diverge from the fresh replay.
     """
     memoized = hash_ring(["g0", "g1"], virtual_nodes=16)
@@ -257,16 +256,6 @@ def test_hash_route_memo_invalidates_across_topology_changes(ops):
     fresh = _replay_hash(applied)
     for token in HASH_TOKENS:
         assert memoized.group_for_token(token) == fresh.group_for_token(token)
-
-
-def test_hash_epoch_bumps_on_each_topology_change():
-    partitioner = hash_ring(["g0", "g1"], virtual_nodes=16)
-    epoch = partitioner.topology_epoch
-    partitioner.add_group("g2")
-    assert partitioner.topology_epoch > epoch
-    epoch = partitioner.topology_epoch
-    partitioner.remove_group("g2")
-    assert partitioner.topology_epoch > epoch
 
 
 def test_range_route_memo_invalidates_across_split_merge_reassign():
@@ -297,24 +286,6 @@ def test_range_route_memo_invalidates_across_split_merge_reassign():
     apply("reassign", 0, "g3")       # -> [g3, g1, g0]
     apply("remove_group", "g2")      # unreferenced group leaves cleanly
     apply("remove_group", "g3")      # its range falls back to g0
-
-
-def test_range_epoch_bumps_on_each_topology_change():
-    partitioner = RangePartitioner()
-    operations = [
-        ("add_group", ("g0",)),
-        ("add_group", ("g1",)),
-        ("set_splits", (["", "u5"], ["g0", "g1"])),
-        ("split_at", ("u7",)),
-        ("reassign", (1, "g1")),
-        ("merge_at", (1,)),
-        ("add_group", ("g2",)),
-        ("remove_group", ("g2",)),
-    ]
-    for name, args in operations:
-        epoch = partitioner.topology_epoch
-        getattr(partitioner, name)(*args)
-        assert partitioner.topology_epoch > epoch, name
 
 
 # ----------------------------------------------------- cached-range index

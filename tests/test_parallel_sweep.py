@@ -69,7 +69,6 @@ class TestSweepExpansion:
         runs = SweepGrid(scenario=scenario, replicates=3, base_seed=5).expand()
         assert [run.run_id for run in runs] == ["tiny#r0", "tiny#r1", "tiny#r2"]
         assert {run.cell for run in runs} == {"tiny"}
-        assert [run.replicate for run in runs] == [0, 1, 2]
         assert [run.seed for run in runs] == derive_seeds(5, 3)
         assert all(run.scenario is scenario for run in runs)
         with pytest.raises(ValueError, match="replicates"):
@@ -171,7 +170,7 @@ class TestFailureIsolation:
     def poisoned_runs(self):
         good = smoke_grid(runs=3, base_seed=1, duration=6.0, rate=15.0).expand()
         poison = RunSpec(
-            run_id="poison#r0", cell="poison", replicate=0, seed=good[1].seed,
+            run_id="poison#r0", cell="poison", seed=good[1].seed,
             scenario=tiny_scenario().with_overrides(
                 trace=TraceSpec("no-such-trace", {})),
         )
@@ -195,7 +194,7 @@ class TestFailureIsolation:
         assert records[1].error_type == "ValueError"
 
     def test_execute_run_never_raises(self):
-        bad = RunSpec(run_id="bad#r0", cell="bad", replicate=0, seed=0,
+        bad = RunSpec(run_id="bad#r0", cell="bad", seed=0,
                       scenario=tiny_scenario(mix="no-such-mix"))
         record = execute_run(bad)
         assert isinstance(record, RunFailure)

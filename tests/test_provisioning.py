@@ -103,7 +103,9 @@ class TestClosedLoopAutoscaling:
         assert result.peak_nodes > 3
 
     def test_scale_down_after_load_drops(self):
-        trace = TraceSpec("step", {"steps": [(0.0, 150.0), (400.0, 10.0)]})
+        trace = TraceSpec("spike", {"base_rate": 10.0, "spike_multiplier": 15.0,
+                                    "spike_start": 0.0, "rise_duration": 1.0,
+                                    "hold_duration": 399.0, "decay_duration": 1.0})
         result, _, _ = self._run(trace, duration=1800.0)
         assert result.scale_downs >= 1
         assert result.final_nodes < result.peak_nodes

@@ -113,7 +113,7 @@ class TestSchemaRegistry:
         registry.register_entity(profiles_schema())
         assert registry.has_entity("profiles")
         assert registry.entity("profiles").name == "profiles"
-        assert len(registry.entities()) == 1
+        assert not registry.has_entity("statuses")
 
     def test_duplicate_entity_rejected(self):
         registry = SchemaRegistry()

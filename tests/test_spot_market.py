@@ -308,6 +308,7 @@ class TestStormSweepDeterminism:
             assert a.summary.operations == b.summary.operations
             assert a.summary.operation_counts == b.summary.operation_counts
             assert a.summary.read_latency.snapshot() == b.summary.read_latency.snapshot()
-            assert a.summary.cost.dollars == b.summary.cost.dollars
-            assert a.summary.cost_by_purchase_option == b.summary.cost_by_purchase_option
+            assert a.summary.cost == b.summary.cost
+            assert (a.summary.decision_timeline.snapshot()["events"]
+                    == b.summary.decision_timeline.snapshot()["events"])
             assert a.summary.lost_acked_writes == b.summary.lost_acked_writes == 0

@@ -47,7 +47,7 @@ class TestGridExpansion:
         runs = build_grid_runs(replicates=2)
         seeds = {}
         for run in runs:
-            key = (run.cell.split("/")[0], run.replicate)
+            key = (run.cell.split("/")[0], run.run_id.rsplit("#r", 1)[1])
             seeds.setdefault(key, set()).add(run.seed)
         # Paired experiment: one seed per (scenario, replicate), shared by
         # baseline/repartition/cache/both.
@@ -182,7 +182,6 @@ class TestVerdictIdentityAcrossWorkers:
 class TestDefaultOnConstruction:
     def test_no_arg_construction_enables_repartition_and_cache(self):
         engine = Scads(seed=0, autoscale=False)
-        assert engine.repartition is True
         assert engine.rebalancer is not None
         assert isinstance(engine.cache, CacheTier)
 

@@ -21,7 +21,6 @@ from repro.workloads.traces import (
     ConstantTrace,
     DiurnalTrace,
     HalloweenSpikeTrace,
-    StepTrace,
 )
 
 pytestmark = pytest.mark.tier1
@@ -33,6 +32,10 @@ def make_graph(n=100, cap=20, mean=5.0, seed=0):
 
 def max_degree(graph):
     return max(graph.friend_count(user) for user in graph.users())
+
+
+def observed_write_fraction(mix, draws=3000):
+    return sum(mix.next_operation().is_write for _ in range(draws)) / draws
 
 
 class TestSocialGraph:
@@ -57,21 +60,6 @@ class TestSocialGraph:
             month, day = graph.profile(user_id).birthday.split("-")
             assert 1 <= int(month) <= 12
             assert 1 <= int(day) <= 28
-
-    def test_add_friendship_respects_cap(self):
-        graph = make_graph(n=30, cap=2, mean=1.0)
-        users = graph.users()
-        hub = users[0]
-        added = 0
-        for other in users[1:]:
-            if graph.add_friendship(hub, other):
-                added += 1
-        assert graph.friend_count(hub) <= 2
-
-    def test_add_self_friendship_rejected(self):
-        graph = make_graph(n=5)
-        with pytest.raises(ValueError):
-            graph.add_friendship(graph.users()[0], graph.users()[0])
 
     def test_same_seed_same_graph(self):
         a = make_graph(n=60, seed=5)
@@ -110,16 +98,13 @@ class TestCloudStoneMix:
     def test_write_fraction_matches_mix(self):
         graph = make_graph()
         mix = CloudStoneMix(graph, np.random.default_rng(0))
-        assert mix.write_fraction() == pytest.approx(0.10, abs=0.001)
-        ops = [mix.next_operation() for _ in range(3000)]
-        observed = sum(1 for op in ops if op.is_write) / len(ops)
-        assert observed == pytest.approx(0.10, abs=0.03)
+        assert observed_write_fraction(mix) == pytest.approx(0.10, abs=0.03)
 
     def test_write_heavy_mix_has_more_writes(self):
         graph = make_graph()
         default = CloudStoneMix(graph, np.random.default_rng(0), mix=DEFAULT_MIX)
         heavy = CloudStoneMix(graph, np.random.default_rng(0), mix=WRITE_HEAVY_MIX)
-        assert heavy.write_fraction() > 3 * default.write_fraction()
+        assert observed_write_fraction(heavy) > 3 * observed_write_fraction(default)
 
     def test_set_mix_switches_behaviour(self):
         graph = make_graph()
@@ -147,15 +132,6 @@ class TestCloudStoneMix:
 class TestTraces:
     def test_constant_trace(self):
         assert ConstantTrace(100.0).rate_at(1e6) == 100.0
-
-    def test_step_trace(self):
-        trace = StepTrace([(0.0, 10.0), (100.0, 50.0)])
-        assert trace.rate_at(50.0) == 10.0
-        assert trace.rate_at(150.0) == 50.0
-
-    def test_step_trace_requires_sorted_steps(self):
-        with pytest.raises(ValueError):
-            StepTrace([(100.0, 10.0), (0.0, 50.0)])
 
     def test_diurnal_peaks_at_peak_hour(self):
         trace = DiurnalTrace(base_rate=100.0, peak_rate=1000.0, peak_hour=20.0)
